@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shutil
 import sys
@@ -157,13 +158,24 @@ def _rel_path(path: Path, base: Path) -> str:
 
 
 def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -> None:
+    # entities of state.facts by span path, in insertion order; merge never
+    # changes the span of an entity it has already inserted
+    by_path: dict[str, list[Entity]] = {}
+
+    def merge(facts: FactSet) -> None:
+        added = [facts.entities[eid] for eid in sorted(facts.entities)
+                 if eid not in state.facts.entities]
+        state.bump("source-code", "entities", len(facts.entities))
+        state.bump("source-code", "relations", len(facts.relations))
+        state.facts.merge(facts)
+        for entity in added:
+            if entity.span is not None:
+                by_path.setdefault(entity.span.path, []).append(entity)
+
     for root, mode in manifest.sources:
         if mode == "facts-file":
             with open(root, encoding="utf-8") as fh:
-                facts = load_facts(fh, name=_rel_path(root, base))
-            state.bump("source-code", "entities", len(facts.entities))
-            state.bump("source-code", "relations", len(facts.relations))
-            state.facts.merge(facts)
+                merge(load_facts(fh, name=_rel_path(root, base)))
             continue
         for file_path in _iter_source_files(root):
             rel = _rel_path(file_path, base)
@@ -171,18 +183,11 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
                 text = file_path.read_bytes().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CktError(f"{rel}: not valid UTF-8 text: {exc}") from exc
-            facts = parse_source(text, rel)
-            state.bump("source-code", "entities", len(facts.entities))
-            state.bump("source-code", "relations", len(facts.relations))
-            state.facts.merge(facts)
+            merge(parse_source(text, rel))
             file_comments = extract_comments(text, rel)
             state.comments.extend(file_comments)
             state.bump("comment", "comments", len(file_comments))
-            entities = [
-                e for e in state.facts.entities.values()
-                if e.span is not None and e.span.path == rel
-            ]
-            state.associations.extend(associate_comments(file_comments, entities))
+            state.associations.extend(associate_comments(file_comments, by_path.get(rel, [])))
 
 
 def _comment_entities(state: BuildState) -> None:
@@ -204,7 +209,18 @@ def _comment_entities(state: BuildState) -> None:
             )
 
 
-def _scope_identifiers(entity_id: str, facts: FactSet) -> set[str]:
+def _scope_labels_by_path(facts: FactSet) -> dict[str, set[str]]:
+    """Labels of the declarations in each file, for file-scoped comments."""
+    labels: dict[str, set[str]] = {}
+    for entity in facts.entities.values():
+        if entity.span is not None and entity.kind in ("function", "variable", "type", "class"):
+            labels.setdefault(entity.span.path, set()).add(entity.label)
+    return labels
+
+
+def _scope_identifiers(
+    entity_id: str, facts: FactSet, labels_by_path: dict[str, set[str]]
+) -> set[str]:
     """Identifier tokens declared or used within the entity's reach."""
     idents: set[str] = set()
     entity = facts.entities.get(entity_id)
@@ -212,13 +228,10 @@ def _scope_identifiers(entity_id: str, facts: FactSet) -> set[str]:
         return idents
     idents.add(entity.label)
     if entity.kind == "file" and entity.span is not None:
-        for other in facts.entities.values():
-            if other.span is not None and other.span.path == entity.span.path:
-                if other.kind in ("function", "variable", "type", "class"):
-                    idents.add(other.label)
+        idents.update(labels_by_path.get(entity.span.path, ()))
         return idents
-    for rel in facts.relations:
-        if rel.subj != entity_id or rel.pred not in ("declares", "reads", "writes", "calls"):
+    for rel in facts.relations_from(entity_id):
+        if rel.pred not in ("declares", "reads", "writes", "calls"):
             continue
         target = facts.entities.get(rel.obj)
         if target is not None:
@@ -230,10 +243,11 @@ def _validate_comments(state: BuildState) -> list[concepts.StalenessReport]:
     reports = []
     assoc = dict(state.associations)
     by_id = {c.id: c for c in state.comments}
+    labels_by_path = _scope_labels_by_path(state.facts)
     for comment_id in sorted(by_id):
         comment = by_id[comment_id]
         entity_id = assoc.get(comment_id, "")
-        scope = _scope_identifiers(entity_id, state.facts)
+        scope = _scope_identifiers(entity_id, state.facts, labels_by_path)
         report = concepts.validate_comment(comment, scope, entity_id)
         reports.append(report)
         centity = state.facts.entities.get(comment_id)
@@ -275,8 +289,8 @@ def cmd_build(manifest_path: Path) -> int:
 
     history.register_commit_entities(commits, state.facts)
     history.register_bug_entities(bugs, state.facts)
-    for commit in commits:
-        triples = history.link_commit_entities(commit, state.facts)
+    if commits:
+        triples = history.link_commit_entities(commits, state.facts)
         link_triples.extend(triples)
         state.bump("version-tracker", "triples", len(triples))
     bug_triples, link_warnings = history.link_bugs_commits(bugs, commits)
@@ -352,18 +366,12 @@ def _build_graph(
     for entity in state.facts.sorted_entities():
         builder.add_entity(entity)
 
-    prov_source = {
-        "version-tracker": "version-tracker",
-        "bug-tracker": "bug-tracker",
-        "snapshot-approx": "snapshot-approx",
-        "derived": "derived",
-    }
     for rel in state.facts.sorted_relations():
         source = "comment" if rel.pred == "documented-by" else "source-code"
         origin = f"{ids.path_of(rel.subj) or rel.subj}:{rel.origin}"
         builder.insert_triple(rel.subj, rel.pred, rel.obj, Provenance(source, origin))
     for s, p, o, tag in link_triples:
-        builder.insert_triple(s, p, o, Provenance(prov_source.get(tag, tag), s))
+        builder.insert_triple(s, p, o, Provenance(tag, s))
 
     roots = concepts.detect_thread_roots(state.facts, state.trace)
     if roots:
@@ -391,8 +399,8 @@ def _build_graph(
         e for e in state.facts.sorted_entities()
         if e.kind == "function" and e.attrs.get("external") != "true"
     ]
-    for func in functions:
-        fv = concepts.compute_features(func, state.facts, state.trace, ontology)
+    vectors = concepts.compute_features(functions, state.facts, state.trace, ontology)
+    for func, fv in zip(functions, vectors):
         label = concepts.classify_strategy(fv, weights)
         if label.class_name != "unclassified":
             builder.add_entity(
@@ -676,8 +684,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "build":
             return cmd_build(args.manifest)
@@ -691,6 +698,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_arg_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head -1`); point stdout at devnull so
+        # the flush at exit cannot fail again, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -54,34 +54,66 @@ def _call_graph(facts: FactSet) -> dict[str, set[str]]:
     return graph
 
 
-def _in_cycle(fid: str, calls: dict[str, set[str]]) -> bool:
-    """True when fid can reach itself along call edges (self-loops count)."""
-    seen: set[str] = set()
-    stack = sorted(calls.get(fid, ()))
-    while stack:
-        node = stack.pop()
-        if node == fid:
-            return True
-        if node in seen:
+def _cyclic_functions(calls: dict[str, set[str]]) -> set[str]:
+    """Nodes that can reach themselves along call edges: those with a
+    self-loop or in a strongly connected component of more than one node
+    (Tarjan's algorithm, iterative so deep call chains cannot overflow)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    cyclic = {node for node, targets in calls.items() if node in targets}
+    for root in calls:
+        if root in index:
             continue
-        seen.add(node)
-        stack.extend(sorted(calls.get(node, ())))
-    return False
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(calls[root]))]
+        while work:
+            node, targets = work[-1]
+            child = next(targets, None)
+            if child is not None:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(calls.get(child, ()))))
+                elif child in on_stack:
+                    low[node] = min(low[node], index[child])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                if len(component) > 1:
+                    cyclic.update(component)
+    return cyclic
 
 
-def _max_trace_depth(fid: str, trace: TraceLog | None) -> int:
+def _max_trace_depths(trace: TraceLog | None) -> dict[str, int]:
+    """Deepest observed nesting of enter events per function, counted per
+    thread; an exit below depth zero is ignored."""
     if trace is None:
-        return 0
-    depth_by_tid: dict[int, int] = {}
-    best = 0
+        return {}
+    depth: dict[tuple[str, int], int] = {}
+    best: dict[str, int] = {}
     for ev in trace.events:
-        if ev.target != fid or ev.kind not in ("enter", "exit"):
-            continue
         if ev.kind == "enter":
-            depth_by_tid[ev.tid] = depth_by_tid.get(ev.tid, 0) + 1
-            best = max(best, depth_by_tid[ev.tid])
-        else:
-            depth_by_tid[ev.tid] = max(0, depth_by_tid.get(ev.tid, 0) - 1)
+            key = (ev.target, ev.tid)
+            depth[key] = depth.get(key, 0) + 1
+            best[ev.target] = max(best.get(ev.target, 0), depth[key])
+        elif ev.kind == "exit":
+            key = (ev.target, ev.tid)
+            depth[key] = max(0, depth.get(key, 0) - 1)
     return best
 
 
@@ -91,12 +123,12 @@ def _entity_tokens(fid: str, facts: FactSet) -> list[str]:
     entity = facts.entities.get(fid)
     if entity is not None:
         tokens.extend(split_identifier(entity.label))
-    for rel in facts.relations:
-        if rel.subj == fid and rel.pred in ("declares", "reads", "writes", "calls"):
+    for rel in facts.relations_from(fid):
+        if rel.pred in ("declares", "reads", "writes", "calls"):
             target = facts.entities.get(rel.obj)
             if target is not None and target.kind in ("variable", "function"):
                 tokens.extend(split_identifier(target.label))
-        if rel.subj == fid and rel.pred == "documented-by":
+        elif rel.pred == "documented-by":
             comment = facts.entities.get(rel.obj)
             if comment is not None and comment.attrs.get("tokens"):
                 tokens.extend(comment.attrs["tokens"].split(" "))
@@ -104,31 +136,39 @@ def _entity_tokens(fid: str, facts: FactSet) -> list[str]:
 
 
 def compute_features(
-    entity: Entity,
+    functions: list[Entity],
     facts: FactSet,
     trace: TraceLog | None,
     ontology: Ontology,
-) -> FeatureVector:
-    """Deterministic feature vector for one function entity.
+) -> list[FeatureVector]:
+    """Deterministic feature vectors, one per function entity, in order.
 
-    Trace-derived features are zero when no trace is supplied; keyword
-    features exist for every ontology concept (zero when unseen).
+    The call graph, its cycles and the trace replay are computed once for
+    the whole batch.  Trace-derived features are zero when no trace is
+    supplied; keyword features exist for every ontology concept (zero when
+    unseen).
     """
-    if entity.kind != "function":
-        raise DomainError(f"features are defined for functions, not {entity.kind}")
-    calls = _call_graph(facts)
-    self_calls = [
-        rel for rel in facts.relations
-        if rel.pred == "calls" and rel.subj == entity.id and rel.obj == entity.id
-    ]
-    fv = FeatureVector(entity.id)
-    fv.features["f_rec"] = 1.0 if _in_cycle(entity.id, calls) else 0.0
-    fv.features["f_multi"] = float(len(self_calls))
-    fv.features["f_depth"] = float(_max_trace_depth(entity.id, trace))
-    hits = ontology.hits(_entity_tokens(entity.id, facts))
-    for concept in ontology.concepts():
-        fv.features[f"f_kw_{concept}"] = float(hits.get(concept, 0))
-    return fv
+    for entity in functions:
+        if entity.kind != "function":
+            raise DomainError(f"features are defined for functions, not {entity.kind}")
+    cyclic = _cyclic_functions(_call_graph(facts))
+    depths = _max_trace_depths(trace)
+    concept_names = ontology.concepts()
+    vectors = []
+    for entity in functions:
+        fid = entity.id
+        self_calls = sum(
+            1 for rel in facts.relations_from(fid) if rel.pred == "calls" and rel.obj == fid
+        )
+        fv = FeatureVector(fid)
+        fv.features["f_rec"] = 1.0 if fid in cyclic else 0.0
+        fv.features["f_multi"] = float(self_calls)
+        fv.features["f_depth"] = float(depths.get(fid, 0))
+        hits = ontology.hits(_entity_tokens(fid, facts))
+        for concept in concept_names:
+            fv.features[f"f_kw_{concept}"] = float(hits.get(concept, 0))
+        vectors.append(fv)
+    return vectors
 
 
 def classify_strategy(

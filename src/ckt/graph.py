@@ -126,9 +126,6 @@ class GraphBuilder:
             triple.provenance.append(provenance)
         return triple
 
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entities
-
     def finalize(self) -> KnowledgeGraph:
         self._check_open()
         self._finalized = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import IO, Iterable
@@ -20,6 +21,7 @@ from ckt.model import Comment, Entity, FactSet
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
+_CR_RUN = re.compile(r"cr\d+")
 
 
 def _identifierish(token: str) -> bool:
@@ -259,29 +261,32 @@ def register_bug_entities(bugs: list[BugRecord], facts: FactSet) -> None:
             facts.add_entity(Entity(ids.dev_id(bug.assignee), "developer", bug.assignee), merge=True)
 
 
-def link_commit_entities(commit: Commit, facts: FactSet) -> list[LinkTriple]:
-    """Emit touches/authored-by triples for one commit against the current
-    snapshot.  Functions whose spans intersect a changed range get
-    snapshot-approx provenance; unknown paths still yield file triples."""
+def link_commit_entities(commits: list[Commit], facts: FactSet) -> list[LinkTriple]:
+    """Emit touches/authored-by triples for each commit, in order, against
+    the current snapshot.  Functions whose spans intersect a changed range
+    get snapshot-approx provenance; unknown paths still yield file triples."""
     triples: list[LinkTriple] = []
     by_path: dict[str, list[Entity]] = {}
     for entity in facts.entities.values():
         if entity.kind == "function" and entity.span is not None:
             by_path.setdefault(entity.span.path, []).append(entity)
-    for change in commit.changes:
-        fid = ids.file_id(change.path)
-        if fid not in facts.entities:
-            facts.add_entity(
-                Entity(fid, "file", change.path.rpartition("/")[2] or change.path,
-                       attrs={"missing": "true"}),
-                merge=True,
-            )
-        triples.append((commit.entity_id, "touches", fid, "version-tracker"))
-        ranges = change.added + change.removed
-        for fn in sorted(by_path.get(change.path, []), key=lambda e: e.id):
-            if any(_intersects(r, (fn.span.start, fn.span.end)) for r in ranges):
-                triples.append((commit.entity_id, "touches", fn.id, "snapshot-approx"))
-    triples.append((commit.entity_id, "authored-by", commit.dev_entity_id, "version-tracker"))
+    for functions in by_path.values():
+        functions.sort(key=lambda e: e.id)
+    for commit in commits:
+        for change in commit.changes:
+            fid = ids.file_id(change.path)
+            if fid not in facts.entities:
+                facts.add_entity(
+                    Entity(fid, "file", change.path.rpartition("/")[2] or change.path,
+                           attrs={"missing": "true"}),
+                    merge=True,
+                )
+            triples.append((commit.entity_id, "touches", fid, "version-tracker"))
+            ranges = change.added + change.removed
+            for fn in by_path.get(change.path, []):
+                if any(_intersects(r, (fn.span.start, fn.span.end)) for r in ranges):
+                    triples.append((commit.entity_id, "touches", fn.id, "snapshot-approx"))
+        triples.append((commit.entity_id, "authored-by", commit.dev_entity_id, "version-tracker"))
     return triples
 
 
@@ -321,17 +326,36 @@ def link_bugs_commits(
                 for bug in matches:
                     triples.append((commit.entity_id, "fixes", bug.entity_id, "version-tracker"))
 
+    # a CR token matches every summary that contains it, so index each
+    # summary under every "cr<digits>" prefix of its "cr<digit run>"s
+    by_cr: dict[str, list[Commit]] = {}
+    for commit in commits:
+        keys = {
+            m.group()[:n]
+            for m in _CR_RUN.finditer(commit.summary.lower())
+            for n in range(3, len(m.group()) + 1)
+        }
+        for key in keys:
+            by_cr.setdefault(key, []).append(commit)
+    # a hash token matches the ids it prefixes: a range of the sorted ids
     by_commit_id = {c.id: c for c in commits}
+    sorted_ids = sorted(
+        (cid.lower(), rank, commit.entity_id)
+        for rank, (cid, commit) in enumerate(by_commit_id.items())
+    )
     for bug in bugs:
         for token in bug.mentions:
             if token.upper().startswith("CR"):
-                for commit in commits:
-                    if token.lower() in commit.summary.lower():
-                        triples.append((bug.entity_id, "mentions", commit.entity_id, "bug-tracker"))
+                for commit in by_cr.get(token.lower(), []):
+                    triples.append((bug.entity_id, "mentions", commit.entity_id, "bug-tracker"))
             else:
-                for cid, commit in by_commit_id.items():
-                    if cid.lower().startswith(token):
-                        triples.append((bug.entity_id, "mentions", commit.entity_id, "bug-tracker"))
+                hits = []
+                i = bisect_left(sorted_ids, (token,))
+                while i < len(sorted_ids) and sorted_ids[i][0].startswith(token):
+                    hits.append(sorted_ids[i][1:])
+                    i += 1
+                for _, commit_eid in sorted(hits):
+                    triples.append((bug.entity_id, "mentions", commit_eid, "bug-tracker"))
         if bug.assignee:
             triples.append((bug.entity_id, "assigned-to", ids.dev_id(bug.assignee), "bug-tracker"))
     return triples, warnings
@@ -366,8 +390,15 @@ def link_bugs_code(
         elif p == "mentions" and s.startswith("bug:"):
             mentions_of.setdefault(s, []).append(o)
 
-    comment_entity: dict[str, str] = dict(associations)
+    # token -> (comment, function) for each comment associated with a
+    # function that carries the token
     tokens_by_comment = {c.id: set(c.tokens) for c in comments}
+    by_token: dict[str, list[tuple[str, str]]] = {}
+    for comment_id, entity_id in dict(associations).items():
+        entity = facts.entities.get(entity_id)
+        if entity is not None and entity.kind == "function":
+            for token in tokens_by_comment.get(comment_id, ()):
+                by_token.setdefault(token, []).append((comment_id, entity_id))
 
     for bug in bugs:
         bug_eid = bug.entity_id
@@ -379,14 +410,9 @@ def link_bugs_code(
             idents.update(
                 m.group().lower() for m in _WORD.finditer(text) if _identifierish(m.group())
             )
-        if not idents:
-            continue
-        for comment_id, entity_id in sorted(comment_entity.items()):
-            entity = facts.entities.get(entity_id)
-            if entity is None or entity.kind != "function":
-                continue
-            if idents & tokens_by_comment.get(comment_id, set()):
-                triples.append((bug_eid, "touches", entity_id, "derived"))
+        hits = {pair for token in idents for pair in by_token.get(token, ())}
+        for _, entity_id in sorted(hits):
+            triples.append((bug_eid, "touches", entity_id, "derived"))
     seen: set[tuple[str, str, str]] = set()
     unique: list[LinkTriple] = []
     for item in triples:

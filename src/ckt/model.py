@@ -82,11 +82,15 @@ class FactSet:
     Equality compares the entity table and the relation multiset on
     (subj, pred, obj, attrs); origins are bookkeeping and excluded so a
     serialize/load round trip through the neutral facts format is identity.
+
+    `relations` may only grow through add_relation and merge, which keep
+    the subject index behind relations_from in step with it.
     """
 
     def __init__(self):
         self.entities: dict[str, Entity] = {}
         self.relations: list[Relation] = []
+        self._by_subj: dict[str, list[Relation]] = {}
 
     def add_entity(self, entity: Entity, *, merge: bool = False) -> Entity:
         """Register an entity; re-adding an identical one is a no-op.
@@ -114,12 +118,18 @@ class FactSet:
 
     def add_relation(self, relation: Relation) -> None:
         self.relations.append(relation)
+        self._by_subj.setdefault(relation.subj, []).append(relation)
 
     def merge(self, other: FactSet) -> None:
         """Union in another fact set; conflicting entity declarations raise."""
         for eid in sorted(other.entities):
             self.add_entity(other.entities[eid])
-        self.relations.extend(other.relations)
+        for rel in other.relations:
+            self.add_relation(rel)
+
+    def relations_from(self, subj: str) -> list[Relation]:
+        """Relations whose subject is `subj`, in insertion order."""
+        return self._by_subj.get(subj, [])
 
     def sorted_entities(self) -> list[Entity]:
         return [self.entities[eid] for eid in sorted(self.entities)]
@@ -129,12 +139,6 @@ class FactSet:
             self.relations,
             key=lambda r: (r.subj, r.pred, r.obj, sorted(r.attrs.items()), r.origin),
         )
-
-    def relation_counts(self) -> dict[tuple[str, str, str], int]:
-        counts: dict[tuple[str, str, str], int] = {}
-        for rel in self.relations:
-            counts[rel.key()] = counts.get(rel.key(), 0) + 1
-        return counts
 
     def primitives(self, source: str, origin_name: str):
         """Iterate the fact set as provenance-tagged knowledge primitives."""

@@ -217,3 +217,112 @@ def bfs_within(adjacency, start, radius):
                     nxt.append(v)
         frontier = nxt
     return set(dist)
+
+
+# -- build-time lookups, one naive scan per item ----------------------------
+#
+# Plain data only.  `relations` is a list of (subj, pred, obj) in insertion
+# order; `entities` maps id -> (kind, label, path or None, comment tokens).
+
+
+def call_graph(relations):
+    """Caller -> callees, rebuilt from every relation."""
+    graph = {}
+    for subj, pred, obj in relations:
+        if pred == "calls":
+            graph.setdefault(subj, set()).add(obj)
+    return graph
+
+
+def in_cycle(fid, calls):
+    """Depth-first search from fid's callees for fid itself."""
+    seen = set()
+    stack = sorted(calls.get(fid, ()))
+    while stack:
+        node = stack.pop()
+        if node == fid:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(sorted(calls.get(node, ())))
+    return False
+
+
+def self_calls(fid, relations):
+    return [r for r in relations if r[1] == "calls" and r[0] == fid and r[2] == fid]
+
+
+def max_trace_depth(fid, events):
+    """Replay every (tid, kind, target) event for one function."""
+    depth_by_tid = {}
+    best = 0
+    for tid, kind, target in events:
+        if target != fid or kind not in ("enter", "exit"):
+            continue
+        if kind == "enter":
+            depth_by_tid[tid] = depth_by_tid.get(tid, 0) + 1
+            best = max(best, depth_by_tid[tid])
+        else:
+            depth_by_tid[tid] = max(0, depth_by_tid.get(tid, 0) - 1)
+    return best
+
+
+def entity_tokens(fid, entities, relations, split):
+    """The function's split label, then, in relation order, the split labels
+    of the variables and functions it touches and its comments' tokens."""
+    tokens = []
+    if fid in entities:
+        tokens.extend(split(entities[fid][1]))
+    for subj, pred, obj in relations:
+        if subj == fid and pred in ("declares", "reads", "writes", "calls"):
+            target = entities.get(obj)
+            if target is not None and target[0] in ("variable", "function"):
+                tokens.extend(split(target[1]))
+        if subj == fid and pred == "documented-by":
+            comment = entities.get(obj)
+            if comment is not None and comment[3]:
+                tokens.extend(comment[3].split(" "))
+    return tokens
+
+
+def scope_identifiers(entity_id, entities, relations):
+    """Labels in a comment's scope: a file's declarations, or what a code
+    element declares, reads, writes and calls."""
+    if entity_id not in entities:
+        return set()
+    kind, label, path, _ = entities[entity_id]
+    idents = {label}
+    if kind == "file" and path is not None:
+        for other_kind, other_label, other_path, _ in entities.values():
+            if other_path == path and other_kind in ("function", "variable", "type", "class"):
+                idents.add(other_label)
+        return idents
+    for subj, pred, obj in relations:
+        if subj == entity_id and pred in ("declares", "reads", "writes", "calls") and obj in entities:
+            idents.add(entities[obj][1])
+    return idents
+
+
+def bug_commit_mentions(bugs, commits):
+    """(bug, commit) mention pairs: bugs are (entity id, mention tokens),
+    commits are (id, entity id, summary).  A CR token matches every summary
+    containing it, a hash token every commit id it prefixes."""
+    pairs = []
+    by_id = {cid: eid for cid, eid, _ in commits}
+    for bug_eid, mentions in bugs:
+        for token in mentions:
+            if token.upper().startswith("CR"):
+                pairs.extend((bug_eid, eid) for _, eid, summary in commits
+                             if token.lower() in summary.lower())
+            else:
+                pairs.extend((bug_eid, eid) for cid, eid in by_id.items()
+                             if cid.lower().startswith(token))
+    return pairs
+
+
+def comment_grounded_functions(idents, comment_function, comment_tokens):
+    """Functions, in comment id order, whose comment shares a token with
+    idents; `comment_function` maps comment id -> function id."""
+    return [fid for cid, fid in sorted(comment_function.items())
+            if idents & comment_tokens.get(cid, set())]

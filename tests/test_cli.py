@@ -1,9 +1,13 @@
 """End-to-end CLI behavior on the scenario project."""
 
+import hashlib
 import io
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,20 @@ from ckt.cli import cmd_export, cmd_query, cmd_repl, main, parse_record
 from conftest import SCENARIO
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# SHA-256 of every file `ckt build` writes for the scenario, recorded from
+# the build before its lookups were indexed: a faster build must not change
+# a byte of its output.
+SCENARIO_DIGESTS = {
+    "nodes.jsonl": "584b5436c5da5cf69146c3ebbdb63b25bec13b8ed2ff1d3447f4963735d088cf",
+    "ranks.tsv": "c708ec579aac348665c5f60b3ac77663a788c625849e97b30a93c10ba6b0e421",
+    "report.json": "d789180a1c997f7a4cf7a34062c7d3558fd996a94856c863129d324f5c8e5134",
+    "stats.json": "a3f465ac941d7ea86e52adedc4268fda979f3dca0c6db024adb56c8f9449ffe3",
+    "templates.jsonl": "fb6348c267556b8936940ddd0e87a90b6ec1844de36d1eb8266274f18f5b7eb9",
+    "trace.jsonl": "490ae5142723b9c2836ef59d0327443784541b637604b83bd008f28463154d93",
+    "triples.tsv": "cda2cc0b2d695e234a26883672890ae8a68425a3afe3f2263b741be3dbf93253",
+}
 
 
 def test_build_reports_counts_per_source(scenario_dir, capsys):
@@ -23,6 +41,32 @@ def test_build_reports_counts_per_source(scenario_dir, capsys):
     assert "bug-tracker:" in out and "2 bugs" in out
     assert "trace:" in out and "15 events" in out
     assert "comment:" in out
+
+
+def test_scenario_build_matches_golden_digests(tmp_path, capsys):
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    assert main(["build", "--manifest", str(tmp_path / "p" / "manifest.json")]) == 0
+    out = tmp_path / "p" / "out"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == SCENARIO_DIGESTS
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before ckt writes a byte
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckt", "build", "--manifest", str(tmp_path / "p" / "manifest.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    assert (tmp_path / "p" / "out" / "nodes.jsonl").exists()
 
 
 def test_build_missing_bugs_path_exits_2(tmp_path, capsys):

@@ -50,7 +50,7 @@ def facts_with_comment(src, path="a.c"):
 def test_recursive_function_features():
     src = "// divide the range\nint f(int n){ if (n) { f(n-1); } return f(n-2); }"
     facts = facts_with_comment(src)
-    fv = compute_features(facts.entities["func:a.c#f"], facts, None, ontology())
+    [fv] = compute_features([facts.entities["func:a.c#f"]], facts, None, ontology())
     assert fv.get("f_rec") == 1.0
     assert fv.get("f_multi") == 2.0
     assert fv.get("f_kw_divide-and-conquer") >= 1.0
@@ -59,14 +59,14 @@ def test_recursive_function_features():
 
 def test_leaf_function_all_zero():
     facts = parse_source("void leaf() { }", "a.c")
-    fv = compute_features(facts.entities["func:a.c#leaf"], facts, None, ontology())
+    [fv] = compute_features([facts.entities["func:a.c#leaf"]], facts, None, ontology())
     assert all(v == 0.0 for v in fv.features.values())
 
 
 def test_mutual_recursion_sets_f_rec_without_f_multi():
     src = "void a(){ b(); }\nvoid b(){ a(); }"
     facts = parse_source(src, "m.c")
-    fv = compute_features(facts.entities["func:m.c#a"], facts, None, ontology())
+    [fv] = compute_features([facts.entities["func:m.c#a"]], facts, None, ontology())
     assert fv.get("f_rec") == 1.0 and fv.get("f_multi") == 0.0
 
 
@@ -78,14 +78,14 @@ def test_trace_depth():
         TraceEvent(3, 1, "exit", "func:a.c#f"),
         TraceEvent(4, 1, "exit", "func:a.c#f"),
     ], threads={1})
-    fv = compute_features(facts.entities["func:a.c#f"], facts, trace, ontology())
+    [fv] = compute_features([facts.entities["func:a.c#f"]], facts, trace, ontology())
     assert fv.get("f_depth") == 2.0
 
 
 def test_non_function_rejected():
     facts = parse_source("int g;", "a.c")
     with pytest.raises(DomainError):
-        compute_features(facts.entities["var:a.c#g"], facts, None, ontology())
+        compute_features([facts.entities["var:a.c#g"]], facts, None, ontology())
 
 
 def fv_of(**features):

@@ -106,7 +106,7 @@ def test_commit_touches_function_by_interval():
                     '[{"path":"a.c","added":[[10,12]],"removed":[]}]'),
     ])
     facts = snapshot_facts()
-    triples = link_commit_entities(commits[0], facts)
+    triples = link_commit_entities(commits, facts)
     assert ("commit:c1", "touches", "file:a.c", "version-tracker") in triples
     func_touches = [(s, o, tag) for s, p, o, tag in triples if p == "touches" and o.startswith("func:")]
     assert func_touches == [("commit:c1", "func:a.c#f", "snapshot-approx")]
@@ -129,7 +129,7 @@ def test_touching_deleted_file_creates_missing_entity():
                     '[{"path":"gone.c","added":[],"removed":[[1,5]]}]'),
     ])
     facts = snapshot_facts()
-    triples = link_commit_entities(commits[0], facts)
+    triples = link_commit_entities(commits, facts)
     assert ("commit:c2", "touches", "file:gone.c", "version-tracker") in triples
     assert facts.entities["file:gone.c"].attrs["missing"] == "true"
 
@@ -138,7 +138,7 @@ def test_commit_with_no_changes_yields_only_authorship():
     commits, _ = load_commits([
         COMMITS_HEADER, commit_line("c3", "2015-01-01T00:00:00Z", "tag release"),
     ])
-    triples = link_commit_entities(commits[0], snapshot_facts())
+    triples = link_commit_entities(commits, snapshot_facts())
     assert triples == [("commit:c3", "authored-by", "dev:a@x", "version-tracker")]
 
 

@@ -1,0 +1,204 @@
+"""The build's indexed lookups against the naive per-item scans in oracles.py:
+function features, comment scopes, and bug/commit/comment linking."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ckt.cli import _scope_identifiers, _scope_labels_by_path
+from ckt.concepts import _entity_tokens, compute_features
+from ckt.config import Ontology, split_identifier
+from ckt.history import BugRecord, Commit, link_bugs_code, link_bugs_commits
+from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
+
+PATHS = ["a.c", "lib/b.c", "c.h"]
+FUNC_NAMES = ["f", "divideRange", "halve_it", "memoFib", "greedyPick"]
+VAR_NAMES = ["count", "buf_len", "cacheMap"]
+WORDS = ["split", "the", "range", "memoize", "greedy", "choice", "x_1"]
+
+
+def ontology():
+    ont = Ontology()
+    ont.add("divide and conquer", ["divide", "halve", "split the range"], "dc")
+    ont.add("dynamic programming", ["memoize", "memo"], "dp")
+    ont.add("greedy", ["greedy choice"], "greedy")
+    return ont
+
+
+@st.composite
+def projects(draw):
+    """A FactSet merged from per-file parts, with cross-file calls
+    (self-loops, cycles, calls to unknown ids), variable accesses and
+    documented-by comments, plus a trace of nested and unbalanced
+    enter/exit events on several threads."""
+    parts = []
+    funcs, variables, subjects = [], [], []
+    for path in draw(st.lists(st.sampled_from(PATHS), min_size=1, max_size=3, unique=True)):
+        part = FactSet()
+        part.add_entity(Entity(f"file:{path}", "file", path.rpartition("/")[2], Span(path, 1, 200)))
+        subjects.append(f"file:{path}")
+        names = draw(st.lists(st.sampled_from(FUNC_NAMES), min_size=1, max_size=4, unique=True))
+        for i, name in enumerate(names):
+            fid = f"func:{path}#{name}"
+            part.add_entity(Entity(fid, "function", name, Span(path, 10 * i + 1, 10 * i + 9)))
+            funcs.append(fid)
+        for name in draw(st.lists(st.sampled_from(VAR_NAMES), max_size=2, unique=True)):
+            vid = f"var:{path}#{name}"
+            part.add_entity(Entity(vid, "variable", name, Span(path, 100, 100)))
+            variables.append(vid)
+        if draw(st.booleans()):
+            part.add_entity(Entity(f"type:{path}#node", "type", "node", Span(path, 150, 160)))
+        parts.append(part)
+    facts = FactSet()
+    for part in parts:
+        facts.merge(part)
+    subjects += funcs + variables
+    callees = funcs + ["func:ext.c#unknown"]
+    objects = callees + variables
+    for _ in range(draw(st.integers(0, 14))):
+        subj = draw(st.sampled_from(subjects))
+        pred = draw(st.sampled_from(["calls", "calls", "declares", "reads", "writes", "has-type"]))
+        obj = draw(st.sampled_from(callees if pred == "calls" else objects))
+        facts.add_relation(Relation(subj, pred, obj))
+    for line in draw(st.lists(st.integers(1, 60), max_size=5, unique=True)):
+        path = draw(st.sampled_from(PATHS))
+        cid = f"comment:{path}#L{line}"
+        tokens = " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=5)))
+        facts.add_entity(Entity(cid, "comment", "c", Span(path, line, line), {"tokens": tokens}))
+        facts.add_relation(Relation(draw(st.sampled_from(subjects)), "documented-by", cid, line))
+    traced = funcs[:2]  # few (function, tid) pairs, so exits often come first
+    events = draw(st.lists(
+        st.tuples(st.integers(1, 2), st.sampled_from(["enter", "enter", "exit", "read"]),
+                  st.sampled_from(traced)),
+        max_size=25,
+    ))
+    trace = TraceLog([TraceEvent(seq, tid, kind, target)
+                      for seq, (tid, kind, target) in enumerate(events, start=1)], {1, 2, 3})
+    return facts, trace
+
+
+def plain(facts):
+    entities = {
+        eid: (e.kind, e.label, e.span.path if e.span else None, e.attrs.get("tokens", ""))
+        for eid, e in facts.entities.items()
+    }
+    return entities, [(r.subj, r.pred, r.obj) for r in facts.relations]
+
+
+@settings(deadline=None)
+@given(projects(), st.booleans())
+def test_batch_features_equal_per_function_oracle(project, with_trace):
+    facts, trace = project
+    trace = trace if with_trace else None
+    events = [(e.tid, e.kind, e.target) for e in trace.events] if trace else []
+    entities, relations = plain(facts)
+    calls = oracles.call_graph(relations)
+    ont = ontology()
+    functions = [e for e in facts.sorted_entities() if e.kind == "function"]
+    vectors = compute_features(functions, facts, trace, ont)
+    assert [fv.entity_id for fv in vectors] == [f.id for f in functions]
+    for func, fv in zip(functions, vectors):
+        tokens = oracles.entity_tokens(func.id, entities, relations, split_identifier)
+        assert _entity_tokens(func.id, facts) == tokens
+        hits = ont.hits(tokens)
+        assert fv.features == {
+            "f_rec": float(oracles.in_cycle(func.id, calls)),
+            "f_multi": float(len(oracles.self_calls(func.id, relations))),
+            "f_depth": float(oracles.max_trace_depth(func.id, events)),
+            **{f"f_kw_{c}": float(hits.get(c, 0)) for c in ont.concepts()},
+        }
+
+
+def test_exit_without_enter_does_not_lower_later_depth():
+    facts = FactSet()
+    facts.add_entity(Entity("func:a.c#f", "function", "f"))
+    events = [(1, "exit", "func:a.c#f"), (1, "enter", "func:a.c#f"), (1, "enter", "func:a.c#f"),
+              (2, "enter", "func:a.c#f"), (2, "exit", "func:a.c#f"), (2, "exit", "func:a.c#f"),
+              (2, "enter", "func:a.c#f")]
+    trace = TraceLog([TraceEvent(seq, *event) for seq, event in enumerate(events, start=1)], {1, 2})
+    [fv] = compute_features(facts.sorted_entities(), facts, trace, ontology())
+    assert fv.get("f_depth") == oracles.max_trace_depth("func:a.c#f", events) == 2
+
+
+def test_recursion_on_call_chains_deeper_than_the_interpreter_stack():
+    n = 3000
+    facts = FactSet()
+    fids = [f"func:a.c#f{i}" for i in range(n)]
+    for fid in fids:
+        facts.add_entity(Entity(fid, "function", fid[9:]))
+    for caller, callee in zip(fids, fids[1:]):
+        facts.add_relation(Relation(caller, "calls", callee))
+    functions = facts.sorted_entities()
+    assert all(fv.get("f_rec") == 0.0 for fv in compute_features(functions, facts, None, ontology()))
+    facts.add_relation(Relation(fids[-1], "calls", fids[0]))
+    assert all(fv.get("f_rec") == 1.0 for fv in compute_features(functions, facts, None, ontology()))
+
+
+@settings(deadline=None)
+@given(projects())
+def test_indexed_scopes_equal_per_comment_oracle(project):
+    facts, _ = project
+    entities, relations = plain(facts)
+    labels_by_path = _scope_labels_by_path(facts)
+    for eid in [*facts.entities, "", "func:ext.c#unknown"]:
+        assert _scope_identifiers(eid, facts, labels_by_path) == \
+            oracles.scope_identifiers(eid, entities, relations), eid
+
+
+HEX_IDS = ["feedc0ffee12", "feedc0ffee34", "feedc0f", "abcdef0123456789", "FEEDC0FFEE99", "c1"]
+SUMMARY_BITS = ["CR12", "cr123", "xCR1y", "CR", "cr٣", "fix", "7", " ", "CR4cr45"]
+CR_TOKENS = ["CR1", "CR12", "CR123", "CR4", "CR45", "CR٣", "CR9"]
+HASH_TOKENS = ["feedc0f", "feedc0ffee", "feedc0ffee12", "abcdef0", "0000000"]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(HEX_IDS), st.lists(st.sampled_from(SUMMARY_BITS), max_size=4)),
+             max_size=6),
+    st.lists(st.lists(st.sampled_from(CR_TOKENS + HASH_TOKENS), max_size=4, unique=True),
+             max_size=4),
+)
+def test_indexed_mentions_equal_bugs_by_commits_scan(raw_commits, raw_mentions):
+    commits = [Commit(cid, "A", "a@x", "2015-01-01T00:00:00Z", "".join(bits))
+               for cid, bits in raw_commits]
+    bugs = [BugRecord(f"CQ/{i}", "CQ", "t", "", "open", "2015-01-01", None, "", mentions=m)
+            for i, m in enumerate(raw_mentions)]
+    triples, _ = link_bugs_commits(bugs, commits)
+    assert [(s, o) for s, p, o, _ in triples if p == "mentions"] == oracles.bug_commit_mentions(
+        [(b.entity_id, b.mentions) for b in bugs],
+        [(c.id, c.entity_id, c.summary) for c in commits],
+    )
+
+
+IDENTS = ["s162", "x_1", "buf_len", "e404", "q_q"]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_indexed_comment_tokens_equal_comment_scan(data):
+    facts = FactSet()
+    targets = []
+    for i, name in enumerate(["f", "g", "h"]):
+        facts.add_entity(Entity(f"func:a.c#{name}", "function", name, Span("a.c", i * 10 + 1, i * 10 + 9)))
+        targets.append(f"func:a.c#{name}")
+    facts.add_entity(Entity("var:a.c#v", "variable", "v", Span("a.c", 40, 40)))
+    targets += ["var:a.c#v", "func:gone.c#f"]
+    comments, associations = [], []
+    for line in data.draw(st.lists(st.integers(1, 50), max_size=8, unique=True)):
+        tokens = data.draw(st.lists(st.sampled_from(IDENTS + ["plain"]), max_size=3))
+        comment = Comment("c", Span("a.c", line, line), "line", tokens)
+        comments.append(comment)
+        associations.append((comment.id, data.draw(st.sampled_from(targets))))
+    titles = data.draw(st.lists(st.lists(st.sampled_from(IDENTS), max_size=3), max_size=4))
+    bugs = [BugRecord(f"CQ/{i}", "CQ", " ".join(words), "", "open", "2015-01-01", None, "")
+            for i, words in enumerate(titles)]
+
+    comment_function = {cid: eid for cid, eid in associations
+                        if eid in facts.entities and facts.entities[eid].kind == "function"}
+    comment_tokens = {c.id: set(c.tokens) for c in comments}
+    expected = []
+    for bug, words in zip(bugs, titles):
+        grounded = oracles.comment_grounded_functions(set(words), comment_function, comment_tokens)
+        expected += dict.fromkeys((bug.entity_id, fid) for fid in grounded)
+    triples = link_bugs_code(bugs, facts, associations, comments, [])
+    assert [(s, o) for s, _, o, _ in triples] == expected
