@@ -36,6 +36,7 @@ from ckt.graph import (
     GraphBuilder,
     KnowledgeGraph,
     NODES_FILE,
+    RANKS_FILE,
     Provenance,
     TRIPLES_FILE,
     load_graph,
@@ -50,12 +51,11 @@ from ckt.query import (
     parse_query,
     run_template,
 )
-from ckt.query.templates import builtin_registry, load_registry, normalize_date
+from ckt.query.templates import LabelIndex, builtin_registry, load_registry, normalize_date
 from ckt.smart import augment
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
 
-RANKS_FILE = "ranks.tsv"
 STATS_FILE = "stats.json"
 REPORT_FILE = "report.json"
 TRACE_COPY = "trace.jsonl"
@@ -331,10 +331,6 @@ def cmd_build(manifest_path: Path) -> int:
         for name in (TRACE_COPY, TEMPLATES_COPY):  # drop leftovers from prior builds
             (out / name).unlink(missing_ok=True)
         save_graph(graph, out)
-        rank_lines = [f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)]
-        (out / RANKS_FILE).write_text(
-            "".join(line + "\n" for line in rank_lines), encoding="utf-8", newline="\n"
-        )
         (out / STATS_FILE).write_text(
             json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
         )
@@ -442,7 +438,19 @@ def _print_report(report: dict) -> None:
 # -- query ------------------------------------------------------------------
 
 
-def _load_query_context(graph_dir: Path):
+@dataclass
+class QueryContext:
+    """What a query runs against, loaded once per process: the graph with
+    its persisted ranks, the trace copy, the template registry, and an
+    index of the graph's labels built by the first free-form query."""
+
+    graph: KnowledgeGraph
+    trace: TraceLog | None
+    registry: TemplateRegistry
+    labels: LabelIndex
+
+
+def _load_query_context(graph_dir: Path) -> QueryContext:
     graph = load_graph(graph_dir)
     trace = None
     trace_path = graph_dir / TRACE_COPY
@@ -451,7 +459,7 @@ def _load_query_context(graph_dir: Path):
             trace = load_trace(fh, name=TRACE_COPY)
     templates_path = graph_dir / TEMPLATES_COPY
     registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
-    return graph, trace, registry
+    return QueryContext(graph, trace, registry, LabelIndex(graph))
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
@@ -477,24 +485,25 @@ def _normalize_cli_value(value: str) -> str:
     return value
 
 
-def _run_query_text(text: str, graph, trace, registry, smart_config=None):
+def _run_query_text(text: str, ctx: QueryContext):
     """Dispatch query text; returns (ResultSet, resolution info or None)."""
+    graph, registry = ctx.graph, ctx.registry
     text = text.strip()
     if text.upper().startswith("SELECT"):
         result = evaluate(graph, parse_query(text))
-        return augment(result, graph, trace, smart_config), None
+        return augment(result, graph, ctx.trace), None
     m = _TEMPLATE_CALL.match(text)
     if m:
         name, raw_args = m.group(1), m.group(2)
         args = _parse_template_args(raw_args, registry, name)
         result = run_template(name, args, graph, registry)
-        return augment(result, graph, trace, smart_config), {"template": name, "args": args}
-    routed = match_freeform(text, registry, graph)
+        return augment(result, graph, ctx.trace), {"template": name, "args": args}
+    routed = match_freeform(text, registry, graph, labels=ctx.labels)
     if isinstance(routed, NoMatch):
         raise _NoMatchError(routed)
     result = run_template(routed.template, routed.args, graph, registry)
     resolution = {"template": routed.template, "args": routed.args, "score": routed.score}
-    return augment(result, graph, trace, smart_config), resolution
+    return augment(result, graph, ctx.trace), resolution
 
 
 class _NoMatchError(CktError):
@@ -561,9 +570,9 @@ def format_table(result, resolution) -> list[str]:
 
 
 def cmd_query(graph_dir: Path, text: str, fmt: str, count: bool) -> int:
-    graph, trace, registry = _load_query_context(graph_dir)
+    ctx = _load_query_context(graph_dir)
     try:
-        result, resolution = _run_query_text(text, graph, trace, registry)
+        result, resolution = _run_query_text(text, ctx)
     except _NoMatchError as exc:
         if fmt == "records":
             doc = {
@@ -593,7 +602,8 @@ def cmd_query(graph_dir: Path, text: str, fmt: str, count: bool) -> int:
 def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    graph, trace, registry = _load_query_context(graph_dir)
+    ctx = _load_query_context(graph_dir)
+    graph, registry = ctx.graph, ctx.registry
     if verbose:
         print(f"graph loaded: {len(graph.entities)} entities, {len(graph)} triples",
               file=stdout)
@@ -625,7 +635,7 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                 print(f"unknown command {line.split()[0]!r} "
                       "(try :templates, :related, :quit)", file=stdout)
                 continue
-            result, resolution = _run_query_text(line, graph, trace, registry)
+            result, resolution = _run_query_text(line, ctx)
             for out_line in format_table(result, resolution):
                 print(out_line, file=stdout)
         except Exception as exc:  # the REPL survives anything

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from ckt import ids
@@ -64,6 +66,27 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
+def _register(entities: dict[str, Entity], entity_id: str) -> None:
+    """Register an unknown id under the kind its prefix names."""
+    if entity_id in entities:
+        return
+    kind = ids.kind_of(entity_id)
+    if kind is None:
+        raise CktError(f"cannot infer kind for id {entity_id!r}; register it first")
+    _, _, rest = entity_id.partition(":")
+    entities[entity_id] = Entity(entity_id, kind, rest.rpartition("#")[2] or rest)
+
+
+def _register_ends(entities: dict[str, Entity], subject: str, predicate: str, object_: str) -> None:
+    """Register a triple's subject, and its object unless the predicate
+    takes a literal, which must then not look like an entity id."""
+    _register(entities, subject)
+    if not is_literal_object(predicate):
+        _register(entities, object_)
+    elif ids.kind_of(object_) is not None:
+        raise CktError(f"literal expected for predicate {predicate!r}, got entity id {object_!r}")
+
+
 class GraphBuilder:
     """Single-writer accumulation phase; finalize() yields the immutable graph."""
 
@@ -86,16 +109,6 @@ class GraphBuilder:
             if existing.attrs.get("missing") == "true" and entity.attrs.get("missing") != "true":
                 del existing.attrs["missing"]
 
-    def _auto_register(self, entity_id: str) -> None:
-        if entity_id in self._entities:
-            return
-        kind = ids.kind_of(entity_id)
-        if kind is None:
-            raise CktError(f"cannot infer kind for id {entity_id!r}; register it first")
-        _, _, rest = entity_id.partition(":")
-        label = rest.rpartition("#")[2] or rest
-        self._entities[entity_id] = Entity(entity_id, kind, label)
-
     def insert_triple(
         self,
         subject: str,
@@ -110,13 +123,7 @@ class GraphBuilder:
         for part, name in ((subject, "subject"), (predicate, "predicate"), (object_, "object")):
             if "\t" in part or "\n" in part:
                 raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
-        self._auto_register(subject)
-        if not is_literal_object(predicate):
-            self._auto_register(object_)
-        elif ids.kind_of(object_) is not None:
-            raise CktError(
-                f"literal expected for predicate {predicate!r}, got entity id {object_!r}"
-            )
+        _register_ends(self._entities, subject, predicate, object_)
         key = (subject, predicate, object_)
         triple = self._triples.get(key)
         if triple is None:
@@ -139,14 +146,29 @@ class GraphBuilder:
 class KnowledgeGraph:
     """Immutable triple collection with SPO/POS/OSP indexes."""
 
-    def __init__(self, entities: dict[str, Entity], triples: dict[tuple[str, str, str], Triple]):
+    def __init__(
+        self,
+        entities: dict[str, Entity],
+        triples: dict[tuple[str, str, str], Triple],
+        ranks: dict[str, float] | None = None,
+    ):
+        """`ranks`, when given, are the default-parameter PageRank scores
+        of this graph, as `save_graph` persisted them."""
         self._entities = dict(entities)
         self._triples = dict(triples)
-        keys = sorted(self._triples)
-        self._spo = keys
-        self._pos = sorted((p, o, s) for (s, p, o) in keys)
-        self._osp = sorted((o, s, p) for (s, p, o) in keys)
-        self._rank_cache: dict[str, float] | None = None
+        self._spo = sorted(self._triples)
+        self._rank_cache = ranks
+
+    # The POS and OSP indexes are sorted on first use, so a graph that is
+    # only looked up by subject never pays for them.
+
+    @cached_property
+    def _pos(self) -> list[tuple[str, str, str]]:
+        return sorted((p, o, s) for (s, p, o) in self._spo)
+
+    @cached_property
+    def _osp(self) -> list[tuple[str, str, str]]:
+        return sorted((o, s, p) for (s, p, o) in self._spo)
 
     # -- accessors -----------------------------------------------------
 
@@ -338,6 +360,7 @@ class KnowledgeGraph:
 
 NODES_FILE = "nodes.jsonl"
 TRIPLES_FILE = "triples.tsv"
+RANKS_FILE = "ranks.tsv"
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -366,65 +389,164 @@ def _entity_from_json(doc: dict) -> Entity:
     )
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _json_value(text: str):
+    """json.loads(text), minus its per-call overhead when the value spans
+    the whole text, as it does in every line save_graph writes."""
+    try:
+        value, end = _DECODER.raw_decode(text)
+    except ValueError:
+        end = -1
+    return value if end == len(text) else json.loads(text)
+
+
+def _write_lines(path: Path, lines) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+
+
 def save_graph(graph: KnowledgeGraph, directory) -> None:
-    """Write the nodes and triples files, sorted, LF-terminated, UTF-8."""
+    """Write the nodes, triples and PageRank files, sorted, LF-terminated,
+    UTF-8.  Ranks are written with repr, which round-trips every float."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    node_lines = [
+    _write_lines(directory / NODES_FILE, (
         json.dumps(_entity_to_json(graph.entities[eid]), sort_keys=True, ensure_ascii=True)
         for eid in sorted(graph.entities)
-    ]
-    (directory / NODES_FILE).write_text(
-        "".join(line + "\n" for line in node_lines), encoding="utf-8", newline="\n"
-    )
-    triple_lines = []
-    for triple in graph.triples():
-        prov = json.dumps([p.to_json() for p in triple.provenance],
-                          sort_keys=True, ensure_ascii=True)
-        triple_lines.append(f"{triple.subject}\t{triple.predicate}\t{triple.object}\t{prov}")
-    (directory / TRIPLES_FILE).write_text(
-        "".join(line + "\n" for line in triple_lines), encoding="utf-8", newline="\n"
-    )
+    ))
+    _write_lines(directory / TRIPLES_FILE, (
+        f"{t.subject}\t{t.predicate}\t{t.object}\t"
+        + json.dumps([p.to_json() for p in t.provenance], sort_keys=True, ensure_ascii=True)
+        for t in graph.triples()
+    ))
+    rank = graph.pagerank()
+    _write_lines(directory / RANKS_FILE, (f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)))
 
 
 def load_graph(directory) -> KnowledgeGraph:
-    """Rebuild a persisted graph; corrupt lines raise with their line number."""
+    """Read a graph that save_graph wrote, PageRank scores included.
+
+    Every record is checked as GraphBuilder would check it; a bad one
+    raises FormatError with its file and line.  Ids that triples.tsv uses
+    but nodes.jsonl lacks are registered under their inferred kind, a
+    repeated node keeps its first record, and a repeated triple adds its
+    provenance.
+    """
     directory = Path(directory)
-    nodes_path = directory / NODES_FILE
-    triples_path = directory / TRIPLES_FILE
-    if not nodes_path.exists() or not triples_path.exists():
-        raise NotFoundError(f"no graph found in {directory}")
-    builder = GraphBuilder()
-    with open(nodes_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                builder.add_entity(_entity_from_json(json.loads(raw)), merge=False)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise FormatError(f"bad node record in {NODES_FILE}: {exc}", lineno) from exc
-    with open(triples_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 4:
-                raise FormatError(
-                    f"expected 4 tab-separated fields in {TRIPLES_FILE}, got {len(parts)}",
-                    lineno,
-                )
-            s, p, o, prov_json = parts
-            try:
-                prov_list = [Provenance.from_json(d) for d in json.loads(prov_json)]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"bad provenance in {TRIPLES_FILE}: {exc}", lineno) from exc
-            if not prov_list:
-                raise FormatError(f"empty provenance in {TRIPLES_FILE}", lineno)
-            triple = builder.insert_triple(s, p, o, prov_list[0])
-            triple.provenance.extend(prov_list[1:])
-    return builder.finalize()
+    paths = [directory / name for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE)]
+    missing = [path.name for path in paths if not path.exists()]
+    if missing:
+        raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
+    entities = _load_nodes(paths[0])
+    triples = _load_triples(paths[1], entities)
+    return KnowledgeGraph(entities, triples, _load_ranks(paths[2], entities))
+
+
+def _numbered_lines(path: Path):
+    """Yield (line number, line) of a UTF-8 text file; bytes that are not
+    UTF-8 raise FormatError naming the line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            # the decoder's offsets are per chunk: find the line anew
+            for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError(f"{path.name} is not UTF-8: {exc.reason}", lineno) from exc
+            raise
+
+
+def _load_nodes(path: Path) -> dict[str, Entity]:
+    entities: dict[str, Entity] = {}
+    for lineno, raw in _numbered_lines(path):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            doc = _json_value(raw)
+            if not isinstance(doc, dict):
+                raise TypeError(f"expected an object, got {type(doc).__name__}")
+            entity = _entity_from_json(doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad node record in {NODES_FILE}: {exc}", lineno) from exc
+        entities.setdefault(entity.id, entity)
+    return entities
+
+
+def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, str, str], Triple]:
+    triples: dict[tuple[str, str, str], Triple] = {}
+    # triples often repeat a provenance list: decode each distinct one once
+    # and share its frozen records
+    provenance: dict[str, tuple[Provenance, ...]] = {}
+    for lineno, raw in _numbered_lines(path):
+        raw = raw.rstrip("\n")
+        if not raw:
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 4:
+            raise FormatError(
+                f"expected 4 tab-separated fields in {TRIPLES_FILE}, got {len(parts)}", lineno
+            )
+        s, p, o, prov_json = parts
+        provs = provenance.get(prov_json)
+        if provs is None:
+            provs = provenance[prov_json] = _provenance_list(prov_json, lineno)
+        if p not in PREDICATES:
+            raise FormatError(f"unknown predicate {p!r} in {TRIPLES_FILE}", lineno)
+        try:
+            _register_ends(entities, s, p, o)
+        except CktError as exc:
+            raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
+        triple = triples.get((s, p, o))
+        if triple is None:
+            triples[(s, p, o)] = Triple(s, p, o, list(provs))
+        else:
+            triple.provenance.extend(provs)
+    return triples
+
+
+def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
+    try:
+        docs = _json_value(text)
+        if not isinstance(docs, list):
+            raise TypeError(f"expected a list, got {type(docs).__name__}")
+        provs = tuple(Provenance.from_json(doc) for doc in docs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad provenance in {TRIPLES_FILE}: {exc}", lineno) from exc
+    if not provs:
+        raise FormatError(f"empty provenance in {TRIPLES_FILE}", lineno)
+    return provs
+
+
+def _load_ranks(path: Path, entities: dict[str, Entity]) -> dict[str, float]:
+    ranks: dict[str, float] = {}
+    lineno = 0
+    for lineno, raw in _numbered_lines(path):
+        raw = raw.rstrip("\n")
+        if not raw:
+            continue
+        eid, sep, value = raw.partition("\t")
+        try:
+            rank = float(value)
+        except ValueError:
+            rank = math.nan
+        if not sep or not math.isfinite(rank):
+            raise FormatError(f"expected <id><TAB><rank> in {RANKS_FILE}, got {raw!r}", lineno)
+        if eid not in entities:
+            raise FormatError(f"rank for unknown node {eid!r} in {RANKS_FILE}", lineno)
+        if eid in ranks:
+            raise FormatError(f"second rank for {eid!r} in {RANKS_FILE}", lineno)
+        ranks[eid] = rank
+    if len(ranks) < len(entities):
+        absent = sorted(set(entities) - set(ranks))
+        raise FormatError(
+            f"{RANKS_FILE} ends without a rank for {len(absent)} node(s), first {absent[0]!r}",
+            lineno + 1,
+        )
+    return ranks
 
 
 def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

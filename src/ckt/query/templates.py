@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ckt import ids
 from ckt.config import normalize_tokens
@@ -204,18 +205,36 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def _label_tokens(graph: KnowledgeGraph) -> list[tuple[str, tuple[str, ...]]]:
-    out = []
-    for eid in sorted(graph.entities):
-        toks = tuple(normalize_tokens(graph.entities[eid].label))
-        if toks:
-            out.append((eid, toks))
-    return out
+class LabelIndex:
+    """Entity ids by the normalized tokens of their labels, built on first
+    use: each label's full token tuple, and each of its leading sub-tuples
+    (prefixes), maps to the lowest id carrying it while that id is unique,
+    and to None once a second id shares it."""
+
+    def __init__(self, graph: KnowledgeGraph):
+        self._graph = graph
+
+    @cached_property
+    def _tables(self) -> tuple[dict[tuple[str, ...], str | None], dict[tuple[str, ...], str | None]]:
+        exact: dict[tuple[str, ...], str | None] = {}
+        prefix: dict[tuple[str, ...], str | None] = {}
+        for eid in sorted(self._graph.entities):
+            toks = tuple(normalize_tokens(self._graph.entities[eid].label))
+            exact[toks] = None if toks in exact else eid
+            for n in range(1, len(toks) + 1):
+                prefix[toks[:n]] = None if toks[:n] in prefix else eid
+        return exact, prefix
+
+    def exact(self, tokens: tuple[str, ...]) -> str | None:
+        """The one entity whose label tokens are exactly `tokens`, if unique."""
+        return self._tables[0].get(tokens)
+
+    def prefixed(self, tokens: tuple[str, ...]) -> str | None:
+        """The one entity whose label tokens start with `tokens`, if unique."""
+        return self._tables[1].get(tokens)
 
 
-def _resolve_entity(
-    tokens: list[str], labels: list[tuple[str, tuple[str, ...]]]
-) -> tuple[str, list[str]] | None:
+def _resolve_entity(tokens: list[str], labels: LabelIndex) -> tuple[str, list[str]] | None:
     """Resolve a token sequence to a unique entity by label.
 
     Tries exact label matches over contiguous subsequences (longest first,
@@ -223,20 +242,12 @@ def _resolve_entity(
     the tokens left unconsumed.
     """
     n = len(tokens)
-    for length in range(n, 0, -1):
-        for start in range(0, n - length + 1):
-            window = tuple(tokens[start : start + length])
-            exact = [eid for eid, toks in labels if toks == window]
-            if len(exact) == 1:
-                rest = tokens[:start] + tokens[start + length :]
-                return exact[0], rest
-    for length in range(n, 0, -1):
-        for start in range(0, n - length + 1):
-            window = tuple(tokens[start : start + length])
-            prefixed = [eid for eid, toks in labels if toks[: len(window)] == window]
-            if len(prefixed) == 1:
-                rest = tokens[:start] + tokens[start + length :]
-                return prefixed[0], rest
+    for lookup in (labels.exact, labels.prefixed):
+        for length in range(n, 0, -1):
+            for start in range(0, n - length + 1):
+                eid = lookup(tuple(tokens[start : start + length]))
+                if eid is not None:
+                    return eid, tokens[:start] + tokens[start + length :]
     return None
 
 
@@ -245,9 +256,11 @@ def match_freeform(
     registry: TemplateRegistry,
     graph: KnowledgeGraph,
     threshold: float = JACCARD_THRESHOLD,
+    labels: LabelIndex | None = None,
 ) -> FreeformMatch | NoMatch:
     """Route free-form English to a template plus slot values, or report the
-    nearest templates when no routing is confident enough."""
+    nearest templates when no routing is confident enough.  Pass one
+    LabelIndex of the graph to every call to index its labels only once."""
     query_tokens = normalize_tokens(text)
     query_set = frozenset(query_tokens)
     if not query_tokens:
@@ -275,7 +288,7 @@ def match_freeform(
     score, trigger, template = next(item for item in scored if item[0] == top_score)
 
     remaining = [t for t in query_tokens if t not in trigger]
-    labels = _label_tokens(graph)
+    labels = labels or LabelIndex(graph)
     args: dict[str, str] = {}
     for slot_name, slot_type in template.slots:
         if slot_type == "date":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ckt import ids
 from ckt.config import normalize_tokens
@@ -55,87 +56,142 @@ def _triple_ref(s: str, p: str, o: str) -> str:
     return f"{s}|{p}|{o}"
 
 
-def _call_edges(graph: KnowledgeGraph) -> dict[str, list[str]]:
-    edges: dict[str, list[str]] = {}
-    for t in graph.match(None, "calls", None):
-        edges.setdefault(t.subject, []).append(t.object)
-    return edges
+class AugmentContext:
+    """What the rules share while augmenting one response from one graph
+    and trace, each part built on first use: the call graph, the race roots
+    with one BFS tree each, one lockset replay of the trace, and the bug
+    table."""
+
+    def __init__(self, graph: KnowledgeGraph | None, trace: TraceLog | None = None):
+        self.graph = graph
+        self.trace = trace
+
+    @cached_property
+    def call_edges(self) -> dict[str, list[str]]:
+        """Caller -> callees in ascending order."""
+        edges: dict[str, list[str]] = {}
+        for t in self.graph.match(None, "calls", None):
+            edges.setdefault(t.subject, []).append(t.object)
+        return {caller: sorted(callees) for caller, callees in edges.items()}
+
+    @cached_property
+    def race_roots(self) -> list[str]:
+        """Thread entry points plus every function labeled main."""
+        roots = {t.object for t in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
+        for eid, entity in self.graph.entities.items():
+            if entity.kind == "function" and entity.label == "main":
+                roots.add(eid)
+        return sorted(roots)
+
+    @cached_property
+    def root_trees(self) -> list[dict[str, str | None]]:
+        """For each race root, the BFS tree of the call graph from it
+        (node -> parent); callees are visited in ascending order, so each
+        path is the first shortest one in that order."""
+        trees = []
+        for root in self.race_roots:
+            parent: dict[str, str | None] = {root: None}
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                for nxt in self.call_edges.get(node, ()):
+                    if nxt not in parent:
+                        parent[nxt] = node
+                        queue.append(nxt)
+            trees.append(parent)
+        return trees
+
+    @cached_property
+    def locksets(self) -> dict[str, _Lockset]:
+        """One Eraser-style replay of the trace: each variable's accesses,
+        the locks held at every one of them, the threads and whether any
+        access wrote."""
+        out: dict[str, _Lockset] = {}
+        if self.trace is None:
+            return out
+        locks = self.trace.locks()
+        held: dict[int, dict[str, int]] = {}
+        for ev in self.trace.events:
+            if ev.kind == "acquire":
+                mine = held.setdefault(ev.tid, {})
+                mine[ev.target] = mine.get(ev.target, 0) + 1
+            elif ev.kind == "release":
+                mine = held.setdefault(ev.tid, {})
+                if mine.get(ev.target, 0) > 0:
+                    mine[ev.target] -= 1
+            elif ev.kind in ("read", "write"):
+                rec = out.get(ev.target)
+                if rec is None:
+                    rec = out[ev.target] = _Lockset(set(locks))
+                rec.candidate &= {lock for lock, n in held.get(ev.tid, {}).items() if n > 0}
+                rec.accesses.append(ev.seq)
+                rec.tids.add(ev.tid)
+                rec.wrote = rec.wrote or ev.kind == "write"
+        return out
+
+    @cached_property
+    def bugs(self) -> list[tuple[str, frozenset[str], set[str]]]:
+        """Every bug in id order with its tokens and touched entities."""
+        return [
+            (eid, _bug_tokens(entity), {t.object for t in self.graph.match(eid, "touches", None)})
+            for eid, entity in sorted(self.graph.entities.items())
+            if entity.kind == "bug"
+        ]
 
 
-def _race_roots(graph: KnowledgeGraph) -> list[str]:
-    """Thread entry points plus every function labeled main."""
-    roots = {t.object for t in graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
-    for eid, entity in graph.entities.items():
-        if entity.kind == "function" and entity.label == "main":
-            roots.add(eid)
-    return sorted(roots)
+@dataclass
+class _Lockset:
+    candidate: set[str]
+    accesses: list[int] = field(default_factory=list)  # event seqs
+    tids: set[int] = field(default_factory=set)
+    wrote: bool = False
 
 
-def _path_to(root: str, target: str, edges: dict[str, list[str]]) -> list[str] | None:
-    """Shortest call path root -> target as a node list, or None."""
-    if root == target:
-        return [root]
-    prev: dict[str, str] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for nxt in sorted(edges.get(node, ())):
-            if nxt in seen:
-                continue
-            prev[nxt] = node
-            if nxt == target:
-                path = [nxt]
-                while path[-1] != root:
-                    path.append(prev[path[-1]])
-                return list(reversed(path))
-            seen.add(nxt)
-            queue.append(nxt)
-    return None
+def _tree_path(tree: dict[str, str | None], target: str) -> list[str] | None:
+    """Root -> target path in a BFS tree, or None when target is unreached."""
+    if target not in tree:
+        return None
+    path = [target]
+    while tree[path[-1]] is not None:
+        path.append(tree[path[-1]])
+    return path[::-1]
 
 
-def race_alert_static(graph: KnowledgeGraph, var: str) -> SmartAlert | None:
+def race_alert_static(
+    graph: KnowledgeGraph, var: str, ctx: AugmentContext | None = None
+) -> SmartAlert | None:
     """Alert when an unguarded accessor of a global is reachable from two or
     more distinct roots (thread entry points or main)."""
     entity = graph.entity(var)
     if entity.attrs.get("scope") != "global":
         raise DomainError(f"{var} is not a global variable")
-    edges = _call_edges(graph)
-    roots = _race_roots(graph)
+    ctx = ctx or AugmentContext(graph)
     accessors = sorted(
         {t.subject for t in graph.match(None, "writes", var)}
         | {t.subject for t in graph.match(None, "reads", var)}
     )
-    evidence: list[str] = []
+    evidence: dict[str, None] = {}  # insertion-ordered set
     racing_funcs: list[str] = []
     for func in accessors:
         if graph.get(func, "guards", var) is not None:
             continue
-        paths = []
-        for root in roots:
-            path = _path_to(root, func, edges)
-            if path is not None:
-                paths.append(path)
+        paths = [p for p in (_tree_path(tree, func) for tree in ctx.root_trees) if p is not None]
         if len(paths) < 2:
             continue
         racing_funcs.append(func)
         for path in paths:
             for a, b in zip(path, path[1:]):
-                ref = _triple_ref(a, "calls", b)
-                if ref not in evidence:
-                    evidence.append(ref)
+                evidence[_triple_ref(a, "calls", b)] = None
         for pred in ("writes", "reads"):
             if graph.get(func, pred, var) is not None:
-                ref = _triple_ref(func, pred, var)
-                if ref not in evidence:
-                    evidence.append(ref)
+                evidence[_triple_ref(func, pred, var)] = None
     if not racing_funcs:
         return None
     names = ", ".join(graph.entity(f).label for f in racing_funcs)
     return SmartAlert(
         kind="race-static",
         subject=var,
-        evidence=evidence,
+        evidence=list(evidence),
         message=(
             f"potential data race: {entity.label} is accessed without a guard in "
             f"{names}, each reachable from multiple thread roots"
@@ -144,57 +200,43 @@ def race_alert_static(graph: KnowledgeGraph, var: str) -> SmartAlert | None:
     )
 
 
-def race_alert_dynamic(trace: TraceLog, var: str) -> SmartAlert | None:
+def race_alert_dynamic(
+    trace: TraceLog, var: str, ctx: AugmentContext | None = None
+) -> SmartAlert | None:
     """Eraser-style lockset refinement over the trace for one variable."""
-    accesses = [e for e in trace.events if e.kind in ("read", "write") and e.target == var]
-    if not accesses:
+    rec = (ctx or AugmentContext(None, trace)).locksets.get(var)
+    if rec is None:
         raise NotFoundError(f"{var} is not referenced by any trace event")
-    candidate = set(trace.locks())
-    held: dict[int, dict[str, int]] = {}
-    tids: set[int] = set()
-    wrote = False
-    for ev in trace.events:
-        if ev.kind == "acquire":
-            locks = held.setdefault(ev.tid, {})
-            locks[ev.target] = locks.get(ev.target, 0) + 1
-        elif ev.kind == "release":
-            locks = held.setdefault(ev.tid, {})
-            if locks.get(ev.target, 0) > 0:
-                locks[ev.target] -= 1
-        elif ev.kind in ("read", "write") and ev.target == var:
-            now = {lock for lock, n in held.get(ev.tid, {}).items() if n > 0}
-            candidate &= now
-            tids.add(ev.tid)
-            wrote = wrote or ev.kind == "write"
-    if candidate or len(tids) < 2 or not wrote:
+    if rec.candidate or len(rec.tids) < 2 or not rec.wrote:
         return None
     return SmartAlert(
         kind="race-dynamic",
         subject=var,
-        evidence=[f"seq:{e.seq}" for e in accesses],
+        evidence=[f"seq:{seq}" for seq in rec.accesses],
         message=(
             f"data race observed: {var} accessed by threads "
-            f"{sorted(tids)} with empty common lockset"
+            f"{sorted(rec.tids)} with empty common lockset"
         ),
         score=1.0,
     )
 
 
 def similar_defects(
-    graph: KnowledgeGraph, bug: str, k: int = 5, theta: float = 0.25
+    graph: KnowledgeGraph,
+    bug: str,
+    k: int = 5,
+    theta: float = 0.25,
+    ctx: AugmentContext | None = None,
 ) -> list[tuple[str, float]]:
     """Rank other bugs by max(token Jaccard, shared touched function)."""
-    graph.entity(bug)
     mine_tokens = _bug_tokens(graph.entity(bug))
     mine_touch = {t.object for t in graph.match(bug, "touches", None)}
     scored: list[tuple[str, float]] = []
-    for eid in sorted(graph.entities):
-        if eid == bug or graph.entities[eid].kind != "bug":
+    for eid, other_tokens, touch in (ctx or AugmentContext(graph)).bugs:
+        if eid == bug:
             continue
-        other_tokens = _bug_tokens(graph.entities[eid])
         union = mine_tokens | other_tokens
         jaccard = len(mine_tokens & other_tokens) / len(union) if union else 0.0
-        touch = {t.object for t in graph.match(eid, "touches", None)}
         shared = 1.0 if mine_touch & touch else 0.0
         score = max(jaccard, shared)
         if score >= theta:
@@ -264,19 +306,19 @@ def augment(
     Dispatch is by binding kind: globals get race checks plus mutex advice,
     bugs get similar defects, code elements get change provenance, and
     anything with a stale comment gets flagged.  Rows are never modified;
-    failures degrade to warning alerts.
+    failures degrade to warning alerts.  The rules share one AugmentContext
+    for the whole response.
     """
     cfg = config or SmartConfig()
+    ctx = AugmentContext(graph, trace)
     alerts: list[SmartAlert] = []
-    seen_entities: list[str] = []
-    for row in result.rows:
-        for value in row:
-            if value not in seen_entities and value in graph.entities:
-                seen_entities.append(value)
+    seen_entities = dict.fromkeys(
+        value for row in result.rows for value in row if value in graph.entities
+    )
     for eid in seen_entities:
         entity = graph.entities[eid]
         try:
-            alerts.extend(_alerts_for(entity, graph, trace, cfg))
+            alerts.extend(_alerts_for(entity, graph, cfg, ctx))
         except Exception as exc:  # degrade, never fail the query
             alerts.append(
                 SmartAlert("warning", eid, ["rule-dispatch"],
@@ -289,18 +331,16 @@ def augment(
 def _alerts_for(
     entity: Entity,
     graph: KnowledgeGraph,
-    trace: TraceLog | None,
     cfg: SmartConfig,
+    ctx: AugmentContext,
 ) -> list[SmartAlert]:
     out: list[SmartAlert] = []
     eid = entity.id
     if entity.kind == "variable" and entity.attrs.get("scope") == "global":
-        static = race_alert_static(graph, eid)
+        static = race_alert_static(graph, eid, ctx)
         dynamic = None
-        if trace is not None and any(
-            e.kind in ("read", "write") and e.target == eid for e in trace.events
-        ):
-            dynamic = race_alert_dynamic(trace, eid)
+        if eid in ctx.locksets:
+            dynamic = race_alert_dynamic(ctx.trace, eid, ctx)
         out.extend(a for a in (static, dynamic) if a is not None)
         if static is not None or dynamic is not None:
             funcs = sorted(
@@ -318,7 +358,7 @@ def _alerts_for(
                 )
             )
     elif entity.kind == "bug":
-        ranked = similar_defects(graph, eid, cfg.similar_k, cfg.similar_theta)
+        ranked = similar_defects(graph, eid, cfg.similar_k, cfg.similar_theta, ctx)
         for other, score in ranked:
             out.append(
                 SmartAlert(

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: nested-loop joins, dense matrix
 power iteration, O(n^3) triangle enumeration, from-scratch lockset
-recomputation.  None of it shares code with the package.
+recomputation.  None of it shares code with the package, except
+`builder_load_graph`: it is the loader that sent every persisted record
+through the package's own GraphBuilder, kept as the reference for the
+direct loader that replaced it.
 """
 
 from __future__ import annotations
@@ -326,3 +329,121 @@ def comment_grounded_functions(idents, comment_function, comment_tokens):
     idents; `comment_function` maps comment id -> function id."""
     return [fid for cid, fid in sorted(comment_function.items())
             if idents & comment_tokens.get(cid, set())]
+
+
+# -- query-time lookups, one naive scan per item ----------------------------
+
+
+def builder_load_graph(directory):
+    """Load nodes.jsonl and triples.tsv by replaying every record through
+    GraphBuilder: add_entity(merge=False) per node, insert_triple per
+    triple.  Ranks are not read."""
+    import json
+    from pathlib import Path
+
+    from ckt.errors import FormatError
+    from ckt.graph import GraphBuilder, Provenance
+    from ckt.model import Entity, Span
+
+    directory = Path(directory)
+    builder = GraphBuilder()
+    with open(directory / "nodes.jsonl", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                doc = json.loads(raw)
+                span = None
+                if doc.get("path") is not None:
+                    span = Span(doc["path"], int(doc["start"]), int(doc["end"]))
+                entity = Entity(str(doc["id"]), str(doc["kind"]), str(doc["label"]), span,
+                                {str(k): str(v) for k, v in (doc.get("attrs") or {}).items()})
+            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                raise FormatError(f"bad node record: {exc}", lineno) from exc
+            builder.add_entity(entity, merge=False)
+    with open(directory / "triples.tsv", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\n")
+            if not raw:
+                continue
+            parts = raw.split("\t")
+            if len(parts) != 4:
+                raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)
+            s, p, o, prov_json = parts
+            try:
+                provs = [Provenance.from_json(d) for d in json.loads(prov_json)]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise FormatError(f"bad provenance: {exc}", lineno) from exc
+            if not provs:
+                raise FormatError("empty provenance", lineno)
+            triple = builder.insert_triple(s, p, o, provs[0])
+            triple.provenance.extend(provs[1:])
+    return builder.finalize()
+
+
+def race_static(var, entities, triples):
+    """Static race verdict for one global, from scratch: rebuild the call
+    edges and the roots (starts-thread targets and functions labeled main),
+    then one early-exit BFS per (accessor, root) pair with callees in
+    ascending order.  `entities` maps id -> (kind, label); `triples` is a
+    set of (s, p, o).  Returns (racing accessors, evidence) or None."""
+    edges = {}
+    for s, p, o in triples:
+        if p == "calls":
+            edges.setdefault(s, []).append(o)
+    roots = sorted({o for s, p, o in triples if p == "starts-thread"}
+                   | {eid for eid, (kind, label) in entities.items()
+                      if kind == "function" and label == "main"})
+
+    def path_to(root, target):
+        if root == target:
+            return [root]
+        prev, seen, queue = {}, {root}, [root]
+        while queue:
+            node = queue.pop(0)
+            for nxt in sorted(edges.get(node, ())):
+                if nxt in seen:
+                    continue
+                prev[nxt] = node
+                if nxt == target:
+                    path = [nxt]
+                    while path[-1] != root:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                seen.add(nxt)
+                queue.append(nxt)
+        return None
+
+    accessors = sorted({s for s, p, o in triples if p in ("reads", "writes") and o == var})
+    racing, evidence = [], []
+    for func in accessors:
+        if (func, "guards", var) in triples:
+            continue
+        paths = [path for path in (path_to(root, func) for root in roots) if path]
+        if len(paths) < 2:
+            continue
+        racing.append(func)
+        refs = [f"{a}|calls|{b}" for path in paths for a, b in zip(path, path[1:])]
+        refs += [f"{func}|{p}|{var}" for p in ("writes", "reads") if (func, p, var) in triples]
+        for ref in refs:
+            if ref not in evidence:
+                evidence.append(ref)
+    return (racing, evidence) if racing else None
+
+
+def resolve_entity(tokens, labels):
+    """Resolve free-form tokens to one entity by scanning every label for
+    every token window: exact label match first, then unique label prefix,
+    longest window first, then leftmost.  `labels` is a list of (id, label
+    token tuple) in id order.  Returns (id, leftover tokens) or None."""
+    n = len(tokens)
+    for exact in (True, False):
+        for length in range(n, 0, -1):
+            for start in range(n - length + 1):
+                window = tuple(tokens[start:start + length])
+                hits = [eid for eid, toks in labels
+                        if (toks == window if exact else toks[:length] == window)]
+                if len(hits) == 1:
+                    return hits[0], tokens[:start] + tokens[start + length:]
+    return None

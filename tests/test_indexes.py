@@ -1,5 +1,6 @@
-"""The build's indexed lookups against the naive per-item scans in oracles.py:
-function features, comment scopes, and bug/commit/comment linking."""
+"""Indexed lookups against the naive per-item scans in oracles.py: the
+build's function features, comment scopes and bug/commit/comment linking,
+and the query path's race reachability and free-form label resolution."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from ckt.cli import _scope_identifiers, _scope_labels_by_path
 from ckt.concepts import _entity_tokens, compute_features
-from ckt.config import Ontology, split_identifier
+from ckt.config import Ontology, normalize_tokens, split_identifier
+from ckt.graph import GraphBuilder, Provenance
 from ckt.history import BugRecord, Commit, link_bugs_code, link_bugs_commits
+from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
+from ckt.query.templates import LabelIndex, _resolve_entity
+from ckt.smart import AugmentContext, race_alert_static
 
 PATHS = ["a.c", "lib/b.c", "c.h"]
 FUNC_NAMES = ["f", "divideRange", "halve_it", "memoFib", "greedyPick"]
@@ -202,3 +207,80 @@ def test_indexed_comment_tokens_equal_comment_scan(data):
         expected += dict.fromkeys((bug.entity_id, fid) for fid in grounded)
     triples = link_bugs_code(bugs, facts, associations, comments, [])
     assert [(s, o) for s, _, o, _ in triples] == expected
+
+
+# -- query path -----------------------------------------------------------------
+
+PROV = Provenance("source-code", "r.c:1")
+GLOBALS = ["var:r.c#g0", "var:r.c#g1", "var:r.c#g2"]
+
+
+@st.composite
+def race_graphs(draw):
+    """Call graphs with cycles and self-calls, several thread entry points
+    and functions named main, and reads, writes and guards of globals."""
+    n = draw(st.integers(2, 9))
+    funcs = [f"func:r.c#f{i}" for i in range(n)]
+    builder = GraphBuilder()
+    builder.add_entity(Entity(THREAD_ROOT_ID, "thread-root", "thread-root"))
+    for i, fid in enumerate(funcs):
+        label = "main" if draw(st.integers(0, 3)) == 0 else f"f{i}"
+        builder.add_entity(Entity(fid, "function", label))
+    for var in GLOBALS:
+        builder.add_entity(Entity(var, "variable", var[-2:], attrs={"scope": "global"}))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        builder.insert_triple(draw(st.sampled_from(funcs)), "calls",
+                              draw(st.sampled_from(funcs)), PROV)
+    for fid in draw(st.lists(st.sampled_from(funcs), max_size=3, unique=True)):
+        builder.insert_triple(THREAD_ROOT_ID, "starts-thread", fid, PROV)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        builder.insert_triple(draw(st.sampled_from(funcs)),
+                              draw(st.sampled_from(["reads", "writes", "writes", "guards"])),
+                              draw(st.sampled_from(GLOBALS)), PROV)
+    return builder.finalize()
+
+
+def assert_race_alerts_match_oracle(graph, variables):
+    entities = {eid: (e.kind, e.label) for eid, e in graph.entities.items()}
+    keys = {t.key() for t in graph.triples()}
+    ctx = AugmentContext(graph)  # one context for the whole response
+    for var in variables:
+        for alert in (race_alert_static(graph, var, ctx), race_alert_static(graph, var)):
+            expected = oracles.race_static(var, entities, keys)
+            if expected is None:
+                assert alert is None
+                continue
+            racing, evidence = expected
+            assert alert.evidence == evidence
+            names = ", ".join(entities[f][1] for f in racing)
+            assert f" in {names}, each reachable" in alert.message
+
+
+@settings(max_examples=150, deadline=None)
+@given(race_graphs())
+def test_race_alerts_from_shared_bfs_trees_equal_per_pair_oracle(graph):
+    assert_race_alerts_match_oracle(graph, GLOBALS)
+
+
+def test_race_alerts_on_scenario_equal_per_pair_oracle(scenario_graph):
+    variables = [eid for eid, e in scenario_graph.entities.items()
+                 if e.kind == "variable" and e.attrs.get("scope") == "global"]
+    assert variables
+    assert_race_alerts_match_oracle(scenario_graph, variables)
+
+
+LABEL_WORDS = ["ring", "buffer", "save", "button", "pick", "lock"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(LABEL_WORDS), max_size=3), min_size=1, max_size=12),
+       st.lists(st.sampled_from(LABEL_WORDS + ["other"]), max_size=5))
+def test_label_index_resolution_equals_label_scan(labels, tokens):
+    builder = GraphBuilder()
+    for i, words in enumerate(labels):
+        builder.add_entity(Entity(f"concept:c{i:02d}", "concept", " ".join(words)))
+    graph = builder.finalize()
+    scanned = [(eid, tuple(normalize_tokens(graph.entities[eid].label)))
+               for eid in sorted(graph.entities)]
+    scanned = [(eid, toks) for eid, toks in scanned if toks]
+    assert _resolve_entity(tokens, LabelIndex(graph)) == oracles.resolve_entity(tokens, scanned)
