@@ -24,7 +24,7 @@ from ckt.config import (
     load_ontology,
     load_weights,
 )
-from ckt.errors import CktError, QueryError
+from ckt.errors import CktError, FormatError, QueryError
 from ckt.extraction import (
     associate_comments,
     extract_comments,
@@ -53,6 +53,7 @@ from ckt.query import (
 )
 from ckt.query.templates import LabelIndex, builtin_registry, load_registry, normalize_date
 from ckt.smart import augment
+from ckt.textio import utf8_lines
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
 
@@ -80,7 +81,7 @@ class ProjectManifest:
 def load_manifest(path: Path) -> ProjectManifest:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or invalid JSON
         raise CktError(f"cannot read manifest {path}: {exc}") from exc
     base = path.parent
 
@@ -174,15 +175,16 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
 
     for root, mode in manifest.sources:
         if mode == "facts-file":
-            with open(root, encoding="utf-8") as fh:
-                merge(load_facts(fh, name=_rel_path(root, base)))
+            merge(load_facts(utf8_lines(root), name=_rel_path(root, base)))
             continue
         for file_path in _iter_source_files(root):
             rel = _rel_path(file_path, base)
+            data = file_path.read_bytes()
             try:
-                text = file_path.read_bytes().decode("utf-8")
+                text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CktError(f"{rel}: not valid UTF-8 text: {exc}") from exc
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise FormatError(f"{rel} is not UTF-8: {exc.reason}", line) from exc
             merge(parse_source(text, rel))
             file_comments = extract_comments(text, rel)
             state.comments.extend(file_comments)
@@ -267,8 +269,7 @@ def cmd_build(manifest_path: Path) -> int:
     _comment_entities(state)
 
     if manifest.trace is not None:
-        with open(manifest.trace, encoding="utf-8") as fh:
-            state.trace = load_trace(fh, name=_rel_path(manifest.trace, base))
+        state.trace = load_trace(utf8_lines(manifest.trace), name=_rel_path(manifest.trace, base))
         state.warnings.extend(state.trace.warnings)
         state.bump("trace", "events", len(state.trace.events))
 
@@ -276,15 +277,13 @@ def cmd_build(manifest_path: Path) -> int:
     bugs: list[history.BugRecord] = []
     link_triples: list[history.LinkTriple] = []
     if manifest.commits is not None:
-        with open(manifest.commits, encoding="utf-8") as fh:
-            commits, commit_warnings = history.load_commits(
-                fh, name=_rel_path(manifest.commits, base)
-            )
+        commits, commit_warnings = history.load_commits(
+            utf8_lines(manifest.commits), name=_rel_path(manifest.commits, base)
+        )
         state.warnings.extend(commit_warnings)
         state.bump("version-tracker", "commits", len(commits))
     if manifest.bugs is not None:
-        with open(manifest.bugs, encoding="utf-8") as fh:
-            bugs = history.load_bugs(fh, name=_rel_path(manifest.bugs, base))
+        bugs = history.load_bugs(utf8_lines(manifest.bugs), name=_rel_path(manifest.bugs, base))
         state.bump("bug-tracker", "bugs", len(bugs))
 
     history.register_commit_entities(commits, state.facts)
@@ -455,8 +454,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     trace = None
     trace_path = graph_dir / TRACE_COPY
     if trace_path.exists():
-        with open(trace_path, encoding="utf-8") as fh:
-            trace = load_trace(fh, name=TRACE_COPY)
+        trace = load_trace(utf8_lines(trace_path), name=TRACE_COPY)
     templates_path = graph_dir / TEMPLATES_COPY
     registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
     return QueryContext(graph, trace, registry, LabelIndex(graph))
@@ -652,14 +650,14 @@ def cmd_export(graph_dir: Path, what: str) -> int:
         if not path.exists():
             print(f"error: no triples file in {graph_dir}", file=sys.stderr)
             return 2
-        sys.stdout.write(path.read_text(encoding="utf-8"))
+        sys.stdout.write("".join(utf8_lines(path)))
         return 0
     if what == "stats":
         path = graph_dir / STATS_FILE
         if not path.exists():
             print(f"error: no stats file in {graph_dir}", file=sys.stderr)
             return 2
-        sys.stdout.write(path.read_text(encoding="utf-8"))
+        sys.stdout.write("".join(utf8_lines(path)))
         return 0
     print(f"error: unknown export target {what!r} (use triples or stats)", file=sys.stderr)
     return 2

@@ -99,24 +99,6 @@ def _cyclic_functions(calls: dict[str, set[str]]) -> set[str]:
     return cyclic
 
 
-def _max_trace_depths(trace: TraceLog | None) -> dict[str, int]:
-    """Deepest observed nesting of enter events per function, counted per
-    thread; an exit below depth zero is ignored."""
-    if trace is None:
-        return {}
-    depth: dict[tuple[str, int], int] = {}
-    best: dict[str, int] = {}
-    for ev in trace.events:
-        if ev.kind == "enter":
-            key = (ev.target, ev.tid)
-            depth[key] = depth.get(key, 0) + 1
-            best[ev.target] = max(best.get(ev.target, 0), depth[key])
-        elif ev.kind == "exit":
-            key = (ev.target, ev.tid)
-            depth[key] = max(0, depth.get(key, 0) - 1)
-    return best
-
-
 def _entity_tokens(fid: str, facts: FactSet) -> list[str]:
     """Identifier tokens of the function plus its comment tokens."""
     tokens: list[str] = []
@@ -143,16 +125,16 @@ def compute_features(
 ) -> list[FeatureVector]:
     """Deterministic feature vectors, one per function entity, in order.
 
-    The call graph, its cycles and the trace replay are computed once for
-    the whole batch.  Trace-derived features are zero when no trace is
-    supplied; keyword features exist for every ontology concept (zero when
-    unseen).
+    The call graph and its cycles are computed once for the whole batch,
+    and f_depth reads the trace's replay.  Trace-derived features are zero
+    when no trace is supplied; keyword features exist for every ontology
+    concept (zero when unseen).
     """
     for entity in functions:
         if entity.kind != "function":
             raise DomainError(f"features are defined for functions, not {entity.kind}")
     cyclic = _cyclic_functions(_call_graph(facts))
-    depths = _max_trace_depths(trace)
+    depths = trace.replay.depths if trace is not None else {}
     concept_names = ontology.concepts()
     vectors = []
     for entity in functions:
@@ -200,9 +182,7 @@ def detect_thread_roots(facts: FactSet, trace: TraceLog | None) -> set[str]:
         if rel.pred == "calls" and rel.attrs.get("threading") == "create":
             roots.add(rel.obj)
     if trace is not None:
-        for ev in trace.events:
-            if ev.kind == "thread_create":
-                roots.add(ev.target)
+        roots |= trace.replay.thread_roots
     return roots
 
 
@@ -214,31 +194,9 @@ def detect_guarded_regions(trace: TraceLog | None) -> list[GuardTriple]:
     inside function f yields (f guards var) annotated with the lock names."""
     if trace is None:
         return []
-    out: dict[tuple[str, str], set[str]] = {}
-    stack_by_tid: dict[int, list[str]] = {}
-    held_by_tid: dict[int, dict[str, int]] = {}
-    for ev in trace.events:
-        if ev.kind == "enter":
-            stack_by_tid.setdefault(ev.tid, []).append(ev.target)
-        elif ev.kind == "exit":
-            stack = stack_by_tid.get(ev.tid)
-            if stack:
-                stack.pop()  # tolerate mismatched exits
-        elif ev.kind == "acquire":
-            locks = held_by_tid.setdefault(ev.tid, {})
-            locks[ev.target] = locks.get(ev.target, 0) + 1
-        elif ev.kind == "release":
-            locks = held_by_tid.setdefault(ev.tid, {})
-            if locks.get(ev.target, 0) > 0:
-                locks[ev.target] -= 1
-        elif ev.kind in ("read", "write"):
-            held = {lock for lock, n in held_by_tid.get(ev.tid, {}).items() if n > 0}
-            stack = stack_by_tid.get(ev.tid)
-            if held and stack:
-                out.setdefault((stack[-1], ev.target), set()).update(held)
     return [
         (func, "guards", var, "locks=" + ",".join(sorted(locks)))
-        for (func, var), locks in sorted(out.items())
+        for (func, var), locks in sorted(trace.replay.guards.items())
     ]
 
 

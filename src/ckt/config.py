@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from ckt.errors import ConfigError, FormatError
+from ckt.textio import utf8_lines
 
 # 30-word English stopword list applied during comment/query normalization.
 DEFAULT_STOPWORDS = frozenset(
@@ -99,21 +100,20 @@ def default_ontology() -> Ontology:
 def load_ontology(path: str) -> Ontology:
     """Read line-delimited {"term","synonyms","concept"} records."""
     ont = Ontology()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad ontology record: {exc}", lineno) from exc
-            if not isinstance(rec, dict) or "term" not in rec or "concept" not in rec:
-                raise FormatError("ontology record needs 'term' and 'concept'", lineno)
-            synonyms = rec.get("synonyms", [])
-            if not isinstance(synonyms, list):
-                raise FormatError("'synonyms' must be a list", lineno)
-            ont.add(str(rec["term"]), [str(s) for s in synonyms], str(rec["concept"]))
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            rec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad ontology record: {exc}", lineno) from exc
+        if not isinstance(rec, dict) or "term" not in rec or "concept" not in rec:
+            raise FormatError("ontology record needs 'term' and 'concept'", lineno)
+        synonyms = rec.get("synonyms", [])
+        if not isinstance(synonyms, list):
+            raise FormatError("'synonyms' must be a list", lineno)
+        ont.add(str(rec["term"]), [str(s) for s in synonyms], str(rec["concept"]))
     return ont
 
 
@@ -155,7 +155,7 @@ def load_weights(path: str) -> StrategyWeights:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise ConfigError(f"bad weights file {path}: {exc}") from exc
     try:
         classes = [str(c) for c in doc["classes"]]

@@ -12,7 +12,7 @@ import json
 from typing import IO, Iterable
 
 from ckt.errors import ConflictError, FormatError
-from ckt.graph import PREDICATES
+from ckt.graph import PREDICATES, _entity_to_json
 from ckt.ids import ENTITY_KINDS
 from ckt.model import Entity, FactSet, Relation, Span
 
@@ -23,16 +23,7 @@ def dump_facts(facts: FactSet, fh: IO[str]) -> None:
     """Serialize deterministically: header, entities by id, sorted relations."""
     fh.write(json.dumps({"rec": "header", "version": SCHEMA_VERSION}) + "\n")
     for entity in facts.sorted_entities():
-        doc = {
-            "rec": "entity",
-            "id": entity.id,
-            "kind": entity.kind,
-            "label": entity.label,
-            "path": entity.span.path if entity.span else None,
-            "start": entity.span.start if entity.span else None,
-            "end": entity.span.end if entity.span else None,
-            "attrs": dict(sorted(entity.attrs.items())),
-        }
+        doc = {"rec": "entity", **_entity_to_json(entity)}
         fh.write(json.dumps(doc, sort_keys=True, ensure_ascii=True) + "\n")
     for rel in facts.sorted_relations():
         doc = {"rec": "relation", "subj": rel.subj, "pred": rel.pred, "obj": rel.obj}

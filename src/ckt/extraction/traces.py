@@ -15,9 +15,10 @@ from ckt.model import TRACE_EVENT_KINDS, TraceEvent, TraceLog
 
 
 def load_trace(lines: Iterable[str] | IO[str], name: str = "trace") -> TraceLog:
-    """Parse a trace stream; a dangling release is a warning, not an error."""
+    """Parse a trace stream and replay it; a release without an acquire is
+    a warning that names its line, not an error."""
     log = TraceLog(name=name)
-    held: dict[int, dict[str, int]] = {}
+    linenos: list[int] = []  # the line of each event
     last_seq = None
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -42,35 +43,10 @@ def load_trace(lines: Iterable[str] | IO[str], name: str = "trace") -> TraceLog:
             )
         last_seq = seq
         log.events.append(TraceEvent(seq, tid, kind, target))
-        log.threads.add(tid)
-        if kind == "acquire":
-            held.setdefault(tid, {})
-            held[tid][target] = held[tid].get(target, 0) + 1
-        elif kind == "release":
-            locks = held.setdefault(tid, {})
-            if locks.get(target, 0) == 0:
-                log.warnings.append(
-                    f"line {lineno}: release of {target} on tid {tid} without acquire"
-                )
-            else:
-                locks[target] -= 1
+        linenos.append(lineno)
+    for pos in log.replay.dangling:
+        ev = log.events[pos]
+        log.warnings.append(
+            f"line {linenos[pos]}: release of {ev.target} on tid {ev.tid} without acquire"
+        )
     return log
-
-
-def held_locks_at(log: TraceLog, tid: int, upto_seq: int) -> set[str]:
-    """Locks held by tid just before the event with seq == upto_seq.
-
-    Linear recomputation from the start of the trace; used as the simple
-    reference the incremental lockset bookkeeping is checked against.
-    """
-    counts: dict[str, int] = {}
-    for ev in log.events:
-        if ev.seq >= upto_seq:
-            break
-        if ev.tid != tid:
-            continue
-        if ev.kind == "acquire":
-            counts[ev.target] = counts.get(ev.target, 0) + 1
-        elif ev.kind == "release" and counts.get(ev.target, 0) > 0:
-            counts[ev.target] -= 1
-    return {lock for lock, n in counts.items() if n > 0}

@@ -19,6 +19,7 @@ from pathlib import Path
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
+from ckt.textio import utf8_lines
 
 PREDICATES = frozenset(
     [
@@ -443,25 +444,9 @@ def load_graph(directory) -> KnowledgeGraph:
     return KnowledgeGraph(entities, triples, _load_ranks(paths[2], entities))
 
 
-def _numbered_lines(path: Path):
-    """Yield (line number, line) of a UTF-8 text file; bytes that are not
-    UTF-8 raise FormatError naming the line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            # the decoder's offsets are per chunk: find the line anew
-            for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise FormatError(f"{path.name} is not UTF-8: {exc.reason}", lineno) from exc
-            raise
-
-
 def _load_nodes(path: Path) -> dict[str, Entity]:
     entities: dict[str, Entity] = {}
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
         raw = raw.strip()
         if not raw:
             continue
@@ -481,7 +466,7 @@ def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, st
     # triples often repeat a provenance list: decode each distinct one once
     # and share its frozen records
     provenance: dict[str, tuple[Provenance, ...]] = {}
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
         raw = raw.rstrip("\n")
         if not raw:
             continue
@@ -524,7 +509,7 @@ def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
 def _load_ranks(path: Path, entities: dict[str, Entity]) -> dict[str, float]:
     ranks: dict[str, float] = {}
     lineno = 0
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
         raw = raw.rstrip("\n")
         if not raw:
             continue

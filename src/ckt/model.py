@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ckt.errors import ConflictError
 from ckt.ids import ENTITY_KINDS, comment_id
-
-KNOWLEDGE_SOURCES = frozenset(
-    ["source-code", "comment", "version-tracker", "bug-tracker", "trace"]
-)
 
 TRACE_EVENT_KINDS = frozenset(
     ["enter", "exit", "read", "write", "acquire", "release", "thread_create"]
@@ -61,19 +58,6 @@ class Relation:
 
     def key(self) -> tuple[str, str, str]:
         return (self.subj, self.pred, self.obj)
-
-
-@dataclass
-class KnowledgePrimitive:
-    """One atomic unit of extracted knowledge with source provenance."""
-
-    payload: Entity | Relation
-    source: str
-    origin: str
-
-    def __post_init__(self):
-        if self.source not in KNOWLEDGE_SOURCES:
-            raise ValueError(f"unknown knowledge source: {self.source!r}")
 
 
 class FactSet:
@@ -140,14 +124,6 @@ class FactSet:
             key=lambda r: (r.subj, r.pred, r.obj, sorted(r.attrs.items()), r.origin),
         )
 
-    def primitives(self, source: str, origin_name: str):
-        """Iterate the fact set as provenance-tagged knowledge primitives."""
-        for entity in self.sorted_entities():
-            line = entity.span.start if entity.span else 0
-            yield KnowledgePrimitive(entity, source, f"{origin_name}:{line}")
-        for rel in self.sorted_relations():
-            yield KnowledgePrimitive(rel, source, f"{origin_name}:{rel.origin}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactSet):
             return NotImplemented
@@ -189,13 +165,88 @@ class TraceEvent:
 
 
 @dataclass
+class Lockset:
+    """Eraser's record of one variable: the candidate lockset (the locks
+    held at every access so far), the access seqs, the accessing threads
+    and whether any access wrote."""
+
+    candidate: set[str]
+    accesses: list[int] = field(default_factory=list)
+    tids: set[int] = field(default_factory=set)
+    wrote: bool = False
+
+
+@dataclass
+class TraceReplay:
+    """What one pass over a trace's events yields."""
+
+    dangling: list[int] = field(default_factory=list)  # positions of releases without acquire
+    guards: dict[tuple[str, str], set[str]] = field(default_factory=dict)  # (func, var) -> locks
+    depths: dict[str, int] = field(default_factory=dict)  # deepest enter nesting per function
+    locksets: dict[str, Lockset] = field(default_factory=dict)  # per read/written variable
+    thread_roots: set[str] = field(default_factory=set)  # thread_create targets
+
+
+@dataclass
 class TraceLog:
-    """Ordered runtime events plus the set of thread ids seen."""
+    """Ordered runtime events; `replay` walks them once, on first use."""
 
     events: list[TraceEvent] = field(default_factory=list)
-    threads: set[int] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
     name: str = "trace"
 
-    def locks(self) -> set[str]:
-        return {e.target for e in self.events if e.kind == "acquire"}
+    @cached_property
+    def replay(self) -> TraceReplay:
+        """One Eraser-style lockset pass (Savage et al., TOCS 1997).
+
+        Per thread it keeps a count of each held lock and a call stack; per
+        (function, thread) an enter/exit depth.  A release on a count of 0
+        is dangling and ignored, an exit pops the stack top whatever its
+        target, and a depth never goes below 0.  An access inside a
+        function with locks held guards the variable there.
+        """
+        out = TraceReplay()
+        held: dict[int, dict[str, int]] = {}  # tid -> lock -> count, counts > 0
+        stacks: dict[int, list[str]] = {}
+        depth: dict[tuple[str, int], int] = {}
+        for pos, ev in enumerate(self.events):
+            kind, tid, target = ev.kind, ev.tid, ev.target
+            if kind == "enter":
+                stacks.setdefault(tid, []).append(target)
+                n = depth[target, tid] = depth.get((target, tid), 0) + 1
+                if n > out.depths.get(target, 0):
+                    out.depths[target] = n
+            elif kind == "exit":
+                stack = stacks.get(tid)
+                if stack:
+                    stack.pop()
+                n = depth.get((target, tid), 0)
+                if n:
+                    depth[target, tid] = n - 1
+            elif kind == "acquire":
+                counts = held.setdefault(tid, {})
+                counts[target] = counts.get(target, 0) + 1
+            elif kind == "release":
+                counts = held.get(tid, {})
+                n = counts.get(target, 0)
+                if n == 0:
+                    out.dangling.append(pos)
+                elif n == 1:
+                    del counts[target]
+                else:
+                    counts[target] = n - 1
+            elif kind == "thread_create":
+                out.thread_roots.add(target)
+            else:  # read or write
+                locks = set(held.get(tid, ()))
+                rec = out.locksets.get(target)
+                if rec is None:
+                    rec = out.locksets[target] = Lockset(locks)
+                else:
+                    rec.candidate &= locks
+                rec.accesses.append(ev.seq)
+                rec.tids.add(tid)
+                rec.wrote = rec.wrote or kind == "write"
+                if locks and stacks.get(tid):
+                    out.guards.setdefault((stacks[tid][-1], target), set()).update(locks)
+        return out

@@ -21,6 +21,7 @@ from ckt.graph import KnowledgeGraph
 from ckt.history import parse_timestamp
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import parse_query
+from ckt.textio import utf8_lines
 
 JACCARD_THRESHOLD = 0.4
 
@@ -110,29 +111,28 @@ def builtin_registry() -> TemplateRegistry:
 def load_registry(path: str) -> TemplateRegistry:
     """Read line-delimited template records."""
     reg = TemplateRegistry()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad template record: {exc}", lineno) from exc
-            try:
-                slots = [(str(s["name"]), str(s["type"])) for s in doc.get("slots", [])]
-                template = Template(
-                    name=str(doc["name"]),
-                    triggers=[str(t) for t in doc["triggers"]],
-                    slots=slots,
-                    body=str(doc["body"]),
-                )
-            except (KeyError, TypeError) as exc:
-                raise FormatError(f"bad template record: {exc}", lineno) from exc
-            for _, slot_type in template.slots:
-                if slot_type not in SLOT_TYPES:
-                    raise FormatError(f"unknown slot type {slot_type!r}", lineno)
-            reg.add(template)
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"bad template record: {exc}", lineno) from exc
+        try:
+            slots = [(str(s["name"]), str(s["type"])) for s in doc.get("slots", [])]
+            template = Template(
+                name=str(doc["name"]),
+                triggers=[str(t) for t in doc["triggers"]],
+                slots=slots,
+                body=str(doc["body"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad template record: {exc}", lineno) from exc
+        for _, slot_type in template.slots:
+            if slot_type not in SLOT_TYPES:
+                raise FormatError(f"unknown slot type {slot_type!r}", lineno)
+        reg.add(template)
     return reg
 
 

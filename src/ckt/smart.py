@@ -1,16 +1,16 @@
 """Rule-driven response augmentation: race alerts, similar defects, change
 provenance, mutex advice, stale-comment flags.
 
-Each rule is explicit and deterministic.  The dynamic race detector is
-lockset-based: a variable's candidate lockset starts as every lock in the
-trace and is intersected with the holder's locks on each access; an empty
-lockset plus multi-threaded access including a write signals a race.
+Each rule is explicit and deterministic.  The dynamic race detector reads
+the trace's Eraser-style replay: a variable's candidate lockset is the
+intersection of the locks held at each of its accesses; an empty lockset
+plus multi-threaded access including a write signals a race.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ckt import ids
@@ -59,8 +59,7 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 class AugmentContext:
     """What the rules share while augmenting one response from one graph
     and trace, each part built on first use: the call graph, the race roots
-    with one BFS tree each, one lockset replay of the trace, and the bug
-    table."""
+    with one BFS tree each, and the bug table."""
 
     def __init__(self, graph: KnowledgeGraph | None, trace: TraceLog | None = None):
         self.graph = graph
@@ -102,34 +101,6 @@ class AugmentContext:
         return trees
 
     @cached_property
-    def locksets(self) -> dict[str, _Lockset]:
-        """One Eraser-style replay of the trace: each variable's accesses,
-        the locks held at every one of them, the threads and whether any
-        access wrote."""
-        out: dict[str, _Lockset] = {}
-        if self.trace is None:
-            return out
-        locks = self.trace.locks()
-        held: dict[int, dict[str, int]] = {}
-        for ev in self.trace.events:
-            if ev.kind == "acquire":
-                mine = held.setdefault(ev.tid, {})
-                mine[ev.target] = mine.get(ev.target, 0) + 1
-            elif ev.kind == "release":
-                mine = held.setdefault(ev.tid, {})
-                if mine.get(ev.target, 0) > 0:
-                    mine[ev.target] -= 1
-            elif ev.kind in ("read", "write"):
-                rec = out.get(ev.target)
-                if rec is None:
-                    rec = out[ev.target] = _Lockset(set(locks))
-                rec.candidate &= {lock for lock, n in held.get(ev.tid, {}).items() if n > 0}
-                rec.accesses.append(ev.seq)
-                rec.tids.add(ev.tid)
-                rec.wrote = rec.wrote or ev.kind == "write"
-        return out
-
-    @cached_property
     def bugs(self) -> list[tuple[str, frozenset[str], set[str]]]:
         """Every bug in id order with its tokens and touched entities."""
         return [
@@ -137,14 +108,6 @@ class AugmentContext:
             for eid, entity in sorted(self.graph.entities.items())
             if entity.kind == "bug"
         ]
-
-
-@dataclass
-class _Lockset:
-    candidate: set[str]
-    accesses: list[int] = field(default_factory=list)  # event seqs
-    tids: set[int] = field(default_factory=set)
-    wrote: bool = False
 
 
 def _tree_path(tree: dict[str, str | None], target: str) -> list[str] | None:
@@ -200,11 +163,9 @@ def race_alert_static(
     )
 
 
-def race_alert_dynamic(
-    trace: TraceLog, var: str, ctx: AugmentContext | None = None
-) -> SmartAlert | None:
-    """Eraser-style lockset refinement over the trace for one variable."""
-    rec = (ctx or AugmentContext(None, trace)).locksets.get(var)
+def race_alert_dynamic(trace: TraceLog, var: str) -> SmartAlert | None:
+    """Eraser's verdict for one variable, from the trace's replay."""
+    rec = trace.replay.locksets.get(var)
     if rec is None:
         raise NotFoundError(f"{var} is not referenced by any trace event")
     if rec.candidate or len(rec.tids) < 2 or not rec.wrote:
@@ -339,8 +300,8 @@ def _alerts_for(
     if entity.kind == "variable" and entity.attrs.get("scope") == "global":
         static = race_alert_static(graph, eid, ctx)
         dynamic = None
-        if eid in ctx.locksets:
-            dynamic = race_alert_dynamic(ctx.trace, eid, ctx)
+        if ctx.trace is not None and eid in ctx.trace.replay.locksets:
+            dynamic = race_alert_dynamic(ctx.trace, eid)
         out.extend(a for a in (static, dynamic) if a is not None)
         if static is not None or dynamic is not None:
             funcs = sorted(

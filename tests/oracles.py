@@ -192,6 +192,36 @@ def lockset_race(events, var):
     return not candidate and len(tids) >= 2 and wrote
 
 
+def held_locks_at(log, tid, upto_seq):
+    """Locks held by tid just before the event with seq == upto_seq,
+    recounted from the start of the trace."""
+    counts = {}
+    for ev in log.events:
+        if ev.seq >= upto_seq:
+            break
+        if ev.tid != tid:
+            continue
+        if ev.kind == "acquire":
+            counts[ev.target] = counts.get(ev.target, 0) + 1
+        elif ev.kind == "release" and counts.get(ev.target, 0) > 0:
+            counts[ev.target] -= 1
+    return {lock for lock, n in counts.items() if n > 0}
+
+
+def call_stack_at(log, tid, upto_seq):
+    """Functions tid has entered and not left just before the event with
+    seq == upto_seq; an exit pops the top whatever its target."""
+    stack = []
+    for ev in log.events:
+        if ev.seq >= upto_seq:
+            break
+        if ev.tid == tid and ev.kind == "enter":
+            stack.append(ev.target)
+        elif ev.tid == tid and ev.kind == "exit" and stack:
+            stack.pop()
+    return stack
+
+
 def reachable_from(root, edges):
     """Plain transitive closure over a dict of adjacency lists."""
     seen = {root}

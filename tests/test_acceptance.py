@@ -221,7 +221,7 @@ def test_criterion_5_lockset_races():
                 else rng.choice(["var:a#x", "var:a#y"])
             )
             events.append(TraceEvent(seq, tid, kind, target))
-        log = TraceLog(events=events, threads={e.tid for e in events})
+        log = TraceLog(events=events)
         for var in ("var:a#x", "var:a#y"):
             if not any(e.kind in ("read", "write") and e.target == var for e in events):
                 continue
@@ -231,12 +231,12 @@ def test_criterion_5_lockset_races():
         TraceEvent(1, 1, "acquire", "L"), TraceEvent(2, 1, "write", "var:a#g"),
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "acquire", "L"),
         TraceEvent(5, 2, "write", "var:a#g"), TraceEvent(6, 2, "release", "L"),
-    ], threads={1, 2})
+    ])
     assert race_alert_dynamic(guarded, "var:a#g") is None
     unguarded = TraceLog(events=[
         TraceEvent(1, 1, "acquire", "L"), TraceEvent(2, 1, "write", "var:a#g"),
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "write", "var:a#g"),
-    ], threads={1, 2})
+    ])
     alerts = [a for a in [race_alert_dynamic(unguarded, "var:a#g")] if a]
     assert len(alerts) == 1
     print("ACCEPTANCE 5: lockset detector matches recomputation on 100 traces PASS")

@@ -88,6 +88,59 @@ def test_failed_build_removes_partial_outputs(tmp_path, capsys):
     assert leftovers == []
 
 
+# inputs of a build, a query and an export; all but the weights and the
+# manifest name the line
+NOT_UTF8_INPUTS = [
+    ("build", "src/ftpety.c", True),
+    ("build", "trace.jsonl", True),
+    ("build", "commits.jsonl", True),
+    ("build", "bugs.jsonl", True),
+    ("build", "facts.jsonl", True),
+    ("build", "ontology.jsonl", True),
+    ("build", "templates.jsonl", True),
+    ("build", "weights.json", False),
+    ("build", "manifest.json", False),
+    ("query", "out/trace.jsonl", True),
+    ("query", "out/templates.jsonl", True),
+    ("export", "out/triples.tsv", True),
+    ("export", "out/stats.json", True),
+]
+
+
+@pytest.mark.parametrize("command, name, numbered", NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path,
+                                                          command, name, numbered):
+    work = tmp_path / "p"
+    shutil.copytree(SCENARIO, work)
+    shutil.copytree(scenario_dir / "out", work / "out", dirs_exist_ok=True)
+    (work / "facts.jsonl").write_text(
+        '{"rec":"header","version":1}\n'
+        '{"rec":"entity","id":"func:lib.py#run","kind":"function","label":"run"}\n',
+        encoding="utf-8")
+    manifest = work / "manifest.json"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["sources"].append({"path": "facts.jsonl", "mode": "facts"})
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    path = work / name
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff\xfe\n")
+    bad_line = data.count(b"\n") + 1
+    args = {
+        "build": ["build", "--manifest", str(manifest)],
+        "query": ["query", "--graph", str(work / "out"), "SELECT ?f WHERE { ?f calls ?g }"],
+        "export": ["export", "--graph", str(work / "out"), "--what", Path(name).stem],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ckt", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert Path(name).name in proc.stderr
+    if numbered:
+        assert proc.stderr.startswith(f"error: line {bad_line}: ")
+
+
 def test_template_query_table(scenario_dir, capsys):
     rc = cmd_query(scenario_dir / "out", f"@bugs-affecting-function({S2})", "table", False)
     out = capsys.readouterr().out

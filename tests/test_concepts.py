@@ -17,8 +17,8 @@ from ckt.concepts import (
 from ckt.config import Ontology, StrategyWeights, default_weights
 from ckt.errors import ConfigError, DomainError
 from ckt.extraction import extract_comments, load_trace, parse_source
-from ckt.extraction.traces import held_locks_at
 from ckt.model import Entity, FactSet, Relation, TraceEvent, TraceLog
+from oracles import held_locks_at
 
 
 def ontology():
@@ -77,7 +77,7 @@ def test_trace_depth():
         TraceEvent(2, 1, "enter", "func:a.c#f"),
         TraceEvent(3, 1, "exit", "func:a.c#f"),
         TraceEvent(4, 1, "exit", "func:a.c#f"),
-    ], threads={1})
+    ])
     [fv] = compute_features([facts.entities["func:a.c#f"]], facts, trace, ontology())
     assert fv.get("f_depth") == 2.0
 
@@ -212,21 +212,15 @@ def test_lockset_prefix_agrees_with_recomputation():
             else rng.choice(["var:a#x", "var:a#y"])
         )
         events.append(TraceEvent(seq, tid, kind, target))
-    log = TraceLog(events=events, threads={1, 2, 3})
+    log = TraceLog(events=events)
 
-    counts = {}
-    for ev in log.events:
-        if ev.kind == "acquire":
-            counts.setdefault(ev.tid, {})
-            counts[ev.tid][ev.target] = counts[ev.tid].get(ev.target, 0) + 1
-        elif ev.kind == "release":
-            locks = counts.setdefault(ev.tid, {})
-            if locks.get(ev.target, 0) > 0:
-                locks[ev.target] -= 1
-        incremental = {
-            lock for lock, n in counts.get(ev.tid, {}).items() if n > 0
-        }
-        assert incremental == held_locks_at(log, ev.tid, ev.seq + 1)
+    held = {ev.seq: held_locks_at(log, ev.tid, ev.seq) for ev in log.events}
+    accesses = [ev for ev in log.events if ev.kind in ("read", "write")]
+    for var, rec in log.replay.locksets.items():
+        mine = [ev for ev in accesses if ev.target == var]
+        assert rec.accesses == [ev.seq for ev in mine]
+        assert rec.candidate == set.intersection(*(held[ev.seq] for ev in mine))
+    assert set(log.replay.locksets) == {ev.target for ev in accesses}
 
 
 def test_ontology_tagging():

@@ -78,7 +78,7 @@ def projects(draw):
         max_size=25,
     ))
     trace = TraceLog([TraceEvent(seq, tid, kind, target)
-                      for seq, (tid, kind, target) in enumerate(events, start=1)], {1, 2, 3})
+                      for seq, (tid, kind, target) in enumerate(events, start=1)])
     return facts, trace
 
 
@@ -120,7 +120,7 @@ def test_exit_without_enter_does_not_lower_later_depth():
     events = [(1, "exit", "func:a.c#f"), (1, "enter", "func:a.c#f"), (1, "enter", "func:a.c#f"),
               (2, "enter", "func:a.c#f"), (2, "exit", "func:a.c#f"), (2, "exit", "func:a.c#f"),
               (2, "enter", "func:a.c#f")]
-    trace = TraceLog([TraceEvent(seq, *event) for seq, event in enumerate(events, start=1)], {1, 2})
+    trace = TraceLog([TraceEvent(seq, *event) for seq, event in enumerate(events, start=1)])
     [fv] = compute_features(facts.sorted_entities(), facts, trace, ontology())
     assert fv.get("f_depth") == oracles.max_trace_depth("func:a.c#f", events) == 2
 

@@ -12,7 +12,7 @@ from ckt.config import (
     split_identifier,
 )
 from ckt.errors import ConfigError, ConflictError
-from ckt.model import Entity, FactSet, KnowledgePrimitive, Relation, Span
+from ckt.model import Entity, FactSet, Span
 
 
 def test_id_scheme_is_bit_exact():
@@ -63,18 +63,6 @@ def test_factset_conflict_and_merge():
         facts.add_entity(Entity("func:a#f", "function", "f", Span("a", 3, 4)))
     facts.add_entity(Entity("func:a#f", "function", "f", Span("a", 3, 4)), merge=True)
     assert facts.entities["func:a#f"].span == Span("a", 1, 2)
-
-
-def test_primitives_carry_source_tags():
-    facts = FactSet()
-    facts.add_entity(Entity("func:a#f", "function", "f", Span("a", 1, 2)))
-    facts.add_relation(Relation("func:a#f", "calls", "func:a#f", 2))
-    prims = list(facts.primitives("source-code", "a.c"))
-    assert len(prims) == 2
-    assert all(p.source == "source-code" for p in prims)
-    assert prims[1].origin == "a.c:2"
-    with pytest.raises(ValueError):
-        KnowledgePrimitive(facts.entities["func:a#f"], "email", "a.c:1")
 
 
 def test_normalize_tokens_keeps_code_marks():

@@ -106,7 +106,7 @@ def test_guard_removal_is_local_to_its_variable():
 
 
 def trace(events):
-    return TraceLog(events=events, threads={e.tid for e in events})
+    return TraceLog(events=events)
 
 
 def test_dynamic_race_hand_lockset():
