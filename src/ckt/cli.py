@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 query error, 2 input/config error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from ckt.config import (
     load_ontology,
     load_weights,
 )
-from ckt.errors import CktError, FormatError, QueryError
+from ckt.errors import CktError, FormatError, QueryError, SlotError
 from ckt.extraction import (
     associate_comments,
     extract_comments,
@@ -450,13 +451,29 @@ class QueryContext:
 
 
 def _load_query_context(graph_dir: Path) -> QueryContext:
-    graph = load_graph(graph_dir)
-    trace = None
-    trace_path = graph_dir / TRACE_COPY
-    if trace_path.exists():
-        trace = load_trace(utf8_lines(trace_path), name=TRACE_COPY)
-    templates_path = graph_dir / TEMPLATES_COPY
-    registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
+    """Load what queries run against, with the cyclic collector paused.
+
+    The load allocates several objects per node, triple and trace event,
+    and all of them live as long as the process, so each collection the
+    load would trigger, and every later full one, would walk them for
+    nothing.  Once loaded they are frozen out of later collections: the
+    graph is immutable after load and its records form no cycles, so no
+    collection could free any of them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = load_graph(graph_dir)
+        trace = None
+        trace_path = graph_dir / TRACE_COPY
+        if trace_path.exists():
+            trace = load_trace(utf8_lines(trace_path), name=TRACE_COPY)
+        templates_path = graph_dir / TEMPLATES_COPY
+        registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
+    finally:
+        if was_enabled:
+            gc.enable()
+    gc.freeze()
     return QueryContext(graph, trace, registry, LabelIndex(graph))
 
 
@@ -471,6 +488,11 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
             args[key.strip()] = _normalize_cli_value(value.strip())
         else:
             positional.append(_normalize_cli_value(part))
+    if len(positional) > len(template.slots):
+        raise SlotError(
+            f"template {name!r} takes {len(template.slots)} slot(s), "
+            f"got {len(positional)} positional argument(s)"
+        )
     for slot, value in zip(template.slots, positional):
         args.setdefault(slot[0], value)
     return args

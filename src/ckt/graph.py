@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
@@ -37,9 +38,11 @@ def is_literal_object(predicate: str) -> bool:
     return predicate in LITERAL_PREDICATES
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Which knowledge source asserted a triple, and where."""
+class Provenance(NamedTuple):
+    """Which knowledge source asserted a triple, and where.
+
+    A named tuple rather than a frozen dataclass: a load builds thousands,
+    and a frozen dataclass sets each field through object.__setattr__."""
 
     source: str
     origin: str
@@ -56,7 +59,7 @@ class Provenance:
         return cls(str(doc["source"]), str(doc["origin"]), str(doc.get("detail", "")))
 
 
-@dataclass
+@dataclass(slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -464,7 +467,7 @@ def _load_nodes(path: Path) -> dict[str, Entity]:
 def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, str, str], Triple]:
     triples: dict[tuple[str, str, str], Triple] = {}
     # triples often repeat a provenance list: decode each distinct one once
-    # and share its frozen records
+    # and share its immutable records
     provenance: dict[str, tuple[Provenance, ...]] = {}
     for lineno, raw in enumerate(utf8_lines(path), start=1):
         raw = raw.rstrip("\n")
@@ -481,10 +484,12 @@ def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, st
             provs = provenance[prov_json] = _provenance_list(prov_json, lineno)
         if p not in PREDICATES:
             raise FormatError(f"unknown predicate {p!r} in {TRIPLES_FILE}", lineno)
-        try:
-            _register_ends(entities, s, p, o)
-        except CktError as exc:
-            raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
+        # with both ends known and an entity object there is nothing to register
+        if p in LITERAL_PREDICATES or s not in entities or o not in entities:
+            try:
+                _register_ends(entities, s, p, o)
+            except CktError as exc:
+                raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
         triple = triples.get((s, p, o))
         if triple is None:
             triples[(s, p, o)] = Triple(s, p, o, list(provs))

@@ -13,7 +13,7 @@ TRACE_EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """1-based inclusive line range within a file."""
 
@@ -26,7 +26,7 @@ class Span:
             raise ValueError(f"span start {self.start} > end {self.end}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
     """An addressable subject: code element, bug, commit, developer, concept."""
 
@@ -152,7 +152,7 @@ class Comment:
         return comment_id(self.span.path, self.span.start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     seq: int
     tid: int

@@ -54,6 +54,15 @@ class QueryAST:
     limit: int | None = None
 
 
+# characters that end a word token, besides whitespace
+WORD_BREAKS = '{};"?'
+
+
+def is_word(text: str) -> bool:
+    """True when the lexer reads all of `text` as one word token."""
+    return bool(text) and not any(ch.isspace() or ch in WORD_BREAKS for ch in text)
+
+
 @dataclass(frozen=True)
 class _Tok:
     kind: str  # "word" | "var" | "string" | "punct"
@@ -100,7 +109,7 @@ def _lex(text: str) -> list[_Tok]:
             i = j
             continue
         j = i
-        while j < n and not text[j].isspace() and text[j] not in '{};"?':
+        while j < n and not text[j].isspace() and text[j] not in WORD_BREAKS:
             j += 1
         toks.append(_Tok("word", text[i:j], i))
         i = j

@@ -20,7 +20,7 @@ from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
 from ckt.history import parse_timestamp
 from ckt.query.evaluate import ResultSet, evaluate
-from ckt.query.parser import parse_query
+from ckt.query.parser import is_word, parse_query
 from ckt.textio import utf8_lines
 
 JACCARD_THRESHOLD = 0.4
@@ -151,7 +151,8 @@ def normalize_date(value: str) -> str | None:
 
 def _check_slot(name: str, slot_type: str, value: str) -> str:
     if slot_type == "entity":
-        if ids.kind_of(value) is None:
+        # the value is spliced into the query text, so it must lex as one word
+        if ids.kind_of(value) is None or not is_word(value):
             raise SlotError(f"slot {name!r} expects an entity id, got {value!r}")
         return value
     if slot_type == "date":

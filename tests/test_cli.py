@@ -1,5 +1,6 @@
 """End-to-end CLI behavior on the scenario project."""
 
+import gc
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from ckt.cli import cmd_export, cmd_query, cmd_repl, main, parse_record
+from ckt.cli import _load_query_context, cmd_export, cmd_query, cmd_repl, main, parse_record
+from ckt.errors import FormatError
 from conftest import SCENARIO
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
@@ -139,6 +141,48 @@ def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path
     assert Path(name).name in proc.stderr
     if numbered:
         assert proc.stderr.startswith(f"error: line {bad_line}: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"@algo-of-function({S2}, {S2}, junk)",
+     "template 'algo-of-function' takes 1 slot(s), got 3 positional argument(s)"),
+    ("@bugs-affecting-function(func=commit:x ; ?bug ?p ?o)",
+     "slot 'func' expects an entity id, got 'commit:x ; ?bug ?p ?o'"),
+], ids=["extra-positional", "entity-not-one-word"])
+def test_bad_template_arguments_exit_1(scenario_dir, text, message):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckt", "query", "--graph", str(scenario_dir / "out"), text],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["good-graph", "corrupt-triples"])
+def test_query_load_restores_the_collector(scenario_dir, tmp_path, corrupt):
+    graph_dir = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", graph_dir)
+    if corrupt:
+        with open(graph_dir / "triples.tsv", "a", encoding="utf-8") as fh:
+            fh.write('func:a#f\tno-such-predicate\tfunc:a#g\t[{"origin": "x", "source": "y"}]\n')
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            gc.unfreeze()
+            if corrupt:
+                with pytest.raises(FormatError, match="no-such-predicate"):
+                    _load_query_context(graph_dir)
+            else:
+                _load_query_context(graph_dir)
+                assert gc.get_freeze_count() > 0
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 def test_template_query_table(scenario_dir, capsys):

@@ -207,6 +207,23 @@ def test_direct_loader_matches_builder_loader_on_scenario(scenario_dir):
                         oracles.builder_load_graph(scenario_dir / "out"))
 
 
+def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
+    # both ends are known nodes, so the loader may skip registering them but
+    # must still reject an entity id where the predicate takes a literal
+    nodes = [{"id": "func:h.c#f0", "kind": "function", "label": "f0"},
+             {"id": "var:h.c#g", "kind": "variable", "label": "g"}]
+    prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
+    (tmp_path / NODES_FILE).write_text("".join(json.dumps(n) + "\n" for n in nodes),
+                                       encoding="utf-8")
+    (tmp_path / TRIPLES_FILE).write_text(
+        f"func:h.c#f0\twrites\tvar:h.c#g\t{prov}\nfunc:h.c#f0\thas-type\tvar:h.c#g\t{prov}\n",
+        encoding="utf-8")
+    (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
+    with pytest.raises(FormatError, match="literal expected") as exc:
+        load_graph(tmp_path)
+    assert exc.value.line == 2 and TRIPLES_FILE in str(exc.value)
+
+
 # -- fuzzed graph directories -----------------------------------------------------
 
 JUNK = {

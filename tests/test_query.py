@@ -338,6 +338,24 @@ def test_ill_typed_slot_named():
         )
 
 
+@pytest.mark.parametrize("value", [
+    "func:a#f ; ?bug ?p ?o",  # would splice a second pattern into the body
+    "func:a#f }",
+    "func:a#f}",
+    'func:a#"f"',
+    "func:a#f?x",
+    "func:a#f;",
+    "func:a#{f",
+    "func:a#\tf",
+])
+def test_entity_slot_must_be_one_query_word(value):
+    with pytest.raises(SlotError, match="func"):
+        run_template(
+            "bugs-affecting-function", {"func": value},
+            template_graph(), builtin_registry(),
+        )
+
+
 # -- free-form -----------------------------------------------------------------
 
 
