@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from ckt import ids
 from ckt.config import Ontology, StrategyWeights, split_identifier
 from ckt.errors import DomainError
+from ckt.graph import call_graph
 from ckt.model import Comment, Entity, FactSet, TraceLog
 
 _IDENT_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+[A-Za-z_][A-Za-z0-9_]*")
@@ -46,15 +47,7 @@ class StalenessReport:
         return "stale" if self.missing_identifiers else "fresh"
 
 
-def _call_graph(facts: FactSet) -> dict[str, set[str]]:
-    graph: dict[str, set[str]] = {}
-    for rel in facts.relations:
-        if rel.pred == "calls":
-            graph.setdefault(rel.subj, set()).add(rel.obj)
-    return graph
-
-
-def _cyclic_functions(calls: dict[str, set[str]]) -> set[str]:
+def _cyclic_functions(calls: dict[str, list[str]]) -> set[str]:
     """Nodes that can reach themselves along call edges: those with a
     self-loop or in a strongly connected component of more than one node
     (Tarjan's algorithm, iterative so deep call chains cannot overflow)."""
@@ -133,7 +126,9 @@ def compute_features(
     for entity in functions:
         if entity.kind != "function":
             raise DomainError(f"features are defined for functions, not {entity.kind}")
-    cyclic = _cyclic_functions(_call_graph(facts))
+    cyclic = _cyclic_functions(
+        call_graph((rel.subj, rel.obj) for rel in facts.relations if rel.pred == "calls")
+    )
     depths = trace.replay.depths if trace is not None else {}
     concept_names = ontology.concepts()
     vectors = []
@@ -166,7 +161,9 @@ def classify_strategy(
         contributing = {
             feat: w * fv.get(feat) for feat, w in sorted(row.items()) if fv.get(feat) != 0.0
         }
-        score = sum(contributing.values())
+        score = 0  # as sum() starts, but left to right: 3.12 compensates float sums
+        for value in contributing.values():
+            score += value
         if best is None or score > best.score:
             best = ConceptLabel(cls, score, contributing)
     if best is None or best.score < threshold:

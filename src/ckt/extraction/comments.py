@@ -1,5 +1,8 @@
 """Comment extraction and comment-to-entity association.
 
+Comments come from the C lexer (`cparser.lex`), so they follow its rules:
+a literal ends at the end of its line, and comments on directive lines are
+recorded, as trailing ones, since the directive is code before them.
 Adjacent full-line ``//`` comments merge into one run; block comments stand
 alone.  Association is total: trailing comments bind to the innermost
 entity on their line, other comments to the nearest entity starting after
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 from ckt import ids
 from ckt.config import DEFAULT_STOPWORDS, normalize_tokens
+from ckt.extraction.cparser import lex
 from ckt.model import Comment, Entity, Span
 
 
@@ -20,7 +24,11 @@ def extract_comments(
 ) -> list[Comment]:
     """Return every comment in the file with its span and normalized tokens."""
     path = ids.norm_path(path)
-    raw = _scan(text)
+    raw = [
+        (start, end, style, body.strip() if style == "line" else _strip_gutter(body),
+         trailing, unterminated)
+        for start, end, style, body, trailing, unterminated in lex(text)[1]
+    ]
     merged = _merge_line_runs(raw)
     out: list[Comment] = []
     for start, end, style, body, trailing, unterminated in merged:
@@ -39,59 +47,6 @@ def extract_comments(
             )
         )
     return out
-
-
-def _scan(text: str) -> list[tuple[int, int, str, str, bool, bool]]:
-    """(start, end, style, body, trailing, unterminated) per raw comment."""
-    found: list[tuple[int, int, str, str, bool, bool]] = []
-    i, line = 0, 1
-    n = len(text)
-    code_on_line = False
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            code_on_line = False
-            i += 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            found.append((line, line, "line", text[i + 2 : j].strip(), code_on_line, False))
-            i = j
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            trailing = code_on_line
-            if end == -1:
-                body = text[i + 2 :]
-                end_line = line + body.count("\n")
-                found.append((line, end_line, "block", _strip_gutter(body), trailing, True))
-                i = n
-            else:
-                body = text[i + 2 : end]
-                end_line = line + body.count("\n")
-                found.append((line, end_line, "block", _strip_gutter(body), trailing, False))
-                line = end_line
-                i = end + 2
-            continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "\n":
-                    line += 1
-                j += 1
-            code_on_line = True
-            i = j + 1
-            continue
-        code_on_line = True
-        i += 1
-    return found
 
 
 def _strip_gutter(body: str) -> str:

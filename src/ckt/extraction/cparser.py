@@ -13,9 +13,14 @@ Recognized grammar, by design rather than omission:
     ``++``/``--`` mark writes, also behind subscripts as in ``a[i] = x``;
     any other resolvable occurrence is a read)
 
-Preprocessor lines are skipped but counted for line numbering.  Anything
-else (macros, templates, function pointers, namespaces) is skipped as an
-unparseable region; skipping is never fatal.  No macro expansion, no
+One lexer, `lex`, reads the text once for both the parser and the comment
+extractor.  A ``#`` with no code before it on its line starts a directive,
+which runs to the end of the line or on past a backslash-newline; its tokens
+are dropped and its comments recorded.  A literal ends at its closing quote
+or at the end of its line; a backslash-newline inside it continues it and
+counts as a line.  A block comment may span lines, also from a directive.
+Anything else (macros, templates, function pointers, namespaces) is skipped
+as an unparseable region; skipping is never fatal.  No macro expansion, no
 overload resolution.
 """
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 import posixpath
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ckt import ids
 from ckt.config import DEFAULT_THREAD_CREATE_FNS
@@ -42,96 +48,63 @@ AGGREGATE_KEYWORDS = frozenset(["struct", "class", "union", "enum"])
 
 ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
-_PUNCT3 = ("<<=", ">>=", "...")
-_PUNCT2 = ("++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-           "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "->", "::")
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+\.?\d*(?:[eE][+-]?\d+)?)[uUlLfF]*")
+# One alternative per lexeme, tried in order at each position; whitespace
+# other than a newline starts none of them, so finditer steps over it.
+_LEXEME = re.compile(
+    r"""(?P<nl>\n)
+    |(?P<line>//[^\n]*)
+    |(?P<block>/\*(?s:.*?)\*/)
+    |(?P<open>/\*(?s:.*))
+    |(?P<str>"(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?)
+    |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<num>(?:0[xX][0-9a-fA-F]+|\d+\.?\d*(?:[eE][+-]?\d+)?)[uUlLfF]*)
+    |(?P<punct><<=|>>=|\.\.\.|\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=
+        |<<|>>|==|!=|<=|>=|&&|\|\||->|::|[^ \t\r\f\v])""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # "id" | "num" | "str" | "punct"
     text: str
     line: int
 
 
-def tokenize(text: str) -> list[Tok]:
-    """Lex source into tokens, dropping comments and preprocessor lines."""
+def lex(text: str) -> tuple[list[Tok], list[tuple[int, int, str, str, bool, bool]]]:
+    """Lex source in one pass into code tokens and raw comments.
+
+    Each comment is (start line, end line, "line" | "block", the text
+    between its delimiters, trailing, unterminated); it is trailing when
+    code precedes it on its line.  A directive's tokens are dropped, its
+    comments kept.  A literal token carries the line it starts on.
+    """
     toks: list[Tok] = []
-    i, line = 0, 1
-    n = len(text)
-    at_line_start = True
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    comments: list[tuple[int, int, str, str, bool, bool]] = []
+    line = 1
+    code_on_line = directive = False
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "nl":
             line += 1
-            i += 1
-            at_line_start = True
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if ch == "#" and at_line_start:
-            # preprocessor directive; honor backslash continuations
-            while i < n and text[i] != "\n":
-                if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
-                    line += 1
-                    i += 2
-                    continue
-                i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                line += text.count("\n", i)
-                i = n
-            else:
-                line += text.count("\n", i, end + 2)
-                i = end + 2
-            continue
-        at_line_start = False
-        if ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "\n":
-                    line += 1
-                j += 1
-            toks.append(Tok("str", text[i : j + 1], line))
-            i = j + 1
-            continue
-        if _IDENT_START.match(ch):
-            m = _IDENT.match(text, i)
-            toks.append(Tok("id", m.group(), line))
-            i = m.end()
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER.match(text, i)
-            if m:
-                toks.append(Tok("num", m.group(), line))
-                i = m.end()
-                continue
-        matched = False
-        for group in (_PUNCT3, _PUNCT2):
-            for op in group:
-                if text.startswith(op, i):
-                    toks.append(Tok("punct", op, line))
-                    i += len(op)
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
-            toks.append(Tok("punct", ch, line))
-            i += 1
-    return toks
+            if not (directive and text[m.start() - 1] == "\\"):
+                code_on_line = directive = False
+        elif kind == "line":
+            comments.append((line, line, "line", lexeme[2:], code_on_line, False))
+        elif kind == "block" or kind == "open":
+            body = lexeme[2:-2] if kind == "block" else lexeme[2:]
+            end = line + body.count("\n")
+            comments.append((line, end, "block", body, code_on_line, kind == "open"))
+            line = end
+        else:
+            if lexeme == "#" and not code_on_line:
+                directive = True
+            code_on_line = True
+            if not directive:
+                toks.append(Tok(kind, lexeme, line))
+            if kind == "str":
+                line += lexeme.count("\n")
+    return toks, comments
 
 
 @dataclass
@@ -599,7 +572,7 @@ def parse_source(
         return FactSet()
     line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
     line_count = max(1, line_count)
-    parse = _FileParse(tokenize(text), path, line_count, thread_create_fns)
+    parse = _FileParse(lex(text)[0], path, line_count, thread_create_fns)
     parse.facts.add_entity(
         Entity(parse.file_id, "file", posixpath.basename(path), Span(path, 1, line_count))
     )

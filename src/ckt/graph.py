@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +37,15 @@ LITERAL_PREDICATES = frozenset(["has-type"])
 
 def is_literal_object(predicate: str) -> bool:
     return predicate in LITERAL_PREDICATES
+
+
+def call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Caller -> callees, sorted and without duplicates, from (caller,
+    callee) pairs; callers keep the order of their first pair."""
+    graph: dict[str, set[str]] = {}
+    for caller, callee in calls:
+        graph.setdefault(caller, set()).add(callee)
+    return {caller: sorted(callees) for caller, callees in graph.items()}
 
 
 class Provenance(NamedTuple):
@@ -99,19 +109,11 @@ class GraphBuilder:
         self._triples: dict[tuple[str, str, str], Triple] = {}
         self._finalized = False
 
-    def add_entity(self, entity: Entity, *, merge: bool = True) -> None:
+    def add_entity(self, entity: Entity) -> None:
+        """Register an entity; the first record for an id is kept, since
+        FactSet.add_entity has already merged the extracted ones."""
         self._check_open()
-        existing = self._entities.get(entity.id)
-        if existing is None:
-            self._entities[entity.id] = entity
-            return
-        if merge:
-            for k, v in entity.attrs.items():
-                existing.attrs.setdefault(k, v)
-            if existing.span is None:
-                existing.span = entity.span
-            if existing.attrs.get("missing") == "true" and entity.attrs.get("missing") != "true":
-                del existing.attrs["missing"]
+        self._entities.setdefault(entity.id, entity)
 
     def insert_triple(
         self,
@@ -289,7 +291,12 @@ class KnowledgeGraph:
         if on_iteration is not None:
             on_iteration(dict(rank))
         for _ in range(max_iter):
-            dangling = sum(rank[u] for u in nodes if not out_edges[u])
+            # left-to-right sums: from Python 3.12 on, sum() of floats is
+            # compensated, and the ranks would change with the interpreter
+            dangling = 0.0
+            for u in nodes:
+                if not out_edges[u]:
+                    dangling += rank[u]
             base = (1.0 - damping) / n + damping * dangling / n
             nxt = {u: base for u in nodes}
             for u in nodes:
@@ -298,13 +305,17 @@ class KnowledgeGraph:
                     share = damping * rank[u] / len(targets)
                     for v in targets:
                         nxt[v] += share
-            delta = sum(abs(nxt[u] - rank[u]) for u in nodes)
+            delta = 0.0
+            for u in nodes:
+                delta += abs(nxt[u] - rank[u])
             rank = nxt
             if on_iteration is not None:
                 on_iteration(dict(rank))
             if delta < tol:
                 break
-        total = sum(rank.values())
+        total = 0.0
+        for r in rank.values():
+            total += r
         rank = {u: r / total for u, r in rank.items()}
         if default_call:
             self._rank_cache = dict(rank)

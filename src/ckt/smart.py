@@ -16,7 +16,7 @@ from functools import cached_property
 from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import DomainError, NotFoundError
-from ckt.graph import KnowledgeGraph
+from ckt.graph import KnowledgeGraph, call_graph
 from ckt.history import parse_timestamp
 from ckt.model import Entity, TraceLog
 from ckt.query.evaluate import ResultSet
@@ -68,10 +68,7 @@ class AugmentContext:
     @cached_property
     def call_edges(self) -> dict[str, list[str]]:
         """Caller -> callees in ascending order."""
-        edges: dict[str, list[str]] = {}
-        for t in self.graph.match(None, "calls", None):
-            edges.setdefault(t.subject, []).append(t.object)
-        return {caller: sorted(callees) for caller, callees in edges.items()}
+        return call_graph((t.subject, t.object) for t in self.graph.match(None, "calls", None))
 
     @cached_property
     def race_roots(self) -> list[str]:

@@ -10,6 +10,9 @@ direct loader that replaced it.
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 import numpy as np
 
 VAR = "var"
@@ -252,6 +255,169 @@ def bfs_within(adjacency, start, radius):
     return set(dist)
 
 
+# -- C source lexing, the two scanners the single lexer replaced -------------
+#
+# `tokenize` was the parser's lexer and `scan_comments` (with its gutter
+# strip) the comment extractor's.  Each walked the text character by
+# character with its own rules for literals, comments and directive lines.
+
+
+_PUNCT3 = ("<<=", ">>=", "...")
+_PUNCT2 = ("++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+           "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "->", "::")
+_IDENT_START = re.compile(r"[A-Za-z_]")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+\.?\d*(?:[eE][+-]?\d+)?)[uUlLfF]*")
+
+
+class Tok(NamedTuple):
+    kind: str
+    text: str
+    line: int
+
+
+def tokenize(text: str) -> list[Tok]:
+    """Lex source into tokens, dropping comments and preprocessor lines."""
+    toks: list[Tok] = []
+    i, line = 0, 1
+    n = len(text)
+    at_line_start = True
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            at_line_start = True
+            continue
+        if ch in " \t\r\f\v":
+            i += 1
+            continue
+        if ch == "#" and at_line_start:
+            # preprocessor directive; honor backslash continuations
+            while i < n and text[i] != "\n":
+                if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
+                    line += 1
+                    i += 2
+                    continue
+                i += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end == -1:
+                line += text.count("\n", i)
+                i = n
+            else:
+                line += text.count("\n", i, end + 2)
+                i = end + 2
+            continue
+        at_line_start = False
+        if ch in "\"'":
+            j = i + 1
+            while j < n and text[j] != ch:
+                if text[j] == "\\":
+                    j += 1
+                elif text[j] == "\n":
+                    line += 1
+                j += 1
+            toks.append(Tok("str", text[i : j + 1], line))
+            i = j + 1
+            continue
+        if _IDENT_START.match(ch):
+            m = _IDENT.match(text, i)
+            toks.append(Tok("id", m.group(), line))
+            i = m.end()
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            m = _NUMBER.match(text, i)
+            if m:
+                toks.append(Tok("num", m.group(), line))
+                i = m.end()
+                continue
+        matched = False
+        for group in (_PUNCT3, _PUNCT2):
+            for op in group:
+                if text.startswith(op, i):
+                    toks.append(Tok("punct", op, line))
+                    i += len(op)
+                    matched = True
+                    break
+            if matched:
+                break
+        if not matched:
+            toks.append(Tok("punct", ch, line))
+            i += 1
+    return toks
+
+
+def scan_comments(text: str) -> list[tuple[int, int, str, str, bool, bool]]:
+    """(start, end, style, body, trailing, unterminated) per raw comment."""
+    found: list[tuple[int, int, str, str, bool, bool]] = []
+    i, line = 0, 1
+    n = len(text)
+    code_on_line = False
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            code_on_line = False
+            i += 1
+            continue
+        if ch in " \t\r\f\v":
+            i += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            found.append((line, line, "line", text[i + 2 : j].strip(), code_on_line, False))
+            i = j
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            trailing = code_on_line
+            if end == -1:
+                body = text[i + 2 :]
+                end_line = line + body.count("\n")
+                found.append((line, end_line, "block", _strip_gutter(body), trailing, True))
+                i = n
+            else:
+                body = text[i + 2 : end]
+                end_line = line + body.count("\n")
+                found.append((line, end_line, "block", _strip_gutter(body), trailing, False))
+                line = end_line
+                i = end + 2
+            continue
+        if ch in "\"'":
+            j = i + 1
+            while j < n and text[j] != ch:
+                if text[j] == "\\":
+                    j += 1
+                elif text[j] == "\n":
+                    line += 1
+                j += 1
+            code_on_line = True
+            i = j + 1
+            continue
+        code_on_line = True
+        i += 1
+    return found
+
+
+def _strip_gutter(body: str) -> str:
+    lines = [ln.strip() for ln in body.split("\n")]
+    lines = [ln[1:].strip() if ln.startswith("*") else ln for ln in lines]
+    return " ".join(ln for ln in lines if ln).strip()
+
+
+def _strip_gutter(body: str) -> str:
+    lines = [ln.strip() for ln in body.split("\n")]
+    lines = [ln[1:].strip() if ln.startswith("*") else ln for ln in lines]
+    return " ".join(ln for ln in lines if ln).strip()
+
+
 # -- build-time lookups, one naive scan per item ----------------------------
 #
 # Plain data only.  `relations` is a list of (subj, pred, obj) in insertion
@@ -366,7 +532,7 @@ def comment_grounded_functions(idents, comment_function, comment_tokens):
 
 def builder_load_graph(directory):
     """Load nodes.jsonl and triples.tsv by replaying every record through
-    GraphBuilder: add_entity(merge=False) per node, insert_triple per
+    GraphBuilder: add_entity per node, insert_triple per
     triple.  Ranks are not read."""
     import json
     from pathlib import Path
@@ -391,7 +557,7 @@ def builder_load_graph(directory):
                                 {str(k): str(v) for k, v in (doc.get("attrs") or {}).items()})
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise FormatError(f"bad node record: {exc}", lineno) from exc
-            builder.add_entity(entity, merge=False)
+            builder.add_entity(entity)
     with open(directory / "triples.tsv", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")

@@ -2,7 +2,13 @@
 
 import io
 
-from ckt.extraction import dump_facts, parse_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import scan_comments, tokenize
+
+from ckt.extraction import dump_facts, extract_comments, parse_source
+from ckt.extraction.comments import _strip_gutter
+from ckt.extraction.cparser import lex
 from ckt.extraction.facts import dumps_facts
 
 SCENARIO_SRC = """\
@@ -152,3 +158,66 @@ def test_dump_writes_header_first():
     dump_facts(parse_source("int q;", "q.c"), buf)
     first = buf.getvalue().splitlines()[0]
     assert '"rec": "header"' in first and '"version": 1' in first
+
+
+# -- the single lexer against the two scanners it replaced --------------------
+#
+# Well-formed input only: every literal closes on its own line and holds no
+# backslash-newline, and a directive line holds no quote, `//` or `/*`.  On
+# such text the old scanners agree with each other and with the C rules.
+
+_CODE_PIECES = [
+    "int", "x", "n_2", "0x1F", "12", "3.5e-2", "7UL", ".5", ";", "=", "+=", "<<=", "...",
+    "->", "::", "++", "(", ")", "{", "}", "[", "]", "*", "/", "\\", "x #", " ", "\t", "\r",
+    "\"a b\"", "\"q\\\"r\"", "\"s//t\"", "\"u/*v\"", "'c'", "'\\''", "'\"'", "\"#\"",
+    "/* c */", "/* m\n * n */", "/**/", "// note", "//", "\u00e9",
+]
+_DIRECTIVE_PIECES = [
+    "define", "include", "if", "N", "10", "<a.h>", "(", ")", "*", ",", "#", " ", "\t", "\\\n ",
+]
+_code_line = st.lists(st.sampled_from(_CODE_PIECES), max_size=8).map("".join)
+_directive_line = st.builds(
+    lambda lead, words: f"{lead}#{''.join(words)}x",
+    st.sampled_from(["", "  ", "/* c */ "]),
+    st.lists(st.sampled_from(_DIRECTIVE_PIECES), max_size=6),
+)
+_c_like_text = st.builds(
+    lambda lines, tail: "\n".join(lines) + tail,
+    st.lists(st.one_of(_code_line, _directive_line), max_size=8),
+    st.sampled_from(["", "\n", "\n/* open to the end\n", "// last"]),
+)
+
+
+@given(_c_like_text)
+@settings(max_examples=400, deadline=None)
+def test_lexer_equals_both_old_scanners(text):
+    toks, comments = lex(text)
+    assert [(t.kind, t.text, t.line) for t in toks] == [tuple(t) for t in tokenize(text)]
+    cleaned = [
+        (start, end, style, body.strip() if style == "line" else _strip_gutter(body), trailing, unterminated)
+        for start, end, style, body, trailing, unterminated in comments
+    ]
+    assert cleaned == scan_comments(text)
+
+
+def test_backslash_newline_in_literal_counts_its_line():
+    facts = parse_source('char *s = "a\\\nb";\nint x;\n', "a.c")
+    assert facts.entities["var:a.c#s"].span.start == 1
+    assert facts.entities["var:a.c#x"].span.start == 3
+
+
+def test_block_comment_opened_on_directive_line_is_not_code():
+    src = "#define N 1 /* start\n still comment */\nint g;\n"
+    facts = parse_source(src, "a.c")
+    assert facts.entities["var:a.c#g"].span.start == 3
+    assert not {"still", "comment"} & {e.label for e in facts.entities.values()}
+    [comment] = extract_comments(src, "a.c")
+    assert (comment.span.start, comment.span.end, comment.text) == (1, 2, "start still comment")
+    assert comment.attrs == {"trailing": "true"}
+
+
+def test_quote_on_directive_line_ends_with_the_line():
+    src = "#error don't build\n// real note\nint x;\n"
+    [comment] = extract_comments(src, "a.c")
+    assert (comment.span.start, comment.text, comment.attrs) == (2, "real note", {})
+    assert parse_source(src, "a.c").entities["var:a.c#x"].span.start == 3
