@@ -1,16 +1,4 @@
 """Turn source files, comments, neutral fact documents, and runtime traces
-into entities and relation primitives."""
-
-from ckt.extraction.comments import associate_comments, extract_comments
-from ckt.extraction.cparser import parse_source
-from ckt.extraction.facts import dump_facts, load_facts
-from ckt.extraction.traces import load_trace
-
-__all__ = [
-    "parse_source",
-    "extract_comments",
-    "associate_comments",
-    "load_facts",
-    "dump_facts",
-    "load_trace",
-]
+into entities and relation primitives: `cparser`, `comments`, `facts` and
+`traces`.  Nothing is imported here, so a query that reads only the trace
+copy loads only `traces`."""

@@ -376,6 +376,11 @@ class KnowledgeGraph:
 NODES_FILE = "nodes.jsonl"
 TRIPLES_FILE = "triples.tsv"
 RANKS_FILE = "ranks.tsv"
+# what `ckt build` writes beside the graph in the same directory
+STATS_FILE = "stats.json"
+REPORT_FILE = "report.json"
+TRACE_COPY = "trace.jsonl"
+TEMPLATES_COPY = "templates.jsonl"
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -549,20 +554,3 @@ def _load_ranks(path: Path, entities: dict[str, Entity]) -> dict[str, float]:
         )
     return ranks
 
-
-def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
-    """Deep equality: entity table, triple set, and provenance lists."""
-    if sorted(a.entities) != sorted(b.entities):
-        return False
-    for eid in a.entities:
-        ea, eb = a.entities[eid], b.entities[eid]
-        if (ea.kind, ea.label, ea.span, ea.attrs) != (eb.kind, eb.label, eb.span, eb.attrs):
-            return False
-    keys_a = [t.key() for t in a.triples()]
-    keys_b = [t.key() for t in b.triples()]
-    if keys_a != keys_b:
-        return False
-    for key in keys_a:
-        if a.get(*key).provenance != b.get(*key).provenance:
-            return False
-    return True

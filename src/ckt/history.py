@@ -11,13 +11,13 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import IO, Iterable
 
 from ckt import ids
 from ckt.config import DEFAULT_BUG_PATTERNS
 from ckt.errors import ConflictError, FormatError
 from ckt.model import Comment, Entity, FactSet
+from ckt.textio import parse_timestamp
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
@@ -29,13 +29,6 @@ def _identifierish(token: str) -> bool:
     has_mark = "_" in token or any(c.isdigit() for c in token)
     has_letter = any(c.isalpha() for c in token) or "_" in token
     return has_mark and has_letter
-
-
-def parse_timestamp(value: str) -> datetime:
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
 
 
 @dataclass

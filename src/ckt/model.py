@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from ckt.errors import ConflictError
 from ckt.ids import ENTITY_KINDS, comment_id
@@ -152,16 +153,18 @@ class Comment:
         return comment_id(self.span.path, self.span.start)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One runtime event; `kind` is one of TRACE_EVENT_KINDS, which
+    `load_trace`, the one reader of traces, checks.
+
+    A named tuple rather than a frozen dataclass: a load builds one per
+    trace line, and a frozen dataclass sets each field through
+    object.__setattr__."""
+
     seq: int
     tid: int
     kind: str
     target: str
-
-    def __post_init__(self):
-        if self.kind not in TRACE_EVENT_KINDS:
-            raise ValueError(f"unknown trace event kind: {self.kind!r}")
 
 
 @dataclass

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ckt.graph import KnowledgeGraph
-from ckt.history import parse_timestamp
 from ckt.query.parser import IRI, LITERAL, VAR, FilterClause, QueryAST, Term
+from ckt.textio import parse_timestamp
 
 
 @dataclass

@@ -18,10 +18,9 @@ from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
-from ckt.history import parse_timestamp
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import is_word, parse_query
-from ckt.textio import utf8_lines
+from ckt.textio import parse_timestamp, utf8_lines
 
 JACCARD_THRESHOLD = 0.4
 

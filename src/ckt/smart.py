@@ -17,9 +17,9 @@ from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import DomainError, NotFoundError
 from ckt.graph import KnowledgeGraph, call_graph
-from ckt.history import parse_timestamp
 from ckt.model import Entity, TraceLog
 from ckt.query.evaluate import ResultSet
+from ckt.textio import parse_timestamp
 
 ALERT_KINDS = frozenset(
     ["race-static", "race-dynamic", "similar-defect", "provenance",
@@ -57,9 +57,12 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 
 
 class AugmentContext:
-    """What the rules share while augmenting one response from one graph
-    and trace, each part built on first use: the call graph, the race roots
-    with one BFS tree each, and the bug table."""
+    """What the rules share for one graph and trace, each part built on
+    first use: the call graph, the race roots with one BFS tree each, the
+    bug table, the commits touching each entity with each commit's
+    newest-first key, and each entity's stale comments.  A query process
+    keeps one for its loaded graph, so every response, and every row of
+    it, reads the same indexes."""
 
     def __init__(self, graph: KnowledgeGraph | None, trace: TraceLog | None = None):
         self.graph = graph
@@ -105,6 +108,41 @@ class AugmentContext:
             for eid, entity in sorted(self.graph.entities.items())
             if entity.kind == "bug"
         ]
+
+    @cached_property
+    def touching_commits(self) -> dict[str, list[str]]:
+        """Entity -> the commits that touch it."""
+        out: dict[str, list[str]] = {}
+        for t in self.graph.match(None, "touches", None):
+            if t.subject.startswith("commit:"):
+                out.setdefault(t.object, []).append(t.subject)
+        return out
+
+    @cached_property
+    def commit_keys(self) -> dict[str, tuple[float, str]]:
+        """Commit -> its newest-first sort key: the negated timestamp, then
+        the id; an unparseable timestamp sorts as 0."""
+        keys: dict[str, tuple[float, str]] = {}
+        for commits in self.touching_commits.values():
+            for cid in commits:
+                if cid not in keys:
+                    stamp = self.graph.entities[cid].attrs.get("timestamp", "")
+                    try:
+                        keys[cid] = (-parse_timestamp(stamp).timestamp(), cid)
+                    except ValueError:
+                        keys[cid] = (0.0, cid)
+        return keys
+
+    @cached_property
+    def stale_comments(self) -> dict[str, list[tuple[str, str]]]:
+        """Entity -> (comment, missing identifiers) of each stale comment
+        documenting it, in comment id order."""
+        out: dict[str, list[tuple[str, str]]] = {}
+        for t in self.graph.match(None, "documented-by", None):
+            comment = self.graph.entities.get(t.object)
+            if comment is not None and comment.attrs.get("stale") == "true":
+                out.setdefault(t.subject, []).append((t.object, comment.attrs.get("missing", "")))
+        return out
 
 
 def _tree_path(tree: dict[str, str | None], target: str) -> list[str] | None:
@@ -208,49 +246,39 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
     return frozenset(normalize_tokens(text))
 
 
-def change_provenance(graph: KnowledgeGraph, entity_id: str, limit: int = 5) -> list[Entity]:
+def change_provenance(
+    graph: KnowledgeGraph,
+    entity_id: str,
+    limit: int = 5,
+    ctx: AugmentContext | None = None,
+) -> list[Entity]:
     """Commits touching the entity or its containing file, newest first."""
     graph.entity(entity_id)
-    commit_ids = {t.subject for t in graph.match(None, "touches", entity_id)
-                  if t.subject.startswith("commit:")}
+    ctx = ctx or AugmentContext(graph)
+    touching = ctx.touching_commits
+    commit_ids = set(touching.get(entity_id, ()))
     path = ids.path_of(entity_id)
     if path is not None:
         fid = ids.file_id(path)
         if fid != entity_id and fid in graph.entities:
-            commit_ids |= {t.subject for t in graph.match(None, "touches", fid)
-                           if t.subject.startswith("commit:")}
-    commits = [graph.entities[c] for c in commit_ids]
-
-    def sort_key(e: Entity):
-        stamp = e.attrs.get("timestamp", "")
-        try:
-            return (-parse_timestamp(stamp).timestamp(), e.id)
-        except ValueError:
-            return (0.0, e.id)
-
-    commits.sort(key=sort_key)
-    return commits[:limit]
+            commit_ids.update(touching.get(fid, ()))
+    newest = sorted(commit_ids, key=ctx.commit_keys.__getitem__)
+    return [graph.entities[c] for c in newest[:limit]]
 
 
-def _stale_comment_alerts(graph: KnowledgeGraph, entity_id: str) -> list[SmartAlert]:
-    alerts = []
-    for t in graph.match(entity_id, "documented-by", None):
-        comment = graph.entities.get(t.object)
-        if comment is None or comment.attrs.get("stale") != "true":
-            continue
-        missing = comment.attrs.get("missing", "")
-        alerts.append(
-            SmartAlert(
-                kind="stale-comment",
-                subject=entity_id,
-                evidence=[_triple_ref(entity_id, "documented-by", t.object)],
-                message=(
-                    f"comment {t.object} mentions identifiers absent from scope: {missing}"
-                ),
-                score=0.5,
-            )
+def _stale_comment_alerts(
+    graph: KnowledgeGraph, entity_id: str, ctx: AugmentContext | None = None
+) -> list[SmartAlert]:
+    return [
+        SmartAlert(
+            kind="stale-comment",
+            subject=entity_id,
+            evidence=[_triple_ref(entity_id, "documented-by", comment)],
+            message=f"comment {comment} mentions identifiers absent from scope: {missing}",
+            score=0.5,
         )
-    return alerts
+        for comment, missing in (ctx or AugmentContext(graph)).stale_comments.get(entity_id, ())
+    ]
 
 
 def augment(
@@ -258,17 +286,19 @@ def augment(
     graph: KnowledgeGraph,
     trace: TraceLog | None = None,
     config: SmartConfig | None = None,
+    ctx: AugmentContext | None = None,
 ) -> ResultSet:
     """Attach rule-driven alerts to an evaluated result set.
 
     Dispatch is by binding kind: globals get race checks plus mutex advice,
     bugs get similar defects, code elements get change provenance, and
     anything with a stale comment gets flagged.  Rows are never modified;
-    failures degrade to warning alerts.  The rules share one AugmentContext
-    for the whole response.
+    failures degrade to warning alerts.  The rules read `ctx`, the context
+    of `graph` and `trace` that a query process keeps across responses;
+    without one they share a new one for this response.
     """
     cfg = config or SmartConfig()
-    ctx = AugmentContext(graph, trace)
+    ctx = ctx or AugmentContext(graph, trace)
     alerts: list[SmartAlert] = []
     seen_entities = dict.fromkeys(
         value for row in result.rows for value in row if value in graph.entities
@@ -329,7 +359,7 @@ def _alerts_for(
                 )
             )
     if entity.kind in ("function", "variable", "file", "type", "class"):
-        commits = change_provenance(graph, eid, cfg.provenance_limit)
+        commits = change_provenance(graph, eid, cfg.provenance_limit, ctx)
         if commits:
             newest = commits[0]
             out.append(
@@ -344,5 +374,5 @@ def _alerts_for(
                     score=0.3,
                 )
             )
-    out.extend(_stale_comment_alerts(graph, eid))
+    out.extend(_stale_comment_alerts(graph, eid, ctx))
     return out

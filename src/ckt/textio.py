@@ -1,7 +1,9 @@
-"""The one reader of line-delimited input files."""
+"""The one reader of line-delimited input files, and the one parser of
+the timestamps they carry."""
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
@@ -23,3 +25,11 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
                 except UnicodeDecodeError:
                     raise FormatError(f"{path.name} is not UTF-8: {exc.reason}", lineno) from exc
             raise
+
+
+def parse_timestamp(value: str) -> datetime:
+    """An ISO-8601 timestamp, `Z` accepted for UTC; a naive one is UTC."""
+    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts

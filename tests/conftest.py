@@ -31,7 +31,7 @@ def scenario_graph(scenario_dir):
 
 @pytest.fixture(scope="session")
 def scenario_trace(scenario_dir):
-    from ckt.extraction import load_trace
+    from ckt.extraction.traces import load_trace
 
     with open(scenario_dir / "out" / "trace.jsonl", encoding="utf-8") as fh:
         return load_trace(fh)

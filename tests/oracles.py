@@ -5,7 +5,8 @@ power iteration, O(n^3) triangle enumeration, from-scratch lockset
 recomputation.  None of it shares code with the package, except
 `builder_load_graph`: it is the loader that sent every persisted record
 through the package's own GraphBuilder, kept as the reference for the
-direct loader that replaced it.
+direct loader that replaced it, and the old per-response augmentation.
+The helpers at the end compare and parse what the package produces.
 """
 
 from __future__ import annotations
@@ -643,3 +644,124 @@ def resolve_entity(tokens, labels):
                 if len(hits) == 1:
                     return hits[0], tokens[:start] + tokens[start + length:]
     return None
+
+
+
+def augment_per_response(result, graph, trace=None, config=None):
+    """smart.augment as it was when its context lived for one response: the
+    race and similar-defect rules get a fresh context per call, and change
+    provenance and stale comments are read by graph.match for each row,
+    with each commit's timestamp parsed again for every row it touches."""
+    from datetime import datetime, timezone
+
+    from ckt import ids
+    from ckt.query.evaluate import ResultSet
+    from ckt.smart import (
+        MUTEX_ADVICE,
+        SmartAlert,
+        SmartConfig,
+        race_alert_dynamic,
+        race_alert_static,
+        similar_defects,
+    )
+
+    def newest_first(entity):
+        try:
+            ts = datetime.fromisoformat(entity.attrs.get("timestamp", "").replace("Z", "+00:00"))
+        except ValueError:
+            return (0.0, entity.id)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return (-ts.timestamp(), entity.id)
+
+    def provenance(eid, limit):
+        commits = {t.subject for t in graph.match(None, "touches", eid)
+                   if t.subject.startswith("commit:")}
+        path = ids.path_of(eid)
+        if path is not None:
+            fid = ids.file_id(path)
+            if fid != eid and fid in graph.entities:
+                commits |= {t.subject for t in graph.match(None, "touches", fid)
+                            if t.subject.startswith("commit:")}
+        return sorted((graph.entities[c] for c in commits), key=newest_first)[:limit]
+
+    def alerts_for(entity, cfg):
+        out, eid = [], entity.id
+        if entity.kind == "variable" and entity.attrs.get("scope") == "global":
+            static = race_alert_static(graph, eid)
+            dynamic = None
+            if trace is not None and eid in trace.replay.locksets:
+                dynamic = race_alert_dynamic(trace, eid)
+            out.extend(a for a in (static, dynamic) if a is not None)
+            if static is not None or dynamic is not None:
+                funcs = sorted({t.subject for t in graph.match(None, "writes", eid)}
+                               | {t.subject for t in graph.match(None, "reads", eid)})
+                labels = ", ".join(graph.entities[f].label for f in funcs if f in graph.entities)
+                out.append(SmartAlert(
+                    "mutex-advice", eid, (static or dynamic).evidence,
+                    MUTEX_ADVICE.format(var=entity.label, funcs=labels or "its accessors"), 0.85))
+        elif entity.kind == "bug":
+            for other, score in similar_defects(graph, eid, cfg.similar_k, cfg.similar_theta):
+                out.append(SmartAlert(
+                    "similar-defect", eid, [other],
+                    f"similar defect: {other} ({graph.entities[other].label}) score {score}",
+                    score))
+        if entity.kind in ("function", "variable", "file", "type", "class"):
+            commits = provenance(eid, cfg.provenance_limit)
+            if commits:
+                newest = commits[0]
+                out.append(SmartAlert(
+                    "provenance", eid, [c.id for c in commits],
+                    f"last changed by {newest.id} "
+                    f"({newest.attrs.get('timestamp', '?')}): {newest.label}", 0.3))
+        for t in graph.match(eid, "documented-by", None):
+            comment = graph.entities.get(t.object)
+            if comment is None or comment.attrs.get("stale") != "true":
+                continue
+            out.append(SmartAlert(
+                "stale-comment", eid, [f"{eid}|documented-by|{t.object}"],
+                f"comment {t.object} mentions identifiers absent from scope: "
+                f"{comment.attrs.get('missing', '')}", 0.5))
+        return out
+
+    cfg = config or SmartConfig()
+    alerts = []
+    for eid in dict.fromkeys(v for row in result.rows for v in row if v in graph.entities):
+        try:
+            alerts.extend(alerts_for(graph.entities[eid], cfg))
+        except Exception as exc:
+            alerts.append(SmartAlert("warning", eid, ["rule-dispatch"],
+                                     f"augmentation failed for {eid}: {exc}", 0.0))
+    alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
+    return ResultSet(result.columns, result.rows, alerts[: cfg.alert_cap])
+
+# -- comparison helpers -----------------------------------------------------
+
+
+def graphs_equal(a, b):
+    """Deep equality of two KnowledgeGraphs: entity table, triple set, and
+    provenance lists."""
+    if sorted(a.entities) != sorted(b.entities):
+        return False
+    for eid in a.entities:
+        ea, eb = a.entities[eid], b.entities[eid]
+        if (ea.kind, ea.label, ea.span, ea.attrs) != (eb.kind, eb.label, eb.span, eb.attrs):
+            return False
+    keys_a = [t.key() for t in a.triples()]
+    keys_b = [t.key() for t in b.triples()]
+    if keys_a != keys_b:
+        return False
+    for key in keys_a:
+        if a.get(*key).provenance != b.get(*key).provenance:
+            return False
+    return True
+
+
+def parse_record(line):
+    """Inverse of cli.format_records for one line; raises on non-records."""
+    import json
+
+    doc = json.loads(line)
+    if not isinstance(doc, dict) or "rec" not in doc:
+        raise ValueError("not a record line")
+    return doc

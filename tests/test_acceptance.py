@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from ckt.extraction import load_facts, load_trace, parse_source
-from ckt.extraction.facts import dumps_facts
-from ckt.graph import GraphBuilder, Provenance, graphs_equal, load_graph, save_graph
+from ckt.extraction.cparser import parse_source
+from ckt.extraction.facts import dumps_facts, load_facts
+from ckt.extraction.traces import load_trace
+from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
 from ckt.query import (
     FilterClause,
@@ -31,7 +32,7 @@ from ckt.query import (
 from ckt.query.templates import NoMatch
 from ckt.smart import race_alert_dynamic, race_alert_static, similar_defects, change_provenance
 from conftest import FIXTURES, SCENARIO
-from oracles import brute_triangles, dense_pagerank, lockset_race, nested_loop_join
+from oracles import brute_triangles, dense_pagerank, graphs_equal, lockset_race, nested_loop_join
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 VAR1 = "var:src/VHDLPosedge.cc#var1"
@@ -354,7 +355,7 @@ def test_criterion_8_build_determinism(tmp_path):
 
 def test_criterion_9_stale_comment_validation():
     from ckt.concepts import validate_comment
-    from ckt.extraction import associate_comments, extract_comments
+    from ckt.extraction.comments import associate_comments, extract_comments
 
     src = (FIXTURES / "staleness.c").read_text()
     facts = parse_source(src, "staleness.c")

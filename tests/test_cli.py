@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from ckt.cli import _load_query_context, cmd_export, cmd_query, cmd_repl, main, parse_record
+from ckt.cli import _load_query_context, cmd_export, cmd_query, cmd_repl, main
 from ckt.errors import FormatError
 from conftest import SCENARIO
+from oracles import graphs_equal, parse_record
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,6 +80,16 @@ def test_build_missing_bugs_path_exits_2(tmp_path, capsys):
     manifest.write_text(json.dumps(doc))
     assert main(["build", "--manifest", str(manifest)]) == 2
     assert "no-such-file.jsonl" in capsys.readouterr().err
+
+
+def test_source_path_with_whitespace_exits_2(tmp_path, capsys):
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    src = tmp_path / "p" / "src"
+    (src / "ftpety.c").rename(src / "ft pety.c")
+    assert main(["build", "--manifest", str(tmp_path / "p" / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'src/ft pety.c' contains whitespace" in err
+    assert "Traceback" not in err
 
 
 def test_failed_build_removes_partial_outputs(tmp_path, capsys):
@@ -303,13 +314,58 @@ def test_repl_verbose_loads_graph_exactly_once(scenario_dir):
     assert out.getvalue().count("graph loaded:") == 1
 
 
+# one query of each kind, each with alerts in its answer
+QUERY_KINDS = [
+    f"SELECT ?v WHERE {{ {S2} writes ?v }}",
+    f"@bugs-affecting-function({S2})",
+    "How many unsynchronised global variables are used to implement the UI Save button",
+]
+
+
+def test_repl_repeats_each_answer_and_matches_cold_query(scenario_dir, capsys):
+    cold = []
+    for text in QUERY_KINDS:
+        assert main(["query", "--graph", str(scenario_dir / "out"), text]) == 0
+        cold.append(capsys.readouterr().out)
+    assert all("! [" in answer for answer in cold)
+    _, out = repl(scenario_dir, "".join(f"{text}\n{text}\n" for text in QUERY_KINDS) + ":quit\n")
+    assert out == "".join(answer * 2 for answer in cold)
+
+
+# what only `ckt build` needs
+BUILD_MODULES = ["ckt.build", "ckt.concepts", "ckt.extraction.comments",
+                 "ckt.extraction.cparser", "ckt.extraction.facts", "ckt.history"]
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    *((["query", text], "") for text in QUERY_KINDS),
+    (["repl"], "".join(f"{text}\n" for text in QUERY_KINDS) + ":quit\n"),
+], ids=["query-select", "query-template", "query-freeform", "repl"])
+def test_query_side_leaves_build_modules_unimported(scenario_dir, argv, stdin):
+    script = (
+        "import json, sys\n"
+        "from ckt.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(json.dumps([m for m in {BUILD_MODULES!r} if m in sys.modules]), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [argv[0], "--graph", str(scenario_dir / "out"), *argv[1:]]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "! [" in proc.stdout
+    assert json.loads(proc.stderr) == []
+
+
 def test_fixing_commit_found_by_object_lookup(scenario_graph):
     hits = list(scenario_graph.match(None, "fixes", "bug:CQ/22"))
     assert [t.subject for t in hits] == ["commit:c0ffee11deadbeef"]
 
 
 def test_scenario_graph_round_trip_preserves_ranks(scenario_graph, tmp_path):
-    from ckt.graph import graphs_equal, load_graph, save_graph
+    from ckt.graph import load_graph, save_graph
 
     save_graph(scenario_graph, tmp_path)
     again = load_graph(tmp_path)

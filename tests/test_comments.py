@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckt.concepts import validate_comment
-from ckt.extraction import associate_comments, extract_comments, parse_source
+from ckt.extraction.comments import associate_comments, extract_comments
+from ckt.extraction.cparser import parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

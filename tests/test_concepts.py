@@ -16,7 +16,9 @@ from ckt.concepts import (
 )
 from ckt.config import Ontology, StrategyWeights, default_weights
 from ckt.errors import ConfigError, DomainError
-from ckt.extraction import extract_comments, load_trace, parse_source
+from ckt.extraction.comments import extract_comments
+from ckt.extraction.cparser import parse_source
+from ckt.extraction.traces import load_trace
 from ckt.model import Entity, FactSet, Relation, TraceEvent, TraceLog
 from oracles import held_locks_at
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import scan_comments, tokenize
 
-from ckt.extraction import dump_facts, extract_comments, parse_source
-from ckt.extraction.comments import _strip_gutter
-from ckt.extraction.cparser import lex
-from ckt.extraction.facts import dumps_facts
+from ckt.extraction.comments import _strip_gutter, extract_comments
+from ckt.extraction.cparser import lex, parse_source
+from ckt.extraction.facts import dump_facts, dumps_facts
 
 SCENARIO_SRC = """\
 // header

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckt.errors import ConflictError, FormatError
-from ckt.extraction import load_facts, parse_source
-from ckt.extraction.facts import dumps_facts
+from ckt.extraction.cparser import parse_source
+from ckt.extraction.facts import dumps_facts, load_facts
 from ckt.model import Entity, FactSet, Relation, Span
 
 HEADER = '{"rec":"header","version":1}'

@@ -10,12 +10,11 @@ from ckt.errors import CktError, NotFoundError
 from ckt.graph import (
     GraphBuilder,
     Provenance,
-    graphs_equal,
     load_graph,
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import bfs_within, brute_triangles, dense_pagerank
+from oracles import bfs_within, brute_triangles, dense_pagerank, graphs_equal
 
 PROV = Provenance("source-code", "test:1")
 

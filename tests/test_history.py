@@ -3,8 +3,8 @@
 import pytest
 
 from ckt.errors import ConflictError, FormatError
-from ckt.extraction import extract_comments, parse_source
-from ckt.extraction.comments import associate_comments
+from ckt.extraction.comments import associate_comments, extract_comments
+from ckt.extraction.cparser import parse_source
 from ckt.history import (
     link_bugs_code,
     link_bugs_commits,

@@ -1,20 +1,23 @@
 """Indexed lookups against the naive per-item scans in oracles.py: the
 build's function features, comment scopes and bug/commit/comment linking,
-and the query path's race reachability and free-form label resolution."""
+and the query path's race reachability, free-form label resolution and
+alert rules sharing one context across responses."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ckt.cli import _scope_identifiers, _scope_labels_by_path
+from ckt.build import _scope_identifiers, _scope_labels_by_path
 from ckt.concepts import _entity_tokens, compute_features
 from ckt.config import Ontology, normalize_tokens, split_identifier
 from ckt.graph import GraphBuilder, Provenance
 from ckt.history import BugRecord, Commit, link_bugs_code, link_bugs_commits
 from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
+from ckt.query.evaluate import evaluate
+from ckt.query.parser import parse_query
 from ckt.query.templates import LabelIndex, _resolve_entity
-from ckt.smart import AugmentContext, race_alert_static
+from ckt.smart import AugmentContext, SmartConfig, augment, race_alert_static
 
 PATHS = ["a.c", "lib/b.c", "c.h"]
 FUNC_NAMES = ["f", "divideRange", "halve_it", "memoFib", "greedyPick"]
@@ -284,3 +287,101 @@ def test_label_index_resolution_equals_label_scan(labels, tokens):
                for eid in sorted(graph.entities)]
     scanned = [(eid, toks) for eid, toks in scanned if toks]
     assert _resolve_entity(tokens, LabelIndex(graph)) == oracles.resolve_entity(tokens, scanned)
+
+
+# timestamps as commit exports give them, plus ones no parser accepts
+STAMPS = ["2015-01-02T00:00:00Z", "2015-01-02T00:00:00", "2015-01-02T01:00:00+02:00",
+          "2014-12-31", "", "yesterday"]
+RULE_PREDICATES = ["calls", "reads", "writes", "guards", "touches", "documented-by", "declares",
+                   "fixes"]
+
+
+@st.composite
+def rule_graphs(draw):
+    """Graphs with every kind the alert rules dispatch on: functions in two
+    files (some named main, some thread entry points), globals read,
+    written and guarded, commits with well-formed, naive and unparseable
+    timestamps touching functions, globals and files, bugs touching
+    functions, and stale and current comments; plus a trace of accesses."""
+    builder = GraphBuilder()
+    funcs = [f"func:{path}#f{i}" for path in ("a.c", "b.c") for i in range(draw(st.integers(1, 3)))]
+    for i, fid in enumerate(funcs):
+        builder.add_entity(Entity(fid, "function", "main" if draw(st.integers(0, 3)) == 0 else f"f{i}"))
+    for var in GLOBALS:
+        builder.add_entity(Entity(var, "variable", var[-2:], attrs={"scope": "global"}))
+    files = ["file:a.c", "file:b.c", "file:r.c"]
+    code = funcs + GLOBALS + files
+    builder.add_entity(Entity(THREAD_ROOT_ID, "thread-root", "thread-root"))
+    for fid in draw(st.lists(st.sampled_from(funcs), max_size=2, unique=True)):
+        builder.insert_triple(THREAD_ROOT_ID, "starts-thread", fid, PROV)
+    for _ in range(draw(st.integers(0, 8))):
+        builder.insert_triple(draw(st.sampled_from(funcs)), "calls", draw(st.sampled_from(funcs)), PROV)
+    for _ in range(draw(st.integers(0, 8))):
+        builder.insert_triple(draw(st.sampled_from(funcs)),
+                              draw(st.sampled_from(["reads", "writes", "guards"])),
+                              draw(st.sampled_from(GLOBALS)), PROV)
+    for path in ("a.c", "b.c"):
+        builder.insert_triple(f"file:{path}", "declares", f"func:{path}#f0", PROV)
+    for i in range(draw(st.integers(0, 6))):
+        cid = f"commit:c{i}"
+        builder.add_entity(Entity(cid, "commit", f"change {i}",
+                                  attrs={"timestamp": draw(st.sampled_from(STAMPS))}))
+        for target in draw(st.lists(st.sampled_from(code), min_size=1, max_size=3, unique=True)):
+            builder.insert_triple(cid, "touches", target, PROV)
+    for i in range(draw(st.integers(0, 4))):
+        bid = f"bug:T/{i}"
+        builder.add_entity(Entity(bid, "bug", " ".join(draw(st.lists(
+            st.sampled_from(["crash", "save", "race", "lock"]), min_size=1, max_size=3)))))
+        for target in draw(st.lists(st.sampled_from(funcs), max_size=2, unique=True)):
+            builder.insert_triple(bid, "touches", target, PROV)
+    for line in draw(st.lists(st.integers(1, 40), max_size=5, unique=True)):
+        comment = f"comment:a.c#L{line}"
+        attrs = {"stale": draw(st.sampled_from(["true", "false"]))}
+        if draw(st.booleans()):
+            attrs["missing"] = draw(st.sampled_from(["x", "x y"]))
+        builder.add_entity(Entity(comment, "comment", "c", attrs=attrs))
+        for target in draw(st.lists(st.sampled_from(code), min_size=1, max_size=2, unique=True)):
+            builder.insert_triple(target, "documented-by", comment, PROV)
+    graph = builder.finalize()
+    events = draw(st.lists(st.tuples(st.integers(1, 2),
+                                     st.sampled_from(["read", "write", "acquire", "release"]),
+                                     st.sampled_from(GLOBALS + ["L"])), max_size=12))
+    trace = TraceLog([TraceEvent(seq, tid, kind, "L" if kind in ("acquire", "release") else target)
+                      for seq, (tid, kind, target) in enumerate(events, start=1)])
+    return graph, trace
+
+
+@st.composite
+def selects(draw, graph):
+    """A SELECT with one pattern: both ends free, or one bound to an id."""
+    pred = draw(st.sampled_from(RULE_PREDICATES))
+    shape = draw(st.sampled_from(["both", "subject", "object"]))
+    if shape == "both":
+        return f"SELECT ?s ?o WHERE {{ ?s {pred} ?o }}"
+    bound = draw(st.sampled_from(sorted(graph.entities)))
+    if shape == "subject":
+        return f"SELECT ?o WHERE {{ {bound} {pred} ?o }}"
+    return f"SELECT ?s WHERE {{ ?s {pred} {bound} }}"
+
+
+def assert_alerts_match_oracle(graph, trace, queries, cfg):
+    ctx = AugmentContext(graph, trace)  # one context for every response
+    for text in queries:
+        result = evaluate(graph, parse_query(text))
+        assert (augment(result, graph, trace, cfg, ctx).alerts
+                == oracles.augment_per_response(result, graph, trace, cfg).alerts), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alerts_from_one_shared_context_equal_per_response_oracle(data):
+    graph, trace = data.draw(rule_graphs())
+    queries = data.draw(st.lists(selects(graph), min_size=1, max_size=6))
+    cfg = SmartConfig(alert_cap=data.draw(st.sampled_from([1, 10, 1000])))
+    assert_alerts_match_oracle(graph, data.draw(st.sampled_from([trace, None])), queries, cfg)
+
+
+def test_alerts_on_scenario_from_one_shared_context_equal_per_response_oracle(
+        scenario_graph, scenario_trace):
+    queries = [f"SELECT ?s ?o WHERE {{ ?s {pred} ?o }}" for pred in RULE_PREDICATES]
+    assert_alerts_match_oracle(scenario_graph, scenario_trace, queries * 2, SmartConfig(alert_cap=10**6))

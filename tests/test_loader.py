@@ -23,12 +23,11 @@ from ckt.graph import (
     GraphBuilder,
     KnowledgeGraph,
     Provenance,
-    graphs_equal,
     load_graph,
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import dense_pagerank
+from oracles import dense_pagerank, graphs_equal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ckt.concepts import detect_guarded_regions, detect_thread_roots
 from ckt.errors import FormatError
-from ckt.extraction import load_trace
+from ckt.extraction.traces import load_trace
 from ckt.model import FactSet, TraceLog
 from ckt.smart import race_alert_dynamic
 from oracles import call_stack_at, held_locks_at, lockset_race, max_trace_depth
