@@ -61,8 +61,10 @@ class ProjectManifest:
 def load_manifest(path: Path) -> ProjectManifest:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or invalid JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
         raise CktError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CktError(f"manifest {path} is not a JSON object")
     base = path.parent
 
     def resolve(key: str, required: bool = False) -> Path | None:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ckt.errors import ConfigError, FormatError
-from ckt.textio import utf8_lines
+from ckt.textio import json_records, utf8_lines
 
 # 30-word English stopword list applied during comment/query normalization.
 DEFAULT_STOPWORDS = frozenset(
@@ -100,19 +101,13 @@ def default_ontology() -> Ontology:
 def load_ontology(path: str) -> Ontology:
     """Read line-delimited {"term","synonyms","concept"} records."""
     ont = Ontology()
-    for lineno, raw in enumerate(utf8_lines(path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad ontology record: {exc}", lineno) from exc
-        if not isinstance(rec, dict) or "term" not in rec or "concept" not in rec:
-            raise FormatError("ontology record needs 'term' and 'concept'", lineno)
+    name = Path(path).name
+    for lineno, rec in json_records(utf8_lines(path), name):
+        if "term" not in rec or "concept" not in rec:
+            raise FormatError(f"{name}: ontology record needs 'term' and 'concept'", lineno)
         synonyms = rec.get("synonyms", [])
         if not isinstance(synonyms, list):
-            raise FormatError("'synonyms' must be a list", lineno)
+            raise FormatError(f"{name}: 'synonyms' must be a list", lineno)
         ont.add(str(rec["term"]), [str(s) for s in synonyms], str(rec["concept"]))
     return ont
 
@@ -155,7 +150,7 @@ def load_weights(path: str) -> StrategyWeights:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8
             raise ConfigError(f"bad weights file {path}: {exc}") from exc
     try:
         classes = [str(c) for c in doc["classes"]]
@@ -164,7 +159,8 @@ def load_weights(path: str) -> StrategyWeights:
             str(cls): {str(f): float(v) for f, v in feats.items()}
             for cls, feats in doc["weights"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: the weights table or one of its rows is not an object
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad weights file {path}: {exc}") from exc
     if tau < 0:
         raise ConfigError("tau must be >= 0")

@@ -7,11 +7,11 @@ this format; nothing here runs or rewrites binaries.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable
 
 from ckt.errors import FormatError
 from ckt.model import TRACE_EVENT_KINDS, TraceEvent, TraceLog
+from ckt.textio import json_records
 
 
 def load_trace(lines: Iterable[str] | IO[str], name: str = "trace") -> TraceLog:
@@ -20,20 +20,13 @@ def load_trace(lines: Iterable[str] | IO[str], name: str = "trace") -> TraceLog:
     log = TraceLog(name=name)
     linenos: list[int] = []  # the line of each event
     last_seq = None
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{name}: invalid JSON: {exc}", lineno) from exc
+    for lineno, doc in json_records(lines, name):
         try:
             seq = int(doc["seq"])
             tid = int(doc["tid"])
             kind = str(doc["kind"])
             target = str(doc["target"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{name}: bad trace record: {exc}", lineno) from exc
         if kind not in TRACE_EVENT_KINDS:
             raise FormatError(f"{name}: unknown event kind {kind!r}", lineno)

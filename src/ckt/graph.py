@@ -21,7 +21,7 @@ from typing import NamedTuple
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
-from ckt.textio import utf8_lines
+from ckt.textio import json_records, json_value, utf8_lines
 
 PREDICATES = frozenset(
     [
@@ -396,30 +396,31 @@ def _entity_to_json(entity: Entity) -> dict:
     }
 
 
-def _entity_from_json(doc: dict) -> Entity:
+def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
+    """The inverse of _entity_to_json, for nodes.jsonl and neutral facts
+    alike; a bad field raises FormatError naming `name` and the line."""
+    for field_name in ("id", "kind", "label"):
+        value = doc.get(field_name)
+        # a label may be empty: a commit with no author names an anonymous developer
+        if not isinstance(value, str) or not (value or field_name == "label"):
+            raise FormatError(f"{name}: entity record needs string {field_name!r}", lineno)
+    kind = doc["kind"]
+    if kind not in ids.ENTITY_KINDS:
+        raise FormatError(f"{name}: unknown entity kind {kind!r}", lineno)
     span = None
-    if doc.get("path") is not None:
-        span = Span(doc["path"], int(doc["start"]), int(doc["end"]))
-    return Entity(
-        id=str(doc["id"]),
-        kind=str(doc["kind"]),
-        label=str(doc["label"]),
-        span=span,
-        attrs={str(k): str(v) for k, v in (doc.get("attrs") or {}).items()},
-    )
-
-
-_DECODER = json.JSONDecoder()
-
-
-def _json_value(text: str):
-    """json.loads(text), minus its per-call overhead when the value spans
-    the whole text, as it does in every line save_graph writes."""
-    try:
-        value, end = _DECODER.raw_decode(text)
-    except ValueError:
-        end = -1
-    return value if end == len(text) else json.loads(text)
+    path, start, end = doc.get("path"), doc.get("start"), doc.get("end")
+    if path is not None or start is not None or end is not None:
+        if not isinstance(path, str) or start is None or end is None:
+            raise FormatError(f"{name}: span needs a string path, a start and an end", lineno)
+        try:
+            span = Span(path, int(start), int(end))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{name}: bad span: {exc}", lineno) from exc
+    attrs = doc.get("attrs") or {}
+    if not isinstance(attrs, dict):
+        raise FormatError(f"{name}: attrs must be an object", lineno)
+    return Entity(doc["id"], kind, doc["label"], span,
+                  {str(k): str(v) for k, v in attrs.items()})
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -465,17 +466,8 @@ def load_graph(directory) -> KnowledgeGraph:
 
 def _load_nodes(path: Path) -> dict[str, Entity]:
     entities: dict[str, Entity] = {}
-    for lineno, raw in enumerate(utf8_lines(path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = _json_value(raw)
-            if not isinstance(doc, dict):
-                raise TypeError(f"expected an object, got {type(doc).__name__}")
-            entity = _entity_from_json(doc)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad node record in {NODES_FILE}: {exc}", lineno) from exc
+    for lineno, doc in json_records(utf8_lines(path), NODES_FILE):
+        entity = _entity_record(doc, NODES_FILE, lineno)
         entities.setdefault(entity.id, entity)
     return entities
 
@@ -516,11 +508,11 @@ def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, st
 
 def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
     try:
-        docs = _json_value(text)
+        docs = json_value(text)
         if not isinstance(docs, list):
             raise TypeError(f"expected a list, got {type(docs).__name__}")
         provs = tuple(Provenance.from_json(doc) for doc in docs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"bad provenance in {TRIPLES_FILE}: {exc}", lineno) from exc
     if not provs:
         raise FormatError(f"empty provenance in {TRIPLES_FILE}", lineno)

@@ -7,7 +7,6 @@ tagged "snapshot-approx" so the approximation stays queryable.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from ckt import ids
 from ckt.config import DEFAULT_BUG_PATTERNS
 from ckt.errors import ConflictError, FormatError
 from ckt.model import Comment, Entity, FactSet
-from ckt.textio import parse_timestamp
+from ckt.textio import json_records, parse_timestamp
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
@@ -78,19 +77,12 @@ class BugRecord:
         return self.id.rpartition("/")[2]
 
 
-def _read_header(doc: dict, name: str, lineno: int) -> None:
-    if doc.get("rec") != "header":
-        raise FormatError(f"{name}: first record must be the header", lineno)
-    if doc.get("version") != 1:
-        raise FormatError(f"{name}: unsupported version {doc.get('version')!r}", lineno)
-
-
 def _ranges(raw, name: str, lineno: int) -> list[tuple[int, int]]:
     out = []
     for pair in raw or []:
         try:
             start, end = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise FormatError(f"{name}: bad line range {pair!r}", lineno) from exc
         if start > end:
             raise FormatError(f"{name}: range start {start} > end {end}", lineno)
@@ -105,22 +97,7 @@ def load_commits(
     plus a warning report for malformed records."""
     commits: list[Commit] = []
     warnings: list[str] = []
-    saw_header = False
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if not saw_header:
-                raise FormatError(f"{name}: invalid JSON: {exc}", lineno) from exc
-            warnings.append(f"{name} line {lineno}: invalid JSON, record skipped")
-            continue
-        if not saw_header:
-            _read_header(doc, name, lineno)
-            saw_header = True
-            continue
+    for lineno, doc in json_records(lines, name, header=True, warnings=warnings):
         try:
             changes = [
                 Change(
@@ -143,8 +120,6 @@ def load_commits(
             warnings.append(f"{name} line {lineno}: {exc}; record skipped")
             continue
         commits.append(commit)
-    if not saw_header:
-        raise FormatError(f"{name}: missing header line", 1)
     commits.sort(key=lambda c: (parse_timestamp(c.timestamp), c.id))
     return commits, warnings
 
@@ -154,19 +129,7 @@ def load_bugs(lines: Iterable[str] | IO[str], name: str = "bugs") -> list[BugRec
     of title+description."""
     bugs: list[BugRecord] = []
     seen: dict[str, int] = {}
-    saw_header = False
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{name}: invalid JSON: {exc}", lineno) from exc
-        if not saw_header:
-            _read_header(doc, name, lineno)
-            saw_header = True
-            continue
+    for lineno, doc in json_records(lines, name, header=True):
         try:
             tracker = str(doc.get("tracker", "bugs"))
             number = str(doc["id"])
@@ -201,8 +164,6 @@ def load_bugs(lines: Iterable[str] | IO[str], name: str = "bugs") -> list[BugRec
         )
         bug.mentions = _scan_mentions(text)
         bugs.append(bug)
-    if not saw_header:
-        raise FormatError(f"{name}: missing header line", 1)
     return bugs
 
 

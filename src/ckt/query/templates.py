@@ -9,10 +9,10 @@ a pure function of the text, the registry, and the graph labels.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 from ckt import ids
 from ckt.config import normalize_tokens
@@ -20,7 +20,7 @@ from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import is_word, parse_query
-from ckt.textio import parse_timestamp, utf8_lines
+from ckt.textio import json_records, parse_timestamp, utf8_lines
 
 JACCARD_THRESHOLD = 0.4
 
@@ -46,9 +46,9 @@ class TemplateRegistry:
     templates: list[Template] = field(default_factory=list)
     by_name: dict[str, Template] = field(default_factory=dict)
 
-    def add(self, template: Template) -> None:
+    def add(self, template: Template, line: int | None = None) -> None:
         if template.name in self.by_name:
-            raise FormatError(f"duplicate template name {template.name!r}")
+            raise FormatError(f"duplicate template name {template.name!r}", line)
         self.templates.append(template)
         self.by_name[template.name] = template
 
@@ -110,14 +110,8 @@ def builtin_registry() -> TemplateRegistry:
 def load_registry(path: str) -> TemplateRegistry:
     """Read line-delimited template records."""
     reg = TemplateRegistry()
-    for lineno, raw in enumerate(utf8_lines(path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad template record: {exc}", lineno) from exc
+    name = Path(path).name
+    for lineno, doc in json_records(utf8_lines(path), name):
         try:
             slots = [(str(s["name"]), str(s["type"])) for s in doc.get("slots", [])]
             template = Template(
@@ -127,11 +121,11 @@ def load_registry(path: str) -> TemplateRegistry:
                 body=str(doc["body"]),
             )
         except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad template record: {exc}", lineno) from exc
+            raise FormatError(f"{name}: bad template record: {exc}", lineno) from exc
         for _, slot_type in template.slots:
             if slot_type not in SLOT_TYPES:
-                raise FormatError(f"unknown slot type {slot_type!r}", lineno)
-        reg.add(template)
+                raise FormatError(f"{name}: unknown slot type {slot_type!r}", lineno)
+        reg.add(template, lineno)
     return reg
 
 

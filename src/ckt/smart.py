@@ -58,9 +58,9 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 
 class AugmentContext:
     """What the rules share for one graph and trace, each part built on
-    first use: the call graph, the race roots with one BFS tree each, the
-    bug table, the commits touching each entity with each commit's
-    newest-first key, and each entity's stale comments.  A query process
+    first use: each variable's accessors, the call graph, the race roots
+    with one BFS tree each, the bug table, the commits touching each entity
+    with each commit's newest-first key, and each entity's stale comments.  A query process
     keeps one for its loaded graph, so every response, and every row of
     it, reads the same indexes."""
 
@@ -72,6 +72,15 @@ class AugmentContext:
     def call_edges(self) -> dict[str, list[str]]:
         """Caller -> callees in ascending order."""
         return call_graph((t.subject, t.object) for t in self.graph.match(None, "calls", None))
+
+    @cached_property
+    def accessors(self) -> dict[str, list[str]]:
+        """Variable -> the functions that write or read it, in id order."""
+        out: dict[str, set[str]] = {}
+        for pred in ("writes", "reads"):
+            for t in self.graph.match(None, pred, None):
+                out.setdefault(t.object, set()).add(t.subject)
+        return {var: sorted(funcs) for var, funcs in out.items()}
 
     @cached_property
     def race_roots(self) -> list[str]:
@@ -164,13 +173,9 @@ def race_alert_static(
     if entity.attrs.get("scope") != "global":
         raise DomainError(f"{var} is not a global variable")
     ctx = ctx or AugmentContext(graph)
-    accessors = sorted(
-        {t.subject for t in graph.match(None, "writes", var)}
-        | {t.subject for t in graph.match(None, "reads", var)}
-    )
     evidence: dict[str, None] = {}  # insertion-ordered set
     racing_funcs: list[str] = []
-    for func in accessors:
+    for func in ctx.accessors.get(var, ()):
         if graph.get(func, "guards", var) is not None:
             continue
         paths = [p for p in (_tree_path(tree, func) for tree in ctx.root_trees) if p is not None]
@@ -331,11 +336,8 @@ def _alerts_for(
             dynamic = race_alert_dynamic(ctx.trace, eid)
         out.extend(a for a in (static, dynamic) if a is not None)
         if static is not None or dynamic is not None:
-            funcs = sorted(
-                {t.subject for t in graph.match(None, "writes", eid)}
-                | {t.subject for t in graph.match(None, "reads", eid)}
-            )
-            labels = ", ".join(graph.entities[f].label for f in funcs if f in graph.entities)
+            labels = ", ".join(graph.entities[f].label for f in ctx.accessors.get(eid, ())
+                               if f in graph.entities)
             out.append(
                 SmartAlert(
                     kind="mutex-advice",

@@ -1,13 +1,18 @@
-"""The one reader of line-delimited input files, and the one parser of
-the timestamps they carry."""
+"""The one reader of line-delimited input files and of the JSON records
+in them, and the one parser of the timestamps they carry."""
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ckt.errors import FormatError
+
+SCHEMA_VERSION = 1  # of the header record that opens facts, commits and bugs
+
+_DECODER = json.JSONDecoder()
 
 
 def utf8_lines(path: str | Path) -> Iterator[str]:
@@ -25,6 +30,55 @@ def utf8_lines(path: str | Path) -> Iterator[str]:
                 except UnicodeDecodeError:
                     raise FormatError(f"{path.name} is not UTF-8: {exc.reason}", lineno) from exc
             raise
+
+
+def json_value(text: str):
+    """json.loads(text), minus its per-call overhead when the value spans
+    the whole text, as it does in every line `ckt build` writes."""
+    try:
+        value, end = _DECODER.raw_decode(text)
+    except ValueError:
+        end = -1
+    return value if end == len(text) else json.loads(text)
+
+
+def json_records(
+    lines: Iterable[str],
+    name: str,
+    header: bool = False,
+    warnings: list[str] | None = None,
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of JSON-lines
+    input `name`.  Every record must be a JSON object; with `header`, the
+    first must be {"rec":"header","version":1} and is not yielded.  A bad
+    line raises FormatError naming `name` and the line, except that, given
+    `warnings`, a line after the header that is not JSON is reported there
+    and skipped."""
+    saw_header = not header
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            doc = json_value(raw)
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+            if saw_header and warnings is not None:
+                warnings.append(f"{name} line {lineno}: invalid JSON, record skipped")
+                continue
+            raise FormatError(f"{name}: invalid JSON: {exc}", lineno) from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"{name}: record is not a JSON object", lineno)
+        if saw_header:
+            yield lineno, doc
+            continue
+        if doc.get("rec") != "header":
+            raise FormatError(f"{name}: first record must be the header", lineno)
+        if doc.get("version") != SCHEMA_VERSION:
+            raise FormatError(f"{name}: unsupported version {doc.get('version')!r} "
+                              f"(expected {SCHEMA_VERSION})", lineno)
+        saw_header = True
+    if not saw_header:
+        raise FormatError(f"{name}: missing header line", 1)
 
 
 def parse_timestamp(value: str) -> datetime:

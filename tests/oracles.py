@@ -413,12 +413,6 @@ def _strip_gutter(body: str) -> str:
     return " ".join(ln for ln in lines if ln).strip()
 
 
-def _strip_gutter(body: str) -> str:
-    lines = [ln.strip() for ln in body.split("\n")]
-    lines = [ln[1:].strip() if ln.startswith("*") else ln for ln in lines]
-    return " ".join(ln for ln in lines if ln).strip()
-
-
 # -- build-time lookups, one naive scan per item ----------------------------
 #
 # Plain data only.  `relations` is a list of (subj, pred, obj) in insertion

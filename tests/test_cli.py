@@ -120,9 +120,10 @@ NOT_UTF8_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("command, name, numbered", NOT_UTF8_INPUTS)
-def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path,
-                                                          command, name, numbered):
+def run_on_corrupt_input(scenario_dir, tmp_path, command, name, corrupt):
+    """Copy the built scenario, with a neutral facts source added, replace
+    the bytes of input `name` with corrupt(bytes) and run `command` on the
+    copy; returns the finished process."""
     work = tmp_path / "p"
     shutil.copytree(SCENARIO, work)
     shutil.copytree(scenario_dir / "out", work / "out", dirs_exist_ok=True)
@@ -135,9 +136,7 @@ def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path
     doc["sources"].append({"path": "facts.jsonl", "mode": "facts"})
     manifest.write_text(json.dumps(doc), encoding="utf-8")
     path = work / name
-    data = path.read_bytes()
-    path.write_bytes(data + b"\xff\xfe\n")
-    bad_line = data.count(b"\n") + 1
+    path.write_bytes(corrupt(path.read_bytes()))
     args = {
         "build": ["build", "--manifest", str(manifest)],
         "query": ["query", "--graph", str(work / "out"), "SELECT ?f WHERE { ?f calls ?g }"],
@@ -145,13 +144,52 @@ def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path
     }[command]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ckt", *args], capture_output=True,
+    return subprocess.run([sys.executable, "-m", "ckt", *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def assert_exit_2_naming(proc, name, line):
+    """Exit 2 with one error that names the file and, given one, the line."""
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert Path(name).name in proc.stderr
-    if numbered:
-        assert proc.stderr.startswith(f"error: line {bad_line}: ")
+    if line is not None:
+        assert proc.stderr.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("command, name, numbered", NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_exits_2_without_traceback(scenario_dir, tmp_path,
+                                                          command, name, numbered):
+    proc = run_on_corrupt_input(scenario_dir, tmp_path, command, name,
+                                lambda data: data + b"\xff\xfe\n")
+    bad_line = (tmp_path / "p" / name).read_bytes().count(b"\n")
+    assert_exit_2_naming(proc, name, bad_line if numbered else None)
+
+
+# a valid JSON value that is not an object: appended as one more record to
+# each line-delimited input, or put in place of a whole-document input
+NON_OBJECT_INPUTS = [
+    ("build", "facts.jsonl", True),
+    ("build", "commits.jsonl", True),
+    ("build", "bugs.jsonl", True),
+    ("build", "trace.jsonl", True),
+    ("build", "ontology.jsonl", True),
+    ("build", "templates.jsonl", True),
+    ("query", "out/nodes.jsonl", True),
+    ("query", "out/trace.jsonl", True),
+    ("query", "out/templates.jsonl", True),
+    ("build", "manifest.json", False),
+    ("build", "weights.json", False),
+]
+
+
+@pytest.mark.parametrize("command, name, records", NON_OBJECT_INPUTS)
+def test_record_that_is_not_an_object_exits_2_without_traceback(scenario_dir, tmp_path,
+                                                                command, name, records):
+    proc = run_on_corrupt_input(scenario_dir, tmp_path, command, name,
+                                lambda data: data + b"[]\n" if records else b"[]")
+    bad_line = (tmp_path / "p" / name).read_bytes().count(b"\n")
+    assert_exit_2_naming(proc, name, bad_line if records else None)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,6 +1,7 @@
 """Feature computation, strategy classification, thread roots, locksets,
 ontology tagging."""
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from ckt.concepts import (
     detect_thread_roots,
     tag_domain_concepts,
 )
-from ckt.config import Ontology, StrategyWeights, default_weights
+from ckt.config import Ontology, StrategyWeights, default_weights, load_weights
 from ckt.errors import ConfigError, DomainError
 from ckt.extraction.comments import extract_comments
 from ckt.extraction.cparser import parse_source
@@ -126,6 +127,18 @@ def test_unknown_feature_in_weights_is_config_error():
     weights = StrategyWeights(classes=["a"], tau=0.1, weights={"a": {"f_bogus": 1.0}})
     with pytest.raises(ConfigError, match="f_bogus"):
         classify_strategy(fv_of(f_rec=1.0), weights)
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"classes": ["a"], "weights": [1]},
+    {"classes": ["a"], "weights": {"a": [1]}},
+], ids=["document", "table", "row"])
+def test_weights_that_are_not_objects_are_config_errors(tmp_path, doc):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match="weights.json"):
+        load_weights(str(path))
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,6 +83,16 @@ def test_ranks_file_is_written_by_save_graph(tmp_path):
     )
 
 
+def test_entity_with_an_empty_label_round_trips(tmp_path):
+    # a commit with no author name or email is authored by "dev:", labelled ""
+    builder = GraphBuilder()
+    builder.add_entity(Entity("dev:", "developer", ""))
+    builder.insert_triple("commit:c1", "authored-by", "dev:", Provenance("version-tracker", "c1"))
+    graph = builder.finalize()
+    save_graph(graph, tmp_path)
+    assert graphs_equal(load_graph(tmp_path), graph)
+
+
 def corrupt_ranks(lines, how):
     """Return the corrupted lines and the line number the error must name."""
     if how == "bad-float":
