@@ -38,6 +38,7 @@ from ckt.graph import (
     GraphBuilder,
     KnowledgeGraph,
     Provenance,
+    collector_paused,
 )
 from ckt.model import Comment, Entity, FactSet, Relation, TraceLog
 from ckt.query.templates import load_registry
@@ -168,8 +169,9 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
             except UnicodeDecodeError as exc:
                 line = data.count(b"\n", 0, exc.start) + 1
                 raise FormatError(f"{rel} is not UTF-8: {exc.reason}", line) from exc
-            merge(cparser.parse_source(text, rel))
-            file_comments = comments.extract_comments(text, rel)
+            lexed = cparser.lex(text)  # one pass gives the parser and the comments
+            merge(cparser.parse_source(text, rel, lexed=lexed))
+            file_comments = comments.extract_comments(text, rel, lexed=lexed)
             state.comments.extend(file_comments)
             state.bump("comment", "comments", len(file_comments))
             state.associations.extend(
@@ -244,7 +246,11 @@ def _validate_comments(state: BuildState) -> list[concepts.StalenessReport]:
     return reports
 
 
+@collector_paused()
 def cmd_build(manifest_path: Path) -> int:
+    """Build the graph a manifest describes, with the cyclic collector
+    paused: nearly all a build allocates lives until it has written the
+    graph."""
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
     state = BuildState()

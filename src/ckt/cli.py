@@ -26,6 +26,7 @@ from ckt.graph import (
     TRACE_COPY,
     TRIPLES_FILE,
     KnowledgeGraph,
+    collector_paused,
     load_graph,
 )
 from ckt.model import TraceLog
@@ -78,11 +79,11 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     load would trigger, and every later full one, would walk them for
     nothing.  Once loaded they are frozen out of later collections: the
     graph is immutable after load and its records form no cycles, so no
-    collection could free any of them.
+    collection could free any of them.  They are frozen before the
+    collector resumes, because the first allocation after that would
+    otherwise start a collection that walks them all once.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         graph = load_graph(graph_dir)
         trace = None
         trace_path = graph_dir / TRACE_COPY
@@ -90,10 +91,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
             trace = load_trace(utf8_lines(trace_path), name=TRACE_COPY)
         templates_path = graph_dir / TEMPLATES_COPY
         registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
-    finally:
-        if was_enabled:
-            gc.enable()
-    gc.freeze()
+        gc.freeze()
     return QueryContext(graph, trace, registry, LabelIndex(graph), AugmentContext(graph, trace))
 
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ckt.errors import ConfigError, FormatError
-from ckt.textio import json_records, utf8_lines
+from ckt.textio import as_text, as_texts, json_records, utf8_lines
 
 # 30-word English stopword list applied during comment/query normalization.
 DEFAULT_STOPWORDS = frozenset(
@@ -58,34 +58,41 @@ def split_identifier(name: str) -> list[str]:
     return [p for p in parts if p]
 
 
-@dataclass
 class Ontology:
     """Term/synonym table mapping surface phrases to concept ids.
 
     Each phrase is stored as its normalized token tuple; matching is
     contiguous-subsequence against comment or identifier token streams.
+    `add` also files each phrase under its first token, so `hits` looks at
+    each position of a token stream only for the phrases that start there.
     """
 
-    phrases: dict[tuple[str, ...], str] = field(default_factory=dict)
-    concept_labels: dict[str, str] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.phrases: dict[tuple[str, ...], str] = {}
+        self.concept_labels: dict[str, str] = {}
+        self._starting: dict[str, list[tuple[str, ...]]] = {}
 
     def add(self, term: str, synonyms: list[str], concept: str) -> None:
         self.concept_labels.setdefault(concept, term)
         for phrase in [term, *synonyms]:
             toks = tuple(normalize_tokens(phrase, frozenset()))
             if toks:
-                self.phrases[toks] = concept
+                if toks not in self.phrases:
+                    self._starting.setdefault(toks[0], []).append(toks)
+                self.phrases[toks] = concept  # a re-added phrase takes the new concept
 
     def concepts(self) -> list[str]:
         return sorted(self.concept_labels)
 
     def hits(self, tokens: list[str]) -> dict[str, int]:
-        """Count phrase occurrences per concept in a token sequence."""
+        """Count phrase occurrences per concept in a token sequence;
+        overlapping occurrences each count."""
         counts: dict[str, int] = {}
-        for phrase, concept in self.phrases.items():
-            n = len(phrase)
-            for i in range(len(tokens) - n + 1):
-                if tuple(tokens[i : i + n]) == phrase:
+        for i, token in enumerate(tokens):
+            for phrase in self._starting.get(token, ()):
+                n = len(phrase)
+                if n == 1 or tuple(tokens[i : i + n]) == phrase:
+                    concept = self.phrases[phrase]
                     counts[concept] = counts.get(concept, 0) + 1
         return counts
 
@@ -105,10 +112,9 @@ def load_ontology(path: str) -> Ontology:
     for lineno, rec in json_records(utf8_lines(path), name):
         if "term" not in rec or "concept" not in rec:
             raise FormatError(f"{name}: ontology record needs 'term' and 'concept'", lineno)
-        synonyms = rec.get("synonyms", [])
-        if not isinstance(synonyms, list):
-            raise FormatError(f"{name}: 'synonyms' must be a list", lineno)
-        ont.add(str(rec["term"]), [str(s) for s in synonyms], str(rec["concept"]))
+        ont.add(as_text(rec["term"], "'term'", name, lineno),
+                as_texts(rec.get("synonyms", []), "'synonyms'", name, lineno),
+                as_text(rec["concept"], "'concept'", name, lineno))
     return ont
 
 
@@ -153,7 +159,7 @@ def load_weights(path: str) -> StrategyWeights:
         except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8
             raise ConfigError(f"bad weights file {path}: {exc}") from exc
     try:
-        classes = [str(c) for c in doc["classes"]]
+        classes = as_texts(doc["classes"], "'classes'", f"weights file {path}")
         tau = float(doc.get("tau", 0.5))
         weights = {
             str(cls): {str(f): float(v) for f, v in feats.items()}

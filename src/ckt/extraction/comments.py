@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ckt import ids
 from ckt.config import DEFAULT_STOPWORDS, normalize_tokens
-from ckt.extraction.cparser import lex
+from ckt.extraction.cparser import Lexed, lex
 from ckt.model import Comment, Entity, Span
 
 
@@ -21,13 +21,16 @@ def extract_comments(
     text: str,
     path: str,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    lexed: Lexed | None = None,
 ) -> list[Comment]:
-    """Return every comment in the file with its span and normalized tokens."""
+    """Return every comment in the file with its span and normalized tokens.
+    `lexed` is `lex(text)`, when the caller has it already."""
     path = ids.norm_path(path)
     raw = [
         (start, end, style, body.strip() if style == "line" else _strip_gutter(body),
          trailing, unterminated)
-        for start, end, style, body, trailing, unterminated in lex(text)[1]
+        for start, end, style, body, trailing, unterminated
+        in (lex(text) if lexed is None else lexed)[1]
     ]
     merged = _merge_line_runs(raw)
     out: list[Comment] = []

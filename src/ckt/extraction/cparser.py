@@ -16,11 +16,12 @@ Recognized grammar, by design rather than omission:
 One lexer, `lex`, reads the text once for both the parser and the comment
 extractor.  A ``#`` with no code before it on its line starts a directive,
 which runs to the end of the line or on past a backslash-newline; its tokens
-are dropped and its comments recorded.  A literal ends at its closing quote
-or at the end of its line; a backslash-newline inside it continues it and
-counts as a line.  A block comment may span lines, also from a directive.
-Anything else (macros, templates, function pointers, namespaces) is skipped
-as an unparseable region; skipping is never fatal.  No macro expansion, no
+are dropped and its comments recorded.  A ``//`` comment, too, runs on past
+a backslash-newline.  A literal ends at its closing quote or at the end of
+its line; a backslash-newline inside it continues it and counts as a line.
+A block comment may span lines, also from a directive.  Anything else
+(macros, templates, function pointers, namespaces) is skipped as an
+unparseable region; skipping is never fatal.  No macro expansion, no
 overload resolution.
 """
 
@@ -52,7 +53,7 @@ ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<
 # other than a newline starts none of them, so finditer steps over it.
 _LEXEME = re.compile(
     r"""(?P<nl>\n)
-    |(?P<line>//[^\n]*)
+    |(?P<line>//[^\n\\]*(?:\\\n?[^\n\\]*)*)
     |(?P<block>/\*(?s:.*?)\*/)
     |(?P<open>/\*(?s:.*))
     |(?P<str>"(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?)
@@ -70,16 +71,22 @@ class Tok(NamedTuple):
     line: int
 
 
-def lex(text: str) -> tuple[list[Tok], list[tuple[int, int, str, str, bool, bool]]]:
+RawComment = tuple[int, int, str, str, bool, bool]
+Lexed = tuple[list[Tok], list[RawComment]]
+
+
+def lex(text: str) -> Lexed:
     """Lex source in one pass into code tokens and raw comments.
 
     Each comment is (start line, end line, "line" | "block", the text
     between its delimiters, trailing, unterminated); it is trailing when
-    code precedes it on its line.  A directive's tokens are dropped, its
-    comments kept.  A literal token carries the line it starts on.
+    code precedes it on its line.  A ``//`` comment runs on past a
+    backslash-newline, which its text drops, as C splices the lines.  A
+    directive's tokens are dropped, its comments kept.  A literal token
+    carries the line it starts on.
     """
     toks: list[Tok] = []
-    comments: list[tuple[int, int, str, str, bool, bool]] = []
+    comments: list[RawComment] = []
     line = 1
     code_on_line = directive = False
     for m in _LEXEME.finditer(text):
@@ -90,7 +97,10 @@ def lex(text: str) -> tuple[list[Tok], list[tuple[int, int, str, str, bool, bool
             if not (directive and text[m.start() - 1] == "\\"):
                 code_on_line = directive = False
         elif kind == "line":
-            comments.append((line, line, "line", lexeme[2:], code_on_line, False))
+            end = line + lexeme.count("\n")
+            comments.append((line, end, "line", lexeme[2:].replace("\\\n", ""),
+                             code_on_line, False))
+            line = end
         elif kind == "block" or kind == "open":
             body = lexeme[2:-2] if kind == "block" else lexeme[2:]
             end = line + body.count("\n")
@@ -561,18 +571,21 @@ def parse_source(
     text: str,
     path: str,
     thread_create_fns: frozenset[str] = DEFAULT_THREAD_CREATE_FNS,
+    lexed: Lexed | None = None,
 ) -> FactSet:
     """Extract entities and relations from one source file.
 
     Deterministic; unparseable regions are skipped.  Empty (or
-    whitespace-only) input yields an empty fact set.
+    whitespace-only) input yields an empty fact set.  `lexed` is
+    `lex(text)`, when the caller has it already.
     """
     path = ids.norm_path(path)
     if not text.strip():
         return FactSet()
     line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
     line_count = max(1, line_count)
-    parse = _FileParse(lex(text)[0], path, line_count, thread_create_fns)
+    toks = (lex(text) if lexed is None else lexed)[0]
+    parse = _FileParse(toks, path, line_count, thread_create_fns)
     parse.facts.add_entity(
         Entity(parse.file_id, "file", posixpath.basename(path), Span(path, 1, line_count))
     )

@@ -30,14 +30,6 @@ def dump_facts(facts: FactSet, fh: IO[str]) -> None:
         fh.write(json.dumps(doc, sort_keys=True, ensure_ascii=True) + "\n")
 
 
-def dumps_facts(facts: FactSet) -> str:
-    import io
-
-    buf = io.StringIO()
-    dump_facts(facts, buf)
-    return buf.getvalue()
-
-
 def load_facts(lines: Iterable[str] | IO[str], name: str = "facts") -> FactSet:
     """Parse a neutral facts document; schema violations name the bad record."""
     facts = FactSet()

@@ -10,11 +10,14 @@ counts) operate on the frozen triple set.
 from __future__ import annotations
 
 import bisect
+import gc
 import json
 import math
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,12 +60,6 @@ class Provenance(NamedTuple):
     source: str
     origin: str
     detail: str = ""
-
-    def to_json(self) -> dict:
-        doc = {"source": self.source, "origin": self.origin}
-        if self.detail:
-            doc["detail"] = self.detail
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> Provenance:
@@ -383,6 +380,21 @@ TRACE_COPY = "trace.jsonl"
 TEMPLATES_COPY = "templates.jsonl"
 
 
+@contextmanager
+def collector_paused():
+    """Disable the cyclic garbage collector for the block and then restore
+    its state.  A build or a graph load allocates objects by the thousand
+    that live to the end of the process and make almost no cyclic garbage,
+    so every collection they would trigger walks them for nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _entity_to_json(entity: Entity) -> dict:
     span = entity.span
     return {
@@ -427,6 +439,16 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
 
+def _provenance_json(provenance: tuple[Provenance, ...]) -> str:
+    """The provenance list as JSON with sorted keys and ASCII escapes, and
+    `detail` only when set: json.dumps's text, less its encoder per call."""
+    docs = []
+    for p in provenance:
+        detail = f'"detail": {_json_str(p.detail)}, ' if p.detail else ""
+        docs.append(f'{{{detail}"origin": {_json_str(p.origin)}, "source": {_json_str(p.source)}}}')
+    return f"[{', '.join(docs)}]"
+
+
 def save_graph(graph: KnowledgeGraph, directory) -> None:
     """Write the nodes, triples and PageRank files, sorted, LF-terminated,
     UTF-8.  Ranks are written with repr, which round-trips every float."""
@@ -437,8 +459,7 @@ def save_graph(graph: KnowledgeGraph, directory) -> None:
         for eid in sorted(graph.entities)
     ))
     _write_lines(directory / TRIPLES_FILE, (
-        f"{t.subject}\t{t.predicate}\t{t.object}\t"
-        + json.dumps([p.to_json() for p in t.provenance], sort_keys=True, ensure_ascii=True)
+        f"{t.subject}\t{t.predicate}\t{t.object}\t{_provenance_json(t.provenance)}"
         for t in graph.triples()
     ))
     rank = graph.pagerank()

@@ -76,10 +76,6 @@ def comment_id(path: str, start_line: int) -> str:
     return f"comment:{norm_path(path)}#L{start_line}"
 
 
-def bug_id(tracker: str, number: str) -> str:
-    return f"bug:{tracker}/{number}"
-
-
 def commit_id(sha: str) -> str:
     return f"commit:{sha}"
 

@@ -20,7 +20,7 @@ from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import is_word, parse_query
-from ckt.textio import json_records, parse_timestamp, utf8_lines
+from ckt.textio import as_text, as_texts, json_records, parse_timestamp, utf8_lines
 
 JACCARD_THRESHOLD = 0.4
 
@@ -113,12 +113,14 @@ def load_registry(path: str) -> TemplateRegistry:
     name = Path(path).name
     for lineno, doc in json_records(utf8_lines(path), name):
         try:
-            slots = [(str(s["name"]), str(s["type"])) for s in doc.get("slots", [])]
+            slots = [(as_text(s["name"], "slot 'name'", name, lineno),
+                      as_text(s["type"], "slot 'type'", name, lineno))
+                     for s in doc.get("slots", [])]
             template = Template(
-                name=str(doc["name"]),
-                triggers=[str(t) for t in doc["triggers"]],
+                name=as_text(doc["name"], "'name'", name, lineno),
+                triggers=as_texts(doc["triggers"], "'triggers'", name, lineno),
                 slots=slots,
-                body=str(doc["body"]),
+                body=as_text(doc["body"], "'body'", name, lineno),
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{name}: bad template record: {exc}", lineno) from exc

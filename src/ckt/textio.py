@@ -73,12 +73,28 @@ def json_records(
             continue
         if doc.get("rec") != "header":
             raise FormatError(f"{name}: first record must be the header", lineno)
-        if doc.get("version") != SCHEMA_VERSION:
-            raise FormatError(f"{name}: unsupported version {doc.get('version')!r} "
+        version = doc.get("version")
+        if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
+            raise FormatError(f"{name}: unsupported version {version!r} "
                               f"(expected {SCHEMA_VERSION})", lineno)
         saw_header = True
     if not saw_header:
         raise FormatError(f"{name}: missing header line", 1)
+
+
+def as_text(value, what: str, name: str, lineno: int | None = None) -> str:
+    """A record's text field, which must be a JSON string; FormatError
+    names `name` and the line otherwise."""
+    if not isinstance(value, str):
+        raise FormatError(f"{name}: {what} must be a string", lineno)
+    return value
+
+
+def as_texts(value, what: str, name: str, lineno: int | None = None) -> list[str]:
+    """A record's list of text, which must be a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"{name}: {what} must be a list of strings", lineno)
+    return value
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -5,12 +5,15 @@ power iteration, O(n^3) triangle enumeration, from-scratch lockset
 recomputation.  None of it shares code with the package, except
 `builder_load_graph`: it is the loader that sent every persisted record
 through the package's own GraphBuilder, kept as the reference for the
-direct loader that replaced it, and the old per-response augmentation.
-The helpers at the end compare and parse what the package produces.
+direct loader that replaced it, the old per-response augmentation, and
+`dumps_facts`, a test-only wrapper of the package's facts writer.  The
+helpers at the end compare and parse what the package produces.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import re
 from typing import NamedTuple
 
@@ -462,6 +465,18 @@ def max_trace_depth(fid, events):
     return best
 
 
+def ontology_hits(phrases, tokens):
+    """Occurrences per concept of every phrase (a token tuple -> concept
+    map), each phrase compared with every window of the tokens."""
+    counts = {}
+    for phrase, concept in phrases.items():
+        n = len(phrase)
+        for i in range(len(tokens) - n + 1):
+            if tuple(tokens[i : i + n]) == phrase:
+                counts[concept] = counts.get(concept, 0) + 1
+    return counts
+
+
 def entity_tokens(fid, entities, relations, split):
     """The function's split label, then, in relation order, the split labels
     of the variables and functions it touches and its comments' tokens."""
@@ -529,7 +544,6 @@ def builder_load_graph(directory):
     """Load nodes.jsonl and triples.tsv by replaying every record through
     GraphBuilder: add_entity per node, insert_triple per
     triple.  Ranks are not read."""
-    import json
     from pathlib import Path
 
     from ckt.errors import FormatError
@@ -729,6 +743,33 @@ def augment_per_response(result, graph, trace=None, config=None):
     alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
     return ResultSet(result.columns, result.rows, alerts[: cfg.alert_cap])
 
+# -- writers and ids that only the tests use --------------------------------
+
+
+def provenance_json(provenance):
+    """A triple line's provenance list as json.dumps writes it."""
+    docs = []
+    for p in provenance:
+        doc = {"source": p.source, "origin": p.origin}
+        if p.detail:
+            doc["detail"] = p.detail
+        docs.append(doc)
+    return json.dumps(docs, sort_keys=True, ensure_ascii=True)
+
+
+def dumps_facts(facts):
+    """A fact set in the neutral facts format, as one string."""
+    from ckt.extraction.facts import dump_facts
+
+    buf = io.StringIO()
+    dump_facts(facts, buf)
+    return buf.getvalue()
+
+
+def bug_id(tracker, number):
+    return f"bug:{tracker}/{number}"
+
+
 # -- comparison helpers -----------------------------------------------------
 
 
@@ -753,8 +794,6 @@ def graphs_equal(a, b):
 
 def parse_record(line):
     """Inverse of cli.format_records for one line; raises on non-records."""
-    import json
-
     doc = json.loads(line)
     if not isinstance(doc, dict) or "rec" not in doc:
         raise ValueError("not a record line")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ckt.extraction.cparser import parse_source
-from ckt.extraction.facts import dumps_facts, load_facts
+from ckt.extraction.facts import load_facts
 from ckt.extraction.traces import load_trace
 from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
@@ -32,7 +32,14 @@ from ckt.query import (
 from ckt.query.templates import NoMatch
 from ckt.smart import race_alert_dynamic, race_alert_static, similar_defects, change_provenance
 from conftest import FIXTURES, SCENARIO
-from oracles import brute_triangles, dense_pagerank, graphs_equal, lockset_race, nested_loop_join
+from oracles import (
+    brute_triangles,
+    dense_pagerank,
+    dumps_facts,
+    graphs_equal,
+    lockset_race,
+    nested_loop_join,
+)
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 VAR1 = "var:src/VHDLPosedge.cc#var1"

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from ckt.cli import _load_query_context, cmd_export, cmd_query, cmd_repl, main
+from ckt.cli import cmd_build as cli_build
 from ckt.errors import FormatError
 from conftest import SCENARIO
 from oracles import graphs_equal, parse_record
@@ -190,6 +191,96 @@ def test_record_that_is_not_an_object_exits_2_without_traceback(scenario_dir, tm
                                 lambda data: data + b"[]\n" if records else b"[]")
     bad_line = (tmp_path / "p" / name).read_bytes().count(b"\n")
     assert_exit_2_naming(proc, name, bad_line if records else None)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+@pytest.mark.parametrize("name", ["facts.jsonl", "commits.jsonl", "bugs.jsonl"])
+def test_header_version_that_is_not_the_integer_1_exits_2(scenario_dir, tmp_path, name, version):
+    proc = run_on_corrupt_input(scenario_dir, tmp_path, "build", name,
+                                lambda data: data.replace(b'"version":1', f'"version":{version}'.encode(), 1))
+    assert_exit_2_naming(proc, name, 1)
+    assert "unsupported version" in proc.stderr
+
+
+# a text field of another JSON type: appended as one more record to a
+# line-delimited input, or put in place of the weights file
+MISTYPED_TEXT = [
+    ("ontology.jsonl", '{"term":["x"],"concept":"c"}', "'term' must be a string"),
+    ("ontology.jsonl", '{"term":"x","concept":["c"]}', "'concept' must be a string"),
+    ("ontology.jsonl", '{"term":"x","synonyms":["y",2],"concept":"c"}',
+     "'synonyms' must be a list of strings"),
+    ("templates.jsonl", '{"name":["t"],"triggers":["t"],"body":"SELECT ?a WHERE { ?a calls ?b }"}',
+     "'name' must be a string"),
+    ("templates.jsonl", '{"name":"t","triggers":"t","body":"SELECT ?a WHERE { ?a calls ?b }"}',
+     "'triggers' must be a list of strings"),
+    ("templates.jsonl", '{"name":"t","triggers":[1],"body":"SELECT ?a WHERE { ?a calls ?b }"}',
+     "'triggers' must be a list of strings"),
+    ("templates.jsonl", '{"name":"t","triggers":["t"],"body":["SELECT"]}', "'body' must be a string"),
+    ("templates.jsonl", '{"name":"t","triggers":["t"],"slots":[{"name":["f"],"type":"entity"}],'
+     '"body":"SELECT ?a WHERE { ?a calls $f }"}', "slot 'name' must be a string"),
+    ("weights.json", '{"classes":"ab","weights":{"a":{},"b":{}}}',
+     "'classes' must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("name, record, message", MISTYPED_TEXT)
+def test_text_field_of_another_type_exits_2(scenario_dir, tmp_path, name, record, message):
+    delimited = name.endswith(".jsonl")
+    proc = run_on_corrupt_input(scenario_dir, tmp_path, "build", name,
+                                lambda data: data + record.encode() + b"\n" if delimited
+                                else record.encode())
+    bad_line = (tmp_path / "p" / name).read_bytes().count(b"\n")
+    assert_exit_2_naming(proc, name, bad_line if delimited else None)
+    assert message in proc.stderr
+
+
+def _counting(monkeypatch, module, attr, calls):
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_build_lexes_each_source_file_once(tmp_path, monkeypatch, capsys):
+    from ckt.extraction import comments, cparser
+
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    calls = []
+    _counting(monkeypatch, cparser, "lex", calls)
+    _counting(monkeypatch, comments, "lex", calls)
+    assert cli_build(tmp_path / "p" / "manifest.json") == 0
+    assert len(calls) == len(list((SCENARIO / "src").iterdir())) == 2
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["good-build", "corrupt-bugs"])
+def test_build_pauses_and_restores_the_collector(tmp_path, monkeypatch, capsys, corrupt):
+    import ckt.graph
+    from ckt import build
+
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    if corrupt:
+        with open(tmp_path / "p" / "bugs.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[]\n")
+    during = []
+    _counting(monkeypatch, ckt.graph, "save_graph", during)
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            if corrupt:
+                with pytest.raises(FormatError, match="record is not a JSON object"):
+                    build.cmd_build(tmp_path / "p" / "manifest.json")
+            else:
+                assert build.cmd_build(tmp_path / "p" / "manifest.json") == 0
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == ([] if corrupt else [False, False])
 
 
 @pytest.mark.parametrize("text, message", [

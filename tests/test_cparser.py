@@ -2,13 +2,13 @@
 
 import io
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import scan_comments, tokenize
+from oracles import dumps_facts, scan_comments, tokenize
 
 from ckt.extraction.comments import _strip_gutter, extract_comments
 from ckt.extraction.cparser import lex, parse_source
-from ckt.extraction.facts import dump_facts, dumps_facts
+from ckt.extraction.facts import dump_facts
 
 SCENARIO_SRC = """\
 // header
@@ -163,7 +163,9 @@ def test_dump_writes_header_first():
 #
 # Well-formed input only: every literal closes on its own line and holds no
 # backslash-newline, and a directive line holds no quote, `//` or `/*`.  On
-# such text the old scanners agree with each other and with the C rules.
+# such text the old scanners agree with each other and with the C rules,
+# except that both end a `//` comment at a backslash-newline, where C splices
+# the next line into it; the property leaves those texts to the tests below.
 
 _CODE_PIECES = [
     "int", "x", "n_2", "0x1F", "12", "3.5e-2", "7UL", ".5", ";", "=", "+=", "<<=", "...",
@@ -191,6 +193,7 @@ _c_like_text = st.builds(
 @settings(max_examples=400, deadline=None)
 def test_lexer_equals_both_old_scanners(text):
     toks, comments = lex(text)
+    assume(all(start == end for start, end, style, *_ in comments if style == "line"))
     assert [(t.kind, t.text, t.line) for t in toks] == [tuple(t) for t in tokenize(text)]
     cleaned = [
         (start, end, style, body.strip() if style == "line" else _strip_gutter(body), trailing, unterminated)
@@ -203,6 +206,24 @@ def test_backslash_newline_in_literal_counts_its_line():
     facts = parse_source('char *s = "a\\\nb";\nint x;\n', "a.c")
     assert facts.entities["var:a.c#s"].span.start == 1
     assert facts.entities["var:a.c#x"].span.start == 3
+
+
+def test_backslash_newline_continues_a_line_comment():
+    src = "// note \\\nint x;\nint y; // a\\\n b\n// c\nint z;\n"
+    facts = parse_source(src, "a.c")
+    assert "var:a.c#x" not in facts.entities
+    assert facts.entities["var:a.c#y"].span.start == 3
+    assert facts.entities["var:a.c#z"].span.start == 6
+    first, trailing, last = extract_comments(src, "a.c")
+    assert (first.span.start, first.span.end, first.text) == (1, 2, "note int x;")
+    assert (trailing.span.start, trailing.span.end, trailing.text) == (3, 4, "a b")
+    assert trailing.attrs == {"trailing": "true"}
+    assert (last.span.start, last.text) == (5, "c")
+
+
+def test_two_backslashes_before_a_newline_still_splice():
+    # the second backslash is the one right before the newline
+    assert lex("// a \\\\\nint x;\n") == ([], [(1, 2, "line", " a \\int x;", False, False)])
 
 
 def test_block_comment_opened_on_directive_line_is_not_code():

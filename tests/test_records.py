@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from ckt.config import load_ontology
 from ckt.errors import CktError, FormatError
 from ckt.extraction.cparser import parse_source
-from ckt.extraction.facts import dumps_facts, load_facts
+from ckt.extraction.facts import load_facts
 from ckt.extraction.traces import load_trace
 from ckt.history import load_bugs, load_commits
 from ckt.query.templates import load_registry
 from ckt.textio import json_records
 from conftest import SCENARIO
+from oracles import dumps_facts
 
 
 def _from_path(loader, name):
