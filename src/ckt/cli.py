@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from ckt import ids
 from ckt.errors import CktError, QueryError, SlotError
 from ckt.extraction.traces import load_trace
 from ckt.graph import (
@@ -101,7 +102,7 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
     parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
     positional: list[str] = []
     for part in parts:
-        if "=" in part and not part.startswith(("func:", "var:", "file:", "type:")):
+        if "=" in part and ids.kind_of(part) is None:  # an id may hold "="
             key, _, value = part.partition("=")
             args[key.strip()] = _normalize_cli_value(value.strip())
         else:
@@ -277,22 +278,16 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
 
 
 def cmd_export(graph_dir: Path, what: str) -> int:
-    if what == "triples":
-        path = graph_dir / TRIPLES_FILE
-        if not path.exists():
-            print(f"error: no triples file in {graph_dir}", file=sys.stderr)
-            return 2
-        sys.stdout.write("".join(utf8_lines(path)))
-        return 0
-    if what == "stats":
-        path = graph_dir / STATS_FILE
-        if not path.exists():
-            print(f"error: no stats file in {graph_dir}", file=sys.stderr)
-            return 2
-        sys.stdout.write("".join(utf8_lines(path)))
-        return 0
-    print(f"error: unknown export target {what!r} (use triples or stats)", file=sys.stderr)
-    return 2
+    files = {"triples": TRIPLES_FILE, "stats": STATS_FILE}
+    if what not in files:
+        print(f"error: unknown export target {what!r} (use triples or stats)", file=sys.stderr)
+        return 2
+    path = graph_dir / files[what]
+    if not path.exists():
+        print(f"error: no {what} file in {graph_dir}", file=sys.stderr)
+        return 2
+    sys.stdout.write("".join(utf8_lines(path)))
+    return 0
 
 
 # -- entry point -------------------------------------------------------------

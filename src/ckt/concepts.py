@@ -148,13 +148,10 @@ def compute_features(
     return vectors
 
 
-def classify_strategy(
-    fv: FeatureVector, weights: StrategyWeights, tau: float | None = None
-) -> ConceptLabel:
+def classify_strategy(fv: FeatureVector, weights: StrategyWeights) -> ConceptLabel:
     """Linear scores per class; argmax wins, ties break by class-list order,
-    and anything under the threshold is unclassified."""
+    and anything under the threshold `weights.tau` is unclassified."""
     weights.validate_against(set(fv.features))
-    threshold = weights.tau if tau is None else tau
     best: ConceptLabel | None = None
     for cls in weights.classes:
         row = weights.weights.get(cls, {})
@@ -166,7 +163,7 @@ def classify_strategy(
             score += value
         if best is None or score > best.score:
             best = ConceptLabel(cls, score, contributing)
-    if best is None or best.score < threshold:
+    if best is None or best.score < weights.tau:
         return ConceptLabel("unclassified", 0.0 if best is None else best.score, {})
     return best
 
@@ -225,7 +222,7 @@ def identifier_like(word: str, scope_identifiers: set[str]) -> bool:
 
 
 def validate_comment(
-    comment: Comment, scope_identifiers: set[str], entity_id: str = ""
+    comment: Comment, scope_identifiers: set[str], entity_id: str
 ) -> StalenessReport:
     """Flag identifier-like comment tokens that are absent from the
     associated entity's scope."""

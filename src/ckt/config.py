@@ -1,7 +1,8 @@
-"""Configurable defaults: stopwords, token normalization, ontology, scorer weights.
+"""Stopwords, token normalization, the ontology and the scorer weights.
 
-Everything here can be overridden from files named in the project manifest;
-the shipped values keep a bare build usable without any config.
+The ontology and the weights can be replaced by files named in the project
+manifest; the shipped values keep a bare build usable without any config.
+The stopwords are fixed.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ DEFAULT_STOPWORDS = frozenset(
         "that", "the", "this", "to", "was", "were", "what", "which", "will", "with",
     ]
 )
-
-# Callee names the parser treats as thread creation points.
-DEFAULT_THREAD_CREATE_FNS = frozenset(
-    ["pthread_create", "CreateThread", "thrd_create", "std::thread"]
-)
-
-# ID patterns scanned in commit summaries and bug text.
-DEFAULT_BUG_PATTERNS = (r"bug#(\d+)", r"CR(\d+)")
 
 _WORD_KEEP = re.compile(r"[a-z0-9_#-]+")
 _CAMEL_SPLIT = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")

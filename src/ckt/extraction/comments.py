@@ -12,17 +12,12 @@ them, and the file entity catches everything else.
 from __future__ import annotations
 
 from ckt import ids
-from ckt.config import DEFAULT_STOPWORDS, normalize_tokens
+from ckt.config import normalize_tokens
 from ckt.extraction.cparser import Lexed, lex
 from ckt.model import Comment, Entity, Span
 
 
-def extract_comments(
-    text: str,
-    path: str,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    lexed: Lexed | None = None,
-) -> list[Comment]:
+def extract_comments(text: str, path: str, lexed: Lexed | None = None) -> list[Comment]:
     """Return every comment in the file with its span and normalized tokens.
     `lexed` is `lex(text)`, when the caller has it already."""
     path = ids.norm_path(path)
@@ -45,7 +40,7 @@ def extract_comments(
                 text=body,
                 span=Span(path, start, end),
                 style=style,
-                tokens=normalize_tokens(body, stopwords),
+                tokens=normalize_tokens(body),
                 attrs=attrs,
             )
         )

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ckt import ids
-from ckt.config import DEFAULT_THREAD_CREATE_FNS
 from ckt.model import Entity, FactSet, Relation, Span
 
 TYPE_KEYWORDS = frozenset(
@@ -46,6 +45,8 @@ CONTROL_KEYWORDS = frozenset(
      "return", "goto", "break", "continue", "sizeof", "new", "delete"]
 )
 AGGREGATE_KEYWORDS = frozenset(["struct", "class", "union", "enum"])
+# Callee names the parser treats as thread creation points.
+THREAD_CREATE_FNS = frozenset(["pthread_create", "CreateThread", "thrd_create", "std::thread"])
 
 ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
@@ -251,12 +252,10 @@ def _parse_declaration(
 class _FileParse:
     """Two-pass parse of one translation unit."""
 
-    def __init__(self, toks: list[Tok], path: str, line_count: int,
-                 thread_create_fns: frozenset[str]):
+    def __init__(self, toks: list[Tok], path: str, line_count: int):
         self.toks = toks
         self.path = path
         self.line_count = line_count
-        self.thread_fns = thread_create_fns
         self.facts = FactSet()
         self.functions: dict[str, _FuncDef] = {}
         self.globals: dict[str, str] = {}  # name -> var id
@@ -536,13 +535,11 @@ class _FileParse:
                 self.facts.add_relation(Relation(fid, "reads", vid, t.line))
 
     def _record_call(self, toks: list[Tok], idx: int, fid: str, callee: str, line: int) -> None:
-        if callee in self.functions:
-            target = ids.func_id(self.path, callee)
-        else:
-            target = ids.func_id(self.path, callee)
+        target = ids.func_id(self.path, callee)
+        if callee not in self.functions:
             self._add(Entity(target, "function", callee, None, {"external": "true"}))
         self.facts.add_relation(Relation(fid, "calls", target, line))
-        if callee in self.thread_fns:
+        if callee in THREAD_CREATE_FNS:
             started = self._thread_target(toks, idx + 1)
             if started is not None:
                 self.facts.add_relation(
@@ -567,12 +564,7 @@ class _FileParse:
         self.facts.add_entity(entity, merge=True)
 
 
-def parse_source(
-    text: str,
-    path: str,
-    thread_create_fns: frozenset[str] = DEFAULT_THREAD_CREATE_FNS,
-    lexed: Lexed | None = None,
-) -> FactSet:
+def parse_source(text: str, path: str, lexed: Lexed | None = None) -> FactSet:
     """Extract entities and relations from one source file.
 
     Deterministic; unparseable regions are skipped.  Empty (or
@@ -585,7 +577,7 @@ def parse_source(
     line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
     line_count = max(1, line_count)
     toks = (lex(text) if lexed is None else lexed)[0]
-    parse = _FileParse(toks, path, line_count, thread_create_fns)
+    parse = _FileParse(toks, path, line_count)
     parse.facts.add_entity(
         Entity(parse.file_id, "file", posixpath.basename(path), Span(path, 1, line_count))
     )

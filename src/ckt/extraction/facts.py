@@ -8,26 +8,12 @@ such as threading=create).
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable
 
 from ckt.errors import ConflictError, FormatError
-from ckt.graph import PREDICATES, _entity_record, _entity_to_json
+from ckt.graph import PREDICATES, _entity_record
 from ckt.model import FactSet, Relation
-from ckt.textio import SCHEMA_VERSION, json_records
-
-
-def dump_facts(facts: FactSet, fh: IO[str]) -> None:
-    """Serialize deterministically: header, entities by id, sorted relations."""
-    fh.write(json.dumps({"rec": "header", "version": SCHEMA_VERSION}) + "\n")
-    for entity in facts.sorted_entities():
-        doc = {"rec": "entity", **_entity_to_json(entity)}
-        fh.write(json.dumps(doc, sort_keys=True, ensure_ascii=True) + "\n")
-    for rel in facts.sorted_relations():
-        doc = {"rec": "relation", "subj": rel.subj, "pred": rel.pred, "obj": rel.obj}
-        if rel.attrs:
-            doc["attrs"] = dict(sorted(rel.attrs.items()))
-        fh.write(json.dumps(doc, sort_keys=True, ensure_ascii=True) + "\n")
+from ckt.textio import json_records
 
 
 def load_facts(lines: Iterable[str] | IO[str], name: str = "facts") -> FactSet:

@@ -259,24 +259,18 @@ class KnowledgeGraph:
 
     # -- analytics -------------------------------------------------------
 
-    def pagerank(
-        self,
-        damping: float = 0.85,
-        tol: float = 1e-9,
-        max_iter: int = 100,
-        on_iteration=None,
-    ) -> dict[str, float]:
-        """Damped power iteration over the triple direction (subject->object).
+    def pagerank(self, on_iteration=None) -> dict[str, float]:
+        """Damped power iteration over the triple direction (subject->object):
+        damping 0.85, at most 100 iterations, stopping once the L1 change
+        falls under 1e-9.
 
         Dangling mass is redistributed uniformly every step, so the scores
-        sum to 1 at each iteration.  Results are cached for the default
-        parameters.
+        sum to 1 at each iteration.  The result is cached unless
+        `on_iteration` observes each iteration's scores.
         """
-        default_call = damping == 0.85 and tol == 1e-9 and max_iter == 100 and on_iteration is None
-        if default_call and self._rank_cache is not None:
+        if on_iteration is None and self._rank_cache is not None:
             return dict(self._rank_cache)
-        if not 0 < damping < 1:
-            raise CktError(f"damping must be in (0,1), got {damping}")
+        damping = 0.85
         nodes = sorted(self._entities)
         n = len(nodes)
         if n == 0:
@@ -287,7 +281,7 @@ class KnowledgeGraph:
         rank = {u: 1.0 / n for u in nodes}
         if on_iteration is not None:
             on_iteration(dict(rank))
-        for _ in range(max_iter):
+        for _ in range(100):
             # left-to-right sums: from Python 3.12 on, sum() of floats is
             # compensated, and the ranks would change with the interpreter
             dangling = 0.0
@@ -308,13 +302,13 @@ class KnowledgeGraph:
             rank = nxt
             if on_iteration is not None:
                 on_iteration(dict(rank))
-            if delta < tol:
+            if delta < 1e-9:
                 break
         total = 0.0
         for r in rank.values():
             total += r
         rank = {u: r / total for u, r in rank.items()}
-        if default_call:
+        if on_iteration is None:
             self._rank_cache = dict(rank)
         return rank
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from ckt import ids
-from ckt.config import DEFAULT_BUG_PATTERNS
 from ckt.errors import ConflictError, FormatError
 from ckt.model import Comment, Entity, FactSet
 from ckt.textio import json_records, parse_timestamp
@@ -21,6 +20,8 @@ from ckt.textio import json_records, parse_timestamp
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
 _CR_RUN = re.compile(r"cr\d+")
+# Bug-id patterns scanned in commit summaries; group 1 is the bug number.
+_BUG_PATTERNS = (re.compile(r"bug#(\d+)", re.IGNORECASE), re.compile(r"CR(\d+)", re.IGNORECASE))
 
 
 def _identifierish(token: str) -> bool:
@@ -249,13 +250,11 @@ def _intersects(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def link_bugs_commits(
-    bugs: list[BugRecord],
-    commits: list[Commit],
-    patterns: tuple[str, ...] = DEFAULT_BUG_PATTERNS,
+    bugs: list[BugRecord], commits: list[Commit]
 ) -> tuple[list[LinkTriple], list[str]]:
     """Cross-link bugs and commits.
 
-    A commit summary matching a configured id pattern that resolves to a
+    A commit summary matching a bug-id pattern that resolves to a
     loaded bug yields a fixes triple; unresolved matches produce warnings.
     Explicit hash/CR mentions in bug text yield bug-mentions-commit triples,
     and assignment yields assigned-to.
@@ -265,12 +264,11 @@ def link_bugs_commits(
     by_number: dict[str, list[BugRecord]] = {}
     for bug in bugs:
         by_number.setdefault(bug.number, []).append(bug)
-    compiled = [re.compile(p, re.IGNORECASE) for p in patterns]
 
     for commit in commits:
-        for pattern in compiled:
+        for pattern in _BUG_PATTERNS:
             for m in pattern.finditer(commit.summary):
-                number = m.group(1) if m.groups() else m.group()
+                number = m.group(1)
                 matches = by_number.get(number)
                 if not matches:
                     warnings.append(

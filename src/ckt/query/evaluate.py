@@ -119,20 +119,14 @@ def rank_results(
     return sorted(rows, key=lambda row: (-rank_table.get(row[0], 0.0), row))
 
 
-def evaluate(
-    graph: KnowledgeGraph,
-    ast: QueryAST,
-    rank_table: dict[str, float] | None = None,
-) -> ResultSet:
+def evaluate(graph: KnowledgeGraph, ast: QueryAST) -> ResultSet:
     """Run a parsed query; an empty result set is a valid answer."""
     bindings = _solve(graph, ast)
     for fl in ast.filters:
         bindings = [b for b in bindings if fl.var in b and _passes(graph, fl, b[fl.var])]
     projected = [tuple(b[v] for v in ast.select) for b in bindings]
     rows = list(dict.fromkeys(projected))
-    if rank_table is None:
-        rank_table = graph.pagerank()
-    rows = rank_results(rows, rank_table)
+    rows = rank_results(rows, graph.pagerank())
     if ast.limit is not None:
         rows = rows[: ast.limit]
     return ResultSet(tuple(ast.select), rows)

@@ -11,6 +11,7 @@ selected or filtered variable must appear in some pattern.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ckt.errors import QueryError
@@ -56,6 +57,8 @@ class QueryAST:
 
 # characters that end a word token, besides whitespace
 WORD_BREAKS = '{};"?'
+# a template slot inside a word or a literal
+_SLOT = re.compile(r"\$([A-Za-z0-9_]+)")
 
 
 def is_word(text: str) -> bool:
@@ -70,7 +73,12 @@ class _Tok:
     offset: int
 
 
-def _lex(text: str) -> list[_Tok]:
+def _lex(text: str, values: dict[str, str] | None) -> list[_Tok]:
+    def bind(token: str) -> str:  # each $name with a value, in one pass
+        if not values:
+            return token
+        return _SLOT.sub(lambda m: values.get(m.group(1), m.group()), token)
+
     toks: list[_Tok] = []
     i = 0
     n = len(text)
@@ -96,7 +104,7 @@ def _lex(text: str) -> list[_Tok]:
                     j += 1
             if j >= n:
                 raise QueryError("unterminated string literal", i)
-            toks.append(_Tok("string", "".join(buf), i))
+            toks.append(_Tok("string", bind("".join(buf)), i))
             i = j + 1
             continue
         if ch == "?":
@@ -111,15 +119,15 @@ def _lex(text: str) -> list[_Tok]:
         j = i
         while j < n and not text[j].isspace() and text[j] not in WORD_BREAKS:
             j += 1
-        toks.append(_Tok("word", text[i:j], i))
+        toks.append(_Tok("word", bind(text[i:j]), i))
         i = j
     return toks
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, values: dict[str, str] | None):
         self.text = text
-        self.toks = _lex(text)
+        self.toks = _lex(text, values)
         self.pos = 0
 
     def _peek(self) -> _Tok | None:
@@ -244,9 +252,13 @@ def _validate(ast: QueryAST, text: str) -> None:
             raise QueryError(f"filtered variable ?{fl.var} is unbound (appears in no pattern)")
 
 
-def parse_query(text: str) -> QueryAST:
-    """Parse query text; syntax errors carry the character offset."""
-    return _Parser(text).parse()
+def parse_query(text: str, values: dict[str, str] | None = None) -> QueryAST:
+    """Parse query text; syntax errors carry the character offset.
+
+    `values` binds template slots: each `$name` inside a word or a literal
+    becomes `values[name]` after the text is split into tokens, so a value
+    never adds or ends a token and is never substituted again."""
+    return _Parser(text, values).parse()
 
 
 def _quote(value: str) -> str:

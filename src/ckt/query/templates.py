@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import date
 from functools import cached_property
 from pathlib import Path
 
@@ -132,12 +133,13 @@ def load_registry(path: str) -> TemplateRegistry:
 
 
 def normalize_date(value: str) -> str | None:
-    """Accept ISO-8601 or DD-MM-YYYY (day first); return ISO-8601 UTC."""
+    """Accept ISO-8601 or DD-MM-YYYY (day first); return ISO-8601 UTC, or
+    None when the value is not a real date."""
     m = _DMY_DATE.match(value)
-    if m:
-        day, month, year = m.groups()
-        return f"{year}-{int(month):02d}-{int(day):02d}T00:00:00Z"
     try:
+        if m:
+            day, month, year = map(int, m.groups())
+            return f"{date(year, month, day).isoformat()}T00:00:00Z"
         ts = parse_timestamp(value)
     except ValueError:
         return None
@@ -146,7 +148,7 @@ def normalize_date(value: str) -> str | None:
 
 def _check_slot(name: str, slot_type: str, value: str) -> str:
     if slot_type == "entity":
-        # the value is spliced into the query text, so it must lex as one word
+        # the value stands for one query word, so it must lex as one
         if ids.kind_of(value) is None or not is_word(value):
             raise SlotError(f"slot {name!r} expects an entity id, got {value!r}")
         return value
@@ -168,18 +170,17 @@ def run_template(
     graph: KnowledgeGraph,
     registry: TemplateRegistry,
 ) -> ResultSet:
-    """Fill a template's holes and evaluate its body."""
+    """Bind a template's slots inside the tokens of its body and evaluate it."""
     template = registry.get(name)
-    body = template.body
+    values: dict[str, str] = {}
     for slot_name, slot_type in template.slots:
         if slot_name not in args:
             raise SlotError(f"missing argument for slot {slot_name!r}")
-        value = _check_slot(slot_name, slot_type, args[slot_name])
-        body = body.replace(f"${slot_name}", value)
+        values[slot_name] = _check_slot(slot_name, slot_type, args[slot_name])
     extra = sorted(set(args) - {s for s, _ in template.slots})
     if extra:
         raise SlotError(f"unknown slot(s) {extra} for template {name!r}")
-    return evaluate(graph, parse_query(body))
+    return evaluate(graph, parse_query(template.body, values))
 
 
 @dataclass
@@ -251,7 +252,6 @@ def match_freeform(
     text: str,
     registry: TemplateRegistry,
     graph: KnowledgeGraph,
-    threshold: float = JACCARD_THRESHOLD,
     labels: LabelIndex | None = None,
 ) -> FreeformMatch | NoMatch:
     """Route free-form English to a template plus slot values, or report the
@@ -278,8 +278,8 @@ def match_freeform(
     if not scored:
         return NoMatch([], "empty registry")
     top_score = max(s for s, _, _ in scored)
-    if top_score < threshold:
-        return NoMatch(suggestions, f"best score {top_score:.2f} below {threshold}")
+    if top_score < JACCARD_THRESHOLD:
+        return NoMatch(suggestions, f"best score {top_score:.2f} below {JACCARD_THRESHOLD}")
     # registry order breaks ties
     score, trigger, template = next(item for item in scored if item[0] == top_score)
 

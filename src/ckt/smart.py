@@ -28,6 +28,8 @@ ALERT_KINDS = frozenset(
 
 MUTEX_ADVICE = "add mutex locks for reads and writes of {var} in {funcs}"
 
+ALERT_CAP = 10  # alerts kept per response, highest scores first
+
 
 @dataclass
 class SmartAlert:
@@ -42,14 +44,6 @@ class SmartAlert:
             raise ValueError(f"unknown alert kind {self.kind!r}")
         if not self.evidence:
             raise ValueError("alert evidence must be non-empty")
-
-
-@dataclass
-class SmartConfig:
-    alert_cap: int = 10
-    similar_k: int = 5
-    similar_theta: float = 0.25
-    provenance_limit: int = 5
 
 
 def _triple_ref(s: str, p: str, o: str) -> str:
@@ -225,11 +219,11 @@ def race_alert_dynamic(trace: TraceLog, var: str) -> SmartAlert | None:
 def similar_defects(
     graph: KnowledgeGraph,
     bug: str,
-    k: int = 5,
     theta: float = 0.25,
     ctx: AugmentContext | None = None,
 ) -> list[tuple[str, float]]:
-    """Rank other bugs by max(token Jaccard, shared touched function)."""
+    """The five other bugs scoring highest, and at least `theta`, by
+    max(token Jaccard, shared touched function)."""
     mine_tokens = _bug_tokens(graph.entity(bug))
     mine_touch = {t.object for t in graph.match(bug, "touches", None)}
     scored: list[tuple[str, float]] = []
@@ -243,7 +237,7 @@ def similar_defects(
         if score >= theta:
             scored.append((eid, round(score, 4)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    return scored[:5]
 
 
 def _bug_tokens(entity: Entity) -> frozenset[str]:
@@ -252,12 +246,10 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
 
 
 def change_provenance(
-    graph: KnowledgeGraph,
-    entity_id: str,
-    limit: int = 5,
-    ctx: AugmentContext | None = None,
+    graph: KnowledgeGraph, entity_id: str, ctx: AugmentContext | None = None
 ) -> list[Entity]:
-    """Commits touching the entity or its containing file, newest first."""
+    """The five newest commits touching the entity or its containing file,
+    newest first."""
     graph.entity(entity_id)
     ctx = ctx or AugmentContext(graph)
     touching = ctx.touching_commits
@@ -268,7 +260,7 @@ def change_provenance(
         if fid != entity_id and fid in graph.entities:
             commit_ids.update(touching.get(fid, ()))
     newest = sorted(commit_ids, key=ctx.commit_keys.__getitem__)
-    return [graph.entities[c] for c in newest[:limit]]
+    return [graph.entities[c] for c in newest[:5]]
 
 
 def _stale_comment_alerts(
@@ -290,7 +282,6 @@ def augment(
     result: ResultSet,
     graph: KnowledgeGraph,
     trace: TraceLog | None = None,
-    config: SmartConfig | None = None,
     ctx: AugmentContext | None = None,
 ) -> ResultSet:
     """Attach rule-driven alerts to an evaluated result set.
@@ -300,9 +291,9 @@ def augment(
     anything with a stale comment gets flagged.  Rows are never modified;
     failures degrade to warning alerts.  The rules read `ctx`, the context
     of `graph` and `trace` that a query process keeps across responses;
-    without one they share a new one for this response.
+    without one they share a new one for this response.  Only the
+    ALERT_CAP highest-scoring alerts are kept.
     """
-    cfg = config or SmartConfig()
     ctx = ctx or AugmentContext(graph, trace)
     alerts: list[SmartAlert] = []
     seen_entities = dict.fromkeys(
@@ -311,22 +302,17 @@ def augment(
     for eid in seen_entities:
         entity = graph.entities[eid]
         try:
-            alerts.extend(_alerts_for(entity, graph, cfg, ctx))
+            alerts.extend(_alerts_for(entity, graph, ctx))
         except Exception as exc:  # degrade, never fail the query
             alerts.append(
                 SmartAlert("warning", eid, ["rule-dispatch"],
                            f"augmentation failed for {eid}: {exc}", 0.0)
             )
     alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
-    return ResultSet(result.columns, result.rows, alerts[: cfg.alert_cap])
+    return ResultSet(result.columns, result.rows, alerts[:ALERT_CAP])
 
 
-def _alerts_for(
-    entity: Entity,
-    graph: KnowledgeGraph,
-    cfg: SmartConfig,
-    ctx: AugmentContext,
-) -> list[SmartAlert]:
+def _alerts_for(entity: Entity, graph: KnowledgeGraph, ctx: AugmentContext) -> list[SmartAlert]:
     out: list[SmartAlert] = []
     eid = entity.id
     if entity.kind == "variable" and entity.attrs.get("scope") == "global":
@@ -348,7 +334,7 @@ def _alerts_for(
                 )
             )
     elif entity.kind == "bug":
-        ranked = similar_defects(graph, eid, cfg.similar_k, cfg.similar_theta, ctx)
+        ranked = similar_defects(graph, eid, ctx=ctx)
         for other, score in ranked:
             out.append(
                 SmartAlert(
@@ -361,7 +347,7 @@ def _alerts_for(
                 )
             )
     if entity.kind in ("function", "variable", "file", "type", "class"):
-        commits = change_provenance(graph, eid, cfg.provenance_limit, ctx)
+        commits = change_provenance(graph, eid, ctx)
         if commits:
             newest = commits[0]
             out.append(

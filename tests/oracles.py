@@ -6,13 +6,13 @@ recomputation.  None of it shares code with the package, except
 `builder_load_graph`: it is the loader that sent every persisted record
 through the package's own GraphBuilder, kept as the reference for the
 direct loader that replaced it, the old per-response augmentation, and
-`dumps_facts`, a test-only wrapper of the package's facts writer.  The
+`dumps_facts`, the neutral facts writer, which reads entities through the
+package's entity codec; no `ckt` command writes facts.  The
 helpers at the end compare and parse what the package produces.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from typing import NamedTuple
@@ -655,11 +655,12 @@ def resolve_entity(tokens, labels):
 
 
 
-def augment_per_response(result, graph, trace=None, config=None):
+def augment_per_response(result, graph, trace=None, cap=10):
     """smart.augment as it was when its context lived for one response: the
     race and similar-defect rules get a fresh context per call, and change
     provenance and stale comments are read by graph.match for each row,
-    with each commit's timestamp parsed again for every row it touches."""
+    with each commit's timestamp parsed again for every row it touches.
+    Only the `cap` highest-scoring alerts are kept."""
     from datetime import datetime, timezone
 
     from ckt import ids
@@ -667,7 +668,6 @@ def augment_per_response(result, graph, trace=None, config=None):
     from ckt.smart import (
         MUTEX_ADVICE,
         SmartAlert,
-        SmartConfig,
         race_alert_dynamic,
         race_alert_static,
         similar_defects,
@@ -682,7 +682,7 @@ def augment_per_response(result, graph, trace=None, config=None):
             ts = ts.replace(tzinfo=timezone.utc)
         return (-ts.timestamp(), entity.id)
 
-    def provenance(eid, limit):
+    def provenance(eid):
         commits = {t.subject for t in graph.match(None, "touches", eid)
                    if t.subject.startswith("commit:")}
         path = ids.path_of(eid)
@@ -691,9 +691,9 @@ def augment_per_response(result, graph, trace=None, config=None):
             if fid != eid and fid in graph.entities:
                 commits |= {t.subject for t in graph.match(None, "touches", fid)
                             if t.subject.startswith("commit:")}
-        return sorted((graph.entities[c] for c in commits), key=newest_first)[:limit]
+        return sorted((graph.entities[c] for c in commits), key=newest_first)[:5]
 
-    def alerts_for(entity, cfg):
+    def alerts_for(entity):
         out, eid = [], entity.id
         if entity.kind == "variable" and entity.attrs.get("scope") == "global":
             static = race_alert_static(graph, eid)
@@ -709,13 +709,13 @@ def augment_per_response(result, graph, trace=None, config=None):
                     "mutex-advice", eid, (static or dynamic).evidence,
                     MUTEX_ADVICE.format(var=entity.label, funcs=labels or "its accessors"), 0.85))
         elif entity.kind == "bug":
-            for other, score in similar_defects(graph, eid, cfg.similar_k, cfg.similar_theta):
+            for other, score in similar_defects(graph, eid):
                 out.append(SmartAlert(
                     "similar-defect", eid, [other],
                     f"similar defect: {other} ({graph.entities[other].label}) score {score}",
                     score))
         if entity.kind in ("function", "variable", "file", "type", "class"):
-            commits = provenance(eid, cfg.provenance_limit)
+            commits = provenance(eid)
             if commits:
                 newest = commits[0]
                 out.append(SmartAlert(
@@ -732,16 +732,15 @@ def augment_per_response(result, graph, trace=None, config=None):
                 f"{comment.attrs.get('missing', '')}", 0.5))
         return out
 
-    cfg = config or SmartConfig()
     alerts = []
     for eid in dict.fromkeys(v for row in result.rows for v in row if v in graph.entities):
         try:
-            alerts.extend(alerts_for(graph.entities[eid], cfg))
+            alerts.extend(alerts_for(graph.entities[eid]))
         except Exception as exc:
             alerts.append(SmartAlert("warning", eid, ["rule-dispatch"],
                                      f"augmentation failed for {eid}: {exc}", 0.0))
     alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
-    return ResultSet(result.columns, result.rows, alerts[: cfg.alert_cap])
+    return ResultSet(result.columns, result.rows, alerts[:cap])
 
 # -- writers and ids that only the tests use --------------------------------
 
@@ -758,12 +757,21 @@ def provenance_json(provenance):
 
 
 def dumps_facts(facts):
-    """A fact set in the neutral facts format, as one string."""
-    from ckt.extraction.facts import dump_facts
+    """A fact set in the neutral facts format, as one string: the header,
+    the entities by id, then the sorted relations."""
+    from ckt.graph import _entity_to_json
+    from ckt.textio import SCHEMA_VERSION
 
-    buf = io.StringIO()
-    dump_facts(facts, buf)
-    return buf.getvalue()
+    lines = [json.dumps({"rec": "header", "version": SCHEMA_VERSION})]
+    for entity in facts.sorted_entities():
+        doc = {"rec": "entity", **_entity_to_json(entity)}
+        lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=True))
+    for rel in facts.sorted_relations():
+        doc = {"rec": "relation", "subj": rel.subj, "pred": rel.pred, "obj": rel.obj}
+        if rel.attrs:
+            doc["attrs"] = dict(sorted(rel.attrs.items()))
+        lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=True))
+    return "".join(line + "\n" for line in lines)
 
 
 def bug_id(tracker, number):

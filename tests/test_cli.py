@@ -381,6 +381,14 @@ def test_no_match_lists_nearest_templates(scenario_dir, capsys):
     assert len(doc["suggestions"]) == 3
 
 
+def test_positional_id_holding_an_equals_sign(scenario_dir, capsys):
+    # a developer id may hold "=", and so reads as one positional argument
+    rc = cmd_query(scenario_dir / "out", "@fixes-by-developer(dev:x=y@example.com)", "records", False)
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert parse_record(lines[0])["args"] == {"dev": "dev:x=y@example.com"}
+
+
 def test_dmy_date_normalized_in_template_args(scenario_dir, capsys):
     rc = cmd_query(
         scenario_dir / "out",

@@ -3,10 +3,13 @@ build's function features, comment scopes and bug/commit/comment linking,
 and the query path's race reachability, free-form label resolution and
 alert rules sharing one context across responses."""
 
+from unittest.mock import patch
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ckt import smart
 from ckt.build import _scope_identifiers, _scope_labels_by_path
 from ckt.concepts import _entity_tokens, compute_features
 from ckt.config import Ontology, normalize_tokens, split_identifier
@@ -17,7 +20,7 @@ from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, Trac
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import parse_query
 from ckt.query.templates import LabelIndex, _resolve_entity
-from ckt.smart import AugmentContext, SmartConfig, augment, race_alert_static
+from ckt.smart import AugmentContext, augment, race_alert_static
 
 PATHS = ["a.c", "lib/b.c", "c.h"]
 FUNC_NAMES = ["f", "divideRange", "halve_it", "memoFib", "greedyPick"]
@@ -390,12 +393,13 @@ def selects(draw, graph):
     return f"SELECT ?s WHERE {{ ?s {pred} {bound} }}"
 
 
-def assert_alerts_match_oracle(graph, trace, queries, cfg):
+def assert_alerts_match_oracle(graph, trace, queries, cap):
     ctx = AugmentContext(graph, trace)  # one context for every response
     for text in queries:
         result = evaluate(graph, parse_query(text))
-        assert (augment(result, graph, trace, cfg, ctx).alerts
-                == oracles.augment_per_response(result, graph, trace, cfg).alerts), text
+        with patch.object(smart, "ALERT_CAP", cap):
+            alerts = augment(result, graph, trace, ctx).alerts
+        assert alerts == oracles.augment_per_response(result, graph, trace, cap).alerts, text
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,11 +407,11 @@ def assert_alerts_match_oracle(graph, trace, queries, cfg):
 def test_alerts_from_one_shared_context_equal_per_response_oracle(data):
     graph, trace = data.draw(rule_graphs())
     queries = data.draw(st.lists(selects(graph), min_size=1, max_size=6))
-    cfg = SmartConfig(alert_cap=data.draw(st.sampled_from([1, 10, 1000])))
-    assert_alerts_match_oracle(graph, data.draw(st.sampled_from([trace, None])), queries, cfg)
+    cap = data.draw(st.sampled_from([1, 10, 1000]))
+    assert_alerts_match_oracle(graph, data.draw(st.sampled_from([trace, None])), queries, cap)
 
 
 def test_alerts_on_scenario_from_one_shared_context_equal_per_response_oracle(
         scenario_graph, scenario_trace):
     queries = [f"SELECT ?s ?o WHERE {{ ?s {pred} ?o }}" for pred in RULE_PREDICATES]
-    assert_alerts_match_oracle(scenario_graph, scenario_trace, queries * 2, SmartConfig(alert_cap=10**6))
+    assert_alerts_match_oracle(scenario_graph, scenario_trace, queries * 2, 10**6)

@@ -356,6 +356,35 @@ def test_entity_slot_must_be_one_query_word(value):
         )
 
 
+def test_string_slot_value_stays_inside_its_literal():
+    reg = TemplateRegistry()
+    reg.add(Template("bugs-containing", [], [("s", "string")],
+                     'SELECT ?b WHERE { ?c fixes ?b } FILTER ?b CONTAINS "$s"'))
+    # spliced into the text, the value would close the literal and add a filter
+    result = run_template("bugs-containing", {"s": '" FILTER ?b != "x'}, scenario_graph(), reg)
+    assert result.rows == []
+
+
+def test_slot_named_as_prefix_of_another_binds_only_itself():
+    reg = TemplateRegistry()
+    reg.add(Template("bugs-of-file", [], [("d", "number"), ("dev", "entity")],
+                     "SELECT ?b WHERE { ?c fixes ?b ; ?c touches $dev } LIMIT $d"))
+    result = run_template("bugs-of-file", {"d": "5", "dev": "file:ftpety.c"}, scenario_graph(), reg)
+    assert result.rows == [("bug:CQ/22",)]
+
+
+@pytest.mark.parametrize("value", ["31-02-2013", "99-99-2013", "00-01-2013", "29-02-2014"])
+def test_day_first_date_slot_must_be_a_real_date(value):
+    reg = TemplateRegistry()
+    reg.add(Template("bugs-fixed-on", ["bugs fixed on date"], [("when", "date")],
+                     'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
+    with pytest.raises(SlotError, match="when"):
+        run_template("bugs-fixed-on", {"when": value}, scenario_graph(), reg)
+    routed = match_freeform(f"bugs fixed on {value} date", reg, scenario_graph())
+    assert isinstance(routed, NoMatch)
+    assert "when" in routed.reason
+
+
 # -- free-form -----------------------------------------------------------------
 
 

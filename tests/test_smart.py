@@ -1,16 +1,17 @@
 """Race alerts, similar defects, change provenance, augmentation rules."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 
+from ckt import smart
 from ckt.errors import DomainError, NotFoundError
 from ckt.graph import GraphBuilder, Provenance
 from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Entity, TraceEvent, TraceLog
 from ckt.query.evaluate import ResultSet
 from ckt.smart import (
-    SmartConfig,
     augment,
     change_provenance,
     race_alert_dynamic,
@@ -189,7 +190,7 @@ def defect_graph():
 
 
 def test_shared_function_ranks_first():
-    ranked = similar_defects(defect_graph(), "bug:CQ/67", k=5)
+    ranked = similar_defects(defect_graph(), "bug:CQ/67")
     assert ranked and ranked[0] == ("bug:CQ/22", 1.0)
     assert all(eid != "bug:CQ/67" for eid, _ in ranked)
 
@@ -205,8 +206,8 @@ def test_scores_are_symmetric():
         for b in ("bug:CQ/67", "bug:CQ/22", "bug:CQ/5"):
             if a == b:
                 continue
-            score_ab = dict(similar_defects(graph, a, k=5, theta=0.0)).get(b, 0.0)
-            score_ba = dict(similar_defects(graph, b, k=5, theta=0.0)).get(a, 0.0)
+            score_ab = dict(similar_defects(graph, a, theta=0.0)).get(b, 0.0)
+            score_ba = dict(similar_defects(graph, b, theta=0.0)).get(a, 0.0)
             assert score_ab == score_ba
 
 
@@ -266,7 +267,7 @@ def provenance_graph():
 
 
 def test_provenance_newest_first_truncated():
-    commits = change_provenance(provenance_graph(), "func:a.c#f", limit=5)
+    commits = change_provenance(provenance_graph(), "func:a.c#f")
     stamps = [c.attrs["timestamp"] for c in commits]
     assert stamps == sorted(stamps, reverse=True)
     assert len(commits) == 5  # 7 touching commits, newest five kept
@@ -309,9 +310,11 @@ def test_alert_cap_keeps_highest_scores():
     entities = list(graph.entities)
     rows = [(eid,) for eid in entities]
     result = ResultSet(("e",), rows)
-    capped = augment(result, graph, None, SmartConfig(alert_cap=1))
+    with patch.object(smart, "ALERT_CAP", 1):
+        capped = augment(result, graph, None)
     assert len(capped.alerts) == 1
-    uncapped = augment(result, graph, None, SmartConfig(alert_cap=100))
+    with patch.object(smart, "ALERT_CAP", 100):
+        uncapped = augment(result, graph, None)
     assert capped.alerts[0].score == max(a.score for a in uncapped.alerts)
 
 
