@@ -41,6 +41,7 @@ from ckt.graph import (
     collector_paused,
 )
 from ckt.model import Comment, Entity, FactSet, Relation, TraceLog
+from ckt.query.parser import is_word
 from ckt.query.templates import load_registry
 from ckt.textio import utf8_lines
 
@@ -159,10 +160,9 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
             continue
         for file_path in _iter_source_files(root):
             rel = _rel_path(file_path, base)
-            if any(ch.isspace() for ch in rel):
-                # ids embed the path, and a query word ends at whitespace
-                raise CktError(f"source path {rel!r} contains whitespace: "
-                               "no query could name its entities")
+            if not is_word(rel):  # ids embed the path, and an id is one query word
+                raise CktError(f"source path {rel!r} contains whitespace or one of "
+                               '{};"?: no query could name its entities')
             data = file_path.read_bytes()
             try:
                 text = data.decode("utf-8")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ckt import ids
-from ckt.errors import CktError, QueryError, SlotError
+from ckt.errors import CktError, SlotError
 from ckt.extraction.traces import load_trace
 from ckt.graph import (
     STATS_FILE,
@@ -31,20 +31,23 @@ from ckt.graph import (
     load_graph,
 )
 from ckt.model import TraceLog
-from ckt.query import (
+from ckt.query.evaluate import evaluate
+from ckt.query.parser import parse_query
+from ckt.query.templates import (
+    DMY_DATE,
+    LabelIndex,
     NoMatch,
     TemplateRegistry,
-    evaluate,
+    builtin_registry,
+    load_registry,
     match_freeform,
-    parse_query,
+    normalize_date,
     run_template,
 )
-from ckt.query.templates import LabelIndex, builtin_registry, load_registry, normalize_date
 from ckt.smart import AugmentContext, augment
 from ckt.textio import utf8_lines
 
 _TEMPLATE_CALL = re.compile(r"^@([A-Za-z0-9_-]+)\((.*)\)$", re.DOTALL)
-_DMY = re.compile(r"^\d{1,2}-\d{1,2}-\d{4}$")
 
 
 def cmd_build(manifest_path: Path) -> int:
@@ -119,7 +122,7 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
 
 def _normalize_cli_value(value: str) -> str:
     value = value.strip().strip('"')
-    if _DMY.match(value):
+    if DMY_DATE.match(value):
         return normalize_date(value) or value
     return value
 
@@ -129,19 +132,18 @@ def _run_query_text(text: str, ctx: QueryContext):
     graph, registry = ctx.graph, ctx.registry
     text = text.strip()
     if text.upper().startswith("SELECT"):
-        result = evaluate(graph, parse_query(text))
-        return augment(result, graph, ctx.trace, ctx=ctx.rules), None
-    m = _TEMPLATE_CALL.match(text)
-    if m:
-        name, raw_args = m.group(1), m.group(2)
-        args = _parse_template_args(raw_args, registry, name)
+        result, resolution = evaluate(graph, parse_query(text)), None
+    elif m := _TEMPLATE_CALL.match(text):
+        name = m.group(1)
+        args = _parse_template_args(m.group(2), registry, name)
         result = run_template(name, args, graph, registry)
-        return augment(result, graph, ctx.trace, ctx=ctx.rules), {"template": name, "args": args}
-    routed = match_freeform(text, registry, graph, labels=ctx.labels)
-    if isinstance(routed, NoMatch):
-        raise _NoMatchError(routed)
-    result = run_template(routed.template, routed.args, graph, registry)
-    resolution = {"template": routed.template, "args": routed.args, "score": routed.score}
+        resolution = {"template": name, "args": args}
+    else:
+        routed = match_freeform(text, registry, graph, labels=ctx.labels)
+        if isinstance(routed, NoMatch):
+            raise _NoMatchError(routed)
+        result = run_template(routed.template, routed.args, graph, registry)
+        resolution = {"template": routed.template, "args": routed.args, "score": routed.score}
     return augment(result, graph, ctx.trace, ctx=ctx.rules), resolution
 
 
@@ -215,7 +217,7 @@ def cmd_query(graph_dir: Path, text: str, fmt: str, count: bool) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QueryError, CktError) as exc:
+    except CktError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if count:

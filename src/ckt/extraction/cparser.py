@@ -252,10 +252,9 @@ def _parse_declaration(
 class _FileParse:
     """Two-pass parse of one translation unit."""
 
-    def __init__(self, toks: list[Tok], path: str, line_count: int):
+    def __init__(self, toks: list[Tok], path: str):
         self.toks = toks
         self.path = path
-        self.line_count = line_count
         self.facts = FactSet()
         self.functions: dict[str, _FuncDef] = {}
         self.globals: dict[str, str] = {}  # name -> var id
@@ -373,9 +372,6 @@ class _FileParse:
             elif t.text == ")":
                 depth -= 1
         if open_pos <= 0 or depth != 0:
-            return None
-        trailing = [t.text for t in seg[open_pos:] if t.text == ")"]
-        if not trailing:
             return None
         tail = seg[-1].text
         if tail not in (")", "const"):
@@ -577,7 +573,7 @@ def parse_source(text: str, path: str, lexed: Lexed | None = None) -> FactSet:
     line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
     line_count = max(1, line_count)
     toks = (lex(text) if lexed is None else lexed)[0]
-    parse = _FileParse(toks, path, line_count)
+    parse = _FileParse(toks, path)
     parse.facts.add_entity(
         Entity(parse.file_id, "file", posixpath.basename(path), Span(path, 1, line_count))
     )

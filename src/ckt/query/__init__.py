@@ -1,37 +1,1 @@
 """Query layer: grammar, conjunctive evaluation, templates, free-form routing."""
-
-from ckt.query.evaluate import ResultSet, evaluate, rank_results
-from ckt.query.parser import (
-    FilterClause,
-    QueryAST,
-    Term,
-    TriplePattern,
-    format_query,
-    parse_query,
-)
-from ckt.query.templates import (
-    FreeformMatch,
-    NoMatch,
-    Template,
-    TemplateRegistry,
-    match_freeform,
-    run_template,
-)
-
-__all__ = [
-    "Term",
-    "TriplePattern",
-    "FilterClause",
-    "QueryAST",
-    "parse_query",
-    "format_query",
-    "evaluate",
-    "rank_results",
-    "ResultSet",
-    "Template",
-    "TemplateRegistry",
-    "run_template",
-    "match_freeform",
-    "FreeformMatch",
-    "NoMatch",
-]

@@ -7,6 +7,10 @@ Keywords are case-insensitive.  Subjects are entity ids or variables,
 predicates are drawn from the closed predicate set (or variables), objects
 may additionally be double-quoted literals with backslash escapes.  Every
 selected or filtered variable must appear in some pattern.
+
+One regex defines the tokens; a word runs up to whitespace or one of
+`{};"?`.  An id is one word, so `is_word` checks template entity values
+and the source paths a build puts into ids.
 """
 
 from __future__ import annotations
@@ -55,192 +59,160 @@ class QueryAST:
     limit: int | None = None
 
 
-# characters that end a word token, besides whitespace
-WORD_BREAKS = '{};"?'
+# One alternative per token, tried in order at each offset; whitespace
+# starts none of them, so finditer steps over it.
+_WORD = r'[^\s{};"?]+'
+_TOKEN = re.compile(
+    rf"""(?P<punct>[{{}};])
+    |(?P<string>"(?:[^"\\]|\\[\s\S])*")
+    |(?P<var>\?\w*)
+    |(?P<word>{_WORD})
+    |(?P<open>")""",
+    re.VERBOSE,
+)
+_WHOLE_WORD = re.compile(_WORD)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 # a template slot inside a word or a literal
 _SLOT = re.compile(r"\$([A-Za-z0-9_]+)")
+_KEYWORDS = ("SELECT", "WHERE", "FILTER", "LIMIT")
+
+_Token = tuple[str, str, int]  # kind ("punct" | "string" | "var" | "word" | "end"), text, offset
 
 
 def is_word(text: str) -> bool:
     """True when the lexer reads all of `text` as one word token."""
-    return bool(text) and not any(ch.isspace() or ch in WORD_BREAKS for ch in text)
+    return _WHOLE_WORD.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "word" | "var" | "string" | "punct"
-    text: str
-    offset: int
-
-
-def _lex(text: str, values: dict[str, str] | None) -> list[_Tok]:
-    def bind(token: str) -> str:  # each $name with a value, in one pass
+def _lex(text: str, values: dict[str, str] | None) -> list[_Token]:
+    """All tokens of `text`, then an end token at its length.  Each `$name`
+    in a word or a literal is bound to `values[name]` in one pass."""
+    def bind(token: str) -> str:
         if not values:
             return token
         return _SLOT.sub(lambda m: values.get(m.group(1), m.group()), token)
 
-    toks: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "{};":
-            toks.append(_Tok("punct", ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise QueryError("unterminated string literal", i)
-            toks.append(_Tok("string", bind("".join(buf)), i))
-            i = j + 1
-            continue
-        if ch == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise QueryError("'?' must be followed by a variable name", i)
-            toks.append(_Tok("var", text[i + 1 : j], i))
-            i = j
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in WORD_BREAKS:
-            j += 1
-        toks.append(_Tok("word", bind(text[i:j]), i))
-        i = j
+    toks: list[_Token] = []
+    for m in _TOKEN.finditer(text):
+        kind, tok, offset = m.lastgroup, m.group(), m.start()
+        if kind == "open":
+            raise QueryError("unterminated string literal", offset)
+        if kind == "var":
+            if tok == "?":
+                raise QueryError("'?' must be followed by a variable name", offset)
+            tok = tok[1:]
+        elif kind == "string":
+            tok = bind(_ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), tok[1:-1]))
+        elif kind == "word":
+            tok = bind(tok)
+        toks.append((kind, tok, offset))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str, values: dict[str, str] | None):
-        self.text = text
         self.toks = _lex(text, values)
         self.pos = 0
 
-    def _peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def _peek(self) -> _Token:
+        return self.toks[self.pos]
 
-    def _next(self, expected: str) -> _Tok:
-        tok = self._peek()
-        if tok is None:
-            raise QueryError(f"expected {expected}, found end of query", len(self.text))
+    def _next(self, expected: str) -> _Token:
+        tok = self.toks[self.pos]
+        if tok[0] == "end":
+            raise QueryError(f"expected {expected}, found end of query", tok[2])
         self.pos += 1
         return tok
 
-    def _keyword(self, tok: _Tok | None) -> str | None:
-        if tok is not None and tok.kind == "word":
-            word = tok.text.upper()
-            if word in ("SELECT", "WHERE", "FILTER", "LIMIT"):
-                return word
-        return None
+    @staticmethod
+    def _keyword(tok: _Token) -> str | None:
+        word = tok[1].upper()
+        return word if tok[0] == "word" and word in _KEYWORDS else None
 
     def parse(self) -> QueryAST:
         tok = self._next("SELECT")
         if self._keyword(tok) != "SELECT":
-            raise QueryError("query must start with SELECT", tok.offset)
+            raise QueryError("query must start with SELECT", tok[2])
         select: list[str] = []
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "var":
-                select.append(tok.text)
-                self.pos += 1
-            else:
-                break
+        while (tok := self._peek())[0] == "var":
+            select.append(tok[1])
+            self.pos += 1
         if not select:
-            offset = tok.offset if tok else len(self.text)
-            raise QueryError("SELECT needs at least one variable", offset)
+            raise QueryError("SELECT needs at least one variable", tok[2])
         tok = self._next("WHERE")
         if self._keyword(tok) != "WHERE":
-            raise QueryError("expected WHERE", tok.offset)
+            raise QueryError("expected WHERE", tok[2])
         tok = self._next("'{'")
-        if tok.text != "{":
-            raise QueryError("expected '{' after WHERE", tok.offset)
+        if tok[1] != "{":
+            raise QueryError("expected '{' after WHERE", tok[2])
         patterns = self._patterns()
         filters: list[FilterClause] = []
         limit: int | None = None
-        while True:
-            tok = self._peek()
+        while (tok := self._peek())[0] != "end":
+            self.pos += 1
             kw = self._keyword(tok)
             if kw == "FILTER":
-                self.pos += 1
                 filters.append(self._filter())
             elif kw == "LIMIT":
-                self.pos += 1
-                num = self._next("a number after LIMIT")
+                _, num, offset = self._next("a number after LIMIT")
                 try:
-                    limit = int(num.text)
+                    limit = int(num)
                 except ValueError:
-                    raise QueryError("LIMIT needs an integer", num.offset) from None
+                    raise QueryError("LIMIT needs an integer", offset) from None
                 if limit < 0:
-                    raise QueryError("LIMIT must be >= 0", num.offset)
-            elif tok is None:
-                break
+                    raise QueryError("LIMIT must be >= 0", offset)
             else:
-                raise QueryError(f"unexpected token {tok.text!r}", tok.offset)
+                raise QueryError(f"unexpected token {tok[1]!r}", tok[2])
         ast = QueryAST(tuple(select), tuple(patterns), tuple(filters), limit)
-        _validate(ast, self.text)
+        _validate(ast)
         return ast
 
     def _patterns(self) -> list[TriplePattern]:
         patterns: list[TriplePattern] = []
         while True:
-            tok = self._peek()
-            if tok is None:
-                raise QueryError("expected '}'", len(self.text))
-            if tok.text == "}" and tok.kind == "punct":
+            kind, tok, offset = self._peek()
+            if kind == "end":
+                raise QueryError("expected '}'", offset)
+            if kind == "punct" and tok in "};":
                 self.pos += 1
-                return patterns
-            if tok.text == ";" and tok.kind == "punct":
-                self.pos += 1
+                if tok == "}":
+                    return patterns
                 continue
-            s = self._term("subject", allow_literal=False)
-            p = self._term("predicate", allow_literal=False, predicate=True)
-            o = self._term("object", allow_literal=True)
+            s = self._term("subject")
+            p = self._term("predicate")
+            o = self._term("object")
             patterns.append(TriplePattern(s, p, o))
 
-    def _term(self, position: str, allow_literal: bool, predicate: bool = False) -> Term:
-        tok = self._next(f"a {position} term")
-        if tok.kind == "var":
-            return Term(VAR, tok.text)
-        if tok.kind == "string":
-            if not allow_literal:
-                raise QueryError(f"literal not allowed in {position} position", tok.offset)
-            return Term(LITERAL, tok.text)
-        if tok.kind == "word":
-            if predicate:
-                if tok.text not in PREDICATES:
-                    raise QueryError(f"unknown predicate {tok.text!r}", tok.offset)
-            return Term(IRI, tok.text)
-        raise QueryError(f"unexpected token {tok.text!r} in {position} position", tok.offset)
+    def _term(self, position: str) -> Term:
+        kind, tok, offset = self._next(f"a {position} term")
+        if kind == "var":
+            return Term(VAR, tok)
+        if kind == "string":
+            if position != "object":
+                raise QueryError(f"literal not allowed in {position} position", offset)
+            return Term(LITERAL, tok)
+        if kind == "word":
+            if position == "predicate" and tok not in PREDICATES:
+                raise QueryError(f"unknown predicate {tok!r}", offset)
+            return Term(IRI, tok)
+        raise QueryError(f"unexpected token {tok!r} in {position} position", offset)
 
     def _filter(self) -> FilterClause:
-        var_tok = self._next("a variable after FILTER")
-        if var_tok.kind != "var":
-            raise QueryError("FILTER needs a ?variable", var_tok.offset)
-        op_tok = self._next("a filter operator")
-        op = op_tok.text.upper()
-        if op not in FILTER_OPS:
-            raise QueryError(f"unknown filter operator {op_tok.text!r}", op_tok.offset)
-        lit_tok = self._next("a filter literal")
-        if lit_tok.kind == "var":
-            raise QueryError("filter literal may not be a variable", lit_tok.offset)
-        return FilterClause(var_tok.text, op, lit_tok.text)
+        kind, var, offset = self._next("a variable after FILTER")
+        if kind != "var":
+            raise QueryError("FILTER needs a ?variable", offset)
+        _, op, offset = self._next("a filter operator")
+        if op.upper() not in FILTER_OPS:
+            raise QueryError(f"unknown filter operator {op!r}", offset)
+        kind, literal, offset = self._next("a filter literal")
+        if kind == "var":
+            raise QueryError("filter literal may not be a variable", offset)
+        return FilterClause(var, op.upper(), literal)
 
 
-def _validate(ast: QueryAST, text: str) -> None:
+def _validate(ast: QueryAST) -> None:
     pattern_vars: set[str] = set()
     for pattern in ast.patterns:
         pattern_vars |= pattern.variables()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 
@@ -27,7 +27,7 @@ JACCARD_THRESHOLD = 0.4
 
 SLOT_TYPES = ("entity", "date", "number", "string")
 
-_DMY_DATE = re.compile(r"^(\d{1,2})-(\d{1,2})-(\d{4})$")
+DMY_DATE = re.compile(r"^(\d{1,2})-(\d{1,2})-(\d{4})$")
 _NUMBER = re.compile(r"^\d+(\.\d+)?$")
 
 
@@ -133,17 +133,19 @@ def load_registry(path: str) -> TemplateRegistry:
 
 
 def normalize_date(value: str) -> str | None:
-    """Accept ISO-8601 or DD-MM-YYYY (day first); return ISO-8601 UTC, or
-    None when the value is not a real date."""
-    m = _DMY_DATE.match(value)
+    """Accept ISO-8601 or DD-MM-YYYY (day first); return ISO-8601 UTC to
+    the second, with a four-digit year, or None when the value is not a
+    real date or its UTC time falls outside years 1 to 9999."""
+    m = DMY_DATE.match(value)
     try:
         if m:
             day, month, year = map(int, m.groups())
-            return f"{date(year, month, day).isoformat()}T00:00:00Z"
-        ts = parse_timestamp(value)
-    except ValueError:
+            ts = datetime(year, month, day, tzinfo=timezone.utc)
+        else:
+            ts = parse_timestamp(value).astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         return None
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return f"{ts.replace(microsecond=0, tzinfo=None).isoformat()}Z"
 
 
 def _check_slot(name: str, slot_type: str, value: str) -> str:

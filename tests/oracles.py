@@ -7,7 +7,9 @@ recomputation.  None of it shares code with the package, except
 through the package's own GraphBuilder, kept as the reference for the
 direct loader that replaced it, the old per-response augmentation, and
 `dumps_facts`, the neutral facts writer, which reads entities through the
-package's entity codec; no `ckt` command writes facts.  The
+package's entity codec; no `ckt` command writes facts.
+`reference_parse_query`, the character-loop query parser the token regex
+replaced, builds the package's QueryAST and raises its QueryError.  The
 helpers at the end compare and parse what the package produces.
 """
 
@@ -18,6 +20,10 @@ import re
 from typing import NamedTuple
 
 import numpy as np
+
+from ckt.errors import QueryError
+from ckt.graph import PREDICATES
+from ckt.query.parser import FILTER_OPS, FilterClause, QueryAST, Term, TriplePattern
 
 VAR = "var"
 
@@ -741,6 +747,207 @@ def augment_per_response(result, graph, trace=None, cap=10):
                                      f"augmentation failed for {eid}: {exc}", 0.0))
     alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
     return ResultSet(result.columns, result.rows, alerts[:cap])
+
+
+# -- query text, the character-loop lexer and parser the token regex replaced
+
+
+_QUERY_WORD_BREAKS = '{};"?'
+_QUERY_SLOT = re.compile(r"\$([A-Za-z0-9_]+)")
+
+
+def query_word(text):
+    """The old word rule: no whitespace and none of the word breaks."""
+    return bool(text) and not any(ch.isspace() or ch in _QUERY_WORD_BREAKS for ch in text)
+
+
+class QueryTok(NamedTuple):
+    kind: str  # "word" | "var" | "string" | "punct"
+    text: str
+    offset: int
+
+
+def _query_lex(text, values):
+    def bind(token):  # each $name with a value, in one pass
+        if not values:
+            return token
+        return _QUERY_SLOT.sub(lambda m: values.get(m.group(1), m.group()), token)
+
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "{};":
+            toks.append(QueryTok("punct", ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise QueryError("unterminated string literal", i)
+            toks.append(QueryTok("string", bind("".join(buf)), i))
+            i = j + 1
+            continue
+        if ch == "?":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            if j == i + 1:
+                raise QueryError("'?' must be followed by a variable name", i)
+            toks.append(QueryTok("var", text[i + 1 : j], i))
+            i = j
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _QUERY_WORD_BREAKS:
+            j += 1
+        toks.append(QueryTok("word", bind(text[i:j]), i))
+        i = j
+    return toks
+
+
+class _QueryParser:
+    def __init__(self, text, values):
+        self.text = text
+        self.toks = _query_lex(text, values)
+        self.pos = 0
+
+    def _peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def _next(self, expected):
+        tok = self._peek()
+        if tok is None:
+            raise QueryError(f"expected {expected}, found end of query", len(self.text))
+        self.pos += 1
+        return tok
+
+    def _keyword(self, tok):
+        if tok is not None and tok.kind == "word":
+            word = tok.text.upper()
+            if word in ("SELECT", "WHERE", "FILTER", "LIMIT"):
+                return word
+        return None
+
+    def parse(self):
+        tok = self._next("SELECT")
+        if self._keyword(tok) != "SELECT":
+            raise QueryError("query must start with SELECT", tok.offset)
+        select = []
+        while True:
+            tok = self._peek()
+            if tok is not None and tok.kind == "var":
+                select.append(tok.text)
+                self.pos += 1
+            else:
+                break
+        if not select:
+            offset = tok.offset if tok else len(self.text)
+            raise QueryError("SELECT needs at least one variable", offset)
+        tok = self._next("WHERE")
+        if self._keyword(tok) != "WHERE":
+            raise QueryError("expected WHERE", tok.offset)
+        tok = self._next("'{'")
+        if tok.text != "{":
+            raise QueryError("expected '{' after WHERE", tok.offset)
+        patterns = self._patterns()
+        filters = []
+        limit = None
+        while True:
+            tok = self._peek()
+            kw = self._keyword(tok)
+            if kw == "FILTER":
+                self.pos += 1
+                filters.append(self._filter())
+            elif kw == "LIMIT":
+                self.pos += 1
+                num = self._next("a number after LIMIT")
+                try:
+                    limit = int(num.text)
+                except ValueError:
+                    raise QueryError("LIMIT needs an integer", num.offset) from None
+                if limit < 0:
+                    raise QueryError("LIMIT must be >= 0", num.offset)
+            elif tok is None:
+                break
+            else:
+                raise QueryError(f"unexpected token {tok.text!r}", tok.offset)
+        ast = QueryAST(tuple(select), tuple(patterns), tuple(filters), limit)
+        pattern_vars = set()
+        for pattern in ast.patterns:
+            pattern_vars |= pattern.variables()
+        for var in ast.select:
+            if var not in pattern_vars:
+                raise QueryError(f"selected variable ?{var} is unbound (appears in no pattern)")
+        for fl in ast.filters:
+            if fl.var not in pattern_vars:
+                raise QueryError(f"filtered variable ?{fl.var} is unbound (appears in no pattern)")
+        return ast
+
+    def _patterns(self):
+        patterns = []
+        while True:
+            tok = self._peek()
+            if tok is None:
+                raise QueryError("expected '}'", len(self.text))
+            if tok.text == "}" and tok.kind == "punct":
+                self.pos += 1
+                return patterns
+            if tok.text == ";" and tok.kind == "punct":
+                self.pos += 1
+                continue
+            s = self._term("subject", allow_literal=False)
+            p = self._term("predicate", allow_literal=False, predicate=True)
+            o = self._term("object", allow_literal=True)
+            patterns.append(TriplePattern(s, p, o))
+
+    def _term(self, position, allow_literal, predicate=False):
+        tok = self._next(f"a {position} term")
+        if tok.kind == "var":
+            return Term("var", tok.text)
+        if tok.kind == "string":
+            if not allow_literal:
+                raise QueryError(f"literal not allowed in {position} position", tok.offset)
+            return Term("literal", tok.text)
+        if tok.kind == "word":
+            if predicate:
+                if tok.text not in PREDICATES:
+                    raise QueryError(f"unknown predicate {tok.text!r}", tok.offset)
+            return Term("id", tok.text)
+        raise QueryError(f"unexpected token {tok.text!r} in {position} position", tok.offset)
+
+    def _filter(self):
+        var_tok = self._next("a variable after FILTER")
+        if var_tok.kind != "var":
+            raise QueryError("FILTER needs a ?variable", var_tok.offset)
+        op_tok = self._next("a filter operator")
+        op = op_tok.text.upper()
+        if op not in FILTER_OPS:
+            raise QueryError(f"unknown filter operator {op_tok.text!r}", op_tok.offset)
+        lit_tok = self._next("a filter literal")
+        if lit_tok.kind == "var":
+            raise QueryError("filter literal may not be a variable", lit_tok.offset)
+        return FilterClause(var_tok.text, op, lit_tok.text)
+
+
+def reference_parse_query(text, values=None):
+    """The query parser as it was before the token regex: a character loop
+    lexes the whole text, then a recursive-descent pass builds the package's
+    QueryAST.  Same messages, offsets and `$slot` binding."""
+    return _QueryParser(text, values).parse()
+
 
 # -- writers and ids that only the tests use --------------------------------
 

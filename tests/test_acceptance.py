@@ -18,18 +18,9 @@ from ckt.extraction.facts import load_facts
 from ckt.extraction.traces import load_trace
 from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
-from ckt.query import (
-    FilterClause,
-    QueryAST,
-    Term,
-    TriplePattern,
-    evaluate,
-    format_query,
-    match_freeform,
-    parse_query,
-    run_template,
-)
-from ckt.query.templates import NoMatch
+from ckt.query.evaluate import evaluate
+from ckt.query.parser import FilterClause, QueryAST, Term, TriplePattern, format_query, parse_query
+from ckt.query.templates import NoMatch, match_freeform, run_template
 from ckt.smart import race_alert_dynamic, race_alert_static, similar_defects, change_provenance
 from conftest import FIXTURES, SCENARIO
 from oracles import (

@@ -93,6 +93,17 @@ def test_source_path_with_whitespace_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["ft{pety.c", "ftpety?.c", "ft;pety.c", "ft}pety.c", 'ft"pety.c'])
+def test_source_path_with_a_word_break_exits_2(tmp_path, capsys, name):
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    src = tmp_path / "p" / "src"
+    (src / "ftpety.c").rename(src / name)
+    assert main(["build", "--manifest", str(tmp_path / "p" / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"source path 'src/{name}' contains whitespace or one of" in err
+    assert "Traceback" not in err
+
+
 def test_failed_build_removes_partial_outputs(tmp_path, capsys):
     shutil.copytree(SCENARIO, tmp_path / "p")
     (tmp_path / "p" / "templates.jsonl").write_text("not json at all\n")

@@ -10,21 +10,26 @@ from hypothesis import strategies as st
 from ckt.errors import NotFoundError, QueryError, SlotError
 from ckt.graph import GraphBuilder, Provenance
 from ckt.model import Entity
-from ckt.query import (
+from ckt.query.evaluate import evaluate, rank_results
+from ckt.query.parser import (
     FilterClause,
-    NoMatch,
     QueryAST,
     Term,
     TriplePattern,
-    evaluate,
     format_query,
-    match_freeform,
+    is_word,
     parse_query,
-    rank_results,
+)
+from ckt.query.templates import (
+    NoMatch,
+    Template,
+    TemplateRegistry,
+    builtin_registry,
+    match_freeform,
+    normalize_date,
     run_template,
 )
-from ckt.query.templates import TemplateRegistry, Template, builtin_registry
-from oracles import nested_loop_join
+from oracles import nested_loop_join, query_word, reference_parse_query
 
 PROV = Provenance("source-code", "t:1")
 
@@ -72,6 +77,36 @@ def test_syntax_error_carries_offset():
     with pytest.raises(QueryError) as exc:
         parse_query("SELECT ?x FROM { ?x calls ?y }")
     assert exc.value.offset is not None
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ('SELECT ?x WHERE { ?x has-type "int }', "unterminated string literal", 30),
+    ("SELECT ? WHERE { ?x calls ?y }", "'?' must be followed by a variable name", 7),
+    ("SELECT ?x WHERE { ?x calls", "expected a object term, found end of query", 26),
+    ("FIND ?x WHERE { ?x calls ?y }", "query must start with SELECT", 0),
+    ("SELECT WHERE { ?x calls ?y }", "SELECT needs at least one variable", 7),
+    ("SELECT ?x FROM { ?x calls ?y }", "expected WHERE", 10),
+    ("SELECT ?x WHERE ?x calls ?y }", "expected '{' after WHERE", 16),
+    ("SELECT ?x WHERE { ?x calls ?y } LIMIT x", "LIMIT needs an integer", 38),
+    ("SELECT ?x WHERE { ?x calls ?y } LIMIT -1", "LIMIT must be >= 0", 38),
+    ("SELECT ?x WHERE { ?x calls ?y } ORDER ?x", "unexpected token 'ORDER'", 32),
+    ("SELECT ?x WHERE { ?x calls ?y", "expected '}'", 29),
+    ('SELECT ?x WHERE { "f" calls ?x }', "literal not allowed in subject position", 18),
+    ("SELECT ?x WHERE { ?x frobnicates ?y }", "unknown predicate 'frobnicates'", 21),
+    ("SELECT ?x WHERE { ?x ; ?y }", "unexpected token ';' in predicate position", 21),
+    ('SELECT ?x WHERE { ?x calls ?y } FILTER x = "a"', "FILTER needs a ?variable", 39),
+    ('SELECT ?x WHERE { ?x calls ?y } FILTER ?x LIKE "a"', "unknown filter operator 'LIKE'", 42),
+    ("SELECT ?x WHERE { ?x calls ?y } FILTER ?x = ?y", "filter literal may not be a variable", 44),
+    ("SELECT ?z WHERE { ?x calls ?y }",
+     "selected variable ?z is unbound (appears in no pattern)", None),
+    ('SELECT ?x WHERE { ?x calls ?y } FILTER ?z = "a"',
+     "filtered variable ?z is unbound (appears in no pattern)", None),
+])
+def test_each_syntax_error_pins_its_message_and_offset(text, message, offset):
+    with pytest.raises(QueryError) as exc:
+        parse_query(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == (message if offset is None else f"{message} (at offset {offset})")
 
 
 def test_keywords_case_insensitive():
@@ -125,6 +160,72 @@ def asts(draw):
 @given(asts())
 def test_parse_print_parse_fixpoint(ast):
     assert parse_query(format_query(ast)) == ast
+
+
+# pieces of query text, well formed or not, and values for its slots
+QUERY_PIECES = [
+    "SELECT", "select", "WHERE", "where", "FILTER", "LIMIT", "limit", "{", "}", ";",
+    "?x", "?y", "?", "?_1", "?é", "?x?y", '"lit"', '"a b"', '"', '"q\\"x"', '"\\n\\t\\\\"',
+    "\\", '"\\', "calls", "writes", "has-type", "frobnicates", "func:a#f", "$s", "$func",
+    "$s$s", "x$sy", '"$s"', "3", "-1", "0", "x", "=", "!=", "contains", "AFTER", "<=", "ß",
+    "\u00a0", "\x1c", "\u2003",
+]
+SEPARATORS = [" ", "", "\t", "\n", "\u3000"]
+SLOT_VALUES = ["", "{", "}", ";", '"', "a b", "?x", "$s", "SELECT", "calls", "5", "func:a#f"]
+
+
+@st.composite
+def query_texts(draw):
+    shape = draw(st.sampled_from(["grammar", "pieces", "mutated", "chars"]))
+    if shape == "grammar":  # the grammar's shape, now and then a wrong piece in a place
+
+        def piece(*right):
+            wrong = draw(st.integers(0, 7)) == 0
+            return draw(st.sampled_from(QUERY_PIECES if wrong else right))
+
+        parts = [piece("SELECT", "select"), piece("?x", "?y"), piece("WHERE"), piece("{")]
+        for _ in range(draw(st.integers(0, 3))):
+            parts += [piece("?x", "func:a#f", "$func"), piece("calls", "?p", "has-type"),
+                      piece("?y", '"lit"', '"$s"', "$func"), piece(";", " ")]
+        parts.append(piece("}"))
+        if draw(st.booleans()):
+            parts += [piece("FILTER"), piece("?x", "?y"), piece("CONTAINS", "=", "after"),
+                      piece('"$s"', "x", "3", "?y")]
+        if draw(st.booleans()):
+            parts += [piece("LIMIT"), piece("$x", "3", "0", "-1")]
+        return " ".join(parts)
+    if shape == "pieces":
+        pieces = draw(st.lists(st.tuples(st.sampled_from(QUERY_PIECES),
+                                         st.sampled_from(SEPARATORS)), max_size=20))
+        return "".join(piece + sep for piece, sep in pieces)
+    if shape == "mutated":  # a well-formed query with one character inserted or removed
+        text = format_query(draw(asts()))
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            return text[:at] + draw(st.sampled_from('{};"?\\ $x')) + text[at:]
+        return text[:at] + text[at + 1:]
+    return draw(st.text(alphabet='{};"?\\$ \tsx_é1-', max_size=30))
+
+
+def parse_outcome(parse, text, values):
+    try:
+        return parse(text, values)
+    except QueryError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=400, deadline=None)
+@given(query_texts(), st.one_of(
+    st.none(), st.dictionaries(st.sampled_from(["s", "func", "x"]), st.sampled_from(SLOT_VALUES))))
+def test_parser_equals_the_reference_parser(text, values):
+    assert parse_outcome(parse_query, text, values) == \
+        parse_outcome(reference_parse_query, text, values)
+
+
+def test_word_rule_equals_the_reference_on_every_character():
+    chars = map(chr, range(0x110000))
+    assert [ch for ch in chars if is_word(ch) != query_word(ch)] == []
+    assert is_word("src/m000.c#f") and not is_word("") and not is_word("a?b")
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -383,6 +484,18 @@ def test_day_first_date_slot_must_be_a_real_date(value):
     routed = match_freeform(f"bugs fixed on {value} date", reg, scenario_graph())
     assert isinstance(routed, NoMatch)
     assert "when" in routed.reason
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("2013-03-12T10:00:00+02:00", "2013-03-12T08:00:00Z"),  # an offset goes to UTC
+    ("2013-03-12T23:30:00-01:00", "2013-03-13T00:30:00Z"),
+    ("0999-01-01", "0999-01-01T00:00:00Z"),  # the year keeps four digits
+    ("01-01-0999", "0999-01-01T00:00:00Z"),
+    ("2013-03-12T10:00:00.5Z", "2013-03-12T10:00:00Z"),
+    ("0001-01-01T00:00:00+02:00", None),  # before year 1 in UTC
+])
+def test_normalize_date_gives_utc_with_a_four_digit_year(value, expected):
+    assert normalize_date(value) == expected
 
 
 # -- free-form -----------------------------------------------------------------
