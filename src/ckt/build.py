@@ -116,7 +116,7 @@ def load_manifest(path: Path) -> ProjectManifest:
 class BuildState:
     facts: FactSet = field(default_factory=FactSet)
     comments: list[Comment] = field(default_factory=list)
-    associations: list[tuple[str, str]] = field(default_factory=list)
+    associations: dict[str, str] = field(default_factory=dict)  # comment id -> entity id
     trace: TraceLog | None = None
     warnings: list[str] = field(default_factory=list)
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -174,12 +174,11 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
             file_comments = comments.extract_comments(text, rel, lexed=lexed)
             state.comments.extend(file_comments)
             state.bump("comment", "comments", len(file_comments))
-            state.associations.extend(
+            state.associations.update(
                 comments.associate_comments(file_comments, by_path.get(rel, [])))
 
 
 def _comment_entities(state: BuildState) -> None:
-    assoc = dict(state.associations)
     for comment in state.comments:
         attrs = {
             "style": comment.style,
@@ -190,7 +189,7 @@ def _comment_entities(state: BuildState) -> None:
         state.facts.add_entity(
             Entity(comment.id, "comment", label, comment.span, attrs), merge=True
         )
-        entity_id = assoc.get(comment.id)
+        entity_id = state.associations.get(comment.id)
         if entity_id is not None and entity_id in state.facts.entities:
             state.facts.add_relation(
                 Relation(entity_id, "documented-by", comment.id, comment.span.start)
@@ -229,12 +228,11 @@ def _scope_identifiers(
 
 def _validate_comments(state: BuildState) -> list[concepts.StalenessReport]:
     reports = []
-    assoc = dict(state.associations)
     by_id = {c.id: c for c in state.comments}
     labels_by_path = _scope_labels_by_path(state.facts)
     for comment_id in sorted(by_id):
         comment = by_id[comment_id]
-        entity_id = assoc.get(comment_id, "")
+        entity_id = state.associations.get(comment_id, "")
         scope = _scope_identifiers(entity_id, state.facts, labels_by_path)
         report = concepts.validate_comment(comment, scope, entity_id)
         reports.append(report)
@@ -373,9 +371,8 @@ def _build_graph(
 
     for concept, label in sorted(ontology.concept_labels.items()):
         builder.add_entity(Entity(ids.concept_id(concept), "concept", label))
-    assoc = dict(state.associations)
     for comment in state.comments:
-        entity_id = assoc.get(comment.id)
+        entity_id = state.associations.get(comment.id)
         if entity_id is None:
             continue
         for s, p, o in concepts.tag_domain_concepts(comment, ontology, entity_id):

@@ -33,7 +33,6 @@ class FeatureVector:
 class ConceptLabel:
     class_name: str
     score: float
-    contributing: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -155,16 +154,14 @@ def classify_strategy(fv: FeatureVector, weights: StrategyWeights) -> ConceptLab
     best: ConceptLabel | None = None
     for cls in weights.classes:
         row = weights.weights.get(cls, {})
-        contributing = {
-            feat: w * fv.get(feat) for feat, w in sorted(row.items()) if fv.get(feat) != 0.0
-        }
         score = 0  # as sum() starts, but left to right: 3.12 compensates float sums
-        for value in contributing.values():
-            score += value
+        for feat, w in sorted(row.items()):
+            if fv.get(feat) != 0.0:
+                score += w * fv.get(feat)
         if best is None or score > best.score:
-            best = ConceptLabel(cls, score, contributing)
+            best = ConceptLabel(cls, score)
     if best is None or best.score < weights.tau:
-        return ConceptLabel("unclassified", 0.0 if best is None else best.score, {})
+        return ConceptLabel("unclassified", 0.0 if best is None else best.score)
     return best
 
 
@@ -206,11 +203,8 @@ def tag_domain_concepts(
     ]
 
 
-def identifier_like(word: str, scope_identifiers: set[str]) -> bool:
-    """Lexically code-flavored: underscores, mixed case, letter-digit mixes,
-    or an exact declared name."""
-    if word in scope_identifiers:
-        return True
+def identifier_like(word: str) -> bool:
+    """Lexically code-flavored: underscores, mixed case, letter-digit mixes."""
     if "_" in word:
         return True
     # mixed case means an interior capital, not a sentence-initial one
@@ -226,14 +220,12 @@ def validate_comment(
 ) -> StalenessReport:
     """Flag identifier-like comment tokens that are absent from the
     associated entity's scope."""
-    scope_lower = {s.lower() for s in scope_identifiers}
+    seen = {s.lower() for s in scope_identifiers}  # lower-cased: in scope or missing
     missing: list[str] = []
     for m in _IDENT_WORD.finditer(comment.text):
         word = m.group()
-        if not identifier_like(word, scope_identifiers):
-            continue
-        if word.lower() in scope_lower:
-            continue
-        if word.lower() not in (w.lower() for w in missing):
+        lower = word.lower()
+        if lower not in seen and identifier_like(word):
+            seen.add(lower)
             missing.append(word)
     return StalenessReport(comment.id, entity_id, missing)

@@ -23,6 +23,23 @@ A block comment may span lines, also from a directive.  Anything else
 (macros, templates, function pointers, namespaces) is skipped as an
 unparseable region; skipping is never fatal.  No macro expansion, no
 overload resolution.
+
+Each bracket rule has one walk, and none fails on unbalanced input:
+
+  * a function body, an aggregate body, a subscript group and a call's
+    arguments end at the bracket that closes their opener, counting only
+    that kind (`_closer`);
+  * a statement ends at the first ``;``, ``{`` or ``}`` outside
+    parentheses, whose depth stops at 0 (`_segment`);
+  * a declaration splits at ``,`` and its declarators at ``=`` outside
+    ``()``, ``[]`` and ``{}`` counted together, whose depth may go
+    negative (`_split_top_level`, `_declarator`);
+  * a ``typedef`` is skipped to the first ``;`` where ``()`` and ``{}``,
+    counted together, are at depth 0 or below, and a signature's
+    parameter list is its last ``(`` outside parentheses.
+
+An unclosed bracket runs to the end of its token list: the file's tokens
+for a body, the statement's for a subscript or a call.
 """
 
 from __future__ import annotations
@@ -45,6 +62,10 @@ CONTROL_KEYWORDS = frozenset(
      "return", "goto", "break", "continue", "sizeof", "new", "delete"]
 )
 AGGREGATE_KEYWORDS = frozenset(["struct", "class", "union", "enum"])
+# words that open a declaration, and with the control words every word
+# that never names a variable or a callee
+_DECL_OPENERS = TYPE_KEYWORDS | STORAGE_KEYWORDS | QUALIFIER_KEYWORDS | AGGREGATE_KEYWORDS
+_RESERVED = _DECL_OPENERS | CONTROL_KEYWORDS
 # Callee names the parser treats as thread creation points.
 THREAD_CREATE_FNS = frozenset(["pthread_create", "CreateThread", "thrd_create", "std::thread"])
 
@@ -128,18 +149,40 @@ class _FuncDef:
     storage: str | None
 
 
-def _match_brace(toks: list[Tok], open_idx: int) -> int:
-    """Index of the '}' matching toks[open_idx]; len(toks)-1 when unbalanced."""
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+
+def _closer(toks: list[Tok], i: int) -> int:
+    """Index of the bracket that closes toks[i], a '(', '[' or '{',
+    counting only that bracket kind; len(toks)-1 when it is never closed."""
+    opener = toks[i].text
+    closer = _CLOSERS[opener]
     depth = 0
-    for j in range(open_idx, len(toks)):
+    for j in range(i, len(toks)):
         t = toks[j].text
-        if t == "{":
+        if t == opener:
             depth += 1
-        elif t == "}":
+        elif t == closer:
             depth -= 1
             if depth == 0:
                 return j
     return len(toks) - 1
+
+
+def _segment(toks: list[Tok], i: int) -> tuple[int, str]:
+    """Index and text of the first ';', '{' or '}' from i outside
+    parentheses, whose depth never falls below 0; (len(toks), "") when
+    there is none."""
+    depth = 0
+    for j in range(i, len(toks)):
+        t = toks[j].text
+        if t == "(":
+            depth += 1
+        elif t == ")":
+            depth = max(0, depth - 1)
+        elif depth == 0 and t in (";", "{", "}"):
+            return j, t
+    return len(toks), ""
 
 
 def _split_top_level(toks: list[Tok], sep: str) -> list[list[Tok]]:
@@ -157,17 +200,25 @@ def _split_top_level(toks: list[Tok], sep: str) -> list[list[Tok]]:
     return chunks
 
 
-def _is_type_opener(tok: Tok, known_types: set[str]) -> bool:
-    if tok.kind != "id":
-        return False
-    t = tok.text
-    return (
-        t in TYPE_KEYWORDS
-        or t in STORAGE_KEYWORDS
-        or t in QUALIFIER_KEYWORDS
-        or t in AGGREGATE_KEYWORDS
-        or t in known_types
-    )
+def _declarator(chunk: list[Tok]) -> tuple[int, list[Tok]]:
+    """(index of the declared name, tokens after the first '=') for one
+    declarator, the '=' and the name at depth 0.  Depth counts every
+    bracket kind together and may go negative; the name is the last
+    identifier before that '=' other than a qualifier, -1 when there is
+    none."""
+    depth = 0
+    name = -1
+    for k, t in enumerate(chunk):
+        if t.text in "([{":
+            depth += 1
+        elif t.text in ")]}":
+            depth -= 1
+        elif depth == 0:
+            if t.text == "=":
+                return name, chunk[k + 1 :]
+            if t.kind == "id" and t.text not in QUALIFIER_KEYWORDS:
+                name = k
+    return name, []
 
 
 def _parse_declaration(
@@ -179,11 +230,9 @@ def _parse_declaration(
     (name, type text, storage, line).  Empty decls means the segment is
     not a recognizable variable declaration.
     """
-    if len(seg) < 2 or seg[0].kind != "id":
+    if len(seg) < 2 or seg[0].kind != "id" or seg[0].text in CONTROL_KEYWORDS:
         return [], []
-    if seg[0].text in CONTROL_KEYWORDS:
-        return [], []
-    if not _is_type_opener(seg[0], known_types):
+    if seg[0].text not in _DECL_OPENERS and seg[0].text not in known_types:
         return [], []
 
     chunks = _split_top_level(seg, ",")
@@ -196,22 +245,9 @@ def _parse_declaration(
         else:
             head.append(t)
 
-    # declarator of the first chunk: last depth-0 identifier before '='
-    def _name_index(chunk: list[Tok]) -> int:
-        depth = 0
-        idx = -1
-        for k, t in enumerate(chunk):
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == "=" and depth == 0:
-                break
-            elif t.kind == "id" and depth == 0 and t.text not in QUALIFIER_KEYWORDS:
-                idx = k
-        return idx
-
-    ni = _name_index(head)
+    # the first chunk's name is looked up without its storage words, its
+    # initializer taken with them
+    ni = _declarator(head)[0]
     if ni <= 0:
         return [], []  # no type tokens before the name
     # a '(' directly after the name means prototype / function-ptr: skip
@@ -226,26 +262,12 @@ def _parse_declaration(
     type_text = " ".join(t.text for t in type_toks)
 
     decls = [(name_tok.text, type_text, storage, name_tok.line)]
-    init_toks: list[Tok] = []
-
-    def _collect_init(chunk: list[Tok]) -> None:
-        depth = 0
-        for k, t in enumerate(chunk):
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == "=" and depth == 0:
-                init_toks.extend(chunk[k + 1 :])
-                return
-
-    _collect_init(first)
+    init_toks = _declarator(first)[1]
     for chunk in chunks[1:]:
-        mi = _name_index(chunk)
-        if mi < 0:
-            continue
-        decls.append((chunk[mi].text, type_text, storage, chunk[mi].line))
-        _collect_init(chunk)
+        mi, init = _declarator(chunk)
+        if mi >= 0:  # a chunk without a name adds no initializer either
+            decls.append((chunk[mi].text, type_text, storage, chunk[mi].line))
+            init_toks += init
     return decls, init_toks
 
 
@@ -276,11 +298,11 @@ class _FileParse:
                 if nxt is not None:
                     i = nxt
                     continue
-            seg_end, stop = self._segment(i)
+            seg_end, stop = _segment(toks, i)
             seg = toks[i:seg_end]
             if stop == "{":
                 fn = self._function_signature(seg, seg_end)
-                close = _match_brace(toks, seg_end)
+                close = _closer(toks, seg_end)
                 if fn is not None:
                     fn.end_line = toks[close].line
                     fn.body = (seg_end + 1, close)
@@ -288,26 +310,11 @@ class _FileParse:
                         self.functions[fn.name] = fn
                 i = close + 1
             elif stop == ";":
-                self._global_declaration(seg)
+                for decl in _parse_declaration(seg, self.known_types)[0]:
+                    self._declare_global(*decl)
                 i = seg_end + 1
             else:
                 i = seg_end + 1
-
-    def _segment(self, i: int) -> tuple[int, str]:
-        """Advance to the next top-level ';', '{' or '}' from i."""
-        toks = self.toks
-        depth = 0
-        j = i
-        while j < len(toks):
-            t = toks[j].text
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth = max(0, depth - 1)
-            elif depth == 0 and t in (";", "{", "}"):
-                return j, t
-            j += 1
-        return j, ""
 
     def _skip_statement(self, i: int) -> int:
         depth = 0
@@ -341,7 +348,7 @@ class _FileParse:
             if j == i + 2:
                 return j + 1  # bare forward declaration: nothing to record
             return None  # `struct S ident;` is a variable declaration
-        close = _match_brace(toks, j)
+        close = _closer(toks, j)
         kind = "class" if toks[i].text == "class" else "type"
         tid = ids.type_id(self.path, name)
         self._add(Entity(tid, kind, name, Span(self.path, toks[i].line, toks[close].line)))
@@ -392,11 +399,6 @@ class _FileParse:
             params.append((pname, ptype or "int"))
         return _FuncDef(name_tok.text, seg[0].line, seg[0].line, params, (0, 0), storage)
 
-    def _global_declaration(self, seg: list[Tok]) -> None:
-        decls, _ = _parse_declaration(seg, self.known_types)
-        for name, type_text, storage, line in decls:
-            self._declare_global(name, type_text, storage, line)
-
     def _declare_global(self, name: str, type_text: str, storage: str | None, line: int) -> None:
         vid = ids.var_id(self.path, name)
         if name in self.globals:
@@ -438,7 +440,9 @@ class _FileParse:
             if body[k].text in ("{", "}"):
                 k += 1
                 continue
-            stmt, k = self._statement(body, k)
+            end, stop = _segment(body, k)
+            stmt = body[k:end]
+            k = end + 1 if stop == ";" else end
             if not stmt:
                 continue
             if stmt[0].kind == "id" and stmt[0].text in CONTROL_KEYWORDS:
@@ -462,38 +466,11 @@ class _FileParse:
                 self._scan_expr(stmt, fid, fn, local_vars)
 
     @staticmethod
-    def _statement(body: list[Tok], k: int) -> tuple[list[Tok], int]:
-        depth = 0
-        stmt: list[Tok] = []
-        while k < len(body):
-            t = body[k]
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth = max(0, depth - 1)
-            elif depth == 0 and t.text in (";", "{", "}"):
-                if t.text == ";":
-                    k += 1
-                return stmt, k
-            stmt.append(t)
-            k += 1
-        return stmt, k
-
-    @staticmethod
     def _after_subscripts(toks: list[Tok], idx: int) -> Tok | None:
-        """First token after any balanced [..] groups following toks[idx]."""
+        """First token after the [..] groups following toks[idx]."""
         j = idx + 1
         while j < len(toks) and toks[j].text == "[":
-            depth = 0
-            while j < len(toks):
-                if toks[j].text == "[":
-                    depth += 1
-                elif toks[j].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            j += 1
+            j = _closer(toks, j) + 1
         return toks[j] if j < len(toks) else None
 
     def _scan_expr(self, toks: list[Tok], fid: str, fn: _FuncDef,
@@ -502,9 +479,7 @@ class _FileParse:
             if t.kind != "id":
                 continue
             word = t.text
-            if (word in CONTROL_KEYWORDS or word in TYPE_KEYWORDS
-                    or word in QUALIFIER_KEYWORDS or word in AGGREGATE_KEYWORDS
-                    or word in STORAGE_KEYWORDS):
+            if word in _RESERVED:
                 continue
             prev = toks[idx - 1] if idx > 0 else None
             nxt = toks[idx + 1] if idx + 1 < len(toks) else None
@@ -543,16 +518,10 @@ class _FileParse:
                 )
 
     def _thread_target(self, toks: list[Tok], open_idx: int) -> str | None:
-        """First argument identifier naming a known function."""
-        depth = 0
-        for t in toks[open_idx:]:
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth -= 1
-                if depth == 0:
-                    return None
-            elif t.kind == "id" and t.text in self.functions:
+        """First identifier inside the call's parentheses naming a known
+        function; an unclosed call runs to the end of `toks`."""
+        for t in toks[open_idx + 1 : _closer(toks, open_idx) + 1]:
+            if t.kind == "id" and t.text in self.functions:
                 return ids.func_id(self.path, t.text)
         return None
 

@@ -38,10 +38,6 @@ PREDICATES = frozenset(
 LITERAL_PREDICATES = frozenset(["has-type"])
 
 
-def is_literal_object(predicate: str) -> bool:
-    return predicate in LITERAL_PREDICATES
-
-
 def call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
     """Caller -> callees, sorted and without duplicates, from (caller,
     callee) pairs; callers keep the order of their first pair."""
@@ -92,7 +88,7 @@ def _register_ends(entities: dict[str, Entity], subject: str, predicate: str, ob
     """Register a triple's subject, and its object unless the predicate
     takes a literal, which must then not look like an entity id."""
     _register(entities, subject)
-    if not is_literal_object(predicate):
+    if predicate not in LITERAL_PREDICATES:
         _register(entities, object_)
     elif ids.kind_of(object_) is not None:
         raise CktError(f"literal expected for predicate {predicate!r}, got entity id {object_!r}")
@@ -240,7 +236,7 @@ class KnowledgeGraph:
         seen = set()
         out = []
         for s, p, o in self._spo:
-            if is_literal_object(p):
+            if p in LITERAL_PREDICATES:
                 continue
             if (s, o) not in seen:
                 seen.add((s, o))
@@ -356,7 +352,7 @@ class KnowledgeGraph:
             key: self._triples[key]
             for key in self._spo
             if key[0] in reached
-            and not is_literal_object(key[1])
+            and key[1] not in LITERAL_PREDICATES
             and key[2] in reached
         }
         return KnowledgeGraph(entities, triples)

@@ -316,7 +316,7 @@ def link_bugs_commits(
 def link_bugs_code(
     bugs: list[BugRecord],
     facts: FactSet,
-    associations: list[tuple[str, str]],
+    associations: dict[str, str],
     comments: list[Comment],
     existing: list[LinkTriple],
 ) -> list[LinkTriple]:
@@ -346,7 +346,7 @@ def link_bugs_code(
     # function that carries the token
     tokens_by_comment = {c.id: set(c.tokens) for c in comments}
     by_token: dict[str, list[tuple[str, str]]] = {}
-    for comment_id, entity_id in dict(associations).items():
+    for comment_id, entity_id in associations.items():
         entity = facts.entities.get(entity_id)
         if entity is not None and entity.kind == "function":
             for token in tokens_by_comment.get(comment_id, ()):

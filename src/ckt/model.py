@@ -57,9 +57,6 @@ class Relation:
     origin: int = 0
     attrs: dict[str, str] = field(default_factory=dict)
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.subj, self.pred, self.obj)
-
 
 class FactSet:
     """Entities plus relation primitives extracted from one or more inputs.

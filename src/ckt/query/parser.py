@@ -145,7 +145,7 @@ class _Parser:
         if self._keyword(tok) != "WHERE":
             raise QueryError("expected WHERE", tok[2])
         tok = self._next("'{'")
-        if tok[1] != "{":
+        if tok[:2] != ("punct", "{"):
             raise QueryError("expected '{' after WHERE", tok[2])
         patterns = self._patterns()
         filters: list[FilterClause] = []
@@ -156,7 +156,9 @@ class _Parser:
             if kw == "FILTER":
                 filters.append(self._filter())
             elif kw == "LIMIT":
-                _, num, offset = self._next("a number after LIMIT")
+                kind, num, offset = self._next("a number after LIMIT")
+                if kind != "word":
+                    raise QueryError("LIMIT needs an integer", offset)
                 try:
                     limit = int(num)
                 except ValueError:
@@ -203,12 +205,16 @@ class _Parser:
         kind, var, offset = self._next("a variable after FILTER")
         if kind != "var":
             raise QueryError("FILTER needs a ?variable", offset)
-        _, op, offset = self._next("a filter operator")
+        kind, op, offset = self._next("a filter operator")
+        if kind != "word":
+            raise QueryError("filter operator must be a bare word", offset)
         if op.upper() not in FILTER_OPS:
             raise QueryError(f"unknown filter operator {op!r}", offset)
         kind, literal, offset = self._next("a filter literal")
         if kind == "var":
             raise QueryError("filter literal may not be a variable", offset)
+        if kind not in ("word", "string"):
+            raise QueryError("filter literal must be a word or a quoted string", offset)
         return FilterClause(var, op.upper(), literal)
 
 

@@ -38,7 +38,9 @@ class Template:
     slots: list[tuple[str, str]]  # (name, type)
     body: str
 
+    @cached_property
     def trigger_token_sets(self) -> list[frozenset[str]]:
+        """Each trigger's normalized tokens, computed on first use."""
         return [frozenset(normalize_tokens(t)) for t in self.triggers]
 
 
@@ -267,7 +269,7 @@ def match_freeform(
     scored: list[tuple[float, frozenset[str], Template]] = []
     for template in registry.templates:
         best_score, best_trigger = 0.0, frozenset()
-        for trigger_set in template.trigger_token_sets():
+        for trigger_set in template.trigger_token_sets:
             score = _jaccard(query_set, trigger_set)
             if score > best_score:
                 best_score, best_trigger = score, trigger_set

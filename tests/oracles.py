@@ -9,20 +9,39 @@ direct loader that replaced it, the old per-response augmentation, and
 `dumps_facts`, the neutral facts writer, which reads entities through the
 package's entity codec; no `ckt` command writes facts.
 `reference_parse_query`, the character-loop query parser the token regex
-replaced, builds the package's QueryAST and raises its QueryError.  The
-helpers at the end compare and parse what the package produces.
+replaced, builds the package's QueryAST and raises its QueryError; it
+checks the kind of each keyword, brace, operator and number token as the
+package does.
+`reference_parse_source`, the C parser with each bracket walk written out
+where it is used, reads the package's `lex` tokens and keyword sets and
+builds its FactSet.  The helpers at the end compare and parse what the
+package produces.
 """
 
 from __future__ import annotations
 
 import json
+import posixpath
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ckt import ids
 from ckt.errors import QueryError
+from ckt.extraction.cparser import (
+    AGGREGATE_KEYWORDS,
+    ASSIGN_OPS,
+    CONTROL_KEYWORDS,
+    QUALIFIER_KEYWORDS,
+    STORAGE_KEYWORDS,
+    THREAD_CREATE_FNS,
+    TYPE_KEYWORDS,
+    lex,
+)
 from ckt.graph import PREDICATES
+from ckt.model import Entity, FactSet, Relation, Span
 from ckt.query.parser import FILTER_OPS, FilterClause, QueryAST, Term, TriplePattern
 
 VAR = "var"
@@ -860,7 +879,7 @@ class _QueryParser:
         if self._keyword(tok) != "WHERE":
             raise QueryError("expected WHERE", tok.offset)
         tok = self._next("'{'")
-        if tok.text != "{":
+        if tok.text != "{" or tok.kind != "punct":
             raise QueryError("expected '{' after WHERE", tok.offset)
         patterns = self._patterns()
         filters = []
@@ -874,6 +893,8 @@ class _QueryParser:
             elif kw == "LIMIT":
                 self.pos += 1
                 num = self._next("a number after LIMIT")
+                if num.kind != "word":
+                    raise QueryError("LIMIT needs an integer", num.offset)
                 try:
                     limit = int(num.text)
                 except ValueError:
@@ -933,12 +954,16 @@ class _QueryParser:
         if var_tok.kind != "var":
             raise QueryError("FILTER needs a ?variable", var_tok.offset)
         op_tok = self._next("a filter operator")
+        if op_tok.kind != "word":
+            raise QueryError("filter operator must be a bare word", op_tok.offset)
         op = op_tok.text.upper()
         if op not in FILTER_OPS:
             raise QueryError(f"unknown filter operator {op_tok.text!r}", op_tok.offset)
         lit_tok = self._next("a filter literal")
         if lit_tok.kind == "var":
             raise QueryError("filter literal may not be a variable", lit_tok.offset)
+        if lit_tok.kind not in ("word", "string"):
+            raise QueryError("filter literal must be a word or a quoted string", lit_tok.offset)
         return FilterClause(var_tok.text, op, lit_tok.text)
 
 
@@ -947,6 +972,471 @@ def reference_parse_query(text, values=None):
     lexes the whole text, then a recursive-descent pass builds the package's
     QueryAST.  Same messages, offsets and `$slot` binding."""
     return _QueryParser(text, values).parse()
+
+
+# -- the C parser before one walk per bracket rule -------------------------
+# Kept as it was, each bracket walk written out where it is used, as the
+# reference for the parser that shares one closer, one statement splitter
+# and one declarator scan.  It reads the package's `lex` tokens and builds
+# the package's FactSet, so the two compare fact for fact.
+
+
+@dataclass
+class _FuncDef:
+    name: str
+    start_line: int
+    end_line: int
+    params: list[tuple[str, str]]  # (name, type text)
+    body: tuple[int, int]  # token index range, exclusive end
+    storage: str | None
+
+
+def _match_brace(toks: list[Tok], open_idx: int) -> int:
+    """Index of the '}' matching toks[open_idx]; len(toks)-1 when unbalanced."""
+    depth = 0
+    for j in range(open_idx, len(toks)):
+        t = toks[j].text
+        if t == "{":
+            depth += 1
+        elif t == "}":
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(toks) - 1
+
+
+def _split_top_level(toks: list[Tok], sep: str) -> list[list[Tok]]:
+    chunks: list[list[Tok]] = [[]]
+    depth = 0
+    for t in toks:
+        if t.text in "([{":
+            depth += 1
+        elif t.text in ")]}":
+            depth -= 1
+        if t.text == sep and depth == 0:
+            chunks.append([])
+        else:
+            chunks[-1].append(t)
+    return chunks
+
+
+def _is_type_opener(tok: Tok, known_types: set[str]) -> bool:
+    if tok.kind != "id":
+        return False
+    t = tok.text
+    return (
+        t in TYPE_KEYWORDS
+        or t in STORAGE_KEYWORDS
+        or t in QUALIFIER_KEYWORDS
+        or t in AGGREGATE_KEYWORDS
+        or t in known_types
+    )
+
+
+def _parse_declaration(
+    seg: list[Tok], known_types: set[str]
+) -> tuple[list[tuple[str, str, str | None, int]], list[Tok]]:
+    """Parse ``[storage] type declarator[, declarator]*`` out of a statement.
+
+    Returns (decls, initializer tokens), where each decl is
+    (name, type text, storage, line).  Empty decls means the segment is
+    not a recognizable variable declaration.
+    """
+    if len(seg) < 2 or seg[0].kind != "id":
+        return [], []
+    if seg[0].text in CONTROL_KEYWORDS:
+        return [], []
+    if not _is_type_opener(seg[0], known_types):
+        return [], []
+
+    chunks = _split_top_level(seg, ",")
+    first = chunks[0]
+    storage = None
+    head: list[Tok] = []
+    for t in first:
+        if t.kind == "id" and t.text in STORAGE_KEYWORDS:
+            storage = t.text if storage is None else storage
+        else:
+            head.append(t)
+
+    # declarator of the first chunk: last depth-0 identifier before '='
+    def _name_index(chunk: list[Tok]) -> int:
+        depth = 0
+        idx = -1
+        for k, t in enumerate(chunk):
+            if t.text in "([{":
+                depth += 1
+            elif t.text in ")]}":
+                depth -= 1
+            elif t.text == "=" and depth == 0:
+                break
+            elif t.kind == "id" and depth == 0 and t.text not in QUALIFIER_KEYWORDS:
+                idx = k
+        return idx
+
+    ni = _name_index(head)
+    if ni <= 0:
+        return [], []  # no type tokens before the name
+    # a '(' directly after the name means prototype / function-ptr: skip
+    if ni + 1 < len(head) and head[ni + 1].text == "(":
+        return [], []
+    name_tok = head[ni]
+    if name_tok.text in TYPE_KEYWORDS or name_tok.text in AGGREGATE_KEYWORDS:
+        return [], []
+    type_toks = [t for t in head[:ni] if t.kind == "id" or t.text == "*"]
+    if not type_toks:
+        return [], []
+    type_text = " ".join(t.text for t in type_toks)
+
+    decls = [(name_tok.text, type_text, storage, name_tok.line)]
+    init_toks: list[Tok] = []
+
+    def _collect_init(chunk: list[Tok]) -> None:
+        depth = 0
+        for k, t in enumerate(chunk):
+            if t.text in "([{":
+                depth += 1
+            elif t.text in ")]}":
+                depth -= 1
+            elif t.text == "=" and depth == 0:
+                init_toks.extend(chunk[k + 1 :])
+                return
+
+    _collect_init(first)
+    for chunk in chunks[1:]:
+        mi = _name_index(chunk)
+        if mi < 0:
+            continue
+        decls.append((chunk[mi].text, type_text, storage, chunk[mi].line))
+        _collect_init(chunk)
+    return decls, init_toks
+
+
+class _FileParse:
+    """Two-pass parse of one translation unit."""
+
+    def __init__(self, toks: list[Tok], path: str):
+        self.toks = toks
+        self.path = path
+        self.facts = FactSet()
+        self.functions: dict[str, _FuncDef] = {}
+        self.globals: dict[str, str] = {}  # name -> var id
+        self.known_types: set[str] = set()
+        self.file_id = ids.file_id(path)
+
+    # -- pass 1: top-level shapes ------------------------------------
+
+    def scan_top_level(self) -> None:
+        toks = self.toks
+        i = 0
+        while i < len(toks):
+            t = toks[i]
+            if t.kind == "id" and t.text == "typedef":
+                i = self._skip_statement(i)
+                continue
+            if t.kind == "id" and t.text in AGGREGATE_KEYWORDS:
+                nxt = self._aggregate(i)
+                if nxt is not None:
+                    i = nxt
+                    continue
+            seg_end, stop = self._segment(i)
+            seg = toks[i:seg_end]
+            if stop == "{":
+                fn = self._function_signature(seg, seg_end)
+                close = _match_brace(toks, seg_end)
+                if fn is not None:
+                    fn.end_line = toks[close].line
+                    fn.body = (seg_end + 1, close)
+                    if fn.name not in self.functions:
+                        self.functions[fn.name] = fn
+                i = close + 1
+            elif stop == ";":
+                self._global_declaration(seg)
+                i = seg_end + 1
+            else:
+                i = seg_end + 1
+
+    def _segment(self, i: int) -> tuple[int, str]:
+        """Advance to the next top-level ';', '{' or '}' from i."""
+        toks = self.toks
+        depth = 0
+        j = i
+        while j < len(toks):
+            t = toks[j].text
+            if t == "(":
+                depth += 1
+            elif t == ")":
+                depth = max(0, depth - 1)
+            elif depth == 0 and t in (";", "{", "}"):
+                return j, t
+            j += 1
+        return j, ""
+
+    def _skip_statement(self, i: int) -> int:
+        depth = 0
+        j = i
+        while j < len(self.toks):
+            t = self.toks[j].text
+            if t in "({":
+                depth += 1
+            elif t in ")}":
+                depth -= 1
+            elif t == ";" and depth <= 0:
+                return j + 1
+            j += 1
+        return j
+
+    def _aggregate(self, i: int) -> int | None:
+        """struct/class/union/enum NAME [: bases] { ... } [declarators] ;"""
+        toks = self.toks
+        if i + 1 >= len(toks) or toks[i + 1].kind != "id":
+            return None
+        name = toks[i + 1].text
+        j = i + 2
+        # skip a base-clause or enum underlying type up to the brace
+        while j < len(toks) and toks[j].text not in ("{", ";"):
+            if toks[j].text in ("(", ")"):
+                return None  # e.g. `struct S fn(...)` return type: not a decl here
+            j += 1
+        if j >= len(toks):
+            return None
+        if toks[j].text == ";":
+            if j == i + 2:
+                return j + 1  # bare forward declaration: nothing to record
+            return None  # `struct S ident;` is a variable declaration
+        close = _match_brace(toks, j)
+        kind = "class" if toks[i].text == "class" else "type"
+        tid = ids.type_id(self.path, name)
+        self._add(Entity(tid, kind, name, Span(self.path, toks[i].line, toks[close].line)))
+        self.facts.add_relation(Relation(self.file_id, "declares", tid, toks[i].line))
+        self.known_types.add(name)
+        # `struct S { ... } inst1, inst2;`
+        k = close + 1
+        tail: list[Tok] = []
+        while k < len(toks) and toks[k].text != ";":
+            tail.append(toks[k])
+            k += 1
+        for chunk in _split_top_level(tail, ","):
+            names = [t for t in chunk if t.kind == "id"]
+            if names:
+                self._declare_global(names[-1].text, f"{toks[i].text} {name}", None, names[-1].line)
+        return k + 1 if k < len(toks) else k
+
+    def _function_signature(self, seg: list[Tok], open_idx: int) -> _FuncDef | None:
+        # find the parameter list: last top-level '(' whose ')' ends the
+        # segment (a trailing `const` is tolerated)
+        depth = 0
+        open_pos = -1
+        for k, t in enumerate(seg):
+            if t.text == "(":
+                if depth == 0:
+                    open_pos = k
+                depth += 1
+            elif t.text == ")":
+                depth -= 1
+        if open_pos <= 0 or depth != 0:
+            return None
+        tail = seg[-1].text
+        if tail not in (")", "const"):
+            return None
+        name_tok = seg[open_pos - 1]
+        if name_tok.kind != "id" or name_tok.text in CONTROL_KEYWORDS or name_tok.text in TYPE_KEYWORDS:
+            return None
+        storage = next((t.text for t in seg[:open_pos] if t.text in STORAGE_KEYWORDS), None)
+        params: list[tuple[str, str]] = []
+        close_pos = len(seg) - 1 if tail == ")" else len(seg) - 2
+        for chunk in _split_top_level(seg[open_pos + 1 : close_pos], ","):
+            idents = [t for t in chunk if t.kind == "id" and t.text not in TYPE_KEYWORDS
+                      and t.text not in QUALIFIER_KEYWORDS and t.text not in AGGREGATE_KEYWORDS]
+            if not idents:
+                continue  # `void` or unnamed parameter
+            pname = idents[-1].text
+            ptype = " ".join(t.text for t in chunk if (t.kind == "id" and t.text != pname) or t.text == "*")
+            params.append((pname, ptype or "int"))
+        return _FuncDef(name_tok.text, seg[0].line, seg[0].line, params, (0, 0), storage)
+
+    def _global_declaration(self, seg: list[Tok]) -> None:
+        decls, _ = _parse_declaration(seg, self.known_types)
+        for name, type_text, storage, line in decls:
+            self._declare_global(name, type_text, storage, line)
+
+    def _declare_global(self, name: str, type_text: str, storage: str | None, line: int) -> None:
+        vid = ids.var_id(self.path, name)
+        if name in self.globals:
+            return
+        attrs = {"scope": "global"}
+        if storage:
+            attrs["storage"] = storage
+        self._add(Entity(vid, "variable", name, Span(self.path, line, line), attrs))
+        self.globals[name] = vid
+        self.facts.add_relation(Relation(self.file_id, "declares", vid, line))
+        self.facts.add_relation(Relation(vid, "has-type", type_text, line))
+
+    # -- pass 2: function bodies --------------------------------------
+
+    def scan_bodies(self) -> None:
+        for name in sorted(self.functions):
+            fn = self.functions[name]
+            fid = ids.func_id(self.path, name)
+            attrs = {"storage": fn.storage} if fn.storage else {}
+            self._add(Entity(fid, "function", name, Span(self.path, fn.start_line, fn.end_line), attrs))
+            self.facts.add_relation(Relation(self.file_id, "declares", fid, fn.start_line))
+        for name in sorted(self.functions):
+            self._scan_body(self.functions[name])
+
+    def _scan_body(self, fn: _FuncDef) -> None:
+        fid = ids.func_id(self.path, fn.name)
+        local_vars: dict[str, str] = {}
+        for pname, ptype in fn.params:
+            vid = ids.var_id(self.path, f"{fn.name}.{pname}")
+            self._add(Entity(vid, "variable", pname, Span(self.path, fn.start_line, fn.start_line),
+                             {"scope": "param"}))
+            local_vars[pname] = vid
+            self.facts.add_relation(Relation(fid, "declares", vid, fn.start_line))
+            self.facts.add_relation(Relation(vid, "has-type", ptype, fn.start_line))
+
+        body = self.toks[fn.body[0] : fn.body[1]]
+        k = 0
+        while k < len(body):
+            if body[k].text in ("{", "}"):
+                k += 1
+                continue
+            stmt, k = self._statement(body, k)
+            if not stmt:
+                continue
+            if stmt[0].kind == "id" and stmt[0].text in CONTROL_KEYWORDS:
+                self._scan_expr(stmt, fid, fn, local_vars)
+                continue
+            decls, init = _parse_declaration(stmt, self.known_types)
+            if decls:
+                for name, type_text, storage, line in decls:
+                    if name in local_vars:
+                        continue
+                    vid = ids.var_id(self.path, f"{fn.name}.{name}")
+                    attrs = {"scope": "local"}
+                    if storage:
+                        attrs["storage"] = storage
+                    self._add(Entity(vid, "variable", name, Span(self.path, line, line), attrs))
+                    local_vars[name] = vid
+                    self.facts.add_relation(Relation(fid, "declares", vid, line))
+                    self.facts.add_relation(Relation(vid, "has-type", type_text, line))
+                self._scan_expr(init, fid, fn, local_vars)
+            else:
+                self._scan_expr(stmt, fid, fn, local_vars)
+
+    @staticmethod
+    def _statement(body: list[Tok], k: int) -> tuple[list[Tok], int]:
+        depth = 0
+        stmt: list[Tok] = []
+        while k < len(body):
+            t = body[k]
+            if t.text == "(":
+                depth += 1
+            elif t.text == ")":
+                depth = max(0, depth - 1)
+            elif depth == 0 and t.text in (";", "{", "}"):
+                if t.text == ";":
+                    k += 1
+                return stmt, k
+            stmt.append(t)
+            k += 1
+        return stmt, k
+
+    @staticmethod
+    def _after_subscripts(toks: list[Tok], idx: int) -> Tok | None:
+        """First token after any balanced [..] groups following toks[idx]."""
+        j = idx + 1
+        while j < len(toks) and toks[j].text == "[":
+            depth = 0
+            while j < len(toks):
+                if toks[j].text == "[":
+                    depth += 1
+                elif toks[j].text == "]":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j += 1
+            j += 1
+        return toks[j] if j < len(toks) else None
+
+    def _scan_expr(self, toks: list[Tok], fid: str, fn: _FuncDef,
+                   local_vars: dict[str, str]) -> None:
+        for idx, t in enumerate(toks):
+            if t.kind != "id":
+                continue
+            word = t.text
+            if (word in CONTROL_KEYWORDS or word in TYPE_KEYWORDS
+                    or word in QUALIFIER_KEYWORDS or word in AGGREGATE_KEYWORDS
+                    or word in STORAGE_KEYWORDS):
+                continue
+            prev = toks[idx - 1] if idx > 0 else None
+            nxt = toks[idx + 1] if idx + 1 < len(toks) else None
+            if prev is not None and prev.text in (".", "->", "::"):
+                continue  # member access: base already handled
+            if nxt is not None and nxt.text == "(":
+                self._record_call(toks, idx, fid, word, t.line)
+                continue
+            vid = local_vars.get(word) or self.globals.get(word)
+            if vid is None:
+                continue
+            # assignment may sit behind subscripts: a[i][j] = ...
+            after = self._after_subscripts(toks, idx) if nxt is not None and nxt.text == "[" else nxt
+            if after is not None and after.text in ASSIGN_OPS:
+                self.facts.add_relation(Relation(fid, "writes", vid, t.line))
+                if after.text != "=" or after is not nxt:
+                    self.facts.add_relation(Relation(fid, "reads", vid, t.line))
+            elif (after is not None and after.text in ("++", "--")) or (
+                prev is not None and prev.text in ("++", "--")
+            ):
+                self.facts.add_relation(Relation(fid, "reads", vid, t.line))
+                self.facts.add_relation(Relation(fid, "writes", vid, t.line))
+            else:
+                self.facts.add_relation(Relation(fid, "reads", vid, t.line))
+
+    def _record_call(self, toks: list[Tok], idx: int, fid: str, callee: str, line: int) -> None:
+        target = ids.func_id(self.path, callee)
+        if callee not in self.functions:
+            self._add(Entity(target, "function", callee, None, {"external": "true"}))
+        self.facts.add_relation(Relation(fid, "calls", target, line))
+        if callee in THREAD_CREATE_FNS:
+            started = self._thread_target(toks, idx + 1)
+            if started is not None:
+                self.facts.add_relation(
+                    Relation(fid, "calls", started, line, {"threading": "create"})
+                )
+
+    def _thread_target(self, toks: list[Tok], open_idx: int) -> str | None:
+        """First argument identifier naming a known function."""
+        depth = 0
+        for t in toks[open_idx:]:
+            if t.text == "(":
+                depth += 1
+            elif t.text == ")":
+                depth -= 1
+                if depth == 0:
+                    return None
+            elif t.kind == "id" and t.text in self.functions:
+                return ids.func_id(self.path, t.text)
+        return None
+
+    def _add(self, entity: Entity) -> None:
+        self.facts.add_entity(entity, merge=True)
+
+
+def reference_parse_source(text, path):
+    """`cparser.parse_source` as it was: same entities, spans, attrs and
+    relations in the same order, with the same origins and attrs."""
+    path = ids.norm_path(path)
+    if not text.strip():
+        return FactSet()
+    line_count = max(1, text.count("\n") + (0 if text.endswith("\n") else 1))
+    parse = _FileParse(lex(text)[0], path)
+    parse.facts.add_entity(
+        Entity(parse.file_id, "file", posixpath.basename(path), Span(path, 1, line_count))
+    )
+    parse.scan_top_level()
+    parse.scan_bodies()
+    return parse.facts
 
 
 # -- writers and ids that only the tests use --------------------------------

@@ -522,11 +522,11 @@ def test_scenario_graph_round_trip_preserves_ranks(scenario_graph, tmp_path):
 
 
 def test_closed_world_after_build(scenario_graph):
-    from ckt.graph import is_literal_object
+    from ckt.graph import LITERAL_PREDICATES
 
     for triple in scenario_graph.triples():
         assert triple.subject in scenario_graph.entities, triple.subject
-        if not is_literal_object(triple.predicate):
+        if triple.predicate not in LITERAL_PREDICATES:
             assert triple.object in scenario_graph.entities, triple.object
         assert triple.provenance, triple
 

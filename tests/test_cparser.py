@@ -1,8 +1,9 @@
 """Source extraction against the parser's documented grammar."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import dumps_facts, scan_comments, tokenize
+from oracles import dumps_facts, reference_parse_source, scan_comments, tokenize
 
 from ckt.extraction.comments import _strip_gutter, extract_comments
 from ckt.extraction.cparser import lex, parse_source
@@ -236,3 +237,67 @@ def test_quote_on_directive_line_ends_with_the_line():
     [comment] = extract_comments(src, "a.c")
     assert (comment.span.start, comment.text, comment.attrs) == (2, "real note", {})
     assert parse_source(src, "a.c").entities["var:a.c#x"].span.start == 3
+
+
+# -- the parser against the one that wrote out each bracket walk ---------------
+
+
+def in_order(facts):
+    """Entities and relations in insertion order, with spans, attrs and
+    origins: what FactSet equality leaves out as well."""
+    return ([(e.id, e.kind, e.label, e.span, e.attrs) for e in facts.entities.values()],
+            [(r.subj, r.pred, r.obj, r.origin, r.attrs) for r in facts.relations])
+
+
+F = "func:a.c#f"
+
+
+# bad input, each with the facts of f that the parser gives for it
+@pytest.mark.parametrize("src, facts_of_f", [
+    # the body runs to the end of the file; so does the `{` of the `if`
+    ("int g;\nvoid f() {\n  g = 1;\n  if (g) { g++;\n",
+     [(F, "writes", "var:a.c#g", 3, {}), (F, "reads", "var:a.c#g", 4, {}),
+      (F, "reads", "var:a.c#g", 4, {}), (F, "writes", "var:a.c#g", 4, {})]),
+    # the `;` ends the statement inside the subscript: no write
+    ("int a[4];\nint i;\nvoid f() {\n  a[i; ] = 1;\n}\n",
+     [(F, "reads", "var:a.c#a", 4, {}), (F, "reads", "var:a.c#i", 4, {})]),
+    # the unclosed call runs to the end of the statement, its last token too
+    ("void worker() {}\nvoid f() {\n  pthread_create(&t, 0, worker\n}\n",
+     [(F, "calls", "func:a.c#pthread_create", 3, {}),
+      (F, "calls", "func:a.c#worker", 3, {"threading": "create"})]),
+    # the initializer after the first `=` is scanned as one expression
+    ("int b;\nint c;\nvoid f() {\n  int a = b = c, d;\n}\n",
+     [(F, "declares", "var:a.c#f.a", 4, {}), (F, "declares", "var:a.c#f.d", 4, {}),
+      (F, "writes", "var:a.c#b", 4, {}), (F, "reads", "var:a.c#c", 4, {})]),
+    # a storage word names no callee, in the initializer either
+    ("int y;\nvoid f() {\n  static int x = static (y);\n}\n",
+     [(F, "declares", "var:a.c#f.x", 3, {}), (F, "reads", "var:a.c#y", 3, {})]),
+], ids=["unclosed-body", "semicolon-in-subscript", "unclosed-thread-call",
+        "chained-initializer", "storage-word-in-initializer"])
+def test_bad_input_keeps_its_facts(src, facts_of_f):
+    facts = parse_source(src, "a.c")
+    assert [r for r in in_order(facts)[1] if r[0] == F] == facts_of_f
+    assert in_order(facts) == in_order(reference_parse_source(src, "a.c"))
+
+
+def test_locals_of_bad_input_keep_their_storage():
+    facts = parse_source("int y;\nvoid f() {\n  static int x = static (y);\n}\n", "a.c")
+    assert facts.entities["var:a.c#f.x"].attrs == {"scope": "local", "storage": "static"}
+    facts = parse_source("int g;\nvoid f() {\n  g = 1;\n  if (g) { g++;\n", "a.c")
+    assert (facts.entities[F].span.start, facts.entities[F].span.end) == (2, 4)
+
+
+# C-like token soup: most of it leaves some bracket open or closes one that
+# was never opened
+_SOUP = [
+    "int", "char", "unsigned", "static", "extern", "const", "struct", "class", "enum",
+    "typedef", "if", "for", "return", "sizeof", "x", "y", "f", "worker", "S",
+    "pthread_create", "(", ")", "[", "]", "{", "}", ";", ",", "=", "+=", "++", "*", "&",
+    "->", "0", "7", '"s"', "'c'", "\n", "void worker ( ) {", "int f ( int x ) {",
+]
+
+
+@given(st.lists(st.sampled_from(_SOUP), max_size=40).map(" ".join))
+@settings(max_examples=400, deadline=None)
+def test_parser_equals_the_reference_parser_on_token_soup(text):
+    assert in_order(parse_source(text, "a.c")) == in_order(reference_parse_source(text, "a.c"))

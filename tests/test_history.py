@@ -205,7 +205,7 @@ def test_error_string_grep_grounds_bug_on_function():
         BUGS_HEADER,
         bug_line("67", "processing error : unsigned 162_S1"),
     ])
-    triples = link_bugs_code(bugs, facts, assoc, comments, [])
+    triples = link_bugs_code(bugs, facts, dict(assoc), comments, [])
     assert ("bug:CQ/67", "touches", "func:a.c#handler", "derived") in triples
 
 
@@ -215,5 +215,5 @@ def test_fix_commit_grounds_bug_transitively():
         ("commit:c8", "touches", "func:a.c#f", "snapshot-approx"),
     ]
     bugs = load_bugs([BUGS_HEADER, bug_line("22", "plain title")])
-    triples = link_bugs_code(bugs, snapshot_facts(), [], [], existing)
+    triples = link_bugs_code(bugs, snapshot_facts(), {}, [], existing)
     assert ("bug:CQ/22", "touches", "func:a.c#f", "derived") in triples

@@ -237,7 +237,7 @@ def test_indexed_comment_tokens_equal_comment_scan(data):
     for bug, words in zip(bugs, titles):
         grounded = oracles.comment_grounded_functions(set(words), comment_function, comment_tokens)
         expected += dict.fromkeys((bug.entity_id, fid) for fid in grounded)
-    triples = link_bugs_code(bugs, facts, associations, comments, [])
+    triples = link_bugs_code(bugs, facts, dict(associations), comments, [])
     assert [(s, o) for s, _, o, _ in triples] == expected
 
 

@@ -87,8 +87,10 @@ def test_syntax_error_carries_offset():
     ("SELECT WHERE { ?x calls ?y }", "SELECT needs at least one variable", 7),
     ("SELECT ?x FROM { ?x calls ?y }", "expected WHERE", 10),
     ("SELECT ?x WHERE ?x calls ?y }", "expected '{' after WHERE", 16),
+    ('SELECT ?x WHERE "{" ?x calls ?y }', "expected '{' after WHERE", 16),
     ("SELECT ?x WHERE { ?x calls ?y } LIMIT x", "LIMIT needs an integer", 38),
     ("SELECT ?x WHERE { ?x calls ?y } LIMIT -1", "LIMIT must be >= 0", 38),
+    ('SELECT ?x WHERE { ?x calls ?y } LIMIT "5"', "LIMIT needs an integer", 38),
     ("SELECT ?x WHERE { ?x calls ?y } ORDER ?x", "unexpected token 'ORDER'", 32),
     ("SELECT ?x WHERE { ?x calls ?y", "expected '}'", 29),
     ('SELECT ?x WHERE { "f" calls ?x }', "literal not allowed in subject position", 18),
@@ -97,6 +99,9 @@ def test_syntax_error_carries_offset():
     ('SELECT ?x WHERE { ?x calls ?y } FILTER x = "a"', "FILTER needs a ?variable", 39),
     ('SELECT ?x WHERE { ?x calls ?y } FILTER ?x LIKE "a"', "unknown filter operator 'LIKE'", 42),
     ("SELECT ?x WHERE { ?x calls ?y } FILTER ?x = ?y", "filter literal may not be a variable", 44),
+    ('SELECT ?x WHERE { ?x calls ?y } FILTER ?x "=" "a"', "filter operator must be a bare word", 42),
+    ("SELECT ?x WHERE { ?x calls ?y } FILTER ?x = ; LIMIT 5",
+     "filter literal must be a word or a quoted string", 44),
     ("SELECT ?z WHERE { ?x calls ?y }",
      "selected variable ?z is unbound (appears in no pattern)", None),
     ('SELECT ?x WHERE { ?x calls ?y } FILTER ?z = "a"',
