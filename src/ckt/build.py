@@ -301,8 +301,8 @@ def cmd_build(manifest_path: Path) -> int:
     triangles, triangle_total = graph.count_triangles()
     stats = _stats(graph, rank, triangles, triangle_total)
     triples_by_source: dict[str, int] = {}
-    for triple in graph.triples():
-        source = triple.provenance[0].source  # count each triple by its first assertion
+    for provs in graph.provenance.values():
+        source = provs[0].source  # count each triple by its first assertion
         triples_by_source[source] = triples_by_source.get(source, 0) + 1
     report = {
         "entities": len(graph.entities),

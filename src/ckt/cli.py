@@ -260,9 +260,8 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                 sub = graph.neighborhood(parts[1], int(parts[2]))
                 for eid in sorted(sub.entities):
                     print(f"{eid}  [{sub.entities[eid].kind}]", file=stdout)
-                for triple in sub.triples():
-                    print(f"  {triple.subject} {triple.predicate} {triple.object}",
-                          file=stdout)
+                for s, p, o in sub.triples():
+                    print(f"  {s} {p} {o}", file=stdout)
                 continue
             if line.startswith(":"):
                 print(f"unknown command {line.split()[0]!r} "

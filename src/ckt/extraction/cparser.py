@@ -305,7 +305,8 @@ class _FileParse:
                 close = _closer(toks, seg_end)
                 if fn is not None:
                     fn.end_line = toks[close].line
-                    fn.body = (seg_end + 1, close)
+                    # an unclosed body keeps the file's last token
+                    fn.body = (seg_end + 1, close if toks[close].text == "}" else close + 1)
                     if fn.name not in self.functions:
                         self.functions[fn.name] = fn
                 i = close + 1

@@ -1,8 +1,11 @@
 """The knowledge graph: indexed triple storage with provenance, analytics,
 and flat-file persistence.
 
-Triples are set-valued on (subject, predicate, object); re-inserting an
-existing triple appends provenance.  After ``finalize()`` the graph is
+A triple is its key, the tuple (subject, predicate, object).  The graph
+holds the keys once, in one provenance table (key -> the sources that
+asserted it), and sorts them into SPO, POS and OSP indexes; a lookup
+yields keys straight from an index.  Triples are set-valued: re-inserting
+an existing triple appends provenance.  After ``finalize()`` the graph is
 immutable and safe for concurrent readers; analytics (PageRank, triangle
 counts) operate on the frozen triple set.
 """
@@ -15,7 +18,6 @@ import json
 import math
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -62,15 +64,7 @@ class Provenance(NamedTuple):
         return cls(str(doc["source"]), str(doc["origin"]), str(doc.get("detail", "")))
 
 
-@dataclass(slots=True)
-class Triple:
-    subject: str
-    predicate: str
-    object: str
-    provenance: list[Provenance] = field(default_factory=list)
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.subject, self.predicate, self.object)
+Key = tuple[str, str, str]  # (subject, predicate, object)
 
 
 def _register(entities: dict[str, Entity], entity_id: str) -> None:
@@ -84,14 +78,29 @@ def _register(entities: dict[str, Entity], entity_id: str) -> None:
     entities[entity_id] = Entity(entity_id, kind, rest.rpartition("#")[2] or rest)
 
 
-def _register_ends(entities: dict[str, Entity], subject: str, predicate: str, object_: str) -> None:
-    """Register a triple's subject, and its object unless the predicate
-    takes a literal, which must then not look like an entity id."""
-    _register(entities, subject)
-    if predicate not in LITERAL_PREDICATES:
-        _register(entities, object_)
-    elif ids.kind_of(object_) is not None:
-        raise CktError(f"literal expected for predicate {predicate!r}, got entity id {object_!r}")
+def _insert(
+    entities: dict[str, Entity],
+    provenance: dict[Key, list[Provenance]],
+    s: str, p: str, o: str,
+    provs: Iterable[Provenance],
+) -> None:
+    """The insertion rule of the builder and the loader: a known predicate,
+    both ends registered (a literal object must not look like an entity
+    id), and set semantics, where a repeated triple adds its provenance."""
+    if p not in PREDICATES:
+        raise CktError(f"unknown predicate {p!r}")
+    # with both ends known and an entity object there is nothing to register
+    if p in LITERAL_PREDICATES or s not in entities or o not in entities:
+        _register(entities, s)
+        if p not in LITERAL_PREDICATES:
+            _register(entities, o)
+        elif ids.kind_of(o) is not None:
+            raise CktError(f"literal expected for predicate {p!r}, got entity id {o!r}")
+    known = provenance.get((s, p, o))
+    if known is None:
+        provenance[s, p, o] = list(provs)
+    else:
+        known.extend(provs)
 
 
 class GraphBuilder:
@@ -99,7 +108,7 @@ class GraphBuilder:
 
     def __init__(self):
         self._entities: dict[str, Entity] = {}
-        self._triples: dict[tuple[str, str, str], Triple] = {}
+        self._provenance: dict[Key, list[Provenance]] = {}
         self._finalized = False
 
     def add_entity(self, entity: Entity) -> None:
@@ -114,28 +123,20 @@ class GraphBuilder:
         predicate: str,
         object_: str,
         provenance: Provenance,
-    ) -> Triple:
-        """Insert with set semantics; duplicates accumulate provenance."""
+    ) -> None:
+        """Insert with set semantics; duplicates accumulate provenance.
+        The ends may hold no tab or newline, which would break a line of
+        triples.tsv; a known predicate holds neither."""
         self._check_open()
-        if predicate not in PREDICATES:
-            raise CktError(f"unknown predicate {predicate!r}")
-        for part, name in ((subject, "subject"), (predicate, "predicate"), (object_, "object")):
+        for part, name in ((subject, "subject"), (object_, "object")):
             if "\t" in part or "\n" in part:
                 raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
-        _register_ends(self._entities, subject, predicate, object_)
-        key = (subject, predicate, object_)
-        triple = self._triples.get(key)
-        if triple is None:
-            triple = Triple(subject, predicate, object_, [provenance])
-            self._triples[key] = triple
-        else:
-            triple.provenance.append(provenance)
-        return triple
+        _insert(self._entities, self._provenance, subject, predicate, object_, (provenance,))
 
     def finalize(self) -> KnowledgeGraph:
         self._check_open()
         self._finalized = True
-        return KnowledgeGraph(self._entities, self._triples)
+        return KnowledgeGraph(self._entities, self._provenance)
 
     def _check_open(self) -> None:
         if self._finalized:
@@ -148,86 +149,84 @@ class KnowledgeGraph:
     def __init__(
         self,
         entities: dict[str, Entity],
-        triples: dict[tuple[str, str, str], Triple],
+        provenance: dict[Key, list[Provenance]],
         ranks: dict[str, float] | None = None,
     ):
-        """`ranks`, when given, are the default-parameter PageRank scores
-        of this graph, as `save_graph` persisted them."""
-        self._entities = dict(entities)
-        self._triples = dict(triples)
-        self._spo = sorted(self._triples)
+        """The graph owns `entities` and `provenance` (the table of every
+        triple's key and its sources), which no one may change after.
+        `ranks`, when given, are the default-parameter PageRank scores of
+        this graph, as `save_graph` persisted them."""
+        self.entities = entities
+        self.provenance = provenance
+        self._spo = sorted(provenance)
         self._rank_cache = ranks
 
     # The POS and OSP indexes are sorted on first use, so a graph that is
     # only looked up by subject never pays for them.
 
     @cached_property
-    def _pos(self) -> list[tuple[str, str, str]]:
+    def _pos(self) -> list[Key]:
         return sorted((p, o, s) for (s, p, o) in self._spo)
 
     @cached_property
-    def _osp(self) -> list[tuple[str, str, str]]:
+    def _osp(self) -> list[Key]:
         return sorted((o, s, p) for (s, p, o) in self._spo)
 
     # -- accessors -----------------------------------------------------
 
-    @property
-    def entities(self) -> dict[str, Entity]:
-        return self._entities
-
     def entity(self, entity_id: str) -> Entity:
         try:
-            return self._entities[entity_id]
+            return self.entities[entity_id]
         except KeyError:
             raise NotFoundError(f"unknown node {entity_id!r}") from None
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._spo)
+
+    def __contains__(self, key: Key) -> bool:
+        return key in self.provenance
 
     def triples(self):
-        for key in self._spo:
-            yield self._triples[key]
-
-    def get(self, subject: str, predicate: str, object_: str) -> Triple | None:
-        return self._triples.get((subject, predicate, object_))
+        """Every key in (subject, predicate, object) order."""
+        return iter(self._spo)
 
     # -- pattern matching ----------------------------------------------
 
     def match(self, subject: str | None, predicate: str | None, object_: str | None):
-        """Iterate triples matching the bound positions; None is a wildcard.
+        """Iterate the keys of the triples matching the bound positions;
+        None is a wildcard.
 
-        The most selective index for the wildcard shape is scanned, so
-        iteration order is deterministic.
+        The index whose prefix the bound positions form is scanned, so the
+        order is deterministic: (o, s, p) when the object is bound and the
+        predicate is not, (p, o, s) when the predicate is bound and the
+        subject is not, and (s, p, o) otherwise.
         """
         s, p, o = subject, predicate, object_
         if s is not None and p is not None and o is not None:
-            t = self._triples.get((s, p, o))
-            if t is not None:
-                yield t
-            return
-        if s is not None and p is not None:
-            yield from self._scan(self._spo, (s, p), lambda k: k)
+            if (s, p, o) in self.provenance:
+                yield (s, p, o)
         elif s is not None and o is not None:
-            yield from self._scan(self._osp, (o, s), lambda k: (k[1], k[2], k[0]))
+            for k in self._scan(self._osp, (o, s)):
+                yield (k[1], k[2], k[0])
         elif s is not None:
-            yield from self._scan(self._spo, (s,), lambda k: k)
-        elif p is not None and o is not None:
-            yield from self._scan(self._pos, (p, o), lambda k: (k[2], k[0], k[1]))
+            yield from self._scan(self._spo, (s,) if p is None else (s, p))
         elif p is not None:
-            yield from self._scan(self._pos, (p,), lambda k: (k[2], k[0], k[1]))
+            for k in self._scan(self._pos, (p,) if o is None else (p, o)):
+                yield (k[2], k[0], k[1])
         elif o is not None:
-            yield from self._scan(self._osp, (o,), lambda k: (k[1], k[2], k[0]))
+            for k in self._scan(self._osp, (o,)):
+                yield (k[1], k[2], k[0])
         else:
-            for key in self._spo:
-                yield self._triples[key]
+            yield from self._spo
 
-    def _scan(self, index: list[tuple[str, str, str]], prefix: tuple, to_spo):
+    @staticmethod
+    def _scan(index: list[Key], prefix: tuple):
         lo = bisect.bisect_left(index, prefix)
         for i in range(lo, len(index)):
             key = index[i]
             if key[: len(prefix)] != prefix:
                 break
-            yield self._triples[to_spo(key)]
+            yield key
 
     # -- edge projections ----------------------------------------------
 
@@ -246,7 +245,7 @@ class KnowledgeGraph:
     def undirected_adjacency(self) -> dict[str, set[str]]:
         """Simple undirected projection: direction and parallels collapsed,
         self-loops dropped."""
-        adj: dict[str, set[str]] = {eid: set() for eid in self._entities}
+        adj: dict[str, set[str]] = {eid: set() for eid in self.entities}
         for s, o in self.directed_edges():
             if s != o:
                 adj[s].add(o)
@@ -267,7 +266,7 @@ class KnowledgeGraph:
         if on_iteration is None and self._rank_cache is not None:
             return dict(self._rank_cache)
         damping = 0.85
-        nodes = sorted(self._entities)
+        nodes = sorted(self.entities)
         n = len(nodes)
         if n == 0:
             return {}
@@ -347,15 +346,15 @@ class KnowledgeGraph:
             if not nxt:
                 break
             frontier = nxt
-        entities = {eid: self._entities[eid] for eid in reached}
-        triples = {
-            key: self._triples[key]
+        entities = {eid: self.entities[eid] for eid in reached}
+        provenance = {
+            key: self.provenance[key]
             for key in self._spo
             if key[0] in reached
             and key[1] not in LITERAL_PREDICATES
             and key[2] in reached
         }
-        return KnowledgeGraph(entities, triples)
+        return KnowledgeGraph(entities, provenance)
 
 
 # -- persistence ---------------------------------------------------------
@@ -449,8 +448,8 @@ def save_graph(graph: KnowledgeGraph, directory) -> None:
         for eid in sorted(graph.entities)
     ))
     _write_lines(directory / TRIPLES_FILE, (
-        f"{t.subject}\t{t.predicate}\t{t.object}\t{_provenance_json(t.provenance)}"
-        for t in graph.triples()
+        f"{s}\t{p}\t{o}\t{_provenance_json(graph.provenance[s, p, o])}"
+        for s, p, o in graph.triples()
     ))
     rank = graph.pagerank()
     _write_lines(directory / RANKS_FILE, (f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)))
@@ -459,7 +458,8 @@ def save_graph(graph: KnowledgeGraph, directory) -> None:
 def load_graph(directory) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
-    Every record is checked as GraphBuilder would check it; a bad one
+    Every record is checked as GraphBuilder would check it, and each
+    triple goes in through the builder's insertion rule; a bad record
     raises FormatError with its file and line.  Ids that triples.tsv uses
     but nodes.jsonl lacks are registered under their inferred kind, a
     repeated node keeps its first record, and a repeated triple adds its
@@ -471,8 +471,8 @@ def load_graph(directory) -> KnowledgeGraph:
     if missing:
         raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
     entities = _load_nodes(paths[0])
-    triples = _load_triples(paths[1], entities)
-    return KnowledgeGraph(entities, triples, _load_ranks(paths[2], entities))
+    provenance = _load_triples(paths[1], entities)
+    return KnowledgeGraph(entities, provenance, _load_ranks(paths[2], entities))
 
 
 def _load_nodes(path: Path) -> dict[str, Entity]:
@@ -483,11 +483,11 @@ def _load_nodes(path: Path) -> dict[str, Entity]:
     return entities
 
 
-def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, str, str], Triple]:
-    triples: dict[tuple[str, str, str], Triple] = {}
+def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[Key, list[Provenance]]:
+    provenance: dict[Key, list[Provenance]] = {}
     # triples often repeat a provenance list: decode each distinct one once
     # and share its immutable records
-    provenance: dict[str, tuple[Provenance, ...]] = {}
+    decoded: dict[str, tuple[Provenance, ...]] = {}
     for lineno, raw in enumerate(utf8_lines(path), start=1):
         raw = raw.rstrip("\n")
         if not raw:
@@ -498,23 +498,14 @@ def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[tuple[str, st
                 f"expected 4 tab-separated fields in {TRIPLES_FILE}, got {len(parts)}", lineno
             )
         s, p, o, prov_json = parts
-        provs = provenance.get(prov_json)
+        provs = decoded.get(prov_json)
         if provs is None:
-            provs = provenance[prov_json] = _provenance_list(prov_json, lineno)
-        if p not in PREDICATES:
-            raise FormatError(f"unknown predicate {p!r} in {TRIPLES_FILE}", lineno)
-        # with both ends known and an entity object there is nothing to register
-        if p in LITERAL_PREDICATES or s not in entities or o not in entities:
-            try:
-                _register_ends(entities, s, p, o)
-            except CktError as exc:
-                raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
-        triple = triples.get((s, p, o))
-        if triple is None:
-            triples[(s, p, o)] = Triple(s, p, o, list(provs))
-        else:
-            triple.provenance.extend(provs)
-    return triples
+            provs = decoded[prov_json] = _provenance_list(prov_json, lineno)
+        try:
+            _insert(entities, provenance, s, p, o, provs)
+        except CktError as exc:
+            raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
+    return provenance
 
 
 def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:

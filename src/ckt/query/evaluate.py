@@ -32,19 +32,16 @@ def _bind(term: Term, binding: dict[str, str]) -> str | None:
 def _solve(graph: KnowledgeGraph, ast: QueryAST) -> list[dict[str, str]]:
     bindings: list[dict[str, str]] = [{}]
     for pattern in ast.patterns:
+        terms = (pattern.s, pattern.p, pattern.o)
         extended: list[dict[str, str]] = []
         for binding in bindings:
             s = _bind(pattern.s, binding)
             p = _bind(pattern.p, binding)
             o = _bind(pattern.o, binding)
-            for triple in graph.match(s, p, o):
+            for key in graph.match(s, p, o):
                 new = dict(binding)
                 consistent = True
-                for term, value in (
-                    (pattern.s, triple.subject),
-                    (pattern.p, triple.predicate),
-                    (pattern.o, triple.object),
-                ):
+                for term, value in zip(terms, key):
                     if term.kind != VAR:
                         continue
                     # a variable repeated within one pattern must unify

@@ -76,6 +76,8 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 # a template slot inside a word or a literal
 _SLOT = re.compile(r"\$([A-Za-z0-9_]+)")
 _KEYWORDS = ("SELECT", "WHERE", "FILTER", "LIMIT")
+# ASCII digits only: int() would also take `1_0`, `+3` and other scripts' digits
+_COUNT = re.compile(r"-?[0-9]+")
 
 _Token = tuple[str, str, int]  # kind ("punct" | "string" | "var" | "word" | "end"), text, offset
 
@@ -157,12 +159,9 @@ class _Parser:
                 filters.append(self._filter())
             elif kw == "LIMIT":
                 kind, num, offset = self._next("a number after LIMIT")
-                if kind != "word":
+                if kind != "word" or not _COUNT.fullmatch(num):
                     raise QueryError("LIMIT needs an integer", offset)
-                try:
-                    limit = int(num)
-                except ValueError:
-                    raise QueryError("LIMIT needs an integer", offset) from None
+                limit = int(num)
                 if limit < 0:
                     raise QueryError("LIMIT must be >= 0", offset)
             else:

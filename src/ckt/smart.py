@@ -65,21 +65,21 @@ class AugmentContext:
     @cached_property
     def call_edges(self) -> dict[str, list[str]]:
         """Caller -> callees in ascending order."""
-        return call_graph((t.subject, t.object) for t in self.graph.match(None, "calls", None))
+        return call_graph((s, o) for s, _, o in self.graph.match(None, "calls", None))
 
     @cached_property
     def accessors(self) -> dict[str, list[str]]:
         """Variable -> the functions that write or read it, in id order."""
         out: dict[str, set[str]] = {}
         for pred in ("writes", "reads"):
-            for t in self.graph.match(None, pred, None):
-                out.setdefault(t.object, set()).add(t.subject)
+            for s, _, o in self.graph.match(None, pred, None):
+                out.setdefault(o, set()).add(s)
         return {var: sorted(funcs) for var, funcs in out.items()}
 
     @cached_property
     def race_roots(self) -> list[str]:
         """Thread entry points plus every function labeled main."""
-        roots = {t.object for t in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
+        roots = {o for _, _, o in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
         for eid, entity in self.graph.entities.items():
             if entity.kind == "function" and entity.label == "main":
                 roots.add(eid)
@@ -107,7 +107,7 @@ class AugmentContext:
     def bugs(self) -> list[tuple[str, frozenset[str], set[str]]]:
         """Every bug in id order with its tokens and touched entities."""
         return [
-            (eid, _bug_tokens(entity), {t.object for t in self.graph.match(eid, "touches", None)})
+            (eid, _bug_tokens(entity), {o for _, _, o in self.graph.match(eid, "touches", None)})
             for eid, entity in sorted(self.graph.entities.items())
             if entity.kind == "bug"
         ]
@@ -116,9 +116,9 @@ class AugmentContext:
     def touching_commits(self) -> dict[str, list[str]]:
         """Entity -> the commits that touch it."""
         out: dict[str, list[str]] = {}
-        for t in self.graph.match(None, "touches", None):
-            if t.subject.startswith("commit:"):
-                out.setdefault(t.object, []).append(t.subject)
+        for s, _, o in self.graph.match(None, "touches", None):
+            if s.startswith("commit:"):
+                out.setdefault(o, []).append(s)
         return out
 
     @cached_property
@@ -141,10 +141,10 @@ class AugmentContext:
         """Entity -> (comment, missing identifiers) of each stale comment
         documenting it, in comment id order."""
         out: dict[str, list[tuple[str, str]]] = {}
-        for t in self.graph.match(None, "documented-by", None):
-            comment = self.graph.entities.get(t.object)
+        for s, _, o in self.graph.match(None, "documented-by", None):
+            comment = self.graph.entities.get(o)
             if comment is not None and comment.attrs.get("stale") == "true":
-                out.setdefault(t.subject, []).append((t.object, comment.attrs.get("missing", "")))
+                out.setdefault(s, []).append((o, comment.attrs.get("missing", "")))
         return out
 
 
@@ -170,7 +170,7 @@ def race_alert_static(
     evidence: dict[str, None] = {}  # insertion-ordered set
     racing_funcs: list[str] = []
     for func in ctx.accessors.get(var, ()):
-        if graph.get(func, "guards", var) is not None:
+        if (func, "guards", var) in graph:
             continue
         paths = [p for p in (_tree_path(tree, func) for tree in ctx.root_trees) if p is not None]
         if len(paths) < 2:
@@ -180,7 +180,7 @@ def race_alert_static(
             for a, b in zip(path, path[1:]):
                 evidence[_triple_ref(a, "calls", b)] = None
         for pred in ("writes", "reads"):
-            if graph.get(func, pred, var) is not None:
+            if (func, pred, var) in graph:
                 evidence[_triple_ref(func, pred, var)] = None
     if not racing_funcs:
         return None
@@ -225,7 +225,7 @@ def similar_defects(
     """The five other bugs scoring highest, and at least `theta`, by
     max(token Jaccard, shared touched function)."""
     mine_tokens = _bug_tokens(graph.entity(bug))
-    mine_touch = {t.object for t in graph.match(bug, "touches", None)}
+    mine_touch = {o for _, _, o in graph.match(bug, "touches", None)}
     scored: list[tuple[str, float]] = []
     for eid, other_tokens, touch in (ctx or AugmentContext(graph)).bugs:
         if eid == bug:

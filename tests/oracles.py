@@ -607,8 +607,8 @@ def builder_load_graph(directory):
                 raise FormatError(f"bad provenance: {exc}", lineno) from exc
             if not provs:
                 raise FormatError("empty provenance", lineno)
-            triple = builder.insert_triple(s, p, o, provs[0])
-            triple.provenance.extend(provs[1:])
+            for prov in provs:
+                builder.insert_triple(s, p, o, prov)
     return builder.finalize()
 
 
@@ -708,14 +708,14 @@ def augment_per_response(result, graph, trace=None, cap=10):
         return (-ts.timestamp(), entity.id)
 
     def provenance(eid):
-        commits = {t.subject for t in graph.match(None, "touches", eid)
-                   if t.subject.startswith("commit:")}
+        commits = {s for s, _, _ in graph.match(None, "touches", eid)
+                   if s.startswith("commit:")}
         path = ids.path_of(eid)
         if path is not None:
             fid = ids.file_id(path)
             if fid != eid and fid in graph.entities:
-                commits |= {t.subject for t in graph.match(None, "touches", fid)
-                            if t.subject.startswith("commit:")}
+                commits |= {s for s, _, _ in graph.match(None, "touches", fid)
+                            if s.startswith("commit:")}
         return sorted((graph.entities[c] for c in commits), key=newest_first)[:5]
 
     def alerts_for(entity):
@@ -727,8 +727,8 @@ def augment_per_response(result, graph, trace=None, cap=10):
                 dynamic = race_alert_dynamic(trace, eid)
             out.extend(a for a in (static, dynamic) if a is not None)
             if static is not None or dynamic is not None:
-                funcs = sorted({t.subject for t in graph.match(None, "writes", eid)}
-                               | {t.subject for t in graph.match(None, "reads", eid)})
+                funcs = sorted({s for s, _, _ in graph.match(None, "writes", eid)}
+                               | {s for s, _, _ in graph.match(None, "reads", eid)})
                 labels = ", ".join(graph.entities[f].label for f in funcs if f in graph.entities)
                 out.append(SmartAlert(
                     "mutex-advice", eid, (static or dynamic).evidence,
@@ -747,13 +747,13 @@ def augment_per_response(result, graph, trace=None, cap=10):
                     "provenance", eid, [c.id for c in commits],
                     f"last changed by {newest.id} "
                     f"({newest.attrs.get('timestamp', '?')}): {newest.label}", 0.3))
-        for t in graph.match(eid, "documented-by", None):
-            comment = graph.entities.get(t.object)
+        for _, _, comment_id in graph.match(eid, "documented-by", None):
+            comment = graph.entities.get(comment_id)
             if comment is None or comment.attrs.get("stale") != "true":
                 continue
             out.append(SmartAlert(
-                "stale-comment", eid, [f"{eid}|documented-by|{t.object}"],
-                f"comment {t.object} mentions identifiers absent from scope: "
+                "stale-comment", eid, [f"{eid}|documented-by|{comment_id}"],
+                f"comment {comment_id} mentions identifiers absent from scope: "
                 f"{comment.attrs.get('missing', '')}", 0.5))
         return out
 
@@ -893,12 +893,9 @@ class _QueryParser:
             elif kw == "LIMIT":
                 self.pos += 1
                 num = self._next("a number after LIMIT")
-                if num.kind != "word":
+                if num.kind != "word" or not re.fullmatch(r"-?[0-9]+", num.text):
                     raise QueryError("LIMIT needs an integer", num.offset)
-                try:
-                    limit = int(num.text)
-                except ValueError:
-                    raise QueryError("LIMIT needs an integer", num.offset) from None
+                limit = int(num.text)
                 if limit < 0:
                     raise QueryError("LIMIT must be >= 0", num.offset)
             elif tok is None:
@@ -1146,7 +1143,8 @@ class _FileParse:
                 close = _match_brace(toks, seg_end)
                 if fn is not None:
                     fn.end_line = toks[close].line
-                    fn.body = (seg_end + 1, close)
+                    # an unclosed body keeps the file's last token
+                    fn.body = (seg_end + 1, close if toks[close].text == "}" else close + 1)
                     if fn.name not in self.functions:
                         self.functions[fn.name] = fn
                 i = close + 1
@@ -1479,22 +1477,15 @@ def bug_id(tracker, number):
 
 
 def graphs_equal(a, b):
-    """Deep equality of two KnowledgeGraphs: entity table, triple set, and
-    provenance lists."""
+    """Deep equality of two KnowledgeGraphs: entity table, triple keys in
+    order, and the provenance table."""
     if sorted(a.entities) != sorted(b.entities):
         return False
     for eid in a.entities:
         ea, eb = a.entities[eid], b.entities[eid]
         if (ea.kind, ea.label, ea.span, ea.attrs) != (eb.kind, eb.label, eb.span, eb.attrs):
             return False
-    keys_a = [t.key() for t in a.triples()]
-    keys_b = [t.key() for t in b.triples()]
-    if keys_a != keys_b:
-        return False
-    for key in keys_a:
-        if a.get(*key).provenance != b.get(*key).provenance:
-            return False
-    return True
+    return list(a.triples()) == list(b.triples()) and a.provenance == b.provenance
 
 
 def parse_record(line):

@@ -509,7 +509,7 @@ def test_query_side_leaves_build_modules_unimported(scenario_dir, argv, stdin):
 
 def test_fixing_commit_found_by_object_lookup(scenario_graph):
     hits = list(scenario_graph.match(None, "fixes", "bug:CQ/22"))
-    assert [t.subject for t in hits] == ["commit:c0ffee11deadbeef"]
+    assert [s for s, _, _ in hits] == ["commit:c0ffee11deadbeef"]
 
 
 def test_scenario_graph_round_trip_preserves_ranks(scenario_graph, tmp_path):
@@ -524,11 +524,11 @@ def test_scenario_graph_round_trip_preserves_ranks(scenario_graph, tmp_path):
 def test_closed_world_after_build(scenario_graph):
     from ckt.graph import LITERAL_PREDICATES
 
-    for triple in scenario_graph.triples():
-        assert triple.subject in scenario_graph.entities, triple.subject
-        if triple.predicate not in LITERAL_PREDICATES:
-            assert triple.object in scenario_graph.entities, triple.object
-        assert triple.provenance, triple
+    for s, p, o in scenario_graph.triples():
+        assert s in scenario_graph.entities, s
+        if p not in LITERAL_PREDICATES:
+            assert o in scenario_graph.entities, o
+        assert scenario_graph.provenance[s, p, o], (s, p, o)
 
 
 def test_export_triples_byte_identical(scenario_dir, capsys):

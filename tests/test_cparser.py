@@ -258,6 +258,9 @@ F = "func:a.c#f"
     ("int g;\nvoid f() {\n  g = 1;\n  if (g) { g++;\n",
      [(F, "writes", "var:a.c#g", 3, {}), (F, "reads", "var:a.c#g", 4, {}),
       (F, "reads", "var:a.c#g", 4, {}), (F, "writes", "var:a.c#g", 4, {})]),
+    # the body without its `}` keeps the file's last token: `++` writes
+    ("int g;\nvoid f() {\n  g++",
+     [(F, "reads", "var:a.c#g", 3, {}), (F, "writes", "var:a.c#g", 3, {})]),
     # the `;` ends the statement inside the subscript: no write
     ("int a[4];\nint i;\nvoid f() {\n  a[i; ] = 1;\n}\n",
      [(F, "reads", "var:a.c#a", 4, {}), (F, "reads", "var:a.c#i", 4, {})]),
@@ -272,8 +275,8 @@ F = "func:a.c#f"
     # a storage word names no callee, in the initializer either
     ("int y;\nvoid f() {\n  static int x = static (y);\n}\n",
      [(F, "declares", "var:a.c#f.x", 3, {}), (F, "reads", "var:a.c#y", 3, {})]),
-], ids=["unclosed-body", "semicolon-in-subscript", "unclosed-thread-call",
-        "chained-initializer", "storage-word-in-initializer"])
+], ids=["unclosed-body", "unclosed-body-at-last-token", "semicolon-in-subscript",
+        "unclosed-thread-call", "chained-initializer", "storage-word-in-initializer"])
 def test_bad_input_keeps_its_facts(src, facts_of_f):
     facts = parse_source(src, "a.c")
     assert [r for r in in_order(facts)[1] if r[0] == F] == facts_of_f

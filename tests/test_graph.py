@@ -1,5 +1,6 @@
 """Triple store, indexes, analytics, persistence."""
 
+import itertools
 import random
 
 import pytest
@@ -40,7 +41,7 @@ def test_duplicate_insert_accumulates_provenance():
     builder.insert_triple("commit:c1", "fixes", "bug:CQ/22", Provenance("bug-tracker", "x"))
     graph = builder.finalize()
     assert len(graph) == 1
-    assert len(graph.get("commit:c1", "fixes", "bug:CQ/22").provenance) == 2
+    assert len(graph.provenance["commit:c1", "fixes", "bug:CQ/22"]) == 2
 
 
 def test_auto_registration_infers_kind():
@@ -64,6 +65,24 @@ def test_literal_only_for_literal_predicates():
         builder.insert_triple("func:a#f", "calls", "not an id", PROV)
 
 
+@pytest.mark.parametrize("triple, message", [
+    (("func:a#f", "frobs", "func:a#g"), "unknown predicate 'frobs'"),
+    (("func:a#\tf", "calls", "func:a#g"),
+     "subject may not contain tabs or newlines: 'func:a#\\tf'"),
+    (("func:a#f", "calls", "func:a#\ng"),
+     "object may not contain tabs or newlines: 'func:a#\\ng'"),
+    (("var:a#x", "has-type", "type:a#T"),
+     "literal expected for predicate 'has-type', got entity id 'type:a#T'"),
+    (("not an id", "calls", "func:a#g"), "cannot infer kind for id 'not an id'; register it first"),
+])
+def test_each_insertion_error_pins_its_message(triple, message):
+    builder = GraphBuilder()
+    with pytest.raises(CktError) as exc:
+        builder.insert_triple(*triple, PROV)
+    assert str(exc.value) == message
+    assert len(builder.finalize()) == 0
+
+
 def test_mutation_after_finalize_rejected():
     builder = GraphBuilder()
     builder.insert_triple("func:a#f", "calls", "func:a#g", PROV)
@@ -83,7 +102,7 @@ FIXTURE = [
 
 def test_match_agrees_with_full_scan():
     graph = build(FIXTURE)
-    all_triples = [(t.subject, t.predicate, t.object) for t in graph.triples()]
+    all_triples = list(graph.triples())
     shapes = [
         (None, None, None), ("func:a#f", None, None), (None, "calls", None),
         (None, None, "func:a#h"), ("func:a#f", "calls", None),
@@ -91,25 +110,54 @@ def test_match_agrees_with_full_scan():
         ("func:a#f", "calls", "func:a#g"), ("missing:x", None, None),
     ]
     for s, p, o in shapes:
-        got = [(t.subject, t.predicate, t.object) for t in graph.match(s, p, o)]
+        got = list(graph.match(s, p, o))
         want = [
             t for t in all_triples
             if (s is None or t[0] == s) and (p is None or t[1] == p) and (o is None or t[2] == o)
         ]
         assert sorted(got) == sorted(want), (s, p, o)
-        again = [(t.subject, t.predicate, t.object) for t in graph.match(s, p, o)]
+        again = list(graph.match(s, p, o))
         assert got == again, f"iteration order not deterministic for {(s, p, o)}"
+
+
+_MATCH_IDS = ["func:g#a", "func:g#b", "var:g#x"]
+_MATCH_PREDS = ["calls", "reads"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MATCH_IDS), st.sampled_from(_MATCH_PREDS),
+                          st.sampled_from(_MATCH_IDS)), max_size=25),
+       st.data())
+def test_match_order_on_random_graphs(triples, data):
+    """Every bound shape, with ids that are in the graph and ids that are
+    not, yields the full scan's keys in the order of the index it reads."""
+    graph = build(triples)
+    for shape in itertools.product((False, True), repeat=3):
+        s, p, o = (
+            data.draw(st.sampled_from(pool + [absent])) if bound else None
+            for bound, pool, absent in zip(
+                shape, (_MATCH_IDS, _MATCH_PREDS, _MATCH_IDS), ("func:g#zz", "writes", "var:g#zz"))
+        )
+        if o is not None and p is None:
+            order = lambda k: (k[2], k[0], k[1])  # noqa: E731
+        elif p is not None and s is None:
+            order = lambda k: (k[1], k[2], k[0])  # noqa: E731
+        else:
+            order = None
+        want = sorted((k for k in set(triples)
+                       if s in (None, k[0]) and p in (None, k[1]) and o in (None, k[2])), key=order)
+        assert list(graph.match(s, p, o)) == want, (s, p, o)
 
 
 def test_index_coherence():
     graph = build(FIXTURE)
-    spo = {(t.subject, t.predicate, t.object) for t in graph.match(None, None, None)}
+    spo = set(graph.match(None, None, None))
     by_pred = set()
     for p in {"calls", "writes", "declares"}:
-        by_pred |= {(t.subject, t.predicate, t.object) for t in graph.match(None, p, None)}
+        by_pred |= set(graph.match(None, p, None))
     by_obj = set()
     for o in {"func:a#g", "func:a#h", "var:a#x", "func:a#f"}:
-        by_obj |= {(t.subject, t.predicate, t.object) for t in graph.match(None, None, o)}
+        by_obj |= set(graph.match(None, None, o))
     assert spo == by_pred == by_obj
 
 
@@ -137,7 +185,7 @@ def test_pagerank_empty_graph():
 def test_pagerank_chain_matches_dense_oracle():
     graph = build([("func:a#a", "calls", "func:a#b"), ("func:a#b", "calls", "func:a#c")])
     rank = graph.pagerank()
-    keys = [(t.subject, t.predicate, t.object) for t in graph.triples()]
+    keys = list(graph.triples())
     oracle = dense_pagerank(list(graph.entities), keys)
     for node in rank:
         assert rank[node] == pytest.approx(oracle[node], abs=1e-8)
@@ -165,7 +213,7 @@ def test_pagerank_random_graphs_match_oracle():
     rng = random.Random(1234)
     for _ in range(20):
         graph = random_graph(rng, max_nodes=30)
-        keys = [(t.subject, t.predicate, t.object) for t in graph.triples()]
+        keys = list(graph.triples())
         rank = graph.pagerank()
         oracle = dense_pagerank(list(graph.entities), keys)
         for node in graph.entities:
@@ -205,7 +253,7 @@ def test_triangle_per_node_identity_and_oracle():
         graph = random_graph(rng, max_nodes=12)
         counts, total = graph.count_triangles()
         assert sum(counts.values()) == 3 * total
-        keys = [(t.subject, t.predicate, t.object) for t in graph.triples()]
+        keys = list(graph.triples())
         oracle_counts, oracle_total = brute_triangles(list(graph.entities), keys)
         assert counts == oracle_counts and total == oracle_total
 
@@ -225,8 +273,8 @@ def test_neighborhood_radius_one_matches_bfs():
     sub = graph.neighborhood("func:a#f", 1)
     adj = {u: sorted(vs) for u, vs in graph.undirected_adjacency().items()}
     assert set(sub.entities) == bfs_within(adj, "func:a#f", 1)
-    for t in sub.triples():
-        assert t.subject in sub.entities and t.object in sub.entities
+    for s, _, o in sub.triples():
+        assert s in sub.entities and o in sub.entities
 
 
 def test_neighborhood_large_radius_is_component():
@@ -262,7 +310,7 @@ def test_fixture_round_trip_with_spans_and_literals(tmp_path):
     save_graph(graph, tmp_path)
     again = load_graph(tmp_path)
     assert graphs_equal(again, graph)
-    assert again.get("func:a.c#f", "guards", "var:a.c#v").provenance[0].detail == "locks=L1,L2"
+    assert again.provenance["func:a.c#f", "guards", "var:a.c#v"][0].detail == "locks=L1,L2"
 
 
 def test_corrupt_triple_line_names_line(tmp_path):

@@ -274,7 +274,7 @@ def race_graphs(draw):
 
 def assert_race_alerts_match_oracle(graph, variables):
     entities = {eid: (e.kind, e.label) for eid, e in graph.entities.items()}
-    keys = {t.key() for t in graph.triples()}
+    keys = set(graph.triples())
     ctx = AugmentContext(graph)  # one context for the whole response
     for var in variables:
         for alert in (race_alert_static(graph, var, ctx), race_alert_static(graph, var)):

@@ -65,7 +65,7 @@ def test_loaded_ranks_equal_the_built_ranks(scenario_dir, monkeypatch):
 
 def test_loaded_ranks_agree_with_dense_oracle(scenario_graph):
     oracle = dense_pagerank(list(scenario_graph.entities),
-                            [t.key() for t in scenario_graph.triples()])
+                            list(scenario_graph.triples()))
     rank = scenario_graph.pagerank()
     assert rank.keys() == oracle.keys()
     for node, score in rank.items():
@@ -231,6 +231,29 @@ def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
     with pytest.raises(FormatError, match="literal expected") as exc:
         load_graph(tmp_path)
     assert exc.value.line == 2 and TRIPLES_FILE in str(exc.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("func:h.c#f0\tfrobs\tvar:h.c#g", "unknown predicate 'frobs' in triples.tsv"),
+    ("func:h.c#f0\thas-type\tvar:h.c#g",
+     "literal expected for predicate 'has-type', got entity id 'var:h.c#g' in triples.tsv"),
+    ("not an id\tcalls\tfunc:h.c#f0",
+     "cannot infer kind for id 'not an id'; register it first in triples.tsv"),
+    ("func:h.c#f0\tcalls\tnot an id",
+     "cannot infer kind for id 'not an id'; register it first in triples.tsv"),
+])
+def test_each_insertion_error_names_the_line(tmp_path, line, message):
+    """The insertion rule's messages, each behind its triples.tsv line."""
+    prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
+    (tmp_path / NODES_FILE).write_text(
+        json.dumps({"id": "func:h.c#f0", "kind": "function", "label": "f0"}) + "\n",
+        encoding="utf-8")
+    (tmp_path / TRIPLES_FILE).write_text(
+        f"func:h.c#f0\tcalls\tfunc:h.c#f0\t{prov}\n{line}\t{prov}\n", encoding="utf-8")
+    (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_graph(tmp_path)
+    assert str(exc.value) == f"line 2: {message}"
 
 
 # -- fuzzed graph directories -----------------------------------------------------

@@ -91,6 +91,9 @@ def test_syntax_error_carries_offset():
     ("SELECT ?x WHERE { ?x calls ?y } LIMIT x", "LIMIT needs an integer", 38),
     ("SELECT ?x WHERE { ?x calls ?y } LIMIT -1", "LIMIT must be >= 0", 38),
     ('SELECT ?x WHERE { ?x calls ?y } LIMIT "5"', "LIMIT needs an integer", 38),
+    ("SELECT ?x WHERE { ?x calls ?y } LIMIT 1_0", "LIMIT needs an integer", 38),
+    ("SELECT ?x WHERE { ?x calls ?y } LIMIT +3", "LIMIT needs an integer", 38),
+    ("SELECT ?x WHERE { ?x calls ?y } LIMIT \u0663", "LIMIT needs an integer", 38),
     ("SELECT ?x WHERE { ?x calls ?y } ORDER ?x", "unexpected token 'ORDER'", 32),
     ("SELECT ?x WHERE { ?x calls ?y", "expected '}'", 29),
     ('SELECT ?x WHERE { "f" calls ?x }', "literal not allowed in subject position", 18),
@@ -362,7 +365,7 @@ def test_three_pattern_join_on_fixture():
         "SELECT ?v ?c WHERE { file:ftpety.c declares ?v ; ?f writes ?v ; ?c touches file:ftpety.c }"
     )
     entities = {eid: (e.label, e.attrs) for eid, e in graph.entities.items()}
-    triples = [(t.subject, t.predicate, t.object) for t in graph.triples()]
+    triples = list(graph.triples())
     assert set(evaluate(graph, ast).rows) == nested_loop_join(triples, ast, entities)
 
 
