@@ -140,19 +140,10 @@ def _rel_path(path: Path, base: Path) -> str:
 
 
 def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -> None:
-    # entities of state.facts by span path, in insertion order; merge never
-    # changes the span of an entity it has already inserted
-    by_path: dict[str, list[Entity]] = {}
-
     def merge(facts: FactSet) -> None:
-        added = [facts.entities[eid] for eid in sorted(facts.entities)
-                 if eid not in state.facts.entities]
         state.bump("source-code", "entities", len(facts.entities))
         state.bump("source-code", "relations", len(facts.relations))
         state.facts.merge(facts)
-        for entity in added:
-            if entity.span is not None:
-                by_path.setdefault(entity.span.path, []).append(entity)
 
     for root, mode in manifest.sources:
         if mode == "facts-file":
@@ -175,7 +166,7 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
             state.comments.extend(file_comments)
             state.bump("comment", "comments", len(file_comments))
             state.associations.update(
-                comments.associate_comments(file_comments, by_path.get(rel, [])))
+                comments.associate_comments(file_comments, state.facts.entities_in(rel)))
 
 
 def _comment_entities(state: BuildState) -> None:
@@ -196,26 +187,20 @@ def _comment_entities(state: BuildState) -> None:
             )
 
 
-def _scope_labels_by_path(facts: FactSet) -> dict[str, set[str]]:
-    """Labels of the declarations in each file, for file-scoped comments."""
-    labels: dict[str, set[str]] = {}
-    for entity in facts.entities.values():
-        if entity.span is not None and entity.kind in ("function", "variable", "type", "class"):
-            labels.setdefault(entity.span.path, set()).add(entity.label)
-    return labels
+_SCOPE_KINDS = ("function", "variable", "type", "class")
 
 
-def _scope_identifiers(
-    entity_id: str, facts: FactSet, labels_by_path: dict[str, set[str]]
-) -> set[str]:
-    """Identifier tokens declared or used within the entity's reach."""
+def _scope_identifiers(entity_id: str, facts: FactSet) -> set[str]:
+    """Identifier tokens declared or used within the entity's reach; a
+    file's reach is every declaration spanned in it."""
     idents: set[str] = set()
     entity = facts.entities.get(entity_id)
     if entity is None:
         return idents
     idents.add(entity.label)
     if entity.kind == "file" and entity.span is not None:
-        idents.update(labels_by_path.get(entity.span.path, ()))
+        spanned = facts.entities_in(entity.span.path)
+        idents.update(e.label for e in spanned if e.kind in _SCOPE_KINDS)
         return idents
     for rel in facts.relations_from(entity_id):
         if rel.pred not in ("declares", "reads", "writes", "calls"):
@@ -226,22 +211,21 @@ def _scope_identifiers(
     return idents
 
 
-def _validate_comments(state: BuildState) -> list[concepts.StalenessReport]:
-    reports = []
+def _validate_comments(state: BuildState) -> int:
+    """Mark each comment entity stale or fresh; returns the stale count."""
+    stale = 0
+    # ids repeat (a file listed twice, two comments on a line): the last wins
     by_id = {c.id: c for c in state.comments}
-    labels_by_path = _scope_labels_by_path(state.facts)
     for comment_id in sorted(by_id):
-        comment = by_id[comment_id]
-        entity_id = state.associations.get(comment_id, "")
-        scope = _scope_identifiers(entity_id, state.facts, labels_by_path)
-        report = concepts.validate_comment(comment, scope, entity_id)
-        reports.append(report)
+        scope = _scope_identifiers(state.associations.get(comment_id, ""), state.facts)
+        missing = concepts.validate_comment(by_id[comment_id], scope)
+        stale += bool(missing)
         centity = state.facts.entities.get(comment_id)
         if centity is not None:
-            centity.attrs["stale"] = "true" if report.verdict == "stale" else "false"
-            if report.missing_identifiers:
-                centity.attrs["missing"] = " ".join(report.missing_identifiers)
-    return reports
+            centity.attrs["stale"] = "true" if missing else "false"
+            if missing:
+                centity.attrs["missing"] = " ".join(missing)
+    return stale
 
 
 @collector_paused()
@@ -293,8 +277,9 @@ def cmd_build(manifest_path: Path) -> int:
 
     ontology = load_ontology(str(manifest.ontology)) if manifest.ontology else default_ontology()
     weights = load_weights(str(manifest.weights)) if manifest.weights else default_weights()
+    weights.validate_against(set(concepts.feature_names(ontology)))
 
-    reports = _validate_comments(state)
+    stale_comments = _validate_comments(state)
     graph = _build_graph(state, link_triples, ontology, weights)
 
     rank = graph.pagerank()
@@ -309,7 +294,7 @@ def cmd_build(manifest_path: Path) -> int:
         "triples": len(graph),
         "sources": {k: dict(sorted(v.items())) for k, v in sorted(state.counts.items())},
         "triples_by_source": dict(sorted(triples_by_source.items())),
-        "stale_comments": sum(1 for r in reports if r.verdict == "stale"),
+        "stale_comments": stale_comments,
         "warnings": state.warnings,
     }
 
@@ -347,7 +332,8 @@ def _build_graph(
     weights: StrategyWeights,
 ) -> KnowledgeGraph:
     builder = GraphBuilder()
-    for entity in state.facts.sorted_entities():
+    entities = state.facts.sorted_entities()
+    for entity in entities:
         builder.add_entity(entity)
 
     for rel in state.facts.sorted_relations():
@@ -378,20 +364,14 @@ def _build_graph(
         for s, p, o in concepts.tag_domain_concepts(comment, ontology, entity_id):
             builder.insert_triple(s, p, o, Provenance("comment", comment.id))
 
-    functions = [
-        e for e in state.facts.sorted_entities()
-        if e.kind == "function" and e.attrs.get("external") != "true"
-    ]
+    functions = [e for e in entities if e.kind == "function" and e.attrs.get("external") != "true"]
     vectors = concepts.compute_features(functions, state.facts, state.trace, ontology)
-    for func, fv in zip(functions, vectors):
-        label = concepts.classify_strategy(fv, weights)
-        if label.class_name != "unclassified":
-            builder.add_entity(
-                Entity(ids.concept_id(label.class_name), "concept", label.class_name)
-            )
+    for func, (cls, score) in zip(functions, concepts.classify_strategy(vectors, weights)):
+        if cls != "unclassified":
+            builder.add_entity(Entity(ids.concept_id(cls), "concept", cls))
             builder.insert_triple(
-                func.id, "classified-as", ids.concept_id(label.class_name),
-                Provenance("derived", f"score={label.score!r}"),
+                func.id, "classified-as", ids.concept_id(cls),
+                Provenance("derived", f"score={score!r}"),
             )
     return builder.finalize()
 

@@ -32,7 +32,7 @@ from ckt.graph import (
 )
 from ckt.model import TraceLog
 from ckt.query.evaluate import evaluate
-from ckt.query.parser import parse_query
+from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
     DMY_DATE,
     LabelIndex,
@@ -100,6 +100,9 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
+    """Slot values by name.  A day-first date given for a date slot is
+    rewritten to ISO-8601, the form the template reads, so the resolution
+    record shows that form; a value for any other slot is left as given."""
     template = registry.get(name)
     args: dict[str, str] = {}
     parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
@@ -107,9 +110,9 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
     for part in parts:
         if "=" in part and ids.kind_of(part) is None:  # an id may hold "="
             key, _, value = part.partition("=")
-            args[key.strip()] = _normalize_cli_value(value.strip())
+            args[key.strip()] = value.strip().strip('"')
         else:
-            positional.append(_normalize_cli_value(part))
+            positional.append(part.strip('"'))
     if len(positional) > len(template.slots):
         raise SlotError(
             f"template {name!r} takes {len(template.slots)} slot(s), "
@@ -117,14 +120,11 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
         )
     for slot, value in zip(template.slots, positional):
         args.setdefault(slot[0], value)
+    for slot_name, slot_type in template.slots:
+        value = args.get(slot_name, "")
+        if slot_type == "date" and DMY_DATE.match(value):
+            args[slot_name] = normalize_date(value) or value
     return args
-
-
-def _normalize_cli_value(value: str) -> str:
-    value = value.strip().strip('"')
-    if DMY_DATE.match(value):
-        return normalize_date(value) or value
-    return value
 
 
 def _run_query_text(text: str, ctx: QueryContext):
@@ -257,6 +257,8 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                 if len(parts) != 3:
                     print("usage: :related <entity-id> <radius>", file=stdout)
                     continue
+                if not _COUNT.fullmatch(parts[2]):  # as LIMIT reads its count
+                    raise CktError(f"radius must be an integer, got {parts[2]!r}")
                 sub = graph.neighborhood(parts[1], int(parts[2]))
                 for eid in sorted(sub.entities):
                     print(f"{eid}  [{sub.entities[eid].kind}]", file=stdout)

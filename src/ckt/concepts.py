@@ -4,12 +4,15 @@ Functions are scored by a transparent linear combination of four feature
 families (recursion, recursive call sites, ontology keyword hits, observed
 recursion depth); the best class wins when its score clears the threshold.
 Weights and the class list are configuration, not trained models.
+
+The passes hand plain values to one another: a feature vector is a dict
+from feature name to value, a label a (class, score) pair, and a comment's
+staleness the list of its words missing from its scope.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from ckt import ids
 from ckt.config import Ontology, StrategyWeights, split_identifier
@@ -18,32 +21,6 @@ from ckt.graph import call_graph
 from ckt.model import Comment, Entity, FactSet, TraceLog
 
 _IDENT_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+[A-Za-z_][A-Za-z0-9_]*")
-
-
-@dataclass
-class FeatureVector:
-    entity_id: str
-    features: dict[str, float] = field(default_factory=dict)
-
-    def get(self, name: str) -> float:
-        return self.features.get(name, 0.0)
-
-
-@dataclass
-class ConceptLabel:
-    class_name: str
-    score: float
-
-
-@dataclass
-class StalenessReport:
-    comment_id: str
-    entity_id: str
-    missing_identifiers: list[str]
-
-    @property
-    def verdict(self) -> str:
-        return "stale" if self.missing_identifiers else "fresh"
 
 
 def _cyclic_functions(calls: dict[str, list[str]]) -> set[str]:
@@ -109,18 +86,25 @@ def _entity_tokens(fid: str, facts: FactSet) -> list[str]:
     return tokens
 
 
+def feature_names(ontology: Ontology) -> list[str]:
+    """The features of each vector compute_features returns, in order: one
+    keyword feature per ontology concept."""
+    return ["f_rec", "f_multi", "f_depth", *(f"f_kw_{c}" for c in ontology.concepts())]
+
+
 def compute_features(
     functions: list[Entity],
     facts: FactSet,
     trace: TraceLog | None,
     ontology: Ontology,
-) -> list[FeatureVector]:
-    """Deterministic feature vectors, one per function entity, in order.
+) -> list[dict[str, float]]:
+    """Deterministic feature vectors, one per function entity, in order,
+    each keyed by feature_names(ontology).
 
     The call graph and its cycles are computed once for the whole batch,
     and f_depth reads the trace's replay.  Trace-derived features are zero
-    when no trace is supplied; keyword features exist for every ontology
-    concept (zero when unseen).
+    when no trace is supplied; keyword features are zero for concepts
+    unseen.
     """
     for entity in functions:
         if entity.kind != "function":
@@ -129,6 +113,7 @@ def compute_features(
         call_graph((rel.subj, rel.obj) for rel in facts.relations if rel.pred == "calls")
     )
     depths = trace.replay.depths if trace is not None else {}
+    names = feature_names(ontology)
     concept_names = ontology.concepts()
     vectors = []
     for entity in functions:
@@ -136,33 +121,42 @@ def compute_features(
         self_calls = sum(
             1 for rel in facts.relations_from(fid) if rel.pred == "calls" and rel.obj == fid
         )
-        fv = FeatureVector(fid)
-        fv.features["f_rec"] = 1.0 if fid in cyclic else 0.0
-        fv.features["f_multi"] = float(self_calls)
-        fv.features["f_depth"] = float(depths.get(fid, 0))
         hits = ontology.hits(_entity_tokens(fid, facts))
-        for concept in concept_names:
-            fv.features[f"f_kw_{concept}"] = float(hits.get(concept, 0))
-        vectors.append(fv)
+        values = [1.0 if fid in cyclic else 0.0, float(self_calls), float(depths.get(fid, 0))]
+        values += [float(hits.get(concept, 0)) for concept in concept_names]
+        vectors.append(dict(zip(names, values)))
     return vectors
 
 
-def classify_strategy(fv: FeatureVector, weights: StrategyWeights) -> ConceptLabel:
-    """Linear scores per class; argmax wins, ties break by class-list order,
-    and anything under the threshold `weights.tau` is unclassified."""
-    weights.validate_against(set(fv.features))
-    best: ConceptLabel | None = None
-    for cls in weights.classes:
-        row = weights.weights.get(cls, {})
-        score = 0  # as sum() starts, but left to right: 3.12 compensates float sums
-        for feat, w in sorted(row.items()):
-            if fv.get(feat) != 0.0:
-                score += w * fv.get(feat)
-        if best is None or score > best.score:
-            best = ConceptLabel(cls, score)
-    if best is None or best.score < weights.tau:
-        return ConceptLabel("unclassified", 0.0 if best is None else best.score)
-    return best
+def classify_strategy(
+    vectors: list[dict[str, float]], weights: StrategyWeights
+) -> list[tuple[str, float]]:
+    """One (class, score) pair per vector: linear scores per class; argmax
+    wins, ties break by class-list order, and anything under the threshold
+    `weights.tau` is unclassified.
+
+    The vectors share one feature set, as compute_features' do: the weights
+    are checked against it, and each weight row sorted, once per batch.
+    """
+    if not vectors:
+        return []
+    weights.validate_against(set(vectors[0]))
+    rows = [(cls, sorted(weights.weights.get(cls, {}).items())) for cls in weights.classes]
+    labels = []
+    for fv in vectors:
+        best: tuple[str, float] | None = None
+        for cls, row in rows:
+            score = 0  # as sum() starts, but left to right: 3.12 compensates float sums
+            for feat, w in row:
+                value = fv.get(feat, 0.0)
+                if value != 0.0:
+                    score += w * value
+            if best is None or score > best[1]:
+                best = (cls, score)
+        if best is None or best[1] < weights.tau:
+            best = ("unclassified", 0.0 if best is None else best[1])
+        labels.append(best)
+    return labels
 
 
 def detect_thread_roots(facts: FactSet, trace: TraceLog | None) -> set[str]:
@@ -215,11 +209,10 @@ def identifier_like(word: str) -> bool:
     return False
 
 
-def validate_comment(
-    comment: Comment, scope_identifiers: set[str], entity_id: str
-) -> StalenessReport:
-    """Flag identifier-like comment tokens that are absent from the
-    associated entity's scope."""
+def validate_comment(comment: Comment, scope_identifiers: set[str]) -> list[str]:
+    """The identifier-like comment words absent from the associated
+    entity's scope, each once, in order; the comment is stale when there
+    are any."""
     seen = {s.lower() for s in scope_identifiers}  # lower-cased: in scope or missing
     missing: list[str] = []
     for m in _IDENT_WORD.finditer(comment.text):
@@ -228,4 +221,4 @@ def validate_comment(
         if lower not in seen and identifier_like(word):
             seen.add(lower)
             missing.append(word)
-    return StalenessReport(comment.id, entity_id, missing)
+    return missing

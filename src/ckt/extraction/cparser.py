@@ -67,7 +67,7 @@ AGGREGATE_KEYWORDS = frozenset(["struct", "class", "union", "enum"])
 _DECL_OPENERS = TYPE_KEYWORDS | STORAGE_KEYWORDS | QUALIFIER_KEYWORDS | AGGREGATE_KEYWORDS
 _RESERVED = _DECL_OPENERS | CONTROL_KEYWORDS
 # Callee names the parser treats as thread creation points.
-THREAD_CREATE_FNS = frozenset(["pthread_create", "CreateThread", "thrd_create", "std::thread"])
+THREAD_CREATE_FNS = frozenset(["pthread_create", "CreateThread", "thrd_create"])
 
 ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 

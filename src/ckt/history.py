@@ -221,12 +221,6 @@ def link_commit_entities(commits: list[Commit], facts: FactSet) -> list[LinkTrip
     the current snapshot.  Functions whose spans intersect a changed range
     get snapshot-approx provenance; unknown paths still yield file triples."""
     triples: list[LinkTriple] = []
-    by_path: dict[str, list[Entity]] = {}
-    for entity in facts.entities.values():
-        if entity.kind == "function" and entity.span is not None:
-            by_path.setdefault(entity.span.path, []).append(entity)
-    for functions in by_path.values():
-        functions.sort(key=lambda e: e.id)
     for commit in commits:
         for change in commit.changes:
             fid = ids.file_id(change.path)
@@ -238,8 +232,9 @@ def link_commit_entities(commits: list[Commit], facts: FactSet) -> list[LinkTrip
                 )
             triples.append((commit.entity_id, "touches", fid, "version-tracker"))
             ranges = change.added + change.removed
-            for fn in by_path.get(change.path, []):
-                if any(_intersects(r, (fn.span.start, fn.span.end)) for r in ranges):
+            for fn in facts.entities_in(change.path):
+                if fn.kind == "function" and any(
+                        _intersects(r, (fn.span.start, fn.span.end)) for r in ranges):
                     triples.append((commit.entity_id, "touches", fn.id, "snapshot-approx"))
         triples.append((commit.entity_id, "authored-by", commit.dev_entity_id, "version-tracker"))
     return triples

@@ -66,31 +66,38 @@ class FactSet:
     serialize/load round trip through the neutral facts format is identity.
 
     `relations` may only grow through add_relation and merge, which keep
-    the subject index behind relations_from in step with it.
+    the subject index behind relations_from in step with it; `entities`
+    only through add_entity and merge, which keep the span path index
+    behind entities_in in step with it.
     """
 
     def __init__(self):
         self.entities: dict[str, Entity] = {}
         self.relations: list[Relation] = []
         self._by_subj: dict[str, list[Relation]] = {}
+        self._by_path: dict[str, list[Entity]] = {}
 
     def add_entity(self, entity: Entity, *, merge: bool = False) -> Entity:
         """Register an entity; re-adding an identical one is a no-op.
 
         With merge=False a differing duplicate raises ConflictError; with
-        merge=True missing attrs are filled in from the newcomer instead.
+        merge=True a missing span and missing attrs are filled in from the
+        newcomer instead.
         """
         existing = self.entities.get(entity.id)
         if existing is None:
             self.entities[entity.id] = entity
+            if entity.span is not None:
+                self._by_path.setdefault(entity.span.path, []).append(entity)
             return entity
         if existing.kind == entity.kind and existing.span == entity.span and existing.attrs == entity.attrs:
             return existing
         if merge:
             for k, v in entity.attrs.items():
                 existing.attrs.setdefault(k, v)
-            if existing.span is None:
+            if existing.span is None and entity.span is not None:
                 existing.span = entity.span
+                self._by_path.setdefault(entity.span.path, []).append(existing)
             return existing
         raise ConflictError(
             f"entity {entity.id} re-declared with conflicting content: "
@@ -112,6 +119,10 @@ class FactSet:
     def relations_from(self, subj: str) -> list[Relation]:
         """Relations whose subject is `subj`, in insertion order."""
         return self._by_subj.get(subj, [])
+
+    def entities_in(self, path: str) -> list[Entity]:
+        """Entities whose span lies in `path`, in the order they got it."""
+        return self._by_path.get(path, [])
 
     def sorted_entities(self) -> list[Entity]:
         return [self.entities[eid] for eid in sorted(self.entities)]

@@ -562,6 +562,39 @@ def comment_grounded_functions(idents, comment_function, comment_tokens):
             if idents & comment_tokens.get(cid, set())]
 
 
+# -- entities by file, as three build passes each rebuilt them ---------------
+#
+# Each scans the whole entity table, which maps id -> (kind, label, path or
+# None, comment tokens) as above.
+
+
+def spanned_by_path(entities):
+    """Comment association's candidates: the ids spanned in each file."""
+    by_path = {}
+    for eid, (_, _, path, _) in entities.items():
+        if path is not None:
+            by_path.setdefault(path, set()).add(eid)
+    return by_path
+
+
+def scope_labels_by_path(entities):
+    """File-level comment scopes: the labels of each file's declarations."""
+    labels = {}
+    for kind, label, path, _ in entities.values():
+        if path is not None and kind in ("function", "variable", "type", "class"):
+            labels.setdefault(path, set()).add(label)
+    return labels
+
+
+def functions_by_path(entities):
+    """Commit linking's candidates: each file's function ids, sorted."""
+    by_path = {}
+    for eid, (kind, _, path, _) in entities.items():
+        if kind == "function" and path is not None:
+            by_path.setdefault(path, []).append(eid)
+    return {path: sorted(fids) for path, fids in by_path.items()}
+
+
 # -- query-time lookups, one naive scan per item ----------------------------
 
 

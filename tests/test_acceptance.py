@@ -383,7 +383,7 @@ def test_criterion_9_stale_comment_validation():
     correct = 0
     for comment in comments:
         entity_id = assoc[comment.id]
-        verdict = validate_comment(comment, scope_of(entity_id), entity_id).verdict
+        verdict = "stale" if validate_comment(comment, scope_of(entity_id)) else "fresh"
         if verdict == expected[comment.text]:
             correct += 1
     assert correct == 8, f"{correct}/8 verdicts correct"

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from ckt.cli import _load_query_context, cmd_export, cmd_query, cmd_repl, main
+from ckt.cli import _load_query_context, _run_query_text, cmd_export, cmd_query, cmd_repl, main
 from ckt.cli import cmd_build as cli_build
 from ckt.errors import FormatError
+from ckt.query.templates import Template, TemplateRegistry
 from conftest import SCENARIO
 from oracles import graphs_equal, parse_record
 
@@ -53,6 +54,63 @@ def test_scenario_build_matches_golden_digests(tmp_path, capsys):
     out = tmp_path / "p" / "out"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == SCENARIO_DIGESTS
+
+
+# A parsed file whose path a facts file also names, the facts file listed
+# before and after the parsed directory: its file-kind entity comes first
+# among those spanned in src/m.c, so the closing comment, which no element
+# follows, falls back to it, and that comment's scope holds the facts file's
+# declarations in src/m.c.
+MIXED_SOURCE = """/* m.c: ring buffer helpers */
+static int fill_level = 0;
+
+// Greedy choice: drains the fullest ring first, see drain_ring and stale_helper.
+int drain_ring(int n) {
+    fill_level = fill_level - n;
+    return fill_level;
+}
+int tail_value; // trailing comment mentions legacy_flag
+// closing note names flush_all and helper_fx
+"""
+MIXED_FACTS = [
+    {"rec": "header", "version": 1},
+    {"rec": "entity", "id": "file:src/m_alias", "kind": "file", "label": "m alias",
+     "path": "src/m.c", "start": 1, "end": 20},
+    {"rec": "entity", "id": "func:src/m.c#helper_fx", "kind": "function", "label": "helper_fx",
+     "path": "src/m.c", "start": 3, "end": 3},
+    {"rec": "entity", "id": "var:src/m.c#legacy_flag", "kind": "variable", "label": "legacy_flag",
+     "path": "src/m.c", "start": 9, "end": 9},
+    {"rec": "relation", "subj": "func:src/m.c#helper_fx", "pred": "calls",
+     "obj": "func:src/m.c#drain_ring"},
+]
+MIXED_COMMITS = [
+    {"rec": "header", "version": 1},
+    {"id": "c1", "author_name": "A", "author_email": "a@x", "timestamp": "2015-01-01T00:00:00Z",
+     "summary": "edit the ring", "changes": [{"path": "src/m.c", "added": [[3, 6]]}]},
+]
+# recorded from the build before FactSet kept its entities by file
+MIXED_DIGESTS = {
+    "nodes.jsonl": "6f30669c749e360aa4b69b6df71cb2f3f535c7b2a422e07998e06d070f00e4ff",
+    "ranks.tsv": "cefa2a914f24666b3eac62dcef666282538acbb3ca1d5df8cb08f343ca6f6a47",
+    "report.json": "f730abd3722b3653af27b575cd56f67d14d078770c9b894592c4172e9a143606",
+    "stats.json": "84a4a753955bc6aaa8bbae7104270aa13366e11dff4f57099ba93e6c9bea33e3",
+    "triples.tsv": "2c4e4481e9b1198737827aae8979228fffcd8a0c0cb98d3fef354fb9ad697783",
+}
+
+
+def test_build_mixing_facts_and_parsed_sources_matches_golden_digests(tmp_path, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.c").write_text(MIXED_SOURCE, encoding="utf-8")
+    for name, docs in (("facts.jsonl", MIXED_FACTS), ("commits.jsonl", MIXED_COMMITS)):
+        (tmp_path / name).write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    facts = {"path": "facts.jsonl", "mode": "facts"}
+    manifest = {"sources": [facts, {"path": "src"}, facts], "commits": "commits.jsonl",
+                "out": "out"}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["build", "--manifest", str(tmp_path / "manifest.json")]) == 0
+    out = tmp_path / "out"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == MIXED_DIGESTS
 
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):
@@ -111,6 +169,20 @@ def test_failed_build_removes_partial_outputs(tmp_path, capsys):
     out = tmp_path / "p" / "out"
     leftovers = [p.name for p in out.iterdir()] if out.exists() else []
     assert leftovers == []
+
+
+@pytest.mark.parametrize("source", ["int g;\n", "int f(int n) { return n; }\n"],
+                         ids=["no-function", "one-function"])
+def test_weights_naming_an_unknown_feature_exit_2_whatever_the_source(tmp_path, capsys, source):
+    (tmp_path / "m.c").write_text(source, encoding="utf-8")
+    (tmp_path / "weights.json").write_text(
+        '{"classes":["a"],"tau":0.5,"weights":{"a":{"f_bogus":1.0}}}', encoding="utf-8")
+    manifest = {"sources": [{"path": "m.c"}], "weights": "weights.json", "out": "out"}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["build", "--manifest", str(tmp_path / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: weights for class 'a' reference unknown feature 'f_bogus'\n"
+    assert not (tmp_path / "out").exists()
 
 
 # inputs of a build, a query and an export; all but the weights and the
@@ -377,6 +449,25 @@ def test_freeform_query_resolves(scenario_dir, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_day_first_date_for_an_entity_slot_is_reported_as_given(scenario_dir, capsys):
+    text = "@bugs-affecting-function(12-03-2013)"
+    assert cmd_query(scenario_dir / "out", text, "table", False) == 1
+    assert capsys.readouterr().err == \
+        "error: slot 'func' expects an entity id, got '12-03-2013'\n"
+
+
+def test_day_first_date_is_rewritten_for_a_date_slot_alone(scenario_dir):
+    ctx = _load_query_context(scenario_dir / "out")
+    ctx.registry = TemplateRegistry()
+    ctx.registry.add(Template(
+        "dated", ["dated"], [("label", "string"), ("when", "date")],
+        'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when" FILTER ?b CONTAINS "$label"',
+    ))
+    for text in ("@dated(12-03-2013, 12-03-2013)", "@dated(when=12-03-2013, label=12-03-2013)"):
+        _, resolution = _run_query_text(text, ctx)
+        assert resolution["args"] == {"label": "12-03-2013", "when": "2013-03-12T00:00:00Z"}, text
+
+
 def test_syntax_error_exits_1(scenario_dir, capsys):
     rc = cmd_query(scenario_dir / "out", "SELECT ?x WHERE { broken", "table", False)
     assert rc == 1
@@ -434,6 +525,17 @@ def test_repl_related_neighborhood(scenario_dir):
     assert "var:src/VHDLPosedge.cc#var1" in out
     assert "bug:CQ/67" in out and "bug:CQ/22" in out
     assert "commit:c0ffee11deadbeef" in out
+
+
+def test_repl_related_reads_its_radius_as_a_query_reads_a_count(scenario_dir):
+    lines = [f":related {S2} {radius}" for radius in ("0_1", "+1", "\u0663", "-1")]
+    _, out = repl(scenario_dir, "\n".join(lines) + "\n:quit\n")
+    assert out.splitlines() == [
+        "error: radius must be an integer, got '0_1'",
+        "error: radius must be an integer, got '+1'",
+        "error: radius must be an integer, got '\u0663'",
+        "error: radius must be >= 0, got -1",
+    ]
 
 
 def test_repl_survives_errors_and_continues(scenario_dir):

@@ -107,29 +107,23 @@ def test_association_is_total_and_single_valued():
 
 def test_stale_comment_detects_missing_identifier():
     comments = extract_comments("// resets var2 to zero\nvoid f(){ var1 = 0; }", "a.c")
-    report = validate_comment(comments[0], {"f", "var1"}, "func:a.c#f")
-    assert report.verdict == "stale"
-    assert report.missing_identifiers == ["var2"]
+    assert validate_comment(comments[0], {"f", "var1"}) == ["var2"]
 
 
 def test_plain_prose_comment_is_fresh():
     comments = extract_comments("// resets the counter to zero\nvoid f(){}", "a.c")
-    report = validate_comment(comments[0], {"f"}, "func:a.c#f")
-    assert report.verdict == "fresh"
+    assert validate_comment(comments[0], {"f"}) == []
 
 
 def test_present_identifier_is_fresh():
     comments = extract_comments("// bumps var1\nvoid f(){ var1 = 0; }", "a.c")
-    report = validate_comment(comments[0], {"f", "var1"}, "func:a.c#f")
-    assert report.verdict == "fresh"
-    assert report.missing_identifiers == []
+    assert validate_comment(comments[0], {"f", "var1"}) == []
 
 
 def test_never_reports_scope_members():
     comments = extract_comments("// touches alpha_beta and Gamma9\nvoid f(){}", "a.c")
     scope = {"alpha_beta", "Gamma9", "f"}
-    report = validate_comment(comments[0], scope, "func:a.c#f")
-    assert report.missing_identifiers == []
+    assert validate_comment(comments[0], scope) == []
 
 
 def test_staleness_fixture_exact_verdicts():
@@ -153,9 +147,8 @@ def test_staleness_fixture_exact_verdicts():
     verdicts = {}
     for comment in comments:
         entity_id = assoc[comment.id]
-        verdicts[comment.text] = validate_comment(
-            comment, scope_of(entity_id), entity_id
-        ).verdict
+        missing = validate_comment(comment, scope_of(entity_id))
+        verdicts[comment.text] = "stale" if missing else "fresh"
     stale = [t for t, v in verdicts.items() if v == "stale"]
     fresh = [t for t, v in verdicts.items() if v == "fresh"]
     assert len(stale) == 3 and len(fresh) == 5

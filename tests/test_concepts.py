@@ -63,7 +63,7 @@ def test_recursive_function_features():
 def test_leaf_function_all_zero():
     facts = parse_source("void leaf() { }", "a.c")
     [fv] = compute_features([facts.entities["func:a.c#leaf"]], facts, None, ontology())
-    assert all(v == 0.0 for v in fv.features.values())
+    assert all(v == 0.0 for v in fv.values())
 
 
 def test_mutual_recursion_sets_f_rec_without_f_multi():
@@ -92,26 +92,24 @@ def test_non_function_rejected():
 
 
 def fv_of(**features):
-    from ckt.concepts import FeatureVector
-
-    return FeatureVector("func:a#f", dict(features))
+    return dict(features)
 
 
 def test_classify_hand_computed_argmax():
     fv = fv_of(f_rec=1.0, f_multi=2.0, f_depth=0.0,
                **{"f_kw_greedy": 0.0, "f_kw_divide-and-conquer": 0.0,
                   "f_kw_dynamic-programming": 0.0})
-    label = classify_strategy(fv, default_weights())
+    [(cls, score)] = classify_strategy([fv], default_weights())
     # 0.4*1 + 0.3*2 = 1.0 for divide-and-conquer; dp gets 0.1; greedy 0
-    assert label.class_name == "divide-and-conquer"
-    assert label.score == pytest.approx(1.0)
+    assert cls == "divide-and-conquer"
+    assert score == pytest.approx(1.0)
 
 
 def test_all_zero_is_unclassified():
     fv = fv_of(f_rec=0.0, f_multi=0.0, f_depth=0.0,
                **{"f_kw_greedy": 0.0, "f_kw_divide-and-conquer": 0.0,
                   "f_kw_dynamic-programming": 0.0})
-    assert classify_strategy(fv, default_weights()).class_name == "unclassified"
+    assert classify_strategy([fv], default_weights())[0][0] == "unclassified"
 
 
 def test_tie_breaks_by_class_list_order():
@@ -119,14 +117,13 @@ def test_tie_breaks_by_class_list_order():
         classes=["alpha", "beta"], tau=0.5,
         weights={"alpha": {"f_rec": 1.0}, "beta": {"f_rec": 1.0}},
     )
-    label = classify_strategy(fv_of(f_rec=1.0), weights)
-    assert label.class_name == "alpha"
+    assert classify_strategy([fv_of(f_rec=1.0)], weights)[0][0] == "alpha"
 
 
 def test_unknown_feature_in_weights_is_config_error():
     weights = StrategyWeights(classes=["a"], tau=0.1, weights={"a": {"f_bogus": 1.0}})
     with pytest.raises(ConfigError, match="f_bogus"):
-        classify_strategy(fv_of(f_rec=1.0), weights)
+        classify_strategy([fv_of(f_rec=1.0)], weights)
 
 
 @pytest.mark.parametrize("doc", [
@@ -165,7 +162,7 @@ def test_argmax_invariant_under_weight_scaling(scale, rec, kw, multi):
         weights={c: {f: w * scale for f, w in row.items()}
                  for c, row in base.weights.items()},
     )
-    assert classify_strategy(fv, base).class_name == classify_strategy(fv, scaled).class_name
+    assert classify_strategy([fv], base)[0][0] == classify_strategy([fv], scaled)[0][0]
 
 
 def test_thread_roots_static_and_dynamic():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import dumps_facts, reference_parse_source, scan_comments, tokenize
 
 from ckt.extraction.comments import _strip_gutter, extract_comments
-from ckt.extraction.cparser import lex, parse_source
+from ckt.extraction.cparser import THREAD_CREATE_FNS, Tok, lex, parse_source
 
 SCENARIO_SRC = """\
 // header
@@ -215,6 +215,13 @@ def test_backslash_newline_continues_a_line_comment():
     assert (trailing.span.start, trailing.span.end, trailing.text) == (3, 4, "a b")
     assert trailing.attrs == {"trailing": "true"}
     assert (last.span.start, last.text) == (5, "c")
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_CREATE_FNS))
+def test_each_thread_creation_callee_lexes_as_one_identifier(name):
+    # a callee is matched by its one identifier token; a name the lexer
+    # splits, such as std::thread, could never match
+    assert lex(name) == ([Tok("id", name, 1)], [])
 
 
 def test_two_backslashes_before_a_newline_still_splice():

@@ -1,7 +1,8 @@
 """Indexed lookups against the naive per-item scans in oracles.py: the
-build's function features, comment scopes and bug/commit/comment linking,
-and the query path's race reachability, free-form label resolution and
-alert rules sharing one context across responses."""
+build's function features, entities by file, comment scopes and
+bug/commit/comment linking, and the query path's race reachability,
+free-form label resolution and alert rules sharing one context across
+responses."""
 
 from unittest.mock import patch
 
@@ -10,11 +11,19 @@ from hypothesis import strategies as st
 
 import oracles
 from ckt import smart
-from ckt.build import _scope_identifiers, _scope_labels_by_path
-from ckt.concepts import _entity_tokens, compute_features
+from ckt.build import _scope_identifiers
+from ckt.concepts import _entity_tokens, compute_features, feature_names
 from ckt.config import Ontology, normalize_tokens, split_identifier
 from ckt.graph import GraphBuilder, Provenance
-from ckt.history import BugRecord, Commit, link_bugs_code, link_bugs_commits
+from ckt.errors import ConflictError
+from ckt.history import (
+    BugRecord,
+    Change,
+    Commit,
+    link_bugs_code,
+    link_bugs_commits,
+    link_commit_entities,
+)
 from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
 from ckt.query.evaluate import evaluate
@@ -107,12 +116,13 @@ def test_batch_features_equal_per_function_oracle(project, with_trace):
     ont = ontology()
     functions = [e for e in facts.sorted_entities() if e.kind == "function"]
     vectors = compute_features(functions, facts, trace, ont)
-    assert [fv.entity_id for fv in vectors] == [f.id for f in functions]
+    assert len(vectors) == len(functions)
     for func, fv in zip(functions, vectors):
         tokens = oracles.entity_tokens(func.id, entities, relations, split_identifier)
         assert _entity_tokens(func.id, facts) == tokens
         hits = ont.hits(tokens)
-        assert fv.features == {
+        assert list(fv) == feature_names(ont)
+        assert fv == {
             "f_rec": float(oracles.in_cycle(func.id, calls)),
             "f_multi": float(len(oracles.self_calls(func.id, relations))),
             "f_depth": float(oracles.max_trace_depth(func.id, events)),
@@ -176,10 +186,63 @@ def test_recursion_on_call_chains_deeper_than_the_interpreter_stack():
 def test_indexed_scopes_equal_per_comment_oracle(project):
     facts, _ = project
     entities, relations = plain(facts)
-    labels_by_path = _scope_labels_by_path(facts)
     for eid in [*facts.entities, "", "func:ext.c#unknown"]:
-        assert _scope_identifiers(eid, facts, labels_by_path) == \
+        assert _scope_identifiers(eid, facts) == \
             oracles.scope_identifiers(eid, entities, relations), eid
+
+
+SPAN_IDS = [("file:a.c", "file"), ("file:lib/b.c", "file"), ("func:a.c#f", "function"),
+            ("func:a.c#g", "function"), ("func:lib/b.c#f", "function"), ("var:a.c#v", "variable"),
+            ("type:c.h#t", "type"), ("class:c.h#k", "class"), ("comment:a.c#L3", "comment")]
+# an entity as (id and kind, label, span as (path, start) or None, attrs); the
+# span's path need not be the id's, as a facts file may say
+_SPANNED = st.tuples(st.sampled_from(SPAN_IDS), st.sampled_from(["f", "g", "v"]),
+                     st.none() | st.tuples(st.sampled_from(PATHS), st.integers(1, 3)),
+                     st.sampled_from([{}, {"k": "1"}, {"k": "2"}]))
+_ENTITY_OPS = st.lists(st.tuples(st.just("add"), _SPANNED, st.booleans())
+                       | st.tuples(st.just("merge"), st.lists(_SPANNED, max_size=4)), max_size=12)
+
+
+def _entity(spec):
+    (eid, kind), label, span, attrs = spec
+    return Entity(eid, kind, label, span and Span(span[0], span[1], span[1] + 5), dict(attrs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ENTITY_OPS)
+def test_entities_by_path_index_equals_per_pass_scans(ops):
+    facts = FactSet()
+    for op, *args in ops:
+        try:
+            if op == "add":
+                facts.add_entity(_entity(args[0]), merge=args[1])
+            else:
+                part = FactSet()
+                for spec in args[0]:
+                    try:
+                        part.add_entity(_entity(spec))
+                    except ConflictError:
+                        pass
+                facts.merge(part)
+        except ConflictError:
+            pass
+    entities, _ = plain(facts)
+    spanned = oracles.spanned_by_path(entities)
+    labels = oracles.scope_labels_by_path(entities)
+    functions = oracles.functions_by_path(entities)
+    for path in PATHS:
+        found = [e.id for e in facts.entities_in(path)]
+        assert len(found) == len(set(found)) and set(found) == spanned.get(path, set())
+    for eid, (kind, label, path, _) in entities.items():
+        if kind == "file" and path is not None:
+            assert _scope_identifiers(eid, facts) == {label} | labels.get(path, set())
+    commits = [Commit("c1", "A", "a@x", "2015-01-01T00:00:00Z", "edit",
+                      [Change(path, added=[(1, 10**6)]) for path in PATHS])]
+    touched = {}
+    for _, pred, obj, tag in link_commit_entities(commits, facts):
+        if tag == "snapshot-approx":
+            touched.setdefault(facts.entities[obj].span.path, []).append(obj)
+    assert {path: sorted(fids) for path, fids in touched.items()} == functions
 
 
 HEX_IDS = ["feedc0ffee12", "feedc0ffee34", "feedc0f", "abcdef0123456789", "FEEDC0FFEE99", "c1"]
