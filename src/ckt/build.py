@@ -102,13 +102,19 @@ def load_manifest(path: Path) -> ProjectManifest:
         templates=resolve("templates"),
         out=out,
     )
-    for p, _ in manifest.sources:
+    for p, mode in manifest.sources:
         if not p.exists():
             raise CktError(f"source path does not exist: {p}")
+        if mode == "facts-file" and not p.is_file():
+            raise CktError(f"facts source path is not a file: {p}")
     for key in ("commits", "bugs", "trace", "ontology", "weights", "templates"):
         p = getattr(manifest, key)
         if p is not None and not p.exists():
             raise CktError(f"{key} path does not exist: {p}")
+        if p is not None and not p.is_file():
+            raise CktError(f"{key} path is not a file: {p}")
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise CktError(f"out path is not a directory: {out}")
     return manifest
 
 

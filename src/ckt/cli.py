@@ -30,7 +30,6 @@ from ckt.graph import (
     collector_paused,
     load_graph,
 )
-from ckt.model import TraceLog
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
@@ -63,13 +62,12 @@ def cmd_build(manifest_path: Path) -> int:
 @dataclass
 class QueryContext:
     """What a query runs against, loaded once per process: the graph with
-    its persisted ranks, the trace copy, the template registry, an index of
-    the graph's labels built by the first free-form query, and the alert
-    rules' context, whose indexes the first response that needs each one
-    builds."""
+    its persisted ranks, the template registry, an index of the graph's
+    labels built by the first free-form query, and the alert rules'
+    context, which holds the trace copy and whose indexes the first
+    response that needs each one builds."""
 
     graph: KnowledgeGraph
-    trace: TraceLog | None
     registry: TemplateRegistry
     labels: LabelIndex
     rules: AugmentContext
@@ -96,21 +94,22 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
         templates_path = graph_dir / TEMPLATES_COPY
         registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
         gc.freeze()
-    return QueryContext(graph, trace, registry, LabelIndex(graph), AugmentContext(graph, trace))
+    return QueryContext(graph, registry, LabelIndex(graph), AugmentContext(graph, trace))
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
-    """Slot values by name.  A day-first date given for a date slot is
-    rewritten to ISO-8601, the form the template reads, so the resolution
-    record shows that form; a value for any other slot is left as given."""
+    """Slot values by name; a slot given twice, by name or by position, is
+    an error.  A day-first date given for a date slot is rewritten to
+    ISO-8601, the form the template reads, so the resolution record shows
+    that form; a value for any other slot is left as given."""
     template = registry.get(name)
-    args: dict[str, str] = {}
     parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
+    named: list[tuple[str, str]] = []
     positional: list[str] = []
     for part in parts:
         if "=" in part and ids.kind_of(part) is None:  # an id may hold "="
             key, _, value = part.partition("=")
-            args[key.strip()] = value.strip().strip('"')
+            named.append((key.strip(), value.strip().strip('"')))
         else:
             positional.append(part.strip('"'))
     if len(positional) > len(template.slots):
@@ -118,11 +117,14 @@ def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dic
             f"template {name!r} takes {len(template.slots)} slot(s), "
             f"got {len(positional)} positional argument(s)"
         )
-    for slot, value in zip(template.slots, positional):
-        args.setdefault(slot[0], value)
+    args: dict[str, str] = {}
+    for slot_name, value in [*zip([s for s, _ in template.slots], positional), *named]:
+        if slot_name in args:
+            raise SlotError(f"slot {slot_name!r} given twice")
+        args[slot_name] = value
     for slot_name, slot_type in template.slots:
         value = args.get(slot_name, "")
-        if slot_type == "date" and DMY_DATE.match(value):
+        if slot_type == "date" and DMY_DATE.fullmatch(value):
             args[slot_name] = normalize_date(value) or value
     return args
 
@@ -139,12 +141,12 @@ def _run_query_text(text: str, ctx: QueryContext):
         result = run_template(name, args, graph, registry)
         resolution = {"template": name, "args": args}
     else:
-        routed = match_freeform(text, registry, graph, labels=ctx.labels)
+        routed = match_freeform(text, registry, ctx.labels)
         if isinstance(routed, NoMatch):
             raise _NoMatchError(routed)
         result = run_template(routed.template, routed.args, graph, registry)
         resolution = {"template": routed.template, "args": routed.args, "score": routed.score}
-    return augment(result, graph, ctx.trace, ctx=ctx.rules), resolution
+    return augment(result, ctx.rules), resolution
 
 
 class _NoMatchError(CktError):

@@ -27,8 +27,9 @@ JACCARD_THRESHOLD = 0.4
 
 SLOT_TYPES = ("entity", "date", "number", "string")
 
-DMY_DATE = re.compile(r"^(\d{1,2})-(\d{1,2})-(\d{4})$")
-_NUMBER = re.compile(r"^\d+(\.\d+)?$")
+# ASCII digits alone, as a LIMIT count; read with fullmatch
+DMY_DATE = re.compile(r"([0-9]{1,2})-([0-9]{1,2})-([0-9]{4})")
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 @dataclass
@@ -138,7 +139,7 @@ def normalize_date(value: str) -> str | None:
     """Accept ISO-8601 or DD-MM-YYYY (day first); return ISO-8601 UTC to
     the second, with a four-digit year, or None when the value is not a
     real date or its UTC time falls outside years 1 to 9999."""
-    m = DMY_DATE.match(value)
+    m = DMY_DATE.fullmatch(value)
     try:
         if m:
             day, month, year = map(int, m.groups())
@@ -162,7 +163,7 @@ def _check_slot(name: str, slot_type: str, value: str) -> str:
             raise SlotError(f"slot {name!r} expects a date, got {value!r}")
         return normalized
     if slot_type == "number":
-        if not _NUMBER.match(value):
+        if not _NUMBER.fullmatch(value):
             raise SlotError(f"slot {name!r} expects a number, got {value!r}")
         return value
     return value
@@ -252,15 +253,10 @@ def _resolve_entity(tokens: list[str], labels: LabelIndex) -> tuple[str, list[st
     return None
 
 
-def match_freeform(
-    text: str,
-    registry: TemplateRegistry,
-    graph: KnowledgeGraph,
-    labels: LabelIndex | None = None,
-) -> FreeformMatch | NoMatch:
-    """Route free-form English to a template plus slot values, or report the
-    nearest templates when no routing is confident enough.  Pass one
-    LabelIndex of the graph to every call to index its labels only once."""
+def match_freeform(text: str, registry: TemplateRegistry, labels: LabelIndex) -> FreeformMatch | NoMatch:
+    """Route free-form English to a template plus slot values, resolving
+    entity slots against the graph's `labels`, or report the nearest
+    templates when no routing is confident enough."""
     query_tokens = normalize_tokens(text)
     query_set = frozenset(query_tokens)
     if not query_tokens:
@@ -288,7 +284,6 @@ def match_freeform(
     score, trigger, template = next(item for item in scored if item[0] == top_score)
 
     remaining = [t for t in query_tokens if t not in trigger]
-    labels = labels or LabelIndex(graph)
     args: dict[str, str] = {}
     for slot_name, slot_type in template.slots:
         if slot_type == "date":
@@ -298,7 +293,7 @@ def match_freeform(
             args[slot_name] = normalize_date(hit)
             remaining.remove(hit)
         elif slot_type == "number":
-            hit = next((t for t in remaining if _NUMBER.match(t)), None)
+            hit = next((t for t in remaining if _NUMBER.fullmatch(t)), None)
             if hit is None:
                 return NoMatch(suggestions, f"could not fill number slot {slot_name!r}")
             args[slot_name] = hit

@@ -30,6 +30,8 @@ MUTEX_ADVICE = "add mutex locks for reads and writes of {var} in {funcs}"
 
 ALERT_CAP = 10  # alerts kept per response, highest scores first
 
+SIMILARITY_FLOOR = 0.25  # lowest score a similar defect is reported at
+
 
 @dataclass
 class SmartAlert:
@@ -52,13 +54,14 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 
 class AugmentContext:
     """What the rules share for one graph and trace, each part built on
-    first use: each variable's accessors, the call graph, the race roots
-    with one BFS tree each, the bug table, the commits touching each entity
-    with each commit's newest-first key, and each entity's stale comments.  A query process
+    first use: each variable's accessors, the call graph, one BFS tree per
+    race root, the bug table, the commits touching each entity with each
+    commit's newest-first key, and each entity's stale comments.  Every
+    rule reads the graph and the trace through it alone.  A query process
     keeps one for its loaded graph, so every response, and every row of
     it, reads the same indexes."""
 
-    def __init__(self, graph: KnowledgeGraph | None, trace: TraceLog | None = None):
+    def __init__(self, graph: KnowledgeGraph, trace: TraceLog | None = None):
         self.graph = graph
         self.trace = trace
 
@@ -77,21 +80,16 @@ class AugmentContext:
         return {var: sorted(funcs) for var, funcs in out.items()}
 
     @cached_property
-    def race_roots(self) -> list[str]:
-        """Thread entry points plus every function labeled main."""
-        roots = {o for _, _, o in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
-        for eid, entity in self.graph.entities.items():
-            if entity.kind == "function" and entity.label == "main":
-                roots.add(eid)
-        return sorted(roots)
-
-    @cached_property
     def root_trees(self) -> list[dict[str, str | None]]:
-        """For each race root, the BFS tree of the call graph from it
+        """For each race root in id order (each thread entry point and each
+        function labeled main), the BFS tree of the call graph from it
         (node -> parent); callees are visited in ascending order, so each
         path is the first shortest one in that order."""
+        roots = {o for _, _, o in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
+        roots.update(eid for eid, entity in self.graph.entities.items()
+                     if entity.kind == "function" and entity.label == "main")
         trees = []
-        for root in self.race_roots:
+        for root in sorted(roots):
             parent: dict[str, str | None] = {root: None}
             queue = deque([root])
             while queue:
@@ -158,15 +156,13 @@ def _tree_path(tree: dict[str, str | None], target: str) -> list[str] | None:
     return path[::-1]
 
 
-def race_alert_static(
-    graph: KnowledgeGraph, var: str, ctx: AugmentContext | None = None
-) -> SmartAlert | None:
+def race_alert_static(ctx: AugmentContext, var: str) -> SmartAlert | None:
     """Alert when an unguarded accessor of a global is reachable from two or
     more distinct roots (thread entry points or main)."""
+    graph = ctx.graph
     entity = graph.entity(var)
     if entity.attrs.get("scope") != "global":
         raise DomainError(f"{var} is not a global variable")
-    ctx = ctx or AugmentContext(graph)
     evidence: dict[str, None] = {}  # insertion-ordered set
     racing_funcs: list[str] = []
     for func in ctx.accessors.get(var, ()):
@@ -197,9 +193,10 @@ def race_alert_static(
     )
 
 
-def race_alert_dynamic(trace: TraceLog, var: str) -> SmartAlert | None:
-    """Eraser's verdict for one variable, from the trace's replay."""
-    rec = trace.replay.locksets.get(var)
+def race_alert_dynamic(ctx: AugmentContext, var: str) -> SmartAlert | None:
+    """Eraser's verdict for one variable, from the replay of the context's
+    trace, which must be loaded."""
+    rec = ctx.trace.replay.locksets.get(var)
     if rec is None:
         raise NotFoundError(f"{var} is not referenced by any trace event")
     if rec.candidate or len(rec.tids) < 2 or not rec.wrote:
@@ -216,25 +213,21 @@ def race_alert_dynamic(trace: TraceLog, var: str) -> SmartAlert | None:
     )
 
 
-def similar_defects(
-    graph: KnowledgeGraph,
-    bug: str,
-    theta: float = 0.25,
-    ctx: AugmentContext | None = None,
-) -> list[tuple[str, float]]:
-    """The five other bugs scoring highest, and at least `theta`, by
-    max(token Jaccard, shared touched function)."""
+def similar_defects(ctx: AugmentContext, bug: str) -> list[tuple[str, float]]:
+    """The five other bugs scoring highest, and at least SIMILARITY_FLOOR,
+    by max(token Jaccard, shared touched function)."""
+    graph = ctx.graph
     mine_tokens = _bug_tokens(graph.entity(bug))
     mine_touch = {o for _, _, o in graph.match(bug, "touches", None)}
     scored: list[tuple[str, float]] = []
-    for eid, other_tokens, touch in (ctx or AugmentContext(graph)).bugs:
+    for eid, other_tokens, touch in ctx.bugs:
         if eid == bug:
             continue
         union = mine_tokens | other_tokens
         jaccard = len(mine_tokens & other_tokens) / len(union) if union else 0.0
         shared = 1.0 if mine_touch & touch else 0.0
         score = max(jaccard, shared)
-        if score >= theta:
+        if score >= SIMILARITY_FLOOR:
             scored.append((eid, round(score, 4)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:5]
@@ -245,13 +238,11 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
     return frozenset(normalize_tokens(text))
 
 
-def change_provenance(
-    graph: KnowledgeGraph, entity_id: str, ctx: AugmentContext | None = None
-) -> list[Entity]:
+def change_provenance(ctx: AugmentContext, entity_id: str) -> list[Entity]:
     """The five newest commits touching the entity or its containing file,
     newest first."""
+    graph = ctx.graph
     graph.entity(entity_id)
-    ctx = ctx or AugmentContext(graph)
     touching = ctx.touching_commits
     commit_ids = set(touching.get(entity_id, ()))
     path = ids.path_of(entity_id)
@@ -263,9 +254,7 @@ def change_provenance(
     return [graph.entities[c] for c in newest[:5]]
 
 
-def _stale_comment_alerts(
-    graph: KnowledgeGraph, entity_id: str, ctx: AugmentContext | None = None
-) -> list[SmartAlert]:
+def _stale_comment_alerts(ctx: AugmentContext, entity_id: str) -> list[SmartAlert]:
     return [
         SmartAlert(
             kind="stale-comment",
@@ -274,27 +263,21 @@ def _stale_comment_alerts(
             message=f"comment {comment} mentions identifiers absent from scope: {missing}",
             score=0.5,
         )
-        for comment, missing in (ctx or AugmentContext(graph)).stale_comments.get(entity_id, ())
+        for comment, missing in ctx.stale_comments.get(entity_id, ())
     ]
 
 
-def augment(
-    result: ResultSet,
-    graph: KnowledgeGraph,
-    trace: TraceLog | None = None,
-    ctx: AugmentContext | None = None,
-) -> ResultSet:
+def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     """Attach rule-driven alerts to an evaluated result set.
 
     Dispatch is by binding kind: globals get race checks plus mutex advice,
     bugs get similar defects, code elements get change provenance, and
     anything with a stale comment gets flagged.  Rows are never modified;
     failures degrade to warning alerts.  The rules read `ctx`, the context
-    of `graph` and `trace` that a query process keeps across responses;
-    without one they share a new one for this response.  Only the
-    ALERT_CAP highest-scoring alerts are kept.
+    of the graph and trace that a query process keeps across responses.
+    Only the ALERT_CAP highest-scoring alerts are kept.
     """
-    ctx = ctx or AugmentContext(graph, trace)
+    graph = ctx.graph
     alerts: list[SmartAlert] = []
     seen_entities = dict.fromkeys(
         value for row in result.rows for value in row if value in graph.entities
@@ -302,7 +285,7 @@ def augment(
     for eid in seen_entities:
         entity = graph.entities[eid]
         try:
-            alerts.extend(_alerts_for(entity, graph, ctx))
+            alerts.extend(_alerts_for(entity, ctx))
         except Exception as exc:  # degrade, never fail the query
             alerts.append(
                 SmartAlert("warning", eid, ["rule-dispatch"],
@@ -312,18 +295,18 @@ def augment(
     return ResultSet(result.columns, result.rows, alerts[:ALERT_CAP])
 
 
-def _alerts_for(entity: Entity, graph: KnowledgeGraph, ctx: AugmentContext) -> list[SmartAlert]:
+def _alerts_for(entity: Entity, ctx: AugmentContext) -> list[SmartAlert]:
+    graph = ctx.graph
     out: list[SmartAlert] = []
     eid = entity.id
     if entity.kind == "variable" and entity.attrs.get("scope") == "global":
-        static = race_alert_static(graph, eid, ctx)
+        static = race_alert_static(ctx, eid)
         dynamic = None
         if ctx.trace is not None and eid in ctx.trace.replay.locksets:
-            dynamic = race_alert_dynamic(ctx.trace, eid)
+            dynamic = race_alert_dynamic(ctx, eid)
         out.extend(a for a in (static, dynamic) if a is not None)
         if static is not None or dynamic is not None:
-            labels = ", ".join(graph.entities[f].label for f in ctx.accessors.get(eid, ())
-                               if f in graph.entities)
+            labels = ", ".join(graph.entities[f].label for f in ctx.accessors.get(eid, ()))
             out.append(
                 SmartAlert(
                     kind="mutex-advice",
@@ -334,7 +317,7 @@ def _alerts_for(entity: Entity, graph: KnowledgeGraph, ctx: AugmentContext) -> l
                 )
             )
     elif entity.kind == "bug":
-        ranked = similar_defects(graph, eid, ctx=ctx)
+        ranked = similar_defects(ctx, eid)
         for other, score in ranked:
             out.append(
                 SmartAlert(
@@ -347,7 +330,7 @@ def _alerts_for(entity: Entity, graph: KnowledgeGraph, ctx: AugmentContext) -> l
                 )
             )
     if entity.kind in ("function", "variable", "file", "type", "class"):
-        commits = change_provenance(graph, eid, ctx)
+        commits = change_provenance(ctx, eid)
         if commits:
             newest = commits[0]
             out.append(
@@ -362,5 +345,5 @@ def _alerts_for(entity: Entity, graph: KnowledgeGraph, ctx: AugmentContext) -> l
                     score=0.3,
                 )
             )
-    out.extend(_stale_comment_alerts(graph, eid, ctx))
+    out.extend(_stale_comment_alerts(ctx, eid))
     return out

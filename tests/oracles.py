@@ -713,23 +713,50 @@ def resolve_entity(tokens, labels):
 
 
 
+def brute_similar_defects(graph, bug, floor=0.25):
+    """Similar defects by brute force over all pairs: every other bug scored
+    by max(token Jaccard of label plus error strings, 1.0 when the two touch
+    a common entity), kept at `floor` or above, rounded to 4 places, best
+    five by score then id."""
+    from ckt.config import normalize_tokens
+
+    keys = set(graph.triples())
+
+    def tokens(eid):
+        entity = graph.entities[eid]
+        return set(normalize_tokens(f"{entity.label} {entity.attrs.get('error_strings', '')}"))
+
+    def touched(eid):
+        return {o for s, p, o in keys if s == eid and p == "touches"}
+
+    out = []
+    for eid, entity in graph.entities.items():
+        if eid == bug or entity.kind != "bug":
+            continue
+        union = tokens(bug) | tokens(eid)
+        jaccard = len(tokens(bug) & tokens(eid)) / len(union) if union else 0.0
+        score = max(jaccard, 1.0 if touched(bug) & touched(eid) else 0.0)
+        if score >= floor:
+            out.append((eid, round(score, 4)))
+    out.sort(key=lambda pair: (-pair[1], pair[0]))
+    return out[:5]
+
+
 def augment_per_response(result, graph, trace=None, cap=10):
-    """smart.augment as it was when its context lived for one response: the
-    race and similar-defect rules get a fresh context per call, and change
-    provenance and stale comments are read by graph.match for each row,
-    with each commit's timestamp parsed again for every row it touches.
-    Only the `cap` highest-scoring alerts are kept."""
+    """smart.augment computed from scratch for one response, sharing no rule
+    with it: the static race from race_static, the dynamic race from the
+    trace events as lockset_race reads them, similar defects from
+    brute_similar_defects, and change provenance and stale comments read by
+    graph.match for each row, with each commit's timestamp parsed again for
+    every row it touches.  Only the `cap` highest-scoring alerts are kept."""
     from datetime import datetime, timezone
 
     from ckt import ids
     from ckt.query.evaluate import ResultSet
-    from ckt.smart import (
-        MUTEX_ADVICE,
-        SmartAlert,
-        race_alert_dynamic,
-        race_alert_static,
-        similar_defects,
-    )
+    from ckt.smart import MUTEX_ADVICE, SmartAlert
+
+    kinds_labels = {eid: (e.kind, e.label) for eid, e in graph.entities.items()}
+    keys = set(graph.triples())
 
     def newest_first(entity):
         try:
@@ -751,13 +778,31 @@ def augment_per_response(result, graph, trace=None, cap=10):
                             if s.startswith("commit:")}
         return sorted((graph.entities[c] for c in commits), key=newest_first)[:5]
 
+    def static_race(entity):
+        found = race_static(entity.id, kinds_labels, keys)
+        if found is None:
+            return None
+        racing, evidence = found
+        names = ", ".join(graph.entities[f].label for f in racing)
+        return SmartAlert(
+            "race-static", entity.id, evidence,
+            f"potential data race: {entity.label} is accessed without a guard in "
+            f"{names}, each reachable from multiple thread roots", 0.9)
+
+    def dynamic_race(eid):
+        accesses = [e for e in trace.events if e.kind in ("read", "write") and e.target == eid]
+        if not accesses or not lockset_race(trace.events, eid):
+            return None
+        return SmartAlert(
+            "race-dynamic", eid, [f"seq:{e.seq}" for e in accesses],
+            f"data race observed: {eid} accessed by threads "
+            f"{sorted({e.tid for e in accesses})} with empty common lockset", 1.0)
+
     def alerts_for(entity):
         out, eid = [], entity.id
         if entity.kind == "variable" and entity.attrs.get("scope") == "global":
-            static = race_alert_static(graph, eid)
-            dynamic = None
-            if trace is not None and eid in trace.replay.locksets:
-                dynamic = race_alert_dynamic(trace, eid)
+            static = static_race(entity)
+            dynamic = dynamic_race(eid) if trace is not None else None
             out.extend(a for a in (static, dynamic) if a is not None)
             if static is not None or dynamic is not None:
                 funcs = sorted({s for s, _, _ in graph.match(None, "writes", eid)}
@@ -767,7 +812,7 @@ def augment_per_response(result, graph, trace=None, cap=10):
                     "mutex-advice", eid, (static or dynamic).evidence,
                     MUTEX_ADVICE.format(var=entity.label, funcs=labels or "its accessors"), 0.85))
         elif entity.kind == "bug":
-            for other, score in similar_defects(graph, eid):
+            for other, score in brute_similar_defects(graph, eid):
                 out.append(SmartAlert(
                     "similar-defect", eid, [other],
                     f"similar defect: {other} ({graph.entities[other].label}) score {score}",

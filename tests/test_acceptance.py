@@ -20,8 +20,14 @@ from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import FilterClause, QueryAST, Term, TriplePattern, format_query, parse_query
-from ckt.query.templates import NoMatch, match_freeform, run_template
-from ckt.smart import race_alert_dynamic, race_alert_static, similar_defects, change_provenance
+from ckt.query.templates import LabelIndex, NoMatch, match_freeform, run_template
+from ckt.smart import (
+    AugmentContext,
+    change_provenance,
+    race_alert_dynamic,
+    race_alert_static,
+    similar_defects,
+)
 from conftest import FIXTURES, SCENARIO
 from oracles import (
     brute_triangles,
@@ -61,23 +67,24 @@ def test_criterion_1_scenario_reproduction(tmp_path):
     with open(work / "out" / "trace.jsonl", encoding="utf-8") as fh:
         trace = load_trace(fh)
     registry = load_registry(str(work / "out" / "templates.jsonl"))
+    ctx = AugmentContext(graph, trace)
 
     # (a) the similar-defect search for bug 67 ranks bug 22 first
-    ranked = similar_defects(graph, "bug:CQ/67")
+    ranked = similar_defects(ctx, "bug:CQ/67")
     assert ranked and ranked[0][0] == "bug:CQ/22"
 
     # (b) change provenance of var1's function returns the CR123 commit first
-    commits = change_provenance(graph, S2)
+    commits = change_provenance(ctx, S2)
     assert commits and commits[0].id == CR123_COMMIT
     assert "CR123" in commits[0].label
 
     # (c) both race detectors fire for the shared variable, with mutex advice
-    static = race_alert_static(graph, VAR1)
-    dynamic = race_alert_dynamic(trace, VAR1)
+    static = race_alert_static(ctx, VAR1)
+    dynamic = race_alert_dynamic(ctx, VAR1)
     assert static is not None and static.kind == "race-static"
     assert dynamic is not None and dynamic.kind == "race-dynamic"
     result = evaluate(graph, parse_query(f"SELECT ?v WHERE {{ {S2} writes ?v }}"))
-    augmented = augment(result, graph, trace)
+    augmented = augment(result, ctx)
     advice = [a for a in augmented.alerts if a.kind == "mutex-advice"]
     assert advice and "add mutex locks" in advice[0].message
 
@@ -220,23 +227,24 @@ def test_criterion_5_lockset_races():
                 else rng.choice(["var:a#x", "var:a#y"])
             )
             events.append(TraceEvent(seq, tid, kind, target))
-        log = TraceLog(events=events)
+        ctx = AugmentContext(build_graph([]), TraceLog(events=events))
         for var in ("var:a#x", "var:a#y"):
             if not any(e.kind in ("read", "write") and e.target == var for e in events):
                 continue
-            assert (race_alert_dynamic(log, var) is not None) == lockset_race(events, var)
+            assert (race_alert_dynamic(ctx, var) is not None) == lockset_race(events, var)
 
     guarded = TraceLog(events=[
         TraceEvent(1, 1, "acquire", "L"), TraceEvent(2, 1, "write", "var:a#g"),
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "acquire", "L"),
         TraceEvent(5, 2, "write", "var:a#g"), TraceEvent(6, 2, "release", "L"),
     ])
-    assert race_alert_dynamic(guarded, "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build_graph([]), guarded), "var:a#g") is None
     unguarded = TraceLog(events=[
         TraceEvent(1, 1, "acquire", "L"), TraceEvent(2, 1, "write", "var:a#g"),
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "write", "var:a#g"),
     ])
-    alerts = [a for a in [race_alert_dynamic(unguarded, "var:a#g")] if a]
+    unguarded_ctx = AugmentContext(build_graph([]), unguarded)
+    alerts = [a for a in [race_alert_dynamic(unguarded_ctx, "var:a#g")] if a]
     assert len(alerts) == 1
     print("ACCEPTANCE 5: lockset detector matches recomputation on 100 traces PASS")
 
@@ -316,8 +324,9 @@ def test_criterion_7_freeform_corpus(scenario_graph, scenario_registry):
     ]
     assert len(corpus) == 20
     resolved = 0
+    labels = LabelIndex(scenario_graph)
     for case in corpus:
-        routed = match_freeform(case["text"], scenario_registry, scenario_graph)
+        routed = match_freeform(case["text"], scenario_registry, labels)
         if case["template"] is None:
             assert isinstance(routed, NoMatch), case["text"]
             assert isinstance(routed.suggestions, list)

@@ -15,7 +15,7 @@ import pytest
 
 from ckt.cli import _load_query_context, _run_query_text, cmd_export, cmd_query, cmd_repl, main
 from ckt.cli import cmd_build as cli_build
-from ckt.errors import FormatError
+from ckt.errors import FormatError, SlotError
 from ckt.query.templates import Template, TemplateRegistry
 from conftest import SCENARIO
 from oracles import graphs_equal, parse_record
@@ -131,14 +131,26 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert (tmp_path / "p" / "out" / "nodes.jsonl").exists()
 
 
-def test_build_missing_bugs_path_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key, value, message", [
+    ("bugs", "no-such-file.jsonl", "bugs path does not exist: "),
+    *[(key, "src", f"{key} path is not a file: ")
+      for key in ("commits", "bugs", "trace", "ontology", "weights", "templates")],
+    ("sources", [{"path": "src", "mode": "parse"}, {"path": "src", "mode": "facts"}],
+     "facts source path is not a file: "),
+    ("out", "commits.jsonl", "out path is not a directory: "),
+], ids=["missing-bugs", "commits-dir", "bugs-dir", "trace-dir", "ontology-dir", "weights-dir",
+        "templates-dir", "facts-source-dir", "out-file"])
+def test_build_missing_bugs_path_exits_2(tmp_path, capsys, key, value, message):
     shutil.copytree(SCENARIO, tmp_path / "p")
     manifest = tmp_path / "p" / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["bugs"] = "no-such-file.jsonl"
+    doc[key] = value
     manifest.write_text(json.dumps(doc))
     assert main(["build", "--manifest", str(manifest)]) == 2
-    assert "no-such-file.jsonl" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    named = value if isinstance(value, str) else value[-1]["path"]
+    assert err.startswith(f"error: {message}") and err.rstrip().endswith(named)
+    assert err.count("\n") == 1
 
 
 def test_source_path_with_whitespace_exits_2(tmp_path, capsys):
@@ -371,7 +383,11 @@ def test_build_pauses_and_restores_the_collector(tmp_path, monkeypatch, capsys, 
      "template 'algo-of-function' takes 1 slot(s), got 3 positional argument(s)"),
     ("@bugs-affecting-function(func=commit:x ; ?bug ?p ?o)",
      "slot 'func' expects an entity id, got 'commit:x ; ?bug ?p ?o'"),
-], ids=["extra-positional", "entity-not-one-word"])
+    (f"@bugs-affecting-function({S2}, func=func:src/ftpety.c#ui_save)",
+     "slot 'func' given twice"),
+    (f"@bugs-affecting-function(func={S2}, func=func:src/ftpety.c#ui_save)",
+     "slot 'func' given twice"),
+], ids=["extra-positional", "entity-not-one-word", "by-position-and-name", "by-name-twice"])
 def test_bad_template_arguments_exit_1(scenario_dir, text, message):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -466,6 +482,16 @@ def test_day_first_date_is_rewritten_for_a_date_slot_alone(scenario_dir):
     for text in ("@dated(12-03-2013, 12-03-2013)", "@dated(when=12-03-2013, label=12-03-2013)"):
         _, resolution = _run_query_text(text, ctx)
         assert resolution["args"] == {"label": "12-03-2013", "when": "2013-03-12T00:00:00Z"}, text
+
+
+def test_day_first_date_in_other_digits_is_not_rewritten(scenario_dir):
+    ctx = _load_query_context(scenario_dir / "out")
+    ctx.registry = TemplateRegistry()
+    ctx.registry.add(Template("dated", ["dated"], [("when", "date")],
+                              'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
+    value = "\u0661\u0662-\u0660\u0663-\u0662\u0660\u0661\u0663"
+    with pytest.raises(SlotError, match=f"slot 'when' expects a date, got '{value}'"):
+        _run_query_text(f"@dated({value})", ctx)
 
 
 def test_syntax_error_exits_1(scenario_dir, capsys):

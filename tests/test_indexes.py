@@ -29,7 +29,7 @@ from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, Trac
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import parse_query
 from ckt.query.templates import LabelIndex, _resolve_entity
-from ckt.smart import AugmentContext, augment, race_alert_static
+from ckt.smart import AugmentContext, augment, race_alert_static, similar_defects
 
 PATHS = ["a.c", "lib/b.c", "c.h"]
 FUNC_NAMES = ["f", "divideRange", "halve_it", "memoFib", "greedyPick"]
@@ -340,7 +340,7 @@ def assert_race_alerts_match_oracle(graph, variables):
     keys = set(graph.triples())
     ctx = AugmentContext(graph)  # one context for the whole response
     for var in variables:
-        for alert in (race_alert_static(graph, var, ctx), race_alert_static(graph, var)):
+        for alert in (race_alert_static(ctx, var), race_alert_static(AugmentContext(graph), var)):
             expected = oracles.race_static(var, entities, keys)
             if expected is None:
                 assert alert is None
@@ -420,10 +420,10 @@ def rule_graphs(draw):
                                   attrs={"timestamp": draw(st.sampled_from(STAMPS))}))
         for target in draw(st.lists(st.sampled_from(code), min_size=1, max_size=3, unique=True)):
             builder.insert_triple(cid, "touches", target, PROV)
-    for i in range(draw(st.integers(0, 4))):
+    for i in range(draw(st.integers(0, 8))):  # more than the five similar defects kept
         bid = f"bug:T/{i}"
         builder.add_entity(Entity(bid, "bug", " ".join(draw(st.lists(
-            st.sampled_from(["crash", "save", "race", "lock"]), min_size=1, max_size=3)))))
+            st.sampled_from(["crash", "save", "race", "lock", "ring"]), min_size=1, max_size=4)))))
         for target in draw(st.lists(st.sampled_from(funcs), max_size=2, unique=True)):
             builder.insert_triple(bid, "touches", target, PROV)
     for line in draw(st.lists(st.integers(1, 40), max_size=5, unique=True)):
@@ -456,12 +456,21 @@ def selects(draw, graph):
     return f"SELECT ?s WHERE {{ ?s {pred} {bound} }}"
 
 
+@settings(max_examples=150, deadline=None)
+@given(rule_graphs())
+def test_similar_defects_from_the_bug_table_equal_all_pairs_oracle(graph_and_trace):
+    graph, _ = graph_and_trace
+    ctx = AugmentContext(graph)  # one bug table for every bug
+    for bug in sorted(eid for eid, e in graph.entities.items() if e.kind == "bug"):
+        assert similar_defects(ctx, bug) == oracles.brute_similar_defects(graph, bug), bug
+
+
 def assert_alerts_match_oracle(graph, trace, queries, cap):
     ctx = AugmentContext(graph, trace)  # one context for every response
     for text in queries:
         result = evaluate(graph, parse_query(text))
         with patch.object(smart, "ALERT_CAP", cap):
-            alerts = augment(result, graph, trace, ctx).alerts
+            alerts = augment(result, ctx).alerts
         assert alerts == oracles.augment_per_response(result, graph, trace, cap).alerts, text
 
 

@@ -21,6 +21,7 @@ from ckt.query.parser import (
     parse_query,
 )
 from ckt.query.templates import (
+    LabelIndex,
     NoMatch,
     Template,
     TemplateRegistry,
@@ -489,7 +490,7 @@ def test_day_first_date_slot_must_be_a_real_date(value):
                      'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
     with pytest.raises(SlotError, match="when"):
         run_template("bugs-fixed-on", {"when": value}, scenario_graph(), reg)
-    routed = match_freeform(f"bugs fixed on {value} date", reg, scenario_graph())
+    routed = match_freeform(f"bugs fixed on {value} date", reg, LabelIndex(scenario_graph()))
     assert isinstance(routed, NoMatch)
     assert "when" in routed.reason
 
@@ -501,9 +502,21 @@ def test_day_first_date_slot_must_be_a_real_date(value):
     ("01-01-0999", "0999-01-01T00:00:00Z"),
     ("2013-03-12T10:00:00.5Z", "2013-03-12T10:00:00Z"),
     ("0001-01-01T00:00:00+02:00", None),  # before year 1 in UTC
+    ("\u0661\u0662-\u0660\u0663-\u0662\u0660\u0661\u0663", None),  # ASCII digits alone
+    ("\uff11\uff12-\uff10\uff13-\uff12\uff10\uff11\uff13", None),
+    ("12-03-2013\n", None),  # the whole value, not a line of it
 ])
 def test_normalize_date_gives_utc_with_a_four_digit_year(value, expected):
     assert normalize_date(value) == expected
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff15", "5\n", "1.\u0665"])
+def test_number_slot_takes_ascii_digits_alone(value):
+    reg = TemplateRegistry()
+    reg.add(Template("bugs-over", [], [("n", "number")],
+                     'SELECT ?b WHERE { ?c fixes ?b } FILTER ?b > "$n"'))
+    with pytest.raises(SlotError, match="slot 'n' expects a number"):
+        run_template("bugs-over", {"n": value}, scenario_graph(), reg)
 
 
 # -- free-form -----------------------------------------------------------------
@@ -513,21 +526,21 @@ def test_paper_sentence_resolves():
     graph = template_graph()
     routed = match_freeform(
         "How many unsynchronised global variables are used to implement the UI Save button",
-        builtin_registry(), graph,
+        builtin_registry(), LabelIndex(graph),
     )
     assert routed.template == "unsynchronized-globals-of-concept"
     assert routed.args == {"concept": "concept:save-button"}
 
 
 def test_empty_text_no_match():
-    routed = match_freeform("", builtin_registry(), template_graph())
+    routed = match_freeform("", builtin_registry(), LabelIndex(template_graph()))
     assert isinstance(routed, NoMatch)
     assert routed.suggestions == []
 
 
 def test_nonsense_returns_three_suggestions():
     routed = match_freeform(
-        "what is the meaning of life", builtin_registry(), template_graph()
+        "what is the meaning of life", builtin_registry(), LabelIndex(template_graph())
     )
     assert isinstance(routed, NoMatch)
     assert len(routed.suggestions) == 3
@@ -539,21 +552,21 @@ def test_tie_breaks_by_registry_order():
     graph = build([("func:a#f", "writes", "var:a#g")])
     reg.add(Template("first", ["shared trigger phrase"], [], "SELECT ?x WHERE { ?x writes ?y }"))
     reg.add(Template("second", ["shared trigger phrase"], [], "SELECT ?x WHERE { ?x writes ?y }"))
-    routed = match_freeform("shared trigger phrase", reg, graph)
+    routed = match_freeform("shared trigger phrase", reg, LabelIndex(graph))
     assert routed.template == "first"
 
 
 def test_freeform_is_deterministic():
     graph = template_graph()
     text = "bugs fixed by developer sandra mills"
-    first = match_freeform(text, builtin_registry(), graph)
-    second = match_freeform(text, builtin_registry(), graph)
+    first = match_freeform(text, builtin_registry(), LabelIndex(graph))
+    second = match_freeform(text, builtin_registry(), LabelIndex(graph))
     assert first == second
 
 
 def test_unique_prefix_resolution():
     graph = template_graph()
-    routed = match_freeform("bugs fixed by developer sandra", builtin_registry(), graph)
+    routed = match_freeform("bugs fixed by developer sandra", builtin_registry(), LabelIndex(graph))
     assert routed.args == {"dev": "dev:sandra@example.com"}
 
 
@@ -565,7 +578,7 @@ def test_date_and_number_slots():
         'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when" LIMIT $top',
     ))
     graph = scenario_graph()
-    routed = match_freeform("bugs fixed on 12-03-2013 date 5", reg, graph)
+    routed = match_freeform("bugs fixed on 12-03-2013 date 5", reg, LabelIndex(graph))
     assert routed.args == {"when": "2013-03-12T00:00:00Z", "top": "5"}
     result = run_template("bugs-fixed-on", routed.args, graph, reg)
     assert result.rows == [("bug:CQ/22",)]
@@ -575,6 +588,6 @@ def test_date_slot_unfillable_is_structured_no_match():
     reg = TemplateRegistry()
     reg.add(Template("bugs-fixed-on", ["bugs fixed on date"], [("when", "date")],
                      'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
-    routed = match_freeform("bugs fixed on someday date", reg, scenario_graph())
+    routed = match_freeform("bugs fixed on someday date", reg, LabelIndex(scenario_graph()))
     assert isinstance(routed, NoMatch)
     assert "when" in routed.reason

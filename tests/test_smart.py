@@ -12,13 +12,14 @@ from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Entity, TraceEvent, TraceLog
 from ckt.query.evaluate import ResultSet
 from ckt.smart import (
+    AugmentContext,
     augment,
     change_provenance,
     race_alert_dynamic,
     race_alert_static,
     similar_defects,
 )
-from oracles import lockset_race
+from oracles import brute_similar_defects, lockset_race
 
 PROV = Provenance("source-code", "t:1")
 
@@ -53,7 +54,7 @@ def race_graph(guarded=False, main_only=False):
 
 
 def test_static_race_fires_for_two_roots():
-    alert = race_alert_static(race_graph(), "var:a#g")
+    alert = race_alert_static(AugmentContext(race_graph()), "var:a#g")
     assert alert is not None
     assert alert.kind == "race-static"
     assert "func:a#main|calls|func:a#worker" in alert.evidence
@@ -61,11 +62,11 @@ def test_static_race_fires_for_two_roots():
 
 
 def test_guard_suppresses_static_race():
-    assert race_alert_static(race_graph(guarded=True), "var:a#g") is None
+    assert race_alert_static(AugmentContext(race_graph(guarded=True)), "var:a#g") is None
 
 
 def test_single_root_cannot_race():
-    assert race_alert_static(race_graph(main_only=True), "var:a#g") is None
+    assert race_alert_static(AugmentContext(race_graph(main_only=True)), "var:a#g") is None
 
 
 def test_static_race_requires_global():
@@ -74,12 +75,12 @@ def test_static_race_requires_global():
         [Entity("var:a#l", "variable", "l", attrs={"scope": "local"})],
     )
     with pytest.raises(DomainError):
-        race_alert_static(graph, "var:a#l")
+        race_alert_static(AugmentContext(graph), "var:a#l")
 
 
 def test_adding_guard_never_creates_new_static_alert():
-    before = race_alert_static(race_graph(), "var:a#g")
-    after = race_alert_static(race_graph(guarded=True), "var:a#g")
+    before = race_alert_static(AugmentContext(race_graph()), "var:a#g")
+    after = race_alert_static(AugmentContext(race_graph(guarded=True)), "var:a#g")
     assert before is not None and after is None
 
 
@@ -100,10 +101,10 @@ def test_guard_removal_is_local_to_its_variable():
     ]
     with_guard = build(base + [("func:a#worker", "guards", "var:a#g")], entities)
     without_guard = build(base, entities)
-    assert race_alert_static(with_guard, "var:a#h") is not None
-    assert race_alert_static(without_guard, "var:a#h") is not None
-    assert race_alert_static(with_guard, "var:a#g") is None
-    assert race_alert_static(without_guard, "var:a#g") is not None
+    assert race_alert_static(AugmentContext(with_guard), "var:a#h") is not None
+    assert race_alert_static(AugmentContext(without_guard), "var:a#h") is not None
+    assert race_alert_static(AugmentContext(with_guard), "var:a#g") is None
+    assert race_alert_static(AugmentContext(without_guard), "var:a#g") is not None
 
 
 def trace(events):
@@ -117,7 +118,7 @@ def test_dynamic_race_hand_lockset():
         TraceEvent(3, 1, "release", "L"),
         TraceEvent(4, 2, "write", "var:a#g"),
     ])
-    alert = race_alert_dynamic(log, "var:a#g")
+    alert = race_alert_dynamic(AugmentContext(build([]), log), "var:a#g")
     assert alert is not None
     assert alert.evidence == ["seq:2", "seq:4"]
 
@@ -131,7 +132,7 @@ def test_consistent_lock_no_race():
         TraceEvent(5, 2, "write", "var:a#g"),
         TraceEvent(6, 2, "release", "L"),
     ])
-    assert race_alert_dynamic(log, "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build([]), log), "var:a#g") is None
 
 
 def test_single_thread_no_race():
@@ -139,12 +140,13 @@ def test_single_thread_no_race():
         TraceEvent(1, 1, "write", "var:a#g"),
         TraceEvent(2, 1, "write", "var:a#g"),
     ])
-    assert race_alert_dynamic(log, "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build([]), log), "var:a#g") is None
 
 
 def test_unknown_var_not_found():
+    log = trace([TraceEvent(1, 1, "write", "var:a#g")])
     with pytest.raises(NotFoundError):
-        race_alert_dynamic(trace([TraceEvent(1, 1, "write", "var:a#g")]), "var:a#other")
+        race_alert_dynamic(AugmentContext(build([]), log), "var:a#other")
 
 
 def test_dynamic_agrees_with_recomputation_on_random_traces():
@@ -166,7 +168,7 @@ def test_dynamic_agrees_with_recomputation_on_random_traces():
         for var in ("var:a#x", "var:a#y"):
             if not any(e.kind in ("read", "write") and e.target == var for e in events):
                 continue
-            mine = race_alert_dynamic(log, var) is not None
+            mine = race_alert_dynamic(AugmentContext(build([]), log), var) is not None
             assert mine == lockset_race(events, var), (var, events)
 
 
@@ -190,14 +192,14 @@ def defect_graph():
 
 
 def test_shared_function_ranks_first():
-    ranked = similar_defects(defect_graph(), "bug:CQ/67")
+    ranked = similar_defects(AugmentContext(defect_graph()), "bug:CQ/67")
     assert ranked and ranked[0] == ("bug:CQ/22", 1.0)
     assert all(eid != "bug:CQ/67" for eid, _ in ranked)
 
 
 def test_self_never_in_own_results():
     for bug in ("bug:CQ/67", "bug:CQ/22", "bug:CQ/5"):
-        assert bug not in [eid for eid, _ in similar_defects(defect_graph(), bug)]
+        assert bug not in [eid for eid, _ in similar_defects(AugmentContext(defect_graph()), bug)]
 
 
 def test_scores_are_symmetric():
@@ -206,14 +208,13 @@ def test_scores_are_symmetric():
         for b in ("bug:CQ/67", "bug:CQ/22", "bug:CQ/5"):
             if a == b:
                 continue
-            score_ab = dict(similar_defects(graph, a, theta=0.0)).get(b, 0.0)
-            score_ba = dict(similar_defects(graph, b, theta=0.0)).get(a, 0.0)
+            with patch.object(smart, "SIMILARITY_FLOOR", 0.0):
+                score_ab = dict(similar_defects(AugmentContext(graph), a)).get(b, 0.0)
+                score_ba = dict(similar_defects(AugmentContext(graph), b)).get(a, 0.0)
             assert score_ab == score_ba
 
 
 def test_ranking_matches_all_pairs_brute_force():
-    from ckt.config import normalize_tokens
-
     graph = build(
         [],
         [
@@ -227,26 +228,9 @@ def test_ranking_matches_all_pairs_brute_force():
             ])
         ],
     )
-
-    def brute(bug):
-        mine = set(normalize_tokens(
-            f"{graph.entities[bug].label} {graph.entities[bug].attrs['error_strings']}"
-        ))
-        out = []
-        for eid, entity in graph.entities.items():
-            if eid == bug or entity.kind != "bug":
-                continue
-            other = set(normalize_tokens(f"{entity.label} {entity.attrs['error_strings']}"))
-            union = mine | other
-            j = len(mine & other) / len(union) if union else 0.0
-            if j >= 0.25:
-                out.append((eid, round(j, 4)))
-        out.sort(key=lambda p: (-p[1], p[0]))
-        return out[:5]
-
     for i in range(5):
         bug = f"bug:CQ/{i}"
-        assert similar_defects(graph, bug) == brute(bug)
+        assert similar_defects(AugmentContext(graph), bug) == brute_similar_defects(graph, bug)
 
 
 # -- change provenance -----------------------------------------------------------
@@ -267,7 +251,7 @@ def provenance_graph():
 
 
 def test_provenance_newest_first_truncated():
-    commits = change_provenance(provenance_graph(), "func:a.c#f")
+    commits = change_provenance(AugmentContext(provenance_graph()), "func:a.c#f")
     stamps = [c.attrs["timestamp"] for c in commits]
     assert stamps == sorted(stamps, reverse=True)
     assert len(commits) == 5  # 7 touching commits, newest five kept
@@ -275,7 +259,7 @@ def test_provenance_newest_first_truncated():
 
 def test_untouched_entity_empty():
     graph = build([], [Entity("func:b#lonely", "function", "lonely")])
-    assert change_provenance(graph, "func:b#lonely") == []
+    assert change_provenance(AugmentContext(graph), "func:b#lonely") == []
 
 
 # -- augment ---------------------------------------------------------------------
@@ -288,7 +272,7 @@ def test_augment_attaches_race_and_advice():
         TraceEvent(2, 2, "write", "var:a#g"),
     ])
     result = ResultSet(("v",), [("var:a#g",)])
-    augmented = augment(result, graph, log)
+    augmented = augment(result, AugmentContext(graph, log))
     kinds = [a.kind for a in augmented.alerts]
     assert "race-static" in kinds and "race-dynamic" in kinds
     advice = next(a for a in augmented.alerts if a.kind == "mutex-advice")
@@ -302,7 +286,7 @@ def test_augment_clean_fixture_no_alerts():
         [Entity("func:a#f", "function", "f"), Entity("func:a#g", "function", "g")],
     )
     result = ResultSet(("f",), [("func:a#f",)])
-    assert augment(result, graph, None).alerts == []
+    assert augment(result, AugmentContext(graph)).alerts == []
 
 
 def test_alert_cap_keeps_highest_scores():
@@ -311,10 +295,10 @@ def test_alert_cap_keeps_highest_scores():
     rows = [(eid,) for eid in entities]
     result = ResultSet(("e",), rows)
     with patch.object(smart, "ALERT_CAP", 1):
-        capped = augment(result, graph, None)
+        capped = augment(result, AugmentContext(graph))
     assert len(capped.alerts) == 1
     with patch.object(smart, "ALERT_CAP", 100):
-        uncapped = augment(result, graph, None)
+        uncapped = augment(result, AugmentContext(graph))
     assert capped.alerts[0].score == max(a.score for a in uncapped.alerts)
 
 
@@ -326,6 +310,6 @@ def test_stale_comment_alert():
     ]
     graph = build([("func:a#f", "documented-by", "comment:a.c#L3")], entities)
     result = ResultSet(("f",), [("func:a#f",)])
-    alerts = augment(result, graph, None).alerts
+    alerts = augment(result, AugmentContext(graph)).alerts
     stale = [a for a in alerts if a.kind == "stale-comment"]
     assert len(stale) == 1 and "var2" in stale[0].message

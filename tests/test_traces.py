@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from ckt.concepts import detect_guarded_regions, detect_thread_roots
 from ckt.errors import FormatError
 from ckt.extraction.traces import load_trace
+from ckt.graph import GraphBuilder
 from ckt.model import FactSet, TraceLog
-from ckt.smart import race_alert_dynamic
+from ckt.smart import AugmentContext, race_alert_dynamic
 from oracles import call_stack_at, held_locks_at, lockset_race, max_trace_depth
 
 
@@ -121,8 +122,9 @@ def test_replay_equals_naive_recomputation(lines):
     plain = [(ev.tid, ev.kind, ev.target) for ev in events]
     for func in FUNCS:
         assert log.replay.depths.get(func, 0) == max_trace_depth(func, plain)
+    ctx = AugmentContext(GraphBuilder().finalize(), log)
     for var in TARGETS["read"]:
         if any(ev.kind in ("read", "write") and ev.target == var for ev in events):
-            assert (race_alert_dynamic(log, var) is not None) == lockset_race(events, var)
+            assert (race_alert_dynamic(ctx, var) is not None) == lockset_race(events, var)
     assert detect_thread_roots(FactSet(), log) == {
         ev.target for ev in events if ev.kind == "thread_create"}
