@@ -222,9 +222,10 @@ def _validate_comments(state: BuildState) -> int:
     stale = 0
     # ids repeat (a file listed twice, two comments on a line): the last wins
     by_id = {c.id: c for c in state.comments}
+    code_words: dict[str, bool] = {}  # each distinct word's identifier_like verdict
     for comment_id in sorted(by_id):
         scope = _scope_identifiers(state.associations.get(comment_id, ""), state.facts)
-        missing = concepts.validate_comment(by_id[comment_id], scope)
+        missing = concepts.validate_comment(by_id[comment_id], scope, code_words)
         stale += bool(missing)
         centity = state.facts.entities.get(comment_id)
         if centity is not None:

@@ -209,16 +209,25 @@ def identifier_like(word: str) -> bool:
     return False
 
 
-def validate_comment(comment: Comment, scope_identifiers: set[str]) -> list[str]:
+def validate_comment(comment: Comment, scope_identifiers: set[str],
+                     code_words: dict[str, bool] | None = None) -> list[str]:
     """The identifier-like comment words absent from the associated
     entity's scope, each once, in order; the comment is stale when there
-    are any."""
+    are any.  `code_words` keeps each word's identifier_like verdict, so a
+    pass over many comments that shares one dict decides each word once."""
+    if code_words is None:
+        code_words = {}
     seen = {s.lower() for s in scope_identifiers}  # lower-cased: in scope or missing
     missing: list[str] = []
     for m in _IDENT_WORD.finditer(comment.text):
         word = m.group()
         lower = word.lower()
-        if lower not in seen and identifier_like(word):
+        if lower in seen:
+            continue
+        like = code_words.get(word)
+        if like is None:
+            like = code_words[word] = identifier_like(word)
+        if like:
             seen.add(lower)
             missing.append(word)
     return missing

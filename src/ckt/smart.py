@@ -55,11 +55,11 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 class AugmentContext:
     """What the rules share for one graph and trace, each part built on
     first use: each variable's accessors, the call graph, one BFS tree per
-    race root, the bug table, the commits touching each entity with each
-    commit's newest-first key, and each entity's stale comments.  Every
-    rule reads the graph and the trace through it alone.  A query process
-    keeps one for its loaded graph, so every response, and every row of
-    it, reads the same indexes."""
+    race root, the reach index (each function's trees), the bug table, the
+    commits touching each entity with each commit's newest-first key, and
+    each entity's stale comments.  Every rule reads the graph and the trace
+    through it alone.  A query process keeps one for its loaded graph, so
+    every response, and every row of it, reads the same indexes."""
 
     def __init__(self, graph: KnowledgeGraph, trace: TraceLog | None = None):
         self.graph = graph
@@ -100,6 +100,15 @@ class AugmentContext:
                         queue.append(nxt)
             trees.append(parent)
         return trees
+
+    @cached_property
+    def reach(self) -> dict[str, list[dict[str, str | None]]]:
+        """Function -> the root trees that contain it, in root order."""
+        out: dict[str, list[dict[str, str | None]]] = {}
+        for tree in self.root_trees:
+            for node in tree:
+                out.setdefault(node, []).append(tree)
+        return out
 
     @cached_property
     def bugs(self) -> list[tuple[str, frozenset[str], set[str]]]:
@@ -146,10 +155,8 @@ class AugmentContext:
         return out
 
 
-def _tree_path(tree: dict[str, str | None], target: str) -> list[str] | None:
-    """Root -> target path in a BFS tree, or None when target is unreached."""
-    if target not in tree:
-        return None
+def _tree_path(tree: dict[str, str | None], target: str) -> list[str]:
+    """Root -> target path in a BFS tree that reaches target."""
     path = [target]
     while tree[path[-1]] is not None:
         path.append(tree[path[-1]])
@@ -168,9 +175,10 @@ def race_alert_static(ctx: AugmentContext, var: str) -> SmartAlert | None:
     for func in ctx.accessors.get(var, ()):
         if (func, "guards", var) in graph:
             continue
-        paths = [p for p in (_tree_path(tree, func) for tree in ctx.root_trees) if p is not None]
-        if len(paths) < 2:
+        trees = ctx.reach.get(func, ())
+        if len(trees) < 2:
             continue
+        paths = [_tree_path(tree, func) for tree in trees]
         racing_funcs.append(func)
         for path in paths:
             for a, b in zip(path, path[1:]):
@@ -254,17 +262,8 @@ def change_provenance(ctx: AugmentContext, entity_id: str) -> list[Entity]:
     return [graph.entities[c] for c in newest[:5]]
 
 
-def _stale_comment_alerts(ctx: AugmentContext, entity_id: str) -> list[SmartAlert]:
-    return [
-        SmartAlert(
-            kind="stale-comment",
-            subject=entity_id,
-            evidence=[_triple_ref(entity_id, "documented-by", comment)],
-            message=f"comment {comment} mentions identifiers absent from scope: {missing}",
-            score=0.5,
-        )
-        for comment, missing in ctx.stale_comments.get(entity_id, ())
-    ]
+def _alert_key(alert: SmartAlert) -> tuple[float, str, str]:
+    return (-alert.score, alert.kind, alert.subject)
 
 
 def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
@@ -272,78 +271,137 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
 
     Dispatch is by binding kind: globals get race checks plus mutex advice,
     bugs get similar defects, code elements get change provenance, and
-    anything with a stale comment gets flagged.  Rows are never modified;
-    failures degrade to warning alerts.  The rules read `ctx`, the context
-    of the graph and trace that a query process keeps across responses.
-    Only the ALERT_CAP highest-scoring alerts are kept.
+    anything with a stale comment gets flagged.  Rows are never modified.
+    The rules read `ctx`, the context of the graph and trace that a query
+    process keeps across responses.  Only the ALERT_CAP alerts first by
+    (-score, kind, subject) are kept.
+
+    The rules run in the tiers of _TIERS, each over every entity of the
+    rows in row order.  Once ALERT_CAP held alerts sort strictly before the
+    first key the next tier could give, no later tier can change the
+    answer, and none runs.  An exception in a rule drops every alert its
+    entity holds from the tiers that ran, skips the entity in later tiers
+    and adds a warning alert with score 0.0; a tier that never runs cannot
+    raise.
     """
     graph = ctx.graph
-    alerts: list[SmartAlert] = []
-    seen_entities = dict.fromkeys(
-        value for row in result.rows for value in row if value in graph.entities
-    )
-    for eid in seen_entities:
-        entity = graph.entities[eid]
-        try:
-            alerts.extend(_alerts_for(entity, ctx))
-        except Exception as exc:  # degrade, never fail the query
-            alerts.append(
-                SmartAlert("warning", eid, ["rule-dispatch"],
-                           f"augmentation failed for {eid}: {exc}", 0.0)
-            )
-    alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
+    # each entity of the rows, in row order -> the alerts it holds
+    held: dict[str, list[SmartAlert]] = {eid: [] for eid in dict.fromkeys(
+        value for row in result.rows for value in row if value in graph.entities)}
+    warnings: list[SmartAlert] = []
+    dynamic: dict[str, SmartAlert] = {}  # the first tier's dynamic races, for mutex advice
+    for first_key, tier in _TIERS:
+        if sum(_alert_key(a) < first_key for alerts in held.values() for a in alerts) >= ALERT_CAP:
+            break
+        for eid, alerts in list(held.items()):
+            try:
+                alerts.extend(tier(ctx, graph.entities[eid], dynamic))
+            except Exception as exc:  # degrade, never fail the query
+                del held[eid]
+                warnings.append(
+                    SmartAlert("warning", eid, ["rule-dispatch"],
+                               f"augmentation failed for {eid}: {exc}", 0.0)
+                )
+    alerts = [a for entity_alerts in held.values() for a in entity_alerts] + warnings
+    alerts.sort(key=_alert_key)
     return ResultSet(result.columns, result.rows, alerts[:ALERT_CAP])
 
 
-def _alerts_for(entity: Entity, ctx: AugmentContext) -> list[SmartAlert]:
-    graph = ctx.graph
-    out: list[SmartAlert] = []
+def _is_global(entity: Entity) -> bool:
+    return entity.kind == "variable" and entity.attrs.get("scope") == "global"
+
+
+def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
+                               dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
     eid = entity.id
-    if entity.kind == "variable" and entity.attrs.get("scope") == "global":
-        static = race_alert_static(ctx, eid)
-        dynamic = None
-        if ctx.trace is not None and eid in ctx.trace.replay.locksets:
-            dynamic = race_alert_dynamic(ctx, eid)
-        out.extend(a for a in (static, dynamic) if a is not None)
-        if static is not None or dynamic is not None:
-            labels = ", ".join(graph.entities[f].label for f in ctx.accessors.get(eid, ()))
-            out.append(
-                SmartAlert(
-                    kind="mutex-advice",
-                    subject=eid,
-                    evidence=(static or dynamic).evidence,
-                    message=MUTEX_ADVICE.format(var=entity.label, funcs=labels or "its accessors"),
-                    score=0.85,
-                )
-            )
-    elif entity.kind == "bug":
-        ranked = similar_defects(ctx, eid)
-        for other, score in ranked:
-            out.append(
-                SmartAlert(
-                    kind="similar-defect",
-                    subject=eid,
-                    evidence=[other],
-                    message=f"similar defect: {other} "
-                            f"({graph.entities[other].label}) score {score}",
-                    score=score,
-                )
-            )
-    if entity.kind in ("function", "variable", "file", "type", "class"):
-        commits = change_provenance(ctx, eid)
-        if commits:
-            newest = commits[0]
-            out.append(
-                SmartAlert(
-                    kind="provenance",
-                    subject=eid,
-                    evidence=[c.id for c in commits],
-                    message=(
-                        f"last changed by {newest.id} "
-                        f"({newest.attrs.get('timestamp', '?')}): {newest.label}"
-                    ),
-                    score=0.3,
-                )
-            )
-    out.extend(_stale_comment_alerts(ctx, eid))
-    return out
+    if _is_global(entity):
+        if ctx.trace is None or eid not in ctx.trace.replay.locksets:
+            return []
+        alert = race_alert_dynamic(ctx, eid)
+        if alert is None:
+            return []
+        dynamic[eid] = alert
+        return [alert]
+    if entity.kind != "bug":
+        return []
+    return [
+        SmartAlert(
+            kind="similar-defect",
+            subject=eid,
+            evidence=[other],
+            message=f"similar defect: {other} "
+                    f"({ctx.graph.entities[other].label}) score {score}",
+            score=score,
+        )
+        for other, score in similar_defects(ctx, eid)
+    ]
+
+
+def _static_races(ctx: AugmentContext, entity: Entity,
+                  dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+    """The static race and the mutex advice, which copies the static
+    alert's evidence, or else the dynamic one's."""
+    if not _is_global(entity):
+        return []
+    eid = entity.id
+    static = race_alert_static(ctx, eid)
+    race = static or dynamic.get(eid)
+    if race is None:
+        return []
+    labels = ", ".join(ctx.graph.entities[f].label for f in ctx.accessors.get(eid, ()))
+    advice = SmartAlert(
+        kind="mutex-advice",
+        subject=eid,
+        evidence=race.evidence,
+        message=MUTEX_ADVICE.format(var=entity.label, funcs=labels or "its accessors"),
+        score=0.85,
+    )
+    return [advice] if static is None else [static, advice]
+
+
+def _stale_comments(ctx: AugmentContext, entity: Entity,
+                    dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+    return [
+        SmartAlert(
+            kind="stale-comment",
+            subject=entity.id,
+            evidence=[_triple_ref(entity.id, "documented-by", comment)],
+            message=f"comment {comment} mentions identifiers absent from scope: {missing}",
+            score=0.5,
+        )
+        for comment, missing in ctx.stale_comments.get(entity.id, ())
+    ]
+
+
+def _provenance(ctx: AugmentContext, entity: Entity,
+                dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+    if entity.kind not in ("function", "variable", "file", "type", "class"):
+        return []
+    commits = change_provenance(ctx, entity.id)
+    if not commits:
+        return []
+    newest = commits[0]
+    return [
+        SmartAlert(
+            kind="provenance",
+            subject=entity.id,
+            evidence=[c.id for c in commits],
+            message=(
+                f"last changed by {newest.id} "
+                f"({newest.attrs.get('timestamp', '?')}): {newest.label}"
+            ),
+            score=0.3,
+        )
+    ]
+
+
+# The tiers in falling order of the first key (-score, kind, subject) an
+# alert of theirs can have: the rule scores above, the best kind at the
+# highest score and the empty subject.  Each tier calls its rules by their
+# module names when it runs.
+_TIERS = (
+    ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects),  # similar defects at most 1.0
+    ((-0.9, "race-static", ""), _static_races),  # mutex advice at 0.85
+    ((-0.5, "stale-comment", ""), _stale_comments),
+    ((-0.3, "provenance", ""), _provenance),
+)

@@ -26,7 +26,7 @@ from ckt.history import (
 )
 from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
-from ckt.query.evaluate import evaluate
+from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import parse_query
 from ckt.query.templates import LabelIndex, _resolve_entity
 from ckt.smart import AugmentContext, augment, race_alert_static, similar_defects
@@ -445,7 +445,17 @@ def rule_graphs(draw):
 
 @st.composite
 def selects(draw, graph):
-    """A SELECT with one pattern: both ends free, or one bound to an id."""
+    """A SELECT with one pattern: both ends free, or one bound to an id.
+    When some bug touches an entity, three in four are `?s touches ?o` or
+    `?s touches` one of those entities, so their rows hold bugs and the
+    similar-defect alerts get compared."""
+    bug_touched = sorted({o for s, _, o in graph.match(None, "touches", None)
+                          if s.startswith("bug:")})
+    if bug_touched and draw(st.integers(0, 3)):
+        target = draw(st.sampled_from([None, *bug_touched]))
+        if target is None:
+            return "SELECT ?s ?o WHERE { ?s touches ?o }"
+        return f"SELECT ?s WHERE {{ ?s touches {target} }}"
     pred = draw(st.sampled_from(RULE_PREDICATES))
     shape = draw(st.sampled_from(["both", "subject", "object"]))
     if shape == "both":
@@ -479,7 +489,7 @@ def assert_alerts_match_oracle(graph, trace, queries, cap):
 def test_alerts_from_one_shared_context_equal_per_response_oracle(data):
     graph, trace = data.draw(rule_graphs())
     queries = data.draw(st.lists(selects(graph), min_size=1, max_size=6))
-    cap = data.draw(st.sampled_from([1, 10, 1000]))
+    cap = data.draw(st.sampled_from([1, 10, 11, 1000, 10**6]))
     assert_alerts_match_oracle(graph, data.draw(st.sampled_from([trace, None])), queries, cap)
 
 
@@ -487,3 +497,78 @@ def test_alerts_on_scenario_from_one_shared_context_equal_per_response_oracle(
         scenario_graph, scenario_trace):
     queries = [f"SELECT ?s ?o WHERE {{ ?s {pred} ?o }}" for pred in RULE_PREDICATES]
     assert_alerts_match_oracle(scenario_graph, scenario_trace, queries * 2, 10**6)
+
+
+# bug pairs whose two bugs score each other exactly this much: the token
+# numbers of their labels, equal, 9 shared of 10, 1 of 2 and 3 of 10
+PAIR_TOKENS = {
+    1.0: (range(1), range(1)),
+    0.9: (range(9), range(10)),
+    0.5: (range(1), range(2)),
+    0.3: (range(6), [0, 1, 2, 6, 7, 8, 9]),
+}
+
+
+def tier_graph(n_globals, pair_scores, static, provenance, stale):
+    """Globals that two threads write with no lock held, reachable from
+    main and, when `static`, from a thread root too; a commit touching them
+    and their writer when `provenance`; a stale comment on each when
+    `stale`; one bug pair per score.  Returns the graph, the trace and the
+    entities the rows may hold."""
+    builder = GraphBuilder()
+    main, worker = "func:t.c#main", "func:t.c#worker"
+    builder.add_entity(Entity(THREAD_ROOT_ID, "thread-root", "thread-root"))
+    builder.add_entity(Entity(main, "function", "main"))
+    builder.add_entity(Entity(worker, "function", "worker"))
+    builder.insert_triple(main, "calls", worker, PROV)
+    if static:
+        builder.insert_triple(THREAD_ROOT_ID, "starts-thread", worker, PROV)
+    if provenance:
+        builder.add_entity(Entity("commit:c0", "commit", "touch all",
+                                  attrs={"timestamp": "2015-01-02T00:00:00Z"}))
+        builder.insert_triple("commit:c0", "touches", worker, PROV)
+    events = []
+    variables = [f"var:t.c#g{i:02d}" for i in range(n_globals)]
+    for i, var in enumerate(variables):
+        builder.add_entity(Entity(var, "variable", var[-3:], attrs={"scope": "global"}))
+        builder.insert_triple(worker, "writes", var, PROV)
+        for tid in (1, 2):
+            events.append(TraceEvent(len(events) + 1, tid, "write", var))
+        if provenance:
+            builder.insert_triple("commit:c0", "touches", var, PROV)
+        if stale:
+            comment = f"comment:t.c#L{i + 1}"
+            builder.add_entity(Entity(comment, "comment", "c", attrs={"stale": "true", "missing": "x"}))
+            builder.insert_triple(var, "documented-by", comment, PROV)
+    bugs = []
+    for i, score in enumerate(pair_scores):
+        for side, tokens in zip("ab", PAIR_TOKENS[score]):
+            bugs.append(f"bug:P/{i}{side}")
+            builder.add_entity(Entity(bugs[-1], "bug", " ".join(f"p{i}w{j}" for j in tokens)))
+    return builder.finalize(), TraceLog(events), [worker, *variables, *bugs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.lists(st.sampled_from(sorted(PAIR_TOKENS)), max_size=5),
+       st.booleans(), st.booleans(), st.booleans(), st.integers(1, 14), st.integers(0, 30))
+# the 10th alert a race-dynamic, the 11th a similar-defect, both at 1.0
+@example(10, [1.0], False, True, False, 10, 0)
+# the 10th and 11th both similar-defects at 1.0, after 9 race-dynamic
+@example(9, [1.0], True, True, True, 10, 3)
+# the 10th a similar-defect at 0.9: a race-static at 0.9 sorts before it
+@example(9, [0.9], True, True, False, 10, 0)
+# ten similar-defects at 0.3: the writer's provenance at 0.3 sorts before them
+@example(0, [0.3] * 5, False, True, False, 10, 0)
+def test_alerts_tied_across_tier_boundaries_equal_per_response_oracle(
+        n_globals, pair_scores, static, provenance, stale, cap, rotation):
+    graph, trace, entities = tier_graph(n_globals, pair_scores, static, provenance, stale)
+    rotation %= len(entities)
+    result = ResultSet(("e",), [(eid,) for eid in entities[rotation:] + entities[:rotation]])
+    ctx = AugmentContext(graph, trace)
+    with patch.object(smart, "ALERT_CAP", 10**6):
+        every = augment(result, ctx).alerts
+    assert sorted(a.score for a in every if a.kind == "similar-defect") == sorted(pair_scores * 2)
+    with patch.object(smart, "ALERT_CAP", cap):
+        alerts = augment(result, ctx).alerts
+    assert alerts == oracles.augment_per_response(result, graph, trace, cap).alerts
+    assert alerts == every[:cap]

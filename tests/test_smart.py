@@ -19,7 +19,7 @@ from ckt.smart import (
     race_alert_static,
     similar_defects,
 )
-from oracles import brute_similar_defects, lockset_race
+from oracles import augment_per_response, brute_similar_defects, lockset_race
 
 PROV = Provenance("source-code", "t:1")
 
@@ -313,3 +313,73 @@ def test_stale_comment_alert():
     alerts = augment(result, AugmentContext(graph)).alerts
     stale = [a for a in alerts if a.kind == "stale-comment"]
     assert len(stale) == 1 and "var2" in stale[0].message
+
+
+def racing_globals_graph(n):
+    """n globals written with no lock by two threads in the trace, each also
+    a static race (its writer is reachable from main and a thread root) and
+    touched by a commit."""
+    worker = "func:a#worker"
+    entities = [
+        Entity(THREAD_ROOT_ID, "thread-root", "thread-root"),
+        Entity("func:a#main", "function", "main"),
+        Entity(worker, "function", "worker"),
+        Entity("commit:c1", "commit", "touch", attrs={"timestamp": "2015-01-02T00:00:00Z"}),
+    ]
+    triples = [("func:a#main", "calls", worker), (THREAD_ROOT_ID, "starts-thread", worker)]
+    events = []
+    variables = [f"var:a#g{i:02d}" for i in range(n)]
+    for var in variables:
+        entities.append(Entity(var, "variable", var[-3:], attrs={"scope": "global"}))
+        triples += [(worker, "writes", var), ("commit:c1", "touches", var)]
+        events += [TraceEvent(len(events) + tid, tid, "write", var) for tid in (1, 2)]
+    return build(triples, entities), trace(events), ResultSet(("v",), [(v,) for v in variables])
+
+
+def counting(name, calls):
+    rule = getattr(smart, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return rule(*args)
+
+    return patch.object(smart, name, counted)
+
+
+@pytest.mark.parametrize("n_globals, static_calls", [(10, 0), (12, 0), (9, 9)])
+def test_lower_tiers_are_skipped_once_the_cap_is_settled(n_globals, static_calls):
+    """Ten held dynamic races at 1.0 sort before any static race at 0.9, so
+    neither the static race rule nor provenance runs; with nine, the static
+    tier runs and its races settle the cap before provenance at 0.3."""
+    graph, log, result = racing_globals_graph(n_globals)
+    calls = {"race_alert_static": 0, "change_provenance": 0}
+    with counting("race_alert_static", calls), counting("change_provenance", calls):
+        alerts = augment(result, AugmentContext(graph, log)).alerts
+    assert calls == {"race_alert_static": static_calls, "change_provenance": 0}
+    assert alerts == augment_per_response(result, graph, log).alerts
+    with patch.object(smart, "ALERT_CAP", 10**6):  # the wrappers see the calls a full run makes
+        with counting("race_alert_static", calls), counting("change_provenance", calls):
+            every = augment(result, AugmentContext(graph, log)).alerts
+    assert calls == {"race_alert_static": static_calls + n_globals,
+                     "change_provenance": n_globals}
+    assert alerts == every[:10]
+
+
+@pytest.mark.parametrize("n_globals", [3, 12])
+def test_a_failing_rule_drops_its_entity_only_in_a_tier_that_runs(n_globals):
+    """Provenance raises for every global: with three globals its tier runs
+    and each global's alerts give way to one warning; with twelve, ten
+    dynamic races settle the cap first, and no rule raises."""
+    graph, log, result = racing_globals_graph(n_globals)
+
+    def failing(ctx, eid):
+        raise RuntimeError("no history")
+
+    with patch.object(smart, "change_provenance", failing):
+        alerts = augment(result, AugmentContext(graph, log)).alerts
+    if n_globals == 3:
+        assert [(a.kind, a.subject, a.score) for a in alerts] == [
+            ("warning", var, 0.0) for var, in result.rows]
+        assert alerts[0].message == f"augmentation failed for {result.rows[0][0]}: no history"
+    else:
+        assert [a.kind for a in alerts] == ["race-dynamic"] * 10
