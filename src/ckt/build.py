@@ -10,7 +10,6 @@ called through their modules' attributes, so that a rebinding of one there
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from ckt.errors import CktError, FormatError
 from ckt.extraction import comments, cparser, traces
 from ckt.extraction.facts import load_facts
 from ckt.graph import (
+    GRAPH_MANIFEST,
     NODES_FILE,
     RANKS_FILE,
     REPORT_FILE,
@@ -293,8 +293,8 @@ def cmd_build(manifest_path: Path) -> int:
     triangles, triangle_total = graph.count_triangles()
     stats = _stats(graph, rank, triangles, triangle_total)
     triples_by_source: dict[str, int] = {}
-    for provs in graph.provenance.values():
-        source = provs[0].source  # count each triple by its first assertion
+    for key in graph.triples():
+        source = graph.sources(key)[0].source  # count each triple by its first assertion
         triples_by_source[source] = triples_by_source.get(source, 0) + 1
     report = {
         "entities": len(graph.entities),
@@ -307,23 +307,19 @@ def cmd_build(manifest_path: Path) -> int:
 
     out = manifest.out
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name in (TRACE_COPY, TEMPLATES_COPY):  # drop leftovers from prior builds
-            (out / name).unlink(missing_ok=True)
-        ckt.graph.save_graph(graph, out)
-        (out / STATS_FILE).write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
-        (out / REPORT_FILE).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
+        extra = {
+            STATS_FILE: _json_file(stats),
+            REPORT_FILE: _json_file(report),
+        }
         if manifest.trace is not None:
-            shutil.copyfile(manifest.trace, out / TRACE_COPY)
+            extra[TRACE_COPY] = manifest.trace.read_bytes()
         if manifest.templates is not None:
-            load_registry(str(manifest.templates))  # validate before copying
-            shutil.copyfile(manifest.templates, out / TEMPLATES_COPY)
+            extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
+            load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
+        ckt.graph.save_graph(graph, out, extra)
     except Exception:
-        for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE, STATS_FILE,
+        # save_graph removes its temporary files; a failed build leaves no graph
+        for name in (GRAPH_MANIFEST, NODES_FILE, TRIPLES_FILE, RANKS_FILE, STATS_FILE,
                      REPORT_FILE, TRACE_COPY, TEMPLATES_COPY):
             (out / name).unlink(missing_ok=True)
         raise
@@ -396,6 +392,10 @@ def _stats(graph: KnowledgeGraph, rank, triangles, triangle_total) -> dict:
         "top_triangles": [[eid, n] for eid, n in top_tri],
         "triangle_total": triangle_total,
     }
+
+
+def _json_file(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _print_report(report: dict) -> None:

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from ckt import ids
@@ -27,9 +26,11 @@ from ckt.graph import (
     TRACE_COPY,
     TRIPLES_FILE,
     KnowledgeGraph,
+    check_files,
     collector_paused,
     load_graph,
 )
+from ckt.model import Record
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
@@ -59,18 +60,21 @@ def cmd_build(manifest_path: Path) -> int:
 # -- query ------------------------------------------------------------------
 
 
-@dataclass
-class QueryContext:
+class QueryContext(Record):
     """What a query runs against, loaded once per process: the graph with
     its persisted ranks, the template registry, an index of the graph's
     labels built by the first free-form query, and the alert rules'
     context, which holds the trace copy and whose indexes the first
     response that needs each one builds."""
 
-    graph: KnowledgeGraph
-    registry: TemplateRegistry
-    labels: LabelIndex
-    rules: AugmentContext
+    __slots__ = _fields = ("graph", "registry", "labels", "rules")
+
+    def __init__(self, graph: KnowledgeGraph, registry: TemplateRegistry, labels: LabelIndex,
+                 rules: AugmentContext):
+        self.graph = graph
+        self.registry = registry
+        self.labels = labels
+        self.rules = rules
 
 
 def _load_query_context(graph_dir: Path) -> QueryContext:
@@ -86,15 +90,24 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     otherwise start a collection that walks them all once.
     """
     with collector_paused():
-        graph = load_graph(graph_dir)
+        # the copies are read first and checked against the graph.json that
+        # load_graph reads after them, so all the bytes are of one build
+        copies = {name: _read_if_present(graph_dir / name) for name in (TRACE_COPY, TEMPLATES_COPY)}
         trace = None
-        trace_path = graph_dir / TRACE_COPY
-        if trace_path.exists():
-            trace = load_trace(utf8_lines(trace_path), name=TRACE_COPY)
-        templates_path = graph_dir / TEMPLATES_COPY
-        registry = load_registry(str(templates_path)) if templates_path.exists() else builtin_registry()
+        if copies[TRACE_COPY] is not None:
+            trace = load_trace(utf8_lines(TRACE_COPY, copies[TRACE_COPY]), name=TRACE_COPY)
+        registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
+                    else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
+        graph = load_graph(graph_dir, copies)
         gc.freeze()
     return QueryContext(graph, registry, LabelIndex(graph), AugmentContext(graph, trace))
+
+
+def _read_if_present(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
@@ -291,7 +304,10 @@ def cmd_export(graph_dir: Path, what: str) -> int:
     if not path.exists():
         print(f"error: no {what} file in {graph_dir}", file=sys.stderr)
         return 2
-    sys.stdout.write("".join(utf8_lines(path)))
+    data = path.read_bytes()
+    text = "".join(utf8_lines(path, data))
+    check_files(graph_dir, {path.name: data})
+    sys.stdout.write(text)
     return 0
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from ckt.errors import ConfigError, FormatError
+from ckt.model import Record
 from ckt.textio import as_text, as_texts, json_records, utf8_lines
 
 # 30-word English stopword list applied during comment/query normalization.
@@ -111,13 +111,15 @@ def load_ontology(path: str) -> Ontology:
     return ont
 
 
-@dataclass
-class StrategyWeights:
+class StrategyWeights(Record):
     """Linear scorer configuration: class list, threshold, class x feature weights."""
 
-    classes: list[str]
-    tau: float
-    weights: dict[str, dict[str, float]]
+    __slots__ = _fields = ("classes", "tau", "weights")
+
+    def __init__(self, classes: list[str], tau: float, weights: dict[str, dict[str, float]]):
+        self.classes = classes
+        self.tau = tau
+        self.weights = weights
 
     def validate_against(self, feature_names: set[str]) -> None:
         for cls in self.classes:

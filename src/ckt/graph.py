@@ -8,25 +8,43 @@ yields keys straight from an index.  Triples are set-valued: re-inserting
 an existing triple appends provenance.  After ``finalize()`` the graph is
 immutable and safe for concurrent readers; analytics (PageRank, triangle
 counts) operate on the frozen triple set.
+
+A graph directory ends with graph.json, the SHA-256 of each of its other
+files: save_graph writes it last, and load_graph trusts files that match
+it and checks every record of any other.
 """
 
 from __future__ import annotations
 
 import bisect
 import gc
+import io
 import json
 import math
-from collections.abc import Iterable
+import os
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
 from ckt.textio import json_records, json_value, utf8_lines
+
+# The interpreter's own SHA-256, in _sha2 from Python 3.12 and in _sha256
+# before: hashlib's, from OpenSSL, hashes faster but adds about 4 MB of
+# resident memory to each process that imports it.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256 as _sha256
 
 PREDICATES = frozenset(
     [
@@ -149,17 +167,22 @@ class KnowledgeGraph:
     def __init__(
         self,
         entities: dict[str, Entity],
-        provenance: dict[Key, list[Provenance]],
+        sources: dict[Key, list[Provenance] | str],
         ranks: dict[str, float] | None = None,
+        spo: list[Key] | None = None,
     ):
-        """The graph owns `entities` and `provenance` (the table of every
-        triple's key and its sources), which no one may change after.
+        """The graph owns `entities` and `sources` (the table of every
+        triple's key and the sources that asserted it), which no one may
+        change after.  A loaded graph may hold a key's sources as the JSON
+        text of its triples.tsv line, decoded by `sources()` on first use.
         `ranks`, when given, are the default-parameter PageRank scores of
-        this graph, as `save_graph` persisted them."""
+        this graph, as `save_graph` persisted them; `spo`, when given, is
+        every key of `sources` in ascending order."""
         self.entities = entities
-        self.provenance = provenance
-        self._spo = sorted(provenance)
+        self._sources = sources
+        self._spo = sorted(sources) if spo is None else spo
         self._rank_cache = ranks
+        self._folded: dict[str, tuple[str, tuple[str, ...]]] = {}
 
     # The POS and OSP indexes are sorted on first use, so a graph that is
     # only looked up by subject never pays for them.
@@ -184,11 +207,42 @@ class KnowledgeGraph:
         return len(self._spo)
 
     def __contains__(self, key: Key) -> bool:
-        return key in self.provenance
+        return key in self._sources
 
     def triples(self):
         """Every key in (subject, predicate, object) order."""
         return iter(self._spo)
+
+    def sources(self, key: Key) -> list[Provenance]:
+        """The sources that asserted the triple `key`, in the order they
+        did; KeyError when the graph lacks it.  A trusted load keeps each
+        list as its line's JSON text, decoded here once: a bad list raises
+        FormatError with that line, the key's place in SPO order."""
+        provs = self._sources[key]
+        if isinstance(provs, str):
+            lineno = bisect.bisect_left(self._spo, key) + 1
+            provs = self._sources[key] = list(_provenance_list(provs, lineno))
+        return provs
+
+    def folded(self, entity_id: str) -> tuple[str, tuple[str, ...]] | None:
+        """The entity's label and each `key=value` of its attributes, lower
+        cased, for case-blind matching; None for an unknown id.  Each
+        entity's pair is made on first use and kept."""
+        folded = self._folded.get(entity_id)
+        if folded is None:
+            entity = self.entities.get(entity_id)
+            if entity is None:
+                return None
+            folded = self._folded[entity_id] = (
+                entity.label.lower(), tuple(f"{k}={v}".lower() for k, v in entity.attrs.items()))
+        return folded
+
+    def rank_table(self) -> Mapping[str, float]:
+        """The default-parameter PageRank scores, computed on first use,
+        as a read-only view rather than the copy `pagerank()` returns."""
+        if self._rank_cache is None:
+            self._rank_cache = self.pagerank()
+        return MappingProxyType(self._rank_cache)
 
     # -- pattern matching ----------------------------------------------
 
@@ -203,7 +257,7 @@ class KnowledgeGraph:
         """
         s, p, o = subject, predicate, object_
         if s is not None and p is not None and o is not None:
-            if (s, p, o) in self.provenance:
+            if (s, p, o) in self._sources:
                 yield (s, p, o)
         elif s is not None and o is not None:
             for k in self._scan(self._osp, (o, s)):
@@ -347,14 +401,14 @@ class KnowledgeGraph:
                 break
             frontier = nxt
         entities = {eid: self.entities[eid] for eid in reached}
-        provenance = {
-            key: self.provenance[key]
+        sources = {
+            key: self.sources(key)
             for key in self._spo
             if key[0] in reached
             and key[1] not in LITERAL_PREDICATES
             and key[2] in reached
         }
-        return KnowledgeGraph(entities, provenance)
+        return KnowledgeGraph(entities, sources)
 
 
 # -- persistence ---------------------------------------------------------
@@ -367,6 +421,9 @@ STATS_FILE = "stats.json"
 REPORT_FILE = "report.json"
 TRACE_COPY = "trace.jsonl"
 TEMPLATES_COPY = "templates.jsonl"
+# written last: the format version and the SHA-256 of each file above
+GRAPH_MANIFEST = "graph.json"
+FORMAT_VERSION = 1
 
 
 @contextmanager
@@ -384,22 +441,9 @@ def collector_paused():
             gc.enable()
 
 
-def _entity_to_json(entity: Entity) -> dict:
-    span = entity.span
-    return {
-        "id": entity.id,
-        "kind": entity.kind,
-        "label": entity.label,
-        "path": span.path if span else None,
-        "start": span.start if span else None,
-        "end": span.end if span else None,
-        "attrs": dict(sorted(entity.attrs.items())),
-    }
-
-
 def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
-    """The inverse of _entity_to_json, for nodes.jsonl and neutral facts
-    alike; a bad field raises FormatError naming `name` and the line."""
+    """An entity from its nodes.jsonl or neutral facts record; a bad field
+    raises FormatError naming `name` and the line."""
     for field_name in ("id", "kind", "label"):
         value = doc.get(field_name)
         # a label may be empty: a commit with no author names an anonymous developer
@@ -424,8 +468,18 @@ def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
                   {str(k): str(v) for k, v in attrs.items()})
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+def _node_line(entity: Entity) -> str:
+    """The entity's nodes.jsonl line: json.dumps's text with sorted keys
+    and ASCII escapes, less its encoder per call."""
+    attrs = ", ".join(f"{_json_str(k)}: {_json_str(v)}" for k, v in sorted(entity.attrs.items()))
+    span = entity.span
+    if span is None:
+        path = start = end = "null"
+    else:
+        path, start, end = _json_str(span.path), span.start, span.end
+    return (f'{{"attrs": {{{attrs}}}, "end": {end}, "id": {_json_str(entity.id)}, '
+            f'"kind": {_json_str(entity.kind)}, "label": {_json_str(entity.label)}, '
+            f'"path": {path}, "start": {start}}}')
 
 
 def _provenance_json(provenance: tuple[Provenance, ...]) -> str:
@@ -438,57 +492,245 @@ def _provenance_json(provenance: tuple[Provenance, ...]) -> str:
     return f"[{', '.join(docs)}]"
 
 
-def save_graph(graph: KnowledgeGraph, directory) -> None:
-    """Write the nodes, triples and PageRank files, sorted, LF-terminated,
-    UTF-8.  Ranks are written with repr, which round-trips every float."""
+def _text(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _replace(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path` and rename it over
+    `path`, so that no reader finds the file half written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None = None) -> None:
+    """Write the graph directory: the nodes, triples and PageRank files,
+    sorted, LF-terminated, UTF-8, then the `extra` files (name -> bytes)
+    that `ckt build` puts beside them, then graph.json.  Ranks are written
+    with repr, which round-trips every float.
+
+    Each file is written under a temporary name and renamed into place.
+    graph.json, which gives the format version and each file's SHA-256,
+    comes last and replaces the old one without removing it first, so a
+    reader never finds a directory without one; a reader that runs during
+    the rewrite finds bytes that its graph.json does not describe, and
+    load_graph says so.  A trace or template copy that this save does not
+    write is removed before graph.json is replaced."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_lines(directory / NODES_FILE, (
-        json.dumps(_entity_to_json(graph.entities[eid]), sort_keys=True, ensure_ascii=True)
-        for eid in sorted(graph.entities)
-    ))
-    _write_lines(directory / TRIPLES_FILE, (
-        f"{s}\t{p}\t{o}\t{_provenance_json(graph.provenance[s, p, o])}"
-        for s, p, o in graph.triples()
-    ))
+    digests: dict[str, str] = {}
+
+    def put(name: str, data: bytes) -> None:
+        _replace(directory / name, data)
+        digests[name] = _sha256(data).hexdigest()
+
+    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)))
+    put(TRIPLES_FILE, _text(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
+                            for s, p, o in graph.triples()))
     rank = graph.pagerank()
-    _write_lines(directory / RANKS_FILE, (f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)))
+    put(RANKS_FILE, _text(f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)))
+    for name, data in sorted((extra or {}).items()):
+        put(name, data)
+    for name in (TRACE_COPY, TEMPLATES_COPY):
+        if name not in digests:
+            (directory / name).unlink(missing_ok=True)
+    manifest = {"format": FORMAT_VERSION, "sha256": dict(sorted(digests.items()))}
+    _replace(directory / GRAPH_MANIFEST, (json.dumps(manifest, indent=2) + "\n").encode("ascii"))
 
 
-def load_graph(directory) -> KnowledgeGraph:
+def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
-    Every record is checked as GraphBuilder would check it, and each
-    triple goes in through the builder's insertion rule; a bad record
-    raises FormatError with its file and line.  Ids that triples.tsv uses
-    but nodes.jsonl lacks are registered under their inferred kind, a
-    repeated node keeps its first record, and a repeated triple adds its
-    provenance.
+    Each file is read once; the bytes read are hashed and parsed.  The
+    load takes one of three paths:
+    - every digest in graph.json matches: the bytes are what save_graph
+      wrote, so the load checks only that kinds and predicates are known,
+      that both ends of each triple are nodes and that each node has one
+      finite rank, and keeps each triple's sources as JSON text for
+      KnowledgeGraph.sources.  Should any of that fail, or the node ids,
+      the keys or the rank ids not ascend, the validating load reads the
+      same bytes instead and gives its verdict;
+    - no graph.json (a directory written before there was one, or by
+      hand): the validating load;
+    - a digest differs: the validating load raises FormatError for a bad
+      line it finds; else FormatError names the file at its line in
+      graph.json, which the directory's other files no longer match.
+      That is a hand edit, or a read while a build rewrote the directory.
+
+    `copies` maps the names of other files of the directory that the
+    caller has read to their bytes, or to None for one it found absent;
+    each is checked against the same graph.json.
     """
     directory = Path(directory)
-    paths = [directory / name for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE)]
-    missing = [path.name for path in paths if not path.exists()]
+    data: dict[str, bytes] = {}
+    for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE):
+        try:
+            data[name] = (directory / name).read_bytes()
+        except FileNotFoundError:
+            pass
+    missing = [name for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE) if name not in data]
     if missing:
         raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
-    entities = _load_nodes(paths[0])
-    provenance = _load_triples(paths[1], entities)
-    return KnowledgeGraph(entities, provenance, _load_ranks(paths[2], entities))
+    try:
+        manifest = (directory / GRAPH_MANIFEST).read_bytes()
+    except FileNotFoundError:
+        return _validated_graph(data)
+    changed = _changed_file(manifest, {**data, **(copies or {})})
+    if changed is None:
+        try:
+            return _trusted_graph(data)
+        except Exception:  # what a forged graph.json let through: the validating load decides
+            pass
+    graph = _validated_graph(data)
+    if changed is not None:
+        raise _changed_error(manifest, changed)
+    return graph
 
 
-def _load_nodes(path: Path) -> dict[str, Entity]:
+def check_files(directory, files: dict[str, bytes | None]) -> None:
+    """Raise FormatError, as load_graph does, naming the first of `files`
+    (name -> the bytes read, or None for a file found absent) that the
+    directory's graph.json does not vouch for; a directory without
+    graph.json passes."""
+    try:
+        manifest = (Path(directory) / GRAPH_MANIFEST).read_bytes()
+    except FileNotFoundError:
+        return
+    changed = _changed_file(manifest, files)
+    if changed is not None:
+        raise _changed_error(manifest, changed)
+
+
+def _changed_file(manifest: bytes, files: dict[str, bytes | None]) -> str | None:
+    """The first of `files` whose digest differs from graph.json's, or that
+    graph.json lists and the directory lacks, or the other way round."""
+    digests = _manifest_digests(manifest)
+    for name, blob in files.items():
+        if blob is None:
+            changed = name in digests
+        else:
+            changed = digests.get(name) != _sha256(blob).hexdigest()
+        if changed:
+            return name
+    return None
+
+
+def _changed_error(manifest: bytes, name: str) -> FormatError:
+    text = manifest.decode("utf-8", "replace").split("\n")
+    line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
+    return FormatError(f"{GRAPH_MANIFEST}: {name} does not match its SHA-256 here; "
+                       "it changed after the build, or a build rewrote it while it was read", line)
+
+
+def _manifest_digests(manifest: bytes) -> dict:
+    """The file -> SHA-256 table of a graph.json."""
+    try:
+        doc = json.loads(manifest)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise FormatError(f"{GRAPH_MANIFEST}: invalid JSON: {exc}",
+                          getattr(exc, "lineno", 1)) from exc
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION \
+            or not isinstance(doc.get("sha256"), dict):
+        raise FormatError(f"{GRAPH_MANIFEST}: expected format {FORMAT_VERSION} with a "
+                          '"sha256" table of files', 1)
+    return doc["sha256"]
+
+
+def _lf_lines(data: bytes) -> io.TextIOWrapper:
+    """The lines of a file that save_graph wrote, each with its LF, decoded
+    as they are read; a CR, which a text-mode read takes for a line break,
+    or a last line without its LF raises ValueError."""
+    if b"\r" in data or not data.endswith(b"\n") and data:
+        raise ValueError("not a graph file that save_graph wrote")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_PREDICATE = {p: p for p in PREDICATES}
+
+
+def _trusted_graph(data: dict[str, bytes]) -> KnowledgeGraph:
+    """The graph from bytes that graph.json vouches for, with the cheap
+    checks only.  Every other departure from what save_graph writes
+    raises, so what this returns equals the validating load of the same
+    bytes, once each key's sources are decoded.  The keys reuse each
+    node's id string rather than keep the copies split off their lines."""
     entities: dict[str, Entity] = {}
-    for lineno, doc in json_records(utf8_lines(path), NODES_FILE):
+    last = ""
+    with _lf_lines(data[NODES_FILE]) as lines:
+        for line in lines:
+            doc, stop = _RAW_DECODE(line)
+            eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
+            if stop != len(line) - 1 or not eid > last or type(label) is not str \
+                    or type(attrs) is not dict:
+                raise ValueError(line)
+            for value in attrs.values():
+                if type(value) is not str:
+                    raise ValueError(line)
+            start, end = doc["start"], doc["end"]
+            if path is None:
+                if start is not None or end is not None:
+                    raise ValueError(line)
+                span = None
+            elif type(path) is str and type(start) is int and type(end) is int:
+                span = Span(path, start, end)
+            else:
+                raise ValueError(line)
+            entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
+            last = eid
+    canonical = {eid: eid for eid in entities}
+    sources: dict[Key, str] = {}
+    n = 0
+    with _lf_lines(data[TRIPLES_FILE]) as lines:
+        for n, line in enumerate(lines, start=1):
+            s, p, o, provs = line.split("\t")
+            if p not in LITERAL_PREDICATES:
+                o = canonical[o]
+            elif ids.kind_of(o) is not None:
+                raise ValueError(line)
+            sources[canonical[s], _PREDICATE[p], o] = provs[:-1]
+    spo = list(sources)
+    if len(spo) != n or spo != sorted(spo):  # the keys must ascend strictly
+        raise ValueError("triples out of order")
+    ranks: dict[str, float] = {}
+    with _lf_lines(data[RANKS_FILE]) as lines:
+        for line, eid in zip(lines, entities, strict=True):
+            rank_id, _, value = line.partition("\t")
+            rank = float(value)
+            if rank_id != eid or not math.isfinite(rank):
+                raise ValueError(line)
+            ranks[eid] = rank
+    return KnowledgeGraph(entities, sources, ranks, spo)
+
+
+def _validated_graph(data: dict[str, bytes]) -> KnowledgeGraph:
+    """The graph from the three files' bytes, every record checked as
+    GraphBuilder would check it, each triple put in through the builder's
+    insertion rule; a bad record raises FormatError with its file and
+    line.  Ids that triples.tsv uses but nodes.jsonl lacks are registered
+    under their inferred kind, a repeated node keeps its first record, and
+    a repeated triple adds its provenance."""
+    entities: dict[str, Entity] = {}
+    for lineno, doc in json_records(utf8_lines(NODES_FILE, data[NODES_FILE]), NODES_FILE):
         entity = _entity_record(doc, NODES_FILE, lineno)
         entities.setdefault(entity.id, entity)
-    return entities
+    sources = _load_triples(utf8_lines(TRIPLES_FILE, data[TRIPLES_FILE]), entities)
+    ranks = _load_ranks(utf8_lines(RANKS_FILE, data[RANKS_FILE]), entities)
+    return KnowledgeGraph(entities, sources, ranks)
 
 
-def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[Key, list[Provenance]]:
-    provenance: dict[Key, list[Provenance]] = {}
+def _load_triples(lines, entities: dict[str, Entity]) -> dict[Key, list[Provenance]]:
+    sources: dict[Key, list[Provenance]] = {}
     # triples often repeat a provenance list: decode each distinct one once
     # and share its immutable records
     decoded: dict[str, tuple[Provenance, ...]] = {}
-    for lineno, raw in enumerate(utf8_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n")
         if not raw:
             continue
@@ -502,10 +744,10 @@ def _load_triples(path: Path, entities: dict[str, Entity]) -> dict[Key, list[Pro
         if provs is None:
             provs = decoded[prov_json] = _provenance_list(prov_json, lineno)
         try:
-            _insert(entities, provenance, s, p, o, provs)
+            _insert(entities, sources, s, p, o, provs)
         except CktError as exc:
             raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
-    return provenance
+    return sources
 
 
 def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
@@ -521,10 +763,10 @@ def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
     return provs
 
 
-def _load_ranks(path: Path, entities: dict[str, Entity]) -> dict[str, float]:
+def _load_ranks(lines, entities: dict[str, Entity]) -> dict[str, float]:
     ranks: dict[str, float] = {}
     lineno = 0
-    for lineno, raw in enumerate(utf8_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n")
         if not raw:
             continue

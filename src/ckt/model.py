@@ -1,8 +1,11 @@
-"""Domain types shared between extraction, history mining, and graph building."""
+"""Domain types shared between extraction, history mining, and graph building.
+
+The records are named tuples or classes with `__slots__`, not dataclasses:
+a query imports this module, and `dataclasses` would bring `inspect` along
+with it into every cold query."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -14,36 +17,63 @@ TRACE_EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """1-based inclusive line range within a file."""
+class Record:
+    """Equality and repr over the fields a subclass names in `_fields`, as
+    a dataclass would give them; like a dataclass with eq, a record is not
+    hashable."""
 
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _SpanFields(NamedTuple):
     path: str
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} > end {self.end}")
+
+class Span(_SpanFields):
+    """1-based inclusive line range within a file."""
+
+    __slots__ = ()
+
+    def __new__(cls, path: str, start: int, end: int):
+        if start > end:
+            raise ValueError(f"span start {start} > end {end}")
+        return tuple.__new__(cls, (path, start, end))
 
 
-@dataclass(slots=True)
-class Entity:
+class Entity(Record):
     """An addressable subject: code element, bug, commit, developer, concept."""
 
-    id: str
-    kind: str
-    label: str
-    span: Span | None = None
-    attrs: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("id", "kind", "label", "span", "attrs")
 
-    def __post_init__(self):
-        if self.kind not in ENTITY_KINDS:
-            raise ValueError(f"unknown entity kind: {self.kind!r}")
+    def __init__(self, id: str, kind: str, label: str, span: Span | None = None,
+                 attrs: dict[str, str] | None = None):
+        if kind not in ENTITY_KINDS:
+            raise ValueError(f"unknown entity kind: {kind!r}")
+        self.id = id
+        self.kind = kind
+        self.label = label
+        self.span = span
+        self.attrs = {} if attrs is None else attrs
 
 
-@dataclass
-class Relation:
+class Relation(Record):
     """A candidate edge emitted by an extractor, prior to graph insertion.
 
     `origin` is the 1-based line of the emitting record (source line for
@@ -51,11 +81,15 @@ class Relation:
     valued so repeated call sites stay distinct.
     """
 
-    subj: str
-    pred: str
-    obj: str
-    origin: int = 0
-    attrs: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("subj", "pred", "obj", "origin", "attrs")
+
+    def __init__(self, subj: str, pred: str, obj: str, origin: int = 0,
+                 attrs: dict[str, str] | None = None):
+        self.subj = subj
+        self.pred = pred
+        self.obj = obj
+        self.origin = origin
+        self.attrs = {} if attrs is None else attrs
 
 
 class FactSet:
@@ -146,15 +180,18 @@ class FactSet:
         return f"FactSet(entities={len(self.entities)}, relations={len(self.relations)})"
 
 
-@dataclass
-class Comment:
+class Comment(Record):
     """One extracted comment with normalized tokens."""
 
-    text: str
-    span: Span
-    style: str  # "line" | "block"
-    tokens: list[str] = field(default_factory=list)
-    attrs: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("text", "span", "style", "tokens", "attrs")
+
+    def __init__(self, text: str, span: Span, style: str, tokens: list[str] | None = None,
+                 attrs: dict[str, str] | None = None):
+        self.text = text
+        self.span = span
+        self.style = style  # "line" | "block"
+        self.tokens = [] if tokens is None else tokens
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def id(self) -> str:
@@ -175,36 +212,44 @@ class TraceEvent(NamedTuple):
     target: str
 
 
-@dataclass
-class Lockset:
+class Lockset(Record):
     """Eraser's record of one variable: the candidate lockset (the locks
     held at every access so far), the access seqs, the accessing threads
     and whether any access wrote."""
 
-    candidate: set[str]
-    accesses: list[int] = field(default_factory=list)
-    tids: set[int] = field(default_factory=set)
-    wrote: bool = False
+    __slots__ = _fields = ("candidate", "accesses", "tids", "wrote")
+
+    def __init__(self, candidate: set[str], accesses: list[int] | None = None,
+                 tids: set[int] | None = None, wrote: bool = False):
+        self.candidate = candidate
+        self.accesses = [] if accesses is None else accesses
+        self.tids = set() if tids is None else tids
+        self.wrote = wrote
 
 
-@dataclass
-class TraceReplay:
+class TraceReplay(Record):
     """What one pass over a trace's events yields."""
 
-    dangling: list[int] = field(default_factory=list)  # positions of releases without acquire
-    guards: dict[tuple[str, str], set[str]] = field(default_factory=dict)  # (func, var) -> locks
-    depths: dict[str, int] = field(default_factory=dict)  # deepest enter nesting per function
-    locksets: dict[str, Lockset] = field(default_factory=dict)  # per read/written variable
-    thread_roots: set[str] = field(default_factory=set)  # thread_create targets
+    __slots__ = _fields = ("dangling", "guards", "depths", "locksets", "thread_roots")
+
+    def __init__(self):
+        self.dangling: list[int] = []  # positions of releases without acquire
+        self.guards: dict[tuple[str, str], set[str]] = {}  # (func, var) -> locks
+        self.depths: dict[str, int] = {}  # deepest enter nesting per function
+        self.locksets: dict[str, Lockset] = {}  # per read/written variable
+        self.thread_roots: set[str] = set()  # thread_create targets
 
 
-@dataclass
-class TraceLog:
+class TraceLog(Record):
     """Ordered runtime events; `replay` walks them once, on first use."""
 
-    events: list[TraceEvent] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    name: str = "trace"
+    _fields = ("events", "warnings", "name")  # no __slots__: replay is cached in __dict__
+
+    def __init__(self, events: list[TraceEvent] | None = None,
+                 warnings: list[str] | None = None, name: str = "trace"):
+        self.events = [] if events is None else events
+        self.warnings = [] if warnings is None else warnings
+        self.name = name
 
     @cached_property
     def replay(self) -> TraceReplay:

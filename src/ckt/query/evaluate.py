@@ -8,18 +8,22 @@ row ascending), so the result order is total and join-order independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
 from ckt.graph import KnowledgeGraph
+from ckt.model import Record
 from ckt.query.parser import IRI, LITERAL, VAR, FilterClause, QueryAST, Term
 from ckt.textio import parse_timestamp
 
 
-@dataclass
-class ResultSet:
-    columns: tuple[str, ...]
-    rows: list[tuple[str, ...]]
-    alerts: list = field(default_factory=list)
+class ResultSet(Record):
+    __slots__ = _fields = ("columns", "rows", "alerts")
+
+    def __init__(self, columns: tuple[str, ...], rows: list[tuple[str, ...]],
+                 alerts: list | None = None):
+        self.columns = columns
+        self.rows = rows
+        self.alerts = [] if alerts is None else alerts
 
 
 def _bind(term: Term, binding: dict[str, str]) -> str | None:
@@ -68,15 +72,15 @@ def _timestamp_of(graph: KnowledgeGraph, value: str) -> str | None:
 
 
 def _contains(graph: KnowledgeGraph, value: str, needle: str) -> bool:
-    needle = needle.lower()
+    """Whether the lower-cased `needle` is in the value, or in the label or
+    a `key=value` attribute of the entity it names, each lower-cased."""
     if needle in value.lower():
         return True
-    entity = graph.entities.get(value)
-    if entity is None:
+    folded = graph.folded(value)
+    if folded is None:
         return False
-    if needle in entity.label.lower():
-        return True
-    return any(needle in f"{k}={v}".lower() for k, v in entity.attrs.items())
+    label, attrs = folded
+    return needle in label or any(needle in attr for attr in attrs)
 
 
 def _passes(graph: KnowledgeGraph, fl: FilterClause, value: str) -> bool:
@@ -84,8 +88,6 @@ def _passes(graph: KnowledgeGraph, fl: FilterClause, value: str) -> bool:
         return value == fl.literal
     if fl.op == "!=":
         return value != fl.literal
-    if fl.op == "CONTAINS":
-        return _contains(graph, value, fl.literal)
     if fl.op in ("BEFORE", "AFTER"):
         stamp = _timestamp_of(graph, value)
         if stamp is None:
@@ -109,7 +111,7 @@ def _passes(graph: KnowledgeGraph, fl: FilterClause, value: str) -> bool:
 
 
 def rank_results(
-    rows: list[tuple[str, ...]], rank_table: dict[str, float]
+    rows: list[tuple[str, ...]], rank_table: Mapping[str, float]
 ) -> list[tuple[str, ...]]:
     """Order rows by the first column's rank descending; ties ascend by the
     full row so the order is total.  Unranked bindings count as rank 0."""
@@ -120,10 +122,14 @@ def evaluate(graph: KnowledgeGraph, ast: QueryAST) -> ResultSet:
     """Run a parsed query; an empty result set is a valid answer."""
     bindings = _solve(graph, ast)
     for fl in ast.filters:
-        bindings = [b for b in bindings if fl.var in b and _passes(graph, fl, b[fl.var])]
+        if fl.op == "CONTAINS":
+            needle = fl.literal.lower()  # once per filter, not once per binding
+            bindings = [b for b in bindings if fl.var in b and _contains(graph, b[fl.var], needle)]
+        else:
+            bindings = [b for b in bindings if fl.var in b and _passes(graph, fl, b[fl.var])]
     projected = [tuple(b[v] for v in ast.select) for b in bindings]
     rows = list(dict.fromkeys(projected))
-    rows = rank_results(rows, graph.pagerank())
+    rows = rank_results(rows, graph.rank_table())
     if ast.limit is not None:
         rows = rows[: ast.limit]
     return ResultSet(tuple(ast.select), rows)

@@ -16,7 +16,7 @@ and the source paths a build puts into ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ckt.errors import QueryError
 from ckt.graph import PREDICATES
@@ -28,14 +28,12 @@ IRI = "id"
 LITERAL = "literal"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     kind: str  # "var" | "id" | "literal"
     value: str
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     s: Term
     p: Term
     o: Term
@@ -44,15 +42,13 @@ class TriplePattern:
         return {t.value for t in (self.s, self.p, self.o) if t.kind == VAR}
 
 
-@dataclass(frozen=True)
-class FilterClause:
+class FilterClause(NamedTuple):
     var: str
     op: str
     literal: str
 
 
-@dataclass(frozen=True)
-class QueryAST:
+class QueryAST(NamedTuple):
     select: tuple[str, ...]
     patterns: tuple[TriplePattern, ...]
     filters: tuple[FilterClause, ...] = ()

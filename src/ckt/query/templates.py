@@ -10,7 +10,6 @@ a pure function of the text, the registry, and the graph labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -19,6 +18,7 @@ from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
+from ckt.model import Record
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import is_word, parse_query
 from ckt.textio import as_text, as_texts, json_records, parse_timestamp, utf8_lines
@@ -32,12 +32,15 @@ DMY_DATE = re.compile(r"([0-9]{1,2})-([0-9]{1,2})-([0-9]{4})")
 _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-@dataclass
-class Template:
-    name: str
-    triggers: list[str]
-    slots: list[tuple[str, str]]  # (name, type)
-    body: str
+class Template(Record):
+    # no __slots__: the trigger token sets are cached in __dict__
+    _fields = ("name", "triggers", "slots", "body")
+
+    def __init__(self, name: str, triggers: list[str], slots: list[tuple[str, str]], body: str):
+        self.name = name
+        self.triggers = triggers
+        self.slots = slots  # (name, type)
+        self.body = body
 
     @cached_property
     def trigger_token_sets(self) -> list[frozenset[str]]:
@@ -45,10 +48,13 @@ class Template:
         return [frozenset(normalize_tokens(t)) for t in self.triggers]
 
 
-@dataclass
-class TemplateRegistry:
-    templates: list[Template] = field(default_factory=list)
-    by_name: dict[str, Template] = field(default_factory=dict)
+class TemplateRegistry(Record):
+    __slots__ = _fields = ("templates", "by_name")
+
+    def __init__(self, templates: list[Template] | None = None,
+                 by_name: dict[str, Template] | None = None):
+        self.templates = [] if templates is None else templates
+        self.by_name = {} if by_name is None else by_name
 
     def add(self, template: Template, line: int | None = None) -> None:
         if template.name in self.by_name:
@@ -111,11 +117,12 @@ def builtin_registry() -> TemplateRegistry:
     return reg
 
 
-def load_registry(path: str) -> TemplateRegistry:
-    """Read line-delimited template records."""
+def load_registry(path: str, data: bytes | None = None) -> TemplateRegistry:
+    """Read line-delimited template records from the file at `path`, or
+    from `data`, its bytes when the caller has read them."""
     reg = TemplateRegistry()
     name = Path(path).name
-    for lineno, doc in json_records(utf8_lines(path), name):
+    for lineno, doc in json_records(utf8_lines(path, data), name):
         try:
             slots = [(as_text(s["name"], "slot 'name'", name, lineno),
                       as_text(s["type"], "slot 'type'", name, lineno))
@@ -188,17 +195,21 @@ def run_template(
     return evaluate(graph, parse_query(template.body, values))
 
 
-@dataclass
-class FreeformMatch:
-    template: str
-    args: dict[str, str]
-    score: float
+class FreeformMatch(Record):
+    __slots__ = _fields = ("template", "args", "score")
+
+    def __init__(self, template: str, args: dict[str, str], score: float):
+        self.template = template
+        self.args = args
+        self.score = score
 
 
-@dataclass
-class NoMatch:
-    suggestions: list[tuple[str, float]]  # (template name, score), best first
-    reason: str = ""
+class NoMatch(Record):
+    __slots__ = _fields = ("suggestions", "reason")
+
+    def __init__(self, suggestions: list[tuple[str, float]], reason: str = ""):
+        self.suggestions = suggestions  # (template name, score), best first
+        self.reason = reason
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:

@@ -10,14 +10,13 @@ plus multi-threaded access including a write signals a race.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import DomainError, NotFoundError
 from ckt.graph import KnowledgeGraph, call_graph
-from ckt.model import Entity, TraceLog
+from ckt.model import Entity, Record, TraceLog
 from ckt.query.evaluate import ResultSet
 from ckt.textio import parse_timestamp
 
@@ -33,13 +32,17 @@ ALERT_CAP = 10  # alerts kept per response, highest scores first
 SIMILARITY_FLOOR = 0.25  # lowest score a similar defect is reported at
 
 
-@dataclass
-class SmartAlert:
-    kind: str
-    subject: str
-    evidence: list[str]  # triple keys "s|p|o" or trace event seqs "seq:N"
-    message: str
-    score: float = 0.0
+class SmartAlert(Record):
+    __slots__ = _fields = ("kind", "subject", "evidence", "message", "score")
+
+    def __init__(self, kind: str, subject: str, evidence: list[str], message: str,
+                 score: float = 0.0):
+        self.kind = kind
+        self.subject = subject
+        self.evidence = evidence  # triple keys "s|p|o" or trace event seqs "seq:N"
+        self.message = message
+        self.score = score
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ALERT_KINDS:

@@ -3,6 +3,7 @@ in them, and the one parser of the timestamps they carry."""
 
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -15,16 +16,22 @@ SCHEMA_VERSION = 1  # of the header record that opens facts, commits and bugs
 _DECODER = json.JSONDecoder()
 
 
-def utf8_lines(path: str | Path) -> Iterator[str]:
-    """Yield the lines of a UTF-8 text file; bytes that are not UTF-8 raise
-    FormatError naming the file and the line."""
+def utf8_lines(path: str | Path, data: bytes | None = None) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text file, or of `data`, its bytes when
+    the caller has read them, split as a text-mode file splits them; bytes
+    that are not UTF-8 raise FormatError naming the file and the line."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    if data is None:
+        fh = open(path, encoding="utf-8")
+    else:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
             # the decoder's offsets are per chunk: find the line anew
-            for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
+            raw = path.read_bytes() if data is None else data
+            for lineno, line in enumerate(raw.split(b"\n"), start=1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError:

@@ -1518,6 +1518,25 @@ def reference_parse_source(text, path):
 # -- writers and ids that only the tests use --------------------------------
 
 
+def entity_json(entity):
+    """An entity as the JSON object of its nodes.jsonl or facts record."""
+    span = entity.span
+    return {
+        "id": entity.id,
+        "kind": entity.kind,
+        "label": entity.label,
+        "path": span.path if span else None,
+        "start": span.start if span else None,
+        "end": span.end if span else None,
+        "attrs": dict(sorted(entity.attrs.items())),
+    }
+
+
+def node_line(entity):
+    """An entity's nodes.jsonl line as json.dumps writes it."""
+    return json.dumps(entity_json(entity), sort_keys=True, ensure_ascii=True)
+
+
 def provenance_json(provenance):
     """A triple line's provenance list as json.dumps writes it."""
     docs = []
@@ -1532,12 +1551,11 @@ def provenance_json(provenance):
 def dumps_facts(facts):
     """A fact set in the neutral facts format, as one string: the header,
     the entities by id, then the sorted relations."""
-    from ckt.graph import _entity_to_json
     from ckt.textio import SCHEMA_VERSION
 
     lines = [json.dumps({"rec": "header", "version": SCHEMA_VERSION})]
     for entity in facts.sorted_entities():
-        doc = {"rec": "entity", **_entity_to_json(entity)}
+        doc = {"rec": "entity", **entity_json(entity)}
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=True))
     for rel in facts.sorted_relations():
         doc = {"rec": "relation", "subj": rel.subj, "pred": rel.pred, "obj": rel.obj}
@@ -1556,14 +1574,15 @@ def bug_id(tracker, number):
 
 def graphs_equal(a, b):
     """Deep equality of two KnowledgeGraphs: entity table, triple keys in
-    order, and the provenance table."""
+    order, and each key's sources."""
     if sorted(a.entities) != sorted(b.entities):
         return False
     for eid in a.entities:
         ea, eb = a.entities[eid], b.entities[eid]
         if (ea.kind, ea.label, ea.span, ea.attrs) != (eb.kind, eb.label, eb.span, eb.attrs):
             return False
-    return list(a.triples()) == list(b.triples()) and a.provenance == b.provenance
+    return list(a.triples()) == list(b.triples()) and all(
+        a.sources(key) == b.sources(key) for key in a.triples())
 
 
 def parse_record(line):

@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from ckt.cli import _load_query_context, _run_query_text, cmd_export, cmd_query, cmd_repl, main
 from ckt.cli import cmd_build as cli_build
 from ckt.errors import FormatError, SlotError
+from ckt.graph import load_graph
 from ckt.query.templates import Template, TemplateRegistry
 from conftest import SCENARIO
 from oracles import graphs_equal, parse_record
@@ -25,8 +27,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # SHA-256 of every file `ckt build` writes for the scenario, recorded from
 # the build before its lookups were indexed: a faster build must not change
-# a byte of its output.
+# a byte of its output.  graph.json, which lists the others' digests, was
+# added later.
 SCENARIO_DIGESTS = {
+    "graph.json": "9abe7a5ffb65bf61fec23f11050dfe814b032361c0018fd2d375c82a4fdd1dfa",
     "nodes.jsonl": "584b5436c5da5cf69146c3ebbdb63b25bec13b8ed2ff1d3447f4963735d088cf",
     "ranks.tsv": "c708ec579aac348665c5f60b3ac77663a788c625849e97b30a93c10ba6b0e421",
     "report.json": "d789180a1c997f7a4cf7a34062c7d3558fd996a94856c863129d324f5c8e5134",
@@ -88,8 +92,10 @@ MIXED_COMMITS = [
     {"id": "c1", "author_name": "A", "author_email": "a@x", "timestamp": "2015-01-01T00:00:00Z",
      "summary": "edit the ring", "changes": [{"path": "src/m.c", "added": [[3, 6]]}]},
 ]
-# recorded from the build before FactSet kept its entities by file
+# recorded from the build before FactSet kept its entities by file;
+# graph.json was added later
 MIXED_DIGESTS = {
+    "graph.json": "f013b679e01029224f0c1dc694d6914b2975eab526d48ea0d5615d938fe71349",
     "nodes.jsonl": "6f30669c749e360aa4b69b6df71cb2f3f535c7b2a422e07998e06d070f00e4ff",
     "ranks.tsv": "cefa2a914f24666b3eac62dcef666282538acbb3ca1d5df8cb08f343ca6f6a47",
     "report.json": "f730abd3722b3653af27b575cd56f67d14d078770c9b894592c4172e9a143606",
@@ -635,6 +641,77 @@ def test_query_side_leaves_build_modules_unimported(scenario_dir, argv, stdin):
     assert json.loads(proc.stderr) == []
 
 
+@pytest.mark.parametrize("text", QUERY_KINDS, ids=["select", "template", "freeform"])
+def test_cold_query_imports_neither_dataclasses_nor_inspect(scenario_dir, text):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ckt", "query", "--graph",
+         str(scenario_dir / "out"), text],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "! [" in proc.stdout
+    # -X importtime writes one line per module imported, its name last
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ckt.graph" in imported
+    assert not imported & {"dataclasses", "inspect"}
+
+
+def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
+    """Builds of two projects alternate into one graph directory while
+    reader threads load it: each load is one build's graph or a torn
+    read's FormatError (a query exits 2 on it), never a mix of the two."""
+    shared = tmp_path / "shared"
+    manifests = []
+    for name, edit in (("a", ""), ("b", "    timeout_secs = 0;\n")):
+        work = tmp_path / name
+        shutil.copytree(SCENARIO, work, ignore=shutil.ignore_patterns("out"))
+        source = work / "src" / "ftpety.c"  # b's ui_save also writes timeout_secs
+        source.write_text(source.read_text(encoding="utf-8").replace(
+            "    transfer_mode = 'w';\n", "    transfer_mode = 'w';\n" + edit), encoding="utf-8")
+        doc = json.loads((work / "manifest.json").read_text(encoding="utf-8"))
+        doc["out"] = "../shared"
+        (work / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        manifests.append(work / "manifest.json")
+    builds = []
+    for manifest in manifests:
+        assert main(["build", "--manifest", str(manifest)]) == 0
+        builds.append(load_graph(shared))
+    assert not graphs_equal(*builds)
+    assert builds[0].entities.keys() == builds[1].entities.keys()  # a mix could load
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outcomes = {"a": 0, "b": 0, "torn": 0, "mixed": 0}
+    done = threading.Event()
+
+    def read():
+        while not done.is_set():
+            try:
+                graph = load_graph(shared)
+            except FormatError:
+                outcomes["torn"] += 1
+                continue
+            match = [n for n, built in zip("ab", builds) if graphs_equal(graph, built)]
+            outcomes[match[0] if match else "mixed"] += 1
+
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    for reader in readers:
+        reader.start()
+    try:
+        for i in range(6):
+            subprocess.run([sys.executable, "-m", "ckt", "build", "--manifest",
+                            str(manifests[i % 2])], env=env, check=True,
+                           capture_output=True, timeout=120)
+    finally:
+        done.set()
+        for reader in readers:
+            reader.join()
+    assert outcomes["mixed"] == 0, outcomes
+    assert outcomes["a"] and outcomes["b"], outcomes
+
+
 def test_fixing_commit_found_by_object_lookup(scenario_graph):
     hits = list(scenario_graph.match(None, "fixes", "bug:CQ/22"))
     assert [s for s, _, _ in hits] == ["commit:c0ffee11deadbeef"]
@@ -656,7 +733,7 @@ def test_closed_world_after_build(scenario_graph):
         assert s in scenario_graph.entities, s
         if p not in LITERAL_PREDICATES:
             assert o in scenario_graph.entities, o
-        assert scenario_graph.provenance[s, p, o], (s, p, o)
+        assert scenario_graph.sources((s, p, o)), (s, p, o)
 
 
 def test_export_triples_byte_identical(scenario_dir, capsys):
@@ -674,6 +751,21 @@ def test_export_stats_top_nodes(scenario_dir, capsys):
     assert stats["nodes_by_kind"]["commit"] == 3
     top = [eid for eid, _ in stats["top_pagerank"]]
     assert S2 in top
+
+
+def test_export_of_a_changed_file_exits_2_naming_it_in_graph_json(scenario_dir, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    triples = out / "triples.tsv"
+    triples.write_bytes(triples.read_bytes() + triples.read_bytes().split(b"\n")[0] + b"\n")
+    assert main(["export", "--graph", str(out), "--what", "triples"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 10: graph.json: triples.tsv does not match")
+    (out / "graph.json").unlink()
+    assert main(["export", "--graph", str(out), "--what", "triples"]) == 0
+    assert capsys.readouterr().out == triples.read_text(encoding="utf-8")
 
 
 def test_export_unknown_target(scenario_dir, capsys):

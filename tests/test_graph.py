@@ -1,22 +1,36 @@
 """Triple store, indexes, analytics, persistence."""
 
+import hashlib
 import itertools
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckt.errors import CktError, NotFoundError
+from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
+    GRAPH_MANIFEST,
     GraphBuilder,
     Provenance,
+    _node_line,
     _provenance_json,
     load_graph,
     save_graph,
 )
+from ckt.ids import ENTITY_KINDS
 from ckt.model import Entity, Span
-from oracles import bfs_within, brute_triangles, dense_pagerank, graphs_equal, provenance_json
+from oracles import (
+    bfs_within,
+    brute_triangles,
+    dense_pagerank,
+    graphs_equal,
+    node_line,
+    provenance_json,
+)
 
 PROV = Provenance("source-code", "test:1")
 
@@ -41,7 +55,7 @@ def test_duplicate_insert_accumulates_provenance():
     builder.insert_triple("commit:c1", "fixes", "bug:CQ/22", Provenance("bug-tracker", "x"))
     graph = builder.finalize()
     assert len(graph) == 1
-    assert len(graph.provenance["commit:c1", "fixes", "bug:CQ/22"]) == 2
+    assert len(graph.sources(("commit:c1", "fixes", "bug:CQ/22"))) == 2
 
 
 def test_auto_registration_infers_kind():
@@ -310,7 +324,7 @@ def test_fixture_round_trip_with_spans_and_literals(tmp_path):
     save_graph(graph, tmp_path)
     again = load_graph(tmp_path)
     assert graphs_equal(again, graph)
-    assert again.provenance["func:a.c#f", "guards", "var:a.c#v"][0].detail == "locks=L1,L2"
+    assert again.sources(("func:a.c#f", "guards", "var:a.c#v"))[0].detail == "locks=L1,L2"
 
 
 def test_corrupt_triple_line_names_line(tmp_path):
@@ -359,3 +373,84 @@ def test_save_load_round_trip_property(tmp_path_factory, graph):
                 min_size=1, max_size=4))
 def test_provenance_writer_equals_json_dumps(provenance):
     assert _provenance_json(tuple(provenance)) == provenance_json(provenance)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_PROV_TEXT.filter(bool), st.sampled_from(sorted(ENTITY_KINDS)), _PROV_TEXT,
+       st.none() | st.tuples(_PROV_TEXT, st.integers(-5, 10**12), st.integers(0, 5)),
+       st.dictionaries(_PROV_TEXT, _PROV_TEXT, max_size=4))
+def test_node_writer_equals_json_dumps(eid, kind, label, span, attrs):
+    span = span and Span(span[0], span[1], span[1] + span[2])
+    entity = Entity(eid, kind, label, span, attrs)
+    assert _node_line(entity) == node_line(entity)
+
+
+def test_rank_table_is_a_read_only_view_of_the_ranks():
+    graph = build(FIXTURE)
+    table = graph.rank_table()
+    assert dict(table) == graph.pagerank()
+    with pytest.raises(TypeError):
+        table["func:a#f"] = 1.0
+    assert GraphBuilder().finalize().rank_table() == {}
+
+
+def spy_on_replace(monkeypatch, fail_on=None):
+    """Record the name each os.replace puts in place; raise OSError
+    instead for the name `fail_on`."""
+    names = []
+    replace = os.replace
+
+    def spy(src, dst):
+        if Path(dst).name == fail_on:
+            raise OSError("disk full")
+        names.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    return names
+
+
+def test_save_renames_each_file_into_place_and_graph_json_last(tmp_path, monkeypatch):
+    names = spy_on_replace(monkeypatch)
+    save_graph(build(FIXTURE), tmp_path, {"stats.json": b"{}\n"})
+    assert names == ["nodes.jsonl", "triples.tsv", "ranks.tsv", "stats.json", GRAPH_MANIFEST]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
+    assert manifest == {"format": 1, "sha256": {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names[:-1]}}
+
+
+def test_failed_save_keeps_the_old_graph_json_which_names_the_changed_file(tmp_path, monkeypatch):
+    save_graph(build(FIXTURE), tmp_path)
+    old = (tmp_path / GRAPH_MANIFEST).read_bytes()
+    spy_on_replace(monkeypatch, fail_on="ranks.tsv")
+    with pytest.raises(OSError):  # the same nodes, one more triple
+        save_graph(build([*FIXTURE, ("func:a#g", "reads", "var:a#x")]), tmp_path)
+    assert (tmp_path / GRAPH_MANIFEST).read_bytes() == old
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+    # the new triples under the old graph.json: a torn directory
+    with pytest.raises(FormatError) as exc:
+        load_graph(tmp_path)
+    assert str(exc.value).startswith("line 6: graph.json: triples.tsv does not match")
+
+
+def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch):
+    old, new = build(FIXTURE), build([*FIXTURE, ("func:a#g", "reads", "var:a#x")])
+    save_graph(old, tmp_path)
+    outcomes = []
+    replace = os.replace
+
+    def load_after(src, dst):
+        replace(src, dst)
+        try:
+            graph = load_graph(tmp_path)
+        except FormatError:
+            outcomes.append("torn")
+        else:
+            outcomes.append("old" if graphs_equal(graph, old)
+                            else "new" if graphs_equal(graph, new) else "mixed")
+
+    monkeypatch.setattr(os, "replace", load_after)
+    save_graph(new, tmp_path)
+    # both builds write the same nodes.jsonl
+    assert outcomes == ["old", "torn", "torn", "new"]

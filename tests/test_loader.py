@@ -1,7 +1,10 @@
 """The graph loader and the persisted PageRank scores: the direct loader
 against the GraphBuilder loader in oracles.py, loaded ranks against the
-built and the dense ones, and corrupt graph directories."""
+built and the dense ones, corrupt graph directories, and graph.json: the
+trusted load of a directory it vouches for, and changed, torn and forged
+directories."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckt.graph
 import oracles
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
+    GRAPH_MANIFEST,
     NODES_FILE,
     RANKS_FILE,
     TRIPLES_FILE,
@@ -37,6 +42,14 @@ def copy_graph(scenario_dir, tmp_path) -> Path:
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
     return out
+
+
+def write_manifest(directory: Path) -> None:
+    """A graph.json that vouches for the three graph files as they are."""
+    digests = {name: hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+               for name in (NODES_FILE, RANKS_FILE, TRIPLES_FILE)}
+    (Path(directory) / GRAPH_MANIFEST).write_text(
+        json.dumps({"format": 1, "sha256": digests}, indent=2) + "\n", encoding="utf-8")
 
 
 def run_ckt(*args) -> subprocess.CompletedProcess:
@@ -201,19 +214,50 @@ def write_graph_dir(directory: Path, node_lines, triple_lines) -> KnowledgeGraph
     return reference
 
 
+# each loader test runs on a directory without graph.json, where the
+# validating load runs, and on one whose graph.json vouches for the files,
+# where the trusted load runs or, on files save_graph would not write,
+# hands them to the validating load
+MANIFEST = pytest.mark.parametrize("manifest", ["removed", "kept"])
+
+
+@MANIFEST
 @settings(max_examples=80, deadline=None)
 @given(graph_files())
-def test_direct_loader_matches_builder_loader(files):
+def test_direct_loader_matches_builder_loader(manifest, files):
     with tempfile.TemporaryDirectory() as tmp:
         reference = write_graph_dir(Path(tmp), *files)
+        if manifest == "kept":
+            write_manifest(Path(tmp))
         graph = load_graph(tmp)
         assert graphs_equal(graph, reference)
         assert graph.pagerank() == reference.pagerank()
 
 
-def test_direct_loader_matches_builder_loader_on_scenario(scenario_dir):
-    assert graphs_equal(load_graph(scenario_dir / "out"),
-                        oracles.builder_load_graph(scenario_dir / "out"))
+@MANIFEST
+def test_direct_loader_matches_builder_loader_on_scenario(scenario_dir, tmp_path, manifest):
+    out = copy_graph(scenario_dir, tmp_path)
+    if manifest == "removed":
+        (out / GRAPH_MANIFEST).unlink()
+    assert graphs_equal(load_graph(out), oracles.builder_load_graph(out))
+
+
+def test_a_build_tree_takes_the_trusted_load(scenario_dir, monkeypatch):
+    def no_validation(data):
+        raise AssertionError("the validating load ran on files graph.json vouches for")
+
+    monkeypatch.setattr(ckt.graph, "_validated_graph", no_validation)
+    graph = load_graph(scenario_dir / "out")
+    monkeypatch.undo()
+    assert graphs_equal(graph, oracles.builder_load_graph(scenario_dir / "out"))
+    assert graph.pagerank() == load_graph_without_manifest(scenario_dir / "out").pagerank()
+
+
+def load_graph_without_manifest(directory) -> KnowledgeGraph:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE):
+            shutil.copyfile(Path(directory) / name, Path(tmp) / name)
+        return load_graph(tmp)
 
 
 def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
@@ -314,24 +358,247 @@ def small_graphs(draw):
     return builder.finalize()
 
 
+def mutate_files(directory: str, data) -> None:
+    """One to three corruptions, each of one line of one graph file."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE, RANKS_FILE]))
+        path = Path(directory) / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        mutate(lines, name, data.draw)
+        path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+
+
+def graph_bytes(directory: str) -> dict[str, bytes]:
+    return {name: (Path(directory) / name).read_bytes()
+            for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE)}
+
+
+@MANIFEST
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(), st.data())
-def test_fuzzed_graph_dir_loads_or_names_a_line(graph, data):
+def test_fuzzed_graph_dir_loads_or_names_a_line(manifest, graph, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(graph, tmp)
-        for _ in range(data.draw(st.integers(1, 3))):
-            name = data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE, RANKS_FILE]))
-            path = Path(tmp) / name
-            lines = path.read_text(encoding="utf-8").splitlines()
-            mutate(lines, name, data.draw)
-            path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+        if manifest == "removed":
+            (Path(tmp) / GRAPH_MANIFEST).unlink()
+        saved = graph_bytes(tmp)
+        mutate_files(tmp, data)
+        changed = graph_bytes(tmp) != saved
         try:
             loaded = load_graph(tmp)
         except CktError as exc:
             assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
         else:
+            # graph.json lets no changed byte load
+            assert manifest == "removed" or not changed
             # whatever loads, loads as the builder loader reads it
             assert graphs_equal(loaded, oracles.builder_load_graph(tmp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_forged_manifest_loads_as_the_validating_load_or_names_a_line(graph, data):
+    """Files changed after the build under a graph.json rewritten to vouch
+    for them: the trusted load either gives what the validating load gives
+    or, where that load rejects a line, FormatError with a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(graph, tmp)
+        mutate_files(tmp, data)
+        if data.draw(st.booleans()):  # two lines of one file trade places
+            path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE, RANKS_FILE]))
+            lines = path.read_text(encoding="utf-8").splitlines()
+            if len(lines) >= 2:
+                i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2,
+                                          max_size=2, unique=True))
+                lines[i], lines[j] = lines[j], lines[i]
+                path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+        write_manifest(Path(tmp))
+        assert_loads_as_validating(tmp)
+
+
+def assert_loads_as_validating(directory) -> None:
+    """The load of `directory`, its graph.json kept and every key's sources
+    decoded, equals the validating load of the same files, or both raise
+    FormatError, the first with a line."""
+    try:
+        loaded = load_graph(directory)
+        for key in loaded.triples():  # the trusted load decodes sources on first use
+            loaded.sources(key)
+    except CktError as exc:
+        assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
+        with pytest.raises(FormatError):
+            load_graph_without_manifest(directory)
+    else:
+        validated = load_graph_without_manifest(directory)
+        assert graphs_equal(loaded, validated)
+        assert list(loaded.pagerank().items()) == list(validated.pagerank().items())
+
+
+def edit_record(i: int, **fields):
+    """Set fields of the JSON record on line i."""
+    def edit(lines):
+        doc = json.loads(lines[i])
+        doc.update(fields)
+        lines[i] = json.dumps(doc, sort_keys=True)
+    return edit
+
+
+def edit_field(i: int, field: int, value: str):
+    """Set one tab-separated field of line i."""
+    def edit(lines):
+        parts = lines[i].split("\t")
+        parts[field] = value
+        lines[i] = "\t".join(parts)
+    return edit
+
+
+def repeat_record(i: int, **fields):
+    """Insert after line i a copy of its JSON record with fields set."""
+    def edit(lines):
+        doc = json.loads(lines[i])
+        doc.update(fields)
+        lines.insert(i + 1, json.dumps(doc, sort_keys=True))
+    return edit
+
+
+def swap(i: int, j: int):
+    def edit(lines):
+        lines[i], lines[j] = lines[j], lines[i]
+    return edit
+
+
+def insert(i: int, line: str | None = None):
+    """Insert `line`, or a copy of line i, before line i."""
+    def edit(lines):
+        lines.insert(i, lines[i] if line is None else line)
+    return edit
+
+
+def append_to(i: int, text: str):
+    def edit(lines):
+        lines[i] += text
+    return edit
+
+
+# changes to the scenario's files that keep each line plausible, each for a
+# check of the trusted load or a departure from what save_graph writes that
+# the validating load reads in its own way: line 0 of nodes.jsonl is a bug,
+# line 2 a comment with a span, line 52 of triples.tsv a has-type triple
+FORGERIES = {
+    "attr that is a number": (NODES_FILE, edit_record(0, attrs={"status": 1})),
+    "label that is a number": (NODES_FILE, edit_record(0, label=5)),
+    "start that is a string": (NODES_FILE, edit_record(2, start="1")),
+    "start after end": (NODES_FILE, edit_record(2, start=9, end=1)),
+    "path that is a number": (NODES_FILE, edit_record(2, path=5)),
+    "span without path": (NODES_FILE, edit_record(2, path=None)),
+    "unknown kind": (NODES_FILE, edit_record(0, kind="widget")),
+    "another known kind": (NODES_FILE, edit_record(0, kind="function")),
+    "id that is a number": (NODES_FILE, edit_record(0, id=7)),
+    "nodes out of order": (NODES_FILE, swap(0, 1)),
+    "repeated node": (NODES_FILE, insert(1, None)),
+    "repeated id with another label": (NODES_FILE, repeat_record(0, label="other")),
+    "node trailing a space": (NODES_FILE, append_to(0, " ")),
+    "node trailing a value": (NODES_FILE, append_to(0, " 5")),
+    "node with a CR": (NODES_FILE, append_to(0, "\r")),
+    "blank node line": (NODES_FILE, insert(1, "")),
+    "literal object that is an id": (TRIPLES_FILE, edit_field(52, 2, "var:src/x.c#y")),
+    "literal object that is a node": (TRIPLES_FILE, edit_field(52, 2, "bug:CQ/22")),
+    "object that is no node": (TRIPLES_FILE, edit_field(0, 2, "func:src/none.c#ghost")),
+    "unknown predicate": (TRIPLES_FILE, edit_field(0, 1, "frobs")),
+    "triples out of order": (TRIPLES_FILE, swap(0, 1)),
+    "repeated triple": (TRIPLES_FILE, insert(1, None)),
+    "empty provenance": (TRIPLES_FILE, edit_field(0, 3, "[]")),
+    "provenance source that is a number": (
+        TRIPLES_FILE, edit_field(0, 3, '[{"origin": "o", "source": 1}]')),
+    "provenance that is no JSON": (TRIPLES_FILE, edit_field(0, 3, "[{")),
+    "triple with a CR": (TRIPLES_FILE, append_to(0, "\r")),
+    "blank triple line": (TRIPLES_FILE, insert(1, "")),
+    "infinite rank": (RANKS_FILE, edit_field(0, 1, "inf")),
+    "rank with spaces": (RANKS_FILE, edit_field(0, 1, " 0.5 ")),
+    "ranks out of order": (RANKS_FILE, swap(0, 1)),
+    "repeated rank": (RANKS_FILE, insert(1, None)),
+    "rank for no node": (RANKS_FILE, insert(0, "func:src/none.c#ghost\t0.1")),
+}
+
+
+@pytest.mark.parametrize("name, edit", FORGERIES.values(), ids=list(FORGERIES))
+def test_forgery_loads_as_the_validating_load_or_names_a_line(scenario_dir, tmp_path,
+                                                              name, edit):
+    out = copy_graph(scenario_dir, tmp_path)
+    path = out / name
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    edit(lines)
+    path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
+    write_manifest(out)
+    assert_loads_as_validating(out)
+
+
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])
+def test_forgery_without_the_last_lf_loads_as_the_validating_load(scenario_dir, tmp_path, name):
+    out = copy_graph(scenario_dir, tmp_path)
+    (out / name).write_bytes((out / name).read_bytes()[:-1])
+    write_manifest(out)
+    assert_loads_as_validating(out)
+
+
+# -- changed and torn directories ------------------------------------------------
+
+
+def test_a_valid_line_added_after_the_build_names_the_file_in_graph_json(scenario_dir,
+                                                                          tmp_path):
+    out = copy_graph(scenario_dir, tmp_path)
+    nodes = out / NODES_FILE
+    # a repeated node is a valid line: the validating load keeps the first
+    nodes.write_bytes(nodes.read_bytes() + nodes.read_bytes().split(b"\n")[0] + b"\n")
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert str(exc.value) == (
+        "line 4: graph.json: nodes.jsonl does not match its SHA-256 here; it changed "
+        "after the build, or a build rewrote it while it was read")
+    proc = run_ckt("query", "--graph", str(out), SELECT)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {exc.value}\n"
+    (out / GRAPH_MANIFEST).unlink()
+    assert graphs_equal(load_graph(out), oracles.builder_load_graph(out))
+    assert run_ckt("query", "--graph", str(out), SELECT).returncode == 0
+
+
+def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tmp_path):
+    out = copy_graph(scenario_dir, tmp_path)
+    path = out / RANKS_FILE
+    lines, lineno = corrupt_ranks(path.read_text(encoding="utf-8").splitlines(), "bad-float")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert exc.value.line == lineno and RANKS_FILE in str(exc.value)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("{\n  \"format\": 1,\n  \"sha256\": {\n", 4),
+    ('{"format": 2, "sha256": {}}\n', 1),
+    ('{"format": true, "sha256": {}}\n', 1),
+    ('{"format": 1, "sha256": []}\n', 1),
+    ("[]\n", 1),
+    ("", 1),
+])
+def test_a_bad_graph_json_names_its_line(scenario_dir, tmp_path, text, lineno):
+    out = copy_graph(scenario_dir, tmp_path)
+    (out / GRAPH_MANIFEST).write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert exc.value.line == lineno and GRAPH_MANIFEST in str(exc.value)
+
+
+@pytest.mark.parametrize("change, lineno", [
+    (lambda path: path.write_bytes(path.read_bytes() + b"\n"), 9),  # a blank line is valid
+    (lambda path: path.unlink(), 9),
+])
+def test_a_changed_or_removed_trace_copy_exits_2(scenario_dir, tmp_path, change, lineno):
+    out = copy_graph(scenario_dir, tmp_path)
+    change(out / "trace.jsonl")
+    proc = run_ckt("query", "--graph", str(out), SELECT)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: line {lineno}: graph.json: trace.jsonl does not match")
 
 
 @pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])

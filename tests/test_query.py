@@ -12,6 +12,8 @@ from ckt.graph import GraphBuilder, Provenance
 from ckt.model import Entity
 from ckt.query.evaluate import evaluate, rank_results
 from ckt.query.parser import (
+    IRI,
+    VAR,
     FilterClause,
     QueryAST,
     Term,
@@ -279,6 +281,48 @@ def test_static_filter_matches_attrs():
         'SELECT ?v WHERE { file:ftpety.c declares ?v } FILTER ?v CONTAINS "storage=static"'
     ))
     assert result.rows == [("var:ftpety.c#d",)]
+
+
+# text whose lower case differs in length or depends on its neighbours:
+# final sigma, dotted and dotless I, sharp s, a ligature, titlecase digraphs,
+# and letters outside the basic plane
+_FOLD_TEXT = st.text(st.sampled_from("aAz=Σσςİıßẞﬁǅǆ\U00010400\U00010428 ")
+                     | st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def per_binding_contains(graph, value, needle):
+    """FILTER ... CONTAINS as it was: every string lower-cased per binding."""
+    needle = needle.lower()
+    if needle in value.lower():
+        return True
+    entity = graph.entities.get(value)
+    if entity is None:
+        return False
+    if needle in entity.label.lower():
+        return True
+    return any(needle in f"{k}={v}".lower() for k, v in entity.attrs.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FOLD_TEXT, st.dictionaries(_FOLD_TEXT, _FOLD_TEXT, max_size=3)),
+                min_size=1, max_size=4), st.data())
+def test_contains_filter_equals_the_per_binding_fold(labelled, data):
+    entities = [Entity(f"var:h.c#v{i}", "variable", label, None, attrs)
+                for i, (label, attrs) in enumerate(labelled)]
+    graph = build([("func:h.c#f", "writes", e.id) for e in entities], entities)
+    # a needle cut from a label or an attribute, its case changed, or any text
+    texts = [label for label, _ in labelled]
+    texts += [f"{k}={v}" for _, attrs in labelled for k, v in attrs.items()]
+    text = data.draw(st.sampled_from(texts))
+    start = data.draw(st.integers(0, len(text)))
+    cut = text[start:data.draw(st.integers(start, len(text)))]
+    needle = data.draw(st.sampled_from([cut, cut.upper(), cut.lower(), cut.swapcase()])
+                       | _FOLD_TEXT)
+    ast = QueryAST(("v",), (TriplePattern(Term(VAR, "f"), Term(IRI, "writes"), Term(VAR, "v")),),
+                   (FilterClause("v", "CONTAINS", needle),))
+    expected = sorted(e.id for e in entities if per_binding_contains(graph, e.id, needle))
+    for _ in range(2):  # the second pass reads the folded strings the first one kept
+        assert sorted(row[0] for row in evaluate(graph, ast).rows) == expected
 
 
 def test_date_filter_after():
