@@ -27,14 +27,10 @@ from ckt.errors import CktError, FormatError
 from ckt.extraction import comments, cparser, traces
 from ckt.extraction.facts import load_facts
 from ckt.graph import (
-    GRAPH_MANIFEST,
-    NODES_FILE,
-    RANKS_FILE,
     REPORT_FILE,
     STATS_FILE,
     TEMPLATES_COPY,
     TRACE_COPY,
-    TRIPLES_FILE,
     GraphBuilder,
     KnowledgeGraph,
     Provenance,
@@ -305,24 +301,18 @@ def cmd_build(manifest_path: Path) -> int:
         "warnings": state.warnings,
     }
 
-    out = manifest.out
-    try:
-        extra = {
-            STATS_FILE: _json_file(stats),
-            REPORT_FILE: _json_file(report),
-        }
-        if manifest.trace is not None:
-            extra[TRACE_COPY] = manifest.trace.read_bytes()
-        if manifest.templates is not None:
-            extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
-            load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
-        ckt.graph.save_graph(graph, out, extra)
-    except Exception:
-        # save_graph removes its temporary files; a failed build leaves no graph
-        for name in (GRAPH_MANIFEST, NODES_FILE, TRIPLES_FILE, RANKS_FILE, STATS_FILE,
-                     REPORT_FILE, TRACE_COPY, TEMPLATES_COPY):
-            (out / name).unlink(missing_ok=True)
-        raise
+    # every input is checked before save_graph writes a file, and it renames
+    # each into place, so a failed build leaves the previous tree whole
+    extra = {
+        STATS_FILE: _json_file(stats),
+        REPORT_FILE: _json_file(report),
+    }
+    if manifest.trace is not None:
+        extra[TRACE_COPY] = manifest.trace.read_bytes()
+    if manifest.templates is not None:
+        extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
+        load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
+    ckt.graph.save_graph(graph, manifest.out, extra)
 
     _print_report(report)
     return 0

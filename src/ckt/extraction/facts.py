@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
+from ckt import ids
 from ckt.errors import ConflictError, FormatError
-from ckt.graph import PREDICATES, _entity_record
-from ckt.model import FactSet, Relation
+from ckt.graph import PREDICATES
+from ckt.model import Entity, FactSet, Relation, Span
 from ckt.textio import json_records
 
 
@@ -39,6 +40,33 @@ def load_facts(lines: Iterable[str] | IO[str], name: str = "facts") -> FactSet:
         else:
             raise FormatError(f"{name}: unknown record type {rec!r}", lineno)
     return facts
+
+
+def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
+    """An entity from its neutral facts record; a bad field raises
+    FormatError naming `name` and the line."""
+    for field_name in ("id", "kind", "label"):
+        value = doc.get(field_name)
+        # a label may be empty: a commit with no author names an anonymous developer
+        if not isinstance(value, str) or not (value or field_name == "label"):
+            raise FormatError(f"{name}: entity record needs string {field_name!r}", lineno)
+    kind = doc["kind"]
+    if kind not in ids.ENTITY_KINDS:
+        raise FormatError(f"{name}: unknown entity kind {kind!r}", lineno)
+    span = None
+    path, start, end = doc.get("path"), doc.get("start"), doc.get("end")
+    if path is not None or start is not None or end is not None:
+        if not isinstance(path, str) or start is None or end is None:
+            raise FormatError(f"{name}: span needs a string path, a start and an end", lineno)
+        try:
+            span = Span(path, int(start), int(end))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{name}: bad span: {exc}", lineno) from exc
+    attrs = doc.get("attrs") or {}
+    if not isinstance(attrs, dict):
+        raise FormatError(f"{name}: attrs must be an object", lineno)
+    return Entity(doc["id"], kind, doc["label"], span,
+                  {str(k): str(v) for k, v in attrs.items()})
 
 
 def _relation_record(doc: dict, name: str, lineno: int) -> Relation:

@@ -10,8 +10,9 @@ immutable and safe for concurrent readers; analytics (PageRank, triangle
 counts) operate on the frozen triple set.
 
 A graph directory ends with graph.json, the SHA-256 of each of its other
-files: save_graph writes it last, and load_graph trusts files that match
-it and checks every record of any other.
+files: save_graph writes it last, and load_graph reads a directory only
+with it, parses each line as save_graph writes it and then checks each
+file against its digest.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
-from ckt.textio import json_records, json_value, utf8_lines
+from ckt.textio import json_value, not_utf8
 
 # The interpreter's own SHA-256, in _sha2 from Python 3.12 and in _sha256
 # before: hashlib's, from OpenSSL, hashes faster but adds about 4 MB of
@@ -85,42 +86,6 @@ class Provenance(NamedTuple):
 Key = tuple[str, str, str]  # (subject, predicate, object)
 
 
-def _register(entities: dict[str, Entity], entity_id: str) -> None:
-    """Register an unknown id under the kind its prefix names."""
-    if entity_id in entities:
-        return
-    kind = ids.kind_of(entity_id)
-    if kind is None:
-        raise CktError(f"cannot infer kind for id {entity_id!r}; register it first")
-    _, _, rest = entity_id.partition(":")
-    entities[entity_id] = Entity(entity_id, kind, rest.rpartition("#")[2] or rest)
-
-
-def _insert(
-    entities: dict[str, Entity],
-    provenance: dict[Key, list[Provenance]],
-    s: str, p: str, o: str,
-    provs: Iterable[Provenance],
-) -> None:
-    """The insertion rule of the builder and the loader: a known predicate,
-    both ends registered (a literal object must not look like an entity
-    id), and set semantics, where a repeated triple adds its provenance."""
-    if p not in PREDICATES:
-        raise CktError(f"unknown predicate {p!r}")
-    # with both ends known and an entity object there is nothing to register
-    if p in LITERAL_PREDICATES or s not in entities or o not in entities:
-        _register(entities, s)
-        if p not in LITERAL_PREDICATES:
-            _register(entities, o)
-        elif ids.kind_of(o) is not None:
-            raise CktError(f"literal expected for predicate {p!r}, got entity id {o!r}")
-    known = provenance.get((s, p, o))
-    if known is None:
-        provenance[s, p, o] = list(provs)
-    else:
-        known.extend(provs)
-
-
 class GraphBuilder:
     """Single-writer accumulation phase; finalize() yields the immutable graph."""
 
@@ -149,7 +114,29 @@ class GraphBuilder:
         for part, name in ((subject, "subject"), (object_, "object")):
             if "\t" in part or "\n" in part:
                 raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
-        _insert(self._entities, self._provenance, subject, predicate, object_, (provenance,))
+        if predicate not in PREDICATES:
+            raise CktError(f"unknown predicate {predicate!r}")
+        self._register(subject)
+        if predicate not in LITERAL_PREDICATES:
+            self._register(object_)
+        elif ids.kind_of(object_) is not None:
+            raise CktError(
+                f"literal expected for predicate {predicate!r}, got entity id {object_!r}")
+        known = self._provenance.get((subject, predicate, object_))
+        if known is None:
+            self._provenance[subject, predicate, object_] = [provenance]
+        else:
+            known.append(provenance)
+
+    def _register(self, entity_id: str) -> None:
+        """Register an unknown id under the kind its prefix names."""
+        if entity_id in self._entities:
+            return
+        kind = ids.kind_of(entity_id)
+        if kind is None:
+            raise CktError(f"cannot infer kind for id {entity_id!r}; register it first")
+        _, _, rest = entity_id.partition(":")
+        self._entities[entity_id] = Entity(entity_id, kind, rest.rpartition("#")[2] or rest)
 
     def finalize(self) -> KnowledgeGraph:
         self._check_open()
@@ -215,13 +202,13 @@ class KnowledgeGraph:
 
     def sources(self, key: Key) -> list[Provenance]:
         """The sources that asserted the triple `key`, in the order they
-        did; KeyError when the graph lacks it.  A trusted load keeps each
+        did; KeyError when the graph lacks it.  A loaded graph keeps each
         list as its line's JSON text, decoded here once: a bad list raises
         FormatError with that line, the key's place in SPO order."""
         provs = self._sources[key]
         if isinstance(provs, str):
             lineno = bisect.bisect_left(self._spo, key) + 1
-            provs = self._sources[key] = list(_provenance_list(provs, lineno))
+            provs = self._sources[key] = _provenance_list(provs, lineno)
         return provs
 
     def folded(self, entity_id: str) -> tuple[str, tuple[str, ...]] | None:
@@ -441,33 +428,6 @@ def collector_paused():
             gc.enable()
 
 
-def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
-    """An entity from its nodes.jsonl or neutral facts record; a bad field
-    raises FormatError naming `name` and the line."""
-    for field_name in ("id", "kind", "label"):
-        value = doc.get(field_name)
-        # a label may be empty: a commit with no author names an anonymous developer
-        if not isinstance(value, str) or not (value or field_name == "label"):
-            raise FormatError(f"{name}: entity record needs string {field_name!r}", lineno)
-    kind = doc["kind"]
-    if kind not in ids.ENTITY_KINDS:
-        raise FormatError(f"{name}: unknown entity kind {kind!r}", lineno)
-    span = None
-    path, start, end = doc.get("path"), doc.get("start"), doc.get("end")
-    if path is not None or start is not None or end is not None:
-        if not isinstance(path, str) or start is None or end is None:
-            raise FormatError(f"{name}: span needs a string path, a start and an end", lineno)
-        try:
-            span = Span(path, int(start), int(end))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{name}: bad span: {exc}", lineno) from exc
-    attrs = doc.get("attrs") or {}
-    if not isinstance(attrs, dict):
-        raise FormatError(f"{name}: attrs must be an object", lineno)
-    return Entity(doc["id"], kind, doc["label"], span,
-                  {str(k): str(v) for k, v in attrs.items()})
-
-
 def _node_line(entity: Entity) -> str:
     """The entity's nodes.jsonl line: json.dumps's text with sorted keys
     and ASCII escapes, less its encoder per call."""
@@ -546,69 +506,57 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
 def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
-    Each file is read once; the bytes read are hashed and parsed.  The
-    load takes one of three paths:
-    - every digest in graph.json matches: the bytes are what save_graph
-      wrote, so the load checks only that kinds and predicates are known,
-      that both ends of each triple are nodes and that each node has one
-      finite rank, and keeps each triple's sources as JSON text for
-      KnowledgeGraph.sources.  Should any of that fail, or the node ids,
-      the keys or the rank ids not ascend, the validating load reads the
-      same bytes instead and gives its verdict;
-    - no graph.json (a directory written before there was one, or by
-      hand): the validating load;
-    - a digest differs: the validating load raises FormatError for a bad
-      line it finds; else FormatError names the file at its line in
-      graph.json, which the directory's other files no longer match.
-      That is a hand edit, or a read while a build rewrote the directory.
+    nodes.jsonl, triples.tsv, ranks.tsv and graph.json are each read once;
+    a missing one raises NotFoundError naming it.  The three graph files
+    are parsed as save_graph writes them: bytes that are not UTF-8, a CR,
+    a last line without its LF, node ids or triple keys that do not
+    strictly ascend, an unknown kind or predicate, a triple end that is no
+    node, or a rank that is missing, extra or not finite raises
+    FormatError with the file and the line.  Only then is each file
+    checked against its digest in graph.json: one that differs raises
+    FormatError naming the file at its line in graph.json.  That is a
+    hand edit, or a read while a build rewrote the directory.  Each
+    triple's sources stay the JSON text of its line until
+    KnowledgeGraph.sources decodes them.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
     """
-    directory = Path(directory)
-    data: dict[str, bytes] = {}
-    for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE):
-        try:
-            data[name] = (directory / name).read_bytes()
-        except FileNotFoundError:
-            pass
-    missing = [name for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE) if name not in data]
-    if missing:
-        raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
-    try:
-        manifest = (directory / GRAPH_MANIFEST).read_bytes()
-    except FileNotFoundError:
-        return _validated_graph(data)
-    changed = _changed_file(manifest, {**data, **(copies or {})})
-    if changed is None:
-        try:
-            return _trusted_graph(data)
-        except Exception:  # what a forged graph.json let through: the validating load decides
-            pass
-    graph = _validated_graph(data)
-    if changed is not None:
-        raise _changed_error(manifest, changed)
+    data = _read_files(directory, (NODES_FILE, TRIPLES_FILE, RANKS_FILE, GRAPH_MANIFEST))
+    manifest = data.pop(GRAPH_MANIFEST)
+    graph = _parse_graph(data)
+    _check_digests(manifest, {**data, **(copies or {})})
     return graph
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:
     """Raise FormatError, as load_graph does, naming the first of `files`
     (name -> the bytes read, or None for a file found absent) that the
-    directory's graph.json does not vouch for; a directory without
-    graph.json passes."""
-    try:
-        manifest = (Path(directory) / GRAPH_MANIFEST).read_bytes()
-    except FileNotFoundError:
-        return
-    changed = _changed_file(manifest, files)
-    if changed is not None:
-        raise _changed_error(manifest, changed)
+    directory's graph.json does not vouch for; NotFoundError when the
+    directory has no graph.json."""
+    _check_digests(_read_files(directory, (GRAPH_MANIFEST,))[GRAPH_MANIFEST], files)
 
 
-def _changed_file(manifest: bytes, files: dict[str, bytes | None]) -> str | None:
-    """The first of `files` whose digest differs from graph.json's, or that
-    graph.json lists and the directory lacks, or the other way round."""
+def _read_files(directory, names: tuple[str, ...]) -> dict[str, bytes]:
+    """The bytes of each named file of the directory; NotFoundError names
+    the ones it lacks."""
+    data: dict[str, bytes] = {}
+    for name in names:
+        try:
+            data[name] = (Path(directory) / name).read_bytes()
+        except FileNotFoundError:
+            pass
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
+    return data
+
+
+def _check_digests(manifest: bytes, files: dict[str, bytes | None]) -> None:
+    """Raise FormatError at graph.json's line for the first of `files`
+    whose digest differs from graph.json's, or that graph.json lists and
+    the directory lacks, or the other way round."""
     digests = _manifest_digests(manifest)
     for name, blob in files.items():
         if blob is None:
@@ -616,15 +564,11 @@ def _changed_file(manifest: bytes, files: dict[str, bytes | None]) -> str | None
         else:
             changed = digests.get(name) != _sha256(blob).hexdigest()
         if changed:
-            return name
-    return None
-
-
-def _changed_error(manifest: bytes, name: str) -> FormatError:
-    text = manifest.decode("utf-8", "replace").split("\n")
-    line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
-    return FormatError(f"{GRAPH_MANIFEST}: {name} does not match its SHA-256 here; "
-                       "it changed after the build, or a build rewrote it while it was read", line)
+            text = manifest.decode("utf-8", "replace").split("\n")
+            line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
+            raise FormatError(
+                f"{GRAPH_MANIFEST}: {name} does not match its SHA-256 here; it changed "
+                "after the build, or a build rewrote it while it was read", line)
 
 
 def _manifest_digests(manifest: bytes) -> dict:
@@ -642,12 +586,15 @@ def _manifest_digests(manifest: bytes) -> dict:
     return doc["sha256"]
 
 
-def _lf_lines(data: bytes) -> io.TextIOWrapper:
+def _lines(name: str, data: bytes) -> io.TextIOWrapper:
     """The lines of a file that save_graph wrote, each with its LF, decoded
     as they are read; a CR, which a text-mode read takes for a line break,
-    or a last line without its LF raises ValueError."""
-    if b"\r" in data or not data.endswith(b"\n") and data:
-        raise ValueError("not a graph file that save_graph wrote")
+    or a last line without its LF raises FormatError with its line."""
+    cr = data.find(b"\r")
+    if cr >= 0:
+        raise FormatError(f"carriage return in {name}", data.count(b"\n", 0, cr) + 1)
+    if data and not data.endswith(b"\n"):
+        raise FormatError(f"no line feed at the end of {name}", data.count(b"\n") + 1)
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
 
 
@@ -655,138 +602,95 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 _PREDICATE = {p: p for p in PREDICATES}
 
 
-def _trusted_graph(data: dict[str, bytes]) -> KnowledgeGraph:
-    """The graph from bytes that graph.json vouches for, with the cheap
-    checks only.  Every other departure from what save_graph writes
-    raises, so what this returns equals the validating load of the same
-    bytes, once each key's sources are decoded.  The keys reuse each
-    node's id string rather than keep the copies split off their lines."""
+def _parse_graph(data: dict[str, bytes]) -> KnowledgeGraph:
+    """The graph from the bytes of its three files, each line read as
+    save_graph writes it; what save_graph would not write raises
+    FormatError with the file and the line.  The keys reuse each node's id
+    string rather than keep the copies split off their lines."""
     entities: dict[str, Entity] = {}
-    last = ""
-    with _lf_lines(data[NODES_FILE]) as lines:
-        for line in lines:
-            doc, stop = _RAW_DECODE(line)
-            eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
-            if stop != len(line) - 1 or not eid > last or type(label) is not str \
-                    or type(attrs) is not dict:
-                raise ValueError(line)
-            for value in attrs.values():
-                if type(value) is not str:
-                    raise ValueError(line)
-            start, end = doc["start"], doc["end"]
-            if path is None:
-                if start is not None or end is not None:
-                    raise ValueError(line)
-                span = None
-            elif type(path) is str and type(start) is int and type(end) is int:
-                span = Span(path, start, end)
-            else:
-                raise ValueError(line)
-            entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
-            last = eid
-    canonical = {eid: eid for eid in entities}
-    sources: dict[Key, str] = {}
-    n = 0
-    with _lf_lines(data[TRIPLES_FILE]) as lines:
-        for n, line in enumerate(lines, start=1):
-            s, p, o, provs = line.split("\t")
-            if p not in LITERAL_PREDICATES:
-                o = canonical[o]
-            elif ids.kind_of(o) is not None:
-                raise ValueError(line)
-            sources[canonical[s], _PREDICATE[p], o] = provs[:-1]
-    spo = list(sources)
-    if len(spo) != n or spo != sorted(spo):  # the keys must ascend strictly
-        raise ValueError("triples out of order")
-    ranks: dict[str, float] = {}
-    with _lf_lines(data[RANKS_FILE]) as lines:
-        for line, eid in zip(lines, entities, strict=True):
-            rank_id, _, value = line.partition("\t")
-            rank = float(value)
-            if rank_id != eid or not math.isfinite(rank):
-                raise ValueError(line)
-            ranks[eid] = rank
+    name, n = NODES_FILE, 0
+    try:
+        last = ""
+        with _lines(name, data[name]) as lines:
+            for n, line in enumerate(lines, start=1):
+                doc, stop = _RAW_DECODE(line)
+                eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
+                if stop != len(line) - 1 or type(label) is not str or type(attrs) is not dict:
+                    raise FormatError(f"not a node record that ckt build writes in {name}", n)
+                for value in attrs.values():
+                    if type(value) is not str:
+                        raise FormatError(f"attribute value {value!r} is no string in {name}", n)
+                if not eid > last:
+                    raise FormatError(f"node {eid!r} does not follow {last!r} in {name}", n)
+                start, end = doc["start"], doc["end"]
+                if path is None and start is None and end is None:
+                    span = None
+                elif type(path) is str and type(start) is int and type(end) is int:
+                    span = Span(path, start, end)
+                else:
+                    raise FormatError(f"span needs a string path and integer lines in {name}", n)
+                entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
+                last = eid
+        canonical = {eid: eid for eid in entities}
+        sources: dict[Key, str] = {}
+        name, n = TRIPLES_FILE, 0
+        with _lines(name, data[name]) as lines:
+            for n, line in enumerate(lines, start=1):
+                s, p, o, provs = line.split("\t")
+                pred = _PREDICATE.get(p)
+                if pred is None:
+                    raise FormatError(f"unknown predicate {p!r} in {name}", n)
+                s = canonical.get(s) or _no_node(s, n)
+                if pred not in LITERAL_PREDICATES:
+                    o = canonical.get(o) or _no_node(o, n)
+                elif ids.kind_of(o) is not None:
+                    raise FormatError(f"literal expected for predicate {pred!r}, "
+                                      f"got entity id {o!r} in {name}", n)
+                sources[s, pred, o] = provs[:-1]
+        spo = list(sources)
+        if len(spo) != n or spo != sorted(spo):  # the keys must ascend strictly
+            keys = [line.split("\t", 3)[:3] for line in data[name].decode("utf-8").split("\n")]
+            n = next(i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]) + 1
+            raise FormatError(f"triple does not follow the line before in {name}", n)
+        ranks: dict[str, float] = {}
+        name, n = RANKS_FILE, 0
+        expected = iter(entities)
+        with _lines(name, data[name]) as lines:
+            for n, line in enumerate(lines, start=1):
+                eid = next(expected, None)
+                if eid is None:
+                    raise FormatError(f"rank after the last node in {name}", n)
+                rank_id, _, value = line.partition("\t")
+                rank = float(value)
+                if rank_id != eid or not math.isfinite(rank):
+                    raise FormatError(f"expected a finite rank for {eid!r} in {name}", n)
+                ranks[eid] = rank
+        eid = next(expected, None)
+        if eid is not None:
+            raise FormatError(f"{name} ends without a rank for {eid!r}", n + 1)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(name, data[name], exc) from exc
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}", n) from exc
     return KnowledgeGraph(entities, sources, ranks, spo)
 
 
-def _validated_graph(data: dict[str, bytes]) -> KnowledgeGraph:
-    """The graph from the three files' bytes, every record checked as
-    GraphBuilder would check it, each triple put in through the builder's
-    insertion rule; a bad record raises FormatError with its file and
-    line.  Ids that triples.tsv uses but nodes.jsonl lacks are registered
-    under their inferred kind, a repeated node keeps its first record, and
-    a repeated triple adds its provenance."""
-    entities: dict[str, Entity] = {}
-    for lineno, doc in json_records(utf8_lines(NODES_FILE, data[NODES_FILE]), NODES_FILE):
-        entity = _entity_record(doc, NODES_FILE, lineno)
-        entities.setdefault(entity.id, entity)
-    sources = _load_triples(utf8_lines(TRIPLES_FILE, data[TRIPLES_FILE]), entities)
-    ranks = _load_ranks(utf8_lines(RANKS_FILE, data[RANKS_FILE]), entities)
-    return KnowledgeGraph(entities, sources, ranks)
+def _no_node(end: str, lineno: int) -> NoReturn:
+    """Raise FormatError for a triple end that nodes.jsonl lacks."""
+    if ids.kind_of(end) is None:
+        raise FormatError(f"cannot infer kind for id {end!r}; register it first in {TRIPLES_FILE}",
+                          lineno)
+    raise FormatError(f"unknown node {end!r} in {TRIPLES_FILE}", lineno)
 
 
-def _load_triples(lines, entities: dict[str, Entity]) -> dict[Key, list[Provenance]]:
-    sources: dict[Key, list[Provenance]] = {}
-    # triples often repeat a provenance list: decode each distinct one once
-    # and share its immutable records
-    decoded: dict[str, tuple[Provenance, ...]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.rstrip("\n")
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise FormatError(
-                f"expected 4 tab-separated fields in {TRIPLES_FILE}, got {len(parts)}", lineno
-            )
-        s, p, o, prov_json = parts
-        provs = decoded.get(prov_json)
-        if provs is None:
-            provs = decoded[prov_json] = _provenance_list(prov_json, lineno)
-        try:
-            _insert(entities, sources, s, p, o, provs)
-        except CktError as exc:
-            raise FormatError(f"{exc} in {TRIPLES_FILE}", lineno) from exc
-    return sources
-
-
-def _provenance_list(text: str, lineno: int) -> tuple[Provenance, ...]:
+def _provenance_list(text: str, lineno: int) -> list[Provenance]:
     try:
         docs = json_value(text)
         if not isinstance(docs, list):
             raise TypeError(f"expected a list, got {type(docs).__name__}")
-        provs = tuple(Provenance.from_json(doc) for doc in docs)
+        provs = [Provenance.from_json(doc) for doc in docs]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"bad provenance in {TRIPLES_FILE}: {exc}", lineno) from exc
     if not provs:
         raise FormatError(f"empty provenance in {TRIPLES_FILE}", lineno)
     return provs
-
-
-def _load_ranks(lines, entities: dict[str, Entity]) -> dict[str, float]:
-    ranks: dict[str, float] = {}
-    lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.rstrip("\n")
-        if not raw:
-            continue
-        eid, sep, value = raw.partition("\t")
-        try:
-            rank = float(value)
-        except ValueError:
-            rank = math.nan
-        if not sep or not math.isfinite(rank):
-            raise FormatError(f"expected <id><TAB><rank> in {RANKS_FILE}, got {raw!r}", lineno)
-        if eid not in entities:
-            raise FormatError(f"rank for unknown node {eid!r} in {RANKS_FILE}", lineno)
-        if eid in ranks:
-            raise FormatError(f"second rank for {eid!r} in {RANKS_FILE}", lineno)
-        ranks[eid] = rank
-    if len(ranks) < len(entities):
-        absent = sorted(set(entities) - set(ranks))
-        raise FormatError(
-            f"{RANKS_FILE} ends without a rank for {len(absent)} node(s), first {absent[0]!r}",
-            lineno + 1,
-        )
-    return ranks
-

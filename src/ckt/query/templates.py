@@ -51,10 +51,9 @@ class Template(Record):
 class TemplateRegistry(Record):
     __slots__ = _fields = ("templates", "by_name")
 
-    def __init__(self, templates: list[Template] | None = None,
-                 by_name: dict[str, Template] | None = None):
-        self.templates = [] if templates is None else templates
-        self.by_name = {} if by_name is None else by_name
+    def __init__(self):
+        self.templates: list[Template] = []
+        self.by_name: dict[str, Template] = {}
 
     def add(self, template: Template, line: int | None = None) -> None:
         if template.name in self.by_name:

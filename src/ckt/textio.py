@@ -29,14 +29,19 @@ def utf8_lines(path: str | Path, data: bytes | None = None) -> Iterator[str]:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
-            # the decoder's offsets are per chunk: find the line anew
-            raw = path.read_bytes() if data is None else data
-            for lineno, line in enumerate(raw.split(b"\n"), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise FormatError(f"{path.name} is not UTF-8: {exc.reason}", lineno) from exc
-            raise
+            raise not_utf8(path.name, path.read_bytes() if data is None else data, exc) from exc
+
+
+def not_utf8(name: str, data: bytes, exc: UnicodeDecodeError) -> FormatError:
+    """The error for `data`, the bytes of file `name`, whose decoding
+    failed with `exc`: FormatError at the first line that is not UTF-8,
+    found anew because the decoder's offsets are per chunk."""
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            break
+    return FormatError(f"{name} is not UTF-8: {exc.reason}", lineno)
 
 
 def json_value(text: str):

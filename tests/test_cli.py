@@ -180,13 +180,19 @@ def test_source_path_with_a_word_break_exits_2(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
-def test_failed_build_removes_partial_outputs(tmp_path, capsys):
+def test_failed_build_keeps_the_previous_tree(tmp_path, capsys):
     shutil.copytree(SCENARIO, tmp_path / "p")
-    (tmp_path / "p" / "templates.jsonl").write_text("not json at all\n")
-    assert main(["build", "--manifest", str(tmp_path / "p" / "manifest.json")]) == 2
+    manifest = str(tmp_path / "p" / "manifest.json")
+    assert main(["build", "--manifest", manifest]) == 0
     out = tmp_path / "p" / "out"
-    leftovers = [p.name for p in out.iterdir()] if out.exists() else []
-    assert leftovers == []
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (tmp_path / "p" / "templates.jsonl").write_text("not json at all\n")
+    capsys.readouterr()
+    assert main(["build", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: templates.jsonl: invalid JSON")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert cmd_query(out, f"SELECT ?v WHERE {{ {S2} writes ?v }}", "records", False) == 0
+    assert capsys.readouterr().out.strip()
 
 
 @pytest.mark.parametrize("source", ["int g;\n", "int f(int n) { return n; }\n"],
@@ -763,9 +769,6 @@ def test_export_of_a_changed_file_exits_2_naming_it_in_graph_json(scenario_dir, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 10: graph.json: triples.tsv does not match")
-    (out / "graph.json").unlink()
-    assert main(["export", "--graph", str(out), "--what", "triples"]) == 0
-    assert capsys.readouterr().out == triples.read_text(encoding="utf-8")
 
 
 def test_export_unknown_target(scenario_dir, capsys):

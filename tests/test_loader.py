@@ -1,8 +1,8 @@
-"""The graph loader and the persisted PageRank scores: the direct loader
-against the GraphBuilder loader in oracles.py, loaded ranks against the
-built and the dense ones, corrupt graph directories, and graph.json: the
-trusted load of a directory it vouches for, and changed, torn and forged
-directories."""
+"""The graph loader and the persisted PageRank scores: the loader against
+the GraphBuilder loader in oracles.py, loaded ranks against the built and
+the dense ones, corrupt, hand-written and forged graph directories, each of
+which loads as the GraphBuilder loader reads it or names a file and a line,
+and graph.json: missing, changed and torn directories."""
 
 import hashlib
 import json
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ckt.graph
 import oracles
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
@@ -32,7 +31,7 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import dense_pagerank, graphs_equal
+from oracles import dense_pagerank, graphs_equal, node_line
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
@@ -116,7 +115,7 @@ def corrupt_ranks(lines, how):
         return lines, 3
     if how == "missing-id":
         del lines[2]
-        return lines, len(lines) + 1
+        return lines, 3
     if how == "extra-id":
         lines.insert(1, "func:src/nowhere.c#ghost\t0.001")
         return lines, 2
@@ -162,7 +161,23 @@ def test_query_without_ranks_file_exits_2(scenario_dir, tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-# -- direct loader against the GraphBuilder loader ------------------------------
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE, GRAPH_MANIFEST])
+def test_a_dir_missing_one_file_names_it(scenario_dir, tmp_path, name):
+    out = copy_graph(scenario_dir, tmp_path)
+    (out / name).unlink()
+    with pytest.raises(NotFoundError) as exc:
+        load_graph(out)
+    assert str(exc.value) == f"no graph found in {out}: missing {name}"
+
+
+def test_an_empty_dir_names_every_missing_file(tmp_path):
+    with pytest.raises(NotFoundError) as exc:
+        load_graph(tmp_path)
+    assert str(exc.value) == (f"no graph found in {tmp_path}: missing "
+                              f"{NODES_FILE}, {TRIPLES_FILE}, {RANKS_FILE}, {GRAPH_MANIFEST}")
+
+
+# -- the loader against the GraphBuilder loader ---------------------------------
 
 IDS = ["func:h.c#f0", "func:h.c#f1", "func:h.c#main", "var:h.c#g", "bug:T/1", "commit:c1"]
 PREDS = ["calls", "reads", "writes", "touches", "guards", "has-type"]
@@ -177,8 +192,10 @@ PROVS = st.builds(
 @st.composite
 def graph_files(draw):
     """Hand-written nodes.jsonl and triples.tsv lines: nodes may repeat an
-    id with other content or be absent (then triples auto-register them),
-    and a triple may repeat with other provenance."""
+    id with other content or be absent (then the builder loader registers
+    them), and a triple may repeat with other provenance.  Half the drawn
+    directories keep, as save_graph would, the first line of each node id
+    and of each triple key whose ends are nodes, in ascending order."""
     nodes = []
     for eid in draw(st.lists(st.sampled_from(IDS), max_size=8)):
         span = draw(st.sampled_from([None, ("h.c", 1, 3)]))
@@ -199,79 +216,59 @@ def graph_files(draw):
         triples.append(line)
         if draw(st.booleans()):
             triples.append(line)  # an exact duplicate line adds its provenance again
-    return [json.dumps(n, sort_keys=True) for n in nodes], triples
+    node_lines = [json.dumps(n, sort_keys=True) for n in nodes]
+    if draw(st.booleans()):
+        first = {n["id"]: line for n, line in reversed(list(zip(nodes, node_lines)))}
+        node_lines = [first[eid] for eid in sorted(first)]
+        keys = {}
+        for line in reversed(triples):
+            s, p, o = line.split("\t")[:3]
+            if s in first and (p == "has-type" or o in first):
+                keys[s, p, o] = line
+        triples = [keys[key] for key in sorted(keys)]
+    return node_lines, triples
 
 
-def write_graph_dir(directory: Path, node_lines, triple_lines) -> KnowledgeGraph:
-    """Write the two files, then ranks.tsv from the builder loader's graph;
-    returns that graph."""
+def write_graph_dir(directory: Path, node_lines, triple_lines) -> None:
+    """Write the two files, ranks.tsv from the builder loader's graph, and
+    a graph.json that vouches for the three."""
     (directory / NODES_FILE).write_text("".join(f"{x}\n" for x in node_lines), encoding="utf-8")
     (directory / TRIPLES_FILE).write_text("".join(f"{x}\n" for x in triple_lines), encoding="utf-8")
-    reference = oracles.builder_load_graph(directory)
-    rank = reference.pagerank()
+    rank = oracles.builder_load_graph(directory).pagerank()
     (directory / RANKS_FILE).write_text(
         "".join(f"{eid}\t{rank[eid]!r}\n" for eid in sorted(rank)), encoding="utf-8")
-    return reference
+    write_manifest(directory)
 
 
-# each loader test runs on a directory without graph.json, where the
-# validating load runs, and on one whose graph.json vouches for the files,
-# where the trusted load runs or, on files save_graph would not write,
-# hands them to the validating load
-MANIFEST = pytest.mark.parametrize("manifest", ["removed", "kept"])
-
-
-@MANIFEST
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(graph_files())
-def test_direct_loader_matches_builder_loader(manifest, files):
+def test_hand_written_graph_dir_loads_as_builder_loader_or_names_a_line(files):
     with tempfile.TemporaryDirectory() as tmp:
-        reference = write_graph_dir(Path(tmp), *files)
-        if manifest == "kept":
-            write_manifest(Path(tmp))
-        graph = load_graph(tmp)
-        assert graphs_equal(graph, reference)
-        assert graph.pagerank() == reference.pagerank()
+        write_graph_dir(Path(tmp), *files)
+        assert_loads_as_builder_loader(tmp)
 
 
-@MANIFEST
-def test_direct_loader_matches_builder_loader_on_scenario(scenario_dir, tmp_path, manifest):
-    out = copy_graph(scenario_dir, tmp_path)
-    if manifest == "removed":
-        (out / GRAPH_MANIFEST).unlink()
+def test_loader_matches_builder_loader_on_scenario(scenario_dir):
+    out = scenario_dir / "out"
     assert graphs_equal(load_graph(out), oracles.builder_load_graph(out))
 
 
-def test_a_build_tree_takes_the_trusted_load(scenario_dir, monkeypatch):
-    def no_validation(data):
-        raise AssertionError("the validating load ran on files graph.json vouches for")
-
-    monkeypatch.setattr(ckt.graph, "_validated_graph", no_validation)
-    graph = load_graph(scenario_dir / "out")
-    monkeypatch.undo()
-    assert graphs_equal(graph, oracles.builder_load_graph(scenario_dir / "out"))
-    assert graph.pagerank() == load_graph_without_manifest(scenario_dir / "out").pagerank()
-
-
-def load_graph_without_manifest(directory) -> KnowledgeGraph:
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE):
-            shutil.copyfile(Path(directory) / name, Path(tmp) / name)
-        return load_graph(tmp)
+def write_nodes(directory: Path, *entities: Entity) -> None:
+    (directory / NODES_FILE).write_text("".join(node_line(e) + "\n" for e in entities),
+                                        encoding="utf-8")
 
 
 def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
-    # both ends are known nodes, so the loader may skip registering them but
-    # must still reject an entity id where the predicate takes a literal
-    nodes = [{"id": "func:h.c#f0", "kind": "function", "label": "f0"},
-             {"id": "var:h.c#g", "kind": "variable", "label": "g"}]
+    # both ends are nodes, and yet the loader must reject an entity id where
+    # the predicate takes a literal
+    write_nodes(tmp_path, Entity("func:h.c#f0", "function", "f0"),
+                Entity("var:h.c#g", "variable", "g"))
     prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
-    (tmp_path / NODES_FILE).write_text("".join(json.dumps(n) + "\n" for n in nodes),
-                                       encoding="utf-8")
     (tmp_path / TRIPLES_FILE).write_text(
         f"func:h.c#f0\twrites\tvar:h.c#g\t{prov}\nfunc:h.c#f0\thas-type\tvar:h.c#g\t{prov}\n",
         encoding="utf-8")
     (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
+    write_manifest(tmp_path)
     with pytest.raises(FormatError, match="literal expected") as exc:
         load_graph(tmp_path)
     assert exc.value.line == 2 and TRIPLES_FILE in str(exc.value)
@@ -287,14 +284,14 @@ def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
      "cannot infer kind for id 'not an id'; register it first in triples.tsv"),
 ])
 def test_each_insertion_error_names_the_line(tmp_path, line, message):
-    """The insertion rule's messages, each behind its triples.tsv line."""
+    """The builder's insertion messages, which the loader gives for the same
+    triples, each behind its triples.tsv line."""
     prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
-    (tmp_path / NODES_FILE).write_text(
-        json.dumps({"id": "func:h.c#f0", "kind": "function", "label": "f0"}) + "\n",
-        encoding="utf-8")
+    write_nodes(tmp_path, Entity("func:h.c#f0", "function", "f0"))
     (tmp_path / TRIPLES_FILE).write_text(
         f"func:h.c#f0\tcalls\tfunc:h.c#f0\t{prov}\n{line}\t{prov}\n", encoding="utf-8")
     (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
+    write_manifest(tmp_path)
     with pytest.raises(FormatError) as exc:
         load_graph(tmp_path)
     assert str(exc.value) == f"line 2: {message}"
@@ -373,14 +370,11 @@ def graph_bytes(directory: str) -> dict[str, bytes]:
             for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE)}
 
 
-@MANIFEST
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(), st.data())
-def test_fuzzed_graph_dir_loads_or_names_a_line(manifest, graph, data):
+def test_fuzzed_graph_dir_loads_or_names_a_line(graph, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(graph, tmp)
-        if manifest == "removed":
-            (Path(tmp) / GRAPH_MANIFEST).unlink()
         saved = graph_bytes(tmp)
         mutate_files(tmp, data)
         changed = graph_bytes(tmp) != saved
@@ -389,18 +383,16 @@ def test_fuzzed_graph_dir_loads_or_names_a_line(manifest, graph, data):
         except CktError as exc:
             assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
         else:
-            # graph.json lets no changed byte load
-            assert manifest == "removed" or not changed
-            # whatever loads, loads as the builder loader reads it
+            assert not changed  # graph.json lets no changed byte load
             assert graphs_equal(loaded, oracles.builder_load_graph(tmp))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(), st.data())
-def test_forged_manifest_loads_as_the_validating_load_or_names_a_line(graph, data):
+def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph, data):
     """Files changed after the build under a graph.json rewritten to vouch
-    for them: the trusted load either gives what the validating load gives
-    or, where that load rejects a line, FormatError with a line."""
+    for them: the load either gives what the builder loader gives or
+    FormatError with a line."""
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(graph, tmp)
         mutate_files(tmp, data)
@@ -413,25 +405,24 @@ def test_forged_manifest_loads_as_the_validating_load_or_names_a_line(graph, dat
                 lines[i], lines[j] = lines[j], lines[i]
                 path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
         write_manifest(Path(tmp))
-        assert_loads_as_validating(tmp)
+        assert_loads_as_builder_loader(tmp)
 
 
-def assert_loads_as_validating(directory) -> None:
-    """The load of `directory`, its graph.json kept and every key's sources
-    decoded, equals the validating load of the same files, or both raise
-    FormatError, the first with a line."""
+def assert_loads_as_builder_loader(directory) -> None:
+    """The load of `directory`, every key's sources decoded, equals the
+    builder loader's graph of the same files, with the ranks of ranks.tsv
+    in its order, or raises FormatError with a line."""
     try:
         loaded = load_graph(directory)
-        for key in loaded.triples():  # the trusted load decodes sources on first use
+        for key in loaded.triples():  # the load decodes sources on first use
             loaded.sources(key)
     except CktError as exc:
         assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
-        with pytest.raises(FormatError):
-            load_graph_without_manifest(directory)
     else:
-        validated = load_graph_without_manifest(directory)
-        assert graphs_equal(loaded, validated)
-        assert list(loaded.pagerank().items()) == list(validated.pagerank().items())
+        assert graphs_equal(loaded, oracles.builder_load_graph(directory))
+        ranks = (Path(directory) / RANKS_FILE).read_text(encoding="utf-8").split("\n")[:-1]
+        assert list(loaded.pagerank().items()) == [
+            (eid, float(rank)) for eid, rank in (line.split("\t") for line in ranks)]
 
 
 def edit_record(i: int, **fields):
@@ -481,9 +472,9 @@ def append_to(i: int, text: str):
 
 
 # changes to the scenario's files that keep each line plausible, each for a
-# check of the trusted load or a departure from what save_graph writes that
-# the validating load reads in its own way: line 0 of nodes.jsonl is a bug,
-# line 2 a comment with a span, line 52 of triples.tsv a has-type triple
+# check of the loader or a departure from what save_graph writes that the
+# builder loader reads in its own way: line 0 of nodes.jsonl is a bug, line 2
+# a comment with a span, line 52 of triples.tsv a has-type triple
 FORGERIES = {
     "attr that is a number": (NODES_FILE, edit_record(0, attrs={"status": 1})),
     "label that is a number": (NODES_FILE, edit_record(0, label=5)),
@@ -522,34 +513,37 @@ FORGERIES = {
 
 
 @pytest.mark.parametrize("name, edit", FORGERIES.values(), ids=list(FORGERIES))
-def test_forgery_loads_as_the_validating_load_or_names_a_line(scenario_dir, tmp_path,
-                                                              name, edit):
+def test_forgery_loads_as_builder_loader_or_names_a_line(scenario_dir, tmp_path, name, edit):
     out = copy_graph(scenario_dir, tmp_path)
     path = out / name
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     edit(lines)
     path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
     write_manifest(out)
-    assert_loads_as_validating(out)
+    assert_loads_as_builder_loader(out)
 
 
 @pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])
-def test_forgery_without_the_last_lf_loads_as_the_validating_load(scenario_dir, tmp_path, name):
+def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
-    (out / name).write_bytes((out / name).read_bytes()[:-1])
+    data = (out / name).read_bytes()
+    (out / name).write_bytes(data[:-1])
     write_manifest(out)
-    assert_loads_as_validating(out)
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert exc.value.line == data.count(b"\n") and name in str(exc.value)
 
 
 # -- changed and torn directories ------------------------------------------------
 
 
-def test_a_valid_line_added_after_the_build_names_the_file_in_graph_json(scenario_dir,
-                                                                          tmp_path):
+def test_a_valid_line_changed_after_the_build_names_the_file_in_graph_json(scenario_dir,
+                                                                            tmp_path):
     out = copy_graph(scenario_dir, tmp_path)
     nodes = out / NODES_FILE
-    # a repeated node is a valid line: the validating load keeps the first
-    nodes.write_bytes(nodes.read_bytes() + nodes.read_bytes().split(b"\n")[0] + b"\n")
+    lines = nodes.read_text(encoding="utf-8").split("\n")
+    edit_record(0, label="edited")(lines)  # a line save_graph could have written
+    nodes.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load_graph(out)
     assert str(exc.value) == (
@@ -558,9 +552,16 @@ def test_a_valid_line_added_after_the_build_names_the_file_in_graph_json(scenari
     proc = run_ckt("query", "--graph", str(out), SELECT)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("args", [("query", SELECT), ("export", "--what", "triples")],
+                         ids=["query", "export"])
+def test_a_dir_without_graph_json_exits_2_naming_it(scenario_dir, tmp_path, args):
+    out = copy_graph(scenario_dir, tmp_path)
     (out / GRAPH_MANIFEST).unlink()
-    assert graphs_equal(load_graph(out), oracles.builder_load_graph(out))
-    assert run_ckt("query", "--graph", str(out), SELECT).returncode == 0
+    proc = run_ckt(args[0], "--graph", str(out), *args[1:])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: no graph found in {out}: missing graph.json\n"
 
 
 def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tmp_path):
