@@ -9,6 +9,7 @@ called through their modules' attributes, so that a rebinding of one there
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -373,8 +374,8 @@ def _stats(graph: KnowledgeGraph, rank, triangles, triangle_total) -> dict:
     by_kind: dict[str, int] = {}
     for entity in graph.entities.values():
         by_kind[entity.kind] = by_kind.get(entity.kind, 0) + 1
-    top_rank = sorted(rank.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    top_tri = sorted(triangles.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    top_rank = heapq.nsmallest(10, rank.items(), key=lambda kv: (-kv[1], kv[0]))
+    top_tri = heapq.nsmallest(10, triangles.items(), key=lambda kv: (-kv[1], kv[0]))
     return {
         "nodes_by_kind": dict(sorted(by_kind.items())),
         "triples": len(graph),

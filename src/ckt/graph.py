@@ -6,8 +6,15 @@ holds the keys once, in one provenance table (key -> the sources that
 asserted it), and sorts them into SPO, POS and OSP indexes; a lookup
 yields keys straight from an index.  Triples are set-valued: re-inserting
 an existing triple appends provenance.  After ``finalize()`` the graph is
-immutable and safe for concurrent readers; analytics (PageRank, triangle
-counts) operate on the frozen triple set.
+immutable and safe for concurrent readers.
+
+PageRank, triangle counts and neighbourhoods run on a dense-id core: the
+sorted entity ids are numbered 0 to n-1 once, on the first call to one of
+them, and each node keeps its deduplicated out-edges as ints.  A loaded
+graph has its ranks from ranks.tsv, so a query computes none of it.
+PageRank adds every sum left to right in one fixed order, which keeps
+ranks.tsv bit-identical on Python 3.10 to 3.13; triangles use the forward
+algorithm.
 
 A graph directory ends with graph.json, the SHA-256 of each of its other
 files: save_graph writes it last, and load_graph reads a directory only
@@ -84,6 +91,16 @@ class Provenance(NamedTuple):
 
 
 Key = tuple[str, str, str]  # (subject, predicate, object)
+
+
+class _Core(NamedTuple):
+    """The graph's nodes as dense ids: `nodes` holds the entity ids in
+    ascending order, so node i is nodes[i], and out[i] holds the objects
+    of node i's entity-valued triples as node numbers, each once, in SPO
+    order."""
+
+    nodes: list[str]
+    out: list[tuple[int, ...]]
 
 
 class GraphBuilder:
@@ -225,8 +242,9 @@ class KnowledgeGraph:
         return folded
 
     def rank_table(self) -> Mapping[str, float]:
-        """The default-parameter PageRank scores, computed on first use,
-        as a read-only view rather than the copy `pagerank()` returns."""
+        """The default-parameter PageRank scores in ascending id order,
+        computed on first use, as a read-only view rather than the copy
+        `pagerank()` returns."""
         if self._rank_cache is None:
             self._rank_cache = self.pagerank()
         return MappingProxyType(self._rank_cache)
@@ -269,31 +287,40 @@ class KnowledgeGraph:
                 break
             yield key
 
-    # -- edge projections ----------------------------------------------
+    # -- analytics -------------------------------------------------------
 
-    def directed_edges(self) -> list[tuple[str, str]]:
-        """Deduplicated subject->object pairs over entity-valued triples."""
-        seen = set()
-        out = []
+    @cached_property
+    def _core(self) -> _Core:
+        nodes = sorted(self.entities)
+        number = {eid: i for i, eid in enumerate(nodes)}
+        out: list = [()] * len(nodes)
+        subject = None
+        # SPO groups the keys by subject, so one dict per subject keeps its
+        # objects once each, in the order they first appear
         for s, p, o in self._spo:
-            if p in LITERAL_PREDICATES:
-                continue
-            if (s, o) not in seen:
-                seen.add((s, o))
-                out.append((s, o))
-        return out
+            if p not in LITERAL_PREDICATES:
+                if s != subject:
+                    subject, objects = s, {}
+                    out[number[s]] = objects
+                objects[number[o]] = None
+        return _Core(nodes, [tuple(objects) for objects in out])
 
-    def undirected_adjacency(self) -> dict[str, set[str]]:
-        """Simple undirected projection: direction and parallels collapsed,
-        self-loops dropped."""
-        adj: dict[str, set[str]] = {eid: set() for eid in self.entities}
-        for s, o in self.directed_edges():
-            if s != o:
-                adj[s].add(o)
-                adj[o].add(s)
+    def _undirected(self) -> list[set[int]]:
+        """Each node's neighbours in the undirected simple projection:
+        direction and parallels collapsed, self-loops dropped."""
+        adj: list[set[int]] = [set() for _ in self._core.nodes]
+        for u, targets in enumerate(self._core.out):
+            for v in targets:
+                if u != v:
+                    adj[u].add(v)
+                    adj[v].add(u)
         return adj
 
-    # -- analytics -------------------------------------------------------
+    @cached_property
+    def _adjacency(self) -> list[set[int]]:
+        """The undirected projection, kept for the next `neighborhood`; a
+        build counts triangles once and keeps no copy."""
+        return self._undirected()
 
     def pagerank(self, on_iteration=None) -> dict[str, float]:
         """Damped power iteration over the triple direction (subject->object):
@@ -301,101 +328,94 @@ class KnowledgeGraph:
         falls under 1e-9.
 
         Dangling mass is redistributed uniformly every step, so the scores
-        sum to 1 at each iteration.  The result is cached unless
-        `on_iteration` observes each iteration's scores.
+        sum to 1 at each iteration.  The result, keyed in ascending id
+        order, is cached unless `on_iteration` observes each iteration's
+        scores.
         """
         if on_iteration is None and self._rank_cache is not None:
             return dict(self._rank_cache)
         damping = 0.85
-        nodes = sorted(self.entities)
+        nodes, out = self._core
         n = len(nodes)
         if n == 0:
             return {}
-        out_edges: dict[str, list[str]] = {u: [] for u in nodes}
-        for s, o in self.directed_edges():
-            out_edges[s].append(o)
-        rank = {u: 1.0 / n for u in nodes}
+        pushing = [(u, targets) for u, targets in enumerate(out) if targets]
+        dangling = [u for u, targets in enumerate(out) if not targets]
+        rank = [1.0 / n] * n
         if on_iteration is not None:
-            on_iteration(dict(rank))
+            on_iteration(dict(zip(nodes, rank)))
         for _ in range(100):
             # left-to-right sums: from Python 3.12 on, sum() of floats is
             # compensated, and the ranks would change with the interpreter
-            dangling = 0.0
-            for u in nodes:
-                if not out_edges[u]:
-                    dangling += rank[u]
-            base = (1.0 - damping) / n + damping * dangling / n
-            nxt = {u: base for u in nodes}
-            for u in nodes:
-                targets = out_edges[u]
-                if targets:
-                    share = damping * rank[u] / len(targets)
-                    for v in targets:
-                        nxt[v] += share
+            mass = 0.0
+            for u in dangling:
+                mass += rank[u]
+            base = (1.0 - damping) / n + damping * mass / n
+            nxt = [base] * n
+            for u, targets in pushing:
+                share = damping * rank[u] / len(targets)
+                for v in targets:
+                    nxt[v] += share
             delta = 0.0
-            for u in nodes:
-                delta += abs(nxt[u] - rank[u])
+            for new, old in zip(nxt, rank):
+                delta += abs(new - old)
             rank = nxt
             if on_iteration is not None:
-                on_iteration(dict(rank))
+                on_iteration(dict(zip(nodes, rank)))
             if delta < 1e-9:
                 break
         total = 0.0
-        for r in rank.values():
+        for r in rank:
             total += r
-        rank = {u: r / total for u, r in rank.items()}
+        scores = {u: r / total for u, r in zip(nodes, rank)}
         if on_iteration is None:
-            self._rank_cache = dict(rank)
-        return rank
+            self._rank_cache = dict(scores)
+        return scores
 
     def count_triangles(self) -> tuple[dict[str, int], int]:
-        """Triangles on the undirected simple projection.
+        """Triangles on the undirected simple projection, by the forward
+        algorithm (Schank and Wagner, WEA 2005): with the nodes in order of
+        degree, each triangle is found once, as a common later neighbour of
+        its two earlier nodes.
 
         Returns (per-node counts, total); the total is one third of the
         per-node sum.
         """
-        adj = self.undirected_adjacency()
-        counts = {u: 0 for u in adj}
+        nodes, adj = self._core.nodes, self._undirected()
+        later: dict[int, set[int]] = {}
+        for u in sorted(range(len(nodes)), key=[len(vs) for vs in adj].__getitem__):
+            later[u] = adj[u].difference(later)
+        counts = [0] * len(nodes)
         total = 0
-        for u in sorted(adj):
-            for v in sorted(adj[u]):
-                if v <= u:
-                    continue
-                for w in sorted(adj[u] & adj[v]):
-                    if w > v:
-                        counts[u] += 1
-                        counts[v] += 1
+        for u, vs in later.items():
+            for v in vs:
+                common = vs & later[v]
+                if common:
+                    counts[u] += len(common)
+                    counts[v] += len(common)
+                    for w in common:
                         counts[w] += 1
-                        total += 1
-        return counts, total
+                    total += len(common)
+        return dict(zip(nodes, counts)), total
 
     def neighborhood(self, node: str, radius: int) -> KnowledgeGraph:
         """Induced subgraph of nodes within undirected distance <= radius."""
         self.entity(node)
         if radius < 0:
             raise CktError(f"radius must be >= 0, got {radius}")
-        adj = self.undirected_adjacency()
-        reached = {node}
-        frontier = [node]
+        nodes, adj = self._core.nodes, self._adjacency
+        start = bisect.bisect_left(nodes, node)
+        reached, frontier = {start}, {start}
         for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for v in sorted(adj[u]):
-                    if v not in reached:
-                        reached.add(v)
-                        nxt.append(v)
-            if not nxt:
+            frontier = {v for u in frontier for v in adj[u]} - reached
+            if not frontier:
                 break
-            frontier = nxt
-        entities = {eid: self.entities[eid] for eid in reached}
-        sources = {
-            key: self.sources(key)
-            for key in self._spo
-            if key[0] in reached
-            and key[1] not in LITERAL_PREDICATES
-            and key[2] in reached
-        }
-        return KnowledgeGraph(entities, sources)
+            reached |= frontier
+        entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
+        sources = {key: self.sources(key)
+                   for s in entities for key in self.match(s, None, None)
+                   if key[1] not in LITERAL_PREDICATES and key[2] in entities}
+        return KnowledgeGraph(entities, sources, spo=list(sources))
 
 
 # -- persistence ---------------------------------------------------------
@@ -489,11 +509,11 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
         _replace(directory / name, data)
         digests[name] = _sha256(data).hexdigest()
 
-    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)))
+    ranks = graph.rank_table()  # every entity id, ascending
+    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in ranks))
     put(TRIPLES_FILE, _text(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
                             for s, p, o in graph.triples()))
-    rank = graph.pagerank()
-    put(RANKS_FILE, _text(f"{eid}\t{rank[eid]!r}" for eid in sorted(rank)))
+    put(RANKS_FILE, _text(f"{eid}\t{rank!r}" for eid, rank in ranks.items()))
     for name, data in sorted((extra or {}).items()):
         put(name, data)
     for name in (TRACE_COPY, TEMPLATES_COPY):
@@ -515,9 +535,11 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     FormatError with the file and the line.  Only then is each file
     checked against its digest in graph.json: one that differs raises
     FormatError naming the file at its line in graph.json.  That is a
-    hand edit, or a read while a build rewrote the directory.  Each
-    triple's sources stay the JSON text of its line until
-    KnowledgeGraph.sources decodes them.
+    hand edit, or a read while a build rewrote the directory.  In the
+    second case a line of a file that its digest vouches for can fail to
+    fit a file of the other build read before it; that failure, too,
+    names the changed file in graph.json.  Each triple's sources stay the
+    JSON text of its line until KnowledgeGraph.sources decodes them.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
@@ -525,7 +547,7 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     """
     data = _read_files(directory, (NODES_FILE, TRIPLES_FILE, RANKS_FILE, GRAPH_MANIFEST))
     manifest = data.pop(GRAPH_MANIFEST)
-    graph = _parse_graph(data)
+    graph = _parse_graph(data, manifest)
     _check_digests(manifest, {**data, **(copies or {})})
     return graph
 
@@ -602,10 +624,11 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 _PREDICATE = {p: p for p in PREDICATES}
 
 
-def _parse_graph(data: dict[str, bytes]) -> KnowledgeGraph:
+def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
     """The graph from the bytes of its three files, each line read as
     save_graph writes it; what save_graph would not write raises
-    FormatError with the file and the line.  The keys reuse each node's id
+    FormatError with the file and the line, unless `_blame_changed_file`
+    names a file that changed instead.  The keys reuse each node's id
     string rather than keep the copies split off their lines."""
     entities: dict[str, Entity] = {}
     name, n = NODES_FILE, 0
@@ -668,11 +691,28 @@ def _parse_graph(data: dict[str, bytes]) -> KnowledgeGraph:
         eid = next(expected, None)
         if eid is not None:
             raise FormatError(f"{name} ends without a rank for {eid!r}", n + 1)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(name, data[name], exc) from exc
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (FormatError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        _blame_changed_file(manifest, data, name)
+        if isinstance(exc, FormatError):
+            raise
+        if isinstance(exc, UnicodeDecodeError):
+            raise not_utf8(name, data[name], exc) from exc
         raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}", n) from exc
     return KnowledgeGraph(entities, sources, ranks, spo)
+
+
+def _blame_changed_file(manifest: bytes, data: dict[str, bytes], name: str) -> None:
+    """When graph.json vouches for the file `name` that failed to parse,
+    raise the digest error of the first graph file it does not vouch for,
+    if any: a read during a rebuild found files of two builds.  A line
+    error in a file that changed itself (a hand edit) stands, as it does
+    when graph.json cannot be read."""
+    try:
+        digests = _manifest_digests(manifest)
+    except FormatError:
+        return
+    if digests.get(name) == _sha256(data[name]).hexdigest():
+        _check_digests(manifest, data)
 
 
 def _no_node(end: str, lineno: int) -> NoReturn:

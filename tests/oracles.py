@@ -167,15 +167,68 @@ def dense_pagerank(nodes, triple_keys, damping=0.85, tol=1e-9, max_iter=100,
     return {u: float(rank[index[u]]) for u in nodes}
 
 
-def brute_triangles(nodes, triple_keys, literal_preds=("has-type",)):
-    """Enumerate every vertex triple on the undirected simple projection."""
+def dict_pagerank(nodes, triple_keys, on_iteration=None, literal_preds=("has-type",)):
+    """KnowledgeGraph.pagerank as it ran before the dense-id core: push
+    power iteration over dicts keyed by id string, every sum a left-to-right
+    loop, the out-edges the subject->object pairs in SPO order, each kept
+    at its first appearance."""
+    damping = 0.85
     nodes = sorted(nodes)
-    adj = {u: set() for u in nodes}
+    n = len(nodes)
+    if n == 0:
+        return {}
+    out_edges = {u: [] for u in nodes}
+    seen = set()
+    for s, p, o in sorted(triple_keys):
+        if p not in literal_preds and (s, o) not in seen:
+            seen.add((s, o))
+            out_edges[s].append(o)
+    rank = {u: 1.0 / n for u in nodes}
+    if on_iteration is not None:
+        on_iteration(dict(rank))
+    for _ in range(100):
+        dangling = 0.0
+        for u in nodes:
+            if not out_edges[u]:
+                dangling += rank[u]
+        base = (1.0 - damping) / n + damping * dangling / n
+        nxt = {u: base for u in nodes}
+        for u in nodes:
+            targets = out_edges[u]
+            if targets:
+                share = damping * rank[u] / len(targets)
+                for v in targets:
+                    nxt[v] += share
+        delta = 0.0
+        for u in nodes:
+            delta += abs(nxt[u] - rank[u])
+        rank = nxt
+        if on_iteration is not None:
+            on_iteration(dict(rank))
+        if delta < 1e-9:
+            break
+    total = 0.0
+    for r in rank.values():
+        total += r
+    return {u: r / total for u, r in rank.items()}
+
+
+def undirected_adjacency(nodes, triple_keys, literal_preds=("has-type",)):
+    """Node -> sorted neighbours on the undirected simple projection:
+    direction and parallels collapsed, self-loops and literals dropped."""
+    adj = {u: set() for u in sorted(nodes)}
     for s, p, o in triple_keys:
         if p in literal_preds or s == o or o not in adj:
             continue
         adj[s].add(o)
         adj[o].add(s)
+    return {u: sorted(vs) for u, vs in adj.items()}
+
+
+def brute_triangles(nodes, triple_keys, literal_preds=("has-type",)):
+    """Enumerate every vertex triple on the undirected simple projection."""
+    adj = {u: set(vs) for u, vs in undirected_adjacency(nodes, triple_keys, literal_preds).items()}
+    nodes = list(adj)
     counts = {u: 0 for u in nodes}
     total = 0
     for i, u in enumerate(nodes):

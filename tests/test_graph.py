@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,11 @@ from oracles import (
     bfs_within,
     brute_triangles,
     dense_pagerank,
+    dict_pagerank,
     graphs_equal,
     node_line,
     provenance_json,
+    undirected_adjacency,
 )
 
 PROV = Provenance("source-code", "test:1")
@@ -238,6 +241,57 @@ def test_pagerank_random_graphs_match_oracle():
         assert mine == theirs
 
 
+_NODE_PREDS = ["calls", "reads", "writes", "declares"]
+
+
+@st.composite
+def analytics_graphs(draw):
+    """Graphs with a self-loop, one pair linked under several predicates, a
+    has-type literal, isolated nodes and, among the drawn triples, dangling
+    nodes."""
+    nodes = [f"func:g#n{i}" for i in range(draw(st.integers(1, 10)))]
+    node = st.sampled_from(nodes)
+    triples = draw(st.lists(st.tuples(node, st.sampled_from(_NODE_PREDS), node), max_size=30))
+    pair = draw(st.tuples(node, node))
+    triples += [(pair[0], pred, pair[1]) for pred in ("calls", "reads", "precedes")]
+    loop = draw(node)
+    triples += [(loop, "calls", loop), (draw(node), "has-type", "int")]
+    isolated = [Entity(f"var:g#iso{i}", "variable", f"iso{i}")
+                for i in range(draw(st.integers(0, 2)))]
+    return build(draw(st.permutations(triples)), isolated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analytics_graphs())
+def test_pagerank_is_bit_identical_to_the_dict_power_iteration(graph):
+    """The dense-id core adds the same floats in the same order as the
+    dict-keyed iteration: equal scores in equal key order, and an equal
+    score sequence for each iteration."""
+    keys = list(graph.triples())
+    seen, want = [], []
+    oracle = dict_pagerank(graph.entities, keys, on_iteration=want.append)
+    assert list(graph.pagerank(on_iteration=seen.append).items()) == list(oracle.items())
+    assert [list(r.items()) for r in seen] == [list(r.items()) for r in want]
+    assert list(graph.pagerank().items()) == list(oracle.items())
+    assert graph.count_triangles() == brute_triangles(graph.entities, keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(analytics_graphs(), st.data())
+def test_neighborhood_is_the_subgraph_induced_by_the_bfs_ball(graph, data):
+    keys = list(graph.triples())
+    adj = undirected_adjacency(graph.entities, keys)
+    node = data.draw(st.sampled_from(sorted(graph.entities)))
+    for radius in range(4):
+        sub = graph.neighborhood(node, radius)
+        ball = bfs_within(adj, node, radius)
+        assert sorted(sub.entities) == sorted(ball)
+        assert all(sub.entities[eid] is graph.entities[eid] for eid in ball)
+        assert list(sub.triples()) == [
+            k for k in keys if k[0] in ball and k[1] != "has-type" and k[2] in ball]
+        assert all(sub.sources(k) == graph.sources(k) for k in sub.triples())
+
+
 # -- triangles ----------------------------------------------------------------
 
 
@@ -285,7 +339,7 @@ def test_neighborhood_radius_zero():
 def test_neighborhood_radius_one_matches_bfs():
     graph = build(FIXTURE)
     sub = graph.neighborhood("func:a#f", 1)
-    adj = {u: sorted(vs) for u, vs in graph.undirected_adjacency().items()}
+    adj = undirected_adjacency(graph.entities, FIXTURE)
     assert set(sub.entities) == bfs_within(adj, "func:a#f", 1)
     for s, _, o in sub.triples():
         assert s in sub.entities and o in sub.entities
@@ -454,3 +508,39 @@ def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, mo
     save_graph(new, tmp_path)
     # both builds write the same nodes.jsonl
     assert outcomes == ["old", "torn", "torn", "new"]
+
+
+@pytest.mark.parametrize("old_triples, new_triples", [
+    ([*FIXTURE, ("func:a#g", "calls", "func:a#old")], FIXTURE),
+    (FIXTURE, [*FIXTURE, ("func:a#h", "calls", "func:a#new")]),
+], ids=["node-removed", "node-added"])
+def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monkeypatch,
+                                                                 old_triples, new_triples):
+    """Whichever renames of a rebuild a load follows, it returns one whole
+    graph or names, in graph.json, a file whose bytes graph.json does not
+    vouch for; never a line of a file whose digest matches."""
+    old, new = build(old_triples), build(new_triples)
+    save_graph(old, tmp_path)
+    outcomes, unvouched = [], []
+    replace = os.replace
+
+    def load_after(src, dst):
+        replace(src, dst)
+        try:
+            graph = load_graph(tmp_path)
+        except FormatError as exc:
+            named = re.fullmatch(r"line \d+: graph\.json: (\S+) does not match its SHA-256 .*",
+                                 str(exc))
+            outcomes.append(named[1] if named else str(exc))
+            digests = json.loads((tmp_path / GRAPH_MANIFEST).read_bytes())["sha256"]
+            unvouched.append(named is not None and hashlib.sha256(
+                (tmp_path / named[1]).read_bytes()).hexdigest() != digests[named[1]])
+        else:
+            outcomes.append("old" if graphs_equal(graph, old)
+                            else "new" if graphs_equal(graph, new) else "mixed")
+            unvouched.append(True)
+
+    monkeypatch.setattr(os, "replace", load_after)
+    save_graph(new, tmp_path)
+    assert outcomes == ["nodes.jsonl", "nodes.jsonl", "nodes.jsonl", "new"]
+    assert all(unvouched)
