@@ -8,13 +8,8 @@ yields keys straight from an index.  Triples are set-valued: re-inserting
 an existing triple appends provenance.  After ``finalize()`` the graph is
 immutable and safe for concurrent readers.
 
-PageRank, triangle counts and neighbourhoods run on a dense-id core: the
-sorted entity ids are numbered 0 to n-1 once, on the first call to one of
-them, and each node keeps its deduplicated out-edges as ints.  A loaded
-graph has its ranks from ranks.tsv, so a query computes none of it.
-PageRank adds every sum left to right in one fixed order, which keeps
-ranks.tsv bit-identical on Python 3.10 to 3.13; triangles use the forward
-algorithm.
+PageRank, triangle counts and neighbourhoods run on the dense-id core
+that README.md describes under "Graph storage".
 
 A graph directory ends with graph.json, the SHA-256 of each of its other
 files: save_graph writes it last, and load_graph reads a directory only
@@ -91,16 +86,6 @@ class Provenance(NamedTuple):
 
 
 Key = tuple[str, str, str]  # (subject, predicate, object)
-
-
-class _Core(NamedTuple):
-    """The graph's nodes as dense ids: `nodes` holds the entity ids in
-    ascending order, so node i is nodes[i], and out[i] holds the objects
-    of node i's entity-valued triples as node numbers, each once, in SPO
-    order."""
-
-    nodes: list[str]
-    out: list[tuple[int, ...]]
 
 
 class GraphBuilder:
@@ -290,7 +275,10 @@ class KnowledgeGraph:
     # -- analytics -------------------------------------------------------
 
     @cached_property
-    def _core(self) -> _Core:
+    def _core(self) -> tuple[list[str], list[tuple[int, ...]]]:
+        """(nodes, out): node i is the entity id nodes[i], in ascending
+        order, and out[i] holds the node numbers of its entity-valued
+        triples' objects, each once, in SPO order."""
         nodes = sorted(self.entities)
         number = {eid: i for i, eid in enumerate(nodes)}
         out: list = [()] * len(nodes)
@@ -303,24 +291,19 @@ class KnowledgeGraph:
                     subject, objects = s, {}
                     out[number[s]] = objects
                 objects[number[o]] = None
-        return _Core(nodes, [tuple(objects) for objects in out])
+        return nodes, [tuple(objects) for objects in out]
 
     def _undirected(self) -> list[set[int]]:
         """Each node's neighbours in the undirected simple projection:
         direction and parallels collapsed, self-loops dropped."""
-        adj: list[set[int]] = [set() for _ in self._core.nodes]
-        for u, targets in enumerate(self._core.out):
+        nodes, out = self._core
+        adj: list[set[int]] = [set() for _ in nodes]
+        for u, targets in enumerate(out):
             for v in targets:
                 if u != v:
                     adj[u].add(v)
                     adj[v].add(u)
         return adj
-
-    @cached_property
-    def _adjacency(self) -> list[set[int]]:
-        """The undirected projection, kept for the next `neighborhood`; a
-        build counts triangles once and keeps no copy."""
-        return self._undirected()
 
     def pagerank(self, on_iteration=None) -> dict[str, float]:
         """Damped power iteration over the triple direction (subject->object):
@@ -381,7 +364,7 @@ class KnowledgeGraph:
         Returns (per-node counts, total); the total is one third of the
         per-node sum.
         """
-        nodes, adj = self._core.nodes, self._undirected()
+        nodes, adj = self._core[0], self._undirected()
         later: dict[int, set[int]] = {}
         for u in sorted(range(len(nodes)), key=[len(vs) for vs in adj].__getitem__):
             later[u] = adj[u].difference(later)
@@ -403,7 +386,7 @@ class KnowledgeGraph:
         self.entity(node)
         if radius < 0:
             raise CktError(f"radius must be >= 0, got {radius}")
-        nodes, adj = self._core.nodes, self._adjacency
+        nodes, adj = self._core[0], self._undirected()
         start = bisect.bisect_left(nodes, node)
         reached, frontier = {start}, {start}
         for _ in range(radius):
@@ -509,11 +492,10 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
         _replace(directory / name, data)
         digests[name] = _sha256(data).hexdigest()
 
-    ranks = graph.rank_table()  # every entity id, ascending
-    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in ranks))
+    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)))
     put(TRIPLES_FILE, _text(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
                             for s, p, o in graph.triples()))
-    put(RANKS_FILE, _text(f"{eid}\t{rank!r}" for eid, rank in ranks.items()))
+    put(RANKS_FILE, _text(f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()))
     for name, data in sorted((extra or {}).items()):
         put(name, data)
     for name in (TRACE_COPY, TEMPLATES_COPY):
@@ -538,8 +520,12 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     hand edit, or a read while a build rewrote the directory.  In the
     second case a line of a file that its digest vouches for can fail to
     fit a file of the other build read before it; that failure, too,
-    names the changed file in graph.json.  Each triple's sources stay the
-    JSON text of its line until KnowledgeGraph.sources decodes them.
+    names the changed file in graph.json.  A line that fails in a file
+    whose own digest differs is named at its line, also when the reads
+    interleaved with the renames: the new nodes.jsonl, then the old
+    triples.tsv just before its rename, then the new graph.json.  Each
+    triple's sources stay the JSON text of its line until
+    KnowledgeGraph.sources decodes them.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
@@ -705,8 +691,8 @@ def _blame_changed_file(manifest: bytes, data: dict[str, bytes], name: str) -> N
     """When graph.json vouches for the file `name` that failed to parse,
     raise the digest error of the first graph file it does not vouch for,
     if any: a read during a rebuild found files of two builds.  A line
-    error in a file that changed itself (a hand edit) stands, as it does
-    when graph.json cannot be read."""
+    error in a file that changed itself stands, as it does when graph.json
+    cannot be read: a hand edit, or a read interleaved with the renames."""
     try:
         digests = _manifest_digests(manifest)
     except FormatError:

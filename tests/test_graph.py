@@ -16,6 +16,7 @@ from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
     GraphBuilder,
+    TRIPLES_FILE,
     Provenance,
     _node_line,
     _provenance_json,
@@ -543,3 +544,16 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
     monkeypatch.setattr(os, "replace", load_after)
     save_graph(new, tmp_path)
     assert outcomes == ["nodes.jsonl", "nodes.jsonl", "nodes.jsonl", "new"]
+
+
+def test_a_read_interleaved_with_the_renames_names_the_old_line(tmp_path):
+    """The new nodes.jsonl, the old triples.tsv read just before its
+    rename, then the new graph.json: the old triples.tsv differs from its
+    digest, so its line error stands, as for a hand edit."""
+    old = build([*FIXTURE, ("func:a#g", "calls", "func:a#old")])
+    save_graph(old, tmp_path / "old")
+    save_graph(build(FIXTURE), tmp_path / "new")
+    (tmp_path / "new" / TRIPLES_FILE).write_bytes((tmp_path / "old" / TRIPLES_FILE).read_bytes())
+    with pytest.raises(FormatError) as exc:
+        load_graph(tmp_path / "new")
+    assert re.fullmatch(r"line \d+: unknown node 'func:a#old' in triples\.tsv", str(exc.value))
