@@ -29,6 +29,7 @@ from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
@@ -86,6 +87,17 @@ class Provenance(NamedTuple):
 
 
 Key = tuple[str, str, str]  # (subject, predicate, object)
+
+_SUBJECT = itemgetter(0)
+_SUBJECT_PREDICATE = itemgetter(0, 1)
+_OBJECT = itemgetter(2)
+_OBJECT_SUBJECT = itemgetter(2, 0)
+
+
+def _run(index: list[Key], value, part) -> list[Key]:
+    """The keys of `index`, which ascends by `part`, whose `part` is `value`."""
+    return index[bisect.bisect_left(index, value, key=part):
+                 bisect.bisect_right(index, value, key=part)]
 
 
 class GraphBuilder:
@@ -173,16 +185,22 @@ class KnowledgeGraph:
         self._rank_cache = ranks
         self._folded: dict[str, tuple[str, tuple[str, ...]]] = {}
 
-    # The POS and OSP indexes are sorted on first use, so a graph that is
-    # only looked up by subject never pays for them.
-
-    @cached_property
-    def _pos(self) -> list[Key]:
-        return sorted((p, o, s) for (s, p, o) in self._spo)
+    # The OSP and POS indexes hold the SPO keys themselves, put in order on
+    # first use, so a graph that is only looked up by subject never pays
+    # for them.  A stable sort of SPO by object leaves OSP in (o, s, p)
+    # order; bucketing OSP by predicate leaves each POS list in (o, s)
+    # order.
 
     @cached_property
     def _osp(self) -> list[Key]:
-        return sorted((o, s, p) for (s, p, o) in self._spo)
+        return sorted(self._spo, key=_OBJECT)
+
+    @cached_property
+    def _pos(self) -> dict[str, list[Key]]:
+        pos: dict[str, list[Key]] = {}
+        for key in self._osp:
+            pos.setdefault(key[1], []).append(key)
+        return pos
 
     # -- accessors -----------------------------------------------------
 
@@ -237,40 +255,31 @@ class KnowledgeGraph:
     # -- pattern matching ----------------------------------------------
 
     def match(self, subject: str | None, predicate: str | None, object_: str | None):
-        """Iterate the keys of the triples matching the bound positions;
-        None is a wildcard.
+        """An iterator over the stored keys of the triples matching the
+        bound positions; None is a wildcard.
 
-        The index whose prefix the bound positions form is scanned, so the
+        The index whose prefix the bound positions form is read, so the
         order is deterministic: (o, s, p) when the object is bound and the
         predicate is not, (p, o, s) when the predicate is bound and the
         subject is not, and (s, p, o) otherwise.
         """
         s, p, o = subject, predicate, object_
         if s is not None and p is not None and o is not None:
-            if (s, p, o) in self._sources:
-                yield (s, p, o)
+            keys = [(s, p, o)] if (s, p, o) in self._sources else []
         elif s is not None and o is not None:
-            for k in self._scan(self._osp, (o, s)):
-                yield (k[1], k[2], k[0])
+            keys = _run(self._osp, (o, s), _OBJECT_SUBJECT)
         elif s is not None:
-            yield from self._scan(self._spo, (s,) if p is None else (s, p))
+            keys = (_run(self._spo, s, _SUBJECT) if p is None
+                    else _run(self._spo, (s, p), _SUBJECT_PREDICATE))
         elif p is not None:
-            for k in self._scan(self._pos, (p,) if o is None else (p, o)):
-                yield (k[2], k[0], k[1])
+            keys = self._pos.get(p, [])
+            if o is not None:
+                keys = _run(keys, o, _OBJECT)
         elif o is not None:
-            for k in self._scan(self._osp, (o,)):
-                yield (k[1], k[2], k[0])
+            keys = _run(self._osp, o, _OBJECT)
         else:
-            yield from self._spo
-
-    @staticmethod
-    def _scan(index: list[Key], prefix: tuple):
-        lo = bisect.bisect_left(index, prefix)
-        for i in range(lo, len(index)):
-            key = index[i]
-            if key[: len(prefix)] != prefix:
-                break
-            yield key
+            keys = self._spo
+        return iter(keys)
 
     # -- analytics -------------------------------------------------------
 

@@ -1,18 +1,21 @@
 """Conjunctive pattern evaluation over the finalized graph.
 
-Patterns join left to right on shared variables through the graph indexes;
-filters run after the joins; projected rows are deduplicated and ordered by
-the PageRank of the first selected variable's binding (descending, ties by
-row ascending), so the result order is total and join-order independent.
+Patterns join left to right on shared variables through the graph indexes.
+A row is a tuple with one slot per variable, extended by the values each
+pattern binds; each filter runs right after the pattern that binds its
+variable.  Projected rows are deduplicated and ordered by the PageRank of
+the first selected variable's binding (descending, ties by row ascending),
+so the result order is total and join-order independent.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import itemgetter
 
 from ckt.graph import KnowledgeGraph
 from ckt.model import Record
-from ckt.query.parser import IRI, LITERAL, VAR, FilterClause, QueryAST, Term
+from ckt.query.parser import VAR, FilterClause, QueryAST
 from ckt.textio import parse_timestamp
 
 
@@ -26,39 +29,67 @@ class ResultSet(Record):
         self.alerts = [] if alerts is None else alerts
 
 
-def _bind(term: Term, binding: dict[str, str]) -> str | None:
-    """Concrete value for a pattern position, or None for a wildcard."""
-    if term.kind == VAR:
-        return binding.get(term.value)
-    return term.value
+def _tuple_getter(indexes: list[int]):
+    """A callable that gives the items at `indexes` of a tuple, as a tuple."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    return itemgetter(slice(indexes[0], indexes[0] + 1) if indexes else slice(0))
 
 
-def _solve(graph: KnowledgeGraph, ast: QueryAST) -> list[dict[str, str]]:
-    bindings: list[dict[str, str]] = [{}]
+def _solve(graph: KnowledgeGraph, ast: QueryAST) -> tuple[list[tuple[str, ...]], dict[str, int]]:
+    """The rows that satisfy the patterns and the filters, and each
+    variable's slot in them.  A row holds one value per variable, in the
+    order the patterns first bind them; each filter runs right after the
+    pattern that binds its variable."""
+    slots: dict[str, int] = {}
+    rows: list[tuple[str, ...]] = [()]
     for pattern in ast.patterns:
-        terms = (pattern.s, pattern.p, pattern.o)
-        extended: list[dict[str, str]] = []
-        for binding in bindings:
-            s = _bind(pattern.s, binding)
-            p = _bind(pattern.p, binding)
-            o = _bind(pattern.o, binding)
-            for key in graph.match(s, p, o):
-                new = dict(binding)
-                consistent = True
-                for term, value in zip(terms, key):
-                    if term.kind != VAR:
-                        continue
-                    # a variable repeated within one pattern must unify
-                    if term.value in new and new[term.value] != value:
-                        consistent = False
-                        break
-                    new[term.value] = value
-                if consistent:
-                    extended.append(new)
-        bindings = extended
-        if not bindings:
+        fixed: list[str | None] = [None, None, None]  # the constants
+        bound: list[tuple[int, int]] = []  # (position, slot) of bound variables
+        first: dict[str, int] = {}  # new variable -> its first position
+        repeats: list[tuple[int, int]] = []  # (position, its new variable's first)
+        for position, term in enumerate(pattern):
+            if term.kind != VAR:
+                fixed[position] = term.value
+            elif term.value in slots:
+                bound.append((position, slots[term.value]))
+            elif term.value in first:
+                repeats.append((position, first[term.value]))
+            else:
+                first[term.value] = position
+        take = _tuple_getter(list(first.values()))
+        extended: list[tuple[str, ...]] = []
+        for row in rows:
+            query = list(fixed)
+            for position, slot in bound:
+                query[position] = row[slot]
+            keys = graph.match(*query)
+            if repeats:  # a variable repeated within one pattern must unify
+                keys = [k for k in keys if all(k[i] == k[j] for i, j in repeats)]
+            if row:
+                extended.extend([row + take(k) for k in keys])
+            else:
+                extended.extend(map(take, keys))
+        rows = extended
+        for name in first:
+            slots[name] = len(slots)
+        for fl in ast.filters:
+            if fl.var in first:
+                rows = _filtered(graph, fl, rows, slots[fl.var])
+        if not rows:
             break
-    return bindings
+    if any(fl.var not in slots for fl in ast.filters):
+        rows = []
+    return rows, slots
+
+
+def _filtered(graph: KnowledgeGraph, fl: FilterClause, rows: list[tuple[str, ...]],
+              slot: int) -> list[tuple[str, ...]]:
+    """The rows whose value in `slot` passes the filter."""
+    if fl.op == "CONTAINS":
+        needle = fl.literal.lower()  # once per filter, not once per row
+        return [row for row in rows if _contains(graph, row[slot], needle)]
+    return [row for row in rows if _passes(graph, fl, row[slot])]
 
 
 def _timestamp_of(graph: KnowledgeGraph, value: str) -> str | None:
@@ -120,15 +151,10 @@ def rank_results(
 
 def evaluate(graph: KnowledgeGraph, ast: QueryAST) -> ResultSet:
     """Run a parsed query; an empty result set is a valid answer."""
-    bindings = _solve(graph, ast)
-    for fl in ast.filters:
-        if fl.op == "CONTAINS":
-            needle = fl.literal.lower()  # once per filter, not once per binding
-            bindings = [b for b in bindings if fl.var in b and _contains(graph, b[fl.var], needle)]
-        else:
-            bindings = [b for b in bindings if fl.var in b and _passes(graph, fl, b[fl.var])]
-    projected = [tuple(b[v] for v in ast.select) for b in bindings]
-    rows = list(dict.fromkeys(projected))
+    rows, slots = _solve(graph, ast)
+    if rows:
+        project = _tuple_getter([slots[v] for v in ast.select])
+        rows = list(dict.fromkeys(map(project, rows)))
     rows = rank_results(rows, graph.rank_table())
     if ast.limit is not None:
         rows = rows[: ast.limit]

@@ -279,13 +279,14 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     process keeps across responses.  Only the ALERT_CAP alerts first by
     (-score, kind, subject) are kept.
 
-    The rules run in the tiers of _TIERS, each over every entity of the
-    rows in row order.  Once ALERT_CAP held alerts sort strictly before the
-    first key the next tier could give, no later tier can change the
-    answer, and none runs.  An exception in a rule drops every alert its
-    entity holds from the tiers that ran, skips the entity in later tiers
-    and adds a warning alert with score 0.0; a tier that never runs cannot
-    raise.
+    The rules run in the tiers of _TIERS.  Each visits the entities of the
+    rows in row order: those of the kinds its rule can alert on, when it
+    names them, or else every one.  Once ALERT_CAP held alerts sort
+    strictly before the first key the next tier could give, no later tier
+    can change the answer, and none runs.  An exception in a rule drops
+    every alert its entity holds from the tiers that ran, skips the entity
+    in later tiers and adds a warning alert with score 0.0; a tier that
+    never runs cannot raise.
     """
     graph = ctx.graph
     # each entity of the rows, in row order -> the alerts it holds
@@ -293,12 +294,15 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
         value for row in result.rows for value in row if value in graph.entities)}
     warnings: list[SmartAlert] = []
     dynamic: dict[str, SmartAlert] = {}  # the first tier's dynamic races, for mutex advice
-    for first_key, tier in _TIERS:
+    for first_key, tier, kinds in _TIERS:
         if sum(_alert_key(a) < first_key for alerts in held.values() for a in alerts) >= ALERT_CAP:
             break
         for eid, alerts in list(held.items()):
+            entity = graph.entities[eid]
+            if kinds is not None and entity.kind not in kinds:
+                continue
             try:
-                alerts.extend(tier(ctx, graph.entities[eid], dynamic))
+                alerts.extend(tier(ctx, entity, dynamic))
             except Exception as exc:  # degrade, never fail the query
                 del held[eid]
                 warnings.append(
@@ -364,6 +368,9 @@ def _static_races(ctx: AugmentContext, entity: Entity,
 
 def _stale_comments(ctx: AugmentContext, entity: Entity,
                     dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+    stale = ctx.stale_comments.get(entity.id)
+    if stale is None:
+        return []
     return [
         SmartAlert(
             kind="stale-comment",
@@ -372,14 +379,12 @@ def _stale_comments(ctx: AugmentContext, entity: Entity,
             message=f"comment {comment} mentions identifiers absent from scope: {missing}",
             score=0.5,
         )
-        for comment, missing in ctx.stale_comments.get(entity.id, ())
+        for comment, missing in stale
     ]
 
 
 def _provenance(ctx: AugmentContext, entity: Entity,
                 dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
-    if entity.kind not in ("function", "variable", "file", "type", "class"):
-        return []
     commits = change_provenance(ctx, entity.id)
     if not commits:
         return []
@@ -400,11 +405,14 @@ def _provenance(ctx: AugmentContext, entity: Entity,
 
 # The tiers in falling order of the first key (-score, kind, subject) an
 # alert of theirs can have: the rule scores above, the best kind at the
-# highest score and the empty subject.  Each tier calls its rules by their
-# module names when it runs.
+# highest score and the empty subject.  Each tier names the entity kinds
+# its rule can alert on, or None for every kind, and calls its rules by
+# their module names when it runs.
 _TIERS = (
-    ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects),  # similar defects at most 1.0
-    ((-0.9, "race-static", ""), _static_races),  # mutex advice at 0.85
-    ((-0.5, "stale-comment", ""), _stale_comments),
-    ((-0.3, "provenance", ""), _provenance),
+    ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects,  # similar defects at most 1.0
+     frozenset(["variable", "bug"])),
+    ((-0.9, "race-static", ""), _static_races, frozenset(["variable"])),  # mutex advice at 0.85
+    ((-0.5, "stale-comment", ""), _stale_comments, None),
+    ((-0.3, "provenance", ""), _provenance,
+     frozenset(["function", "variable", "file", "type", "class"])),
 )

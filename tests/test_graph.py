@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -140,21 +141,31 @@ def test_match_agrees_with_full_scan():
 
 _MATCH_IDS = ["func:g#a", "func:g#b", "var:g#x"]
 _MATCH_PREDS = ["calls", "reads"]
+# has-type objects that sort among the ids: before, between and after them
+_MATCH_LITERALS = ["func:", "int", "var", "zz"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(_MATCH_IDS), st.sampled_from(_MATCH_PREDS),
                           st.sampled_from(_MATCH_IDS)), max_size=25),
+       st.lists(st.tuples(st.sampled_from(_MATCH_IDS), st.just("has-type"),
+                          st.sampled_from(_MATCH_LITERALS)), max_size=6),
        st.data())
-def test_match_order_on_random_graphs(triples, data):
-    """Every bound shape, with ids that are in the graph and ids that are
-    not, yields the full scan's keys in the order of the index it reads."""
+def test_match_order_on_random_graphs(edges, typed, data):
+    """Every bound shape, with ids and literals that are in the graph and
+    ones that are not, yields the full scan's keys in the order of the
+    index it reads, on the built graph and on its save/load round trip."""
+    triples = edges + typed
     graph = build(triples)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(graph, tmp)
+        loaded = load_graph(tmp)
     for shape in itertools.product((False, True), repeat=3):
         s, p, o = (
             data.draw(st.sampled_from(pool + [absent])) if bound else None
             for bound, pool, absent in zip(
-                shape, (_MATCH_IDS, _MATCH_PREDS, _MATCH_IDS), ("func:g#zz", "writes", "var:g#zz"))
+                shape, (_MATCH_IDS, _MATCH_PREDS + ["has-type"], _MATCH_IDS + _MATCH_LITERALS),
+                ("func:g#zz", "writes", "var:g#zz"))
         )
         if o is not None and p is None:
             order = lambda k: (k[2], k[0], k[1])  # noqa: E731
@@ -165,6 +176,7 @@ def test_match_order_on_random_graphs(triples, data):
         want = sorted((k for k in set(triples)
                        if s in (None, k[0]) and p in (None, k[1]) and o in (None, k[2])), key=order)
         assert list(graph.match(s, p, o)) == want, (s, p, o)
+        assert list(loaded.match(s, p, o)) == want, (s, p, o)
 
 
 def test_index_coherence():

@@ -392,6 +392,81 @@ def test_evaluate_matches_nested_loop_oracle():
         assert mine == oracle
 
 
+# ids and has-type literals that sort among them: "func:" and "var" before
+# the ids of their kind, "int" between the kinds, "zz" after them all
+_ORACLE_IDS = ["func:r#a", "func:r#b", "func:r#c", "var:r#x", "var:r#y"]
+_ORACLE_LITERALS = ["func:", "int", "var", "zz"]
+_ORACLE_ENTITIES = [
+    Entity("func:r#a", "function", "alpha", attrs={"timestamp": "2014-05-01T00:00:00Z"}),
+    Entity("func:r#b", "function", "beta"),
+    Entity("func:r#c", "function", "gamma", attrs={"opened": "2016-01-01T00:00:00Z"}),
+    Entity("var:r#x", "variable", "x", attrs={"scope": "global"}),
+    Entity("var:r#y", "variable", "y"),
+]
+
+
+@st.composite
+def oracle_graphs_and_queries(draw):
+    """A small graph with has-type literals, and a query over it whose
+    patterns may repeat a variable, put one in the predicate position or
+    name a literal object, with filters on any variable, first bound by
+    any pattern, and a LIMIT."""
+    edges = draw(st.lists(st.tuples(st.sampled_from(_ORACLE_IDS), st.sampled_from(["calls", "reads"]),
+                                    st.sampled_from(_ORACLE_IDS)), min_size=1, max_size=20))
+    typed = draw(st.lists(st.tuples(st.sampled_from(_ORACLE_IDS), st.just("has-type"),
+                                    st.sampled_from(_ORACLE_LITERALS)), max_size=6))
+    triples = sorted(set(edges + typed))
+    # seeded: each value becomes the same variable wherever it is made one,
+    # so the drawn triples are a solution; else variables are drawn freely
+    seeded = draw(st.booleans())
+    names: dict[str, str] = {}
+
+    def term(value):
+        if draw(st.integers(0, 2)):
+            if not seeded:
+                return Term(VAR, draw(st.sampled_from("abc")))
+            if value not in names and len(names) < 3:
+                names[value] = "abc"[len(names)]
+            if value in names:
+                return Term(VAR, names[value])
+        return Term("literal" if value in _ORACLE_LITERALS else IRI, value)
+
+    patterns = tuple(TriplePattern(*map(term, draw(st.sampled_from(triples))))
+                     for _ in range(draw(st.integers(1, 3))))
+    used = sorted({t.value for pattern in patterns for t in pattern if t.kind == VAR})
+    if not used:
+        patterns += (TriplePattern(Term(VAR, "a"), Term(VAR, "b"), Term(VAR, "c")),)
+        used = ["a", "b", "c"]
+    select = tuple(draw(st.lists(st.sampled_from(used), min_size=1, max_size=3, unique=True)))
+    filters = tuple(
+        FilterClause(draw(st.sampled_from(used)),
+                     draw(st.sampled_from(["=", "!=", "<", ">=", "CONTAINS", "AFTER", "BEFORE"])),
+                     draw(st.sampled_from(_ORACLE_IDS + ["int", "b", "ALP", "2015-01-01T00:00:00Z"])))
+        for _ in range(draw(st.integers(0, 2))))
+    limit = draw(st.one_of(st.none(), st.integers(0, 4)))
+    return triples, QueryAST(select, patterns, filters, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_graphs_and_queries())
+def test_evaluate_equals_the_ranked_oracle_row_for_row(drawn):
+    """The rows, in order and after LIMIT, are the nested-loop oracle's
+    rows ranked by rank_results."""
+    triples, ast = drawn
+    graph = build(triples, _ORACLE_ENTITIES)
+    entities = {eid: (e.label, e.attrs) for eid, e in graph.entities.items()}
+    want = rank_results(sorted(nested_loop_join(triples, ast, entities)), graph.rank_table())
+    assert evaluate(graph, ast).rows == want[:ast.limit]
+
+
+def test_filter_on_a_variable_no_pattern_binds_gives_no_rows():
+    graph = build([("func:r#a", "calls", "func:r#b")], _ORACLE_ENTITIES)
+    pattern = TriplePattern(Term(VAR, "a"), Term(IRI, "calls"), Term(VAR, "b"))
+    assert evaluate(graph, QueryAST(("a",), (pattern,))).rows == [("func:r#a",)]
+    unbound = QueryAST(("a",), (pattern,), (FilterClause("z", "!=", "q"),))
+    assert evaluate(graph, unbound).rows == []
+
+
 def test_join_order_independence():
     rng = random.Random(77)
     for _ in range(40):

@@ -4,6 +4,8 @@ import random
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckt import smart
 from ckt.errors import DomainError, NotFoundError
@@ -383,3 +385,83 @@ def test_a_failing_rule_drops_its_entity_only_in_a_tier_that_runs(n_globals):
         assert alerts[0].message == f"augmentation failed for {result.rows[0][0]}: no history"
     else:
         assert [a.kind for a in alerts] == ["race-dynamic"] * 10
+
+
+# -- tier kinds ------------------------------------------------------------------
+
+# the alert kinds each tier of smart._TIERS gives, in tier order
+TIER_ALERTS = (("race-dynamic", "similar-defect"), ("race-static", "mutex-advice"),
+               ("stale-comment",), ("provenance",))
+
+KINDS_ENTITIES = [
+    Entity(THREAD_ROOT_ID, "thread-root", "thread-root"),
+    Entity("concept:sync", "concept", "sync"),
+    Entity("file:a.c", "file", "a.c"),
+    Entity("func:a.c#main", "function", "main"),
+    Entity("func:a.c#f", "function", "f"),
+    Entity("var:a.c#g", "variable", "g", attrs={"scope": "global"}),
+    Entity("var:a.c#f.l", "variable", "l", attrs={"scope": "local"}),
+    Entity("type:a.c#T", "type", "T"),
+    Entity("type:a.c#C", "class", "C"),
+    Entity("comment:a.c#L3", "comment", "uses zz", attrs={"stale": "true", "missing": "zz"}),
+    Entity("bug:t/1", "bug", "counter overflow", attrs={"error_strings": "overflow"}),
+    Entity("bug:t/2", "bug", "counter overflow again", attrs={"error_strings": "overflow"}),
+    Entity("commit:c1", "commit", "fix", attrs={"timestamp": "2015-01-02T00:00:00Z"}),
+    Entity("commit:c2", "commit", "tidy", attrs={"timestamp": "2015-02-02T00:00:00Z"}),
+    Entity("dev:x", "developer", "x"),
+]
+# triples that give each rule something to alert on, the provenance rule
+# also for the comment (through its file) and for a bug that a commit touches
+KINDS_TRIPLES = [
+    ("func:a.c#main", "calls", "func:a.c#f"),
+    (THREAD_ROOT_ID, "starts-thread", "func:a.c#f"),
+    ("func:a.c#f", "writes", "var:a.c#g"),
+    ("func:a.c#main", "reads", "var:a.c#g"),
+    ("func:a.c#f", "guards", "var:a.c#g"),
+    ("func:a.c#f", "writes", "var:a.c#f.l"),
+    ("commit:c1", "touches", "file:a.c"),
+    ("commit:c2", "touches", "func:a.c#f"),
+    ("commit:c2", "touches", "var:a.c#g"),
+    ("commit:c1", "touches", "bug:t/2"),
+    ("commit:c1", "fixes", "bug:t/1"),
+    ("commit:c2", "authored-by", "dev:x"),
+    ("bug:t/1", "touches", "func:a.c#f"),
+    ("bug:t/2", "touches", "func:a.c#f"),
+    ("func:a.c#f", "documented-by", "comment:a.c#L3"),
+    ("bug:t/1", "documented-by", "comment:a.c#L3"),
+    ("type:a.c#T", "member-of", "type:a.c#C"),
+]
+
+
+def check_tier_kinds(graph, log):
+    """An entity outside a tier's kinds gets no alert of that tier from the
+    per-response oracle, and a rule that tests the kind itself returns []
+    for it without raising.  The provenance tier's kinds are its rule's
+    only kind test, so the oracle alone checks them.  Uncapped, augment
+    over every entity gives the oracle's alerts."""
+    ctx = AugmentContext(graph, log)
+    every = ResultSet(("e",), [(eid,) for eid in graph.entities])
+    oracle = augment_per_response(every, graph, log, cap=10**6).alerts
+    with patch.object(smart, "ALERT_CAP", 10**6):
+        assert augment(every, ctx).alerts == oracle
+    for (_, rule, kinds), alert_kinds in zip(smart._TIERS, TIER_ALERTS):
+        if kinds is None:
+            continue
+        for eid, entity in graph.entities.items():
+            if entity.kind in kinds:
+                continue
+            assert [a for a in oracle if a.subject == eid and a.kind in alert_kinds] == [], eid
+            if rule is not smart._provenance:
+                assert rule(ctx, entity, {}) == [], (rule.__name__, eid)
+
+
+def test_tier_kinds_stay_in_step_with_the_rules_on_the_scenario(scenario_graph, scenario_trace):
+    check_tier_kinds(scenario_graph, scenario_trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(KINDS_TRIPLES)), st.booleans())
+def test_tier_kinds_stay_in_step_with_the_rules_on_drawn_graphs(triples, traced):
+    graph = build(sorted(triples), KINDS_ENTITIES)
+    events = [TraceEvent(1, 1, "write", "var:a.c#g"), TraceEvent(2, 2, "read", "var:a.c#g")]
+    check_tier_kinds(graph, trace(events) if traced else None)
