@@ -297,6 +297,32 @@ def test_locals_of_bad_input_keep_their_storage():
     assert (facts.entities[F].span.start, facts.entities[F].span.end) == (2, 4)
 
 
+A = "file:a.c"
+
+
+# grammar branches, each with every relation the parser gives for it
+@pytest.mark.parametrize("src, relations", [
+    # the declarators after an aggregate's body are globals of its type
+    ("struct S { int v; } a, *b;\n",
+     [(A, "declares", "type:a.c#S", 1, {}),
+      (A, "declares", "var:a.c#a", 1, {}), ("var:a.c#a", "has-type", "struct S", 1, {}),
+      (A, "declares", "var:a.c#b", 1, {}), ("var:a.c#b", "has-type", "struct S", 1, {})]),
+    # a member is not a variable: `p->x` and `s.x` access no `x`, only `p`
+    ("int x;\nint *p;\nvoid f() {\n  p->x = 1;\n  s.x++;\n}\n",
+     [(A, "declares", "var:a.c#x", 1, {}), ("var:a.c#x", "has-type", "int", 1, {}),
+      (A, "declares", "var:a.c#p", 2, {}), ("var:a.c#p", "has-type", "int *", 2, {}),
+      (A, "declares", F, 3, {}), (F, "reads", "var:a.c#p", 4, {})]),
+    # a repeated global keeps its first declaration
+    ("int g;\nchar *g;\n",
+     [(A, "declares", "var:a.c#g", 1, {}), ("var:a.c#g", "has-type", "int", 1, {})]),
+    # a typedef that never closes runs to the end of the file
+    ("int h;\ntypedef struct { int a;\nint g;\nvoid f() { g = 1; }\n",
+     [(A, "declares", "var:a.c#h", 1, {}), ("var:a.c#h", "has-type", "int", 1, {})]),
+], ids=["aggregate-instances", "member-access", "repeated-global", "unclosed-typedef"])
+def test_grammar_branch_relations(src, relations):
+    assert in_order(parse_source(src, "a.c"))[1] == relations
+
+
 # C-like token soup: most of it leaves some bracket open or closes one that
 # was never opened
 _SOUP = [

@@ -1,13 +1,14 @@
 """Query grammar, conjunctive evaluation vs the nested-loop oracle,
 templates and free-form routing."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckt.errors import NotFoundError, QueryError, SlotError
+from ckt.errors import FormatError, NotFoundError, QueryError, SlotError
 from ckt.graph import GraphBuilder, Provenance
 from ckt.model import Entity
 from ckt.query.evaluate import evaluate, rank_results
@@ -23,11 +24,13 @@ from ckt.query.parser import (
     parse_query,
 )
 from ckt.query.templates import (
+    FreeformMatch,
     LabelIndex,
     NoMatch,
     Template,
     TemplateRegistry,
     builtin_registry,
+    load_registry,
     match_freeform,
     normalize_date,
     run_template,
@@ -337,6 +340,20 @@ def test_date_filter_after():
     assert dropped.rows == []
 
 
+@pytest.mark.parametrize("op, literal, kept", [
+    ("<=", "9", ["9"]),  # two numbers compare as numbers: 10 > 9
+    (">", "9", ["10", "b"]),  # b is no number, so b and 9 compare as text
+    ("<=", "a", ["10", "9"]),  # a is no number, so every value compares as text
+    (">", "a", ["b"]),
+])
+def test_order_filter_compares_numbers_as_numbers_and_else_as_text(op, literal, kept):
+    graph = build([("var:h.c#x", "has-type", "10"), ("var:h.c#y", "has-type", "9"),
+                   ("var:h.c#z", "has-type", "b")])
+    result = evaluate(graph, parse_query(
+        f'SELECT ?t WHERE {{ ?v has-type ?t }} FILTER ?t {op} "{literal}"'))
+    assert sorted(row[0] for row in result.rows) == kept
+
+
 def test_empty_graph_zero_rows():
     graph = build([])
     result = evaluate(graph, parse_query("SELECT ?x WHERE { ?x calls ?y }"))
@@ -559,6 +576,22 @@ def test_missing_slot_named():
         run_template("algo-of-function", {}, template_graph(), builtin_registry())
 
 
+def test_unknown_slot_argument_named():
+    with pytest.raises(SlotError, match=r"unknown slot\(s\) \['extra'\]"):
+        run_template("algo-of-function", {"func": "func:a#f", "extra": "1"},
+                     template_graph(), builtin_registry())
+
+
+def test_template_line_with_an_unknown_slot_type_names_it_and_its_line():
+    data = "".join(json.dumps(doc) + "\n" for doc in [
+        {"name": "ok", "triggers": [], "body": "SELECT ?x WHERE { ?x calls ?y }"},
+        {"name": "bad", "triggers": [], "slots": [{"name": "s", "type": "url"}],
+         "body": 'SELECT ?x WHERE { ?x calls ?y } FILTER ?x CONTAINS "$s"'},
+    ]).encode("utf-8")
+    with pytest.raises(FormatError, match="^line 2: t.jsonl: unknown slot type 'url'$"):
+        load_registry("t.jsonl", data)
+
+
 def test_ill_typed_slot_named():
     with pytest.raises(SlotError, match="func"):
         run_template(
@@ -701,6 +734,24 @@ def test_date_and_number_slots():
     assert routed.args == {"when": "2013-03-12T00:00:00Z", "top": "5"}
     result = run_template("bugs-fixed-on", routed.args, graph, reg)
     assert result.rows == [("bug:CQ/22",)]
+
+
+@pytest.mark.parametrize("text, routed", [
+    # the number slot takes the first number left, the string slot the rest
+    ("bugs with title words 3 crash saving",
+     FreeformMatch("bugs-titled", {"top": "3", "words": "crash saving"}, 0.5)),
+    ("bugs with title words crash saving", "could not fill number slot 'top'"),
+    ("bugs fixed by developer zorro", "could not resolve entity slot 'dev'"),
+], ids=["number-and-string", "no-number", "unknown-entity"])
+def test_freeform_slot_filling(text, routed):
+    reg = builtin_registry()
+    reg.add(Template("bugs-titled", ["bugs with title words"], [("top", "number"), ("words", "string")],
+                     'SELECT ?b WHERE { ?c fixes ?b } FILTER ?b CONTAINS "$words" LIMIT $top'))
+    got = match_freeform(text, reg, LabelIndex(template_graph()))
+    if isinstance(routed, str):
+        assert isinstance(got, NoMatch) and got.reason == routed
+    else:
+        assert got == routed
 
 
 def test_date_slot_unfillable_is_structured_no_match():
