@@ -1,6 +1,12 @@
 """`ckt build`: read a project manifest, extract every knowledge source,
 link them, and write the graph directory.
 
+A repeated name resolves one way: a source file that several manifest
+roots reach is parsed once, and a comment id names a file and a start line,
+so of the comments that start on one line the first is the one the graph
+keeps.  Its association, entity, documented-by edge, stale verdict,
+concept mentions and bug grounding all come from that comment.
+
 Only `ckt build` imports this module, so a query never loads the parser,
 the history miner or the concept detectors.  The phase functions are
 called through their modules' attributes, so that a rebinding of one there
@@ -24,7 +30,7 @@ from ckt.config import (
     load_ontology,
     load_weights,
 )
-from ckt.errors import CktError, FormatError
+from ckt.errors import CktError
 from ckt.extraction import comments, cparser, traces
 from ckt.extraction.facts import load_facts
 from ckt.graph import (
@@ -40,7 +46,7 @@ from ckt.graph import (
 from ckt.model import Comment, Entity, FactSet, Relation, TraceLog
 from ckt.query.parser import is_word
 from ckt.query.templates import load_registry
-from ckt.textio import utf8_lines
+from ckt.textio import not_utf8, utf8_lines
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
 
@@ -118,7 +124,7 @@ def load_manifest(path: Path) -> ProjectManifest:
 @dataclass
 class BuildState:
     facts: FactSet = field(default_factory=FactSet)
-    comments: list[Comment] = field(default_factory=list)
+    comments: list[Comment] = field(default_factory=list)  # one per comment id
     associations: dict[str, str] = field(default_factory=dict)  # comment id -> entity id
     trace: TraceLog | None = None
     warnings: list[str] = field(default_factory=list)
@@ -148,12 +154,16 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
         state.bump("source-code", "relations", len(facts.relations))
         state.facts.merge(facts)
 
+    parsed: set[str] = set()
     for root, mode in manifest.sources:
         if mode == "facts-file":
             merge(load_facts(utf8_lines(root), name=_rel_path(root, base)))
             continue
         for file_path in _iter_source_files(root):
             rel = _rel_path(file_path, base)
+            if rel in parsed:  # another root reached it first
+                continue
+            parsed.add(rel)
             if not is_word(rel):  # ids embed the path, and an id is one query word
                 raise CktError(f"source path {rel!r} contains whitespace or one of "
                                '{};"?: no query could name its entities')
@@ -161,18 +171,25 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise FormatError(f"{rel} is not UTF-8: {exc.reason}", line) from exc
+                raise not_utf8(rel, data, exc) from exc
             lexed = cparser.lex(text)  # one pass gives the parser and the comments
             merge(cparser.parse_source(text, rel, lexed=lexed))
             file_comments = comments.extract_comments(text, rel, lexed=lexed)
-            state.comments.extend(file_comments)
             state.bump("comment", "comments", len(file_comments))
+            firsts: dict[str, Comment] = {}
+            for comment in file_comments:  # the first comment on a start line wins
+                firsts.setdefault(comment.id, comment)
+            kept = list(firsts.values())
+            state.comments.extend(kept)
             state.associations.update(
-                comments.associate_comments(file_comments, state.facts.entities_in(rel)))
+                comments.associate_comments(kept, state.facts.entities_in(rel)))
 
 
-def _comment_entities(state: BuildState) -> None:
+def _comment_entities(state: BuildState) -> int:
+    """Make each comment's entity, its documented-by edge and its stale
+    verdict; returns the stale count."""
+    stale = 0
+    code_words: dict[str, bool] = {}  # each distinct word's identifier_like verdict
     for comment in state.comments:
         attrs = {
             "style": comment.style,
@@ -180,14 +197,21 @@ def _comment_entities(state: BuildState) -> None:
         }
         attrs.update(comment.attrs)
         label = comment.text if len(comment.text) <= 60 else comment.text[:57] + "..."
-        state.facts.add_entity(
+        centity = state.facts.add_entity(
             Entity(comment.id, "comment", label, comment.span, attrs), merge=True
         )
-        entity_id = state.associations.get(comment.id)
-        if entity_id is not None and entity_id in state.facts.entities:
+        entity_id = state.associations[comment.id]
+        if entity_id in state.facts.entities:
             state.facts.add_relation(
                 Relation(entity_id, "documented-by", comment.id, comment.span.start)
             )
+        scope = _scope_identifiers(entity_id, state.facts)
+        missing = concepts.validate_comment(comment, scope, code_words)
+        stale += bool(missing)
+        centity.attrs["stale"] = "true" if missing else "false"
+        if missing:
+            centity.attrs["missing"] = " ".join(missing)
+    return stale
 
 
 _SCOPE_KINDS = ("function", "variable", "type", "class")
@@ -214,24 +238,6 @@ def _scope_identifiers(entity_id: str, facts: FactSet) -> set[str]:
     return idents
 
 
-def _validate_comments(state: BuildState) -> int:
-    """Mark each comment entity stale or fresh; returns the stale count."""
-    stale = 0
-    # ids repeat (a file listed twice, two comments on a line): the last wins
-    by_id = {c.id: c for c in state.comments}
-    code_words: dict[str, bool] = {}  # each distinct word's identifier_like verdict
-    for comment_id in sorted(by_id):
-        scope = _scope_identifiers(state.associations.get(comment_id, ""), state.facts)
-        missing = concepts.validate_comment(by_id[comment_id], scope, code_words)
-        stale += bool(missing)
-        centity = state.facts.entities.get(comment_id)
-        if centity is not None:
-            centity.attrs["stale"] = "true" if missing else "false"
-            if missing:
-                centity.attrs["missing"] = " ".join(missing)
-    return stale
-
-
 @collector_paused()
 def cmd_build(manifest_path: Path) -> int:
     """Build the graph a manifest describes, with the cyclic collector
@@ -242,7 +248,7 @@ def cmd_build(manifest_path: Path) -> int:
     state = BuildState()
 
     _extract_sources(manifest, base, state)
-    _comment_entities(state)
+    stale_comments = _comment_entities(state)
 
     if manifest.trace is not None:
         state.trace = traces.load_trace(
@@ -283,7 +289,6 @@ def cmd_build(manifest_path: Path) -> int:
     weights = load_weights(str(manifest.weights)) if manifest.weights else default_weights()
     weights.validate_against(set(concepts.feature_names(ontology)))
 
-    stale_comments = _validate_comments(state)
     graph = _build_graph(state, link_triples, ontology, weights)
 
     rank = graph.pagerank()

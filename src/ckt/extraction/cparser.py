@@ -7,6 +7,10 @@ Recognized grammar, by design rather than omission:
     comma declarator lists and initializers
   * struct / class / union / enum declarations (bodies are opaque; members
     are not extracted)
+  * one rule for a repeated name: the first declaration of a name in its
+    scope wins, so a repeated global, parameter or local declares nothing,
+    nor does a repeated aggregate definition apart from the instances
+    after it
   * call expressions by name, including thread-creation calls whose
     function-name argument is flagged ``threading=create``
   * reads and writes of resolvable variables (assignment operators and
@@ -312,7 +316,7 @@ class _FileParse:
                 i = close + 1
             elif stop == ";":
                 for decl in _parse_declaration(seg, self.known_types)[0]:
-                    self._declare_global(*decl)
+                    self._declare(self.globals, self.file_id, "", "global", *decl)
                 i = seg_end + 1
             else:
                 i = seg_end + 1
@@ -350,11 +354,12 @@ class _FileParse:
                 return j + 1  # bare forward declaration: nothing to record
             return None  # `struct S ident;` is a variable declaration
         close = _closer(toks, j)
-        kind = "class" if toks[i].text == "class" else "type"
-        tid = ids.type_id(self.path, name)
-        self._add(Entity(tid, kind, name, Span(self.path, toks[i].line, toks[close].line)))
-        self.facts.add_relation(Relation(self.file_id, "declares", tid, toks[i].line))
-        self.known_types.add(name)
+        if name not in self.known_types:  # a repeated definition declares nothing
+            self.known_types.add(name)
+            kind = "class" if toks[i].text == "class" else "type"
+            tid = ids.type_id(self.path, name)
+            self._add(Entity(tid, kind, name, Span(self.path, toks[i].line, toks[close].line)))
+            self.facts.add_relation(Relation(self.file_id, "declares", tid, toks[i].line))
         # `struct S { ... } inst1, inst2;`
         k = close + 1
         tail: list[Tok] = []
@@ -364,7 +369,8 @@ class _FileParse:
         for chunk in _split_top_level(tail, ","):
             names = [t for t in chunk if t.kind == "id"]
             if names:
-                self._declare_global(names[-1].text, f"{toks[i].text} {name}", None, names[-1].line)
+                self._declare(self.globals, self.file_id, "", "global",
+                              names[-1].text, f"{toks[i].text} {name}", None, names[-1].line)
         return k + 1 if k < len(toks) else k
 
     def _function_signature(self, seg: list[Tok], open_idx: int) -> _FuncDef | None:
@@ -400,16 +406,19 @@ class _FileParse:
             params.append((pname, ptype or "int"))
         return _FuncDef(name_tok.text, seg[0].line, seg[0].line, params, (0, 0), storage)
 
-    def _declare_global(self, name: str, type_text: str, storage: str | None, line: int) -> None:
-        vid = ids.var_id(self.path, name)
-        if name in self.globals:
+    def _declare(self, names: dict[str, str], owner: str, prefix: str, scope: str,
+                 name: str, type_text: str, storage: str | None, line: int) -> None:
+        """Declare variable `name`, which `owner` declares, in the scope whose
+        names `names` maps to variable ids; the first declaration of a name
+        in its scope wins."""
+        if name in names:
             return
-        attrs = {"scope": "global"}
+        vid = names[name] = ids.var_id(self.path, prefix + name)
+        attrs = {"scope": scope}
         if storage:
             attrs["storage"] = storage
         self._add(Entity(vid, "variable", name, Span(self.path, line, line), attrs))
-        self.globals[name] = vid
-        self.facts.add_relation(Relation(self.file_id, "declares", vid, line))
+        self.facts.add_relation(Relation(owner, "declares", vid, line))
         self.facts.add_relation(Relation(vid, "has-type", type_text, line))
 
     # -- pass 2: function bodies --------------------------------------
@@ -426,14 +435,10 @@ class _FileParse:
 
     def _scan_body(self, fn: _FuncDef) -> None:
         fid = ids.func_id(self.path, fn.name)
+        prefix = f"{fn.name}."
         local_vars: dict[str, str] = {}
         for pname, ptype in fn.params:
-            vid = ids.var_id(self.path, f"{fn.name}.{pname}")
-            self._add(Entity(vid, "variable", pname, Span(self.path, fn.start_line, fn.start_line),
-                             {"scope": "param"}))
-            local_vars[pname] = vid
-            self.facts.add_relation(Relation(fid, "declares", vid, fn.start_line))
-            self.facts.add_relation(Relation(vid, "has-type", ptype, fn.start_line))
+            self._declare(local_vars, fid, prefix, "param", pname, ptype, None, fn.start_line)
 
         body = self.toks[fn.body[0] : fn.body[1]]
         k = 0
@@ -447,24 +452,12 @@ class _FileParse:
             if not stmt:
                 continue
             if stmt[0].kind == "id" and stmt[0].text in CONTROL_KEYWORDS:
-                self._scan_expr(stmt, fid, fn, local_vars)
+                self._scan_expr(stmt, fid, local_vars)
                 continue
             decls, init = _parse_declaration(stmt, self.known_types)
-            if decls:
-                for name, type_text, storage, line in decls:
-                    if name in local_vars:
-                        continue
-                    vid = ids.var_id(self.path, f"{fn.name}.{name}")
-                    attrs = {"scope": "local"}
-                    if storage:
-                        attrs["storage"] = storage
-                    self._add(Entity(vid, "variable", name, Span(self.path, line, line), attrs))
-                    local_vars[name] = vid
-                    self.facts.add_relation(Relation(fid, "declares", vid, line))
-                    self.facts.add_relation(Relation(vid, "has-type", type_text, line))
-                self._scan_expr(init, fid, fn, local_vars)
-            else:
-                self._scan_expr(stmt, fid, fn, local_vars)
+            for decl in decls:
+                self._declare(local_vars, fid, prefix, "local", *decl)
+            self._scan_expr(init if decls else stmt, fid, local_vars)
 
     @staticmethod
     def _after_subscripts(toks: list[Tok], idx: int) -> Tok | None:
@@ -474,8 +467,7 @@ class _FileParse:
             j = _closer(toks, j) + 1
         return toks[j] if j < len(toks) else None
 
-    def _scan_expr(self, toks: list[Tok], fid: str, fn: _FuncDef,
-                   local_vars: dict[str, str]) -> None:
+    def _scan_expr(self, toks: list[Tok], fid: str, local_vars: dict[str, str]) -> None:
         for idx, t in enumerate(toks):
             if t.kind != "id":
                 continue

@@ -119,6 +119,53 @@ def test_build_mixing_facts_and_parsed_sources_matches_golden_digests(tmp_path, 
     assert digests == MIXED_DIGESTS
 
 
+def build_project(root, files, manifest):
+    """Write `files`, each a path under `root` with its text, and a manifest
+    that adds "out" to `manifest`; build it and return the out directory."""
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    (root / "manifest.json").write_text(json.dumps({**manifest, "out": "out"}), encoding="utf-8")
+    assert main(["build", "--manifest", str(root / "manifest.json")]) == 0
+    return root / "out"
+
+
+# the two comments on line 2 share the id comment:src/a.c#L2: the first is
+# fresh, mentions greedy and grounds bug 1; the second names missing_fn,
+# mentions divide (and conquer) and would ground bug 2
+TWO_ON_A_LINE = {
+    "src/a.c": "int g_count;\n"
+               "void f(void) { g_count = 1; } /* greedy bump of g_count */ /* divide missing_fn */\n",
+    "ontology.jsonl": (SCENARIO / "ontology.jsonl").read_text(encoding="utf-8"),
+    "bugs.jsonl": "".join(json.dumps(doc) + "\n" for doc in [
+        {"rec": "header", "version": 1},
+        {"id": "1", "tracker": "CQ", "title": "g_count wraps", "opened": "2015-01-01T00:00:00Z"},
+        {"id": "2", "tracker": "CQ", "title": "missing_fn aborts", "opened": "2015-01-01T00:00:00Z"},
+    ]),
+}
+
+
+def test_two_comments_on_one_line_build_from_the_first(tmp_path, capsys):
+    out = build_project(tmp_path, TWO_ON_A_LINE, {"sources": [{"path": "src"}],
+                                                  "ontology": "ontology.jsonl", "bugs": "bugs.jsonl"})
+    graph = load_graph(out)
+    comment = graph.entity("comment:src/a.c#L2")
+    assert (comment.label, comment.attrs["tokens"]) == ("greedy bump of g_count", "greedy bump g_count")
+    assert comment.attrs["stale"] == "false" and "missing" not in comment.attrs
+    f = "func:src/a.c#f"
+    assert [key for key in graph.triples() if key[1] in ("mentions", "touches")] == [
+        ("bug:CQ/1", "touches", f), (f, "mentions", "concept:greedy")]
+    assert len(graph.sources((f, "documented-by", comment.id))) == 1
+
+
+def test_a_file_two_roots_reach_builds_as_under_one_root(tmp_path, capsys):
+    files = {"src/a.c": "// writes g\nint g;\nvoid f(void) { g = 1; }\n"}
+    one = build_project(tmp_path / "one", files, {"sources": [{"path": "src"}]})
+    two = build_project(tmp_path / "two", files, {"sources": [{"path": "src"}, {"path": "src/a.c"}]})
+    assert {p.name: p.read_bytes() for p in two.iterdir()} == {
+        p.name: p.read_bytes() for p in one.iterdir()}
+
+
 def test_closed_stdout_exits_1_without_traceback(tmp_path):
     shutil.copytree(SCENARIO, tmp_path / "p")
     read_end, write_end = os.pipe()

@@ -318,7 +318,16 @@ A = "file:a.c"
     # a typedef that never closes runs to the end of the file
     ("int h;\ntypedef struct { int a;\nint g;\nvoid f() { g = 1; }\n",
      [(A, "declares", "var:a.c#h", 1, {}), ("var:a.c#h", "has-type", "int", 1, {})]),
-], ids=["aggregate-instances", "member-access", "repeated-global", "unclosed-typedef"])
+    # so does a repeated parameter, and a local never hides a parameter
+    ("void f(int a, char *a) {\n  int a;\n  a = 0;\n}\n",
+     [(A, "declares", F, 1, {}), (F, "declares", "var:a.c#f.a", 1, {}),
+      ("var:a.c#f.a", "has-type", "int", 1, {}), (F, "writes", "var:a.c#f.a", 3, {})]),
+    # a repeated aggregate definition declares nothing, its instances still
+    ("struct S {int a;};\nstruct S {int b;} inst;\n",
+     [(A, "declares", "type:a.c#S", 1, {}),
+      (A, "declares", "var:a.c#inst", 2, {}), ("var:a.c#inst", "has-type", "struct S", 2, {})]),
+], ids=["aggregate-instances", "member-access", "repeated-global", "unclosed-typedef",
+        "repeated-parameter", "repeated-aggregate"])
 def test_grammar_branch_relations(src, relations):
     assert in_order(parse_source(src, "a.c"))[1] == relations
 
