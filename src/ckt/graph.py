@@ -61,6 +61,9 @@ PREDICATES = frozenset(
 # Predicates whose object is a literal string rather than an entity id.
 LITERAL_PREDICATES = frozenset(["has-type"])
 
+# What joins the search fields of a value into its search text
+SEARCH_SEPARATOR = "\0"
+
 
 def call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
     """Caller -> callees, sorted and without duplicates, from (caller,
@@ -171,6 +174,7 @@ class KnowledgeGraph:
         sources: dict[Key, list[Provenance] | str],
         ranks: dict[str, float] | None = None,
         spo: list[Key] | None = None,
+        lines: list[Key] | None = None,
     ):
         """The graph owns `entities` and `sources` (the table of every
         triple's key and the sources that asserted it), which no one may
@@ -178,12 +182,15 @@ class KnowledgeGraph:
         text of its triples.tsv line, decoded by `sources()` on first use.
         `ranks`, when given, are the default-parameter PageRank scores of
         this graph, as `save_graph` persisted them; `spo`, when given, is
-        every key of `sources` in ascending order."""
+        every key of `sources` in ascending order; `lines`, when given, is
+        the key of each line of the triples.tsv that the JSON texts come
+        from, if that is not `spo`."""
         self.entities = entities
         self._sources = sources
         self._spo = sorted(sources) if spo is None else spo
+        self._lines = self._spo if lines is None else lines
         self._rank_cache = ranks
-        self._folded: dict[str, tuple[str, tuple[str, ...]]] = {}
+        self._search_texts: dict[str, str] = {}
 
     # The OSP and POS indexes hold the SPO keys themselves, put in order on
     # first use, so a graph that is only looked up by subject never pays
@@ -224,25 +231,33 @@ class KnowledgeGraph:
         """The sources that asserted the triple `key`, in the order they
         did; KeyError when the graph lacks it.  A loaded graph keeps each
         list as its line's JSON text, decoded here once: a bad list raises
-        FormatError with that line, the key's place in SPO order."""
+        FormatError with that line of the loaded triples.tsv."""
         provs = self._sources[key]
         if isinstance(provs, str):
-            lineno = bisect.bisect_left(self._spo, key) + 1
+            lineno = bisect.bisect_left(self._lines, key) + 1
             provs = self._sources[key] = _provenance_list(provs, lineno)
         return provs
 
-    def folded(self, entity_id: str) -> tuple[str, tuple[str, ...]] | None:
-        """The entity's label and each `key=value` of its attributes, lower
-        cased, for case-blind matching; None for an unknown id.  Each
-        entity's pair is made on first use and kept."""
-        folded = self._folded.get(entity_id)
-        if folded is None:
-            entity = self.entities.get(entity_id)
-            if entity is None:
-                return None
-            folded = self._folded[entity_id] = (
-                entity.label.lower(), tuple(f"{k}={v}".lower() for k, v in entity.attrs.items()))
-        return folded
+    def search_fields(self, value: str) -> list[str]:
+        """What FILTER ... CONTAINS looks in for `value`, each lower-cased
+        on its own: the value, and for an entity also its label and each
+        `key=value` of its attributes."""
+        entity = self.entities.get(value)
+        if entity is None:
+            return [value.lower()]
+        return [value.lower(), entity.label.lower(),
+                *(f"{k}={v}".lower() for k, v in entity.attrs.items())]
+
+    def search_text(self, value: str) -> str:
+        """The search fields of `value` joined by SEARCH_SEPARATOR, so a
+        needle without that character is in the text exactly when it is in
+        some field.  Each entity's text is made on first use and kept."""
+        text = self._search_texts.get(value)
+        if text is None:
+            text = SEARCH_SEPARATOR.join(self.search_fields(value))
+            if value in self.entities:
+                self._search_texts[value] = text
+        return text
 
     def rank_table(self) -> Mapping[str, float]:
         """The default-parameter PageRank scores in ascending id order,
@@ -404,10 +419,11 @@ class KnowledgeGraph:
                 break
             reached |= frontier
         entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
-        sources = {key: self.sources(key)
+        # each key's sources as this graph holds them, decoded or not
+        sources = {key: self._sources[key]
                    for s in entities for key in self.match(s, None, None)
                    if key[1] not in LITERAL_PREDICATES and key[2] in entities}
-        return KnowledgeGraph(entities, sources, spo=list(sources))
+        return KnowledgeGraph(entities, sources, spo=list(sources), lines=self._lines)
 
 
 # -- persistence ---------------------------------------------------------

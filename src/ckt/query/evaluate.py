@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import itemgetter
 
-from ckt.graph import KnowledgeGraph
+from ckt.graph import SEARCH_SEPARATOR, KnowledgeGraph
 from ckt.model import Record
 from ckt.query.parser import VAR, FilterClause, QueryAST
 from ckt.textio import parse_timestamp
@@ -88,7 +88,11 @@ def _filtered(graph: KnowledgeGraph, fl: FilterClause, rows: list[tuple[str, ...
     """The rows whose value in `slot` passes the filter."""
     if fl.op == "CONTAINS":
         needle = fl.literal.lower()  # once per filter, not once per row
-        return [row for row in rows if _contains(graph, row[slot], needle)]
+        if SEARCH_SEPARATOR in needle:  # it could match across two fields
+            return [row for row in rows
+                    if any(needle in field for field in graph.search_fields(row[slot]))]
+        text = graph.search_text
+        return [row for row in rows if needle in text(row[slot])]
     return [row for row in rows if _passes(graph, fl, row[slot])]
 
 
@@ -100,18 +104,6 @@ def _timestamp_of(graph: KnowledgeGraph, value: str) -> str | None:
         if key in entity.attrs:
             return entity.attrs[key]
     return None
-
-
-def _contains(graph: KnowledgeGraph, value: str, needle: str) -> bool:
-    """Whether the lower-cased `needle` is in the value, or in the label or
-    a `key=value` attribute of the entity it names, each lower-cased."""
-    if needle in value.lower():
-        return True
-    folded = graph.folded(value)
-    if folded is None:
-        return False
-    label, attrs = folded
-    return needle in label or any(needle in attr for attr in attrs)
 
 
 def _passes(graph: KnowledgeGraph, fl: FilterClause, value: str) -> bool:

@@ -78,19 +78,37 @@ _COUNT = re.compile(r"-?[0-9]+")
 _Token = tuple[str, str, int]  # kind ("punct" | "string" | "var" | "word" | "end"), text, offset
 
 
+class _Unbound(str):
+    """The text of a word or a literal that holds a `$slot`."""
+
+
+class _Hole(int):
+    """The place in a parsed query of the value read from the nth unbound
+    text, which binding fills."""
+
+
+class _SlotKeyword(Exception):
+    """An unbound text stands where a keyword may: its value decides the
+    parse."""
+
+
 def is_word(text: str) -> bool:
     """True when the lexer reads all of `text` as one word token."""
     return _WHOLE_WORD.fullmatch(text) is not None
 
 
-def _lex(text: str, values: dict[str, str] | None) -> list[_Token]:
-    """All tokens of `text`, then an end token at its length.  Each `$name`
-    in a word or a literal is bound to `values[name]` in one pass."""
-    def bind(token: str) -> str:
-        if not values:
-            return token
-        return _SLOT.sub(lambda m: values.get(m.group(1), m.group()), token)
+def _bind(text: str, values: dict[str, str]) -> str:
+    """`text` with each `$name` bound to `values[name]` in one pass."""
+    return _SLOT.sub(lambda m: values.get(m.group(1), m.group()), text)
 
+
+def _unbound(text: str) -> str:
+    return _Unbound(text) if "$" in text and _SLOT.search(text) else text
+
+
+def _lex(text: str) -> list[_Token]:
+    """All tokens of `text`, then an end token at its length.  A word or a
+    literal that holds a `$slot` has an _Unbound text."""
     toks: list[_Token] = []
     for m in _TOKEN.finditer(text):
         kind, tok, offset = m.lastgroup, m.group(), m.start()
@@ -101,18 +119,55 @@ def _lex(text: str, values: dict[str, str] | None) -> list[_Token]:
                 raise QueryError("'?' must be followed by a variable name", offset)
             tok = tok[1:]
         elif kind == "string":
-            tok = bind(_ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), tok[1:-1]))
+            tok = _unbound(_ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), tok[1:-1]))
         elif kind == "word":
-            tok = bind(tok)
+            tok = _unbound(tok)
         toks.append((kind, tok, offset))
     toks.append(("end", "", len(text)))
     return toks
 
 
+# Readers of a word or a literal's text, which raise QueryError at the
+# token's offset where the grammar rejects it
+
+def _text(text: str, offset: int) -> str:
+    return text
+
+
+def _predicate(word: str, offset: int) -> str:
+    if word not in PREDICATES:
+        raise QueryError(f"unknown predicate {word!r}", offset)
+    return word
+
+
+def _operator(word: str, offset: int) -> str:
+    if word.upper() not in FILTER_OPS:
+        raise QueryError(f"unknown filter operator {word!r}", offset)
+    return word.upper()
+
+
+def _count(word: str, offset: int) -> int:
+    if not _COUNT.fullmatch(word):
+        raise QueryError("LIMIT needs an integer", offset)
+    count = int(word)
+    if count < 0:
+        raise QueryError("LIMIT must be >= 0", offset)
+    return count
+
+
 class _Parser:
-    def __init__(self, text: str, values: dict[str, str] | None):
-        self.toks = _lex(text, values)
+    def __init__(self, toks: list[_Token]):
+        self.toks = toks
         self.pos = 0
+        self.holes: list[tuple[str, int, object]] = []  # (unbound text, offset, reader)
+
+    def _read(self, text: str, offset: int, reader):
+        """reader(text, offset), or for an unbound text the hole that
+        binding fills with reader(bound text, offset)."""
+        if type(text) is not _Unbound:
+            return reader(text, offset)
+        self.holes.append((text, offset, reader))
+        return _Hole(len(self.holes) - 1)
 
     def _peek(self) -> _Token:
         return self.toks[self.pos]
@@ -126,6 +181,8 @@ class _Parser:
 
     @staticmethod
     def _keyword(tok: _Token) -> str | None:
+        if type(tok[1]) is _Unbound:
+            raise _SlotKeyword
         word = tok[1].upper()
         return word if tok[0] == "word" and word in _KEYWORDS else None
 
@@ -155,11 +212,9 @@ class _Parser:
                 filters.append(self._filter())
             elif kw == "LIMIT":
                 kind, num, offset = self._next("a number after LIMIT")
-                if kind != "word" or not _COUNT.fullmatch(num):
+                if kind != "word":
                     raise QueryError("LIMIT needs an integer", offset)
-                limit = int(num)
-                if limit < 0:
-                    raise QueryError("LIMIT must be >= 0", offset)
+                limit = self._read(num, offset, _count)
             else:
                 raise QueryError(f"unexpected token {tok[1]!r}", tok[2])
         ast = QueryAST(tuple(select), tuple(patterns), tuple(filters), limit)
@@ -189,11 +244,10 @@ class _Parser:
         if kind == "string":
             if position != "object":
                 raise QueryError(f"literal not allowed in {position} position", offset)
-            return Term(LITERAL, tok)
+            return Term(LITERAL, self._read(tok, offset, _text))
         if kind == "word":
-            if position == "predicate" and tok not in PREDICATES:
-                raise QueryError(f"unknown predicate {tok!r}", offset)
-            return Term(IRI, tok)
+            reader = _predicate if position == "predicate" else _text
+            return Term(IRI, self._read(tok, offset, reader))
         raise QueryError(f"unexpected token {tok!r} in {position} position", offset)
 
     def _filter(self) -> FilterClause:
@@ -203,14 +257,13 @@ class _Parser:
         kind, op, offset = self._next("a filter operator")
         if kind != "word":
             raise QueryError("filter operator must be a bare word", offset)
-        if op.upper() not in FILTER_OPS:
-            raise QueryError(f"unknown filter operator {op!r}", offset)
+        op = self._read(op, offset, _operator)
         kind, literal, offset = self._next("a filter literal")
         if kind == "var":
             raise QueryError("filter literal may not be a variable", offset)
         if kind not in ("word", "string"):
             raise QueryError("filter literal must be a word or a quoted string", offset)
-        return FilterClause(var, op.upper(), literal)
+        return FilterClause(var, op, self._read(literal, offset, _text))
 
 
 def _validate(ast: QueryAST) -> None:
@@ -225,13 +278,60 @@ def _validate(ast: QueryAST) -> None:
             raise QueryError(f"filtered variable ?{fl.var} is unbound (appears in no pattern)")
 
 
+class PreparedQuery:
+    """Query text parsed once, for any values of its template slots.
+
+    A word or a literal that holds a `$slot` is parsed as a hole, and what
+    the grammar asks of its text (a known predicate or filter operator, a
+    LIMIT count) is checked once the hole is bound, in parse order and
+    before any error that the parse met after it.  Where such a text
+    stands in a keyword's place, its value decides the parse, so each
+    binding parses the tokens again."""
+
+    def __init__(self, text: str):
+        self.ast: QueryAST | None = None
+        self.error: QueryError | None = None
+        self.holes: list = []
+        self.toks: list[_Token] | None = None
+        try:
+            parser = _Parser(_lex(text))
+            self.holes = parser.holes
+            self.ast = parser.parse()
+        except QueryError as exc:
+            self.error = exc
+        except _SlotKeyword:
+            self.toks = parser.toks
+
+    def bind(self, values: dict[str, str]) -> QueryAST:
+        """The query with each `$name` bound to `values[name]`; a name
+        without a value stays as it is written."""
+        if self.toks is not None:
+            return _Parser([(kind, _bind(text, values) if type(text) is _Unbound else text, offset)
+                            for kind, text, offset in self.toks]).parse()
+        filled = [reader(_bind(text, values), offset) for text, offset, reader in self.holes]
+        if self.error is not None:
+            raise self.error.with_traceback(None)
+        ast = self.ast
+        if not filled:
+            return ast
+
+        def fill(value):
+            return filled[value] if type(value) is _Hole else value
+
+        return QueryAST(
+            ast.select,
+            tuple(TriplePattern(*(Term(t.kind, fill(t.value)) for t in p)) for p in ast.patterns),
+            tuple(FilterClause(f.var, fill(f.op), fill(f.literal)) for f in ast.filters),
+            fill(ast.limit))
+
+
 def parse_query(text: str, values: dict[str, str] | None = None) -> QueryAST:
     """Parse query text; syntax errors carry the character offset.
 
     `values` binds template slots: each `$name` inside a word or a literal
     becomes `values[name]` after the text is split into tokens, so a value
     never adds or ends a token and is never substituted again."""
-    return _Parser(text, values).parse()
+    return PreparedQuery(text).bind(values or {})
 
 
 def _quote(value: str) -> str:

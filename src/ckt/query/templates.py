@@ -20,7 +20,7 @@ from ckt.errors import FormatError, NotFoundError, SlotError
 from ckt.graph import KnowledgeGraph
 from ckt.model import Record
 from ckt.query.evaluate import ResultSet, evaluate
-from ckt.query.parser import is_word, parse_query
+from ckt.query.parser import PreparedQuery, is_word
 from ckt.textio import as_text, as_texts, json_records, parse_timestamp, utf8_lines
 
 JACCARD_THRESHOLD = 0.4
@@ -33,7 +33,7 @@ _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 class Template(Record):
-    # no __slots__: the trigger token sets are cached in __dict__
+    # no __slots__: the trigger token sets and the parsed body are cached in __dict__
     _fields = ("name", "triggers", "slots", "body")
 
     def __init__(self, name: str, triggers: list[str], slots: list[tuple[str, str]], body: str):
@@ -46,6 +46,11 @@ class Template(Record):
     def trigger_token_sets(self) -> list[frozenset[str]]:
         """Each trigger's normalized tokens, computed on first use."""
         return [frozenset(normalize_tokens(t)) for t in self.triggers]
+
+    @cached_property
+    def query(self) -> PreparedQuery:
+        """The body, parsed on first use."""
+        return PreparedQuery(self.body)
 
 
 class TemplateRegistry(Record):
@@ -181,7 +186,7 @@ def run_template(
     graph: KnowledgeGraph,
     registry: TemplateRegistry,
 ) -> ResultSet:
-    """Bind a template's slots inside the tokens of its body and evaluate it."""
+    """Bind a template's slots into its parsed body and evaluate it."""
     template = registry.get(name)
     values: dict[str, str] = {}
     for slot_name, slot_type in template.slots:
@@ -191,7 +196,7 @@ def run_template(
     extra = sorted(set(args) - {s for s, _ in template.slots})
     if extra:
         raise SlotError(f"unknown slot(s) {extra} for template {name!r}")
-    return evaluate(graph, parse_query(template.body, values))
+    return evaluate(graph, template.query.bind(values))
 
 
 class FreeformMatch(Record):

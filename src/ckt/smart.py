@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import chain
 
 from ckt import ids
 from ckt.config import normalize_tokens
@@ -279,37 +280,50 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     process keeps across responses.  Only the ALERT_CAP alerts first by
     (-score, kind, subject) are kept.
 
-    The rules run in the tiers of _TIERS.  Each visits the entities of the
-    rows in row order: those of the kinds its rule can alert on, when it
-    names them, or else every one.  Once ALERT_CAP held alerts sort
-    strictly before the first key the next tier could give, no later tier
-    can change the answer, and none runs.  An exception in a rule drops
-    every alert its entity holds from the tiers that ran, skips the entity
-    in later tiers and adds a warning alert with score 0.0; a tier that
-    never runs cannot raise.
+    The rules run in the tiers of _TIERS.  Each visits only its
+    candidates among the entities of the rows: those of the kinds its rule
+    can alert on, or those with a stale comment.  Once ALERT_CAP held
+    alerts sort strictly before the first key the next tier could give, no
+    later tier can change the answer, and none runs.  An exception in a
+    rule drops every alert its entity holds from the tiers that ran, skips
+    the entity in later tiers and adds a warning alert with score 0.0; a
+    tier that never runs cannot raise.  Only one entity's alerts can tie
+    on (-score, kind, subject), so the order in which a tier visits the
+    entities does not change the answer.
     """
-    graph = ctx.graph
-    # each entity of the rows, in row order -> the alerts it holds
-    held: dict[str, list[SmartAlert]] = {eid: [] for eid in dict.fromkeys(
-        value for row in result.rows for value in row if value in graph.entities)}
+    entities = ctx.graph.entities
+    values = dict.fromkeys(chain.from_iterable(result.rows))
+    by_kind: dict[str, list[Entity]] = {}  # the entities of the rows, in row order, by kind
+    for value in values:
+        entity = entities.get(value)
+        if entity is not None:
+            by_kind.setdefault(entity.kind, []).append(entity)
+    alerts: list[SmartAlert] = []  # each alert's subject is the entity that holds it
+    failed: set[str] = set()
     warnings: list[SmartAlert] = []
     dynamic: dict[str, SmartAlert] = {}  # the first tier's dynamic races, for mutex advice
     for first_key, tier, kinds in _TIERS:
-        if sum(_alert_key(a) < first_key for alerts in held.values() for a in alerts) >= ALERT_CAP:
+        if sum(_alert_key(a) < first_key for a in alerts) >= ALERT_CAP:
             break
-        for eid, alerts in list(held.items()):
-            entity = graph.entities[eid]
-            if kinds is not None and entity.kind not in kinds:
+        if kinds is None:  # the stale-comment tier, which builds no index for no entity
+            stale = ctx.stale_comments if by_kind else {}
+            candidates = [entities[value] for value in values if value in stale]
+        else:
+            candidates = [e for kind in kinds for e in by_kind.get(kind, ())]
+        for entity in candidates:
+            eid = entity.id
+            if eid in failed:
                 continue
             try:
                 alerts.extend(tier(ctx, entity, dynamic))
             except Exception as exc:  # degrade, never fail the query
-                del held[eid]
+                failed.add(eid)
+                alerts = [a for a in alerts if a.subject != eid]
                 warnings.append(
                     SmartAlert("warning", eid, ["rule-dispatch"],
                                f"augmentation failed for {eid}: {exc}", 0.0)
                 )
-    alerts = [a for entity_alerts in held.values() for a in entity_alerts] + warnings
+    alerts += warnings
     alerts.sort(key=_alert_key)
     return ResultSet(result.columns, result.rows, alerts[:ALERT_CAP])
 
@@ -406,13 +420,13 @@ def _provenance(ctx: AugmentContext, entity: Entity,
 # The tiers in falling order of the first key (-score, kind, subject) an
 # alert of theirs can have: the rule scores above, the best kind at the
 # highest score and the empty subject.  Each tier names the entity kinds
-# its rule can alert on, or None for every kind, and calls its rules by
-# their module names when it runs.
+# its rule can alert on, or None for the stale-comment tier, which visits
+# the entities with a stale comment; it calls its rules by their module
+# names when it runs.
 _TIERS = (
     ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects,  # similar defects at most 1.0
-     frozenset(["variable", "bug"])),
-    ((-0.9, "race-static", ""), _static_races, frozenset(["variable"])),  # mutex advice at 0.85
+     ("variable", "bug")),
+    ((-0.9, "race-static", ""), _static_races, ("variable",)),  # mutex advice at 0.85
     ((-0.5, "stale-comment", ""), _stale_comments, None),
-    ((-0.3, "provenance", ""), _provenance,
-     frozenset(["function", "variable", "file", "type", "class"])),
+    ((-0.3, "provenance", ""), _provenance, ("function", "variable", "file", "type", "class")),
 )

@@ -534,6 +534,33 @@ def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path,
     assert exc.value.line == data.count(b"\n") and name in str(exc.value)
 
 
+def test_a_neighborhood_decodes_sources_as_the_loaded_graph_and_names_their_line(
+        scenario_dir, tmp_path):
+    """A neighborhood of a loaded graph copies each key's undecoded sources:
+    they decode to the loaded graph's lists, and a bad one raises with its
+    line in triples.tsv, not with the key's place in the subgraph."""
+    out = copy_graph(scenario_dir, tmp_path)
+    loaded = load_graph(out)
+    node = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
+    keys = list(loaded.neighborhood(node, 2).triples())
+    assert len(keys) > 2
+    sub = loaded.neighborhood(node, 2)
+    assert [sub.sources(k) for k in keys] == [loaded.sources(k) for k in keys]
+
+    key = keys[-1]
+    lineno = list(loaded.triples()).index(key) + 1
+    assert lineno != len(keys)
+    edit_field(lineno - 1, 3, "[{")(lines := (out / TRIPLES_FILE).read_text(
+        encoding="utf-8").split("\n")[:-1])
+    (out / TRIPLES_FILE).write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
+    write_manifest(out)
+    sub = load_graph(out).neighborhood(node, 2)
+    assert [sub.sources(k) for k in keys[:-1]] == [loaded.sources(k) for k in keys[:-1]]
+    with pytest.raises(FormatError) as exc:
+        sub.sources(key)
+    assert exc.value.line == lineno and TRIPLES_FILE in str(exc.value)
+
+
 # -- changed and torn directories ------------------------------------------------
 
 

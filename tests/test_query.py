@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckt.errors import FormatError, NotFoundError, QueryError, SlotError
-from ckt.graph import GraphBuilder, Provenance
+from ckt.graph import SEARCH_SEPARATOR, GraphBuilder, Provenance
 from ckt.model import Entity
 from ckt.query.evaluate import evaluate, rank_results
 from ckt.query.parser import (
@@ -288,8 +288,10 @@ def test_static_filter_matches_attrs():
 
 # text whose lower case differs in length or depends on its neighbours:
 # final sigma, dotted and dotless I, sharp s, a ligature, titlecase digraphs,
-# and letters outside the basic plane
-_FOLD_TEXT = st.text(st.sampled_from("aAz=Σσςİıßẞﬁǅǆ\U00010400\U00010428 ")
+# and letters outside the basic plane; and the separator of the search
+# text, LF and NUL
+_FOLD_TEXT = st.text(st.sampled_from("aAz=Σσςİıßẞﬁǅǆ\U00010400\U00010428 \n\0"
+                                     + SEARCH_SEPARATOR)
                      | st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 
@@ -313,18 +315,27 @@ def test_contains_filter_equals_the_per_binding_fold(labelled, data):
     entities = [Entity(f"var:h.c#v{i}", "variable", label, None, attrs)
                 for i, (label, attrs) in enumerate(labelled)]
     graph = build([("func:h.c#f", "writes", e.id) for e in entities], entities)
-    # a needle cut from a label or an attribute, its case changed, or any text
+    # a needle cut from a label or an attribute, or spanning two fields of
+    # an entity's search text with the separator between them, its case
+    # changed, or any text
     texts = [label for label, _ in labelled]
     texts += [f"{k}={v}" for _, attrs in labelled for k, v in attrs.items()]
     text = data.draw(st.sampled_from(texts))
     start = data.draw(st.integers(0, len(text)))
     cut = text[start:data.draw(st.integers(start, len(text)))]
-    needle = data.draw(st.sampled_from([cut, cut.upper(), cut.lower(), cut.swapcase()])
-                       | _FOLD_TEXT)
+    entity = data.draw(st.sampled_from(entities))
+    fields = [entity.id, entity.label, *(f"{k}={v}" for k, v in entity.attrs.items())]
+    at = data.draw(st.integers(0, len(fields) - 2))
+    left, right = fields[at], fields[at + 1]
+    span = (left[data.draw(st.integers(0, len(left))):] + SEARCH_SEPARATOR
+            + right[:data.draw(st.integers(0, len(right)))])
+    needle = data.draw(st.sampled_from([cut, span]).flatmap(
+        lambda piece: st.sampled_from([piece, piece.upper(), piece.lower(), piece.swapcase()]))
+        | _FOLD_TEXT)
     ast = QueryAST(("v",), (TriplePattern(Term(VAR, "f"), Term(IRI, "writes"), Term(VAR, "v")),),
                    (FilterClause("v", "CONTAINS", needle),))
     expected = sorted(e.id for e in entities if per_binding_contains(graph, e.id, needle))
-    for _ in range(2):  # the second pass reads the folded strings the first one kept
+    for _ in range(2):  # the second pass reads the search texts the first one kept
         assert sorted(row[0] for row in evaluate(graph, ast).rows) == expected
 
 
@@ -564,6 +575,42 @@ def test_bugs_affecting_template():
         "bugs-affecting-function", {"func": "func:a#f"}, graph, builtin_registry()
     )
     assert result.rows == [("bug:CQ/9",)]
+
+
+# bodies with a slot where the grammar reads its text: a predicate, a filter
+# operator, a LIMIT count, a keyword's place, a token after the last clause;
+# some also with an error after the slot
+SLOT_BODIES = [
+    "SELECT ?x WHERE { ?x $p ?y }",
+    'SELECT ?x WHERE { ?x calls ?y } FILTER ?x $op "$s"',
+    "SELECT ?x WHERE { ?x calls ?y } LIMIT $n",
+    "SELECT ?x WHERE { ?x calls ?y } LIMIT $n LIMIT",
+    'SELECT ?x WHERE { ?x calls ?y } $kw ?x CONTAINS "a"',
+    "$kw ?x WHERE { ?x calls ?y }",
+    "SELECT ?x $kw { ?x calls ?y }",
+    'SELECT ?x WHERE { ?x $p ?y } "$s"',
+    'SELECT ?z WHERE { $s $p "$s" } FILTER ?x = $s',
+    'SELECT ?x WHERE { $s $p ?x ; ?x $p }',
+]
+TEMPLATE_VALUES = [*SLOT_VALUES, "FILTER", "limit", "where", "contains", "writes", "-1", "1.5",
+                   "7", '"$s"']
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([t.body for t in builtin_registry().templates] + SLOT_BODIES),
+       st.lists(st.dictionaries(st.sampled_from(["func", "dev", "concept", "s", "p", "op", "n",
+                                                 "kw"]),
+                                st.sampled_from(TEMPLATE_VALUES) | st.text(max_size=6)),
+                min_size=1, max_size=4))
+def test_a_body_parsed_once_binds_as_the_parser_reads_the_bound_text(body, bindings):
+    """One parsed body, bound to each drawn set of slot values in turn,
+    gives what parse_query and the reference parser give for the body and
+    those values: the AST, or the error message and offset."""
+    template = Template("t", [], [], body)
+    for values in bindings:
+        bound = parse_outcome(lambda _, values: template.query.bind(values), body, values)
+        assert bound == parse_outcome(parse_query, body, values)
+        assert bound == parse_outcome(reference_parse_query, body, values)
 
 
 def test_unknown_template_not_found():

@@ -465,3 +465,52 @@ def test_tier_kinds_stay_in_step_with_the_rules_on_drawn_graphs(triples, traced)
     graph = build(sorted(triples), KINDS_ENTITIES)
     events = [TraceEvent(1, 1, "write", "var:a.c#g"), TraceEvent(2, 2, "read", "var:a.c#g")]
     check_tier_kinds(graph, trace(events) if traced else None)
+
+
+# -- visit order ------------------------------------------------------------------
+
+
+def failing_for(failing, rule):
+    """`rule`, raising for the entities in `failing` (its second argument)."""
+    def wrapped(first, eid, *rest):
+        if eid in failing:
+            raise RuntimeError("rule failed")
+        return rule(first, eid, *rest)
+    return wrapped
+
+
+@st.composite
+def alerting_graphs(draw):
+    """The tier-kinds graph with some of its triples, or n racing globals."""
+    if draw(st.booleans()):
+        graph = build(sorted(draw(st.sets(st.sampled_from(KINDS_TRIPLES)))), KINDS_ENTITIES)
+        events = [TraceEvent(1, 1, "write", "var:a.c#g"), TraceEvent(2, 2, "read", "var:a.c#g")]
+        return graph, trace(events) if draw(st.booleans()) else None
+    graph, log, _ = racing_globals_graph(draw(st.integers(1, 13)))
+    return graph, log
+
+
+@settings(max_examples=150, deadline=None)
+@given(alerting_graphs(), st.data())
+def test_augment_on_permuted_rows_equals_the_per_response_oracle(drawn, data):
+    """Visiting the entities in any order gives the oracle's alerts at every
+    cap, also when the first tier's rules raise for some entities."""
+    import oracles
+
+    graph, log = drawn
+    values = st.sampled_from([*sorted(graph.entities), "a literal"])
+    rows = data.draw(st.lists(st.tuples(values, values), max_size=16))
+    permuted = data.draw(st.permutations(rows))
+    failing = data.draw(st.sets(st.sampled_from(sorted(
+        eid for eid, e in graph.entities.items() if e.kind in ("bug", "variable")))))
+    cap = data.draw(st.sampled_from([1, 10, 11, 1000, 10**6]))
+    with patch.object(smart, "similar_defects", failing_for(failing, smart.similar_defects)), \
+            patch.object(smart, "race_alert_dynamic",
+                         failing_for(failing, smart.race_alert_dynamic)), \
+            patch.object(oracles, "brute_similar_defects",
+                         failing_for(failing, oracles.brute_similar_defects)), \
+            patch.object(oracles, "lockset_race", failing_for(failing, lockset_race)):
+        expected = augment_per_response(ResultSet(("a", "b"), rows), graph, log, cap=cap).alerts
+        with patch.object(smart, "ALERT_CAP", cap):
+            assert augment(ResultSet(("a", "b"), permuted), AugmentContext(graph, log)).alerts \
+                == expected
