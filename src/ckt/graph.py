@@ -3,18 +3,20 @@ and flat-file persistence.
 
 A triple is its key, the tuple (subject, predicate, object).  The graph
 holds the keys once, in one provenance table (key -> the sources that
-asserted it), and sorts them into SPO, POS and OSP indexes; a lookup
-yields keys straight from an index.  Triples are set-valued: re-inserting
-an existing triple appends provenance.  After ``finalize()`` the graph is
-immutable and safe for concurrent readers.
+asserted it), sorted into SPO; OSP and each predicate's list are sorted on
+first use, and a lookup yields keys straight from one of them.  Triples
+are set-valued: re-inserting an existing triple appends provenance.
+After ``finalize()`` the graph is immutable and safe for concurrent
+readers.
 
 PageRank, triangle counts and neighbourhoods run on the dense-id core
 that README.md describes under "Graph storage".
 
-A graph directory ends with graph.json, the SHA-256 of each of its other
-files: save_graph writes it last, and load_graph reads a directory only
-with it, parses each line as save_graph writes it and then checks each
-file against its digest.
+A graph directory ends with graph.json: format 2, the BLAKE2b digest of
+each of its other files.  save_graph streams each file, in chunks of
+lines, into a temporary file and its digest at once, and writes graph.json
+last; load_graph reads a directory only with it, parses each line as
+save_graph writes it and then checks each file against its digest.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ import io
 import json
 import math
 import os
-from collections.abc import Iterable, Mapping
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
+from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -39,16 +44,10 @@ from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
 from ckt.textio import json_value, not_utf8
 
-# The interpreter's own SHA-256, in _sha2 from Python 3.12 and in _sha256
-# before: hashlib's, from OpenSSL, hashes faster but adds about 4 MB of
-# resident memory to each process that imports it.
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:  # an interpreter built without it
-        from hashlib import sha256 as _sha256
+# The interpreter's own BLAKE2b, the same module on Python 3.10 to 3.13; it
+# hashes two to three times as fast as its SHA-256, and unlike hashlib's
+# OpenSSL hashes it adds no 4 MB of resident memory to each process.
+from _blake2 import blake2b as _blake2b
 
 PREDICATES = frozenset(
     [
@@ -166,7 +165,7 @@ class GraphBuilder:
 
 
 class KnowledgeGraph:
-    """Immutable triple collection with SPO/POS/OSP indexes."""
+    """Immutable triple collection with SPO, OSP and per-predicate indexes."""
 
     def __init__(
         self,
@@ -191,23 +190,35 @@ class KnowledgeGraph:
         self._lines = self._spo if lines is None else lines
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
+        self._pos_lists: dict[str, list[Key]] = {}
 
-    # The OSP and POS indexes hold the SPO keys themselves, put in order on
-    # first use, so a graph that is only looked up by subject never pays
-    # for them.  A stable sort of SPO by object leaves OSP in (o, s, p)
-    # order; bucketing OSP by predicate leaves each POS list in (o, s)
-    # order.
+    # OSP and the per-predicate lists hold the SPO keys themselves, put in
+    # order on first use, so a graph that is only looked up by subject pays
+    # for none of them, and one looked up by predicate sorts only the
+    # predicates it reads.  A stable sort of SPO by object leaves OSP in
+    # (o, s, p) order; one pass buckets SPO by predicate, each bucket in
+    # (s, o) order, and a stable sort of a bucket by object leaves its list
+    # in (o, s) order.  Each list is whole before it is stored, so readers
+    # that race on a first lookup sort equal lists and any one may be kept.
 
     @cached_property
     def _osp(self) -> list[Key]:
         return sorted(self._spo, key=_OBJECT)
 
     @cached_property
-    def _pos(self) -> dict[str, list[Key]]:
-        pos: dict[str, list[Key]] = {}
-        for key in self._osp:
-            pos.setdefault(key[1], []).append(key)
-        return pos
+    def _buckets(self) -> dict[str, list[Key]]:
+        buckets: dict[str, list[Key]] = defaultdict(list)
+        for key in self._spo:
+            buckets[key[1]].append(key)
+        return buckets
+
+    def _pos(self, predicate: str) -> list[Key]:
+        """The keys with `predicate`, in (o, s) order."""
+        keys = self._pos_lists.get(predicate)
+        if keys is None:
+            keys = self._pos_lists[predicate] = sorted(self._buckets.get(predicate, ()),
+                                                       key=_OBJECT)
+        return keys
 
     # -- accessors -----------------------------------------------------
 
@@ -287,7 +298,7 @@ class KnowledgeGraph:
             keys = (_run(self._spo, s, _SUBJECT) if p is None
                     else _run(self._spo, (s, p), _SUBJECT_PREDICATE))
         elif p is not None:
-            keys = self._pos.get(p, [])
+            keys = self._pos(p)
             if o is not None:
                 keys = _run(keys, o, _OBJECT)
         elif o is not None:
@@ -431,14 +442,17 @@ class KnowledgeGraph:
 NODES_FILE = "nodes.jsonl"
 TRIPLES_FILE = "triples.tsv"
 RANKS_FILE = "ranks.tsv"
+GRAPH_FILES = (NODES_FILE, TRIPLES_FILE, RANKS_FILE)
 # what `ckt build` writes beside the graph in the same directory
 STATS_FILE = "stats.json"
 REPORT_FILE = "report.json"
 TRACE_COPY = "trace.jsonl"
 TEMPLATES_COPY = "templates.jsonl"
-# written last: the format version and the SHA-256 of each file above
+# written last: the format version and the BLAKE2b digest of each file above
 GRAPH_MANIFEST = "graph.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_SIZE = 32  # bytes of each BLAKE2b digest
+CHUNK_LINES = 1024  # lines that save_graph encodes, writes and hashes at a time
 
 
 @contextmanager
@@ -480,20 +494,29 @@ def _provenance_json(provenance: tuple[Provenance, ...]) -> str:
     return f"[{', '.join(docs)}]"
 
 
-def _text(lines) -> bytes:
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+def _chunks(lines: Iterable[str]) -> Iterator[bytes]:
+    """`lines`, each ended by LF, as UTF-8, CHUNK_LINES lines at a time."""
+    lines = iter(lines)
+    while batch := list(islice(lines, CHUNK_LINES)):
+        yield ("\n".join(batch) + "\n").encode("utf-8")
 
 
-def _replace(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path` and rename it over
-    `path`, so that no reader finds the file half written."""
+def _replace(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to a temporary file beside `path`, feeding each to
+    a digest as well, and rename the file over `path`, so that no reader
+    finds it half written; the hex digest of its bytes."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = _blake2b(digest_size=DIGEST_SIZE)
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
 def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None = None) -> None:
@@ -502,32 +525,29 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
     that `ckt build` puts beside them, then graph.json.  Ranks are written
     with repr, which round-trips every float.
 
-    Each file is written under a temporary name and renamed into place.
-    graph.json, which gives the format version and each file's SHA-256,
-    comes last and replaces the old one without removing it first, so a
-    reader never finds a directory without one; a reader that runs during
-    the rewrite finds bytes that its graph.json does not describe, and
-    load_graph says so.  A trace or template copy that this save does not
-    write is removed before graph.json is replaced."""
+    Each file is streamed, CHUNK_LINES lines at a time, into a temporary
+    file and its digest, and renamed into place, so no file is held whole
+    in memory.  graph.json, which gives the format version and each file's
+    BLAKE2b digest, comes last and replaces the old one without removing
+    it first, so a reader never finds a directory without one; a reader
+    that runs during the rewrite finds bytes that its graph.json does not
+    describe, and load_graph says so.  A trace or template copy that this
+    save does not write is removed before graph.json is replaced."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digests: dict[str, str] = {}
-
-    def put(name: str, data: bytes) -> None:
-        _replace(directory / name, data)
-        digests[name] = _sha256(data).hexdigest()
-
-    put(NODES_FILE, _text(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)))
-    put(TRIPLES_FILE, _text(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
-                            for s, p, o in graph.triples()))
-    put(RANKS_FILE, _text(f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()))
-    for name, data in sorted((extra or {}).items()):
-        put(name, data)
+    files = {
+        NODES_FILE: _chunks(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)),
+        TRIPLES_FILE: _chunks(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
+                              for s, p, o in graph.triples()),
+        RANKS_FILE: _chunks(f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()),
+        **{name: [data] for name, data in sorted((extra or {}).items())},
+    }
+    digests = {name: _replace(directory / name, chunks) for name, chunks in files.items()}
     for name in (TRACE_COPY, TEMPLATES_COPY):
         if name not in digests:
             (directory / name).unlink(missing_ok=True)
-    manifest = {"format": FORMAT_VERSION, "sha256": dict(sorted(digests.items()))}
-    _replace(directory / GRAPH_MANIFEST, (json.dumps(manifest, indent=2) + "\n").encode("ascii"))
+    manifest = {"format": FORMAT_VERSION, "blake2b": dict(sorted(digests.items()))}
+    _replace(directory / GRAPH_MANIFEST, [(json.dumps(manifest, indent=2) + "\n").encode("ascii")])
 
 
 def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
@@ -539,10 +559,11 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     a last line without its LF, node ids or triple keys that do not
     strictly ascend, an unknown kind or predicate, a triple end that is no
     node, or a rank that is missing, extra or not finite raises
-    FormatError with the file and the line.  Only then is each file
-    checked against its digest in graph.json: one that differs raises
-    FormatError naming the file at its line in graph.json.  That is a
-    hand edit, or a read while a build rewrote the directory.  In the
+    FormatError with the file and the line.  Each file is hashed before
+    the parse, and its bytes are dropped once it is parsed; only after the
+    parse is each file checked against its digest in graph.json: one that
+    differs raises FormatError naming the file at its line in graph.json.
+    That is a hand edit, or a read while a build rewrote the directory.  In the
     second case a line of a file that its digest vouches for can fail to
     fit a file of the other build read before it; that failure, too,
     names the changed file in graph.json.  A line that fails in a file
@@ -550,16 +571,19 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     interleaved with the renames: the new nodes.jsonl, then the old
     triples.tsv just before its rename, then the new graph.json.  Each
     triple's sources stay the JSON text of its line until
-    KnowledgeGraph.sources decodes them.
+    KnowledgeGraph.sources decodes them.  A graph.json of another format,
+    such as format 1 with its SHA-256 table, raises FormatError asking for
+    `ckt build` again.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
     """
-    data = _read_files(directory, (NODES_FILE, TRIPLES_FILE, RANKS_FILE, GRAPH_MANIFEST))
+    data = _read_files(directory, (*GRAPH_FILES, GRAPH_MANIFEST))
     manifest = data.pop(GRAPH_MANIFEST)
-    graph = _parse_graph(data, manifest)
-    _check_digests(manifest, {**data, **(copies or {})})
+    digests = _digests({**data, **(copies or {})})
+    graph = _parse_graph(data, manifest, digests)
+    _check_digests(manifest, digests)
     return graph
 
 
@@ -568,7 +592,7 @@ def check_files(directory, files: dict[str, bytes | None]) -> None:
     (name -> the bytes read, or None for a file found absent) that the
     directory's graph.json does not vouch for; NotFoundError when the
     directory has no graph.json."""
-    _check_digests(_read_files(directory, (GRAPH_MANIFEST,))[GRAPH_MANIFEST], files)
+    _check_digests(_read_files(directory, (GRAPH_MANIFEST,))[GRAPH_MANIFEST], _digests(files))
 
 
 def _read_files(directory, names: tuple[str, ...]) -> dict[str, bytes]:
@@ -586,37 +610,46 @@ def _read_files(directory, names: tuple[str, ...]) -> dict[str, bytes]:
     return data
 
 
-def _check_digests(manifest: bytes, files: dict[str, bytes | None]) -> None:
-    """Raise FormatError at graph.json's line for the first of `files`
-    whose digest differs from graph.json's, or that graph.json lists and
-    the directory lacks, or the other way round."""
-    digests = _manifest_digests(manifest)
-    for name, blob in files.items():
-        if blob is None:
-            changed = name in digests
+def _digests(files: dict[str, bytes | None]) -> dict[str, str | None]:
+    """The hex digest of each file's bytes; None for a file found absent."""
+    return {name: None if blob is None else _blake2b(blob, digest_size=DIGEST_SIZE).hexdigest()
+            for name, blob in files.items()}
+
+
+def _check_digests(manifest: bytes, digests: dict[str, str | None]) -> None:
+    """Raise FormatError at graph.json's line for the first file of
+    `digests` (name -> the digest of the bytes read, or None for a file
+    found absent) whose digest differs from graph.json's, or that
+    graph.json lists and the directory lacks, or the other way round."""
+    vouched = _manifest_digests(manifest)
+    for name, digest in digests.items():
+        if digest is None:
+            changed = name in vouched
         else:
-            changed = digests.get(name) != _sha256(blob).hexdigest()
+            changed = vouched.get(name) != digest
         if changed:
             text = manifest.decode("utf-8", "replace").split("\n")
             line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
             raise FormatError(
-                f"{GRAPH_MANIFEST}: {name} does not match its SHA-256 here; it changed "
+                f"{GRAPH_MANIFEST}: {name} does not match its BLAKE2b digest here; it changed "
                 "after the build, or a build rewrote it while it was read", line)
 
 
 def _manifest_digests(manifest: bytes) -> dict:
-    """The file -> SHA-256 table of a graph.json."""
+    """The file -> BLAKE2b digest table of a graph.json."""
     try:
         doc = json.loads(manifest)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise FormatError(f"{GRAPH_MANIFEST}: invalid JSON: {exc}",
                           getattr(exc, "lineno", 1)) from exc
     version = doc.get("format") if isinstance(doc, dict) else None
-    if type(version) is not int or version != FORMAT_VERSION \
-            or not isinstance(doc.get("sha256"), dict):
+    if type(version) is int and version != FORMAT_VERSION:
+        raise FormatError(f"{GRAPH_MANIFEST}: the graph is in format {version}, and this ckt "
+                          f"reads format {FORMAT_VERSION}; run ckt build again", 1)
+    if version != FORMAT_VERSION or not isinstance(doc.get("blake2b"), dict):
         raise FormatError(f"{GRAPH_MANIFEST}: expected format {FORMAT_VERSION} with a "
-                          '"sha256" table of files', 1)
-    return doc["sha256"]
+                          '"blake2b" table of files', 1)
+    return doc["blake2b"]
 
 
 def _lines(name: str, data: bytes) -> io.TextIOWrapper:
@@ -631,23 +664,33 @@ def _lines(name: str, data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
 
 
-_RAW_DECODE = json.JSONDecoder().raw_decode
+# the JSON decoder's scanner, C when the interpreter has it: scan(line, 0)
+# gives the value at the start of the line and where it stops, less
+# JSONDecoder.raw_decode's wrapper per call
+_SCAN = make_scanner(json.JSONDecoder())
 _PREDICATE = {p: p for p in PREDICATES}
 
 
-def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
+def _parse_graph(data: dict[str, bytes], manifest: bytes,
+                 digests: dict[str, str | None]) -> KnowledgeGraph:
     """The graph from the bytes of its three files, each line read as
     save_graph writes it; what save_graph would not write raises
     FormatError with the file and the line, unless `_blame_changed_file`
     names a file that changed instead.  The keys reuse each node's id
-    string rather than keep the copies split off their lines."""
+    string rather than keep the copies split off their lines.  Each file's
+    bytes leave `data` once it is parsed, so the peak of a load holds no
+    file that is already in the graph."""
     entities: dict[str, Entity] = {}
     name, n = NODES_FILE, 0
     try:
         last = ""
         with _lines(name, data[name]) as lines:
             for n, line in enumerate(lines, start=1):
-                doc, stop = _RAW_DECODE(line)
+                try:
+                    doc, stop = _SCAN(line, 0)
+                except StopIteration:  # no JSON value starts the line
+                    raise FormatError(f"not a node record that ckt build writes in {name}",
+                                      n) from None
                 eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
                 if stop != len(line) - 1 or type(label) is not str or type(attrs) is not dict:
                     raise FormatError(f"not a node record that ckt build writes in {name}", n)
@@ -665,6 +708,7 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
                     raise FormatError(f"span needs a string path and integer lines in {name}", n)
                 entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
                 last = eid
+        del data[name]
         canonical = {eid: eid for eid in entities}
         sources: dict[Key, str] = {}
         name, n = TRIPLES_FILE, 0
@@ -686,6 +730,7 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
             keys = [line.split("\t", 3)[:3] for line in data[name].decode("utf-8").split("\n")]
             n = next(i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]) + 1
             raise FormatError(f"triple does not follow the line before in {name}", n)
+        del data[name]
         ranks: dict[str, float] = {}
         name, n = RANKS_FILE, 0
         expected = iter(entities)
@@ -703,7 +748,7 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
         if eid is not None:
             raise FormatError(f"{name} ends without a rank for {eid!r}", n + 1)
     except (FormatError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        _blame_changed_file(manifest, data, name)
+        _blame_changed_file(manifest, digests, name)
         if isinstance(exc, FormatError):
             raise
         if isinstance(exc, UnicodeDecodeError):
@@ -712,18 +757,18 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes) -> KnowledgeGraph:
     return KnowledgeGraph(entities, sources, ranks, spo)
 
 
-def _blame_changed_file(manifest: bytes, data: dict[str, bytes], name: str) -> None:
+def _blame_changed_file(manifest: bytes, digests: dict[str, str | None], name: str) -> None:
     """When graph.json vouches for the file `name` that failed to parse,
     raise the digest error of the first graph file it does not vouch for,
     if any: a read during a rebuild found files of two builds.  A line
     error in a file that changed itself stands, as it does when graph.json
     cannot be read: a hand edit, or a read interleaved with the renames."""
     try:
-        digests = _manifest_digests(manifest)
+        vouched = _manifest_digests(manifest)
     except FormatError:
         return
-    if digests.get(name) == _sha256(data[name]).hexdigest():
-        _check_digests(manifest, data)
+    if vouched.get(name) == digests[name]:
+        _check_digests(manifest, {graph_file: digests[graph_file] for graph_file in GRAPH_FILES})
 
 
 def _no_node(end: str, lineno: int) -> NoReturn:

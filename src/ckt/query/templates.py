@@ -123,7 +123,9 @@ def builtin_registry() -> TemplateRegistry:
 
 def load_registry(path: str, data: bytes | None = None) -> TemplateRegistry:
     """Read line-delimited template records from the file at `path`, or
-    from `data`, its bytes when the caller has read them."""
+    from `data`, its bytes when the caller has read them.  Each body is
+    parsed here, once: one that does not parse raises FormatError with its
+    line."""
     reg = TemplateRegistry()
     name = Path(path).name
     for lineno, doc in json_records(utf8_lines(path, data), name):
@@ -142,6 +144,11 @@ def load_registry(path: str, data: bytes | None = None) -> TemplateRegistry:
         for _, slot_type in template.slots:
             if slot_type not in SLOT_TYPES:
                 raise FormatError(f"{name}: unknown slot type {slot_type!r}", lineno)
+        # a body that no slot values can mend fails here, and its parse is
+        # kept for the template's queries
+        if template.query.error is not None:
+            raise FormatError(f"{name}: template {template.name!r}: {template.query.error}",
+                              lineno)
         reg.add(template, lineno)
     return reg
 

@@ -20,6 +20,7 @@ package produces.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import posixpath
 import re
@@ -1599,6 +1600,11 @@ def provenance_json(provenance):
             doc["detail"] = p.detail
         docs.append(doc)
     return json.dumps(docs, sort_keys=True, ensure_ascii=True)
+
+
+def blake2b_hex(data: bytes) -> str:
+    """A file's digest as graph.json gives it, from hashlib."""
+    return hashlib.blake2b(data, digest_size=32).hexdigest()
 
 
 def dumps_facts(facts):

@@ -20,7 +20,7 @@ from ckt.errors import FormatError, SlotError
 from ckt.graph import load_graph
 from ckt.query.templates import Template, TemplateRegistry
 from conftest import SCENARIO
-from oracles import graphs_equal, parse_record
+from oracles import blake2b_hex, graphs_equal, parse_record
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -28,9 +28,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # SHA-256 of every file `ckt build` writes for the scenario, recorded from
 # the build before its lookups were indexed: a faster build must not change
 # a byte of its output.  graph.json, which lists the others' digests, was
-# added later.
+# added later, and recorded again for format 2 from two independent builds.
 SCENARIO_DIGESTS = {
-    "graph.json": "9abe7a5ffb65bf61fec23f11050dfe814b032361c0018fd2d375c82a4fdd1dfa",
+    "graph.json": "c37a34c2411d231182ea98ff8d8f15d8ced5211894c1f238a3ee0513128f9f94",
     "nodes.jsonl": "584b5436c5da5cf69146c3ebbdb63b25bec13b8ed2ff1d3447f4963735d088cf",
     "ranks.tsv": "c708ec579aac348665c5f60b3ac77663a788c625849e97b30a93c10ba6b0e421",
     "report.json": "d789180a1c997f7a4cf7a34062c7d3558fd996a94856c863129d324f5c8e5134",
@@ -58,6 +58,13 @@ def test_scenario_build_matches_golden_digests(tmp_path, capsys):
     out = tmp_path / "p" / "out"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == SCENARIO_DIGESTS
+
+
+def test_graph_json_gives_the_blake2b_of_every_other_file(scenario_dir):
+    out = scenario_dir / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "graph.json"}
+    assert json.loads((out / "graph.json").read_bytes()) == {"format": 2, "blake2b": {
+        name: blake2b_hex(data) for name, data in files.items()}}
 
 
 # A parsed file whose path a facts file also names, the facts file listed
@@ -93,9 +100,10 @@ MIXED_COMMITS = [
      "summary": "edit the ring", "changes": [{"path": "src/m.c", "added": [[3, 6]]}]},
 ]
 # recorded from the build before FactSet kept its entities by file;
-# graph.json was added later
+# graph.json was added later, and recorded again for format 2 from two
+# independent builds
 MIXED_DIGESTS = {
-    "graph.json": "f013b679e01029224f0c1dc694d6914b2975eab526d48ea0d5615d938fe71349",
+    "graph.json": "368803104afd88024d74b0ba98f2c72818ad499fd8ed6c57eac710233e1b8b89",
     "nodes.jsonl": "6f30669c749e360aa4b69b6df71cb2f3f535c7b2a422e07998e06d070f00e4ff",
     "ranks.tsv": "cefa2a914f24666b3eac62dcef666282538acbb3ca1d5df8cb08f343ca6f6a47",
     "report.json": "f730abd3722b3653af27b575cd56f67d14d078770c9b894592c4172e9a143606",
@@ -240,6 +248,25 @@ def test_failed_build_keeps_the_previous_tree(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert cmd_query(out, f"SELECT ?v WHERE {{ {S2} writes ?v }}", "records", False) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_a_template_body_that_does_not_parse_fails_the_build_at_its_line(tmp_path, capsys):
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    manifest = str(tmp_path / "p" / "manifest.json")
+    assert main(["build", "--manifest", manifest]) == 0
+    out = tmp_path / "p" / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    path = tmp_path / "p" / "templates.jsonl"
+    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert docs[2]["name"] == "fixes-by-developer"
+    docs[2]["body"] = "SELECT ?x WHERE { ?x frobs ?y }"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: templates.jsonl: template 'fixes-by-developer': "
+        "unknown predicate 'frobs' (at offset 21)\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("source", ["int g;\n", "int f(int n) { return n; }\n"],

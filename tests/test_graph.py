@@ -1,21 +1,27 @@
 """Triple store, indexes, analytics, persistence."""
 
-import hashlib
 import itertools
 import json
 import os
 import random
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckt.graph
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
+    NODES_FILE,
+    PREDICATES,
+    RANKS_FILE,
     GraphBuilder,
     TRIPLES_FILE,
     Provenance,
@@ -28,6 +34,7 @@ from ckt.ids import ENTITY_KINDS
 from ckt.model import Entity, Span
 from oracles import (
     bfs_within,
+    blake2b_hex,
     brute_triangles,
     dense_pagerank,
     dict_pagerank,
@@ -189,6 +196,84 @@ def test_index_coherence():
     for o in {"func:a#g", "func:a#h", "var:a#x", "func:a#f"}:
         by_obj |= set(graph.match(None, None, o))
     assert spo == by_pred == by_obj
+
+
+_INDEX_IDS = ["func:g#a", "func:g#b", "var:g#x", "var:g#\u00e9"]
+_INDEX_PREDS = ["calls", "reads", "writes", "guards"]
+
+
+@st.composite
+def index_graphs(draw):
+    """A built graph, or its save/load round trip, with the keys it holds."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(_INDEX_IDS), st.sampled_from(_INDEX_PREDS),
+                                   st.sampled_from(_INDEX_IDS))
+                         | st.tuples(st.sampled_from(_INDEX_IDS), st.just("has-type"),
+                                     st.sampled_from(["int", "func:", "var", "zz"])),
+                         max_size=30))
+    graph = build(keys)
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_graph(graph, tmp)
+            graph = load_graph(tmp)
+    return graph, set(keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_graphs())
+def test_each_predicate_list_is_a_filter_of_the_keys_in_object_subject_order(graph_and_keys):
+    """match(None, p, None) and match(None, p, o) read the predicate's own
+    list, sorted on first use: for every predicate and every object, in the
+    graph or not, they equal a plain filter of the keys sorted by (o, s)."""
+    graph, keys = graph_and_keys
+    by_object = sorted(keys, key=lambda k: (k[2], k[0]))
+    objects = {k[2] for k in keys} | {"var:g#zz", "a"}
+    for p in sorted(PREDICATES):
+        want = [k for k in by_object if k[1] == p]
+        assert list(graph.match(None, p, None)) == want
+        for o in sorted(objects):
+            assert list(graph.match(None, p, o)) == [k for k in want if k[2] == o]
+        assert list(graph.match(None, p, None)) == want  # once sorted, kept
+
+
+def test_readers_racing_on_first_lookups_each_get_the_whole_list():
+    preds = ["calls", "reads", "writes"]
+    keys = [(f"func:a#f{i % 7}", p, f"func:a#g{i % 5}") for i, p in enumerate(preds * 40)]
+    want = {p: sorted((k for k in set(keys) if k[1] == p), key=lambda k: (k[2], k[0]))
+            for p in preds}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            graph = build(keys)
+            results = []
+
+            def read():
+                for p in preds:
+                    results.append((p, list(graph.match(None, p, None))))
+
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=10)
+            assert not any(reader.is_alive() for reader in readers)
+            assert len(results) == 12 and all(rows == want[p] for p, rows in results)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@settings(max_examples=50, deadline=None)
+@given(index_graphs())
+def test_lookups_by_subject_sort_no_other_index(graph_and_keys):
+    graph, keys = graph_and_keys
+    for s in _INDEX_IDS + ["func:g#zz"]:
+        assert list(graph.match(s, None, None)) == sorted(k for k in keys if k[0] == s)
+        for p in _INDEX_PREDS:
+            assert list(graph.match(s, p, None)) == sorted(k for k in keys if k[:2] == (s, p))
+    assert not {"_osp", "_buckets"} & vars(graph).keys()
+    assert graph._pos_lists == {}
+    list(graph.match(None, "calls", None))
+    assert "_osp" not in vars(graph) and list(graph._pos_lists) == ["calls"]
 
 
 # -- pagerank ---------------------------------------------------------------
@@ -452,6 +537,41 @@ def test_node_writer_equals_json_dumps(eid, kind, label, span, attrs):
     assert _node_line(entity) == node_line(entity)
 
 
+# ids and labels with non-ASCII text: triples.tsv holds ids as they are, so a
+# chunk boundary can fall between two lines of multi-byte characters
+_STREAM_IDS = st.text(st.sampled_from("ab\u00e9\u4e2d\U0001f600"), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_STREAM_IDS, st.sampled_from(["calls", "reads"]), _STREAM_IDS),
+                max_size=12),
+       _STREAM_IDS, st.integers(1, 5))
+def test_streamed_files_equal_the_joined_lines(edges, label, chunk_lines):
+    """save_graph writes each file CHUNK_LINES lines at a time: the bytes
+    equal its lines joined whole, and graph.json gives their BLAKE2b."""
+    builder = GraphBuilder()
+    builder.add_entity(Entity("func:h#" + label, "function", label))
+    for s, p, o in edges:
+        builder.insert_triple("func:h#" + s, p, "func:h#" + o, Provenance("source-code", s))
+    graph = builder.finalize()
+    lines = {
+        NODES_FILE: [_node_line(graph.entities[eid]) for eid in sorted(graph.entities)],
+        TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
+                       for s, p, o in graph.triples()],
+        RANKS_FILE: [f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()],
+    }
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ckt.graph, "CHUNK_LINES", chunk_lines):
+        save_graph(graph, tmp, {"stats.json": "{\u00e9}\n".encode()})
+        files = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+    for name, text in lines.items():
+        assert files[name] == "".join(line + "\n" for line in text).encode()
+    assert files["stats.json"] == "{\u00e9}\n".encode()
+    manifest = json.loads(files.pop(GRAPH_MANIFEST))
+    assert manifest == {"format": 2,
+                        "blake2b": {n: blake2b_hex(d) for n, d in sorted(files.items())}}
+
+
 def test_rank_table_is_a_read_only_view_of_the_ranks():
     graph = build(FIXTURE)
     table = graph.rank_table()
@@ -483,8 +603,8 @@ def test_save_renames_each_file_into_place_and_graph_json_last(tmp_path, monkeyp
     assert names == ["nodes.jsonl", "triples.tsv", "ranks.tsv", "stats.json", GRAPH_MANIFEST]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
-    assert manifest == {"format": 1, "sha256": {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names[:-1]}}
+    assert manifest == {"format": 2, "blake2b": {
+        name: blake2b_hex((tmp_path / name).read_bytes()) for name in names[:-1]}}
 
 
 def test_failed_save_keeps_the_old_graph_json_which_names_the_changed_file(tmp_path, monkeypatch):
@@ -542,12 +662,12 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
         try:
             graph = load_graph(tmp_path)
         except FormatError as exc:
-            named = re.fullmatch(r"line \d+: graph\.json: (\S+) does not match its SHA-256 .*",
-                                 str(exc))
+            named = re.fullmatch(
+                r"line \d+: graph\.json: (\S+) does not match its BLAKE2b digest .*", str(exc))
             assert named, exc
-            digests = json.loads((tmp_path / GRAPH_MANIFEST).read_bytes())["sha256"]
+            digests = json.loads((tmp_path / GRAPH_MANIFEST).read_bytes())["blake2b"]
             data = (tmp_path / named[1]).read_bytes()
-            assert hashlib.sha256(data).hexdigest() != digests[named[1]]
+            assert blake2b_hex(data) != digests[named[1]]
             outcomes.append(named[1])
         else:
             outcomes.append("old" if graphs_equal(graph, old)

@@ -31,7 +31,7 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import dense_pagerank, graphs_equal, node_line
+from oracles import blake2b_hex, dense_pagerank, graphs_equal, node_line
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
@@ -45,10 +45,10 @@ def copy_graph(scenario_dir, tmp_path) -> Path:
 
 def write_manifest(directory: Path) -> None:
     """A graph.json that vouches for the three graph files as they are."""
-    digests = {name: hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+    digests = {name: blake2b_hex((Path(directory) / name).read_bytes())
                for name in (NODES_FILE, RANKS_FILE, TRIPLES_FILE)}
     (Path(directory) / GRAPH_MANIFEST).write_text(
-        json.dumps({"format": 1, "sha256": digests}, indent=2) + "\n", encoding="utf-8")
+        json.dumps({"format": 2, "blake2b": digests}, indent=2) + "\n", encoding="utf-8")
 
 
 def run_ckt(*args) -> subprocess.CompletedProcess:
@@ -523,6 +523,29 @@ def test_forgery_loads_as_builder_loader_or_names_a_line(scenario_dir, tmp_path,
     assert_loads_as_builder_loader(out)
 
 
+@pytest.mark.parametrize("line", [" {record}", "", "]"], ids=["leading-space", "empty", "bracket"])
+@pytest.mark.parametrize("forged", [False, True], ids=["hand-edit", "forged"])
+def test_a_node_line_that_starts_with_no_json_value_names_the_line(scenario_dir, tmp_path,
+                                                                     line, forged):
+    """The JSON scanner finds no value at the start of the line: the load
+    names the line, with or without a graph.json that vouches for it, and
+    a query exits 2 with one error line."""
+    out = copy_graph(scenario_dir, tmp_path)
+    path = out / NODES_FILE
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines.insert(3, line.format(record=lines[3]))  # {record}: the record now on line 5
+    path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    if forged:
+        write_manifest(out)
+    message = "line 4: not a node record that ckt build writes in nodes.jsonl"
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert str(exc.value) == message
+    proc = run_ckt("query", "--graph", str(out), SELECT)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])
 def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
@@ -574,7 +597,7 @@ def test_a_valid_line_changed_after_the_build_names_the_file_in_graph_json(scena
     with pytest.raises(FormatError) as exc:
         load_graph(out)
     assert str(exc.value) == (
-        "line 4: graph.json: nodes.jsonl does not match its SHA-256 here; it changed "
+        "line 4: graph.json: nodes.jsonl does not match its BLAKE2b digest here; it changed "
         "after the build, or a build rewrote it while it was read")
     proc = run_ckt("query", "--graph", str(out), SELECT)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -602,10 +625,12 @@ def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tm
 
 
 @pytest.mark.parametrize("text, lineno", [
-    ("{\n  \"format\": 1,\n  \"sha256\": {\n", 4),
+    ("{\n  \"format\": 2,\n  \"blake2b\": {\n", 4),
     ('{"format": 2, "sha256": {}}\n', 1),
-    ('{"format": true, "sha256": {}}\n', 1),
-    ('{"format": 1, "sha256": []}\n', 1),
+    ('{"format": true, "blake2b": {}}\n', 1),
+    ('{"format": 2, "blake2b": []}\n', 1),
+    ('{"blake2b": {}}\n', 1),
+    ('{"format": 1, "sha256": {"nodes.jsonl": "00"}}\n', 1),
     ("[]\n", 1),
     ("", 1),
 ])
@@ -615,6 +640,26 @@ def test_a_bad_graph_json_names_its_line(scenario_dir, tmp_path, text, lineno):
     with pytest.raises(FormatError) as exc:
         load_graph(out)
     assert exc.value.line == lineno and GRAPH_MANIFEST in str(exc.value)
+
+
+def test_a_format_1_graph_json_asks_for_a_rebuild(scenario_dir, tmp_path):
+    """A directory built before format 2, with its SHA-256 table, true to
+    the files, exits 2 naming graph.json and asking for ckt build again."""
+    out = copy_graph(scenario_dir, tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in sorted((p.name, p) for p in out.iterdir())
+               if name != GRAPH_MANIFEST}
+    (out / GRAPH_MANIFEST).write_text(
+        json.dumps({"format": 1, "sha256": digests}, indent=2) + "\n", encoding="utf-8")
+    message = ("line 1: graph.json: the graph is in format 1, and this ckt reads format 2; "
+               "run ckt build again")
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert str(exc.value) == message
+    for args in [("query", SELECT), ("export", "--what", "triples")]:
+        proc = run_ckt(args[0], "--graph", str(out), *args[1:])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("change, lineno", [

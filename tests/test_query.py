@@ -12,10 +12,12 @@ from ckt.errors import FormatError, NotFoundError, QueryError, SlotError
 from ckt.graph import SEARCH_SEPARATOR, GraphBuilder, Provenance
 from ckt.model import Entity
 from ckt.query.evaluate import evaluate, rank_results
+from ckt.query import templates
 from ckt.query.parser import (
     IRI,
     VAR,
     FilterClause,
+    PreparedQuery,
     QueryAST,
     Term,
     TriplePattern,
@@ -637,6 +639,48 @@ def test_template_line_with_an_unknown_slot_type_names_it_and_its_line():
     ]).encode("utf-8")
     with pytest.raises(FormatError, match="^line 2: t.jsonl: unknown slot type 'url'$"):
         load_registry("t.jsonl", data)
+
+
+def test_template_body_that_does_not_parse_names_its_line():
+    data = "".join(json.dumps(doc) + "\n" for doc in [
+        {"name": "ok", "triggers": [], "body": "SELECT ?x WHERE { ?x calls ?y }"},
+        {"name": "bad", "triggers": [], "slots": [{"name": "func", "type": "entity"}],
+         "body": "SELECT ?x WHERE { ?x frobs ?y }"},
+    ]).encode("utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_registry("t.jsonl", data)
+    assert str(exc.value) == ("line 2: t.jsonl: template 'bad': "
+                              "unknown predicate 'frobs' (at offset 21)")
+
+
+def test_a_loaded_template_body_is_parsed_once(monkeypatch):
+    """load_registry parses each body and the template's queries reuse
+    that parse; a body whose slot decides what a word is still loads, and
+    is checked when it is bound."""
+    bodies = ['SELECT ?bug WHERE { ?bug touches $func } FILTER ?bug CONTAINS "bug:"',
+              "SELECT ?x WHERE { ?x $p ?y }"]
+    data = "".join(json.dumps(doc) + "\n" for doc in [
+        {"name": "bugs", "triggers": [], "slots": [{"name": "func", "type": "entity"}],
+         "body": bodies[0]},
+        {"name": "by-predicate", "triggers": [], "slots": [{"name": "p", "type": "string"}],
+         "body": bodies[1]},
+    ]).encode("utf-8")
+    parsed = []
+
+    def counting(body):
+        parsed.append(body)
+        return PreparedQuery(body)
+
+    monkeypatch.setattr(templates, "PreparedQuery", counting)
+    registry = load_registry("t.jsonl", data)
+    assert parsed == bodies
+    graph = template_graph()
+    for _ in range(2):
+        assert run_template("bugs", {"func": "func:a#f"}, graph, registry).rows == [("bug:CQ/9",)]
+        assert len(run_template("by-predicate", {"p": "writes"}, graph, registry).rows) == 1
+        with pytest.raises(QueryError, match="unknown predicate 'frobs'"):
+            run_template("by-predicate", {"p": "frobs"}, graph, registry)
+    assert parsed == bodies
 
 
 def test_ill_typed_slot_named():
