@@ -2,10 +2,12 @@
 link them, and write the graph directory.
 
 A repeated name resolves one way: a source file that several manifest
-roots reach is parsed once, and a comment id names a file and a start line,
-so of the comments that start on one line the first is the one the graph
-keeps.  Its association, entity, documented-by edge, stale verdict,
-concept mentions and bug grounding all come from that comment.
+roots reach is parsed once, a facts file that the manifest lists more than
+once is loaded once, at its first listing, and a comment id names a file
+and a start line, so of the comments that start on one line the first is
+the one the graph keeps.  Its association, entity, documented-by edge,
+stale verdict, concept mentions and bug grounding all come from that
+comment.
 
 Only `ckt build` imports this module, so a query never loads the parser,
 the history miner or the concept detectors.  The phase functions are
@@ -155,9 +157,13 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
         state.facts.merge(facts)
 
     parsed: set[str] = set()
+    loaded: set[str] = set()  # facts files, each read once however often listed
     for root, mode in manifest.sources:
         if mode == "facts-file":
-            merge(load_facts(utf8_lines(root), name=_rel_path(root, base)))
+            rel = _rel_path(root, base)
+            if rel not in loaded:
+                loaded.add(rel)
+                merge(load_facts(utf8_lines(root), name=rel))
             continue
         for file_path in _iter_source_files(root):
             rel = _rel_path(file_path, base)
@@ -335,10 +341,13 @@ def _build_graph(
     for entity in entities:
         builder.add_entity(entity)
 
-    for rel in state.facts.sorted_relations():
+    subject = None
+    for rel in state.facts.sorted_relations():  # grouped by subject: one path_of each
+        if rel.subj != subject:
+            subject, where = rel.subj, ids.path_of(rel.subj) or rel.subj
         source = "comment" if rel.pred == "documented-by" else "source-code"
-        origin = f"{ids.path_of(rel.subj) or rel.subj}:{rel.origin}"
-        builder.insert_triple(rel.subj, rel.pred, rel.obj, Provenance(source, origin))
+        builder.insert_triple(rel.subj, rel.pred, rel.obj,
+                              Provenance(source, f"{where}:{rel.origin}"))
     for s, p, o, tag in link_triples:
         builder.insert_triple(s, p, o, Provenance(tag, s))
 

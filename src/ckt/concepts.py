@@ -68,22 +68,31 @@ def _cyclic_functions(calls: dict[str, list[str]]) -> set[str]:
     return cyclic
 
 
-def _entity_tokens(fid: str, facts: FactSet) -> list[str]:
-    """Identifier tokens of the function plus its comment tokens."""
+def _entity_tokens(fid: str, facts: FactSet, words: dict[str, list[str]]) -> list[str]:
+    """Identifier tokens of the function plus its comment tokens; `words`
+    keeps each label's split_identifier tokens, so a pass that shares one
+    dict splits each distinct label once."""
     tokens: list[str] = []
     entity = facts.entities.get(fid)
     if entity is not None:
-        tokens.extend(split_identifier(entity.label))
+        tokens.extend(_label_words(entity.label, words))
     for rel in facts.relations_from(fid):
         if rel.pred in ("declares", "reads", "writes", "calls"):
             target = facts.entities.get(rel.obj)
             if target is not None and target.kind in ("variable", "function"):
-                tokens.extend(split_identifier(target.label))
+                tokens.extend(_label_words(target.label, words))
         elif rel.pred == "documented-by":
             comment = facts.entities.get(rel.obj)
             if comment is not None and comment.attrs.get("tokens"):
                 tokens.extend(comment.attrs["tokens"].split(" "))
     return tokens
+
+
+def _label_words(label: str, words: dict[str, list[str]]) -> list[str]:
+    found = words.get(label)
+    if found is None:
+        found = words[label] = split_identifier(label)
+    return found
 
 
 def feature_names(ontology: Ontology) -> list[str]:
@@ -115,13 +124,14 @@ def compute_features(
     depths = trace.replay.depths if trace is not None else {}
     names = feature_names(ontology)
     concept_names = ontology.concepts()
+    words: dict[str, list[str]] = {}  # each distinct label's tokens
     vectors = []
     for entity in functions:
         fid = entity.id
         self_calls = sum(
             1 for rel in facts.relations_from(fid) if rel.pred == "calls" and rel.obj == fid
         )
-        hits = ontology.hits(_entity_tokens(fid, facts))
+        hits = ontology.hits(_entity_tokens(fid, facts, words))
         values = [1.0 if fid in cyclic else 0.0, float(self_calls), float(depths.get(fid, 0))]
         values += [float(hits.get(concept, 0)) for concept in concept_names]
         vectors.append(dict(zip(names, values)))

@@ -4,12 +4,26 @@ Comments come from the C lexer (`cparser.lex`), so they follow its rules:
 a literal ends at the end of its line, and comments on directive lines are
 recorded, as trailing ones, since the directive is code before them.
 Adjacent full-line ``//`` comments merge into one run; block comments stand
-alone.  Association is total: trailing comments bind to the innermost
-entity on their line, other comments to the nearest entity starting after
-them, and the file entity catches everything else.
+alone.
+
+Association is total, and each comment binds to one entity, in this order:
+
+  1. a trailing comment to the innermost entity whose span holds its first
+     line: the shortest span, then the latest start, then the least id;
+  2. any other comment, or a trailing one no span holds, to the nearest
+     entity starting on or after its last line: the earliest start, then
+     the longest span, then the least id;
+  3. else to the file entity, the first entity of kind ``file`` given, or
+     the id of the comment's file when none is given.
+
+A file's spanned entities are sorted once by (start, -length, id), so the
+entity of rule 2 is the first at or after a bisection, and the containment
+test of rule 1 reads only the entities that start at or before the line.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from ckt import ids
 from ckt.config import normalize_tokens
@@ -77,33 +91,26 @@ def associate_comments(
 ) -> list[tuple[str, str]]:
     """Map each comment to exactly one entity id; the file entity is the
     universal fallback."""
-    spanned = [e for e in entities if e.span is not None and e.kind != "file"]
+    spanned = sorted((e for e in entities if e.span is not None and e.kind != "file"),
+                     key=lambda e: (e.span.start, e.span.start - e.span.end, e.id))
+    starts = [e.span.start for e in spanned]
     file_entity = next((e for e in entities if e.kind == "file"), None)
     pairs: list[tuple[str, str]] = []
     for comment in comments:
         target = None
         if comment.attrs.get("trailing") == "true":
-            containing = [
-                e for e in spanned
-                if e.span.start <= comment.span.start <= e.span.end
-            ]
+            line = comment.span.start
+            containing = [e for e in spanned[:bisect_right(starts, line)] if line <= e.span.end]
             if containing:
                 target = min(
                     containing,
                     key=lambda e: (e.span.end - e.span.start, -e.span.start, e.id),
                 )
         if target is None:
-            following = [e for e in spanned if e.span.start >= comment.span.end]
-            if following:
-                # nearest start; ties prefer the outermost (longest) span
-                target = min(
-                    following,
-                    key=lambda e: (
-                        e.span.start - comment.span.end,
-                        -(e.span.end - e.span.start),
-                        e.id,
-                    ),
-                )
+            # nearest start; ties prefer the outermost (longest) span
+            following = bisect_left(starts, comment.span.end)
+            if following < len(spanned):
+                target = spanned[following]
         if target is not None:
             pairs.append((comment.id, target.id))
         elif file_entity is not None:

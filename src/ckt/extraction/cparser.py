@@ -18,7 +18,12 @@ Recognized grammar, by design rather than omission:
     any other resolvable occurrence is a read)
 
 One lexer, `lex`, reads the text once for both the parser and the comment
-extractor.  A ``#`` with no code before it on its line starts a directive,
+extractor.  Each match of its one pattern absorbs the blanks (space, tab,
+CR, FF and VT, but not LF) before its lexeme, so a run of them costs no
+failed match per character, and a run that ends the text is absorbed by
+the end of text, which lexes as one more newline.  Any other character,
+U+00A0 and letters outside ASCII among them, is a one-character
+punctuator.  A ``#`` with no code before it on its line starts a directive,
 which runs to the end of the line or on past a backslash-newline; its tokens
 are dropped and its comments recorded.  A ``//`` comment, too, runs on past
 a backslash-newline.  A literal ends at its closing quote or at the end of
@@ -75,18 +80,20 @@ THREAD_CREATE_FNS = frozenset(["pthread_create", "CreateThread", "thrd_create"])
 
 ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
-# One alternative per lexeme, tried in order at each position; whitespace
-# other than a newline starts none of them, so finditer steps over it.
+_SPACE = r" \t\r\f\v"  # the blanks: each match absorbs those before its lexeme
+# One alternative per lexeme, tried in order (no other starts as `id` does, so
+# it goes first); `nl` also matches at the end of the text, so blanks there
+# end the last match rather than fail one by one.
 _LEXEME = re.compile(
-    r"""(?P<nl>\n)
+    rf"""[{_SPACE}]*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<nl>\n|\Z)
     |(?P<line>//[^\n\\]*(?:\\\n?[^\n\\]*)*)
     |(?P<block>/\*(?s:.*?)\*/)
     |(?P<open>/\*(?s:.*))
     |(?P<str>"(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?)
-    |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<num>(?:0[xX][0-9a-fA-F]+|\d+\.?\d*(?:[eE][+-]?\d+)?)[uUlLfF]*)
     |(?P<punct><<=|>>=|\.\.\.|\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=
-        |<<|>>|==|!=|<=|>=|&&|\|\||->|::|[^ \t\r\f\v])""",
+        |<<|>>|==|!=|<=|>=|&&|\|\||->|::|[^{_SPACE}]))""",
     re.VERBOSE,
 )
 
@@ -115,14 +122,16 @@ def lex(text: str) -> Lexed:
     comments: list[RawComment] = []
     line = 1
     code_on_line = directive = False
+    new_tok, append = tuple.__new__, toks.append  # Tok's own __new__ is a Python function
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
         if kind == "nl":
             line += 1
-            if not (directive and text[m.start() - 1] == "\\"):
+            if not (directive and text[m.start(kind) - 1] == "\\"):
                 code_on_line = directive = False
-        elif kind == "line":
+            continue
+        lexeme = m.group(kind)
+        if kind == "line":
             end = line + lexeme.count("\n")
             comments.append((line, end, "line", lexeme[2:].replace("\\\n", ""),
                              code_on_line, False))
@@ -133,11 +142,11 @@ def lex(text: str) -> Lexed:
             comments.append((line, end, "block", body, code_on_line, kind == "open"))
             line = end
         else:
-            if lexeme == "#" and not code_on_line:
-                directive = True
-            code_on_line = True
+            if not code_on_line:  # the line's first code token
+                directive = lexeme == "#"
+                code_on_line = True
             if not directive:
-                toks.append(Tok(kind, lexeme, line))
+                append(new_tok(Tok, (kind, lexeme, line)))
             if kind == "str":
                 line += lexeme.count("\n")
     return toks, comments

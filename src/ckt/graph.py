@@ -127,9 +127,10 @@ class GraphBuilder:
         The ends may hold no tab or newline, which would break a line of
         triples.tsv; a known predicate holds neither."""
         self._check_open()
-        for part, name in ((subject, "subject"), (object_, "object")):
-            if "\t" in part or "\n" in part:
-                raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
+        bad_subject = "\t" in subject or "\n" in subject
+        if bad_subject or "\t" in object_ or "\n" in object_:
+            name, part = ("subject", subject) if bad_subject else ("object", object_)
+            raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
         if predicate not in PREDICATES:
             raise CktError(f"unknown predicate {predicate!r}")
         self._register(subject)
@@ -473,7 +474,8 @@ def collector_paused():
 def _node_line(entity: Entity) -> str:
     """The entity's nodes.jsonl line: json.dumps's text with sorted keys
     and ASCII escapes, less its encoder per call."""
-    attrs = ", ".join(f"{_json_str(k)}: {_json_str(v)}" for k, v in sorted(entity.attrs.items()))
+    attrs = ", ".join([f"{_json_str(k)}: {_json_str(v)}"
+                       for k, v in sorted(entity.attrs.items())])  # a list joins faster
     span = entity.span
     if span is None:
         path = start = end = "null"
@@ -484,14 +486,23 @@ def _node_line(entity: Entity) -> str:
             f'"path": {path}, "start": {start}}}')
 
 
-def _provenance_json(provenance: tuple[Provenance, ...]) -> str:
-    """The provenance list as JSON with sorted keys and ASCII escapes, and
-    `detail` only when set: json.dumps's text, less its encoder per call."""
-    docs = []
-    for p in provenance:
-        detail = f'"detail": {_json_str(p.detail)}, ' if p.detail else ""
-        docs.append(f'{{{detail}"origin": {_json_str(p.origin)}, "source": {_json_str(p.source)}}}')
-    return f"[{', '.join(docs)}]"
+def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
+    """Each triples.tsv line in SPO order: the key, and its provenance list
+    as JSON with sorted keys and ASCII escapes, `detail` only when set.
+    That is json.dumps's text, less its encoder per call and with each
+    distinct source's `"source": ...}` tail encoded once per call."""
+    tails: dict[str, str] = {}
+    for key in graph._spo:
+        provs = graph._sources[key]
+        if isinstance(provs, str):  # a loaded line's text, which need not be ours
+            provs = graph.sources(key)
+        docs = []
+        for source, origin, detail in provs:
+            tail = tails.get(source) or tails.setdefault(
+                source, f', "source": {_json_str(source)}}}')
+            detail = f'"detail": {_json_str(detail)}, ' if detail else ""
+            docs.append(f'{{{detail}"origin": {_json_str(origin)}{tail}')
+        yield f"{key[0]}\t{key[1]}\t{key[2]}\t[{', '.join(docs)}]"
 
 
 def _chunks(lines: Iterable[str]) -> Iterator[bytes]:
@@ -537,8 +548,7 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
     directory.mkdir(parents=True, exist_ok=True)
     files = {
         NODES_FILE: _chunks(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)),
-        TRIPLES_FILE: _chunks(f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
-                              for s, p, o in graph.triples()),
+        TRIPLES_FILE: _chunks(_triple_lines(graph)),
         RANKS_FILE: _chunks(f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()),
         **{name: [data] for name, data in sorted((extra or {}).items())},
     }

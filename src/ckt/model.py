@@ -147,8 +147,9 @@ class FactSet:
         """Union in another fact set; conflicting entity declarations raise."""
         for eid in sorted(other.entities):
             self.add_entity(other.entities[eid])
-        for rel in other.relations:
-            self.add_relation(rel)
+        self.relations += other.relations
+        for subj, rels in other._by_subj.items():
+            self._by_subj.setdefault(subj, []).extend(rels)
 
     def relations_from(self, subj: str) -> list[Relation]:
         """Relations whose subject is `subj`, in insertion order."""
@@ -164,7 +165,8 @@ class FactSet:
     def sorted_relations(self) -> list[Relation]:
         return sorted(
             self.relations,
-            key=lambda r: (r.subj, r.pred, r.obj, sorted(r.attrs.items()), r.origin),
+            key=lambda r: (r.subj, r.pred, r.obj, sorted(r.attrs.items()) if r.attrs else [],
+                           r.origin),
         )
 
     def __eq__(self, other) -> bool:
@@ -181,9 +183,11 @@ class FactSet:
 
 
 class Comment(Record):
-    """One extracted comment with normalized tokens."""
+    """One extracted comment with normalized tokens; `id`, which names its
+    file and start line, is made once, as a build reads it many times."""
 
-    __slots__ = _fields = ("text", "span", "style", "tokens", "attrs")
+    _fields = ("text", "span", "style", "tokens", "attrs")
+    __slots__ = (*_fields, "id")
 
     def __init__(self, text: str, span: Span, style: str, tokens: list[str] | None = None,
                  attrs: dict[str, str] | None = None):
@@ -192,10 +196,7 @@ class Comment(Record):
         self.style = style  # "line" | "block"
         self.tokens = [] if tokens is None else tokens
         self.attrs = {} if attrs is None else attrs
-
-    @property
-    def id(self) -> str:
-        return comment_id(self.span.path, self.span.start)
+        self.id = comment_id(span.path, span.start)
 
 
 class TraceEvent(NamedTuple):

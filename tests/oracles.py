@@ -14,8 +14,11 @@ checks the kind of each keyword, brace, operator and number token as the
 package does.
 `reference_parse_source`, the C parser with each bracket walk written out
 where it is used, reads the package's `lex` tokens and keyword sets and
-builds its FactSet.  The helpers at the end compare and parse what the
-package produces.
+builds its FactSet.  `reference_lex` and `reference_associate_comments`
+are the lexer and the comment association as they were before each step
+was made to run once: a failed match per blank, a scan of every entity per
+comment.  The helpers at the end compare and parse what the package
+produces.
 """
 
 from __future__ import annotations
@@ -493,6 +496,96 @@ def _strip_gutter(body: str) -> str:
     lines = [ln.strip() for ln in body.split("\n")]
     lines = [ln[1:].strip() if ln.startswith("*") else ln for ln in lines]
     return " ".join(ln for ln in lines if ln).strip()
+
+
+# `reference_lex` is the single lexer as it was before each match consumed
+# the whitespace before its lexeme: finditer steps over that whitespace one
+# character at a time, and each token is built through Tok's constructor.
+
+_REFERENCE_LEXEME = re.compile(
+    r"""(?P<nl>\n)
+    |(?P<line>//[^\n\\]*(?:\\\n?[^\n\\]*)*)
+    |(?P<block>/\*(?s:.*?)\*/)
+    |(?P<open>/\*(?s:.*))
+    |(?P<str>"(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?)
+    |(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<num>(?:0[xX][0-9a-fA-F]+|\d+\.?\d*(?:[eE][+-]?\d+)?)[uUlLfF]*)
+    |(?P<punct><<=|>>=|\.\.\.|\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=
+        |<<|>>|==|!=|<=|>=|&&|\|\||->|::|[^ \t\r\f\v])""",
+    re.VERBOSE,
+)
+
+
+def reference_lex(text: str):
+    """(tokens, raw comments) as `lex` returns them."""
+    toks: list[Tok] = []
+    comments = []
+    line = 1
+    code_on_line = directive = False
+    for m in _REFERENCE_LEXEME.finditer(text):
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "nl":
+            line += 1
+            if not (directive and text[m.start() - 1] == "\\"):
+                code_on_line = directive = False
+        elif kind == "line":
+            end = line + lexeme.count("\n")
+            comments.append((line, end, "line", lexeme[2:].replace("\\\n", ""),
+                             code_on_line, False))
+            line = end
+        elif kind == "block" or kind == "open":
+            body = lexeme[2:-2] if kind == "block" else lexeme[2:]
+            end = line + body.count("\n")
+            comments.append((line, end, "block", body, code_on_line, kind == "open"))
+            line = end
+        else:
+            if lexeme == "#" and not code_on_line:
+                directive = True
+            code_on_line = True
+            if not directive:
+                toks.append(Tok(kind, lexeme, line))
+            if kind == "str":
+                line += lexeme.count("\n")
+    return toks, comments
+
+
+def reference_associate_comments(comments, entities):
+    """(comment id, entity id) per comment as `associate_comments` gives
+    them, from a scan of every spanned entity of the file per comment."""
+    spanned = [e for e in entities if e.span is not None and e.kind != "file"]
+    file_entity = next((e for e in entities if e.kind == "file"), None)
+    pairs = []
+    for comment in comments:
+        target = None
+        if comment.attrs.get("trailing") == "true":
+            containing = [
+                e for e in spanned
+                if e.span.start <= comment.span.start <= e.span.end
+            ]
+            if containing:
+                target = min(
+                    containing,
+                    key=lambda e: (e.span.end - e.span.start, -e.span.start, e.id),
+                )
+        if target is None:
+            following = [e for e in spanned if e.span.start >= comment.span.end]
+            if following:
+                target = min(
+                    following,
+                    key=lambda e: (
+                        e.span.start - comment.span.end,
+                        -(e.span.end - e.span.start),
+                        e.id,
+                    ),
+                )
+        if target is not None:
+            pairs.append((comment.id, target.id))
+        elif file_entity is not None:
+            pairs.append((comment.id, file_entity.id))
+        else:
+            pairs.append((comment.id, ids.file_id(comment.span.path)))
+    return pairs
 
 
 # -- build-time lookups, one naive scan per item ----------------------------

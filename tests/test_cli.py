@@ -101,14 +101,17 @@ MIXED_COMMITS = [
 ]
 # recorded from the build before FactSet kept its entities by file;
 # graph.json was added later, and recorded again for format 2 from two
-# independent builds
+# independent builds; recorded again, from two builds under PYTHONHASHSEED 1
+# and 2, once the facts file, listed twice here, was loaded once: the calls
+# triple it asserts kept one source of two, and report.json counted its
+# entities and relations once
 MIXED_DIGESTS = {
-    "graph.json": "368803104afd88024d74b0ba98f2c72818ad499fd8ed6c57eac710233e1b8b89",
+    "graph.json": "f928f21128aad2ff913bb7abeddd742b75c8b6c1706bdff6b839627822552887",
     "nodes.jsonl": "6f30669c749e360aa4b69b6df71cb2f3f535c7b2a422e07998e06d070f00e4ff",
     "ranks.tsv": "cefa2a914f24666b3eac62dcef666282538acbb3ca1d5df8cb08f343ca6f6a47",
-    "report.json": "f730abd3722b3653af27b575cd56f67d14d078770c9b894592c4172e9a143606",
+    "report.json": "16a24bc9eea3ada926ad7d884769fbe2e9023e6198030c4235743379180a417e",
     "stats.json": "84a4a753955bc6aaa8bbae7104270aa13366e11dff4f57099ba93e6c9bea33e3",
-    "triples.tsv": "2c4e4481e9b1198737827aae8979228fffcd8a0c0cb98d3fef354fb9ad697783",
+    "triples.tsv": "c820c52e2fc17e6b6dcab9d11d4372c54ea22157f46f98adf64d09e395c3e9e1",
 }
 
 
@@ -164,6 +167,21 @@ def test_two_comments_on_one_line_build_from_the_first(tmp_path, capsys):
     assert [key for key in graph.triples() if key[1] in ("mentions", "touches")] == [
         ("bug:CQ/1", "touches", f), (f, "mentions", "concept:greedy")]
     assert len(graph.sources((f, "documented-by", comment.id))) == 1
+
+
+def test_a_facts_file_listed_twice_builds_as_listed_once(tmp_path, capsys):
+    files = {"src/m.c": MIXED_SOURCE,
+             "facts.jsonl": "".join(json.dumps(d) + "\n" for d in MIXED_FACTS)}
+    facts = {"path": "facts.jsonl", "mode": "facts"}
+    once = build_project(tmp_path / "once", files, {"sources": [facts, {"path": "src"}]})
+    once_stdout = capsys.readouterr().out
+    twice = build_project(tmp_path / "twice", files,
+                          {"sources": [facts, {"path": "src"}, facts]})
+    assert capsys.readouterr().out == once_stdout
+    assert {p.name: p.read_bytes() for p in twice.iterdir()} == {
+        p.name: p.read_bytes() for p in once.iterdir()}
+    key = ("func:src/m.c#helper_fx", "calls", "func:src/m.c#drain_ring")
+    assert len(load_graph(twice).sources(key)) == 1
 
 
 def test_a_file_two_roots_reach_builds_as_under_one_root(tmp_path, capsys):

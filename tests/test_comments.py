@@ -4,10 +4,12 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_associate_comments
 
 from ckt.concepts import validate_comment
 from ckt.extraction.comments import associate_comments, extract_comments
 from ckt.extraction.cparser import parse_source
+from ckt.model import Comment, Entity, Span
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -103,6 +105,31 @@ def test_association_is_total_and_single_valued():
     comments, assoc = associate(src)
     assert len(assoc) == len(comments)
     assert set(assoc) == {c.id for c in comments}
+
+
+# Spans on a few lines, so that they nest, share starts and lengths, and
+# tie on both, broken by id; some entities have no span, and a file entity,
+# which no comment binds to by its span, may be missing or repeated.
+_LINE = st.integers(1, 6)
+_ENTITY = st.builds(
+    lambda kind, name, span: Entity(f"{kind[:4]}:a.c#{name}", kind, name,
+                                    span and Span("a.c", span[0], span[0] + span[1])),
+    st.sampled_from(["function", "variable", "type", "class", "file"]),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.none() | st.tuples(_LINE, st.integers(0, 3)),
+)
+_COMMENT = st.builds(
+    lambda start, lines, trailing: Comment("c", Span("a.c", start, start + lines), "line",
+                                           attrs={"trailing": "true"} if trailing else {}),
+    _LINE, st.integers(0, 2), st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_COMMENT, max_size=6), st.lists(_ENTITY, max_size=8))
+def test_association_equals_a_scan_of_every_entity(comments, entities):
+    assert associate_comments(comments, entities) == reference_associate_comments(
+        comments, entities)
 
 
 def test_stale_comment_detects_missing_identifier():

@@ -1,9 +1,15 @@
 """Source extraction against the parser's documented grammar."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import dumps_facts, reference_parse_source, scan_comments, tokenize
+from oracles import (
+    dumps_facts,
+    reference_lex,
+    reference_parse_source,
+    scan_comments,
+    tokenize,
+)
 
 from ckt.extraction.comments import _strip_gutter, extract_comments
 from ckt.extraction.cparser import THREAD_CREATE_FNS, Tok, lex, parse_source
@@ -196,6 +202,24 @@ def test_lexer_equals_both_old_scanners(text):
         for start, end, style, body, trailing, unterminated in comments
     ]
     assert cleaned == scan_comments(text)
+
+
+# Any text, drawn from the characters each lexer rule turns on: C
+# punctuation, directive and literal openers, backslashes, comment
+# delimiters, newlines, every kind of whitespace a lexeme may follow (and two
+# it may not, which lex as punctuation), and letters outside ASCII.
+_LEX_PIECES = [
+    *"(){}[];,.=+-*/%&|^!~<>?:", "#", "\"", "'", "\\", "//", "/*", "*/", "\n",
+    " ", "\t", "\r", "\f", "\v", "\xa0", "\u3000", "\u00e9", "\u4e2d", "\u03bb",
+    "x", "_1", "0x1F", "7UL", "3.5e-2",
+]
+
+
+@given(st.lists(st.sampled_from(_LEX_PIECES) | st.characters(), max_size=60).map("".join))
+@example("#define A \\ \nint x;\n")  # a blank between a directive's backslash and LF
+@settings(max_examples=500, deadline=None)
+def test_lexer_equals_the_one_before_whitespace_was_consumed(text):
+    assert lex(text) == reference_lex(text)
 
 
 def test_backslash_newline_in_literal_counts_its_line():

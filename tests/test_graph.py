@@ -26,7 +26,6 @@ from ckt.graph import (
     TRIPLES_FILE,
     Provenance,
     _node_line,
-    _provenance_json,
     load_graph,
     save_graph,
 )
@@ -520,11 +519,29 @@ def test_save_load_round_trip_property(tmp_path_factory, graph):
     assert graphs_equal(load_graph(directory), graph)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.lists(st.builds(Provenance, _PROV_TEXT, _PROV_TEXT, st.just("") | _PROV_TEXT),
-                min_size=1, max_size=4))
-def test_provenance_writer_equals_json_dumps(provenance):
-    assert _provenance_json(tuple(provenance)) == provenance_json(provenance)
+# sources and origins that repeat across lists and within one, beside any text
+_PROV_PART = (st.sampled_from(["source-code", "comment", "r\u00e9sum\u00e9", "\U0001f600"])
+              | _PROV_TEXT)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.builds(Provenance, _PROV_PART, _PROV_PART, st.just("") | _PROV_PART),
+                         min_size=1, max_size=4), min_size=1, max_size=6))
+def test_triples_file_lines_equal_json_dumps(tmp_path_factory, lists):
+    """Each triples.tsv line ends in its provenance list as json.dumps
+    writes it, also when a loaded graph, its lists not yet decoded, is
+    saved again."""
+    builder = GraphBuilder()
+    expected = []
+    for i, provenance in enumerate(lists):
+        for prov in provenance:
+            builder.insert_triple(f"func:h#f{i}", "calls", "func:h#g", prov)
+        expected.append(f"func:h#f{i}\tcalls\tfunc:h#g\t{provenance_json(provenance)}\n")
+    first, second = tmp_path_factory.mktemp("prov"), tmp_path_factory.mktemp("again")
+    save_graph(builder.finalize(), first)
+    save_graph(load_graph(first), second)
+    for directory in (first, second):
+        assert (directory / TRIPLES_FILE).read_bytes() == "".join(expected).encode()
 
 
 @settings(deadline=None, max_examples=200)
@@ -556,7 +573,7 @@ def test_streamed_files_equal_the_joined_lines(edges, label, chunk_lines):
     graph = builder.finalize()
     lines = {
         NODES_FILE: [_node_line(graph.entities[eid]) for eid in sorted(graph.entities)],
-        TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{_provenance_json(graph.sources((s, p, o)))}"
+        TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{provenance_json(graph.sources((s, p, o)))}"
                        for s, p, o in graph.triples()],
         RANKS_FILE: [f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()],
     }

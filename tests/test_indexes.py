@@ -117,9 +117,10 @@ def test_batch_features_equal_per_function_oracle(project, with_trace):
     functions = [e for e in facts.sorted_entities() if e.kind == "function"]
     vectors = compute_features(functions, facts, trace, ont)
     assert len(vectors) == len(functions)
+    words = {}  # shared, as compute_features shares it
     for func, fv in zip(functions, vectors):
         tokens = oracles.entity_tokens(func.id, entities, relations, split_identifier)
-        assert _entity_tokens(func.id, facts) == tokens
+        assert _entity_tokens(func.id, facts, words) == tokens
         hits = ont.hits(tokens)
         assert list(fv) == feature_names(ont)
         assert fv == {
