@@ -3,11 +3,12 @@ link them, and write the graph directory.
 
 A repeated name resolves one way: a source file that several manifest
 roots reach is parsed once, a facts file that the manifest lists more than
-once is loaded once, at its first listing, and a comment id names a file
-and a start line, so of the comments that start on one line the first is
-the one the graph keeps.  Its association, entity, documented-by edge,
-stale verdict, concept mentions and bug grounding all come from that
-comment.
+once is loaded once, at its first listing (a file is known by the path it
+resolves to, and its ids keep the spelling it was first reached by), and a
+comment id names a file and a start line, so of the comments that start on
+one line the first is the one the graph keeps.  Its association, entity,
+documented-by edge, stale verdict, concept mentions and bug grounding all
+come from that comment.
 
 Only `ckt build` imports this module, so a query never loads the parser,
 the history miner or the concept detectors.  The phase functions are
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,20 +158,21 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState) -
         state.bump("source-code", "relations", len(facts.relations))
         state.facts.merge(facts)
 
-    parsed: set[str] = set()
-    loaded: set[str] = set()  # facts files, each read once however often listed
+    # each file read once however often it is listed or reached, known by
+    # its resolved path: `sub/../src` is `src` unless `sub` is a symlink
+    parsed: set[Path] = set()
+    loaded: set[Path] = set()
     for root, mode in manifest.sources:
         if mode == "facts-file":
-            rel = _rel_path(root, base)
-            if rel not in loaded:
-                loaded.add(rel)
-                merge(load_facts(utf8_lines(root), name=rel))
+            if (real := root.resolve()) not in loaded:
+                loaded.add(real)
+                merge(load_facts(utf8_lines(root), name=_rel_path(root, base)))
             continue
         for file_path in _iter_source_files(root):
-            rel = _rel_path(file_path, base)
-            if rel in parsed:  # another root reached it first
+            if (real := file_path.resolve()) in parsed:  # another root reached it first
                 continue
-            parsed.add(rel)
+            parsed.add(real)
+            rel = _rel_path(file_path, base)
             if not is_word(rel):  # ids embed the path, and an id is one query word
                 raise CktError(f"source path {rel!r} contains whitespace or one of "
                                '{};"?: no query could name its entities')
@@ -300,10 +303,9 @@ def cmd_build(manifest_path: Path) -> int:
     rank = graph.pagerank()
     triangles, triangle_total = graph.count_triangles()
     stats = _stats(graph, rank, triangles, triangle_total)
-    triples_by_source: dict[str, int] = {}
-    for key in graph.triples():
-        source = graph.sources(key)[0].source  # count each triple by its first assertion
-        triples_by_source[source] = triples_by_source.get(source, 0) + 1
+    # each triple counted by its first assertion, in one pass over the
+    # provenance lists a built graph holds rather than a lookup per key
+    triples_by_source = Counter(provs[0].source for provs in graph._sources.values())
     report = {
         "entities": len(graph.entities),
         "triples": len(graph),

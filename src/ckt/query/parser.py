@@ -82,11 +82,6 @@ class _Unbound(str):
     """The text of a word or a literal that holds a `$slot`."""
 
 
-class _Hole(int):
-    """The place in a parsed query of the value read from the nth unbound
-    text, which binding fills."""
-
-
 class _SlotKeyword(Exception):
     """An unbound text stands where a keyword may: its value decides the
     parse."""
@@ -95,11 +90,6 @@ class _SlotKeyword(Exception):
 def is_word(text: str) -> bool:
     """True when the lexer reads all of `text` as one word token."""
     return _WHOLE_WORD.fullmatch(text) is not None
-
-
-def _bind(text: str, values: dict[str, str]) -> str:
-    """`text` with each `$name` bound to `values[name]` in one pass."""
-    return _SLOT.sub(lambda m: values.get(m.group(1), m.group()), text)
 
 
 def _unbound(text: str) -> str:
@@ -127,12 +117,18 @@ def _lex(text: str) -> list[_Token]:
     return toks
 
 
-# Readers of a word or a literal's text, which raise QueryError at the
-# token's offset where the grammar rejects it
+def _bound(toks: list[_Token], values: dict[str, str]) -> list[_Token]:
+    """`toks` with each `$name` of an unbound text bound to `values[name]`
+    in one pass."""
+    def value(m: re.Match) -> str:
+        return values.get(m.group(1), m.group())
 
-def _text(text: str, offset: int) -> str:
-    return text
+    return [(kind, _SLOT.sub(value, text) if type(text) is _Unbound else text, offset)
+            for kind, text, offset in toks]
 
+
+# Readers of a word's text, which raise QueryError at the token's offset
+# where the grammar rejects it
 
 def _predicate(word: str, offset: int) -> str:
     if word not in PREDICATES:
@@ -159,15 +155,11 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
-        self.holes: list[tuple[str, int, object]] = []  # (unbound text, offset, reader)
 
-    def _read(self, text: str, offset: int, reader):
-        """reader(text, offset), or for an unbound text the hole that
-        binding fills with reader(bound text, offset)."""
-        if type(text) is not _Unbound:
-            return reader(text, offset)
-        self.holes.append((text, offset, reader))
-        return _Hole(len(self.holes) - 1)
+    @staticmethod
+    def _read(text: str, offset: int, reader):
+        """reader(text, offset), or an unbound text unchecked."""
+        return text if type(text) is _Unbound else reader(text, offset)
 
     def _peek(self) -> _Token:
         return self.toks[self.pos]
@@ -244,10 +236,9 @@ class _Parser:
         if kind == "string":
             if position != "object":
                 raise QueryError(f"literal not allowed in {position} position", offset)
-            return Term(LITERAL, self._read(tok, offset, _text))
+            return Term(LITERAL, tok)
         if kind == "word":
-            reader = _predicate if position == "predicate" else _text
-            return Term(IRI, self._read(tok, offset, reader))
+            return Term(IRI, self._read(tok, offset, _predicate) if position == "predicate" else tok)
         raise QueryError(f"unexpected token {tok!r} in {position} position", offset)
 
     def _filter(self) -> FilterClause:
@@ -263,7 +254,7 @@ class _Parser:
             raise QueryError("filter literal may not be a variable", offset)
         if kind not in ("word", "string"):
             raise QueryError("filter literal must be a word or a quoted string", offset)
-        return FilterClause(var, op, self._read(literal, offset, _text))
+        return FilterClause(var, op, literal)
 
 
 def _validate(ast: QueryAST) -> None:
@@ -279,50 +270,30 @@ def _validate(ast: QueryAST) -> None:
 
 
 class PreparedQuery:
-    """Query text parsed once, for any values of its template slots.
+    """Query text lexed once, for any values of its template slots.
 
-    A word or a literal that holds a `$slot` is parsed as a hole, and what
-    the grammar asks of its text (a known predicate or filter operator, a
-    LIMIT count) is checked once the hole is bound, in parse order and
-    before any error that the parse met after it.  Where such a text
-    stands in a keyword's place, its value decides the parse, so each
-    binding parses the tokens again."""
+    `error` is what one check parse of the tokens raises, with each word
+    or literal that holds a `$slot` left unchecked: an error that no slot
+    values can mend.  Where such a text stands in a keyword's place, its
+    value decides the parse, and the check stops with no error."""
 
     def __init__(self, text: str):
-        self.ast: QueryAST | None = None
+        self.toks: list[_Token] = []
         self.error: QueryError | None = None
-        self.holes: list = []
-        self.toks: list[_Token] | None = None
         try:
-            parser = _Parser(_lex(text))
-            self.holes = parser.holes
-            self.ast = parser.parse()
+            self.toks = _lex(text)
+            _Parser(self.toks).parse()
         except QueryError as exc:
             self.error = exc
         except _SlotKeyword:
-            self.toks = parser.toks
+            pass
 
     def bind(self, values: dict[str, str]) -> QueryAST:
-        """The query with each `$name` bound to `values[name]`; a name
-        without a value stays as it is written."""
-        if self.toks is not None:
-            return _Parser([(kind, _bind(text, values) if type(text) is _Unbound else text, offset)
-                            for kind, text, offset in self.toks]).parse()
-        filled = [reader(_bind(text, values), offset) for text, offset, reader in self.holes]
-        if self.error is not None:
+        """The query with each `$name` bound to `values[name]`, parsed from
+        the bound tokens; a name without a value stays as it is written."""
+        if not self.toks:  # the text did not lex
             raise self.error.with_traceback(None)
-        ast = self.ast
-        if not filled:
-            return ast
-
-        def fill(value):
-            return filled[value] if type(value) is _Hole else value
-
-        return QueryAST(
-            ast.select,
-            tuple(TriplePattern(*(Term(t.kind, fill(t.value)) for t in p)) for p in ast.patterns),
-            tuple(FilterClause(f.var, fill(f.op), fill(f.literal)) for f in ast.filters),
-            fill(ast.limit))
+        return _Parser(_bound(self.toks, values)).parse()
 
 
 def parse_query(text: str, values: dict[str, str] | None = None) -> QueryAST:
@@ -331,7 +302,7 @@ def parse_query(text: str, values: dict[str, str] | None = None) -> QueryAST:
     `values` binds template slots: each `$name` inside a word or a literal
     becomes `values[name]` after the text is split into tokens, so a value
     never adds or ends a token and is never substituted again."""
-    return PreparedQuery(text).bind(values or {})
+    return _Parser(_bound(_lex(text), values or {})).parse()
 
 
 def _quote(value: str) -> str:

@@ -33,7 +33,7 @@ _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 class Template(Record):
-    # no __slots__: the trigger token sets and the parsed body are cached in __dict__
+    # no __slots__: the trigger token sets and the lexed body are cached in __dict__
     _fields = ("name", "triggers", "slots", "body")
 
     def __init__(self, name: str, triggers: list[str], slots: list[tuple[str, str]], body: str):
@@ -49,7 +49,8 @@ class Template(Record):
 
     @cached_property
     def query(self) -> PreparedQuery:
-        """The body, parsed on first use."""
+        """The body, lexed and checked on first use; each call parses its
+        tokens with the call's slot values bound."""
         return PreparedQuery(self.body)
 
 
@@ -124,8 +125,8 @@ def builtin_registry() -> TemplateRegistry:
 def load_registry(path: str, data: bytes | None = None) -> TemplateRegistry:
     """Read line-delimited template records from the file at `path`, or
     from `data`, its bytes when the caller has read them.  Each body is
-    parsed here, once: one that does not parse raises FormatError with its
-    line."""
+    lexed and checked here, once: one that no slot values can make parse
+    raises FormatError with its line."""
     reg = TemplateRegistry()
     name = Path(path).name
     for lineno, doc in json_records(utf8_lines(path, data), name):
@@ -144,8 +145,9 @@ def load_registry(path: str, data: bytes | None = None) -> TemplateRegistry:
         for _, slot_type in template.slots:
             if slot_type not in SLOT_TYPES:
                 raise FormatError(f"{name}: unknown slot type {slot_type!r}", lineno)
-        # a body that no slot values can mend fails here, and its parse is
-        # kept for the template's queries
+        # one check parse, with each slot's text unchecked, fails a body
+        # that no slot values can mend; the lexed tokens are kept, and each
+        # of the template's queries parses them with its values bound
         if template.query.error is not None:
             raise FormatError(f"{name}: template {template.name!r}: {template.query.error}",
                               lineno)
@@ -193,7 +195,7 @@ def run_template(
     graph: KnowledgeGraph,
     registry: TemplateRegistry,
 ) -> ResultSet:
-    """Bind a template's slots into its parsed body and evaluate it."""
+    """Bind a template's slots into its lexed body, parse and evaluate it."""
     template = registry.get(name)
     values: dict[str, str] = {}
     for slot_name, slot_type in template.slots:

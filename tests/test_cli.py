@@ -169,19 +169,40 @@ def test_two_comments_on_one_line_build_from_the_first(tmp_path, capsys):
     assert len(graph.sources((f, "documented-by", comment.id))) == 1
 
 
-def test_a_facts_file_listed_twice_builds_as_listed_once(tmp_path, capsys):
-    files = {"src/m.c": MIXED_SOURCE,
+FACTS = {"path": "facts.jsonl", "mode": "facts"}
+
+
+@pytest.mark.parametrize("again", [
+    [FACTS],
+    # the same files by other spellings: the first listing's stays in the ids
+    [{"path": "sub/../facts.jsonl", "mode": "facts"}, {"path": "sub/../src"}],
+], ids=["same-path", "dot-dot"])
+def test_a_facts_file_listed_twice_builds_as_listed_once(tmp_path, capsys, again):
+    files = {"src/m.c": MIXED_SOURCE, "sub/keep": "",
              "facts.jsonl": "".join(json.dumps(d) + "\n" for d in MIXED_FACTS)}
-    facts = {"path": "facts.jsonl", "mode": "facts"}
-    once = build_project(tmp_path / "once", files, {"sources": [facts, {"path": "src"}]})
+    once = build_project(tmp_path / "once", files, {"sources": [FACTS, {"path": "src"}]})
     once_stdout = capsys.readouterr().out
     twice = build_project(tmp_path / "twice", files,
-                          {"sources": [facts, {"path": "src"}, facts]})
+                          {"sources": [FACTS, {"path": "src"}, *again]})
     assert capsys.readouterr().out == once_stdout
     assert {p.name: p.read_bytes() for p in twice.iterdir()} == {
         p.name: p.read_bytes() for p in once.iterdir()}
     key = ("func:src/m.c#helper_fx", "calls", "func:src/m.c#drain_ring")
     assert len(load_graph(twice).sources(key)) == 1
+
+
+def test_a_dot_dot_behind_a_symlink_reaches_the_link_targets_sibling(tmp_path, capsys):
+    """`link/../src` names the `src` beside the link's target, which is not
+    `src`: a lexical reading of the path would drop its files."""
+    files = {"src/a.c": "void f(void) { }\n", "far/src/b.c": "void g(void) { }\n"}
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    (tmp_path / "far" / "inner").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "far" / "inner")
+    out = build_project(tmp_path, {}, {"sources": [{"path": "src"}, {"path": "link/../src"}]})
+    graph = load_graph(out)
+    assert {"func:src/a.c#f", "func:link/../src/b.c#g"} <= set(graph.entities)
 
 
 def test_a_file_two_roots_reach_builds_as_under_one_root(tmp_path, capsys):

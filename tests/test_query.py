@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckt.errors import FormatError, NotFoundError, QueryError, SlotError
@@ -604,15 +604,21 @@ TEMPLATE_VALUES = [*SLOT_VALUES, "FILTER", "limit", "where", "contains", "writes
                                                  "kw"]),
                                 st.sampled_from(TEMPLATE_VALUES) | st.text(max_size=6)),
                 min_size=1, max_size=4))
+# a check that read `$p` as written would refuse a body that `writes` mends
+@example("SELECT ?x WHERE { ?x $p ?y }", [{"p": "writes"}])
+@example("SELECT ?x WHERE { $s $p ?x ; ?x $p }", [{"p": "writes"}])
 def test_a_body_parsed_once_binds_as_the_parser_reads_the_bound_text(body, bindings):
     """One parsed body, bound to each drawn set of slot values in turn,
     gives what parse_query and the reference parser give for the body and
-    those values: the AST, or the error message and offset."""
+    those values: the AST, or the error message and offset.  A body that
+    the load check refuses parses under none of them."""
     template = Template("t", [], [], body)
     for values in bindings:
         bound = parse_outcome(lambda _, values: template.query.bind(values), body, values)
         assert bound == parse_outcome(parse_query, body, values)
         assert bound == parse_outcome(reference_parse_query, body, values)
+        if template.query.error is not None:
+            assert not isinstance(bound, QueryAST)
 
 
 def test_unknown_template_not_found():
@@ -654,9 +660,9 @@ def test_template_body_that_does_not_parse_names_its_line():
 
 
 def test_a_loaded_template_body_is_parsed_once(monkeypatch):
-    """load_registry parses each body and the template's queries reuse
-    that parse; a body whose slot decides what a word is still loads, and
-    is checked when it is bound."""
+    """load_registry lexes and checks each body once and the template's
+    queries reuse the lexed tokens; a body whose slot decides what a word
+    is still loads, and is checked when it is bound."""
     bodies = ['SELECT ?bug WHERE { ?bug touches $func } FILTER ?bug CONTAINS "bug:"',
               "SELECT ?x WHERE { ?x $p ?y }"]
     data = "".join(json.dumps(doc) + "\n" for doc in [
