@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import ckt.graph
@@ -47,7 +46,7 @@ from ckt.graph import (
     Provenance,
     collector_paused,
 )
-from ckt.model import Comment, Entity, FactSet, Relation, TraceLog
+from ckt.model import Comment, Entity, FactSet, Record, Relation, TraceLog
 from ckt.query.parser import is_word
 from ckt.query.templates import load_registry
 from ckt.textio import not_utf8, utf8_lines
@@ -55,16 +54,21 @@ from ckt.textio import not_utf8, utf8_lines
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
 
 
-@dataclass
-class ProjectManifest:
-    sources: list[tuple[Path, str]]  # (path, "parse" | "facts-file")
-    commits: Path | None
-    bugs: Path | None
-    trace: Path | None
-    ontology: Path | None
-    weights: Path | None
-    templates: Path | None
-    out: Path
+class ProjectManifest(Record):
+    __slots__ = _fields = ("sources", "commits", "bugs", "trace", "ontology", "weights",
+                           "templates", "out")
+
+    def __init__(self, sources: list[tuple[Path, str]], commits: Path | None, bugs: Path | None,
+                 trace: Path | None, ontology: Path | None, weights: Path | None,
+                 templates: Path | None, out: Path):
+        self.sources = sources  # (path, "parse" | "facts-file")
+        self.commits = commits
+        self.bugs = bugs
+        self.trace = trace
+        self.ontology = ontology
+        self.weights = weights
+        self.templates = templates
+        self.out = out
 
 
 def load_manifest(path: Path) -> ProjectManifest:
@@ -125,14 +129,16 @@ def load_manifest(path: Path) -> ProjectManifest:
     return manifest
 
 
-@dataclass
-class BuildState:
-    facts: FactSet = field(default_factory=FactSet)
-    comments: list[Comment] = field(default_factory=list)  # one per comment id
-    associations: dict[str, str] = field(default_factory=dict)  # comment id -> entity id
-    trace: TraceLog | None = None
-    warnings: list[str] = field(default_factory=list)
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+class BuildState(Record):
+    __slots__ = _fields = ("facts", "comments", "associations", "trace", "warnings", "counts")
+
+    def __init__(self):
+        self.facts = FactSet()
+        self.comments: list[Comment] = []  # one per comment id
+        self.associations: dict[str, str] = {}  # comment id -> entity id
+        self.trace: TraceLog | None = None
+        self.warnings: list[str] = []
+        self.counts: dict[str, dict[str, int]] = {}
 
     def bump(self, source: str, what: str, n: int = 1) -> None:
         row = self.counts.setdefault(source, {})

@@ -35,7 +35,7 @@ from ckt.query.evaluate import evaluate
 from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
     DMY_DATE,
-    LabelIndex,
+    LabelSearch,
     NoMatch,
     TemplateRegistry,
     builtin_registry,
@@ -62,14 +62,14 @@ def cmd_build(manifest_path: Path) -> int:
 
 class QueryContext(Record):
     """What a query runs against, loaded once per process: the graph with
-    its persisted ranks, the template registry, an index of the graph's
-    labels built by the first free-form query, and the alert rules'
-    context, which holds the trace copy and whose indexes the first
-    response that needs each one builds."""
+    its persisted ranks, the template registry, the search of the graph's
+    labels that free-form queries resolve against, which keeps what each
+    one found, and the alert rules' context, which holds the trace copy
+    and whose indexes the first response that needs each one builds."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 
-    def __init__(self, graph: KnowledgeGraph, registry: TemplateRegistry, labels: LabelIndex,
+    def __init__(self, graph: KnowledgeGraph, registry: TemplateRegistry, labels: LabelSearch,
                  rules: AugmentContext):
         self.graph = graph
         self.registry = registry
@@ -100,7 +100,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
         graph = load_graph(graph_dir, copies)
         gc.freeze()
-    return QueryContext(graph, registry, LabelIndex(graph), AugmentContext(graph, trace))
+    return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, trace))
 
 
 def _read_if_present(path: Path) -> bytes | None:

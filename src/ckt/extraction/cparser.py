@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import posixpath
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ckt import ids
-from ckt.model import Entity, FactSet, Relation, Span
+from ckt.model import Entity, FactSet, Record, Relation, Span
 
 TYPE_KEYWORDS = frozenset(
     ["void", "char", "short", "int", "long", "float", "double", "signed", "unsigned", "bool"]
@@ -152,14 +151,17 @@ def lex(text: str) -> Lexed:
     return toks, comments
 
 
-@dataclass
-class _FuncDef:
-    name: str
-    start_line: int
-    end_line: int
-    params: list[tuple[str, str]]  # (name, type text)
-    body: tuple[int, int]  # token index range, exclusive end
-    storage: str | None
+class _FuncDef(Record):
+    __slots__ = _fields = ("name", "start_line", "end_line", "params", "body", "storage")
+
+    def __init__(self, name: str, start_line: int, end_line: int, params: list[tuple[str, str]],
+                 body: tuple[int, int], storage: str | None):
+        self.name = name
+        self.start_line = start_line
+        self.end_line = end_line
+        self.params = params  # (name, type text)
+        self.body = body  # token index range, exclusive end
+        self.storage = storage
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}

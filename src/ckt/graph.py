@@ -2,12 +2,11 @@
 and flat-file persistence.
 
 A triple is its key, the tuple (subject, predicate, object).  The graph
-holds the keys once, in one provenance table (key -> the sources that
-asserted it), sorted into SPO; OSP and each predicate's list are sorted on
-first use, and a lookup yields keys straight from one of them.  Triples
-are set-valued: re-inserting an existing triple appends provenance.
-After ``finalize()`` the graph is immutable and safe for concurrent
-readers.
+holds the keys once, sorted into SPO, beside the table of the sources that
+asserted each one; OSP and each predicate's list are sorted on first use,
+and a lookup yields keys straight from one of them.  Triples are
+set-valued: re-inserting an existing triple appends provenance.  After
+``finalize()`` the graph is immutable and safe for concurrent readers.
 
 PageRank, triangle counts and neighbourhoods run on the dense-id core
 that README.md describes under "Graph storage".
@@ -16,7 +15,9 @@ A graph directory ends with graph.json: format 2, the BLAKE2b digest of
 each of its other files.  save_graph streams each file, in chunks of
 lines, into a temporary file and its digest at once, and writes graph.json
 last; load_graph reads a directory only with it, parses each line as
-save_graph writes it and then checks each file against its digest.
+save_graph writes it and then checks each file against its digest.  The
+load streams triples.tsv in blocks into its digest and into the keys
+alone; a loaded graph reads the file again for the first sources() call.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple, NoReturn
+from typing import BinaryIO, NamedTuple, NoReturn
 
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
@@ -166,29 +167,29 @@ class GraphBuilder:
 
 
 class KnowledgeGraph:
-    """Immutable triple collection with SPO, OSP and per-predicate indexes."""
+    """Immutable triple collection with SPO, OSP and per-predicate indexes.
+
+    A built graph holds each key's sources in a table; a loaded one holds
+    only its keys and reads their sources from its triples.tsv when
+    `sources()` is first called."""
 
     def __init__(
         self,
         entities: dict[str, Entity],
-        sources: dict[Key, list[Provenance] | str],
+        sources: dict[Key, list[Provenance]] | TriplesFile,
         ranks: dict[str, float] | None = None,
         spo: list[Key] | None = None,
-        lines: list[Key] | None = None,
     ):
-        """The graph owns `entities` and `sources` (the table of every
-        triple's key and the sources that asserted it), which no one may
-        change after.  A loaded graph may hold a key's sources as the JSON
-        text of its triples.tsv line, decoded by `sources()` on first use.
+        """The graph owns `entities` and `sources`, which no one may change
+        after: the table of every triple's key and the sources that
+        asserted it, or for a loaded graph the TriplesFile that reads them.
         `ranks`, when given, are the default-parameter PageRank scores of
         this graph, as `save_graph` persisted them; `spo`, when given, is
-        every key of `sources` in ascending order; `lines`, when given, is
-        the key of each line of the triples.tsv that the JSON texts come
-        from, if that is not `spo`."""
+        every key of the graph in ascending order, which a TriplesFile
+        needs."""
         self.entities = entities
         self._sources = sources
         self._spo = sorted(sources) if spo is None else spo
-        self._lines = self._spo if lines is None else lines
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
         self._pos_lists: dict[str, list[Key]] = {}
@@ -232,8 +233,14 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self._spo)
 
+    @cached_property
+    def _keys(self) -> dict[Key, list[Provenance]] | frozenset[Key]:
+        """What a membership test looks a key up in: the sources table, or
+        a set of the keys made by the first test on a loaded graph."""
+        return self._sources if isinstance(self._sources, dict) else frozenset(self._spo)
+
     def __contains__(self, key: Key) -> bool:
-        return key in self._sources
+        return key in self._keys
 
     def triples(self):
         """Every key in (subject, predicate, object) order."""
@@ -241,14 +248,11 @@ class KnowledgeGraph:
 
     def sources(self, key: Key) -> list[Provenance]:
         """The sources that asserted the triple `key`, in the order they
-        did; KeyError when the graph lacks it.  A loaded graph keeps each
-        list as its line's JSON text, decoded here once: a bad list raises
-        FormatError with that line of the loaded triples.tsv."""
-        provs = self._sources[key]
-        if isinstance(provs, str):
-            lineno = bisect.bisect_left(self._lines, key) + 1
-            provs = self._sources[key] = _provenance_list(provs, lineno)
-        return provs
+        did; KeyError when the graph lacks it.  A loaded graph reads them
+        from its triples.tsv (see TriplesFile)."""
+        if key not in self:
+            raise KeyError(key)
+        return self._sources[key]
 
     def search_fields(self, value: str) -> list[str]:
         """What FILTER ... CONTAINS looks in for `value`, each lower-cased
@@ -292,7 +296,7 @@ class KnowledgeGraph:
         """
         s, p, o = subject, predicate, object_
         if s is not None and p is not None and o is not None:
-            keys = [(s, p, o)] if (s, p, o) in self._sources else []
+            keys = [(s, p, o)] if (s, p, o) in self._keys else []
         elif s is not None and o is not None:
             keys = _run(self._osp, (o, s), _OBJECT_SUBJECT)
         elif s is not None:
@@ -431,11 +435,14 @@ class KnowledgeGraph:
                 break
             reached |= frontier
         entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
-        # each key's sources as this graph holds them, decoded or not
-        sources = {key: self._sources[key]
-                   for s in entities for key in self.match(s, None, None)
-                   if key[1] not in LITERAL_PREDICATES and key[2] in entities}
-        return KnowledgeGraph(entities, sources, spo=list(sources), lines=self._lines)
+        spo = [key for s in entities for key in self.match(s, None, None)
+               if key[1] not in LITERAL_PREDICATES and key[2] in entities]
+        # a loaded graph's subgraph shares its TriplesFile, and so each
+        # list it has decoded and the triples.tsv line of each key
+        sources = self._sources
+        if isinstance(sources, dict):
+            sources = {key: sources[key] for key in spo}
+        return KnowledgeGraph(entities, sources, spo=spo)
 
 
 # -- persistence ---------------------------------------------------------
@@ -454,6 +461,7 @@ GRAPH_MANIFEST = "graph.json"
 FORMAT_VERSION = 2
 DIGEST_SIZE = 32  # bytes of each BLAKE2b digest
 CHUNK_LINES = 1024  # lines that save_graph encodes, writes and hashes at a time
+TRIPLES_BLOCK = 1 << 14  # bytes of triples.tsv that a load reads, hashes and parses at a time
 
 
 @contextmanager
@@ -469,6 +477,39 @@ def collector_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+class TriplesFile:
+    """The sources of a loaded graph's triples, read from its triples.tsv
+    on first use.  The first lookup reads the file again and checks it
+    against the digest in graph.json that the load checked it against; a
+    file that changed since raises the FormatError a load would raise.
+    Then each key's list is decoded from its line once: the line of the
+    key's place in `keys`, the load's SPO, plus 1, and a bad list raises
+    FormatError with that line.  A lookup takes a key of the graph."""
+
+    def __init__(self, path: Path, manifest: bytes, keys: list[Key]):
+        self._path = path
+        self._manifest = manifest
+        self._keys = keys
+        self._decoded: dict[Key, list[Provenance]] = {}
+
+    @cached_property
+    def _file_lines(self) -> list[bytes]:
+        try:
+            data = self._path.read_bytes()
+        except FileNotFoundError:
+            data = None
+        _check_digests(self._manifest, _digests({TRIPLES_FILE: data}))
+        return data.split(b"\n")
+
+    def __getitem__(self, key: Key) -> list[Provenance]:
+        provs = self._decoded.get(key)
+        if provs is None:
+            i = bisect.bisect_left(self._keys, key)
+            text = self._file_lines[i].decode("utf-8").split("\t")[3]
+            provs = self._decoded[key] = _provenance_list(text, i + 1)
+        return provs
 
 
 def _node_line(entity: Entity) -> str:
@@ -493,11 +534,8 @@ def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
     distinct source's `"source": ...}` tail encoded once per call."""
     tails: dict[str, str] = {}
     for key in graph._spo:
-        provs = graph._sources[key]
-        if isinstance(provs, str):  # a loaded line's text, which need not be ours
-            provs = graph.sources(key)
         docs = []
-        for source, origin, detail in provs:
+        for source, origin, detail in graph.sources(key):
             tail = tails.get(source) or tails.setdefault(
                 source, f', "source": {_json_str(source)}}}')
             detail = f'"detail": {_json_str(detail)}, ' if detail else ""
@@ -563,38 +601,44 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
 def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
-    nodes.jsonl, triples.tsv, ranks.tsv and graph.json are each read once;
-    a missing one raises NotFoundError naming it.  The three graph files
-    are parsed as save_graph writes them: bytes that are not UTF-8, a CR,
-    a last line without its LF, node ids or triple keys that do not
-    strictly ascend, an unknown kind or predicate, a triple end that is no
-    node, or a rank that is missing, extra or not finite raises
-    FormatError with the file and the line.  Each file is hashed before
-    the parse, and its bytes are dropped once it is parsed; only after the
-    parse is each file checked against its digest in graph.json: one that
-    differs raises FormatError naming the file at its line in graph.json.
-    That is a hand edit, or a read while a build rewrote the directory.  In the
-    second case a line of a file that its digest vouches for can fail to
-    fit a file of the other build read before it; that failure, too,
-    names the changed file in graph.json.  A line that fails in a file
-    whose own digest differs is named at its line, also when the reads
-    interleaved with the renames: the new nodes.jsonl, then the old
-    triples.tsv just before its rename, then the new graph.json.  Each
-    triple's sources stay the JSON text of its line until
-    KnowledgeGraph.sources decodes them.  A graph.json of another format,
-    such as format 1 with its SHA-256 table, raises FormatError asking for
-    `ckt build` again.
+    nodes.jsonl, triples.tsv, ranks.tsv and graph.json are each read once,
+    in that order; a missing one raises NotFoundError naming it.  The three
+    graph files are parsed as save_graph writes them: bytes that are not
+    UTF-8, a CR, a last line without its LF, node ids or triple keys that
+    do not strictly ascend, an unknown kind or predicate, a triple end that
+    is no node, or a rank that is missing, extra or not finite raises
+    FormatError with the file and the line.  nodes.jsonl and ranks.tsv are
+    read whole and hashed before the parse, and each one's bytes are
+    dropped once it is parsed.  triples.tsv is opened in its turn and read
+    TRIPLES_BLOCK bytes at a time, each read fed to its digest and each
+    block of whole lines to the parse, which keeps only each line's key:
+    neither the file nor any provenance text is held.  A file whose parse
+    fails is hashed to its end all the same.  Only after the parse is each
+    file checked against its digest in graph.json: one that differs raises
+    FormatError naming the file at its line in graph.json.  That is a hand
+    edit, or a read while a build rewrote the directory.  In the second
+    case a line of a file that its digest vouches for can fail to fit a
+    file of the other build read before it; that failure, too, names the
+    changed file in graph.json.  A line that fails in a file whose own
+    digest differs is named at its line, also when the reads interleaved
+    with the renames: the new nodes.jsonl, then the old triples.tsv just
+    before its rename, then the new graph.json.  The graph reads the
+    triples' sources from triples.tsv again on first use (see
+    TriplesFile).  A graph.json of another format, such as format 1 with
+    its SHA-256 table, raises FormatError asking for `ckt build` again.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
     """
-    data = _read_files(directory, (*GRAPH_FILES, GRAPH_MANIFEST))
+    directory = Path(directory)
+    data = _read_files(directory, (*GRAPH_FILES, GRAPH_MANIFEST), stream=TRIPLES_FILE)
     manifest = data.pop(GRAPH_MANIFEST)
-    digests = _digests({**data, **(copies or {})})
-    graph = _parse_graph(data, manifest, digests)
+    with data.pop(TRIPLES_FILE) as triples:
+        entities, spo, ranks, digests = _parse_graph(data, triples, manifest, copies or {})
     _check_digests(manifest, digests)
-    return graph
+    return KnowledgeGraph(entities, TriplesFile(directory / TRIPLES_FILE, manifest, spo),
+                          ranks, spo)
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:
@@ -605,18 +649,25 @@ def check_files(directory, files: dict[str, bytes | None]) -> None:
     _check_digests(_read_files(directory, (GRAPH_MANIFEST,))[GRAPH_MANIFEST], _digests(files))
 
 
-def _read_files(directory, names: tuple[str, ...]) -> dict[str, bytes]:
-    """The bytes of each named file of the directory; NotFoundError names
-    the ones it lacks."""
-    data: dict[str, bytes] = {}
-    for name in names:
-        try:
-            data[name] = (Path(directory) / name).read_bytes()
-        except FileNotFoundError:
-            pass
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
+def _read_files(directory, names: tuple[str, ...], stream: str | None = None) -> dict:
+    """The bytes of each named file of the directory, read in the order
+    of `names`, but for the file named `stream` the binary file opened in
+    its turn; NotFoundError names the files it lacks."""
+    data: dict = {}
+    try:
+        for name in names:
+            path = Path(directory) / name
+            try:
+                data[name] = open(path, "rb") if name == stream else path.read_bytes()
+            except FileNotFoundError:
+                pass
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
+    except BaseException:
+        if stream in data:
+            data[stream].close()
+        raise
     return data
 
 
@@ -662,15 +713,27 @@ def _manifest_digests(manifest: bytes) -> dict:
     return doc["blake2b"]
 
 
-def _lines(name: str, data: bytes) -> io.TextIOWrapper:
-    """The lines of a file that save_graph wrote, each with its LF, decoded
-    as they are read; a CR, which a text-mode read takes for a line break,
-    or a last line without its LF raises FormatError with its line."""
+def _byte_error(name: str, data: bytes, lines_before: int = 0) -> FormatError | None:
+    """The error, at its line, for a CR in `data`, the bytes of file `name`
+    after its first `lines_before` lines, which a text-mode read would take
+    for a line break, or else for a last line without its LF; None when
+    `data` has neither."""
     cr = data.find(b"\r")
     if cr >= 0:
-        raise FormatError(f"carriage return in {name}", data.count(b"\n", 0, cr) + 1)
+        return FormatError(f"carriage return in {name}",
+                           lines_before + data.count(b"\n", 0, cr) + 1)
     if data and not data.endswith(b"\n"):
-        raise FormatError(f"no line feed at the end of {name}", data.count(b"\n") + 1)
+        return FormatError(f"no line feed at the end of {name}",
+                           lines_before + data.count(b"\n") + 1)
+    return None
+
+
+def _lines(name: str, data: bytes) -> io.TextIOWrapper:
+    """The lines of a file that save_graph wrote, each with its LF, decoded
+    as they are read; the `_byte_error` of `data` is raised first."""
+    error = _byte_error(name, data)
+    if error is not None:
+        raise error
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
 
 
@@ -681,15 +744,19 @@ _SCAN = make_scanner(json.JSONDecoder())
 _PREDICATE = {p: p for p in PREDICATES}
 
 
-def _parse_graph(data: dict[str, bytes], manifest: bytes,
-                 digests: dict[str, str | None]) -> KnowledgeGraph:
-    """The graph from the bytes of its three files, each line read as
-    save_graph writes it; what save_graph would not write raises
-    FormatError with the file and the line, unless `_blame_changed_file`
-    names a file that changed instead.  The keys reuse each node's id
-    string rather than keep the copies split off their lines.  Each file's
+def _parse_graph(data: dict[str, bytes], triples: BinaryIO, manifest: bytes,
+                 copies: dict[str, bytes | None]) -> tuple:
+    """(entities, SPO keys, ranks, digests): the graph from the bytes of
+    nodes.jsonl and ranks.tsv and from the open triples.tsv, each line read
+    as save_graph writes it, and the digest of each graph file and of each
+    of `copies`, in the order they are checked.  What save_graph would not
+    write raises FormatError with the file and the line, unless
+    `_blame_changed_file` names a file that changed instead.  Each file's
     bytes leave `data` once it is parsed, so the peak of a load holds no
     file that is already in the graph."""
+    # graph files first, triples.tsv in its place, hashed as it is read
+    digests = {NODES_FILE: None, TRIPLES_FILE: None, **_digests({**data, **copies})}
+    digest = _blake2b(digest_size=DIGEST_SIZE)
     entities: dict[str, Entity] = {}
     name, n = NODES_FILE, 0
     try:
@@ -719,28 +786,9 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes,
                 entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
                 last = eid
         del data[name]
-        canonical = {eid: eid for eid in entities}
-        sources: dict[Key, str] = {}
-        name, n = TRIPLES_FILE, 0
-        with _lines(name, data[name]) as lines:
-            for n, line in enumerate(lines, start=1):
-                s, p, o, provs = line.split("\t")
-                pred = _PREDICATE.get(p)
-                if pred is None:
-                    raise FormatError(f"unknown predicate {p!r} in {name}", n)
-                s = canonical.get(s) or _no_node(s, n)
-                if pred not in LITERAL_PREDICATES:
-                    o = canonical.get(o) or _no_node(o, n)
-                elif ids.kind_of(o) is not None:
-                    raise FormatError(f"literal expected for predicate {pred!r}, "
-                                      f"got entity id {o!r} in {name}", n)
-                sources[s, pred, o] = provs[:-1]
-        spo = list(sources)
-        if len(spo) != n or spo != sorted(spo):  # the keys must ascend strictly
-            keys = [line.split("\t", 3)[:3] for line in data[name].decode("utf-8").split("\n")]
-            n = next(i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]) + 1
-            raise FormatError(f"triple does not follow the line before in {name}", n)
-        del data[name]
+        name = TRIPLES_FILE
+        spo = _triple_keys(triples, digest, entities)
+        digests[name] = digest.hexdigest()
         ranks: dict[str, float] = {}
         name, n = RANKS_FILE, 0
         expected = iter(entities)
@@ -758,13 +806,87 @@ def _parse_graph(data: dict[str, bytes], manifest: bytes,
         if eid is not None:
             raise FormatError(f"{name} ends without a rank for {eid!r}", n + 1)
     except (FormatError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        while block := triples.read(TRIPLES_BLOCK):  # unread when nodes.jsonl failed
+            digest.update(block)
+        digests[TRIPLES_FILE] = digest.hexdigest()
         _blame_changed_file(manifest, digests, name)
         if isinstance(exc, FormatError):
             raise
         if isinstance(exc, UnicodeDecodeError):
             raise not_utf8(name, data[name], exc) from exc
         raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}", n) from exc
-    return KnowledgeGraph(entities, sources, ranks, spo)
+    return entities, spo, ranks, digests
+
+
+def _blocks(file: BinaryIO, digest) -> Iterator[bytes]:
+    """The bytes of `file`, each read fed to `digest`, in blocks that end
+    at a LF, but for the rest after the last LF, if any, which comes last."""
+    rest = b""
+    while chunk := file.read(TRIPLES_BLOCK):
+        digest.update(chunk)
+        end = chunk.rfind(b"\n") + 1
+        if end:
+            yield rest + chunk[:end]
+            rest = chunk[end:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _triple_keys(file: BinaryIO, digest, entities: dict[str, Entity]) -> list[Key]:
+    """The key of each line of triples.tsv, read from `file` and fed to
+    `digest` block by block, in file order; both ends of a key are the id
+    strings of `entities`, and the rest of each line is dropped.
+
+    A line that save_graph would not write raises FormatError with its
+    line once the whole file is read, so that the digest is whole.  A CR,
+    or a last line without its LF, is raised in its place wherever it is,
+    as when the whole file was checked for them before the parse, and keys
+    that do not strictly ascend only after every line has parsed."""
+    name = TRIPLES_FILE
+    spo: list[Key] = []
+    last: tuple = ()
+    n = 0  # the lines before the block
+    unordered = 0  # the first line whose key does not follow the one before
+    bad_bytes = bad_line = None
+    for block in _blocks(file, digest):
+        if bad_bytes is None:
+            bad_bytes = _byte_error(name, block, n)
+        if bad_bytes is None and bad_line is None:
+            lineno = n
+            try:
+                lines = block.decode("utf-8").split("\n")
+                lines.pop()  # the block ends with a LF
+                for lineno, line in enumerate(lines, start=n + 1):
+                    s, p, o, _ = line.split("\t")
+                    pred = _PREDICATE.get(p)
+                    if pred is None:
+                        raise FormatError(f"unknown predicate {p!r} in {name}", lineno)
+                    s = (entities.get(s) or _no_node(s, lineno)).id
+                    if pred not in LITERAL_PREDICATES:
+                        o = (entities.get(o) or _no_node(o, lineno)).id
+                    elif ids.kind_of(o) is not None:
+                        raise FormatError(f"literal expected for predicate {pred!r}, "
+                                          f"got entity id {o!r} in {name}", lineno)
+                    key = (s, pred, o)
+                    if not key > last and not unordered:
+                        unordered = lineno
+                    spo.append(key)
+                    last = key
+            except FormatError as exc:
+                bad_line = exc
+            except UnicodeDecodeError as exc:
+                bad_line = not_utf8(name, block, exc, n + 1)
+            except ValueError as exc:  # not four fields
+                bad_line = FormatError(f"not a line that ckt build writes in {name}: {exc!r}",
+                                       lineno)
+        n += block.count(b"\n")
+    if bad_bytes or bad_line:
+        raise bad_bytes or bad_line
+    if unordered:
+        raise FormatError(f"triple does not follow the line before in {name}", unordered)
+    return spo
 
 
 def _blame_changed_file(manifest: bytes, digests: dict[str, str | None], name: str) -> None:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from ckt import ids
 from ckt.errors import ConflictError, FormatError
-from ckt.model import Comment, Entity, FactSet
+from ckt.concepts import identifier_like
+from ckt.model import Comment, Entity, FactSet, Record
 from ckt.textio import json_records, parse_timestamp
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
@@ -24,28 +24,27 @@ _CR_RUN = re.compile(r"cr\d+")
 _BUG_PATTERNS = (re.compile(r"bug#(\d+)", re.IGNORECASE), re.compile(r"CR(\d+)", re.IGNORECASE))
 
 
-def _identifierish(token: str) -> bool:
-    """Code-flavored token: mixes letters with digits or underscores."""
-    has_mark = "_" in token or any(c.isdigit() for c in token)
-    has_letter = any(c.isalpha() for c in token) or "_" in token
-    return has_mark and has_letter
+class Change(Record):
+    __slots__ = _fields = ("path", "added", "removed")
+
+    def __init__(self, path: str, added: list[tuple[int, int]] | None = None,
+                 removed: list[tuple[int, int]] | None = None):
+        self.path = path
+        self.added = [] if added is None else added
+        self.removed = [] if removed is None else removed
 
 
-@dataclass
-class Change:
-    path: str
-    added: list[tuple[int, int]] = field(default_factory=list)
-    removed: list[tuple[int, int]] = field(default_factory=list)
+class Commit(Record):
+    __slots__ = _fields = ("id", "author_name", "author_email", "timestamp", "summary", "changes")
 
-
-@dataclass
-class Commit:
-    id: str
-    author_name: str
-    author_email: str
-    timestamp: str
-    summary: str
-    changes: list[Change] = field(default_factory=list)
+    def __init__(self, id: str, author_name: str, author_email: str, timestamp: str,
+                 summary: str, changes: list[Change] | None = None):
+        self.id = id
+        self.author_name = author_name
+        self.author_email = author_email
+        self.timestamp = timestamp
+        self.summary = summary
+        self.changes = [] if changes is None else changes
 
     @property
     def entity_id(self) -> str:
@@ -56,18 +55,23 @@ class Commit:
         return ids.dev_id(self.author_email or self.author_name)
 
 
-@dataclass
-class BugRecord:
-    id: str  # "<tracker>/<number>"
-    tracker: str
-    title: str
-    description: str
-    status: str
-    opened: str
-    closed: str | None
-    assignee: str
-    error_strings: list[str] = field(default_factory=list)
-    mentions: list[str] = field(default_factory=list)
+class BugRecord(Record):
+    __slots__ = _fields = ("id", "tracker", "title", "description", "status", "opened", "closed",
+                           "assignee", "error_strings", "mentions")
+
+    def __init__(self, id: str, tracker: str, title: str, description: str, status: str,
+                 opened: str, closed: str | None, assignee: str,
+                 error_strings: list[str] | None = None, mentions: list[str] | None = None):
+        self.id = id  # "<tracker>/<number>"
+        self.tracker = tracker
+        self.title = title
+        self.description = description
+        self.status = status
+        self.opened = opened
+        self.closed = closed
+        self.assignee = assignee
+        self.error_strings = [] if error_strings is None else error_strings
+        self.mentions = [] if mentions is None else mentions
 
     @property
     def entity_id(self) -> str:
@@ -355,7 +359,7 @@ def link_bugs_code(
         idents = set()
         for text in [bug.title, *bug.error_strings]:
             idents.update(
-                m.group().lower() for m in _WORD.finditer(text) if _identifierish(m.group())
+                m.group().lower() for m in _WORD.finditer(text) if identifier_like(m.group())
             )
         hits = {pair for token in idents for pair in by_token.get(token, ())}
         for _, entity_id in sorted(hits):

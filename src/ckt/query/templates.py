@@ -10,6 +10,7 @@ a pure function of the text, the registry, and the graph labels.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -231,36 +232,74 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-class LabelIndex:
-    """Entity ids by the normalized tokens of their labels, built on first
-    use: each label's full token tuple, and each of its leading sub-tuples
-    (prefixes), maps to the lowest id carrying it while that id is unique,
-    and to None once a second id shares it."""
+class LabelSearch:
+    """Entity ids by the normalized tokens of their labels, looked up for
+    the tokens of one question at a time.
+
+    Every token of a label's normalized tuple is a substring of the label
+    lower-cased, so a label whose tuple equals, or starts with, a run of
+    tokens contains the run's first token.  So only the labels that
+    contain one of the tokens are normalized (filter and verify, as in
+    Navarro, "A guided tour to approximate string matching", ACM Computing
+    Surveys 2001).  They are found by substring search in one join of the
+    lower-cased labels, made on first use; each token's candidates and
+    each candidate's tuple are kept, so a token seen before costs one
+    lookup."""
 
     def __init__(self, graph: KnowledgeGraph):
         self._graph = graph
+        self._candidates: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
 
     @cached_property
-    def _tables(self) -> tuple[dict[tuple[str, ...], str | None], dict[tuple[str, ...], str | None]]:
+    def _joined(self) -> tuple[str, list[int], list[str]]:
+        """The labels in ascending id order, each lower-cased on its own as
+        normalize_tokens lowers it, joined by LFs, which no token holds;
+        where each one starts in the join; and their ids."""
+        entities = self._graph.entities
+        ids = sorted(entities)
+        lowered = [entities[eid].label.lower() for eid in ids]
+        starts, at = [], 0
+        for label in lowered:
+            starts.append(at)
+            at += len(label) + 1
+        return "\n".join(lowered), starts, ids
+
+    def candidates(self, token: str) -> list[tuple[str, tuple[str, ...]]]:
+        """(id, normalized label tokens) of each entity whose lower-cased
+        label contains `token`, in ascending id order."""
+        found = self._candidates.get(token)
+        if found is None:
+            text, starts, ids = self._joined
+            entities = self._graph.entities
+            found = []
+            at = text.find(token)
+            while at >= 0:
+                i = bisect_right(starts, at) - 1
+                found.append((ids[i], tuple(normalize_tokens(entities[ids[i]].label))))
+                at = text.find(token, starts[i + 1]) if i + 1 < len(starts) else -1
+            self._candidates[token] = found
+        return found
+
+    def tables(self, tokens: list[str]) -> tuple[dict[tuple[str, ...], str | None],
+                                                 dict[tuple[str, ...], str | None]]:
+        """(exact, prefix) over the candidates of `tokens`: each label's
+        full token tuple, and each of its leading sub-tuples, maps to the
+        id carrying it while that id is unique, and to None once a second
+        id shares it.  For every run of `tokens`, both tables hold what
+        they would hold over every label."""
+        labels: dict[str, tuple[str, ...]] = {}
+        for token in tokens:
+            labels.update(self.candidates(token))
         exact: dict[tuple[str, ...], str | None] = {}
         prefix: dict[tuple[str, ...], str | None] = {}
-        for eid in sorted(self._graph.entities):
-            toks = tuple(normalize_tokens(self._graph.entities[eid].label))
+        for eid, toks in labels.items():
             exact[toks] = None if toks in exact else eid
             for n in range(1, len(toks) + 1):
                 prefix[toks[:n]] = None if toks[:n] in prefix else eid
         return exact, prefix
 
-    def exact(self, tokens: tuple[str, ...]) -> str | None:
-        """The one entity whose label tokens are exactly `tokens`, if unique."""
-        return self._tables[0].get(tokens)
 
-    def prefixed(self, tokens: tuple[str, ...]) -> str | None:
-        """The one entity whose label tokens start with `tokens`, if unique."""
-        return self._tables[1].get(tokens)
-
-
-def _resolve_entity(tokens: list[str], labels: LabelIndex) -> tuple[str, list[str]] | None:
+def _resolve_entity(tokens: list[str], labels: LabelSearch) -> tuple[str, list[str]] | None:
     """Resolve a token sequence to a unique entity by label.
 
     Tries exact label matches over contiguous subsequences (longest first,
@@ -268,16 +307,16 @@ def _resolve_entity(tokens: list[str], labels: LabelIndex) -> tuple[str, list[st
     the tokens left unconsumed.
     """
     n = len(tokens)
-    for lookup in (labels.exact, labels.prefixed):
+    for table in labels.tables(tokens):
         for length in range(n, 0, -1):
             for start in range(0, n - length + 1):
-                eid = lookup(tuple(tokens[start : start + length]))
+                eid = table.get(tuple(tokens[start : start + length]))
                 if eid is not None:
                     return eid, tokens[:start] + tokens[start + length :]
     return None
 
 
-def match_freeform(text: str, registry: TemplateRegistry, labels: LabelIndex) -> FreeformMatch | NoMatch:
+def match_freeform(text: str, registry: TemplateRegistry, labels: LabelSearch) -> FreeformMatch | NoMatch:
     """Route free-form English to a template plus slot values, resolving
     entity slots against the graph's `labels`, or report the nearest
     templates when no routing is confident enough."""

@@ -32,11 +32,12 @@ def utf8_lines(path: str | Path, data: bytes | None = None) -> Iterator[str]:
             raise not_utf8(path.name, path.read_bytes() if data is None else data, exc) from exc
 
 
-def not_utf8(name: str, data: bytes, exc: UnicodeDecodeError) -> FormatError:
-    """The error for `data`, the bytes of file `name`, whose decoding
-    failed with `exc`: FormatError at the first line that is not UTF-8,
-    found anew because the decoder's offsets are per chunk."""
-    for lineno, line in enumerate(data.split(b"\n"), start=1):
+def not_utf8(name: str, data: bytes, exc: UnicodeDecodeError, first_line: int = 1) -> FormatError:
+    """The error for `data`, the bytes of file `name` from its line
+    `first_line` on, whose decoding failed with `exc`: FormatError at the
+    first line that is not UTF-8, found anew because the decoder's offsets
+    are per chunk."""
+    for lineno, line in enumerate(data.split(b"\n"), start=first_line):
         try:
             line.decode("utf-8")
         except UnicodeDecodeError:

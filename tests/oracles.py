@@ -17,8 +17,10 @@ where it is used, reads the package's `lex` tokens and keyword sets and
 builds its FactSet.  `reference_lex` and `reference_associate_comments`
 are the lexer and the comment association as they were before each step
 was made to run once: a failed match per blank, a scan of every entity per
-comment.  The helpers at the end compare and parse what the package
-produces.
+comment.  `LabelIndex` is free-form routing's label index as it was before
+the label search: the exact and prefix tables over every label, through
+the package's normalize_tokens.  The helpers at the end compare and parse
+what the package produces.
 """
 
 from __future__ import annotations
@@ -840,6 +842,31 @@ def race_static(var, entities, triples):
             if ref not in evidence:
                 evidence.append(ref)
     return (racing, evidence) if racing else None
+
+
+class LabelIndex:
+    """Entity ids by the normalized tokens of every label, built on first
+    use: each label's full token tuple, and each of its leading sub-tuples
+    (prefixes), maps to the lowest id carrying it while that id is unique,
+    and to None once a second id shares it.  `tables` gives both tables,
+    as the package's LabelSearch gives its own for some tokens."""
+
+    def __init__(self, graph):
+        self._graph = graph
+        self._built = None
+
+    def tables(self, tokens=None):
+        from ckt.config import normalize_tokens
+
+        if self._built is None:
+            exact, prefix = {}, {}
+            for eid in sorted(self._graph.entities):
+                toks = tuple(normalize_tokens(self._graph.entities[eid].label))
+                exact[toks] = None if toks in exact else eid
+                for n in range(1, len(toks) + 1):
+                    prefix[toks[:n]] = None if toks[:n] in prefix else eid
+            self._built = exact, prefix
+        return self._built
 
 
 def resolve_entity(tokens, labels):

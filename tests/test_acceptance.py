@@ -20,7 +20,7 @@ from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import FilterClause, QueryAST, Term, TriplePattern, format_query, parse_query
-from ckt.query.templates import LabelIndex, NoMatch, match_freeform, run_template
+from ckt.query.templates import LabelSearch, NoMatch, match_freeform, run_template
 from ckt.smart import (
     AugmentContext,
     change_provenance,
@@ -324,7 +324,7 @@ def test_criterion_7_freeform_corpus(scenario_graph, scenario_registry):
     ]
     assert len(corpus) == 20
     resolved = 0
-    labels = LabelIndex(scenario_graph)
+    labels = LabelSearch(scenario_graph)
     for case in corpus:
         routed = match_freeform(case["text"], scenario_registry, labels)
         if case["template"] is None:

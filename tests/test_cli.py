@@ -777,10 +777,31 @@ def test_cold_query_imports_neither_dataclasses_nor_inspect(scenario_dir, text):
     assert not imported & {"dataclasses", "inspect"}
 
 
+def test_build_imports_no_dataclasses_inspect_or_their_imports(tmp_path):
+    """`ckt build` keeps its records on ckt.model.Record as well, so it
+    imports neither `dataclasses` nor what `inspect` would bring along."""
+    work = tmp_path / "project"
+    shutil.copytree(SCENARIO, work, ignore=shutil.ignore_patterns("out"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ckt", "build", "--manifest",
+         str(work / "manifest.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"ckt.build", "ckt.history", "ckt.extraction.cparser"} <= imported
+    assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     """Builds of two projects alternate into one graph directory while
     reader threads load it: each load is one build's graph or a torn
-    read's FormatError (a query exits 2 on it), never a mix of the two."""
+    read's FormatError (a query exits 2 on it), never a mix of the two.
+    A loaded graph reads its sources from triples.tsv on first use, so
+    each load reads them all at once; a triples.tsv changed by then is a
+    torn read's FormatError as well."""
     shared = tmp_path / "shared"
     manifests = []
     for name, edit in (("a", ""), ("b", "    timeout_secs = 0;\n")):
@@ -793,10 +814,16 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
         doc["out"] = "../shared"
         (work / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         manifests.append(work / "manifest.json")
+    def load_with_sources(directory):
+        graph = load_graph(directory)
+        for key in graph.triples():
+            graph.sources(key)
+        return graph
+
     builds = []
     for manifest in manifests:
         assert main(["build", "--manifest", str(manifest)]) == 0
-        builds.append(load_graph(shared))
+        builds.append(load_with_sources(shared))
     assert not graphs_equal(*builds)
     assert builds[0].entities.keys() == builds[1].entities.keys()  # a mix could load
 
@@ -808,7 +835,7 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     def read():
         while not done.is_set():
             try:
-                graph = load_graph(shared)
+                graph = load_with_sources(shared)
             except FormatError:
                 outcomes["torn"] += 1
                 continue

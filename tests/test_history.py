@@ -209,6 +209,22 @@ def test_error_string_grep_grounds_bug_on_function():
     assert ("bug:CQ/67", "touches", "func:a.c#handler", "derived") in triples
 
 
+def test_mixed_case_name_in_a_bug_title_grounds_bug_on_function():
+    """Bug grounding takes a word as code by concepts.identifier_like, as
+    comment staleness does: an interior capital makes `parseConfig` code,
+    though it has no underscore or digit."""
+    src = (
+        "// parseConfig reads the settings file\n"
+        "void parseConfig() {\n}\n"
+    )
+    facts = parse_source(src, "a.c")
+    comments = extract_comments(src, "a.c")
+    assoc = associate_comments(comments, list(facts.entities.values()))
+    bugs = load_bugs([BUGS_HEADER, bug_line("68", "crash in parseConfig on an empty file")])
+    triples = link_bugs_code(bugs, facts, dict(assoc), comments, [])
+    assert [t[:3] for t in triples] == [("bug:CQ/68", "touches", "func:a.c#parseConfig")]
+
+
 def test_fix_commit_grounds_bug_transitively():
     existing = [
         ("commit:c8", "fixes", "bug:CQ/22", "version-tracker"),

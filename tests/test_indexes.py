@@ -28,7 +28,7 @@ from ckt.ids import THREAD_ROOT_ID
 from ckt.model import Comment, Entity, FactSet, Relation, Span, TraceEvent, TraceLog
 from ckt.query.evaluate import ResultSet, evaluate
 from ckt.query.parser import parse_query
-from ckt.query.templates import LabelIndex, _resolve_entity
+from ckt.query.templates import LabelSearch, _resolve_entity
 from ckt.smart import AugmentContext, augment, race_alert_static, similar_defects
 
 PATHS = ["a.c", "lib/b.c", "c.h"]
@@ -379,7 +379,40 @@ def test_label_index_resolution_equals_label_scan(labels, tokens):
     scanned = [(eid, tuple(normalize_tokens(graph.entities[eid].label)))
                for eid in sorted(graph.entities)]
     scanned = [(eid, toks) for eid, toks in scanned if toks]
-    assert _resolve_entity(tokens, LabelIndex(graph)) == oracles.resolve_entity(tokens, scanned)
+    assert _resolve_entity(tokens, LabelSearch(graph)) == oracles.resolve_entity(tokens, scanned)
+
+
+# label words with stopwords, marks that normalize_tokens strips or keeps,
+# characters whose lower() is longer ("İ") or depends on what follows
+# ("Σ" at the end of a word), and words that hold other words
+SEARCH_WORDS = ["ring", "buffer", "ring_buffer", "the", "of", "-ring", "ring-", "#22", "bug#22",
+                "_x", "x_", "İx", "xİ", "ΑΣ", "σ", "xΣ", "x", "ix", "1", "m027_trim"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(SEARCH_WORDS), max_size=4).map(" ".join),
+                min_size=1, max_size=14),
+       st.lists(st.lists(st.sampled_from(SEARCH_WORDS), max_size=3).map(" ".join), max_size=4))
+def test_label_search_resolves_every_token_run_as_the_full_label_index(labels, questions):
+    """Drawn labels, duplicates among them, resolve each drawn question's
+    tokens as the tables over every label resolve them, and the search's
+    tables hold the full tables' entry for every run of those tokens, the
+    unique (None) entries too; one search serves the questions in turn, as
+    a REPL session's does."""
+    builder = GraphBuilder()
+    for i, label in enumerate(labels):
+        builder.add_entity(Entity(f"concept:c{i:02d}", "concept", label))
+    graph = builder.finalize()
+    search, oracle = LabelSearch(graph), oracles.LabelIndex(graph)
+    full = oracle.tables()
+    for question in questions:
+        tokens = normalize_tokens(question)
+        assert _resolve_entity(tokens, search) == _resolve_entity(tokens, oracle)
+        tables = search.tables(tokens)
+        for start in range(len(tokens)):
+            for stop in range(start + 1, len(tokens) + 1):
+                run = tuple(tokens[start:stop])
+                assert [t.get(run) for t in tables] == [t.get(run) for t in full], run
 
 
 # timestamps as commit exports give them, plus ones no parser accepts

@@ -11,18 +11,21 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckt.graph
 import oracles
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
     NODES_FILE,
     RANKS_FILE,
+    TRIPLES_BLOCK,
     TRIPLES_FILE,
     GraphBuilder,
     KnowledgeGraph,
@@ -557,6 +560,32 @@ def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path,
     assert exc.value.line == data.count(b"\n") and name in str(exc.value)
 
 
+@pytest.mark.parametrize("fault", ["cr", "no-last-lf"])
+def test_a_cr_or_a_missing_last_lf_is_named_before_an_earlier_bad_line(scenario_dir, tmp_path,
+                                                                        monkeypatch, fault):
+    """triples.tsv read in many small blocks, with a bad first line and,
+    blocks later, a CR or a last line without its LF: the load names the
+    CR or the missing LF, as when the whole file was checked for them
+    before its first line was parsed."""
+    monkeypatch.setattr(ckt.graph, "TRIPLES_BLOCK", 256)
+    out = copy_graph(scenario_dir, tmp_path)
+    path = out / TRIPLES_FILE
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert len("\n".join(lines)) > 10 * 256
+    edit_field(0, 1, "frobs")(lines)
+    if fault == "cr":
+        lines[-2] += "\r"
+        message = f"line {len(lines) - 1}: carriage return in {TRIPLES_FILE}"
+        path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
+    else:
+        message = f"line {len(lines)}: no line feed at the end of {TRIPLES_FILE}"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+    write_manifest(out)
+    with pytest.raises(FormatError) as exc:
+        load_graph(out)
+    assert str(exc.value) == message
+
+
 def test_a_neighborhood_decodes_sources_as_the_loaded_graph_and_names_their_line(
         scenario_dir, tmp_path):
     """A neighborhood of a loaded graph copies each key's undecoded sources:
@@ -582,6 +611,68 @@ def test_a_neighborhood_decodes_sources_as_the_loaded_graph_and_names_their_line
     with pytest.raises(FormatError) as exc:
         sub.sources(key)
     assert exc.value.line == lineno and TRIPLES_FILE in str(exc.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(PREDS),
+                                          st.sampled_from([*IDS, "int"])), max_size=12))
+def test_membership_in_a_loaded_graph_equals_the_builder_loaders(graph, drawn):
+    """Drawn keys, and every key the graph has, are in the loaded graph
+    exactly when they are in the builder loader's graph of the same files,
+    at the first membership test and at the ones after it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(graph, tmp)
+        loaded, built = load_graph(tmp), oracles.builder_load_graph(tmp)
+    for key in [*drawn, *graph.triples(), *drawn]:
+        assert (key in loaded) == (key in built), key
+
+
+def test_a_load_holds_no_more_than_a_block_of_triples_beyond_its_graph(tmp_path):
+    """A triples.tsv of several read blocks: the traced peak of the load
+    exceeds the traced size of the graph it returns by less than the
+    file, since neither the file nor its provenance text is held."""
+    builder = GraphBuilder()
+    funcs = [f"func:a.c#f{i:02d}" for i in range(40)]
+    for i, caller in enumerate(funcs):
+        for j, callee in enumerate(funcs):
+            builder.insert_triple(caller, "calls", callee,
+                                  Provenance("source-code", f"a.c:{i * 40 + j}", "x" * 40))
+    save_graph(builder.finalize(), tmp_path)
+    size = (tmp_path / TRIPLES_FILE).stat().st_size
+    assert size > 3 * TRIPLES_BLOCK
+    tracemalloc.start()
+    try:
+        graph = load_graph(tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 40 * 40
+    assert peak - held < size
+
+
+def test_sources_of_a_graph_whose_triples_changed_since_the_load_name_the_file(
+        scenario_dir, tmp_path):
+    """triples.tsv rewritten under a new graph.json after the load: the
+    first sources() call, on the graph or on a neighbourhood of it, raises
+    the digest error the load would have raised, at the line of the loaded
+    graph.json, and asks no less of a later call."""
+    out = copy_graph(scenario_dir, tmp_path)
+    loaded = load_graph(out)
+    manifest = (out / GRAPH_MANIFEST).read_text(encoding="utf-8").split("\n")
+    lineno = next(i for i, x in enumerate(manifest, start=1) if f'"{TRIPLES_FILE}"' in x)
+    lines = (out / TRIPLES_FILE).read_text(encoding="utf-8").split("\n")[:-1]
+    edit_field(0, 3, '[{"origin": "elsewhere", "source": "source-code"}]')(lines)
+    (out / TRIPLES_FILE).write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
+    write_manifest(out)
+    key = next(loaded.triples())
+    node = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
+    for graph in (loaded.neighborhood(node, 1), loaded, loaded):
+        with pytest.raises(FormatError) as exc:
+            graph.sources(next(graph.triples()))
+        assert str(exc.value) == (
+            f"line {lineno}: graph.json: triples.tsv does not match its BLAKE2b digest here; "
+            "it changed after the build, or a build rewrote it while it was read")
+    assert key in loaded
 
 
 # -- changed and torn directories ------------------------------------------------

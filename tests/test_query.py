@@ -27,7 +27,7 @@ from ckt.query.parser import (
 )
 from ckt.query.templates import (
     FreeformMatch,
-    LabelIndex,
+    LabelSearch,
     NoMatch,
     Template,
     TemplateRegistry,
@@ -739,7 +739,7 @@ def test_day_first_date_slot_must_be_a_real_date(value):
                      'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
     with pytest.raises(SlotError, match="when"):
         run_template("bugs-fixed-on", {"when": value}, scenario_graph(), reg)
-    routed = match_freeform(f"bugs fixed on {value} date", reg, LabelIndex(scenario_graph()))
+    routed = match_freeform(f"bugs fixed on {value} date", reg, LabelSearch(scenario_graph()))
     assert isinstance(routed, NoMatch)
     assert "when" in routed.reason
 
@@ -775,21 +775,21 @@ def test_paper_sentence_resolves():
     graph = template_graph()
     routed = match_freeform(
         "How many unsynchronised global variables are used to implement the UI Save button",
-        builtin_registry(), LabelIndex(graph),
+        builtin_registry(), LabelSearch(graph),
     )
     assert routed.template == "unsynchronized-globals-of-concept"
     assert routed.args == {"concept": "concept:save-button"}
 
 
 def test_empty_text_no_match():
-    routed = match_freeform("", builtin_registry(), LabelIndex(template_graph()))
+    routed = match_freeform("", builtin_registry(), LabelSearch(template_graph()))
     assert isinstance(routed, NoMatch)
     assert routed.suggestions == []
 
 
 def test_nonsense_returns_three_suggestions():
     routed = match_freeform(
-        "what is the meaning of life", builtin_registry(), LabelIndex(template_graph())
+        "what is the meaning of life", builtin_registry(), LabelSearch(template_graph())
     )
     assert isinstance(routed, NoMatch)
     assert len(routed.suggestions) == 3
@@ -801,21 +801,21 @@ def test_tie_breaks_by_registry_order():
     graph = build([("func:a#f", "writes", "var:a#g")])
     reg.add(Template("first", ["shared trigger phrase"], [], "SELECT ?x WHERE { ?x writes ?y }"))
     reg.add(Template("second", ["shared trigger phrase"], [], "SELECT ?x WHERE { ?x writes ?y }"))
-    routed = match_freeform("shared trigger phrase", reg, LabelIndex(graph))
+    routed = match_freeform("shared trigger phrase", reg, LabelSearch(graph))
     assert routed.template == "first"
 
 
 def test_freeform_is_deterministic():
     graph = template_graph()
     text = "bugs fixed by developer sandra mills"
-    first = match_freeform(text, builtin_registry(), LabelIndex(graph))
-    second = match_freeform(text, builtin_registry(), LabelIndex(graph))
+    first = match_freeform(text, builtin_registry(), LabelSearch(graph))
+    second = match_freeform(text, builtin_registry(), LabelSearch(graph))
     assert first == second
 
 
 def test_unique_prefix_resolution():
     graph = template_graph()
-    routed = match_freeform("bugs fixed by developer sandra", builtin_registry(), LabelIndex(graph))
+    routed = match_freeform("bugs fixed by developer sandra", builtin_registry(), LabelSearch(graph))
     assert routed.args == {"dev": "dev:sandra@example.com"}
 
 
@@ -827,7 +827,7 @@ def test_date_and_number_slots():
         'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when" LIMIT $top',
     ))
     graph = scenario_graph()
-    routed = match_freeform("bugs fixed on 12-03-2013 date 5", reg, LabelIndex(graph))
+    routed = match_freeform("bugs fixed on 12-03-2013 date 5", reg, LabelSearch(graph))
     assert routed.args == {"when": "2013-03-12T00:00:00Z", "top": "5"}
     result = run_template("bugs-fixed-on", routed.args, graph, reg)
     assert result.rows == [("bug:CQ/22",)]
@@ -844,7 +844,7 @@ def test_freeform_slot_filling(text, routed):
     reg = builtin_registry()
     reg.add(Template("bugs-titled", ["bugs with title words"], [("top", "number"), ("words", "string")],
                      'SELECT ?b WHERE { ?c fixes ?b } FILTER ?b CONTAINS "$words" LIMIT $top'))
-    got = match_freeform(text, reg, LabelIndex(template_graph()))
+    got = match_freeform(text, reg, LabelSearch(template_graph()))
     if isinstance(routed, str):
         assert isinstance(got, NoMatch) and got.reason == routed
     else:
@@ -855,6 +855,6 @@ def test_date_slot_unfillable_is_structured_no_match():
     reg = TemplateRegistry()
     reg.add(Template("bugs-fixed-on", ["bugs fixed on date"], [("when", "date")],
                      'SELECT ?b WHERE { ?c fixes ?b } FILTER ?c AFTER "$when"'))
-    routed = match_freeform("bugs fixed on someday date", reg, LabelIndex(scenario_graph()))
+    routed = match_freeform("bugs fixed on someday date", reg, LabelSearch(scenario_graph()))
     assert isinstance(routed, NoMatch)
     assert "when" in routed.reason
