@@ -202,15 +202,13 @@ def format_table(result, resolution) -> list[str]:
         args = " ".join(f"{k}={v}" for k, v in sorted(resolution["args"].items()))
         lines.append(f"[template {resolution['template']} {args}]".rstrip())
     if result.rows:
-        widths = [
-            max(len(col), *(len(row[i]) for row in result.rows))
-            for i, col in enumerate(result.columns)
-        ]
-        header = "  ".join(f"?{col}".ljust(widths[i] + 1) for i, col in enumerate(result.columns))
-        lines.append(header.rstrip())
-        lines.append("-" * len(header.rstrip()))
-        for row in result.rows:
-            lines.append("  ".join(row[i].ljust(widths[i] + 1) for i in range(len(row))).rstrip())
+        # each column padded to its widest value or name, plus one; one
+        # format string renders a row, so no Python code runs per cell
+        widths = [max(map(len, column)) for column in zip(result.columns, *result.rows)]
+        fmt = "  ".join([f"%-{width + 1}s" for width in widths])
+        header = (fmt % tuple([f"?{col}" for col in result.columns])).rstrip()
+        lines += header, "-" * len(header)
+        lines += map(str.rstrip, map(fmt.__mod__, result.rows))
     lines.append(f"({len(result.rows)} row{'s' if len(result.rows) != 1 else ''})")
     for alert in result.alerts:
         lines.append(f"! [{alert.kind}] {alert.message}")
@@ -285,8 +283,7 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                       "(try :templates, :related, :quit)", file=stdout)
                 continue
             result, resolution = _run_query_text(line, ctx)
-            for out_line in format_table(result, resolution):
-                print(out_line, file=stdout)
+            stdout.write("\n".join(format_table(result, resolution)) + "\n")
         except Exception as exc:  # the REPL survives anything
             print(f"error: {exc}", file=stdout)
     return 0

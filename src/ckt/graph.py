@@ -233,14 +233,13 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self._spo)
 
-    @cached_property
-    def _keys(self) -> dict[Key, list[Provenance]] | frozenset[Key]:
-        """What a membership test looks a key up in: the sources table, or
-        a set of the keys made by the first test on a loaded graph."""
-        return self._sources if isinstance(self._sources, dict) else frozenset(self._spo)
-
     def __contains__(self, key: Key) -> bool:
-        return key in self._keys
+        """A lookup in the sources table of a built graph, a bisection of
+        SPO in a loaded one."""
+        if isinstance(self._sources, dict):
+            return key in self._sources
+        i = bisect.bisect_left(self._spo, key)
+        return i < len(self._spo) and self._spo[i] == key
 
     def triples(self):
         """Every key in (subject, predicate, object) order."""
@@ -296,7 +295,7 @@ class KnowledgeGraph:
         """
         s, p, o = subject, predicate, object_
         if s is not None and p is not None and o is not None:
-            keys = [(s, p, o)] if (s, p, o) in self._keys else []
+            keys = [(s, p, o)] if (s, p, o) in self else []
         elif s is not None and o is not None:
             keys = _run(self._osp, (o, s), _OBJECT_SUBJECT)
         elif s is not None:

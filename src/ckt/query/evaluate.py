@@ -11,7 +11,8 @@ so the result order is total and join-order independent.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import contains, itemgetter, neg
 
 from ckt.graph import SEARCH_SEPARATOR, KnowledgeGraph
 from ckt.model import Record
@@ -91,8 +92,8 @@ def _filtered(graph: KnowledgeGraph, fl: FilterClause, rows: list[tuple[str, ...
         if SEARCH_SEPARATOR in needle:  # it could match across two fields
             return [row for row in rows
                     if any(needle in field for field in graph.search_fields(row[slot]))]
-        text = graph.search_text
-        return [row for row in rows if needle in text(row[slot])]
+        texts = map(graph.search_text, map(itemgetter(slot), rows))
+        return list(compress(rows, map(contains, texts, repeat(needle))))
     return [row for row in rows if _passes(graph, fl, row[slot])]
 
 
@@ -137,8 +138,10 @@ def rank_results(
     rows: list[tuple[str, ...]], rank_table: Mapping[str, float]
 ) -> list[tuple[str, ...]]:
     """Order rows by the first column's rank descending; ties ascend by the
-    full row so the order is total.  Unranked bindings count as rank 0."""
-    return sorted(rows, key=lambda row: (-rank_table.get(row[0], 0.0), row))
+    full row so the order is total.  Unranked bindings count as rank 0.
+    The (-rank, row) pairs are made and sorted with no Python call per row."""
+    keys = map(neg, map(rank_table.get, map(itemgetter(0), rows), repeat(0.0)))
+    return list(map(itemgetter(1), sorted(zip(keys, rows))))
 
 
 def evaluate(graph: KnowledgeGraph, ast: QueryAST) -> ResultSet:

@@ -63,11 +63,19 @@ class AugmentContext:
     commits touching each entity with each commit's newest-first key, and
     each entity's stale comments.  Every rule reads the graph and the trace
     through it alone.  A query process keeps one for its loaded graph, so
-    every response, and every row of it, reads the same indexes."""
+    every response, and every row of it, reads the same indexes.
+
+    It also keeps two rules' verdicts, each computed on the first ask for
+    its subject: each global's `race_alert_static` alert or None, and each
+    bug's `similar_defects` list.  Both rules are pure functions of the
+    graph and these indexes, which never change.  A rule that raises keeps
+    no verdict, so it raises again on every ask."""
 
     def __init__(self, graph: KnowledgeGraph, trace: TraceLog | None = None):
         self.graph = graph
         self.trace = trace
+        self.static_races: dict[str, SmartAlert | None] = {}
+        self.similar: dict[str, list[tuple[str, float]]] = {}
 
     @cached_property
     def call_edges(self) -> dict[str, list[str]]:
@@ -157,6 +165,14 @@ class AugmentContext:
             if comment is not None and comment.attrs.get("stale") == "true":
                 out.setdefault(s, []).append((o, comment.attrs.get("missing", "")))
         return out
+
+
+def _kept(verdicts: dict, rule, ctx: AugmentContext, subject: str):
+    """rule(ctx, subject), computed on the first ask for `subject` and kept
+    in `verdicts`, one of the context's verdict tables."""
+    if subject not in verdicts:
+        verdicts[subject] = rule(ctx, subject)
+    return verdicts[subject]
 
 
 def _tree_path(tree: dict[str, str | None], target: str) -> list[str]:
@@ -294,10 +310,8 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     entities = ctx.graph.entities
     values = dict.fromkeys(chain.from_iterable(result.rows))
     by_kind: dict[str, list[Entity]] = {}  # the entities of the rows, in row order, by kind
-    for value in values:
-        entity = entities.get(value)
-        if entity is not None:
-            by_kind.setdefault(entity.kind, []).append(entity)
+    for entity in filter(None, map(entities.get, values)):
+        by_kind.setdefault(entity.kind, []).append(entity)
     alerts: list[SmartAlert] = []  # each alert's subject is the entity that holds it
     failed: set[str] = set()
     warnings: list[SmartAlert] = []
@@ -354,7 +368,7 @@ def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
                     f"({ctx.graph.entities[other].label}) score {score}",
             score=score,
         )
-        for other, score in similar_defects(ctx, eid)
+        for other, score in _kept(ctx.similar, similar_defects, ctx, eid)
     ]
 
 
@@ -365,7 +379,7 @@ def _static_races(ctx: AugmentContext, entity: Entity,
     if not _is_global(entity):
         return []
     eid = entity.id
-    static = race_alert_static(ctx, eid)
+    static = _kept(ctx.static_races, race_alert_static, ctx, eid)
     race = static or dynamic.get(eid)
     if race is None:
         return []

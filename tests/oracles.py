@@ -19,8 +19,11 @@ are the lexer and the comment association as they were before each step
 was made to run once: a failed match per blank, a scan of every entity per
 comment.  `LabelIndex` is free-form routing's label index as it was before
 the label search: the exact and prefix tables over every label, through
-the package's normalize_tokens.  The helpers at the end compare and parse
-what the package produces.
+the package's normalize_tokens.  `reference_rank_results`,
+`reference_contains_rows` and `reference_format_table` are the row path of
+an answer as it was before its per-row loops moved into C builtins; the
+CONTAINS one reads the package's search texts.  The helpers at the end
+compare and parse what the package produces.
 """
 
 from __future__ import annotations
@@ -1018,6 +1021,45 @@ def augment_per_response(result, graph, trace=None, cap=10):
                                      f"augmentation failed for {eid}: {exc}", 0.0))
     alerts.sort(key=lambda a: (-a.score, a.kind, a.subject))
     return ResultSet(result.columns, result.rows, alerts[:cap])
+
+
+# -- the row path as it was: a Python call per row or per cell
+
+
+def reference_rank_results(rows, rank_table):
+    """Rows by the first column's rank descending, ties ascending by the
+    full row, unranked bindings at rank 0: one key function call per row."""
+    return sorted(rows, key=lambda row: (-rank_table.get(row[0], 0.0), row))
+
+
+def reference_contains_rows(graph, rows, slot, needle):
+    """The rows whose value in `slot` has `needle`, already lower-cased, in
+    its search text: one comprehension step per row."""
+    text = graph.search_text
+    return [row for row in rows if needle in text(row[slot])]
+
+
+def reference_format_table(result, resolution):
+    """cli.format_table's lines with each cell padded by str.ljust and each
+    row joined on its own."""
+    lines = []
+    if resolution:
+        args = " ".join(f"{k}={v}" for k, v in sorted(resolution["args"].items()))
+        lines.append(f"[template {resolution['template']} {args}]".rstrip())
+    if result.rows:
+        widths = [
+            max(len(col), *(len(row[i]) for row in result.rows))
+            for i, col in enumerate(result.columns)
+        ]
+        header = "  ".join(f"?{col}".ljust(widths[i] + 1) for i, col in enumerate(result.columns))
+        lines.append(header.rstrip())
+        lines.append("-" * len(header.rstrip()))
+        for row in result.rows:
+            lines.append("  ".join(row[i].ljust(widths[i] + 1) for i in range(len(row))).rstrip())
+    lines.append(f"({len(result.rows)} row{'s' if len(result.rows) != 1 else ''})")
+    for alert in result.alerts:
+        lines.append(f"! [{alert.kind}] {alert.message}")
+    return lines
 
 
 # -- query text, the character-loop lexer and parser the token regex replaced

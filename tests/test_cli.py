@@ -13,14 +13,26 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckt.cli import _load_query_context, _run_query_text, cmd_export, cmd_query, cmd_repl, main
+from ckt.cli import (
+    _load_query_context,
+    _run_query_text,
+    cmd_export,
+    cmd_query,
+    cmd_repl,
+    format_table,
+    main,
+)
 from ckt.cli import cmd_build as cli_build
 from ckt.errors import FormatError, SlotError
 from ckt.graph import load_graph
+from ckt.query.evaluate import ResultSet
 from ckt.query.templates import Template, TemplateRegistry
+from ckt.smart import SmartAlert
 from conftest import SCENARIO
-from oracles import blake2b_hex, graphs_equal, parse_record
+from oracles import blake2b_hex, graphs_equal, parse_record, reference_format_table
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -733,6 +745,32 @@ def test_repl_repeats_each_answer_and_matches_cold_query(scenario_dir, capsys):
     assert out == "".join(answer * 2 for answer in cold)
 
 
+# cell text: empty, a %, blanks and other whitespace that rstrip takes at a
+# line's end, letters outside the basic plane and a combining mark
+_CELL = (st.lists(st.sampled_from(["", "%", "%s", " ", "\t", "\u3000", "\x85", "a", "Σ",
+                                   "\U00010400", "e\u0301"]), max_size=4).map("".join)
+         | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+@st.composite
+def answers(draw):
+    """A result of one to four columns, their names repeated at times, with
+    a resolution line and an alert or not."""
+    columns = tuple(draw(st.lists(st.sampled_from(["a", "b", "%", "x_long_name", "Σ"]),
+                                  min_size=1, max_size=4)))
+    rows = draw(st.lists(st.tuples(*[_CELL] * len(columns)), max_size=6))
+    alerts = draw(st.sampled_from([[], [SmartAlert("warning", "x", ["e"], "m %s ", 0.0)]]))
+    resolution = draw(st.sampled_from([None, {"template": "t", "args": {"s": "1 %", "d": ""}}]))
+    return ResultSet(columns, rows, alerts), resolution
+
+
+@settings(max_examples=300, deadline=None)
+@given(answers())
+def test_format_table_gives_the_lines_of_the_per_cell_padding(answer):
+    result, resolution = answer
+    assert format_table(result, resolution) == reference_format_table(result, resolution)
+
+
 # what only `ckt build` needs
 BUILD_MODULES = ["ckt.build", "ckt.concepts", "ckt.extraction.comments",
                  "ckt.extraction.cparser", "ckt.extraction.facts", "ckt.history"]
@@ -801,7 +839,8 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     read's FormatError (a query exits 2 on it), never a mix of the two.
     A loaded graph reads its sources from triples.tsv on first use, so
     each load reads them all at once; a triples.tsv changed by then is a
-    torn read's FormatError as well."""
+    torn read's FormatError as well.  Any other exception in a reader
+    fails the test."""
     shared = tmp_path / "shared"
     manifests = []
     for name, edit in (("a", ""), ("b", "    timeout_secs = 0;\n")):
@@ -830,17 +869,21 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     outcomes = {"a": 0, "b": 0, "torn": 0, "mixed": 0}
+    errors: list[Exception] = []  # what ended a reader, other than a torn read
     done = threading.Event()
 
     def read():
-        while not done.is_set():
-            try:
-                graph = load_with_sources(shared)
-            except FormatError:
-                outcomes["torn"] += 1
-                continue
-            match = [n for n, built in zip("ab", builds) if graphs_equal(graph, built)]
-            outcomes[match[0] if match else "mixed"] += 1
+        try:
+            while not done.is_set():
+                try:
+                    graph = load_with_sources(shared)
+                except FormatError:
+                    outcomes["torn"] += 1
+                    continue
+                match = [n for n, built in zip("ab", builds) if graphs_equal(graph, built)]
+                outcomes[match[0] if match else "mixed"] += 1
+        except Exception as exc:  # raised below, in the test's own thread
+            errors.append(exc)
 
     readers = [threading.Thread(target=read) for _ in range(2)]
     for reader in readers:
@@ -853,7 +896,10 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     finally:
         done.set()
         for reader in readers:
-            reader.join()
+            reader.join(timeout=120)
+    assert not any(reader.is_alive() for reader in readers)
+    if errors:
+        raise errors[0]
     assert outcomes["mixed"] == 0, outcomes
     assert outcomes["a"] and outcomes["b"], outcomes
 

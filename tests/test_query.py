@@ -3,6 +3,7 @@ templates and free-form routing."""
 
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from ckt.errors import FormatError, NotFoundError, QueryError, SlotError
 from ckt.graph import SEARCH_SEPARATOR, GraphBuilder, Provenance
 from ckt.model import Entity
-from ckt.query.evaluate import evaluate, rank_results
+from ckt.query.evaluate import _filtered, evaluate, rank_results
 from ckt.query import templates
 from ckt.query.parser import (
     IRI,
@@ -37,7 +38,13 @@ from ckt.query.templates import (
     normalize_date,
     run_template,
 )
-from oracles import nested_loop_join, query_word, reference_parse_query
+from oracles import (
+    nested_loop_join,
+    query_word,
+    reference_contains_rows,
+    reference_parse_query,
+    reference_rank_results,
+)
 
 PROV = Provenance("source-code", "t:1")
 
@@ -341,6 +348,32 @@ def test_contains_filter_equals_the_per_binding_fold(labelled, data):
         assert sorted(row[0] for row in evaluate(graph, ast).rows) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FOLD_TEXT, st.dictionaries(_FOLD_TEXT, _FOLD_TEXT, max_size=2)),
+                min_size=1, max_size=3), st.data())
+def test_contains_filter_keeps_the_rows_the_per_row_comprehension_keeps(labelled, data):
+    """Rows of one to three columns, entity ids and other values, with
+    repeats: the filter keeps what the comprehension over the rows kept,
+    in order, for a needle cut from a value, a label or an attribute."""
+    entities = [Entity(f"var:h.c#v{i}", "variable", label, None, attrs)
+                for i, (label, attrs) in enumerate(labelled)]
+    graph = build([("func:h.c#f", "writes", e.id) for e in entities], entities)
+    values = [e.id for e in entities] + ["", "%", "a literal \U00010400"]
+    width = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(values)] * width), max_size=12))
+    slot = data.draw(st.integers(0, width - 1))
+    texts = values + [label for label, _ in labelled]
+    texts += [f"{k}={v}" for _, attrs in labelled for k, v in attrs.items()]
+    text = data.draw(st.sampled_from(texts))
+    start = data.draw(st.integers(0, len(text)))
+    needle = data.draw(st.sampled_from([text[start:data.draw(st.integers(start, len(text)))],
+                                        text.upper()]) | _FOLD_TEXT)
+    needle = needle.replace(SEARCH_SEPARATOR, "")  # a needle with it takes the per-field path
+    for _ in range(2):  # the second pass reads the search texts the first one kept
+        assert _filtered(graph, FilterClause("v", "CONTAINS", needle), rows, slot) \
+            == reference_contains_rows(graph, rows, slot, needle.lower())
+
+
 def test_date_filter_after():
     graph = scenario_graph()
     kept = evaluate(graph, parse_query(
@@ -540,6 +573,21 @@ def test_rank_ties_ascend_by_id():
 def test_missing_rank_counts_as_zero():
     rows = [("unranked",), ("ranked",)]
     assert rank_results(rows, {"ranked": 0.9}) == [("ranked",), ("unranked",)]
+
+
+# values with repeats, the empty string and one outside the basic plane;
+# ranks with ties, both zeros and values ranked nowhere
+_RANK_VALUES = st.sampled_from(["a", "b", "c", "", "%", "\U00010400"])
+_RANKS = st.sampled_from([0.0, -0.0, 0.25, 5e-324]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(st.tuples(*[_RANK_VALUES] * width),
+                                                        max_size=12)),
+       st.dictionaries(_RANK_VALUES, _RANKS, max_size=4))
+def test_rank_results_orders_rows_as_the_per_row_key(rows, ranks):
+    for table in (ranks, MappingProxyType(ranks)):
+        assert rank_results(rows, table) == reference_rank_results(rows, table)
 
 
 # -- templates -----------------------------------------------------------------

@@ -387,6 +387,70 @@ def test_a_failing_rule_drops_its_entity_only_in_a_tier_that_runs(n_globals):
         assert [a.kind for a in alerts] == ["race-dynamic"] * 10
 
 
+# -- verdicts kept for the session ----------------------------------------------------
+
+
+# (graph, trace, rows) whose entities are subjects of kept verdicts
+def racing_globals():
+    graph, log, result = racing_globals_graph(3)
+    return graph, log, result.rows
+
+
+def a_global_racing_nowhere_and_bugs():
+    graph = build(sorted(KINDS_TRIPLES), KINDS_ENTITIES)
+    return graph, None, [(eid,) for eid in sorted(graph.entities)]
+
+
+def similar_bugs():
+    return defect_graph(), None, [("bug:CQ/67",), ("bug:CQ/22",), ("bug:CQ/5",)]
+
+
+@pytest.mark.parametrize("case", [racing_globals, a_global_racing_nowhere_and_bugs, similar_bugs])
+def test_each_verdict_is_computed_once_per_context(case):
+    """Answers on one context compute each global's static race and each
+    bug's similar defects once, a None verdict too, and give the alerts a
+    fresh context gives, which computes the same verdicts again."""
+    graph, log, rows = case()
+    result = ResultSet(("e",), rows)
+    globals_ = [eid for eid, e in graph.entities.items() if smart._is_global(e)]
+    bugs = [eid for eid, e in graph.entities.items() if e.kind == "bug"]
+    calls = {"race_alert_static": 0, "similar_defects": 0}
+    ctx = AugmentContext(graph, log)
+    with patch.object(smart, "ALERT_CAP", 10**6), \
+            counting("race_alert_static", calls), counting("similar_defects", calls):
+        answers = [augment(result, ctx).alerts for _ in range(3)]
+        assert calls == {"race_alert_static": len(globals_), "similar_defects": len(bugs)}
+        fresh = AugmentContext(graph, log)
+        assert augment(result, fresh).alerts == answers[0] == answers[1] == answers[2]
+    assert calls == {"race_alert_static": 2 * len(globals_), "similar_defects": 2 * len(bugs)}
+    assert ctx.static_races == fresh.static_races
+    assert ctx.similar == fresh.similar
+    assert sorted(ctx.static_races) == sorted(globals_) and sorted(ctx.similar) == sorted(bugs)
+
+
+@pytest.mark.parametrize("rule, case", [("race_alert_static", racing_globals),
+                                        ("similar_defects", similar_bugs)])
+def test_a_rule_that_raises_keeps_no_verdict(rule, case):
+    """A rule that raises is asked again on every answer, and each answer
+    gives its entities' warning alerts."""
+    graph, log, rows = case()
+    result = ResultSet(("e",), rows)
+    calls = []
+
+    def failing(ctx, eid):
+        calls.append(eid)
+        raise RuntimeError("rule failed")
+
+    ctx = AugmentContext(graph, log)
+    with patch.object(smart, rule, failing):
+        for _ in range(3):
+            alerts = augment(result, ctx).alerts
+            assert [(a.kind, a.subject, a.message) for a in alerts] == sorted(
+                ("warning", eid, f"augmentation failed for {eid}: rule failed") for eid, in rows)
+    assert calls == [eid for eid, in rows] * 3
+    assert ctx.static_races == {} and ctx.similar == {}
+
+
 # -- tier kinds ------------------------------------------------------------------
 
 # the alert kinds each tier of smart._TIERS gives, in tier order
@@ -494,7 +558,8 @@ def alerting_graphs(draw):
 @given(alerting_graphs(), st.data())
 def test_augment_on_permuted_rows_equals_the_per_response_oracle(drawn, data):
     """Visiting the entities in any order gives the oracle's alerts at every
-    cap, also when the first tier's rules raise for some entities."""
+    cap, also when the first tier's rules raise for some entities, and
+    again when the same context answers a second time."""
     import oracles
 
     graph, log = drawn
@@ -511,6 +576,7 @@ def test_augment_on_permuted_rows_equals_the_per_response_oracle(drawn, data):
                          failing_for(failing, oracles.brute_similar_defects)), \
             patch.object(oracles, "lockset_race", failing_for(failing, lockset_race)):
         expected = augment_per_response(ResultSet(("a", "b"), rows), graph, log, cap=cap).alerts
+        ctx = AugmentContext(graph, log)
         with patch.object(smart, "ALERT_CAP", cap):
-            assert augment(ResultSet(("a", "b"), permuted), AugmentContext(graph, log)).alerts \
-                == expected
+            for _ in range(2):  # the second answer reads the verdicts the first one kept
+                assert augment(ResultSet(("a", "b"), permuted), ctx).alerts == expected
