@@ -62,10 +62,11 @@ def cmd_build(manifest_path: Path) -> int:
 
 class QueryContext(Record):
     """What a query runs against, loaded once per process: the graph with
-    its persisted ranks, the template registry, the search of the graph's
-    labels that free-form queries resolve against, which keeps what each
-    one found, and the alert rules' context, which holds the trace copy
-    and whose indexes the first response that needs each one builds."""
+    the PageRank score that nodes.jsonl gives each node, the template
+    registry, the search of the graph's labels that free-form queries
+    resolve against, which keeps what each one found, and the alert rules'
+    context, which holds the trace copy and whose indexes the first
+    response that needs each one builds."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 
@@ -237,8 +238,7 @@ def cmd_query(graph_dir: Path, text: str, fmt: str, count: bool) -> int:
         print(len(result.rows))
         return 0
     lines = format_records(result, resolution) if fmt == "records" else format_table(result, resolution)
-    for line in lines:
-        print(line)
+    sys.stdout.write("\n".join(lines) + "\n")  # one write, not one per line
     return 0
 
 
@@ -273,10 +273,9 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                 if not _COUNT.fullmatch(parts[2]):  # as LIMIT reads its count
                     raise CktError(f"radius must be an integer, got {parts[2]!r}")
                 sub = graph.neighborhood(parts[1], int(parts[2]))
-                for eid in sorted(sub.entities):
-                    print(f"{eid}  [{sub.entities[eid].kind}]", file=stdout)
-                for s, p, o in sub.triples():
-                    print(f"  {s} {p} {o}", file=stdout)
+                lines = [f"{eid}  [{sub.entities[eid].kind}]" for eid in sorted(sub.entities)]
+                lines += [f"  {s} {p} {o}" for s, p, o in sub.triples()]
+                stdout.write("\n".join(lines) + "\n")
                 continue
             if line.startswith(":"):
                 print(f"unknown command {line.split()[0]!r} "

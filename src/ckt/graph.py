@@ -11,31 +11,31 @@ set-valued: re-inserting an existing triple appends provenance.  After
 PageRank, triangle counts and neighbourhoods run on the dense-id core
 that README.md describes under "Graph storage".
 
-A graph directory ends with graph.json: format 2, the BLAKE2b digest of
+A graph directory ends with graph.json: format 3, the BLAKE2b digest of
 each of its other files.  save_graph streams each file, in chunks of
 lines, into a temporary file and its digest at once, and writes graph.json
-last; load_graph reads a directory only with it, parses each line as
-save_graph writes it and then checks each file against its digest.  The
-load streams triples.tsv in blocks into its digest and into the keys
-alone; a loaded graph reads the file again for the first sources() call.
+last; nodes.jsonl carries each node's PageRank score.  load_graph reads a
+directory only with it: it streams nodes.jsonl and triples.tsv in blocks
+into their digests and into the nodes, ranks and keys, parsing each line
+as save_graph writes it, and then checks each file against its digest; a
+loaded graph reads triples.tsv again for the first sources() call.
 """
 
 from __future__ import annotations
 
 import bisect
 import gc
-import io
 import json
 import math
 import os
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import contextmanager
-from functools import cached_property
-from itertools import islice
+from contextlib import ExitStack, contextmanager
+from functools import cached_property, partial
+from itertools import compress, count, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import make_scanner
-from operator import itemgetter
+from operator import ge, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple, NoReturn
@@ -184,9 +184,9 @@ class KnowledgeGraph:
         after: the table of every triple's key and the sources that
         asserted it, or for a loaded graph the TriplesFile that reads them.
         `ranks`, when given, are the default-parameter PageRank scores of
-        this graph, as `save_graph` persisted them; `spo`, when given, is
-        every key of the graph in ascending order, which a TriplesFile
-        needs."""
+        this graph, as the nodes.jsonl of a graph directory carries them;
+        `spo`, when given, is every key of the graph in ascending order,
+        which a TriplesFile needs."""
         self.entities = entities
         self._sources = sources
         self._spo = sorted(sources) if spo is None else spo
@@ -448,8 +448,7 @@ class KnowledgeGraph:
 
 NODES_FILE = "nodes.jsonl"
 TRIPLES_FILE = "triples.tsv"
-RANKS_FILE = "ranks.tsv"
-GRAPH_FILES = (NODES_FILE, TRIPLES_FILE, RANKS_FILE)
+GRAPH_FILES = (NODES_FILE, TRIPLES_FILE)
 # what `ckt build` writes beside the graph in the same directory
 STATS_FILE = "stats.json"
 REPORT_FILE = "report.json"
@@ -457,10 +456,10 @@ TRACE_COPY = "trace.jsonl"
 TEMPLATES_COPY = "templates.jsonl"
 # written last: the format version and the BLAKE2b digest of each file above
 GRAPH_MANIFEST = "graph.json"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DIGEST_SIZE = 32  # bytes of each BLAKE2b digest
 CHUNK_LINES = 1024  # lines that save_graph encodes, writes and hashes at a time
-TRIPLES_BLOCK = 1 << 14  # bytes of triples.tsv that a load reads, hashes and parses at a time
+READ_BLOCK = 1 << 14  # bytes of a graph file that a load reads, hashes and parses at a time
 
 
 @contextmanager
@@ -511,9 +510,11 @@ class TriplesFile:
         return provs
 
 
-def _node_line(entity: Entity) -> str:
-    """The entity's nodes.jsonl line: json.dumps's text with sorted keys
-    and ASCII escapes, less its encoder per call."""
+def _node_line(entity: Entity, rank: float) -> str:
+    """The entity's nodes.jsonl line, with its PageRank score `rank`:
+    json.dumps's text with sorted keys and ASCII escapes, less its encoder
+    per call.  The rank is written with repr, which is the text json.dumps
+    gives for a float and round-trips it."""
     attrs = ", ".join([f"{_json_str(k)}: {_json_str(v)}"
                        for k, v in sorted(entity.attrs.items())])  # a list joins faster
     span = entity.span
@@ -523,7 +524,7 @@ def _node_line(entity: Entity) -> str:
         path, start, end = _json_str(span.path), span.start, span.end
     return (f'{{"attrs": {{{attrs}}}, "end": {end}, "id": {_json_str(entity.id)}, '
             f'"kind": {_json_str(entity.kind)}, "label": {_json_str(entity.label)}, '
-            f'"path": {path}, "start": {start}}}')
+            f'"path": {path}, "rank": {rank!r}, "start": {start}}}')
 
 
 def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
@@ -568,10 +569,10 @@ def _replace(path: Path, chunks: Iterable[bytes]) -> str:
 
 
 def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None = None) -> None:
-    """Write the graph directory: the nodes, triples and PageRank files,
-    sorted, LF-terminated, UTF-8, then the `extra` files (name -> bytes)
-    that `ckt build` puts beside them, then graph.json.  Ranks are written
-    with repr, which round-trips every float.
+    """Write the graph directory: nodes.jsonl, each node with its PageRank
+    score, and triples.tsv, sorted, LF-terminated, UTF-8, then the `extra`
+    files (name -> bytes) that `ckt build` puts beside them, then
+    graph.json.
 
     Each file is streamed, CHUNK_LINES lines at a time, into a temporary
     file and its digest, and renamed into place, so no file is held whole
@@ -580,17 +581,19 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
     it first, so a reader never finds a directory without one; a reader
     that runs during the rewrite finds bytes that its graph.json does not
     describe, and load_graph says so.  A trace or template copy that this
-    save does not write is removed before graph.json is replaced."""
+    save does not write, and the ranks.tsv of a format-2 build, are
+    removed before graph.json is replaced."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = {
-        NODES_FILE: _chunks(_node_line(graph.entities[eid]) for eid in sorted(graph.entities)),
+        # rank_table() holds every node, in ascending id order
+        NODES_FILE: _chunks(_node_line(graph.entities[eid], rank)
+                            for eid, rank in graph.rank_table().items()),
         TRIPLES_FILE: _chunks(_triple_lines(graph)),
-        RANKS_FILE: _chunks(f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()),
         **{name: [data] for name, data in sorted((extra or {}).items())},
     }
     digests = {name: _replace(directory / name, chunks) for name, chunks in files.items()}
-    for name in (TRACE_COPY, TEMPLATES_COPY):
+    for name in (TRACE_COPY, TEMPLATES_COPY, "ranks.tsv"):
         if name not in digests:
             (directory / name).unlink(missing_ok=True)
     manifest = {"format": FORMAT_VERSION, "blake2b": dict(sorted(digests.items()))}
@@ -600,41 +603,39 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
 def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
-    nodes.jsonl, triples.tsv, ranks.tsv and graph.json are each read once,
-    in that order; a missing one raises NotFoundError naming it.  The three
-    graph files are parsed as save_graph writes them: bytes that are not
-    UTF-8, a CR, a last line without its LF, node ids or triple keys that
-    do not strictly ascend, an unknown kind or predicate, a triple end that
-    is no node, or a rank that is missing, extra or not finite raises
-    FormatError with the file and the line.  nodes.jsonl and ranks.tsv are
-    read whole and hashed before the parse, and each one's bytes are
-    dropped once it is parsed.  triples.tsv is opened in its turn and read
-    TRIPLES_BLOCK bytes at a time, each read fed to its digest and each
-    block of whole lines to the parse, which keeps only each line's key:
-    neither the file nor any provenance text is held.  A file whose parse
-    fails is hashed to its end all the same.  Only after the parse is each
-    file checked against its digest in graph.json: one that differs raises
-    FormatError naming the file at its line in graph.json.  That is a hand
-    edit, or a read while a build rewrote the directory.  In the second
-    case a line of a file that its digest vouches for can fail to fit a
-    file of the other build read before it; that failure, too, names the
-    changed file in graph.json.  A line that fails in a file whose own
-    digest differs is named at its line, also when the reads interleaved
-    with the renames: the new nodes.jsonl, then the old triples.tsv just
-    before its rename, then the new graph.json.  The graph reads the
-    triples' sources from triples.tsv again on first use (see
-    TriplesFile).  A graph.json of another format, such as format 1 with
-    its SHA-256 table, raises FormatError asking for `ckt build` again.
+    nodes.jsonl and triples.tsv are opened in the order save_graph writes
+    them, and graph.json last; a missing one raises NotFoundError naming
+    it.  A graph.json that is not format 3 with a table of digests raises
+    FormatError at its line in place of any other error, and one of
+    another format, such as format 2 with its ranks.tsv, asks for `ckt
+    build` again.  Each graph file is read READ_BLOCK bytes at a time,
+    each read fed to its digest and each block of whole lines to the
+    parse, so no file is held whole, and of triples.tsv only each line's
+    key is kept.  The lines are parsed as save_graph writes them: bytes
+    that are not UTF-8, a CR, a last line without its LF, node ids or
+    triple keys that do not strictly ascend, a rank that is missing or no
+    finite float, an unknown kind or predicate, or a triple end that is no
+    node raises FormatError with the file and the line, once both files
+    are read and hashed.  Only after the parse is each file checked
+    against its digest in graph.json: one that differs raises FormatError
+    naming the file at its line in graph.json.  That is a hand edit, or a
+    read while a build rewrote the directory.  In the second case a line
+    of a file that its digest vouches for can fail to fit a file of the
+    other build read before it; that failure, too, names the changed file
+    in graph.json.  A line that fails in a file whose own digest differs
+    is named at its line, also when the reads interleaved with the
+    renames: the new nodes.jsonl, then the old triples.tsv just before its
+    rename, then the new graph.json.  The graph reads the triples' sources
+    from triples.tsv again on first use (see TriplesFile).
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
     """
     directory = Path(directory)
-    data = _read_files(directory, (*GRAPH_FILES, GRAPH_MANIFEST), stream=TRIPLES_FILE)
-    manifest = data.pop(GRAPH_MANIFEST)
-    with data.pop(TRIPLES_FILE) as triples:
-        entities, spo, ranks, digests = _parse_graph(data, triples, manifest, copies or {})
+    with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
+        manifest = files.pop(GRAPH_MANIFEST).read()
+        entities, spo, ranks, digests = _parse_graph(files, manifest, copies or {})
     _check_digests(manifest, digests)
     return KnowledgeGraph(entities, TriplesFile(directory / TRIPLES_FILE, manifest, spo),
                           ranks, spo)
@@ -645,29 +646,27 @@ def check_files(directory, files: dict[str, bytes | None]) -> None:
     (name -> the bytes read, or None for a file found absent) that the
     directory's graph.json does not vouch for; NotFoundError when the
     directory has no graph.json."""
-    _check_digests(_read_files(directory, (GRAPH_MANIFEST,))[GRAPH_MANIFEST], _digests(files))
+    with _opened(Path(directory), (GRAPH_MANIFEST,)) as opened:
+        manifest = opened[GRAPH_MANIFEST].read()
+    _check_digests(manifest, _digests(files))
 
 
-def _read_files(directory, names: tuple[str, ...], stream: str | None = None) -> dict:
-    """The bytes of each named file of the directory, read in the order
-    of `names`, but for the file named `stream` the binary file opened in
-    its turn; NotFoundError names the files it lacks."""
-    data: dict = {}
-    try:
+@contextmanager
+def _opened(directory: Path, names: tuple[str, ...]) -> Iterator[dict[str, BinaryIO]]:
+    """Each named file of the directory, opened for binary reads in the
+    order of `names` and closed after the block; NotFoundError names the
+    files it lacks."""
+    with ExitStack() as stack:
+        files = {}
         for name in names:
-            path = Path(directory) / name
             try:
-                data[name] = open(path, "rb") if name == stream else path.read_bytes()
+                files[name] = stack.enter_context(open(directory / name, "rb"))
             except FileNotFoundError:
                 pass
-        missing = [name for name in names if name not in data]
+        missing = [name for name in names if name not in files]
         if missing:
             raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")
-    except BaseException:
-        if stream in data:
-            data[stream].close()
-        raise
-    return data
+        yield files
 
 
 def _digests(files: dict[str, bytes | None]) -> dict[str, str | None]:
@@ -727,15 +726,6 @@ def _byte_error(name: str, data: bytes, lines_before: int = 0) -> FormatError | 
     return None
 
 
-def _lines(name: str, data: bytes) -> io.TextIOWrapper:
-    """The lines of a file that save_graph wrote, each with its LF, decoded
-    as they are read; the `_byte_error` of `data` is raised first."""
-    error = _byte_error(name, data)
-    if error is not None:
-        raise error
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-
-
 # the JSON decoder's scanner, C when the interpreter has it: scan(line, 0)
 # gives the value at the start of the line and where it stops, less
 # JSONDecoder.raw_decode's wrapper per call
@@ -743,77 +733,37 @@ _SCAN = make_scanner(json.JSONDecoder())
 _PREDICATE = {p: p for p in PREDICATES}
 
 
-def _parse_graph(data: dict[str, bytes], triples: BinaryIO, manifest: bytes,
+def _parse_graph(files: dict[str, BinaryIO], manifest: bytes,
                  copies: dict[str, bytes | None]) -> tuple:
-    """(entities, SPO keys, ranks, digests): the graph from the bytes of
-    nodes.jsonl and ranks.tsv and from the open triples.tsv, each line read
-    as save_graph writes it, and the digest of each graph file and of each
-    of `copies`, in the order they are checked.  What save_graph would not
-    write raises FormatError with the file and the line, unless
-    `_blame_changed_file` names a file that changed instead.  Each file's
-    bytes leave `data` once it is parsed, so the peak of a load holds no
-    file that is already in the graph."""
-    # graph files first, triples.tsv in its place, hashed as it is read
-    digests = {NODES_FILE: None, TRIPLES_FILE: None, **_digests({**data, **copies})}
-    digest = _blake2b(digest_size=DIGEST_SIZE)
+    """(entities, SPO keys, ranks, digests): the graph from the open graph
+    files, each line read as save_graph writes it, and the digest of each
+    graph file and of each of `copies`, in the order they are checked.
+    Both files are read to their end and hashed; then the first line that
+    save_graph would not write raises FormatError with the file and the
+    line, unless `_blame_changed_file` names a file that changed instead."""
     entities: dict[str, Entity] = {}
-    name, n = NODES_FILE, 0
-    try:
-        last = ""
-        with _lines(name, data[name]) as lines:
-            for n, line in enumerate(lines, start=1):
-                try:
-                    doc, stop = _SCAN(line, 0)
-                except StopIteration:  # no JSON value starts the line
-                    raise FormatError(f"not a node record that ckt build writes in {name}",
-                                      n) from None
-                eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
-                if stop != len(line) - 1 or type(label) is not str or type(attrs) is not dict:
-                    raise FormatError(f"not a node record that ckt build writes in {name}", n)
-                for value in attrs.values():
-                    if type(value) is not str:
-                        raise FormatError(f"attribute value {value!r} is no string in {name}", n)
-                if not eid > last:
-                    raise FormatError(f"node {eid!r} does not follow {last!r} in {name}", n)
-                start, end = doc["start"], doc["end"]
-                if path is None and start is None and end is None:
-                    span = None
-                elif type(path) is str and type(start) is int and type(end) is int:
-                    span = Span(path, start, end)
-                else:
-                    raise FormatError(f"span needs a string path and integer lines in {name}", n)
-                entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
-                last = eid
-        del data[name]
-        name = TRIPLES_FILE
-        spo = _triple_keys(triples, digest, entities)
+    ranks: dict[str, float] = {}
+    spo: list[Key] = []
+    digests: dict[str, str | None] = {}
+    failed = None  # the name and the error of the first file that did not parse
+    for name, parse in ((NODES_FILE, partial(_node_block, entities, ranks)),
+                        (TRIPLES_FILE, partial(_triple_block, entities, spo))):
+        digest = _blake2b(digest_size=DIGEST_SIZE)
+        error = _read_lines(files[name], name, digest, parse)
         digests[name] = digest.hexdigest()
-        ranks: dict[str, float] = {}
-        name, n = RANKS_FILE, 0
-        expected = iter(entities)
-        with _lines(name, data[name]) as lines:
-            for n, line in enumerate(lines, start=1):
-                eid = next(expected, None)
-                if eid is None:
-                    raise FormatError(f"rank after the last node in {name}", n)
-                rank_id, _, value = line.partition("\t")
-                rank = float(value)
-                if rank_id != eid or not math.isfinite(rank):
-                    raise FormatError(f"expected a finite rank for {eid!r} in {name}", n)
-                ranks[eid] = rank
-        eid = next(expected, None)
-        if eid is not None:
-            raise FormatError(f"{name} ends without a rank for {eid!r}", n + 1)
-    except (FormatError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        while block := triples.read(TRIPLES_BLOCK):  # unread when nodes.jsonl failed
-            digest.update(block)
-        digests[TRIPLES_FILE] = digest.hexdigest()
-        _blame_changed_file(manifest, digests, name)
-        if isinstance(exc, FormatError):
-            raise
-        if isinstance(exc, UnicodeDecodeError):
-            raise not_utf8(name, data[name], exc) from exc
-        raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}", n) from exc
+        if failed is None and error is not None:
+            failed = name, error
+    if failed is None:
+        # the keys must ascend strictly: the first line whose key does not
+        # follow the one before, line i + 2 when key i + 1 is not above key i
+        unordered = next(compress(count(2), map(ge, spo, islice(spo, 1, None))), None)
+        if unordered is not None:
+            failed = TRIPLES_FILE, FormatError(
+                f"triple does not follow the line before in {TRIPLES_FILE}", unordered)
+    digests.update(_digests(copies))
+    if failed is not None:
+        _blame_changed_file(manifest, digests, failed[0])
+        raise failed[1]
     return entities, spo, ranks, digests
 
 
@@ -821,7 +771,7 @@ def _blocks(file: BinaryIO, digest) -> Iterator[bytes]:
     """The bytes of `file`, each read fed to `digest`, in blocks that end
     at a LF, but for the rest after the last LF, if any, which comes last."""
     rest = b""
-    while chunk := file.read(TRIPLES_BLOCK):
+    while chunk := file.read(READ_BLOCK):
         digest.update(chunk)
         end = chunk.rfind(b"\n") + 1
         if end:
@@ -833,72 +783,108 @@ def _blocks(file: BinaryIO, digest) -> Iterator[bytes]:
         yield rest
 
 
-def _triple_keys(file: BinaryIO, digest, entities: dict[str, Entity]) -> list[Key]:
-    """The key of each line of triples.tsv, read from `file` and fed to
-    `digest` block by block, in file order; both ends of a key are the id
-    strings of `entities`, and the rest of each line is dropped.
+def _read_lines(file: BinaryIO, name: str, digest, parse) -> FormatError | None:
+    """Read the graph file `name` from `file` block by block, each read fed
+    to `digest`, and hand each block of whole lines, decoded and split at
+    each LF, to parse(lines, n), n the lines before the block; `parse`
+    raises FormatError for a line that save_graph would not write.
 
-    A line that save_graph would not write raises FormatError with its
-    line once the whole file is read, so that the digest is whole.  A CR,
-    or a last line without its LF, is raised in its place wherever it is,
-    as when the whole file was checked for them before the parse, and keys
-    that do not strictly ascend only after every line has parsed."""
-    name = TRIPLES_FILE
-    spo: list[Key] = []
-    last: tuple = ()
+    The error is returned once the whole file is read, so that the digest
+    is whole: a CR, or a last line without its LF, wherever it is, as when
+    the whole file was checked for them before the parse; else the first
+    line that is not UTF-8 or that `parse` failed on, after which no block
+    is parsed.  None when every line parsed."""
     n = 0  # the lines before the block
-    unordered = 0  # the first line whose key does not follow the one before
     bad_bytes = bad_line = None
     for block in _blocks(file, digest):
         if bad_bytes is None:
             bad_bytes = _byte_error(name, block, n)
         if bad_bytes is None and bad_line is None:
-            lineno = n
             try:
                 lines = block.decode("utf-8").split("\n")
                 lines.pop()  # the block ends with a LF
-                for lineno, line in enumerate(lines, start=n + 1):
-                    s, p, o, _ = line.split("\t")
-                    pred = _PREDICATE.get(p)
-                    if pred is None:
-                        raise FormatError(f"unknown predicate {p!r} in {name}", lineno)
-                    s = (entities.get(s) or _no_node(s, lineno)).id
-                    if pred not in LITERAL_PREDICATES:
-                        o = (entities.get(o) or _no_node(o, lineno)).id
-                    elif ids.kind_of(o) is not None:
-                        raise FormatError(f"literal expected for predicate {pred!r}, "
-                                          f"got entity id {o!r} in {name}", lineno)
-                    key = (s, pred, o)
-                    if not key > last and not unordered:
-                        unordered = lineno
-                    spo.append(key)
-                    last = key
+                parse(lines, n)
             except FormatError as exc:
                 bad_line = exc
             except UnicodeDecodeError as exc:
                 bad_line = not_utf8(name, block, exc, n + 1)
-            except ValueError as exc:  # not four fields
-                bad_line = FormatError(f"not a line that ckt build writes in {name}: {exc!r}",
-                                       lineno)
         n += block.count(b"\n")
-    if bad_bytes or bad_line:
-        raise bad_bytes or bad_line
-    if unordered:
-        raise FormatError(f"triple does not follow the line before in {name}", unordered)
-    return spo
+    return bad_bytes or bad_line
+
+
+def _node_block(entities: dict[str, Entity], ranks: dict[str, float], lines: list[str],
+                n: int) -> None:
+    """Add the node and the rank of each line of nodes.jsonl in `lines`,
+    the lines after its first n, to `entities` and `ranks`; FormatError
+    names the first line that save_graph would not write."""
+    name = NODES_FILE
+    last = next(reversed(entities), "")  # the id on the line before the block
+    lineno = n
+    try:
+        for lineno, line in enumerate(lines, start=n + 1):
+            try:
+                doc, stop = _SCAN(line, 0)
+            except StopIteration:  # no JSON value starts the line
+                raise FormatError(f"not a node record that ckt build writes in {name}",
+                                  lineno) from None
+            eid, label, attrs, path = doc["id"], doc["label"], doc["attrs"], doc["path"]
+            if stop != len(line) or type(label) is not str or type(attrs) is not dict:
+                raise FormatError(f"not a node record that ckt build writes in {name}", lineno)
+            for value in attrs.values():
+                if type(value) is not str:
+                    raise FormatError(f"attribute value {value!r} is no string in {name}", lineno)
+            if not eid > last:
+                raise FormatError(f"node {eid!r} does not follow {last!r} in {name}", lineno)
+            start, end, rank = doc["start"], doc["end"], doc["rank"]
+            if path is None and start is None and end is None:
+                span = None
+            elif type(path) is str and type(start) is int and type(end) is int:
+                span = Span(path, start, end)
+            else:
+                raise FormatError(f"span needs a string path and integer lines in {name}", lineno)
+            if type(rank) is not float or not math.isfinite(rank):
+                raise FormatError(f"expected a finite rank for {eid!r} in {name}", lineno)
+            entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
+            ranks[eid] = rank
+            last = eid
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}", lineno) from exc
+
+
+def _triple_block(entities: dict[str, Entity], spo: list[Key], lines: list[str],
+                  n: int) -> None:
+    """Add the key of each line of triples.tsv in `lines`, the lines after
+    its first n, to `spo`; both ends of a key are the id strings of
+    `entities`, and the rest of each line is dropped.  FormatError names
+    the first line that save_graph would not write."""
+    name = TRIPLES_FILE
+    lineno = n
+    try:
+        for lineno, line in enumerate(lines, start=n + 1):
+            s, p, o, _ = line.split("\t")
+            pred = _PREDICATE.get(p)
+            if pred is None:
+                raise FormatError(f"unknown predicate {p!r} in {name}", lineno)
+            s = (entities.get(s) or _no_node(s, lineno)).id
+            if pred not in LITERAL_PREDICATES:
+                o = (entities.get(o) or _no_node(o, lineno)).id
+            elif ids.kind_of(o) is not None:
+                raise FormatError(f"literal expected for predicate {pred!r}, "
+                                  f"got entity id {o!r} in {name}", lineno)
+            spo.append((s, pred, o))
+    except ValueError as exc:  # not four fields
+        raise FormatError(f"not a line that ckt build writes in {name}: {exc!r}",
+                          lineno) from exc
 
 
 def _blame_changed_file(manifest: bytes, digests: dict[str, str | None], name: str) -> None:
     """When graph.json vouches for the file `name` that failed to parse,
     raise the digest error of the first graph file it does not vouch for,
     if any: a read during a rebuild found files of two builds.  A line
-    error in a file that changed itself stands, as it does when graph.json
-    cannot be read: a hand edit, or a read interleaved with the renames."""
-    try:
-        vouched = _manifest_digests(manifest)
-    except FormatError:
-        return
-    if vouched.get(name) == digests[name]:
+    error in a file that changed itself stands: a hand edit, or a read
+    interleaved with the renames.  A graph.json that is not format 3
+    raises its own FormatError."""
+    if _manifest_digests(manifest).get(name) == digests[name]:
         _check_digests(manifest, {graph_file: digests[graph_file] for graph_file in GRAPH_FILES})
 
 

@@ -752,8 +752,9 @@ def functions_by_path(entities):
 
 def builder_load_graph(directory):
     """Load nodes.jsonl and triples.tsv by replaying every record through
-    GraphBuilder: add_entity per node, insert_triple per
-    triple.  Ranks are not read."""
+    GraphBuilder: add_entity per node, insert_triple per triple.  Each
+    node's rank is checked, as `node_rank` reads it, and then dropped: the
+    graph computes its own."""
     from pathlib import Path
 
     from ckt.errors import FormatError
@@ -768,7 +769,8 @@ def builder_load_graph(directory):
             if not raw:
                 continue
             try:
-                doc = json.loads(raw)
+                doc = json.loads(raw, parse_constant=_no_constant)
+                node_rank(doc, lineno)
                 span = None
                 if doc.get("path") is not None:
                     span = Span(doc["path"], int(doc["start"]), int(doc["end"]))
@@ -795,6 +797,24 @@ def builder_load_graph(directory):
             for prov in provs:
                 builder.insert_triple(s, p, o, prov)
     return builder.finalize()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is no JSON number")
+
+
+def node_rank(doc, lineno):
+    """The "rank" of a nodes.jsonl record, which save_graph writes with a
+    float's repr: a float that is finite, read by json.loads with NaN,
+    Infinity and -Infinity refused; an integer such as 1, which repr never
+    gives for a float, is refused as well.  FormatError at `lineno`
+    otherwise."""
+    from ckt.errors import FormatError
+
+    rank = doc.get("rank")
+    if type(rank) is not float or abs(rank) == float("inf"):
+        raise FormatError(f"bad node record: rank {rank!r} is no finite float", lineno)
+    return rank
 
 
 def race_static(var, entities, triples):
@@ -1748,9 +1768,10 @@ def entity_json(entity):
     }
 
 
-def node_line(entity):
-    """An entity's nodes.jsonl line as json.dumps writes it."""
-    return json.dumps(entity_json(entity), sort_keys=True, ensure_ascii=True)
+def node_line(entity, rank):
+    """An entity's nodes.jsonl line, with its PageRank score `rank`, as
+    json.dumps writes it."""
+    return json.dumps({**entity_json(entity), "rank": rank}, sort_keys=True, ensure_ascii=True)
 
 
 def provenance_json(provenance):

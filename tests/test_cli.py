@@ -22,6 +22,7 @@ from ckt.cli import (
     cmd_export,
     cmd_query,
     cmd_repl,
+    format_records,
     format_table,
     main,
 )
@@ -40,11 +41,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # SHA-256 of every file `ckt build` writes for the scenario, recorded from
 # the build before its lookups were indexed: a faster build must not change
 # a byte of its output.  graph.json, which lists the others' digests, was
-# added later, and recorded again for format 2 from two independent builds.
+# added later, and recorded again for format 2 from two independent builds;
+# recorded again for format 3, from two builds under PYTHONHASHSEED 1 and 2,
+# once nodes.jsonl carried each node's rank and ranks.tsv went.
 SCENARIO_DIGESTS = {
-    "graph.json": "c37a34c2411d231182ea98ff8d8f15d8ced5211894c1f238a3ee0513128f9f94",
-    "nodes.jsonl": "584b5436c5da5cf69146c3ebbdb63b25bec13b8ed2ff1d3447f4963735d088cf",
-    "ranks.tsv": "c708ec579aac348665c5f60b3ac77663a788c625849e97b30a93c10ba6b0e421",
+    "graph.json": "faf0fb77a95ecc9bfd631872d3b0ccdd8b1c2b54499ecc92e9ef36fc0cdd8fb8",
+    "nodes.jsonl": "36f11de8998c979a92103ed5af03dc96d882af46441a0af3ef2c798eb538790c",
     "report.json": "d789180a1c997f7a4cf7a34062c7d3558fd996a94856c863129d324f5c8e5134",
     "stats.json": "a3f465ac941d7ea86e52adedc4268fda979f3dca0c6db024adb56c8f9449ffe3",
     "templates.jsonl": "fb6348c267556b8936940ddd0e87a90b6ec1844de36d1eb8266274f18f5b7eb9",
@@ -75,7 +77,7 @@ def test_scenario_build_matches_golden_digests(tmp_path, capsys):
 def test_graph_json_gives_the_blake2b_of_every_other_file(scenario_dir):
     out = scenario_dir / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "graph.json"}
-    assert json.loads((out / "graph.json").read_bytes()) == {"format": 2, "blake2b": {
+    assert json.loads((out / "graph.json").read_bytes()) == {"format": 3, "blake2b": {
         name: blake2b_hex(data) for name, data in files.items()}}
 
 
@@ -116,11 +118,11 @@ MIXED_COMMITS = [
 # independent builds; recorded again, from two builds under PYTHONHASHSEED 1
 # and 2, once the facts file, listed twice here, was loaded once: the calls
 # triple it asserts kept one source of two, and report.json counted its
-# entities and relations once
+# entities and relations once; recorded again for format 3, as the
+# scenario's were
 MIXED_DIGESTS = {
-    "graph.json": "f928f21128aad2ff913bb7abeddd742b75c8b6c1706bdff6b839627822552887",
-    "nodes.jsonl": "6f30669c749e360aa4b69b6df71cb2f3f535c7b2a422e07998e06d070f00e4ff",
-    "ranks.tsv": "cefa2a914f24666b3eac62dcef666282538acbb3ca1d5df8cb08f343ca6f6a47",
+    "graph.json": "15769c146b00ed176a55be674e2d63afcd789cf593323fed229b12013c4e138f",
+    "nodes.jsonl": "9d4cb40d02a0bf9853b209b7a3090915fba9f95c3bdf9c262aff1763beb11b1a",
     "report.json": "16a24bc9eea3ada926ad7d884769fbe2e9023e6198030c4235743379180a417e",
     "stats.json": "84a4a753955bc6aaa8bbae7104270aa13366e11dff4f57099ba93e6c9bea33e3",
     "triples.tsv": "c820c52e2fc17e6b6dcab9d11d4372c54ea22157f46f98adf64d09e395c3e9e1",
@@ -225,22 +227,52 @@ def test_a_file_two_roots_reach_builds_as_under_one_root(tmp_path, capsys):
         p.name: p.read_bytes() for p in one.iterdir()}
 
 
-def test_closed_stdout_exits_1_without_traceback(tmp_path):
+@pytest.mark.parametrize("command", ["build", "table", "records"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    """`ckt ... | head -1` once head has gone: a build's report, or the one
+    write of a query's answer in either format, meets a closed pipe, and
+    ckt exits quietly."""
     shutil.copytree(SCENARIO, tmp_path / "p")
+    manifest, out = tmp_path / "p" / "manifest.json", tmp_path / "p" / "out"
+    if command != "build":
+        assert cli_build(manifest) == 0
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before ckt writes a byte
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = ["build", "--manifest", str(manifest)]
+    if command != "build":
+        args = ["query", "--graph", str(out), "--format", command,
+                f"SELECT ?v WHERE {{ {S2} writes ?v }}"]
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "ckt", "build", "--manifest", str(tmp_path / "p" / "manifest.json")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        proc = subprocess.run([sys.executable, "-m", "ckt", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
-    assert (tmp_path / "p" / "out" / "nodes.jsonl").exists()
+    assert (out / "nodes.jsonl").exists()
+
+
+class CountingWriter(io.StringIO):
+    """A text stream that counts the calls of its write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_a_cold_answer_is_one_write_of_its_lines(scenario_dir, monkeypatch, fmt):
+    text = f"@bugs-affecting-function({S2})"
+    result, resolution = _run_query_text(text, _load_query_context(scenario_dir / "out"))
+    lines = (format_records if fmt == "records" else format_table)(result, resolution)
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cmd_query(scenario_dir / "out", text, fmt, False) == 0
+    assert out.writes == 1 and out.getvalue() == "".join(f"{line}\n" for line in lines)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -671,6 +703,17 @@ def repl(scenario_dir, text):
     return rc, out.getvalue()
 
 
+def test_a_related_listing_is_one_write_of_its_lines(scenario_dir, scenario_graph):
+    sub = scenario_graph.neighborhood(S2, 1)
+    out = CountingWriter()
+    assert cmd_repl(scenario_dir / "out", stdin=io.StringIO(f":related {S2} 1\n:quit\n"),
+                    stdout=out) == 0
+    assert out.writes == 1
+    assert out.getvalue() == "".join(
+        [*(f"{eid}  [{sub.entities[eid].kind}]\n" for eid in sorted(sub.entities)),
+         *(f"  {s} {p} {o}\n" for s, p, o in sub.triples())])
+
+
 def test_repl_quit(scenario_dir):
     rc, _ = repl(scenario_dir, ":quit\n")
     assert rc == 0
@@ -954,7 +997,7 @@ def test_export_of_a_changed_file_exits_2_naming_it_in_graph_json(scenario_dir, 
     assert main(["export", "--graph", str(out), "--what", "triples"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: line 10: graph.json: triples.tsv does not match")
+    assert captured.err.startswith("error: line 9: graph.json: triples.tsv does not match")
 
 
 def test_export_unknown_target(scenario_dir, capsys):

@@ -21,7 +21,6 @@ from ckt.graph import (
     GRAPH_MANIFEST,
     NODES_FILE,
     PREDICATES,
-    RANKS_FILE,
     GraphBuilder,
     TRIPLES_FILE,
     Provenance,
@@ -547,11 +546,12 @@ def test_triples_file_lines_equal_json_dumps(tmp_path_factory, lists):
 @settings(deadline=None, max_examples=200)
 @given(_PROV_TEXT.filter(bool), st.sampled_from(sorted(ENTITY_KINDS)), _PROV_TEXT,
        st.none() | st.tuples(_PROV_TEXT, st.integers(-5, 10**12), st.integers(0, 5)),
-       st.dictionaries(_PROV_TEXT, _PROV_TEXT, max_size=4))
-def test_node_writer_equals_json_dumps(eid, kind, label, span, attrs):
+       st.dictionaries(_PROV_TEXT, _PROV_TEXT, max_size=4),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_node_writer_equals_json_dumps(eid, kind, label, span, attrs, rank):
     span = span and Span(span[0], span[1], span[1] + span[2])
     entity = Entity(eid, kind, label, span, attrs)
-    assert _node_line(entity) == node_line(entity)
+    assert _node_line(entity, rank) == node_line(entity, rank)
 
 
 # ids and labels with non-ASCII text: triples.tsv holds ids as they are, so a
@@ -572,10 +572,10 @@ def test_streamed_files_equal_the_joined_lines(edges, label, chunk_lines):
         builder.insert_triple("func:h#" + s, p, "func:h#" + o, Provenance("source-code", s))
     graph = builder.finalize()
     lines = {
-        NODES_FILE: [_node_line(graph.entities[eid]) for eid in sorted(graph.entities)],
+        NODES_FILE: [node_line(graph.entities[eid], rank)
+                     for eid, rank in sorted(graph.pagerank().items())],
         TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{provenance_json(graph.sources((s, p, o)))}"
                        for s, p, o in graph.triples()],
-        RANKS_FILE: [f"{eid}\t{rank!r}" for eid, rank in graph.rank_table().items()],
     }
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(ckt.graph, "CHUNK_LINES", chunk_lines):
@@ -585,7 +585,7 @@ def test_streamed_files_equal_the_joined_lines(edges, label, chunk_lines):
         assert files[name] == "".join(line + "\n" for line in text).encode()
     assert files["stats.json"] == "{\u00e9}\n".encode()
     manifest = json.loads(files.pop(GRAPH_MANIFEST))
-    assert manifest == {"format": 2,
+    assert manifest == {"format": 3,
                         "blake2b": {n: blake2b_hex(d) for n, d in sorted(files.items())}}
 
 
@@ -617,25 +617,36 @@ def spy_on_replace(monkeypatch, fail_on=None):
 def test_save_renames_each_file_into_place_and_graph_json_last(tmp_path, monkeypatch):
     names = spy_on_replace(monkeypatch)
     save_graph(build(FIXTURE), tmp_path, {"stats.json": b"{}\n"})
-    assert names == ["nodes.jsonl", "triples.tsv", "ranks.tsv", "stats.json", GRAPH_MANIFEST]
+    assert names == ["nodes.jsonl", "triples.tsv", "stats.json", GRAPH_MANIFEST]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
-    assert manifest == {"format": 2, "blake2b": {
+    assert manifest == {"format": 3, "blake2b": {
         name: blake2b_hex((tmp_path / name).read_bytes()) for name in names[:-1]}}
+
+
+def test_save_removes_the_files_of_an_older_build_that_it_does_not_write(tmp_path):
+    """A trace or template copy, and the ranks.tsv of a format-2 build:
+    after the save, graph.json vouches for every file of the directory."""
+    for name in ("trace.jsonl", "templates.jsonl", "ranks.tsv"):
+        (tmp_path / name).write_bytes(b"old\n")
+    save_graph(build(FIXTURE), tmp_path)
+    manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
+    names = sorted(p.name for p in tmp_path.iterdir() if p.name != GRAPH_MANIFEST)
+    assert sorted(manifest["blake2b"]) == names == [NODES_FILE, TRIPLES_FILE]
 
 
 def test_failed_save_keeps_the_old_graph_json_which_names_the_changed_file(tmp_path, monkeypatch):
     save_graph(build(FIXTURE), tmp_path)
     old = (tmp_path / GRAPH_MANIFEST).read_bytes()
-    spy_on_replace(monkeypatch, fail_on="ranks.tsv")
-    with pytest.raises(OSError):  # the same nodes, one more triple
+    spy_on_replace(monkeypatch, fail_on=GRAPH_MANIFEST)
+    with pytest.raises(OSError):  # the same nodes with other ranks, one more triple
         save_graph(build([*FIXTURE, ("func:a#g", "reads", "var:a#x")]), tmp_path)
     assert (tmp_path / GRAPH_MANIFEST).read_bytes() == old
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
-    # the new triples under the old graph.json: a torn directory
+    # the new files under the old graph.json: a torn directory
     with pytest.raises(FormatError) as exc:
         load_graph(tmp_path)
-    assert str(exc.value).startswith("line 6: graph.json: triples.tsv does not match")
+    assert str(exc.value).startswith("line 4: graph.json: nodes.jsonl does not match")
 
 
 def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch):
@@ -656,8 +667,8 @@ def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, mo
 
     monkeypatch.setattr(os, "replace", load_after)
     save_graph(new, tmp_path)
-    # both builds write the same nodes.jsonl
-    assert outcomes == ["old", "torn", "torn", "new"]
+    # the new triple changes the ranks, so each rename but the last tears
+    assert outcomes == ["torn", "torn", "new"]
 
 
 @pytest.mark.parametrize("old_triples, new_triples", [
@@ -692,7 +703,7 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
 
     monkeypatch.setattr(os, "replace", load_after)
     save_graph(new, tmp_path)
-    assert outcomes == ["nodes.jsonl", "nodes.jsonl", "nodes.jsonl", "new"]
+    assert outcomes == ["nodes.jsonl", "nodes.jsonl", "new"]
 
 
 def test_a_read_interleaved_with_the_renames_names_the_old_line(tmp_path):

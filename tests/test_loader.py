@@ -1,12 +1,14 @@
-"""The graph loader and the persisted PageRank scores: the loader against
-the GraphBuilder loader in oracles.py, loaded ranks against the built and
-the dense ones, corrupt, hand-written and forged graph directories, each of
-which loads as the GraphBuilder loader reads it or names a file and a line,
-and graph.json: missing, changed and torn directories."""
+"""The graph loader and the PageRank scores that nodes.jsonl carries: the
+loader against the GraphBuilder loader in oracles.py, loaded ranks against
+the built and the dense ones, corrupt, hand-written and forged graph
+directories, each of which loads as the GraphBuilder loader reads it or
+names a file and a line, and graph.json: missing, changed and torn
+directories."""
 
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,8 +26,7 @@ from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
     NODES_FILE,
-    RANKS_FILE,
-    TRIPLES_BLOCK,
+    READ_BLOCK,
     TRIPLES_FILE,
     GraphBuilder,
     KnowledgeGraph,
@@ -47,11 +48,11 @@ def copy_graph(scenario_dir, tmp_path) -> Path:
 
 
 def write_manifest(directory: Path) -> None:
-    """A graph.json that vouches for the three graph files as they are."""
+    """A graph.json that vouches for the two graph files as they are."""
     digests = {name: blake2b_hex((Path(directory) / name).read_bytes())
-               for name in (NODES_FILE, RANKS_FILE, TRIPLES_FILE)}
+               for name in (NODES_FILE, TRIPLES_FILE)}
     (Path(directory) / GRAPH_MANIFEST).write_text(
-        json.dumps({"format": 2, "blake2b": digests}, indent=2) + "\n", encoding="utf-8")
+        json.dumps({"format": 3, "blake2b": digests}, indent=2) + "\n", encoding="utf-8")
 
 
 def run_ckt(*args) -> subprocess.CompletedProcess:
@@ -87,15 +88,41 @@ def test_loaded_ranks_agree_with_dense_oracle(scenario_graph):
         assert abs(score - oracle[node]) <= 1e-8
 
 
-def test_ranks_file_is_written_by_save_graph(tmp_path):
+def test_each_node_line_carries_its_rank(tmp_path):
     builder = GraphBuilder()
     builder.insert_triple("func:a#f", "calls", "func:a#g", Provenance("source-code", "a:1"))
     graph = builder.finalize()
     save_graph(graph, tmp_path)
     rank = graph.pagerank()
-    assert (tmp_path / RANKS_FILE).read_text(encoding="utf-8") == (
-        f"func:a#f\t{rank['func:a#f']!r}\nfunc:a#g\t{rank['func:a#g']!r}\n"
-    )
+    assert (tmp_path / NODES_FILE).read_text(encoding="utf-8") == "".join(
+        node_line(graph.entities[eid], rank[eid]) + "\n" for eid in ["func:a#f", "func:a#g"])
+    assert (tmp_path / NODES_FILE).read_text(encoding="utf-8").count('"rank": ') == 2
+
+
+# drawn finite ranks: the least subnormal, a value that repr writes with an
+# exponent, values of 17 significant digits, and both zeros
+_RANKS = (st.sampled_from([5e-324, 1e-05, 1.0, 0.0, -0.0, 0.1 + 0.2, 2 / 3])
+          | st.floats(allow_nan=False, allow_infinity=False))
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_RANKS, _LABELS, st.dictionaries(_LABELS, _LABELS, max_size=3)),
+                min_size=1, max_size=6))
+def test_ranks_round_trip_bit_for_bit(nodes):
+    """save_graph then load_graph gives each drawn rank back bit for bit,
+    and each nodes.jsonl line is json.dumps's, rank included."""
+    entities = {f"func:a.c#f{i}": Entity(f"func:a.c#f{i}", "function", label, None, attrs)
+                for i, (_, label, attrs) in enumerate(nodes)}
+    ranks = {eid: rank for eid, (rank, _, _) in zip(entities, nodes)}
+    graph = KnowledgeGraph(entities, {}, ranks)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(graph, tmp)
+        lines = (Path(tmp) / NODES_FILE).read_text(encoding="utf-8").split("\n")
+        loaded = load_graph(tmp).rank_table()
+    assert lines == [*(node_line(entities[eid], ranks[eid]) for eid in sorted(ranks)), ""]
+    assert list(loaded) == sorted(ranks)
+    assert [loaded[eid].hex() for eid in loaded] == [ranks[eid].hex() for eid in loaded]
 
 
 def test_entity_with_an_empty_label_round_trips(tmp_path):
@@ -108,63 +135,46 @@ def test_entity_with_an_empty_label_round_trips(tmp_path):
     assert graphs_equal(load_graph(tmp_path), graph)
 
 
-def corrupt_ranks(lines, how):
-    """Return the corrupted lines and the line number the error must name."""
-    if how == "bad-float":
-        lines[2] = lines[2].split("\t")[0] + "\t0.1x"
-        return lines, 3
-    if how == "no-tab":
-        lines[2] = lines[2].replace("\t", " ")
-        return lines, 3
-    if how == "missing-id":
-        del lines[2]
-        return lines, 3
-    if how == "extra-id":
-        lines.insert(1, "func:src/nowhere.c#ghost\t0.001")
-        return lines, 2
-    if how == "duplicate-id":
-        lines.insert(3, lines[2])
-        return lines, 4
-    raise ValueError(how)
+def set_rank(line: str, text: str | None) -> str:
+    """A nodes.jsonl line with the text of its rank set to `text`, or with
+    no rank for None."""
+    return re.sub(r'"rank": [^,]*, ', "" if text is None else f'"rank": {text}, ', line)
 
 
-CORRUPTIONS = ["bad-float", "no-tab", "missing-id", "extra-id", "duplicate-id"]
+# a rank that save_graph would not write, as the text of the "rank" value:
+# each is refused; json.loads reads NaN, Infinity, -Infinity and 1e400 as
+# floats that are not finite, and repr never writes a float as 1
+BAD_RANKS = {"missing": None, "string": '"0.5"', "true": "true", "null": "null",
+             "NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e400": "1e400",
+             "integer": "1", "bad number": "0.1x"}
 
 
-@pytest.mark.parametrize("how", CORRUPTIONS)
-def test_corrupt_ranks_name_the_line(scenario_dir, tmp_path, how):
+@pytest.mark.parametrize("text", BAD_RANKS.values(), ids=list(BAD_RANKS))
+@pytest.mark.parametrize("forged", [False, True], ids=["hand-edit", "forged"])
+def test_a_rank_that_save_graph_would_not_write_exits_2_naming_its_line(scenario_dir, tmp_path,
+                                                                         text, forged):
+    """The builder loader refuses the rank at its line of nodes.jsonl, and
+    so do the load and a query, which exits 2 with one error line, with or
+    without a graph.json that vouches for the file."""
     out = copy_graph(scenario_dir, tmp_path)
-    path = out / RANKS_FILE
-    lines, lineno = corrupt_ranks(path.read_text(encoding="utf-8").splitlines(), how)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path = out / NODES_FILE
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines[2] = set_rank(lines[2], text)
+    path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    if forged:
+        write_manifest(out)
+    with pytest.raises(FormatError) as exc:
+        oracles.builder_load_graph(out)
+    assert exc.value.line == 3
     with pytest.raises(FormatError) as exc:
         load_graph(out)
-    assert exc.value.line == lineno
-    assert f"line {lineno}:" in str(exc.value) and RANKS_FILE in str(exc.value)
-
-
-def test_query_on_corrupt_ranks_exits_2_without_traceback(scenario_dir, tmp_path):
-    out = copy_graph(scenario_dir, tmp_path)
-    path = out / RANKS_FILE
-    lines, lineno = corrupt_ranks(path.read_text(encoding="utf-8").splitlines(), "duplicate-id")
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert exc.value.line == 3 and NODES_FILE in str(exc.value)
     proc = run_ckt("query", "--graph", str(out), "--format", "records", SELECT)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: line {lineno}:") and "Traceback" not in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {exc.value}\n"
 
 
-def test_query_without_ranks_file_exits_2(scenario_dir, tmp_path):
-    out = copy_graph(scenario_dir, tmp_path)
-    (out / RANKS_FILE).unlink()
-    with pytest.raises(NotFoundError, match=RANKS_FILE):
-        load_graph(out)
-    proc = run_ckt("query", "--graph", str(out), SELECT)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE, GRAPH_MANIFEST])
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, GRAPH_MANIFEST])
 def test_a_dir_missing_one_file_names_it(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
     (out / name).unlink()
@@ -177,7 +187,7 @@ def test_an_empty_dir_names_every_missing_file(tmp_path):
     with pytest.raises(NotFoundError) as exc:
         load_graph(tmp_path)
     assert str(exc.value) == (f"no graph found in {tmp_path}: missing "
-                              f"{NODES_FILE}, {TRIPLES_FILE}, {RANKS_FILE}, {GRAPH_MANIFEST}")
+                              f"{NODES_FILE}, {TRIPLES_FILE}, {GRAPH_MANIFEST}")
 
 
 # -- the loader against the GraphBuilder loader ---------------------------------
@@ -194,9 +204,10 @@ PROVS = st.builds(
 
 @st.composite
 def graph_files(draw):
-    """Hand-written nodes.jsonl and triples.tsv lines: nodes may repeat an
-    id with other content or be absent (then the builder loader registers
-    them), and a triple may repeat with other provenance.  Half the drawn
+    """Hand-written nodes.jsonl and triples.tsv lines: nodes, each with a
+    drawn rank, may repeat an id with other content or be absent (then the
+    builder loader registers them), and a triple may repeat with other
+    provenance.  Half the drawn
     directories keep, as save_graph would, the first line of each node id
     and of each triple key whose ends are nodes, in ascending order."""
     nodes = []
@@ -209,6 +220,7 @@ def graph_files(draw):
             "label": draw(st.sampled_from(["f", "main", "g", "x"])),
             "path": span and span[0], "start": span and span[1], "end": span and span[2],
             "attrs": draw(st.sampled_from([{}, {"scope": "global"}, {"k": "1"}])),
+            "rank": draw(_RANKS),
         })
     triples = []
     for _ in range(draw(st.integers(0, 15))):
@@ -233,13 +245,9 @@ def graph_files(draw):
 
 
 def write_graph_dir(directory: Path, node_lines, triple_lines) -> None:
-    """Write the two files, ranks.tsv from the builder loader's graph, and
-    a graph.json that vouches for the three."""
+    """Write the two files and a graph.json that vouches for them."""
     (directory / NODES_FILE).write_text("".join(f"{x}\n" for x in node_lines), encoding="utf-8")
     (directory / TRIPLES_FILE).write_text("".join(f"{x}\n" for x in triple_lines), encoding="utf-8")
-    rank = oracles.builder_load_graph(directory).pagerank()
-    (directory / RANKS_FILE).write_text(
-        "".join(f"{eid}\t{rank[eid]!r}\n" for eid in sorted(rank)), encoding="utf-8")
     write_manifest(directory)
 
 
@@ -257,7 +265,7 @@ def test_loader_matches_builder_loader_on_scenario(scenario_dir):
 
 
 def write_nodes(directory: Path, *entities: Entity) -> None:
-    (directory / NODES_FILE).write_text("".join(node_line(e) + "\n" for e in entities),
+    (directory / NODES_FILE).write_text("".join(node_line(e, 0.5) + "\n" for e in entities),
                                         encoding="utf-8")
 
 
@@ -270,7 +278,6 @@ def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
     (tmp_path / TRIPLES_FILE).write_text(
         f"func:h.c#f0\twrites\tvar:h.c#g\t{prov}\nfunc:h.c#f0\thas-type\tvar:h.c#g\t{prov}\n",
         encoding="utf-8")
-    (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
     write_manifest(tmp_path)
     with pytest.raises(FormatError, match="literal expected") as exc:
         load_graph(tmp_path)
@@ -293,7 +300,6 @@ def test_each_insertion_error_names_the_line(tmp_path, line, message):
     write_nodes(tmp_path, Entity("func:h.c#f0", "function", "f0"))
     (tmp_path / TRIPLES_FILE).write_text(
         f"func:h.c#f0\tcalls\tfunc:h.c#f0\t{prov}\n{line}\t{prov}\n", encoding="utf-8")
-    (tmp_path / RANKS_FILE).write_text("", encoding="utf-8")
     write_manifest(tmp_path)
     with pytest.raises(FormatError) as exc:
         load_graph(tmp_path)
@@ -303,12 +309,12 @@ def test_each_insertion_error_names_the_line(tmp_path, line, message):
 # -- fuzzed graph directories -----------------------------------------------------
 
 JUNK = {
-    NODES_FILE: [None, 5, -1, "7", "x", [], {}, {"a": 1}],
+    NODES_FILE: [None, 5, -1, "7", "x", [], {}, {"a": 1}, True, 0.5, -0.0, float("nan"),
+                 float("inf"), 1e-300],
     TRIPLES_FILE: ["", "x", "calls", "has-type", "not an id", "func:h.c#zz", "[]", "{}",
                    "[1]", '[{"source": 1}]', '[{"origin": "o"}]', '"s"', "null"],
-    RANKS_FILE: ["", "x", "nan", "inf", "1e400", "0.5", "-0.0", "func:h.c#zz", "1\t2"],
 }
-NODE_KEYS = ["id", "kind", "label", "path", "start", "end", "attrs"]
+NODE_KEYS = ["id", "kind", "label", "path", "start", "end", "attrs", "rank"]
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
                max_size=30)
 
@@ -361,7 +367,7 @@ def small_graphs(draw):
 def mutate_files(directory: str, data) -> None:
     """One to three corruptions, each of one line of one graph file."""
     for _ in range(data.draw(st.integers(1, 3))):
-        name = data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE, RANKS_FILE]))
+        name = data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE]))
         path = Path(directory) / name
         lines = path.read_text(encoding="utf-8").splitlines()
         mutate(lines, name, data.draw)
@@ -370,7 +376,7 @@ def mutate_files(directory: str, data) -> None:
 
 def graph_bytes(directory: str) -> dict[str, bytes]:
     return {name: (Path(directory) / name).read_bytes()
-            for name in (NODES_FILE, TRIPLES_FILE, RANKS_FILE)}
+            for name in (NODES_FILE, TRIPLES_FILE)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,7 +406,7 @@ def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph, data):
         save_graph(graph, tmp)
         mutate_files(tmp, data)
         if data.draw(st.booleans()):  # two lines of one file trade places
-            path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE, RANKS_FILE]))
+            path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE]))
             lines = path.read_text(encoding="utf-8").splitlines()
             if len(lines) >= 2:
                 i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2,
@@ -413,8 +419,9 @@ def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph, data):
 
 def assert_loads_as_builder_loader(directory) -> None:
     """The load of `directory`, every key's sources decoded, equals the
-    builder loader's graph of the same files, with the ranks of ranks.tsv
-    in its order, or raises FormatError with a line."""
+    builder loader's graph of the same files, its nodes in ascending id
+    order with the ranks of nodes.jsonl, line by line, or raises
+    FormatError with a line."""
     try:
         loaded = load_graph(directory)
         for key in loaded.triples():  # the load decodes sources on first use
@@ -423,9 +430,10 @@ def assert_loads_as_builder_loader(directory) -> None:
         assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
     else:
         assert graphs_equal(loaded, oracles.builder_load_graph(directory))
-        ranks = (Path(directory) / RANKS_FILE).read_text(encoding="utf-8").split("\n")[:-1]
-        assert list(loaded.pagerank().items()) == [
-            (eid, float(rank)) for eid, rank in (line.split("\t") for line in ranks)]
+        docs = map(json.loads, (Path(directory) / NODES_FILE).read_text(encoding="utf-8").split(
+            "\n")[:-1])
+        assert list(loaded.pagerank().items()) == [(doc["id"], doc["rank"]) for doc in docs]
+        assert list(loaded.entities) == sorted(loaded.entities)
 
 
 def edit_record(i: int, **fields):
@@ -474,6 +482,21 @@ def append_to(i: int, text: str):
     return edit
 
 
+def replace_in(i: int, old: str, new: str):
+    def edit(lines):
+        lines[i] = lines[i].replace(old, new)
+    return edit
+
+
+def trade_ranks(i: int, j: int):
+    """Lines i and j trade the texts of their ranks."""
+    def edit(lines):
+        rank = re.compile(r'"rank": ([^,]*), ')
+        a, b = rank.search(lines[i])[1], rank.search(lines[j])[1]
+        lines[i], lines[j] = set_rank(lines[i], b), set_rank(lines[j], a)
+    return edit
+
+
 # changes to the scenario's files that keep each line plausible, each for a
 # check of the loader or a departure from what save_graph writes that the
 # builder loader reads in its own way: line 0 of nodes.jsonl is a bug, line 2
@@ -507,16 +530,21 @@ FORGERIES = {
     "provenance that is no JSON": (TRIPLES_FILE, edit_field(0, 3, "[{")),
     "triple with a CR": (TRIPLES_FILE, append_to(0, "\r")),
     "blank triple line": (TRIPLES_FILE, insert(1, "")),
-    "infinite rank": (RANKS_FILE, edit_field(0, 1, "inf")),
-    "rank with spaces": (RANKS_FILE, edit_field(0, 1, " 0.5 ")),
-    "ranks out of order": (RANKS_FILE, swap(0, 1)),
-    "repeated rank": (RANKS_FILE, insert(1, None)),
-    "rank for no node": (RANKS_FILE, insert(0, "func:src/none.c#ghost\t0.1")),
+    "infinite rank": (NODES_FILE, edit_record(0, rank=float("inf"))),
+    "rank that is a string": (NODES_FILE, edit_record(0, rank="0.5")),
+    "rank that is an integer": (NODES_FILE, edit_record(0, rank=1)),
+    "rank with spaces": (NODES_FILE, replace_in(0, '"rank": ', '"rank":  ')),
+    "ranks traded between nodes": (NODES_FILE, trade_ranks(0, 1)),
 }
 
 
 @pytest.mark.parametrize("name, edit", FORGERIES.values(), ids=list(FORGERIES))
-def test_forgery_loads_as_builder_loader_or_names_a_line(scenario_dir, tmp_path, name, edit):
+@pytest.mark.parametrize("block", [READ_BLOCK, 256], ids=["one-block", "small-blocks"])
+def test_forgery_loads_as_builder_loader_or_names_a_line(scenario_dir, tmp_path, monkeypatch,
+                                                         name, edit, block):
+    """Each forgery, with the files read whole or in blocks of a line or
+    two, so that the edited lines can fall in different blocks."""
+    monkeypatch.setattr(ckt.graph, "READ_BLOCK", block)
     out = copy_graph(scenario_dir, tmp_path)
     path = out / name
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -549,7 +577,7 @@ def test_a_node_line_that_starts_with_no_json_value_names_the_line(scenario_dir,
     assert proc.stderr == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE])
 def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
     data = (out / name).read_bytes()
@@ -560,25 +588,29 @@ def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path,
     assert exc.value.line == data.count(b"\n") and name in str(exc.value)
 
 
+@pytest.mark.parametrize("name, bad_first_line", [(NODES_FILE, edit_record(0, label=5)),
+                                                   (TRIPLES_FILE, edit_field(0, 1, "frobs"))],
+                         ids=[NODES_FILE, TRIPLES_FILE])
 @pytest.mark.parametrize("fault", ["cr", "no-last-lf"])
 def test_a_cr_or_a_missing_last_lf_is_named_before_an_earlier_bad_line(scenario_dir, tmp_path,
-                                                                        monkeypatch, fault):
-    """triples.tsv read in many small blocks, with a bad first line and,
+                                                                        monkeypatch, fault, name,
+                                                                        bad_first_line):
+    """A graph file read in many small blocks, with a bad first line and,
     blocks later, a CR or a last line without its LF: the load names the
     CR or the missing LF, as when the whole file was checked for them
     before its first line was parsed."""
-    monkeypatch.setattr(ckt.graph, "TRIPLES_BLOCK", 256)
+    monkeypatch.setattr(ckt.graph, "READ_BLOCK", 256)
     out = copy_graph(scenario_dir, tmp_path)
-    path = out / TRIPLES_FILE
+    path = out / name
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert len("\n".join(lines)) > 10 * 256
-    edit_field(0, 1, "frobs")(lines)
+    bad_first_line(lines)
     if fault == "cr":
         lines[-2] += "\r"
-        message = f"line {len(lines) - 1}: carriage return in {TRIPLES_FILE}"
+        message = f"line {len(lines) - 1}: carriage return in {name}"
         path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
     else:
-        message = f"line {len(lines)}: no line feed at the end of {TRIPLES_FILE}"
+        message = f"line {len(lines)}: no line feed at the end of {name}"
         path.write_bytes("\n".join(lines).encode("utf-8"))
     write_manifest(out)
     with pytest.raises(FormatError) as exc:
@@ -639,7 +671,7 @@ def test_a_load_holds_no_more_than_a_block_of_triples_beyond_its_graph(tmp_path)
                                   Provenance("source-code", f"a.c:{i * 40 + j}", "x" * 40))
     save_graph(builder.finalize(), tmp_path)
     size = (tmp_path / TRIPLES_FILE).stat().st_size
-    assert size > 3 * TRIPLES_BLOCK
+    assert size > 3 * READ_BLOCK
     tracemalloc.start()
     try:
         graph = load_graph(tmp_path)
@@ -707,19 +739,20 @@ def test_a_dir_without_graph_json_exits_2_naming_it(scenario_dir, tmp_path, args
 
 def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tmp_path):
     out = copy_graph(scenario_dir, tmp_path)
-    path = out / RANKS_FILE
-    lines, lineno = corrupt_ranks(path.read_text(encoding="utf-8").splitlines(), "bad-float")
+    path = out / NODES_FILE
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines[2] = set_rank(lines[2], "0.1x")
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load_graph(out)
-    assert exc.value.line == lineno and RANKS_FILE in str(exc.value)
+    assert str(exc.value).startswith("line 3: not a line that ckt build writes in nodes.jsonl")
 
 
 @pytest.mark.parametrize("text, lineno", [
-    ("{\n  \"format\": 2,\n  \"blake2b\": {\n", 4),
-    ('{"format": 2, "sha256": {}}\n', 1),
+    ("{\n  \"format\": 3,\n  \"blake2b\": {\n", 4),
+    ('{"format": 3, "sha256": {}}\n', 1),
     ('{"format": true, "blake2b": {}}\n', 1),
-    ('{"format": 2, "blake2b": []}\n', 1),
+    ('{"format": 3, "blake2b": []}\n', 1),
     ('{"blake2b": {}}\n', 1),
     ('{"format": 1, "sha256": {"nodes.jsonl": "00"}}\n', 1),
     ("[]\n", 1),
@@ -733,29 +766,40 @@ def test_a_bad_graph_json_names_its_line(scenario_dir, tmp_path, text, lineno):
     assert exc.value.line == lineno and GRAPH_MANIFEST in str(exc.value)
 
 
-def test_a_format_1_graph_json_asks_for_a_rebuild(scenario_dir, tmp_path):
-    """A directory built before format 2, with its SHA-256 table, true to
-    the files, exits 2 naming graph.json and asking for ckt build again."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_graph_json_of_an_older_format_asks_for_a_rebuild(scenario_dir, tmp_path, version):
+    """A directory built in format 1, with its SHA-256 table, or in format
+    2, with its ranks.tsv and BLAKE2b table, each true to the files, exits
+    2 naming graph.json and asking for ckt build again, in a query, a
+    REPL and an export."""
     out = copy_graph(scenario_dir, tmp_path)
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in sorted((p.name, p) for p in out.iterdir())
-               if name != GRAPH_MANIFEST}
-    (out / GRAPH_MANIFEST).write_text(
-        json.dumps({"format": 1, "sha256": digests}, indent=2) + "\n", encoding="utf-8")
-    message = ("line 1: graph.json: the graph is in format 1, and this ckt reads format 2; "
-               "run ckt build again")
+    if version == 2:  # each rank in ranks.tsv, not in its nodes.jsonl line
+        lines = (out / NODES_FILE).read_text(encoding="utf-8").split("\n")[:-1]
+        docs = [json.loads(line) for line in lines]
+        (out / NODES_FILE).write_text("".join(f"{set_rank(x, None)}\n" for x in lines),
+                                      encoding="utf-8")
+        (out / "ranks.tsv").write_text("".join(f"{doc['id']}\t{doc['rank']!r}\n" for doc in docs),
+                                       encoding="utf-8")
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != GRAPH_MANIFEST}
+    table = ({"sha256": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}}
+             if version == 1 else {"blake2b": {name: blake2b_hex(data)
+                                                for name, data in files.items()}})
+    (out / GRAPH_MANIFEST).write_text(json.dumps({"format": version, **table}, indent=2) + "\n",
+                                      encoding="utf-8")
+    message = (f"line 1: graph.json: the graph is in format {version}, and this ckt reads "
+               "format 3; run ckt build again")
     with pytest.raises(FormatError) as exc:
         load_graph(out)
     assert str(exc.value) == message
-    for args in [("query", SELECT), ("export", "--what", "triples")]:
+    for args in [("query", SELECT), ("repl",), ("export", "--what", "triples")]:
         proc = run_ckt(args[0], "--graph", str(out), *args[1:])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("change, lineno", [
-    (lambda path: path.write_bytes(path.read_bytes() + b"\n"), 9),  # a blank line is valid
-    (lambda path: path.unlink(), 9),
+    (lambda path: path.write_bytes(path.read_bytes() + b"\n"), 8),  # a blank line is valid
+    (lambda path: path.unlink(), 8),
 ])
 def test_a_changed_or_removed_trace_copy_exits_2(scenario_dir, tmp_path, change, lineno):
     out = copy_graph(scenario_dir, tmp_path)
@@ -765,7 +809,7 @@ def test_a_changed_or_removed_trace_copy_exits_2(scenario_dir, tmp_path, change,
     assert proc.stderr.startswith(f"error: line {lineno}: graph.json: trace.jsonl does not match")
 
 
-@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE, RANKS_FILE])
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE])
 def test_bytes_that_are_not_utf8_name_the_line(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
     path = out / name
