@@ -29,6 +29,7 @@ from ckt.graph import (
     check_files,
     collector_paused,
     load_graph,
+    read_if_present,
 )
 from ckt.model import Record
 from ckt.query.evaluate import evaluate
@@ -93,7 +94,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     with collector_paused():
         # the copies are read first and checked against the graph.json that
         # load_graph reads after them, so all the bytes are of one build
-        copies = {name: _read_if_present(graph_dir / name) for name in (TRACE_COPY, TEMPLATES_COPY)}
+        copies = {name: read_if_present(graph_dir / name) for name in (TRACE_COPY, TEMPLATES_COPY)}
         trace = None
         if copies[TRACE_COPY] is not None:
             trace = load_trace(utf8_lines(TRACE_COPY, copies[TRACE_COPY]), name=TRACE_COPY)
@@ -102,13 +103,6 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
         graph = load_graph(graph_dir, copies)
         gc.freeze()
     return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, trace))
-
-
-def _read_if_present(path: Path) -> bytes | None:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        return None
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
@@ -261,7 +255,7 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
             if line == ":quit":
                 return 0
             if line == ":templates":
-                for template in registry.templates:
+                for template in registry.by_name.values():
                     slots = ", ".join(f"{n}:{t}" for n, t in template.slots)
                     print(f"@{template.name}({slots})", file=stdout)
                 continue
@@ -273,7 +267,7 @@ def cmd_repl(graph_dir: Path, stdin=None, stdout=None, verbose: bool = False) ->
                 if not _COUNT.fullmatch(parts[2]):  # as LIMIT reads its count
                     raise CktError(f"radius must be an integer, got {parts[2]!r}")
                 sub = graph.neighborhood(parts[1], int(parts[2]))
-                lines = [f"{eid}  [{sub.entities[eid].kind}]" for eid in sorted(sub.entities)]
+                lines = [f"{eid}  [{entity.kind}]" for eid, entity in sub.entities.items()]
                 lines += [f"  {s} {p} {o}" for s, p, o in sub.triples()]
                 stdout.write("\n".join(lines) + "\n")
                 continue
@@ -297,10 +291,10 @@ def cmd_export(graph_dir: Path, what: str) -> int:
         print(f"error: unknown export target {what!r} (use triples or stats)", file=sys.stderr)
         return 2
     path = graph_dir / files[what]
-    if not path.exists():
+    data = read_if_present(path)
+    if data is None:
         print(f"error: no {what} file in {graph_dir}", file=sys.stderr)
         return 2
-    data = path.read_bytes()
     text = "".join(utf8_lines(path, data))
     check_files(graph_dir, {path.name: data})
     sys.stdout.write(text)

@@ -13,12 +13,13 @@ that README.md describes under "Graph storage".
 
 A graph directory ends with graph.json: format 3, the BLAKE2b digest of
 each of its other files.  save_graph streams each file, in chunks of
-lines, into a temporary file and its digest at once, and writes graph.json
-last; nodes.jsonl carries each node's PageRank score.  load_graph reads a
-directory only with it: it streams nodes.jsonl and triples.tsv in blocks
-into their digests and into the nodes, ranks and keys, parsing each line
-as save_graph writes it, and then checks each file against its digest; a
-loaded graph reads triples.tsv again for the first sources() call.
+lines, into a temporary file and its digest at once, writes every one
+before it renames any, and renames graph.json last; nodes.jsonl carries
+each node's PageRank score.  load_graph reads a directory only with it:
+it streams nodes.jsonl and triples.tsv in blocks into their digests and
+into the nodes, ranks and keys, parsing each line as save_graph writes
+it, and then checks each file against its digest; a loaded graph reads
+triples.tsv again for the first sources() call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import gc
 import json
 import math
 import os
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import ExitStack, contextmanager
@@ -125,13 +127,14 @@ class GraphBuilder:
         provenance: Provenance,
     ) -> None:
         """Insert with set semantics; duplicates accumulate provenance.
-        The ends may hold no tab or newline, which would break a line of
-        triples.tsv; a known predicate holds neither."""
+        The ends may hold no tab, LF or CR, which would break a line of
+        triples.tsv, nor a lone surrogate, which UTF-8 cannot encode; a
+        known predicate holds none."""
         self._check_open()
-        bad_subject = "\t" in subject or "\n" in subject
-        if bad_subject or "\t" in object_ or "\n" in object_:
-            name, part = ("subject", subject) if bad_subject else ("object", object_)
-            raise CktError(f"{name} may not contain tabs or newlines: {part!r}")
+        if ("\t" in subject or "\n" in subject or "\r" in subject or not subject.isascii()
+                or "\t" in object_ or "\n" in object_ or "\r" in object_
+                or not object_.isascii()):
+            _check_ends(subject, object_)
         if predicate not in PREDICATES:
             raise CktError(f"unknown predicate {predicate!r}")
         self._register(subject)
@@ -159,37 +162,49 @@ class GraphBuilder:
     def finalize(self) -> KnowledgeGraph:
         self._check_open()
         self._finalized = True
-        return KnowledgeGraph(self._entities, self._provenance)
+        return KnowledgeGraph(dict(sorted(self._entities.items())), self._provenance,
+                              sorted(self._provenance))
 
     def _check_open(self) -> None:
         if self._finalized:
             raise CktError("graph builder already finalized")
 
 
+_UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
+
+
+def _check_ends(subject: str, object_: str) -> None:
+    """Raise CktError naming the first end that a triples.tsv line cannot
+    hold, and what in it."""
+    for name, end in (("subject", subject), ("object", object_)):
+        found = _UNWRITABLE.search(end)
+        if found:
+            what = "tabs or newlines" if found[0] in "\t\n\r" else "lone surrogates"
+            raise CktError(f"{name} may not contain {what}: {end!r}")
+
+
 class KnowledgeGraph:
     """Immutable triple collection with SPO, OSP and per-predicate indexes.
 
-    A built graph holds each key's sources in a table; a loaded one holds
-    only its keys and reads their sources from its triples.tsv when
-    `sources()` is first called."""
+    Every graph has one shape: entities in ascending id order, keys in SPO
+    order, and one sources table, which a loaded graph reads on first use."""
 
     def __init__(
         self,
         entities: dict[str, Entity],
         sources: dict[Key, list[Provenance]] | TriplesFile,
+        spo: list[Key],
         ranks: dict[str, float] | None = None,
-        spo: list[Key] | None = None,
     ):
-        """The graph owns `entities` and `sources`, which no one may change
-        after: the table of every triple's key and the sources that
-        asserted it, or for a loaded graph the TriplesFile that reads them.
-        `ranks`, when given, are the default-parameter PageRank scores of
-        this graph, as the nodes.jsonl of a graph directory carries them;
-        `spo`, when given, is every key of the graph in ascending order,
-        which a TriplesFile needs."""
+        """The graph owns, and no one may change after, `entities` in
+        ascending id order, `sources`, the table of the sources that
+        asserted each key, which a neighbourhood shares with its parent, and
+        `spo`, every key in ascending order.  `ranks`, when given, are the
+        default-parameter PageRank scores of this graph, as the nodes.jsonl
+        of a graph directory carries them."""
         self.entities = entities
         self._sources = sources
-        self._spo = sorted(sources) if spo is None else spo
+        self._spo = spo
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
         self._pos_lists: dict[str, list[Key]] = {}
@@ -234,10 +249,7 @@ class KnowledgeGraph:
         return len(self._spo)
 
     def __contains__(self, key: Key) -> bool:
-        """A lookup in the sources table of a built graph, a bisection of
-        SPO in a loaded one."""
-        if isinstance(self._sources, dict):
-            return key in self._sources
+        """One bisection of SPO."""
         i = bisect.bisect_left(self._spo, key)
         return i < len(self._spo) and self._spo[i] == key
 
@@ -318,7 +330,7 @@ class KnowledgeGraph:
         """(nodes, out): node i is the entity id nodes[i], in ascending
         order, and out[i] holds the node numbers of its entity-valued
         triples' objects, each once, in SPO order."""
-        nodes = sorted(self.entities)
+        nodes = list(self.entities)
         number = {eid: i for i, eid in enumerate(nodes)}
         out: list = [()] * len(nodes)
         subject = None
@@ -436,12 +448,9 @@ class KnowledgeGraph:
         entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
         spo = [key for s in entities for key in self.match(s, None, None)
                if key[1] not in LITERAL_PREDICATES and key[2] in entities]
-        # a loaded graph's subgraph shares its TriplesFile, and so each
-        # list it has decoded and the triples.tsv line of each key
-        sources = self._sources
-        if isinstance(sources, dict):
-            sources = {key: sources[key] for key in spo}
-        return KnowledgeGraph(entities, sources, spo=spo)
+        # the subgraph shares the sources table, and so a loaded graph's
+        # decoded lists and the triples.tsv line of each key
+        return KnowledgeGraph(entities, self._sources, spo)
 
 
 # -- persistence ---------------------------------------------------------
@@ -494,10 +503,7 @@ class TriplesFile:
 
     @cached_property
     def _file_lines(self) -> list[bytes]:
-        try:
-            data = self._path.read_bytes()
-        except FileNotFoundError:
-            data = None
+        data = read_if_present(self._path)
         _check_digests(self._manifest, _digests({TRIPLES_FILE: data}))
         return data.split(b"\n")
 
@@ -533,9 +539,10 @@ def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
     That is json.dumps's text, less its encoder per call and with each
     distinct source's `"source": ...}` tail encoded once per call."""
     tails: dict[str, str] = {}
+    sources = graph._sources
     for key in graph._spo:
         docs = []
-        for source, origin, detail in graph.sources(key):
+        for source, origin, detail in sources[key]:
             tail = tails.get(source) or tails.setdefault(
                 source, f', "source": {_json_str(source)}}}')
             detail = f'"detail": {_json_str(detail)}, ' if detail else ""
@@ -550,21 +557,14 @@ def _chunks(lines: Iterable[str]) -> Iterator[bytes]:
         yield ("\n".join(batch) + "\n").encode("utf-8")
 
 
-def _replace(path: Path, chunks: Iterable[bytes]) -> str:
-    """Write the chunks to a temporary file beside `path`, feeding each to
-    a digest as well, and rename the file over `path`, so that no reader
-    finds it half written; the hex digest of its bytes."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to `path`, feeding each to a digest as well; the
+    hex digest of its bytes."""
     digest = _blake2b(digest_size=DIGEST_SIZE)
-    try:
-        with open(tmp, "wb") as out:
-            for chunk in chunks:
-                out.write(chunk)
-                digest.update(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with open(path, "wb") as out:
+        for chunk in chunks:
+            out.write(chunk)
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -575,11 +575,12 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
     graph.json.
 
     Each file is streamed, CHUNK_LINES lines at a time, into a temporary
-    file and its digest, and renamed into place, so no file is held whole
-    in memory.  graph.json, which gives the format version and each file's
-    BLAKE2b digest, comes last and replaces the old one without removing
-    it first, so a reader never finds a directory without one; a reader
-    that runs during the rewrite finds bytes that its graph.json does not
+    file and its digest, so no file is held whole in memory, and each is
+    written, graph.json's too, before any is renamed into place: a save
+    that fails part way changes nothing.  graph.json, which gives the
+    format version and each file's BLAKE2b digest, is renamed last, over
+    the old one, so a reader never finds a directory without one; a
+    reader during the renames finds bytes that its graph.json does not
     describe, and load_graph says so.  A trace or template copy that this
     save does not write, and the ranks.tsv of a format-2 build, are
     removed before graph.json is replaced."""
@@ -592,12 +593,21 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
         TRIPLES_FILE: _chunks(_triple_lines(graph)),
         **{name: [data] for name, data in sorted((extra or {}).items())},
     }
-    digests = {name: _replace(directory / name, chunks) for name, chunks in files.items()}
-    for name in (TRACE_COPY, TEMPLATES_COPY, "ranks.tsv"):
-        if name not in digests:
-            (directory / name).unlink(missing_ok=True)
-    manifest = {"format": FORMAT_VERSION, "blake2b": dict(sorted(digests.items()))}
-    _replace(directory / GRAPH_MANIFEST, [(json.dumps(manifest, indent=2) + "\n").encode("ascii")])
+    temps = {name: directory / f".{name}.{os.getpid()}.tmp" for name in (*files, GRAPH_MANIFEST)}
+    try:
+        digests = {name: _write(temps[name], chunks) for name, chunks in files.items()}
+        manifest = {"format": FORMAT_VERSION, "blake2b": dict(sorted(digests.items()))}
+        _write(temps[GRAPH_MANIFEST], [(json.dumps(manifest, indent=2) + "\n").encode("ascii")])
+        for name in files:
+            os.replace(temps[name], directory / name)
+        for name in (TRACE_COPY, TEMPLATES_COPY, "ranks.tsv"):
+            if name not in files:
+                (directory / name).unlink(missing_ok=True)
+        os.replace(temps[GRAPH_MANIFEST], directory / GRAPH_MANIFEST)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
@@ -638,7 +648,7 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies or {})
     _check_digests(manifest, digests)
     return KnowledgeGraph(entities, TriplesFile(directory / TRIPLES_FILE, manifest, spo),
-                          ranks, spo)
+                          spo, ranks)
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:
@@ -651,6 +661,28 @@ def check_files(directory, files: dict[str, bytes | None]) -> None:
     _check_digests(manifest, _digests(files))
 
 
+def _open_if_present(path: Path) -> BinaryIO | None:
+    """The graph-directory file `path` opened for binary reads, or None
+    when it is absent; any other OSError, such as a directory in its place
+    or a graph path that is no directory, raises CktError naming it."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise CktError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_if_present(path: Path) -> bytes | None:
+    """The bytes of the graph-directory file `path`, or None when it is
+    absent, as _open_if_present opens it."""
+    file = _open_if_present(path)
+    if file is None:
+        return None
+    with file:
+        return file.read()
+
+
 @contextmanager
 def _opened(directory: Path, names: tuple[str, ...]) -> Iterator[dict[str, BinaryIO]]:
     """Each named file of the directory, opened for binary reads in the
@@ -659,10 +691,9 @@ def _opened(directory: Path, names: tuple[str, ...]) -> Iterator[dict[str, Binar
     with ExitStack() as stack:
         files = {}
         for name in names:
-            try:
-                files[name] = stack.enter_context(open(directory / name, "rb"))
-            except FileNotFoundError:
-                pass
+            file = _open_if_present(directory / name)
+            if file is not None:
+                files[name] = stack.enter_context(file)
         missing = [name for name in names if name not in files]
         if missing:
             raise NotFoundError(f"no graph found in {directory}: missing {', '.join(missing)}")

@@ -15,7 +15,7 @@ from ckt import ids
 from ckt.errors import ConflictError, FormatError
 from ckt.concepts import identifier_like
 from ckt.model import Comment, Entity, FactSet, Record
-from ckt.textio import json_records, parse_timestamp
+from ckt.textio import as_texts, json_records, parse_timestamp
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
@@ -150,7 +150,7 @@ def load_bugs(lines: Iterable[str] | IO[str], name: str = "bugs") -> list[BugRec
                 opened=opened,
                 closed=closed,
                 assignee=str(doc.get("assignee", "")),
-                error_strings=[str(s) for s in doc.get("error_strings", [])],
+                error_strings=as_texts(doc.get("error_strings", []), "'error_strings'", name, lineno),
             )
             opened_ts = parse_timestamp(opened)
             if closed is not None and parse_timestamp(closed) < opened_ts:

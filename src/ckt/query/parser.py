@@ -296,13 +296,11 @@ class PreparedQuery:
         return _Parser(_bound(self.toks, values)).parse()
 
 
-def parse_query(text: str, values: dict[str, str] | None = None) -> QueryAST:
-    """Parse query text; syntax errors carry the character offset.
-
-    `values` binds template slots: each `$name` inside a word or a literal
-    becomes `values[name]` after the text is split into tokens, so a value
-    never adds or ends a token and is never substituted again."""
-    return _Parser(_bound(_lex(text), values or {})).parse()
+def parse_query(text: str) -> QueryAST:
+    """Parse query text; syntax errors carry the character offset.  A
+    `$name` is read as written: templates bind theirs through
+    PreparedQuery.bind."""
+    return _Parser(_bound(_lex(text), {})).parse()
 
 
 def _quote(value: str) -> str:

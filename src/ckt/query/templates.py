@@ -56,16 +56,14 @@ class Template(Record):
 
 
 class TemplateRegistry(Record):
-    __slots__ = _fields = ("templates", "by_name")
+    __slots__ = _fields = ("by_name",)
 
     def __init__(self):
-        self.templates: list[Template] = []
         self.by_name: dict[str, Template] = {}
 
     def add(self, template: Template, line: int | None = None) -> None:
         if template.name in self.by_name:
             raise FormatError(f"duplicate template name {template.name!r}", line)
-        self.templates.append(template)
         self.by_name[template.name] = template
 
     def get(self, name: str) -> Template:
@@ -256,7 +254,7 @@ class LabelSearch:
         normalize_tokens lowers it, joined by LFs, which no token holds;
         where each one starts in the join; and their ids."""
         entities = self._graph.entities
-        ids = sorted(entities)
+        ids = list(entities)
         lowered = [entities[eid].label.lower() for eid in ids]
         starts, at = [], 0
         for label in lowered:
@@ -326,7 +324,7 @@ def match_freeform(text: str, registry: TemplateRegistry, labels: LabelSearch) -
         return NoMatch([], "empty query")
 
     scored: list[tuple[float, frozenset[str], Template]] = []
-    for template in registry.templates:
+    for template in registry.by_name.values():
         best_score, best_trigger = 0.0, frozenset()
         for trigger_set in template.trigger_token_sets:
             score = _jaccard(query_set, trigger_set)

@@ -127,7 +127,7 @@ class AugmentContext:
         """Every bug in id order with its tokens and touched entities."""
         return [
             (eid, _bug_tokens(entity), {o for _, _, o in self.graph.match(eid, "touches", None)})
-            for eid, entity in sorted(self.graph.entities.items())
+            for eid, entity in self.graph.entities.items()
             if entity.kind == "bug"
         ]
 

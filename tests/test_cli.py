@@ -28,7 +28,7 @@ from ckt.cli import (
 )
 from ckt.cli import cmd_build as cli_build
 from ckt.errors import FormatError, SlotError
-from ckt.graph import load_graph
+from ckt.graph import NODES_FILE, STATS_FILE, load_graph
 from ckt.query.evaluate import ResultSet
 from ckt.query.templates import Template, TemplateRegistry
 from ckt.smart import SmartAlert
@@ -333,6 +333,33 @@ def test_failed_build_keeps_the_previous_tree(tmp_path, capsys):
     assert capsys.readouterr().out.strip()
 
 
+@pytest.mark.parametrize("obj", [r"int\ud800", r"int\rx"], ids=["lone-surrogate", "cr"])
+def test_a_rebuild_with_an_unwritable_triple_end_keeps_the_previous_tree(tmp_path, capsys, obj):
+    """An object that UTF-8 cannot encode, or that would break its
+    triples.tsv line, fails the rebuild before a file is written, though
+    the rebuild also adds a node; the old tree still answers."""
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    manifest, facts = tmp_path / "p" / "manifest.json", tmp_path / "p" / "facts.jsonl"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["sources"].append({"path": "facts.jsonl", "mode": "facts"})
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    relation = '{{"rec":"relation","subj":"var:lib.py#{}","pred":"has-type","obj":"{}"}}\n'
+    facts.write_text('{"rec":"header","version":1}\n' + relation.format("x", "int"),
+                     encoding="utf-8")
+    assert main(["build", "--manifest", str(manifest)]) == 0
+    out = tmp_path / "p" / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with facts.open("a", encoding="utf-8") as fh:
+        fh.write(relation.format("y", obj))
+    capsys.readouterr()
+    assert main(["build", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: object may not contain ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert cmd_query(out, 'SELECT ?v WHERE { ?v has-type "int" }', "records", False) == 0
+    assert "var:lib.py#x" in capsys.readouterr().out
+
+
 def test_a_template_body_that_does_not_parse_fails_the_build_at_its_line(tmp_path, capsys):
     shutil.copytree(SCENARIO, tmp_path / "p")
     manifest = str(tmp_path / "p" / "manifest.json")
@@ -484,6 +511,8 @@ MISTYPED_TEXT = [
      '"body":"SELECT ?a WHERE { ?a calls $f }"}', "slot 'name' must be a string"),
     ("weights.json", '{"classes":"ab","weights":{"a":{},"b":{}}}',
      "'classes' must be a list of strings"),
+    ("bugs.jsonl", '{"id":"99","opened":"2015-01-01T00:00:00Z","error_strings":"disk full"}',
+     "'error_strings' must be a list of strings"),
 ]
 
 
@@ -998,6 +1027,32 @@ def test_export_of_a_changed_file_exits_2_naming_it_in_graph_json(scenario_dir, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 9: graph.json: triples.tsv does not match")
+
+
+@pytest.mark.parametrize("shape", ["graph-is-a-file", "file-is-a-directory"])
+@pytest.mark.parametrize("command", ["query", "repl", "export"])
+def test_a_graph_that_is_no_readable_directory_exits_2(scenario_dir, tmp_path, command, shape):
+    """--graph naming a regular file, or a graph directory with a
+    directory in place of the file the command reads first: exit 2 with
+    one error line naming the path, as for any read of a graph file that
+    fails other than by the file's absence."""
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    name = STATS_FILE if command == "export" else NODES_FILE
+    graph = out / name if shape == "graph-is-a-file" else out
+    if shape == "file-is-a-directory":
+        (out / name).unlink()
+        (out / name).mkdir()
+    args = {"query": ["query", "--graph", str(graph), "SELECT ?f WHERE { ?f calls ?g }"],
+            "repl": ["repl", "--graph", str(graph)],
+            "export": ["export", "--graph", str(graph), "--what", "stats"]}[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ckt", *args], input=":quit\n",
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {out / name}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_export_unknown_target(scenario_dir, capsys):

@@ -22,6 +22,7 @@ from ckt.graph import (
     NODES_FILE,
     PREDICATES,
     GraphBuilder,
+    KnowledgeGraph,
     TRIPLES_FILE,
     Provenance,
     _node_line,
@@ -98,6 +99,11 @@ def test_literal_only_for_literal_predicates():
     (("var:a#x", "has-type", "type:a#T"),
      "literal expected for predicate 'has-type', got entity id 'type:a#T'"),
     (("not an id", "calls", "func:a#g"), "cannot infer kind for id 'not an id'; register it first"),
+    (("var:a#x", "has-type", "int\rx"), "object may not contain tabs or newlines: 'int\\rx'"),
+    (("func:a#\rf", "calls", "func:a#g"),
+     "subject may not contain tabs or newlines: 'func:a#\\rf'"),
+    (("var:a#\ud800", "has-type", "int"),
+     "subject may not contain lone surrogates: 'var:a#\\ud800'"),
 ])
 def test_each_insertion_error_pins_its_message(triple, message):
     builder = GraphBuilder()
@@ -378,14 +384,20 @@ def test_neighborhood_is_the_subgraph_induced_by_the_bfs_ball(graph, data):
     keys = list(graph.triples())
     adj = undirected_adjacency(graph.entities, keys)
     node = data.draw(st.sampled_from(sorted(graph.entities)))
+    assert list(graph.entities) == sorted(graph.entities)
     for radius in range(4):
         sub = graph.neighborhood(node, radius)
         ball = bfs_within(adj, node, radius)
-        assert sorted(sub.entities) == sorted(ball)
+        assert list(sub.entities) == sorted(ball)
         assert all(sub.entities[eid] is graph.entities[eid] for eid in ball)
-        assert list(sub.triples()) == [
-            k for k in keys if k[0] in ball and k[1] != "has-type" and k[2] in ball]
+        induced = [k for k in keys if k[0] in ball and k[1] != "has-type" and k[2] in ball]
+        assert list(sub.triples()) == induced
         assert all(sub.sources(k) == graph.sources(k) for k in sub.triples())
+        # the subgraph shares its parent's sources table, but not its keys
+        for k in set(keys).difference(induced):
+            assert k not in sub
+            with pytest.raises(KeyError):
+                sub.sources(k)
 
 
 # -- triangles ----------------------------------------------------------------
@@ -647,6 +659,35 @@ def test_failed_save_keeps_the_old_graph_json_which_names_the_changed_file(tmp_p
     with pytest.raises(FormatError) as exc:
         load_graph(tmp_path)
     assert str(exc.value).startswith("line 4: graph.json: nodes.jsonl does not match")
+
+
+@pytest.mark.parametrize("failure", ["encode", "disk-full"])
+def test_a_save_that_fails_before_its_renames_changes_nothing(tmp_path, monkeypatch, failure):
+    """Every temporary file, graph.json's too, is written before any is
+    renamed, so a save that fails on a key that UTF-8 cannot encode, or on
+    a full disk at graph.json, renames nothing and leaves no temporary
+    file behind."""
+    save_graph(build(FIXTURE), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = build([*FIXTURE, ("func:a#g", "reads", "var:a#x")])  # other ranks in nodes.jsonl
+    if failure == "encode":
+        key = ("var:a#x", "has-type", "int\ud800")  # which insert_triple refuses
+        table = {k: new.sources(k) for k in new.triples()} | {key: [PROV]}
+        new = KnowledgeGraph(new.entities, table, sorted(table))
+    else:
+        write = ckt.graph._write
+
+        def full(path, chunks):
+            if path.name.startswith(f".{GRAPH_MANIFEST}."):
+                raise OSError("disk full")
+            return write(path, chunks)
+
+        monkeypatch.setattr(ckt.graph, "_write", full)
+    names = spy_on_replace(monkeypatch)
+    with pytest.raises(UnicodeEncodeError if failure == "encode" else OSError):
+        save_graph(new, tmp_path)
+    assert names == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch):

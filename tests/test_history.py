@@ -77,6 +77,16 @@ def test_bug_error_strings_and_mentions():
     assert bugs[1].mentions == ["CR123"]
 
 
+@pytest.mark.parametrize("errors", ['"disk full"', '{"disk full": 1}', '[42]', 'null'])
+def test_error_strings_that_are_no_list_of_strings_rejected(errors):
+    """A string is not read as its characters, nor an object as its keys,
+    nor a number as its text."""
+    with pytest.raises(FormatError) as exc:
+        load_bugs([BUGS_HEADER, bug_line("1", "t"), bug_line("2", "t", errors=errors)],
+                  "bugs.jsonl")
+    assert str(exc.value) == "line 3: bugs.jsonl: 'error_strings' must be a list of strings"
+
+
 def test_closed_before_opened_rejected():
     with pytest.raises(FormatError, match="closed"):
         load_bugs([

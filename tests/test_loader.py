@@ -115,7 +115,7 @@ def test_ranks_round_trip_bit_for_bit(nodes):
     entities = {f"func:a.c#f{i}": Entity(f"func:a.c#f{i}", "function", label, None, attrs)
                 for i, (_, label, attrs) in enumerate(nodes)}
     ranks = {eid: rank for eid, (rank, _, _) in zip(entities, nodes)}
-    graph = KnowledgeGraph(entities, {}, ranks)
+    graph = KnowledgeGraph(entities, {}, [], ranks)
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(graph, tmp)
         lines = (Path(tmp) / NODES_FILE).read_text(encoding="utf-8").split("\n")

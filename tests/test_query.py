@@ -230,6 +230,11 @@ def query_texts(draw):
     return draw(st.text(alphabet='{};"?\\$ \tsx_é1-', max_size=30))
 
 
+def bind_prepared(text, values):
+    """The query as a freshly prepared text bound to `values` parses it."""
+    return PreparedQuery(text).bind(values or {})
+
+
 def parse_outcome(parse, text, values):
     try:
         return parse(text, values)
@@ -241,8 +246,12 @@ def parse_outcome(parse, text, values):
 @given(query_texts(), st.one_of(
     st.none(), st.dictionaries(st.sampled_from(["s", "func", "x"]), st.sampled_from(SLOT_VALUES))))
 def test_parser_equals_the_reference_parser(text, values):
-    assert parse_outcome(parse_query, text, values) == \
-        parse_outcome(reference_parse_query, text, values)
+    """Bound through a prepared text, and with no values through
+    parse_query too, which reads each `$name` as written."""
+    want = parse_outcome(reference_parse_query, text, values)
+    assert parse_outcome(bind_prepared, text, values) == want
+    if values is None:
+        assert parse_outcome(lambda text, _: parse_query(text), text, None) == want
 
 
 def test_word_rule_equals_the_reference_on_every_character():
@@ -647,7 +656,7 @@ TEMPLATE_VALUES = [*SLOT_VALUES, "FILTER", "limit", "where", "contains", "writes
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([t.body for t in builtin_registry().templates] + SLOT_BODIES),
+@given(st.sampled_from([t.body for t in builtin_registry().by_name.values()] + SLOT_BODIES),
        st.lists(st.dictionaries(st.sampled_from(["func", "dev", "concept", "s", "p", "op", "n",
                                                  "kw"]),
                                 st.sampled_from(TEMPLATE_VALUES) | st.text(max_size=6)),
@@ -657,13 +666,13 @@ TEMPLATE_VALUES = [*SLOT_VALUES, "FILTER", "limit", "where", "contains", "writes
 @example("SELECT ?x WHERE { $s $p ?x ; ?x $p }", [{"p": "writes"}])
 def test_a_body_parsed_once_binds_as_the_parser_reads_the_bound_text(body, bindings):
     """One parsed body, bound to each drawn set of slot values in turn,
-    gives what parse_query and the reference parser give for the body and
-    those values: the AST, or the error message and offset.  A body that
+    gives what the body prepared afresh and the reference parser give for
+    the body and those values: the AST, or the error message and offset.  A body that
     the load check refuses parses under none of them."""
     template = Template("t", [], [], body)
     for values in bindings:
         bound = parse_outcome(lambda _, values: template.query.bind(values), body, values)
-        assert bound == parse_outcome(parse_query, body, values)
+        assert bound == parse_outcome(bind_prepared, body, values)
         assert bound == parse_outcome(reference_parse_query, body, values)
         if template.query.error is not None:
             assert not isinstance(bound, QueryAST)
