@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -49,9 +50,13 @@ from ckt.graph import (
 from ckt.model import Comment, Entity, FactSet, Record, Relation, TraceLog
 from ckt.query.parser import is_word
 from ckt.query.templates import load_registry
-from ckt.textio import not_utf8, utf8_lines
+from ckt.textio import as_text, not_utf8, utf8_lines
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
+# what no manifest path may hold: a control character, which would break
+# the line of an error that names the path, or a lone surrogate, which no
+# file name encodes
+_UNNAMEABLE = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
 
 
 class ProjectManifest(Record):
@@ -80,14 +85,19 @@ def load_manifest(path: Path) -> ProjectManifest:
         raise CktError(f"manifest {path} is not a JSON object")
     base = path.parent
 
+    def under_base(value, what: str) -> Path:
+        value = as_text(value, what, path.name)
+        if _UNNAMEABLE.search(value):
+            raise CktError(f"{what} holds a control character or a lone surrogate: {value!r}")
+        return base / value
+
     def resolve(key: str, required: bool = False) -> Path | None:
         value = doc.get(key)
         if value is None:
             if required:
                 raise CktError(f"manifest is missing required key {key!r}")
             return None
-        p = base / str(value)
-        return p
+        return under_base(value, f"{key} path")
 
     raw_sources = doc.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
@@ -96,12 +106,12 @@ def load_manifest(path: Path) -> ProjectManifest:
     for entry in raw_sources:
         if not isinstance(entry, dict) or "path" not in entry:
             raise CktError(f"bad sources entry: {entry!r}")
-        mode = str(entry.get("mode", "parse"))
+        mode = as_text(entry.get("mode", "parse"), "source mode", path.name)
         if mode == "facts":
             mode = "facts-file"
         if mode not in ("parse", "facts-file"):
             raise CktError(f"unknown source mode {mode!r}")
-        sources.append((base / str(entry["path"]), mode))
+        sources.append((under_base(entry["path"], "source path"), mode))
     out = resolve("out", required=True)
     manifest = ProjectManifest(
         sources=sources,
@@ -113,19 +123,25 @@ def load_manifest(path: Path) -> ProjectManifest:
         templates=resolve("templates"),
         out=out,
     )
-    for p, mode in manifest.sources:
-        if not p.exists():
-            raise CktError(f"source path does not exist: {p}")
-        if mode == "facts-file" and not p.is_file():
-            raise CktError(f"facts source path is not a file: {p}")
-    for key in ("commits", "bugs", "trace", "ontology", "weights", "templates"):
-        p = getattr(manifest, key)
-        if p is not None and not p.exists():
-            raise CktError(f"{key} path does not exist: {p}")
-        if p is not None and not p.is_file():
-            raise CktError(f"{key} path is not a file: {p}")
-    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-        raise CktError(f"out path is not a directory: {out}")
+    key = "source"
+    try:
+        for p, mode in manifest.sources:
+            if not p.exists():
+                raise CktError(f"source path does not exist: {p}")
+            if mode == "facts-file" and not p.is_file():
+                raise CktError(f"facts source path is not a file: {p}")
+        for key in ("commits", "bugs", "trace", "ontology", "weights", "templates"):
+            p = getattr(manifest, key)
+            if p is not None and not p.exists():
+                raise CktError(f"{key} path does not exist: {p}")
+            if p is not None and not p.is_file():
+                raise CktError(f"{key} path is not a file: {p}")
+        key = "out"
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise CktError(f"out path is not a directory: {out}")
+    except OSError as exc:  # such as a name part too long for the file system
+        raise CktError(f"{key} path cannot be checked: {exc.strerror or exc}: {exc.filename}"
+                       ) from None
     return manifest
 
 
@@ -332,7 +348,11 @@ def cmd_build(manifest_path: Path) -> int:
     if manifest.templates is not None:
         extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
         load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
-    ckt.graph.save_graph(graph, manifest.out, extra)
+    try:
+        ckt.graph.save_graph(graph, manifest.out, extra)
+    except OSError as exc:  # a directory in a file's place, a full disk: the old tree stands
+        raise CktError(f"cannot write {exc.filename2 or exc.filename or manifest.out}: "
+                       f"{exc.strerror or exc}") from None
 
     _print_report(report)
     return 0

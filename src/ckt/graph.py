@@ -2,11 +2,12 @@
 and flat-file persistence.
 
 A triple is its key, the tuple (subject, predicate, object).  The graph
-holds the keys once, sorted into SPO, beside the table of the sources that
-asserted each one; OSP and each predicate's list are sorted on first use,
-and a lookup yields keys straight from one of them.  Triples are
-set-valued: re-inserting an existing triple appends provenance.  After
-``finalize()`` the graph is immutable and safe for concurrent readers.
+holds the keys once, sorted into SPO, and a built graph beside them the
+table of the sources that asserted each one; OSP and each predicate's list
+are sorted on first use, and a lookup yields keys straight from one of
+them.  Triples are set-valued: re-inserting an existing triple appends
+provenance.  After ``finalize()`` the graph is immutable and safe for
+concurrent readers.
 
 PageRank, triangle counts and neighbourhoods run on the dense-id core
 that README.md describes under "Graph storage".
@@ -18,8 +19,7 @@ before it renames any, and renames graph.json last; nodes.jsonl carries
 each node's PageRank score.  load_graph reads a directory only with it:
 it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
-it, and then checks each file against its digest; a loaded graph reads
-triples.tsv again for the first sources() call.
+it, and then checks each file against its digest.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import BinaryIO, NamedTuple, NoReturn
 from ckt import ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
-from ckt.textio import json_value, not_utf8
+from ckt.textio import not_utf8
 
 # The interpreter's own BLAKE2b, the same module on Python 3.10 to 3.13; it
 # hashes two to three times as fast as its SHA-256, and unlike hashlib's
@@ -79,16 +79,12 @@ def call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
 class Provenance(NamedTuple):
     """Which knowledge source asserted a triple, and where.
 
-    A named tuple rather than a frozen dataclass: a load builds thousands,
+    A named tuple rather than a frozen dataclass: a build makes thousands,
     and a frozen dataclass sets each field through object.__setattr__."""
 
     source: str
     origin: str
     detail: str = ""
-
-    @classmethod
-    def from_json(cls, doc: dict) -> Provenance:
-        return cls(str(doc["source"]), str(doc["origin"]), str(doc.get("detail", "")))
 
 
 Key = tuple[str, str, str]  # (subject, predicate, object)
@@ -186,22 +182,22 @@ def _check_ends(subject: str, object_: str) -> None:
 class KnowledgeGraph:
     """Immutable triple collection with SPO, OSP and per-predicate indexes.
 
-    Every graph has one shape: entities in ascending id order, keys in SPO
-    order, and one sources table, which a loaded graph reads on first use."""
+    Every graph has one shape: entities in ascending id order and keys in
+    SPO order; only a built graph holds the sources of each key."""
 
     def __init__(
         self,
         entities: dict[str, Entity],
-        sources: dict[Key, list[Provenance]] | TriplesFile,
+        sources: dict[Key, list[Provenance]] | None,
         spo: list[Key],
         ranks: dict[str, float] | None = None,
     ):
         """The graph owns, and no one may change after, `entities` in
         ascending id order, `sources`, the table of the sources that
-        asserted each key, which a neighbourhood shares with its parent, and
-        `spo`, every key in ascending order.  `ranks`, when given, are the
-        default-parameter PageRank scores of this graph, as the nodes.jsonl
-        of a graph directory carries them."""
+        asserted each key, which a neighbourhood shares with its parent
+        (None in a loaded graph), and `spo`, every key in ascending order.
+        `ranks`, when given, are the default-parameter PageRank scores of
+        this graph, as the nodes.jsonl of a graph directory carries them."""
         self.entities = entities
         self._sources = sources
         self._spo = spo
@@ -259,11 +255,17 @@ class KnowledgeGraph:
 
     def sources(self, key: Key) -> list[Provenance]:
         """The sources that asserted the triple `key`, in the order they
-        did; KeyError when the graph lacks it.  A loaded graph reads them
-        from its triples.tsv (see TriplesFile)."""
+        did; KeyError when the graph lacks it.  Only a built graph, or a
+        neighbourhood of one, has them: CktError otherwise."""
+        table = self._table()
         if key not in self:
             raise KeyError(key)
-        return self._sources[key]
+        return table[key]
+
+    def _table(self) -> dict[Key, list[Provenance]]:
+        if self._sources is None:
+            raise CktError("a loaded graph keeps no sources; ckt export --what triples prints them")
+        return self._sources
 
     def search_fields(self, value: str) -> list[str]:
         """What FILTER ... CONTAINS looks in for `value`, each lower-cased
@@ -448,8 +450,7 @@ class KnowledgeGraph:
         entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
         spo = [key for s in entities for key in self.match(s, None, None)
                if key[1] not in LITERAL_PREDICATES and key[2] in entities]
-        # the subgraph shares the sources table, and so a loaded graph's
-        # decoded lists and the triples.tsv line of each key
+        # the subgraph shares the sources table, or the lack of one
         return KnowledgeGraph(entities, self._sources, spo)
 
 
@@ -486,36 +487,6 @@ def collector_paused():
             gc.enable()
 
 
-class TriplesFile:
-    """The sources of a loaded graph's triples, read from its triples.tsv
-    on first use.  The first lookup reads the file again and checks it
-    against the digest in graph.json that the load checked it against; a
-    file that changed since raises the FormatError a load would raise.
-    Then each key's list is decoded from its line once: the line of the
-    key's place in `keys`, the load's SPO, plus 1, and a bad list raises
-    FormatError with that line.  A lookup takes a key of the graph."""
-
-    def __init__(self, path: Path, manifest: bytes, keys: list[Key]):
-        self._path = path
-        self._manifest = manifest
-        self._keys = keys
-        self._decoded: dict[Key, list[Provenance]] = {}
-
-    @cached_property
-    def _file_lines(self) -> list[bytes]:
-        data = read_if_present(self._path)
-        _check_digests(self._manifest, _digests({TRIPLES_FILE: data}))
-        return data.split(b"\n")
-
-    def __getitem__(self, key: Key) -> list[Provenance]:
-        provs = self._decoded.get(key)
-        if provs is None:
-            i = bisect.bisect_left(self._keys, key)
-            text = self._file_lines[i].decode("utf-8").split("\t")[3]
-            provs = self._decoded[key] = _provenance_list(text, i + 1)
-        return provs
-
-
 def _node_line(entity: Entity, rank: float) -> str:
     """The entity's nodes.jsonl line, with its PageRank score `rank`:
     json.dumps's text with sorted keys and ASCII escapes, less its encoder
@@ -539,7 +510,7 @@ def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
     That is json.dumps's text, less its encoder per call and with each
     distinct source's `"source": ...}` tail encoded once per call."""
     tails: dict[str, str] = {}
-    sources = graph._sources
+    sources = graph._table()
     for key in graph._spo:
         docs = []
         for source, origin, detail in sources[key]:
@@ -569,10 +540,10 @@ def _write(path: Path, chunks: Iterable[bytes]) -> str:
 
 
 def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None = None) -> None:
-    """Write the graph directory: nodes.jsonl, each node with its PageRank
-    score, and triples.tsv, sorted, LF-terminated, UTF-8, then the `extra`
-    files (name -> bytes) that `ckt build` puts beside them, then
-    graph.json.
+    """Write the directory of a built graph: nodes.jsonl, each node with
+    its PageRank score, and triples.tsv, sorted, LF-terminated, UTF-8,
+    then the `extra` files (name -> bytes) that `ckt build` puts beside
+    them, then graph.json.
 
     Each file is streamed, CHUNK_LINES lines at a time, into a temporary
     file and its digest, so no file is held whole in memory, and each is
@@ -635,8 +606,9 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     in graph.json.  A line that fails in a file whose own digest differs
     is named at its line, also when the reads interleaved with the
     renames: the new nodes.jsonl, then the old triples.tsv just before its
-    rename, then the new graph.json.  The graph reads the triples' sources
-    from triples.tsv again on first use (see TriplesFile).
+    rename, then the new graph.json.  Of each triples.tsv line only the
+    key is parsed: the digest vouches for the provenance column, and the
+    graph keeps no sources.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
@@ -647,8 +619,7 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
         manifest = files.pop(GRAPH_MANIFEST).read()
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies or {})
     _check_digests(manifest, digests)
-    return KnowledgeGraph(entities, TriplesFile(directory / TRIPLES_FILE, manifest, spo),
-                          spo, ranks)
+    return KnowledgeGraph(entities, None, spo, ranks)
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:
@@ -925,16 +896,3 @@ def _no_node(end: str, lineno: int) -> NoReturn:
         raise FormatError(f"cannot infer kind for id {end!r}; register it first in {TRIPLES_FILE}",
                           lineno)
     raise FormatError(f"unknown node {end!r} in {TRIPLES_FILE}", lineno)
-
-
-def _provenance_list(text: str, lineno: int) -> list[Provenance]:
-    try:
-        docs = json_value(text)
-        if not isinstance(docs, list):
-            raise TypeError(f"expected a list, got {type(docs).__name__}")
-        provs = [Provenance.from_json(doc) for doc in docs]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise FormatError(f"bad provenance in {TRIPLES_FILE}: {exc}", lineno) from exc
-    if not provs:
-        raise FormatError(f"empty provenance in {TRIPLES_FILE}", lineno)
-    return provs

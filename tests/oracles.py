@@ -5,7 +5,8 @@ power iteration, O(n^3) triangle enumeration, from-scratch lockset
 recomputation.  None of it shares code with the package, except
 `builder_load_graph`: it is the loader that sent every persisted record
 through the package's own GraphBuilder, kept as the reference for the
-direct loader that replaced it, the old per-response augmentation, and
+direct loader that replaced it and as the one reader of the provenance
+lists in triples.tsv, the old per-response augmentation, and
 `dumps_facts`, the neutral facts writer, which reads entities through the
 package's entity codec; no `ckt` command writes facts.
 `reference_parse_query`, the character-loop query parser the token regex
@@ -750,11 +751,13 @@ def functions_by_path(entities):
 # -- query-time lookups, one naive scan per item ----------------------------
 
 
-def builder_load_graph(directory):
+def builder_load_graph(directory, sources=True):
     """Load nodes.jsonl and triples.tsv by replaying every record through
     GraphBuilder: add_entity per node, insert_triple per triple.  Each
     node's rank is checked, as `node_rank` reads it, and then dropped: the
-    graph computes its own."""
+    graph computes its own.  With `sources` false the provenance column is
+    not read, as load_graph does not read it: each line asserts one empty
+    source."""
     from pathlib import Path
 
     from ckt.errors import FormatError
@@ -788,8 +791,12 @@ def builder_load_graph(directory):
             if len(parts) != 4:
                 raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)
             s, p, o, prov_json = parts
+            if not sources:
+                builder.insert_triple(s, p, o, Provenance("", ""))
+                continue
             try:
-                provs = [Provenance.from_json(d) for d in json.loads(prov_json)]
+                provs = [Provenance(str(d["source"]), str(d["origin"]), str(d.get("detail", "")))
+                         for d in json.loads(prov_json)]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(f"bad provenance: {exc}", lineno) from exc
             if not provs:
@@ -1814,17 +1821,41 @@ def bug_id(tracker, number):
 # -- comparison helpers -----------------------------------------------------
 
 
-def graphs_equal(a, b):
-    """Deep equality of two KnowledgeGraphs: entity table, triple keys in
-    order, and each key's sources."""
+def same_nodes_and_keys(a, b):
+    """Equality of two KnowledgeGraphs' entity tables and of their triple
+    keys in order."""
     if sorted(a.entities) != sorted(b.entities):
         return False
     for eid in a.entities:
         ea, eb = a.entities[eid], b.entities[eid]
         if (ea.kind, ea.label, ea.span, ea.attrs) != (eb.kind, eb.label, eb.span, eb.attrs):
             return False
-    return list(a.triples()) == list(b.triples()) and all(
+    return list(a.triples()) == list(b.triples())
+
+
+def graphs_equal(a, b):
+    """Deep equality of two built KnowledgeGraphs: entity table, triple
+    keys in order, and each key's sources."""
+    return same_nodes_and_keys(a, b) and all(
         a.sources(key) == b.sources(key) for key in a.triples())
+
+
+def loads_as(loaded, graph):
+    """A loaded graph is `graph`: entity table, triple keys in order, and
+    PageRank scores in id order.  A loaded graph keeps no sources."""
+    return same_nodes_and_keys(loaded, graph) and (
+        list(loaded.rank_table().items()) == list(graph.rank_table().items()))
+
+
+def round_trips(directory, graph):
+    """The directory that save_graph wrote for the built `graph` gives it
+    back: load_graph on entities, keys and ranks, and the builder loader
+    on entities, keys and each key's sources, so every datum save_graph
+    wrote is compared."""
+    from ckt.graph import load_graph
+
+    return loads_as(load_graph(directory), graph) and graphs_equal(
+        builder_load_graph(directory), graph)
 
 
 def parse_record(line):

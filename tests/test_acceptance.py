@@ -31,9 +31,11 @@ from ckt.smart import (
 from conftest import FIXTURES, SCENARIO
 from oracles import (
     brute_triangles,
+    builder_load_graph,
     dense_pagerank,
     dumps_facts,
     graphs_equal,
+    loads_as,
     lockset_race,
     nested_loop_join,
 )
@@ -269,7 +271,8 @@ def test_criterion_6_round_trips(tmp_path):
         graph = builder.finalize()
         directory = tmp_path / f"g{i}"
         save_graph(graph, directory)
-        assert graphs_equal(load_graph(directory), graph)
+        assert loads_as(load_graph(directory), graph)
+        assert graphs_equal(builder_load_graph(directory), graph)
 
     # neutral facts serialize/load identity
     src = "static int s;\nint g = 1;\nvoid f(int p){ s = p; f(p); h(); }\n"

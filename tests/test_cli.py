@@ -33,7 +33,14 @@ from ckt.query.evaluate import ResultSet
 from ckt.query.templates import Template, TemplateRegistry
 from ckt.smart import SmartAlert
 from conftest import SCENARIO
-from oracles import blake2b_hex, graphs_equal, parse_record, reference_format_table
+from oracles import (
+    blake2b_hex,
+    builder_load_graph,
+    loads_as,
+    parse_record,
+    reference_format_table,
+    round_trips,
+)
 
 S2 = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -180,7 +187,7 @@ def test_two_comments_on_one_line_build_from_the_first(tmp_path, capsys):
     f = "func:src/a.c#f"
     assert [key for key in graph.triples() if key[1] in ("mentions", "touches")] == [
         ("bug:CQ/1", "touches", f), (f, "mentions", "concept:greedy")]
-    assert len(graph.sources((f, "documented-by", comment.id))) == 1
+    assert len(builder_load_graph(out).sources((f, "documented-by", comment.id))) == 1
 
 
 FACTS = {"path": "facts.jsonl", "mode": "facts"}
@@ -202,7 +209,7 @@ def test_a_facts_file_listed_twice_builds_as_listed_once(tmp_path, capsys, again
     assert {p.name: p.read_bytes() for p in twice.iterdir()} == {
         p.name: p.read_bytes() for p in once.iterdir()}
     key = ("func:src/m.c#helper_fx", "calls", "func:src/m.c#drain_ring")
-    assert len(load_graph(twice).sources(key)) == 1
+    assert len(builder_load_graph(twice).sources(key)) == 1
 
 
 def test_a_dot_dot_behind_a_symlink_reaches_the_link_targets_sibling(tmp_path, capsys):
@@ -295,6 +302,53 @@ def test_build_missing_bugs_path_exits_2(tmp_path, capsys, key, value, message):
     named = value if isinstance(value, str) else value[-1]["path"]
     assert err.startswith(f"error: {message}") and err.rstrip().endswith(named)
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("commits", "a" * 300, "commits path cannot be checked: File name too long: "),
+    ("out", "a" * 300, "out path cannot be checked: File name too long: "),
+    ("sources", [{"path": "a" * 300}], "source path cannot be checked: File name too long: "),
+    ("commits", "commits\n.jsonl",
+     "commits path holds a control character or a lone surrogate: 'commits\\n.jsonl'"),
+    ("out", "o\ud800", "out path holds a control character or a lone surrogate: 'o\\ud800'"),
+    ("commits", 123, "manifest.json: commits path must be a string"),
+    ("commits", ["commits.jsonl"], "manifest.json: commits path must be a string"),
+    ("sources", [{"path": ["src"]}], "manifest.json: source path must be a string"),
+    ("sources", [{"path": "src", "mode": ["parse"]}], "manifest.json: source mode must be a string"),
+], ids=["long-commits", "long-out", "long-source", "lf", "surrogate", "number", "list",
+        "source-list", "mode-list"])
+def test_a_manifest_path_that_names_no_file_exits_2_with_one_line(tmp_path, capsys, key, value,
+                                                                    message):
+    """A path value of the manifest that is no JSON string, that holds a
+    control character, or that the file system refuses to look up: exit 2
+    with one error line naming the key, no traceback and no out/."""
+    shutil.copytree(SCENARIO, tmp_path / "p", ignore=shutil.ignore_patterns("out"))
+    manifest = tmp_path / "p" / "manifest.json"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc[key] = value
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["build", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "p" / "out").exists()
+
+
+def test_a_save_that_fails_exits_2_naming_the_file_and_keeps_the_previous_tree(tmp_path,
+                                                                               capsys):
+    """A rebuild over an out/ whose nodes.jsonl is a directory: the rename
+    fails, and the build exits 2 with one line naming nodes.jsonl; the
+    tree stays as it was, byte for byte."""
+    shutil.copytree(SCENARIO, tmp_path / "p")
+    manifest = str(tmp_path / "p" / "manifest.json")
+    assert main(["build", "--manifest", manifest]) == 0
+    out = tmp_path / "p" / "out"
+    (out / NODES_FILE).unlink()
+    (out / NODES_FILE).mkdir()
+    before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["build", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / NODES_FILE}: Is a directory\n"
+    assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_source_path_with_whitespace_exits_2(tmp_path, capsys):
@@ -909,10 +963,7 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     """Builds of two projects alternate into one graph directory while
     reader threads load it: each load is one build's graph or a torn
     read's FormatError (a query exits 2 on it), never a mix of the two.
-    A loaded graph reads its sources from triples.tsv on first use, so
-    each load reads them all at once; a triples.tsv changed by then is a
-    torn read's FormatError as well.  Any other exception in a reader
-    fails the test."""
+    Any other exception in a reader fails the test."""
     shared = tmp_path / "shared"
     manifests = []
     for name, edit in (("a", ""), ("b", "    timeout_secs = 0;\n")):
@@ -925,17 +976,11 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
         doc["out"] = "../shared"
         (work / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         manifests.append(work / "manifest.json")
-    def load_with_sources(directory):
-        graph = load_graph(directory)
-        for key in graph.triples():
-            graph.sources(key)
-        return graph
-
     builds = []
     for manifest in manifests:
         assert main(["build", "--manifest", str(manifest)]) == 0
-        builds.append(load_with_sources(shared))
-    assert not graphs_equal(*builds)
+        builds.append(load_graph(shared))
+    assert not loads_as(*builds)
     assert builds[0].entities.keys() == builds[1].entities.keys()  # a mix could load
 
     env = dict(os.environ)
@@ -948,11 +993,11 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
         try:
             while not done.is_set():
                 try:
-                    graph = load_with_sources(shared)
+                    graph = load_graph(shared)
                 except FormatError:
                     outcomes["torn"] += 1
                     continue
-                match = [n for n, built in zip("ab", builds) if graphs_equal(graph, built)]
+                match = [n for n, built in zip("ab", builds) if loads_as(graph, built)]
                 outcomes[match[0] if match else "mixed"] += 1
         except Exception as exc:  # raised below, in the test's own thread
             errors.append(exc)
@@ -981,23 +1026,25 @@ def test_fixing_commit_found_by_object_lookup(scenario_graph):
     assert [s for s, _, _ in hits] == ["commit:c0ffee11deadbeef"]
 
 
-def test_scenario_graph_round_trip_preserves_ranks(scenario_graph, tmp_path):
-    from ckt.graph import load_graph, save_graph
+def test_scenario_graph_round_trip_preserves_ranks(scenario_dir, scenario_graph, tmp_path):
+    from ckt.graph import save_graph
 
-    save_graph(scenario_graph, tmp_path)
-    again = load_graph(tmp_path)
-    assert graphs_equal(again, scenario_graph)
-    assert again.pagerank() == scenario_graph.pagerank()
+    built = builder_load_graph(scenario_dir / "out")
+    save_graph(built, tmp_path)
+    assert round_trips(tmp_path, built)
+    assert load_graph(tmp_path).pagerank() == scenario_graph.pagerank()
 
 
-def test_closed_world_after_build(scenario_graph):
+def test_closed_world_after_build(scenario_dir, scenario_graph):
     from ckt.graph import LITERAL_PREDICATES
 
+    built = builder_load_graph(scenario_dir / "out")
+    assert list(built.triples()) == list(scenario_graph.triples())
     for s, p, o in scenario_graph.triples():
         assert s in scenario_graph.entities, s
         if p not in LITERAL_PREDICATES:
             assert o in scenario_graph.entities, o
-        assert scenario_graph.sources((s, p, o)), (s, p, o)
+        assert built.sources((s, p, o)), (s, p, o)
 
 
 def test_export_triples_byte_identical(scenario_dir, capsys):

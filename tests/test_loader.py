@@ -35,7 +35,7 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import blake2b_hex, dense_pagerank, graphs_equal, node_line
+from oracles import blake2b_hex, dense_pagerank, graphs_equal, loads_as, node_line, round_trips
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
@@ -55,11 +55,11 @@ def write_manifest(directory: Path) -> None:
         json.dumps({"format": 3, "blake2b": digests}, indent=2) + "\n", encoding="utf-8")
 
 
-def run_ckt(*args) -> subprocess.CompletedProcess:
+def run_ckt(*args, stdin: str | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ckt", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, input=stdin)
 
 
 # -- persisted ranks -----------------------------------------------------------
@@ -132,7 +132,7 @@ def test_entity_with_an_empty_label_round_trips(tmp_path):
     builder.insert_triple("commit:c1", "authored-by", "dev:", Provenance("version-tracker", "c1"))
     graph = builder.finalize()
     save_graph(graph, tmp_path)
-    assert graphs_equal(load_graph(tmp_path), graph)
+    assert round_trips(tmp_path, graph)
 
 
 def set_rank(line: str, text: str | None) -> str:
@@ -261,7 +261,7 @@ def test_hand_written_graph_dir_loads_as_builder_loader_or_names_a_line(files):
 
 def test_loader_matches_builder_loader_on_scenario(scenario_dir):
     out = scenario_dir / "out"
-    assert graphs_equal(load_graph(out), oracles.builder_load_graph(out))
+    assert loads_as(load_graph(out), oracles.builder_load_graph(out))
 
 
 def write_nodes(directory: Path, *entities: Entity) -> None:
@@ -393,7 +393,8 @@ def test_fuzzed_graph_dir_loads_or_names_a_line(graph, data):
             assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
         else:
             assert not changed  # graph.json lets no changed byte load
-            assert graphs_equal(loaded, oracles.builder_load_graph(tmp))
+            assert loads_as(loaded, graph)
+            assert graphs_equal(oracles.builder_load_graph(tmp), graph)
 
 
 @settings(max_examples=200, deadline=None)
@@ -418,18 +419,17 @@ def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph, data):
 
 
 def assert_loads_as_builder_loader(directory) -> None:
-    """The load of `directory`, every key's sources decoded, equals the
-    builder loader's graph of the same files, its nodes in ascending id
-    order with the ranks of nodes.jsonl, line by line, or raises
-    FormatError with a line."""
+    """The load of `directory` has the entities and keys of the builder
+    loader's graph of the same files, which reads no provenance column
+    either, its nodes in ascending id order with the ranks of nodes.jsonl,
+    line by line, or raises FormatError with a line."""
     try:
         loaded = load_graph(directory)
-        for key in loaded.triples():  # the load decodes sources on first use
-            loaded.sources(key)
     except CktError as exc:
         assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
     else:
-        assert graphs_equal(loaded, oracles.builder_load_graph(directory))
+        assert oracles.same_nodes_and_keys(
+            loaded, oracles.builder_load_graph(directory, sources=False))
         docs = map(json.loads, (Path(directory) / NODES_FILE).read_text(encoding="utf-8").split(
             "\n")[:-1])
         assert list(loaded.pagerank().items()) == [(doc["id"], doc["rank"]) for doc in docs]
@@ -524,10 +524,6 @@ FORGERIES = {
     "unknown predicate": (TRIPLES_FILE, edit_field(0, 1, "frobs")),
     "triples out of order": (TRIPLES_FILE, swap(0, 1)),
     "repeated triple": (TRIPLES_FILE, insert(1, None)),
-    "empty provenance": (TRIPLES_FILE, edit_field(0, 3, "[]")),
-    "provenance source that is a number": (
-        TRIPLES_FILE, edit_field(0, 3, '[{"origin": "o", "source": 1}]')),
-    "provenance that is no JSON": (TRIPLES_FILE, edit_field(0, 3, "[{")),
     "triple with a CR": (TRIPLES_FILE, append_to(0, "\r")),
     "blank triple line": (TRIPLES_FILE, insert(1, "")),
     "infinite rank": (NODES_FILE, edit_record(0, rank=float("inf"))),
@@ -618,31 +614,46 @@ def test_a_cr_or_a_missing_last_lf_is_named_before_an_earlier_bad_line(scenario_
     assert str(exc.value) == message
 
 
-def test_a_neighborhood_decodes_sources_as_the_loaded_graph_and_names_their_line(
-        scenario_dir, tmp_path):
-    """A neighborhood of a loaded graph copies each key's undecoded sources:
-    they decode to the loaded graph's lists, and a bad one raises with its
-    line in triples.tsv, not with the key's place in the subgraph."""
+def test_no_command_parses_a_forged_provenance_column(scenario_dir, tmp_path):
+    """An empty list, a source that is a number and a list that is no JSON,
+    each on its own line of triples.tsv: the load refuses them by the
+    digest, and under a graph.json forged to vouch for them it gives the unforged tree's entities, keys and ranks,
+    and a query, a REPL :related and an export each exit 0 with the
+    unforged tree's answer, the export with the forged file's bytes."""
     out = copy_graph(scenario_dir, tmp_path)
-    loaded = load_graph(out)
-    node = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
-    keys = list(loaded.neighborhood(node, 2).triples())
-    assert len(keys) > 2
-    sub = loaded.neighborhood(node, 2)
-    assert [sub.sources(k) for k in keys] == [loaded.sources(k) for k in keys]
+    path = out / TRIPLES_FILE
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for i, column in enumerate(["[]", '[{"origin": "o", "source": 1}]', "[{"]):
+        edit_field(i, 3, column)(lines)
+    path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
+    with pytest.raises(FormatError, match="graph.json: triples.tsv does not match"):
+        load_graph(out)  # a hand edit, which the digest refuses
+    manifest = json.loads((out / GRAPH_MANIFEST).read_text(encoding="utf-8"))
+    manifest["blake2b"][TRIPLES_FILE] = blake2b_hex(path.read_bytes())  # the copies' digests stay
+    (out / GRAPH_MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    assert loads_as(load_graph(out), load_graph(scenario_dir / "out"))
+    related = f":related {lines[0].split()[0]} 1\n:quit\n"
+    for args, stdin in [(("query", "--format", "records", SELECT), None), (("repl",), related)]:
+        forged, unforged = (run_ckt(args[0], "--graph", str(graph), *args[1:], stdin=stdin)
+                            for graph in (out, scenario_dir / "out"))
+        assert forged.returncode == 0 and forged.stderr == ""
+        assert forged.stdout == unforged.stdout != ""
+    export = run_ckt("export", "--graph", str(out), "--what", "triples")
+    assert export.returncode == 0 and export.stderr == ""
+    assert export.stdout == path.read_text(encoding="utf-8")
 
-    key = keys[-1]
-    lineno = list(loaded.triples()).index(key) + 1
-    assert lineno != len(keys)
-    edit_field(lineno - 1, 3, "[{")(lines := (out / TRIPLES_FILE).read_text(
-        encoding="utf-8").split("\n")[:-1])
-    (out / TRIPLES_FILE).write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
-    write_manifest(out)
-    sub = load_graph(out).neighborhood(node, 2)
-    assert [sub.sources(k) for k in keys[:-1]] == [loaded.sources(k) for k in keys[:-1]]
-    with pytest.raises(FormatError) as exc:
-        sub.sources(key)
-    assert exc.value.line == lineno and TRIPLES_FILE in str(exc.value)
+
+def test_a_loaded_graph_keeps_no_sources(scenario_dir, tmp_path):
+    """sources() on a loaded graph, or on a neighbourhood of one, and a
+    save of a loaded graph raise CktError, and the save writes no file."""
+    loaded = load_graph(scenario_dir / "out")
+    key = next(loaded.triples())
+    for graph in (loaded, loaded.neighborhood(key[0], 1)):
+        with pytest.raises(CktError, match="a loaded graph keeps no sources"):
+            graph.sources(key)
+    with pytest.raises(CktError, match="a loaded graph keeps no sources"):
+        save_graph(loaded, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -680,31 +691,6 @@ def test_a_load_holds_no_more_than_a_block_of_triples_beyond_its_graph(tmp_path)
         tracemalloc.stop()
     assert len(graph) == 40 * 40
     assert peak - held < size
-
-
-def test_sources_of_a_graph_whose_triples_changed_since_the_load_name_the_file(
-        scenario_dir, tmp_path):
-    """triples.tsv rewritten under a new graph.json after the load: the
-    first sources() call, on the graph or on a neighbourhood of it, raises
-    the digest error the load would have raised, at the line of the loaded
-    graph.json, and asks no less of a later call."""
-    out = copy_graph(scenario_dir, tmp_path)
-    loaded = load_graph(out)
-    manifest = (out / GRAPH_MANIFEST).read_text(encoding="utf-8").split("\n")
-    lineno = next(i for i, x in enumerate(manifest, start=1) if f'"{TRIPLES_FILE}"' in x)
-    lines = (out / TRIPLES_FILE).read_text(encoding="utf-8").split("\n")[:-1]
-    edit_field(0, 3, '[{"origin": "elsewhere", "source": "source-code"}]')(lines)
-    (out / TRIPLES_FILE).write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
-    write_manifest(out)
-    key = next(loaded.triples())
-    node = "func:src/VHDLPosedge.cc#VHDLPosedge_S2"
-    for graph in (loaded.neighborhood(node, 1), loaded, loaded):
-        with pytest.raises(FormatError) as exc:
-            graph.sources(next(graph.triples()))
-        assert str(exc.value) == (
-            f"line {lineno}: graph.json: triples.tsv does not match its BLAKE2b digest here; "
-            "it changed after the build, or a build rewrote it while it was read")
-    assert key in loaded
 
 
 # -- changed and torn directories ------------------------------------------------
