@@ -57,6 +57,7 @@ SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp")
 # the line of an error that names the path, or a lone surrogate, which no
 # file name encodes
 _UNNAMEABLE = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
+_CONTROL = re.compile("[\x00-\x1f\x7f]")
 
 
 class ProjectManifest(Record):
@@ -77,6 +78,10 @@ class ProjectManifest(Record):
 
 
 def load_manifest(path: Path) -> ProjectManifest:
+    # every path below starts with the manifest's directory and is printed
+    # bare; a command-line path's lone surrogates are bytes of its name
+    if _CONTROL.search(str(path)):
+        raise CktError(f"manifest path holds a control character: {str(path)!r}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
@@ -320,14 +325,15 @@ def cmd_build(manifest_path: Path) -> int:
     weights = load_weights(str(manifest.weights)) if manifest.weights else default_weights()
     weights.validate_against(set(concepts.feature_names(ontology)))
 
-    graph = _build_graph(state, link_triples, ontology, weights)
+    builder = _build_graph(state, link_triples, ontology, weights)
+    graph = builder.finalize()
 
     rank = graph.pagerank()
     triangles, triangle_total = graph.count_triangles()
     stats = _stats(graph, rank, triangles, triangle_total)
     # each triple counted by its first assertion, in one pass over the
-    # provenance lists a built graph holds rather than a lookup per key
-    triples_by_source = Counter(provs[0].source for provs in graph._sources.values())
+    # builder's provenance lists rather than a lookup per key
+    triples_by_source = Counter(provs[0].source for provs in builder.sources.values())
     report = {
         "entities": len(graph.entities),
         "triples": len(graph),
@@ -349,7 +355,7 @@ def cmd_build(manifest_path: Path) -> int:
         extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
         load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
     try:
-        ckt.graph.save_graph(graph, manifest.out, extra)
+        ckt.graph.save_graph(graph, builder.sources, manifest.out, extra)
     except OSError as exc:  # a directory in a file's place, a full disk: the old tree stands
         raise CktError(f"cannot write {exc.filename2 or exc.filename or manifest.out}: "
                        f"{exc.strerror or exc}") from None
@@ -363,7 +369,8 @@ def _build_graph(
     link_triples: list[history.LinkTriple],
     ontology: Ontology,
     weights: StrategyWeights,
-) -> KnowledgeGraph:
+) -> GraphBuilder:
+    """The builder of the build's graph, not yet finalized."""
     builder = GraphBuilder()
     entities = state.facts.sorted_entities()
     for entity in entities:
@@ -409,7 +416,7 @@ def _build_graph(
                 func.id, "classified-as", ids.concept_id(cls),
                 Provenance("derived", f"score={score!r}"),
             )
-    return builder.finalize()
+    return builder
 
 
 def _stats(graph: KnowledgeGraph, rank, triangles, triangle_total) -> dict:

@@ -8,6 +8,7 @@ The stopwords are fixed.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -147,6 +148,13 @@ def default_weights() -> StrategyWeights:
     )
 
 
+def _number(value, what: str) -> float:
+    """A JSON number, not a bool, a string, NaN or an infinity, as a float."""
+    if (type(value) is not int and type(value) is not float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number")
+    return float(value)
+
+
 def load_weights(path: str) -> StrategyWeights:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -155,13 +163,14 @@ def load_weights(path: str) -> StrategyWeights:
             raise ConfigError(f"bad weights file {path}: {exc}") from exc
     try:
         classes = as_texts(doc["classes"], "'classes'", f"weights file {path}")
-        tau = float(doc.get("tau", 0.5))
+        tau = _number(doc.get("tau", 0.5), "'tau'")
         weights = {
-            str(cls): {str(f): float(v) for f, v in feats.items()}
+            str(cls): {str(f): _number(v, f"weight {cls}/{f}") for f, v in feats.items()}
             for cls, feats in doc["weights"].items()
         }
-    # AttributeError: the weights table or one of its rows is not an object
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # AttributeError: the weights table or one of its rows is not an object;
+    # OverflowError: an integer too large for a float
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad weights file {path}: {exc}") from exc
     if tau < 0:
         raise ConfigError("tau must be >= 0")

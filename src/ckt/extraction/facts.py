@@ -56,17 +56,11 @@ def _entity_record(doc: dict, name: str, lineno: int) -> Entity:
     span = None
     path, start, end = doc.get("path"), doc.get("start"), doc.get("end")
     if path is not None or start is not None or end is not None:
-        if not isinstance(path, str) or start is None or end is None:
-            raise FormatError(f"{name}: span needs a string path, a start and an end", lineno)
-        try:
-            span = Span(path, int(start), int(end))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{name}: bad span: {exc}", lineno) from exc
-    attrs = doc.get("attrs") or {}
-    if not isinstance(attrs, dict):
-        raise FormatError(f"{name}: attrs must be an object", lineno)
-    return Entity(doc["id"], kind, doc["label"], span,
-                  {str(k): str(v) for k, v in attrs.items()})
+        if not isinstance(path, str) or type(start) is not int or type(end) is not int:
+            raise FormatError(f"{name}: span needs a string path and integer start and end",
+                              lineno)
+        span = Span(path, start, end)
+    return Entity(doc["id"], kind, doc["label"], span, _attrs(doc, name, lineno))
 
 
 def _relation_record(doc: dict, name: str, lineno: int) -> Relation:
@@ -75,8 +69,16 @@ def _relation_record(doc: dict, name: str, lineno: int) -> Relation:
             raise FormatError(f"{name}: relation record needs string {field_name!r}", lineno)
     if doc["pred"] not in PREDICATES:
         raise FormatError(f"{name}: unknown predicate {doc['pred']!r}", lineno)
-    attrs = doc.get("attrs") or {}
+    return Relation(doc["subj"], doc["pred"], doc["obj"], lineno, _attrs(doc, name, lineno))
+
+
+def _attrs(doc: dict, name: str, lineno: int) -> dict[str, str]:
+    """The record's attrs, an object of strings, or {} when absent or null."""
+    attrs = doc.get("attrs")
+    if attrs is None:
+        return {}
     if not isinstance(attrs, dict):
         raise FormatError(f"{name}: attrs must be an object", lineno)
-    return Relation(doc["subj"], doc["pred"], doc["obj"], lineno,
-                    {str(k): str(v) for k, v in attrs.items()})
+    if not all(type(v) is str for v in attrs.values()):
+        raise FormatError(f"{name}: attribute values must be strings", lineno)
+    return attrs

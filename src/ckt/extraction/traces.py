@@ -22,12 +22,14 @@ def load_trace(lines: Iterable[str] | IO[str], name: str = "trace") -> TraceLog:
     last_seq = None
     for lineno, doc in json_records(lines, name):
         try:
-            seq = int(doc["seq"])
-            tid = int(doc["tid"])
-            kind = str(doc["kind"])
-            target = str(doc["target"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            seq, tid, kind, target = doc["seq"], doc["tid"], doc["kind"], doc["target"]
+        except KeyError as exc:
             raise FormatError(f"{name}: bad trace record: {exc}", lineno) from exc
+        # JSON integers, not true or 1.0, and strings
+        if type(seq) is not int or type(tid) is not int or type(kind) is not str \
+                or type(target) is not str:
+            raise FormatError(f"{name}: bad trace record: 'seq' and 'tid' must be integers, "
+                              "'kind' and 'target' strings", lineno)
         if kind not in TRACE_EVENT_KINDS:
             raise FormatError(f"{name}: unknown event kind {kind!r}", lineno)
         if last_seq is not None and seq <= last_seq:

@@ -1,13 +1,13 @@
-"""The knowledge graph: indexed triple storage with provenance, analytics,
-and flat-file persistence.
+"""The knowledge graph: indexed triple storage, analytics, and flat-file
+persistence with provenance.
 
 A triple is its key, the tuple (subject, predicate, object).  The graph
-holds the keys once, sorted into SPO, and a built graph beside them the
-table of the sources that asserted each one; OSP and each predicate's list
-are sorted on first use, and a lookup yields keys straight from one of
-them.  Triples are set-valued: re-inserting an existing triple appends
-provenance.  After ``finalize()`` the graph is immutable and safe for
-concurrent readers.
+holds the keys once, sorted into SPO; OSP and each predicate's list are
+sorted on first use, and a lookup yields keys straight from one of them.
+The builder keeps the table of the sources that asserted each key:
+triples are set-valued, and re-inserting an existing one appends its
+provenance.  After ``finalize()`` the graph and the table are immutable,
+and the graph is safe for concurrent readers.
 
 PageRank, triangle counts and neighbourhoods run on the dense-id core
 that README.md describes under "Graph storage".
@@ -102,11 +102,15 @@ def _run(index: list[Key], value, part) -> list[Key]:
 
 
 class GraphBuilder:
-    """Single-writer accumulation phase; finalize() yields the immutable graph."""
+    """Single-writer accumulation phase; finalize() yields the immutable
+    graph.  `sources` is a read-only view of the table of the sources that
+    asserted each key, in the order the keys were first inserted; it is
+    what save_graph writes beside the graph."""
 
     def __init__(self):
         self._entities: dict[str, Entity] = {}
         self._provenance: dict[Key, list[Provenance]] = {}
+        self.sources: Mapping[Key, list[Provenance]] = MappingProxyType(self._provenance)
         self._finalized = False
 
     def add_entity(self, entity: Entity) -> None:
@@ -158,8 +162,7 @@ class GraphBuilder:
     def finalize(self) -> KnowledgeGraph:
         self._check_open()
         self._finalized = True
-        return KnowledgeGraph(dict(sorted(self._entities.items())), self._provenance,
-                              sorted(self._provenance))
+        return KnowledgeGraph(dict(sorted(self._entities.items())), sorted(self._provenance))
 
     def _check_open(self) -> None:
         if self._finalized:
@@ -180,26 +183,15 @@ def _check_ends(subject: str, object_: str) -> None:
 
 
 class KnowledgeGraph:
-    """Immutable triple collection with SPO, OSP and per-predicate indexes.
+    """Immutable triple collection with SPO, OSP and per-predicate indexes."""
 
-    Every graph has one shape: entities in ascending id order and keys in
-    SPO order; only a built graph holds the sources of each key."""
-
-    def __init__(
-        self,
-        entities: dict[str, Entity],
-        sources: dict[Key, list[Provenance]] | None,
-        spo: list[Key],
-        ranks: dict[str, float] | None = None,
-    ):
+    def __init__(self, entities: dict[str, Entity], spo: list[Key],
+                 ranks: dict[str, float] | None = None):
         """The graph owns, and no one may change after, `entities` in
-        ascending id order, `sources`, the table of the sources that
-        asserted each key, which a neighbourhood shares with its parent
-        (None in a loaded graph), and `spo`, every key in ascending order.
+        ascending id order and `spo`, every key in ascending order.
         `ranks`, when given, are the default-parameter PageRank scores of
         this graph, as the nodes.jsonl of a graph directory carries them."""
         self.entities = entities
-        self._sources = sources
         self._spo = spo
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
@@ -252,20 +244,6 @@ class KnowledgeGraph:
     def triples(self):
         """Every key in (subject, predicate, object) order."""
         return iter(self._spo)
-
-    def sources(self, key: Key) -> list[Provenance]:
-        """The sources that asserted the triple `key`, in the order they
-        did; KeyError when the graph lacks it.  Only a built graph, or a
-        neighbourhood of one, has them: CktError otherwise."""
-        table = self._table()
-        if key not in self:
-            raise KeyError(key)
-        return table[key]
-
-    def _table(self) -> dict[Key, list[Provenance]]:
-        if self._sources is None:
-            raise CktError("a loaded graph keeps no sources; ckt export --what triples prints them")
-        return self._sources
 
     def search_fields(self, value: str) -> list[str]:
         """What FILTER ... CONTAINS looks in for `value`, each lower-cased
@@ -450,8 +428,7 @@ class KnowledgeGraph:
         entities = {nodes[u]: self.entities[nodes[u]] for u in sorted(reached)}
         spo = [key for s in entities for key in self.match(s, None, None)
                if key[1] not in LITERAL_PREDICATES and key[2] in entities]
-        # the subgraph shares the sources table, or the lack of one
-        return KnowledgeGraph(entities, self._sources, spo)
+        return KnowledgeGraph(entities, spo)
 
 
 # -- persistence ---------------------------------------------------------
@@ -504,13 +481,14 @@ def _node_line(entity: Entity, rank: float) -> str:
             f'"path": {path}, "rank": {rank!r}, "start": {start}}}')
 
 
-def _triple_lines(graph: KnowledgeGraph) -> Iterator[str]:
-    """Each triples.tsv line in SPO order: the key, and its provenance list
-    as JSON with sorted keys and ASCII escapes, `detail` only when set.
-    That is json.dumps's text, less its encoder per call and with each
-    distinct source's `"source": ...}` tail encoded once per call."""
+def _triple_lines(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]]
+                  ) -> Iterator[str]:
+    """Each triples.tsv line in SPO order: the key, and its list in
+    `sources` as JSON with sorted keys and ASCII escapes, `detail` only
+    when set.  That is json.dumps's text, less its encoder per call and
+    with each distinct source's `"source": ...}` tail encoded once per
+    call."""
     tails: dict[str, str] = {}
-    sources = graph._table()
     for key in graph._spo:
         docs = []
         for source, origin, detail in sources[key]:
@@ -539,11 +517,13 @@ def _write(path: Path, chunks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None = None) -> None:
-    """Write the directory of a built graph: nodes.jsonl, each node with
-    its PageRank score, and triples.tsv, sorted, LF-terminated, UTF-8,
-    then the `extra` files (name -> bytes) that `ckt build` puts beside
-    them, then graph.json.
+def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], directory,
+               extra: dict[str, bytes] | None = None) -> None:
+    """Write the directory of a graph: nodes.jsonl, each node with its
+    PageRank score, and triples.tsv, each key with its list in `sources`,
+    the table of its builder, sorted, LF-terminated, UTF-8, then the
+    `extra` files (name -> bytes) that `ckt build` puts beside them, then
+    graph.json.
 
     Each file is streamed, CHUNK_LINES lines at a time, into a temporary
     file and its digest, so no file is held whole in memory, and each is
@@ -561,7 +541,7 @@ def save_graph(graph: KnowledgeGraph, directory, extra: dict[str, bytes] | None 
         # rank_table() holds every node, in ascending id order
         NODES_FILE: _chunks(_node_line(graph.entities[eid], rank)
                             for eid, rank in graph.rank_table().items()),
-        TRIPLES_FILE: _chunks(_triple_lines(graph)),
+        TRIPLES_FILE: _chunks(_triple_lines(graph, sources)),
         **{name: [data] for name, data in sorted((extra or {}).items())},
     }
     temps = {name: directory / f".{name}.{os.getpid()}.tmp" for name in (*files, GRAPH_MANIFEST)}
@@ -607,8 +587,7 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     is named at its line, also when the reads interleaved with the
     renames: the new nodes.jsonl, then the old triples.tsv just before its
     rename, then the new graph.json.  Of each triples.tsv line only the
-    key is parsed: the digest vouches for the provenance column, and the
-    graph keeps no sources.
+    key is parsed: the digest vouches for the provenance column.
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
@@ -619,7 +598,7 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
         manifest = files.pop(GRAPH_MANIFEST).read()
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies or {})
     _check_digests(manifest, digests)
-    return KnowledgeGraph(entities, None, spo, ranks)
+    return KnowledgeGraph(entities, spo, ranks)
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:

@@ -15,7 +15,7 @@ from ckt import ids
 from ckt.errors import ConflictError, FormatError
 from ckt.concepts import identifier_like
 from ckt.model import Comment, Entity, FactSet, Record
-from ckt.textio import as_texts, json_records, parse_timestamp
+from ckt.textio import as_text, as_texts, json_records, parse_timestamp
 
 _HASH_MENTION = re.compile(r"\b[0-9a-f]{7,40}\b")
 _WORD = re.compile(r"\w+")
@@ -82,13 +82,22 @@ class BugRecord(Record):
         return self.id.rpartition("/")[2]
 
 
+def _text(doc: dict, key: str, name: str, lineno: int, default: str | None = None) -> str:
+    """The record's text field `key`, or `default` when it is absent
+    (KeyError when there is none); FormatError when it is no JSON string."""
+    return as_text(doc[key] if default is None else doc.get(key, default), f"'{key}'", name,
+                   lineno)
+
+
 def _ranges(raw, name: str, lineno: int) -> list[tuple[int, int]]:
+    """The [start, end] pairs of JSON integers in `raw`, a list or absent."""
+    if raw is not None and type(raw) is not list:
+        raise FormatError(f"{name}: line ranges must be a list", lineno)
     out = []
     for pair in raw or []:
-        try:
-            start, end = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise FormatError(f"{name}: bad line range {pair!r}", lineno) from exc
+        if type(pair) is not list or len(pair) != 2 or not all(type(n) is int for n in pair):
+            raise FormatError(f"{name}: bad line range {pair!r}", lineno)
+        start, end = pair
         if start > end:
             raise FormatError(f"{name}: range start {start} > end {end}", lineno)
         out.append((start, end))
@@ -106,22 +115,25 @@ def load_commits(
         try:
             changes = [
                 Change(
-                    path=ids.norm_path(str(ch["path"])),
+                    path=ids.norm_path(_text(ch, "path", name, lineno)),
                     added=_ranges(ch.get("added"), name, lineno),
                     removed=_ranges(ch.get("removed"), name, lineno),
                 )
                 for ch in doc.get("changes", [])
             ]
             commit = Commit(
-                id=str(doc["id"]),
-                author_name=str(doc.get("author_name", "")),
-                author_email=str(doc.get("author_email", "")),
-                timestamp=str(doc["timestamp"]),
-                summary=str(doc.get("summary", "")),
+                id=_text(doc, "id", name, lineno),
+                author_name=_text(doc, "author_name", name, lineno, ""),
+                author_email=_text(doc, "author_email", name, lineno, ""),
+                timestamp=_text(doc, "timestamp", name, lineno),
+                summary=_text(doc, "summary", name, lineno, ""),
                 changes=changes,
             )
             parse_timestamp(commit.timestamp)
-        except (KeyError, TypeError, ValueError, FormatError) as exc:
+        except FormatError as exc:  # a field of another JSON type, or a bad line range
+            warnings.append(f"{exc}; record skipped")
+            continue
+        except (KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{name} line {lineno}: {exc}; record skipped")
             continue
         commits.append(commit)
@@ -136,20 +148,21 @@ def load_bugs(lines: Iterable[str] | IO[str], name: str = "bugs") -> list[BugRec
     seen: dict[str, int] = {}
     for lineno, doc in json_records(lines, name, header=True):
         try:
-            tracker = str(doc.get("tracker", "bugs"))
-            number = str(doc["id"])
-            opened = str(doc["opened"])
+            tracker = _text(doc, "tracker", name, lineno, "bugs")
+            number = _text(doc, "id", name, lineno)
+            opened = _text(doc, "opened", name, lineno)
             closed = doc.get("closed")
-            closed = str(closed) if closed else None
+            if closed is not None:  # absent, null or "": open
+                closed = as_text(closed, "'closed'", name, lineno) or None
             bug = BugRecord(
                 id=f"{tracker}/{number}",
                 tracker=tracker,
-                title=str(doc.get("title", "")),
-                description=str(doc.get("description", "")),
-                status=str(doc.get("status", "other")),
+                title=_text(doc, "title", name, lineno, ""),
+                description=_text(doc, "description", name, lineno, ""),
+                status=_text(doc, "status", name, lineno, "other"),
                 opened=opened,
                 closed=closed,
-                assignee=str(doc.get("assignee", "")),
+                assignee=_text(doc, "assignee", name, lineno, ""),
                 error_strings=as_texts(doc.get("error_strings", []), "'error_strings'", name, lineno),
             )
             opened_ts = parse_timestamp(opened)

@@ -28,7 +28,7 @@ JACCARD_THRESHOLD = 0.4
 
 SLOT_TYPES = ("entity", "date", "number", "string")
 
-# ASCII digits alone, as a LIMIT count; read with fullmatch
+# date and number slot values, day-month-year and decimal, in ASCII digits; read with fullmatch
 DMY_DATE = re.compile(r"([0-9]{1,2})-([0-9]{1,2})-([0-9]{4})")
 _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 

@@ -753,11 +753,11 @@ def functions_by_path(entities):
 
 def builder_load_graph(directory, sources=True):
     """Load nodes.jsonl and triples.tsv by replaying every record through
-    GraphBuilder: add_entity per node, insert_triple per triple.  Each
-    node's rank is checked, as `node_rank` reads it, and then dropped: the
-    graph computes its own.  With `sources` false the provenance column is
-    not read, as load_graph does not read it: each line asserts one empty
-    source."""
+    GraphBuilder: add_entity per node, insert_triple per triple; the graph
+    and its builder's sources table.  Each node's rank is checked, as
+    `node_rank` reads it, and then dropped: the graph computes its own.
+    With `sources` false the provenance column is not read, as load_graph
+    does not read it: each line asserts one empty source."""
     from pathlib import Path
 
     from ckt.errors import FormatError
@@ -803,7 +803,7 @@ def builder_load_graph(directory, sources=True):
                 raise FormatError("empty provenance", lineno)
             for prov in provs:
                 builder.insert_triple(s, p, o, prov)
-    return builder.finalize()
+    return builder.finalize(), builder.sources
 
 
 def _no_constant(name):
@@ -1834,28 +1834,22 @@ def same_nodes_and_keys(a, b):
 
 
 def graphs_equal(a, b):
-    """Deep equality of two built KnowledgeGraphs: entity table, triple
-    keys in order, and each key's sources."""
-    return same_nodes_and_keys(a, b) and all(
-        a.sources(key) == b.sources(key) for key in a.triples())
+    """Deep equality of two KnowledgeGraphs: entity table, triple keys in
+    order, and PageRank scores in id order."""
+    return same_nodes_and_keys(a, b) and (
+        list(a.rank_table().items()) == list(b.rank_table().items()))
 
 
-def loads_as(loaded, graph):
-    """A loaded graph is `graph`: entity table, triple keys in order, and
-    PageRank scores in id order.  A loaded graph keeps no sources."""
-    return same_nodes_and_keys(loaded, graph) and (
-        list(loaded.rank_table().items()) == list(graph.rank_table().items()))
-
-
-def round_trips(directory, graph):
-    """The directory that save_graph wrote for the built `graph` gives it
-    back: load_graph on entities, keys and ranks, and the builder loader
-    on entities, keys and each key's sources, so every datum save_graph
-    wrote is compared."""
+def round_trips(directory, graph, sources):
+    """The directory that save_graph wrote for `graph` and its builder's
+    `sources` table gives them back: load_graph gives the graph, and the
+    builder loader the graph and each key's sources, so every datum
+    save_graph wrote is compared."""
     from ckt.graph import load_graph
 
-    return loads_as(load_graph(directory), graph) and graphs_equal(
-        builder_load_graph(directory), graph)
+    built, table = builder_load_graph(directory)
+    return (graphs_equal(load_graph(directory), graph) and graphs_equal(built, graph)
+            and table == sources)
 
 
 def parse_record(line):

@@ -36,7 +36,7 @@ from conftest import SCENARIO
 from oracles import (
     blake2b_hex,
     builder_load_graph,
-    loads_as,
+    graphs_equal,
     parse_record,
     reference_format_table,
     round_trips,
@@ -187,7 +187,8 @@ def test_two_comments_on_one_line_build_from_the_first(tmp_path, capsys):
     f = "func:src/a.c#f"
     assert [key for key in graph.triples() if key[1] in ("mentions", "touches")] == [
         ("bug:CQ/1", "touches", f), (f, "mentions", "concept:greedy")]
-    assert len(builder_load_graph(out).sources((f, "documented-by", comment.id))) == 1
+    _, sources = builder_load_graph(out)
+    assert len(sources[f, "documented-by", comment.id]) == 1
 
 
 FACTS = {"path": "facts.jsonl", "mode": "facts"}
@@ -209,7 +210,8 @@ def test_a_facts_file_listed_twice_builds_as_listed_once(tmp_path, capsys, again
     assert {p.name: p.read_bytes() for p in twice.iterdir()} == {
         p.name: p.read_bytes() for p in once.iterdir()}
     key = ("func:src/m.c#helper_fx", "calls", "func:src/m.c#drain_ring")
-    assert len(builder_load_graph(twice).sources(key)) == 1
+    _, sources = builder_load_graph(twice)
+    assert len(sources[key]) == 1
 
 
 def test_a_dot_dot_behind_a_symlink_reaches_the_link_targets_sibling(tmp_path, capsys):
@@ -304,33 +306,51 @@ def test_build_missing_bugs_path_exits_2(tmp_path, capsys, key, value, message):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("commits", "a" * 300, "commits path cannot be checked: File name too long: "),
-    ("out", "a" * 300, "out path cannot be checked: File name too long: "),
-    ("sources", [{"path": "a" * 300}], "source path cannot be checked: File name too long: "),
-    ("commits", "commits\n.jsonl",
-     "commits path holds a control character or a lone surrogate: 'commits\\n.jsonl'"),
-    ("out", "o\ud800", "out path holds a control character or a lone surrogate: 'o\\ud800'"),
-    ("commits", 123, "manifest.json: commits path must be a string"),
-    ("commits", ["commits.jsonl"], "manifest.json: commits path must be a string"),
-    ("sources", [{"path": ["src"]}], "manifest.json: source path must be a string"),
-    ("sources", [{"path": "src", "mode": ["parse"]}], "manifest.json: source mode must be a string"),
+@pytest.mark.parametrize("directory, key, value, message", [
+    *[("p", *case) for case in [
+        ("commits", "a" * 300, "commits path cannot be checked: File name too long: "),
+        ("out", "a" * 300, "out path cannot be checked: File name too long: "),
+        ("sources", [{"path": "a" * 300}], "source path cannot be checked: File name too long: "),
+        ("commits", "commits\n.jsonl",
+         "commits path holds a control character or a lone surrogate: 'commits\\n.jsonl'"),
+        ("out", "o\ud800", "out path holds a control character or a lone surrogate: 'o\\ud800'"),
+        ("commits", 123, "manifest.json: commits path must be a string"),
+        ("commits", ["commits.jsonl"], "manifest.json: commits path must be a string"),
+        ("sources", [{"path": ["src"]}], "manifest.json: source path must be a string"),
+        ("sources", [{"path": "src", "mode": ["parse"]}],
+         "manifest.json: source mode must be a string"),
+    ]],
+    # the manifest's own directory starts every path the messages print
+    ("a\nb", "bugs", "nope.jsonl", "manifest path holds a control character: '"),
 ], ids=["long-commits", "long-out", "long-source", "lf", "surrogate", "number", "list",
-        "source-list", "mode-list"])
-def test_a_manifest_path_that_names_no_file_exits_2_with_one_line(tmp_path, capsys, key, value,
-                                                                    message):
+        "source-list", "mode-list", "lf-directory"])
+def test_a_manifest_path_that_names_no_file_exits_2_with_one_line(tmp_path, capsys, directory,
+                                                                    key, value, message):
     """A path value of the manifest that is no JSON string, that holds a
-    control character, or that the file system refuses to look up: exit 2
-    with one error line naming the key, no traceback and no out/."""
-    shutil.copytree(SCENARIO, tmp_path / "p", ignore=shutil.ignore_patterns("out"))
-    manifest = tmp_path / "p" / "manifest.json"
+    control character, or that the file system refuses to look up, or a
+    manifest in a directory whose name holds a control character: exit 2
+    with one error line naming the key or the manifest, no traceback and
+    no out/."""
+    shutil.copytree(SCENARIO, tmp_path / directory, ignore=shutil.ignore_patterns("out"))
+    manifest = tmp_path / directory / "manifest.json"
     doc = json.loads(manifest.read_text(encoding="utf-8"))
     doc[key] = value
     manifest.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["build", "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert not (tmp_path / "p" / "out").exists()
+    assert not (tmp_path / directory / "out").exists()
+
+
+def test_a_manifest_in_a_directory_whose_name_is_not_utf8_builds(scenario_dir, tmp_path, capsys):
+    """A name byte that is not UTF-8 reaches the build as a lone surrogate,
+    which names the directory and is no control character: the tree is
+    the scenario's, byte for byte."""
+    work = Path(os.fsdecode(os.fsencode(tmp_path) + b"/a\xffb"))
+    shutil.copytree(SCENARIO, work, ignore=shutil.ignore_patterns("out"))
+    assert main(["build", "--manifest", str(work / "manifest.json")]) == 0
+    assert {p.name: p.read_bytes() for p in (work / "out").iterdir()} == {
+        p.name: p.read_bytes() for p in (scenario_dir / "out").iterdir()}
 
 
 def test_a_save_that_fails_exits_2_naming_the_file_and_keeps_the_previous_tree(tmp_path,
@@ -567,6 +587,39 @@ MISTYPED_TEXT = [
      "'classes' must be a list of strings"),
     ("bugs.jsonl", '{"id":"99","opened":"2015-01-01T00:00:00Z","error_strings":"disk full"}',
      "'error_strings' must be a list of strings"),
+    ("bugs.jsonl", '{"id":"99","opened":"2015-01-01T00:00:00Z","assignee":null}',
+     "'assignee' must be a string"),
+    ("bugs.jsonl", '{"id":"99","opened":"2015-01-01T00:00:00Z","title":null}',
+     "'title' must be a string"),
+    ("bugs.jsonl", '{"id":99,"opened":"2015-01-01T00:00:00Z"}', "'id' must be a string"),
+    ("bugs.jsonl", '{"id":"99","opened":"2015-01-01T00:00:00Z","closed":20150102}',
+     "'closed' must be a string"),
+    ("trace.jsonl", '{"seq":16.5,"tid":1,"kind":"enter","target":"func:src/VHDLPosedge.cc#main"}',
+     "'seq' and 'tid' must be integers, 'kind' and 'target' strings"),
+    ("trace.jsonl", '{"seq":16,"tid":true,"kind":"enter","target":"func:src/VHDLPosedge.cc#main"}',
+     "'seq' and 'tid' must be integers, 'kind' and 'target' strings"),
+    ("trace.jsonl", '{"seq":16,"tid":1,"kind":"enter","target":42}',
+     "'seq' and 'tid' must be integers, 'kind' and 'target' strings"),
+    ("facts.jsonl", '{"rec":"entity","id":"func:lib.py#ext","kind":"function","label":"ext",'
+     '"attrs":{"external":true}}', "attribute values must be strings"),
+    ("facts.jsonl", '{"rec":"relation","subj":"func:lib.py#run","pred":"calls",'
+     '"obj":"func:lib.py#run","attrs":{"threading":null}}', "attribute values must be strings"),
+    ("facts.jsonl", '{"rec":"entity","id":"func:lib.py#lst","kind":"function","label":"lst",'
+     '"attrs":[]}', "attrs must be an object"),
+    ("facts.jsonl", '{"rec":"entity","id":"func:lib.py#two","kind":"function","label":"two",'
+     '"path":"lib.py","start":"1","end":2}', "span needs a string path and integer start and end"),
+    ("weights.json", '{"classes":["a"],"tau":"0.5","weights":{"a":{}}}',
+     "'tau' must be a finite number"),
+    ("weights.json", '{"classes":["a"],"tau":true,"weights":{"a":{}}}',
+     "'tau' must be a finite number"),
+    ("weights.json", '{"classes":["a"],"tau":NaN,"weights":{"a":{}}}',
+     "'tau' must be a finite number"),
+    ("weights.json", '{"classes":["a"],"weights":{"a":{"f_rec":"0.4"}}}',
+     "weight a/f_rec must be a finite number"),
+    ("weights.json", '{"classes":["a"],"weights":{"a":{"f_rec":-Infinity}}}',
+     "weight a/f_rec must be a finite number"),
+    ("weights.json", '{"classes":["a"],"tau":1%s,"weights":{"a":{}}}' % ("0" * 400),
+     "int too large to convert to float"),
 ]
 
 
@@ -579,6 +632,22 @@ def test_text_field_of_another_type_exits_2(scenario_dir, tmp_path, name, record
     bad_line = (tmp_path / "p" / name).read_bytes().count(b"\n")
     assert_exit_2_naming(proc, name, bad_line if delimited else None)
     assert message in proc.stderr
+
+
+def test_a_commit_field_of_another_type_is_skipped_with_a_warning(scenario_dir, tmp_path):
+    """The commit export's policy for a bad record: the build goes on
+    without it, and report.json names its line."""
+    record = ('{"id":"ffff0000","author_name":"X","author_email":"x@example.com",'
+              '"timestamp":"2015-08-01T00:00:00Z","summary":null,"changes":[]}')
+    proc = run_on_corrupt_input(scenario_dir, tmp_path, "build", "commits.jsonl",
+                                lambda data: data + record.encode() + b"\n")
+    bad_line = (tmp_path / "p" / "commits.jsonl").read_bytes().count(b"\n")
+    assert proc.returncode == 0 and proc.stderr == ""
+    warning = f"line {bad_line}: commits.jsonl: 'summary' must be a string; record skipped"
+    assert f"warning: {warning}\n" in proc.stdout
+    report = json.loads((tmp_path / "p" / "out" / "report.json").read_text(encoding="utf-8"))
+    assert warning in report["warnings"]
+    assert "commit:ffff0000" not in load_graph(tmp_path / "p" / "out").entities
 
 
 def _counting(monkeypatch, module, attr, calls):
@@ -980,7 +1049,7 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
     for manifest in manifests:
         assert main(["build", "--manifest", str(manifest)]) == 0
         builds.append(load_graph(shared))
-    assert not loads_as(*builds)
+    assert not graphs_equal(*builds)
     assert builds[0].entities.keys() == builds[1].entities.keys()  # a mix could load
 
     env = dict(os.environ)
@@ -997,7 +1066,7 @@ def test_readers_during_rebuilds_load_one_build_or_exit_2(tmp_path):
                 except FormatError:
                     outcomes["torn"] += 1
                     continue
-                match = [n for n, built in zip("ab", builds) if loads_as(graph, built)]
+                match = [n for n, built in zip("ab", builds) if graphs_equal(graph, built)]
                 outcomes[match[0] if match else "mixed"] += 1
         except Exception as exc:  # raised below, in the test's own thread
             errors.append(exc)
@@ -1029,22 +1098,22 @@ def test_fixing_commit_found_by_object_lookup(scenario_graph):
 def test_scenario_graph_round_trip_preserves_ranks(scenario_dir, scenario_graph, tmp_path):
     from ckt.graph import save_graph
 
-    built = builder_load_graph(scenario_dir / "out")
-    save_graph(built, tmp_path)
-    assert round_trips(tmp_path, built)
+    built, sources = builder_load_graph(scenario_dir / "out")
+    save_graph(built, sources, tmp_path)
+    assert round_trips(tmp_path, built, sources)
     assert load_graph(tmp_path).pagerank() == scenario_graph.pagerank()
 
 
 def test_closed_world_after_build(scenario_dir, scenario_graph):
     from ckt.graph import LITERAL_PREDICATES
 
-    built = builder_load_graph(scenario_dir / "out")
+    built, sources = builder_load_graph(scenario_dir / "out")
     assert list(built.triples()) == list(scenario_graph.triples())
     for s, p, o in scenario_graph.triples():
         assert s in scenario_graph.entities, s
         if p not in LITERAL_PREDICATES:
             assert o in scenario_graph.entities, o
-        assert built.sources((s, p, o)), (s, p, o)
+        assert sources[s, p, o], (s, p, o)
 
 
 def test_export_triples_byte_identical(scenario_dir, capsys):

@@ -38,7 +38,7 @@ from oracles import (
     builder_load_graph,
     dense_pagerank,
     dict_pagerank,
-    loads_as,
+    graphs_equal,
     node_line,
     provenance_json,
     round_trips,
@@ -53,13 +53,19 @@ _PROV_TEXT = st.text(st.sampled_from('a"\\/\x00\n\t\x1f\x7f\u00e9\u2028\U0001f60
                      | st.characters(), max_size=12)
 
 
-def build(triples, entities=()):
+def built(triples, entities=()):
+    """The graph of `triples` and `entities`, each triple asserted by PROV,
+    and its builder's sources table."""
     builder = GraphBuilder()
     for entity in entities:
         builder.add_entity(entity)
     for s, p, o in triples:
         builder.insert_triple(s, p, o, PROV)
-    return builder.finalize()
+    return builder.finalize(), builder.sources
+
+
+def build(triples, entities=()):
+    return built(triples, entities)[0]
 
 
 def test_duplicate_insert_accumulates_provenance():
@@ -68,7 +74,7 @@ def test_duplicate_insert_accumulates_provenance():
     builder.insert_triple("commit:c1", "fixes", "bug:CQ/22", Provenance("bug-tracker", "x"))
     graph = builder.finalize()
     assert len(graph) == 1
-    assert len(graph.sources(("commit:c1", "fixes", "bug:CQ/22"))) == 2
+    assert len(builder.sources[("commit:c1", "fixes", "bug:CQ/22")]) == 2
 
 
 def test_auto_registration_infers_kind():
@@ -169,9 +175,9 @@ def test_match_order_on_random_graphs(edges, typed, data):
     ones that are not, yields the full scan's keys in the order of the
     index it reads, on the built graph and on its save/load round trip."""
     triples = edges + typed
-    graph = build(triples)
+    graph, sources = built(triples)
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(graph, tmp)
+        save_graph(graph, sources, tmp)
         loaded = load_graph(tmp)
     for shape in itertools.product((False, True), repeat=3):
         s, p, o = (
@@ -216,10 +222,10 @@ def index_graphs(draw):
                          | st.tuples(st.sampled_from(_INDEX_IDS), st.just("has-type"),
                                      st.sampled_from(["int", "func:", "var", "zz"])),
                          max_size=30))
-    graph = build(keys)
+    graph, sources = built(keys)
     if draw(st.booleans()):
         with tempfile.TemporaryDirectory() as tmp:
-            save_graph(graph, tmp)
+            save_graph(graph, sources, tmp)
             graph = load_graph(tmp)
     return graph, set(keys)
 
@@ -394,12 +400,8 @@ def test_neighborhood_is_the_subgraph_induced_by_the_bfs_ball(graph, data):
         assert all(sub.entities[eid] is graph.entities[eid] for eid in ball)
         induced = [k for k in keys if k[0] in ball and k[1] != "has-type" and k[2] in ball]
         assert list(sub.triples()) == induced
-        assert all(sub.sources(k) == graph.sources(k) for k in sub.triples())
-        # the subgraph shares its parent's sources table, but not its keys
         for k in set(keys).difference(induced):
             assert k not in sub
-            with pytest.raises(KeyError):
-                sub.sources(k)
 
 
 # -- triangles ----------------------------------------------------------------
@@ -471,9 +473,10 @@ def test_neighborhood_unknown_node():
 
 
 def test_empty_graph_round_trip(tmp_path):
-    graph = GraphBuilder().finalize()
-    save_graph(graph, tmp_path)
-    assert round_trips(tmp_path, graph)
+    builder = GraphBuilder()
+    graph = builder.finalize()
+    save_graph(graph, builder.sources, tmp_path)
+    assert round_trips(tmp_path, graph, builder.sources)
 
 
 def test_fixture_round_trip_with_spans_and_literals(tmp_path):
@@ -485,15 +488,14 @@ def test_fixture_round_trip_with_spans_and_literals(tmp_path):
         "func:a.c#f", "guards", "var:a.c#v", Provenance("trace", "t", "locks=L1,L2")
     )
     graph = builder.finalize()
-    save_graph(graph, tmp_path)
-    assert round_trips(tmp_path, graph)
-    again = builder_load_graph(tmp_path)
-    assert again.sources(("func:a.c#f", "guards", "var:a.c#v"))[0].detail == "locks=L1,L2"
+    save_graph(graph, builder.sources, tmp_path)
+    assert round_trips(tmp_path, graph, builder.sources)
+    _, again = builder_load_graph(tmp_path)
+    assert again[("func:a.c#f", "guards", "var:a.c#v")][0].detail == "locks=L1,L2"
 
 
 def test_corrupt_triple_line_names_line(tmp_path):
-    graph = build(FIXTURE)
-    save_graph(graph, tmp_path)
+    save_graph(*built(FIXTURE), tmp_path)
     triples = tmp_path / "triples.tsv"
     lines = triples.read_text().splitlines()
     lines[2] = "only\tthree\tfields"
@@ -521,15 +523,15 @@ def builders(draw):
             draw(st.sampled_from(["", "locks=a"])),
         )
         builder.insert_triple(s, p, o, prov)
-    return builder.finalize()
+    return builder.finalize(), builder.sources
 
 
 @settings(max_examples=50, deadline=None)
 @given(builders())
-def test_save_load_round_trip_property(tmp_path_factory, graph):
+def test_save_load_round_trip_property(tmp_path_factory, graph_and_sources):
     directory = tmp_path_factory.mktemp("rt")
-    save_graph(graph, directory)
-    assert round_trips(directory, graph)
+    save_graph(*graph_and_sources, directory)
+    assert round_trips(directory, *graph_and_sources)
 
 
 # sources and origins that repeat across lists and within one, beside any text
@@ -550,7 +552,7 @@ def test_triples_file_lines_equal_json_dumps(tmp_path_factory, lists):
             builder.insert_triple(f"func:h#f{i}", "calls", "func:h#g", prov)
         expected.append(f"func:h#f{i}\tcalls\tfunc:h#g\t{provenance_json(provenance)}\n")
     directory = tmp_path_factory.mktemp("prov")
-    save_graph(builder.finalize(), directory)
+    save_graph(builder.finalize(), builder.sources, directory)
     assert (directory / TRIPLES_FILE).read_bytes() == "".join(expected).encode()
 
 
@@ -585,12 +587,12 @@ def test_streamed_files_equal_the_joined_lines(edges, label, chunk_lines):
     lines = {
         NODES_FILE: [node_line(graph.entities[eid], rank)
                      for eid, rank in sorted(graph.pagerank().items())],
-        TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{provenance_json(graph.sources((s, p, o)))}"
+        TRIPLES_FILE: [f"{s}\t{p}\t{o}\t{provenance_json(builder.sources[s, p, o])}"
                        for s, p, o in graph.triples()],
     }
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(ckt.graph, "CHUNK_LINES", chunk_lines):
-        save_graph(graph, tmp, {"stats.json": "{\u00e9}\n".encode()})
+        save_graph(graph, builder.sources, tmp, {"stats.json": "{\u00e9}\n".encode()})
         files = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
     for name, text in lines.items():
         assert files[name] == "".join(line + "\n" for line in text).encode()
@@ -627,7 +629,7 @@ def spy_on_replace(monkeypatch, fail_on=None):
 
 def test_save_renames_each_file_into_place_and_graph_json_last(tmp_path, monkeypatch):
     names = spy_on_replace(monkeypatch)
-    save_graph(build(FIXTURE), tmp_path, {"stats.json": b"{}\n"})
+    save_graph(*built(FIXTURE), tmp_path, {"stats.json": b"{}\n"})
     assert names == ["nodes.jsonl", "triples.tsv", "stats.json", GRAPH_MANIFEST]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
@@ -640,18 +642,18 @@ def test_save_removes_the_files_of_an_older_build_that_it_does_not_write(tmp_pat
     after the save, graph.json vouches for every file of the directory."""
     for name in ("trace.jsonl", "templates.jsonl", "ranks.tsv"):
         (tmp_path / name).write_bytes(b"old\n")
-    save_graph(build(FIXTURE), tmp_path)
+    save_graph(*built(FIXTURE), tmp_path)
     manifest = json.loads((tmp_path / GRAPH_MANIFEST).read_text(encoding="utf-8"))
     names = sorted(p.name for p in tmp_path.iterdir() if p.name != GRAPH_MANIFEST)
     assert sorted(manifest["blake2b"]) == names == [NODES_FILE, TRIPLES_FILE]
 
 
 def test_failed_save_keeps_the_old_graph_json_which_names_the_changed_file(tmp_path, monkeypatch):
-    save_graph(build(FIXTURE), tmp_path)
+    save_graph(*built(FIXTURE), tmp_path)
     old = (tmp_path / GRAPH_MANIFEST).read_bytes()
     spy_on_replace(monkeypatch, fail_on=GRAPH_MANIFEST)
     with pytest.raises(OSError):  # the same nodes with other ranks, one more triple
-        save_graph(build([*FIXTURE, ("func:a#g", "reads", "var:a#x")]), tmp_path)
+        save_graph(*built([*FIXTURE, ("func:a#g", "reads", "var:a#x")]), tmp_path)
     assert (tmp_path / GRAPH_MANIFEST).read_bytes() == old
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
     # the new files under the old graph.json: a torn directory
@@ -666,13 +668,13 @@ def test_a_save_that_fails_before_its_renames_changes_nothing(tmp_path, monkeypa
     renamed, so a save that fails on a key that UTF-8 cannot encode, or on
     a full disk at graph.json, renames nothing and leaves no temporary
     file behind."""
-    save_graph(build(FIXTURE), tmp_path)
+    save_graph(*built(FIXTURE), tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    new = build([*FIXTURE, ("func:a#g", "reads", "var:a#x")])  # other ranks in nodes.jsonl
+    new, table = built([*FIXTURE, ("func:a#g", "reads", "var:a#x")])  # other ranks in nodes.jsonl
     if failure == "encode":
         key = ("var:a#x", "has-type", "int\ud800")  # which insert_triple refuses
-        table = {k: new.sources(k) for k in new.triples()} | {key: [PROV]}
-        new = KnowledgeGraph(new.entities, table, sorted(table))
+        table = {**table, key: [PROV]}
+        new = KnowledgeGraph(new.entities, sorted(table))
     else:
         write = ckt.graph._write
 
@@ -684,14 +686,15 @@ def test_a_save_that_fails_before_its_renames_changes_nothing(tmp_path, monkeypa
         monkeypatch.setattr(ckt.graph, "_write", full)
     names = spy_on_replace(monkeypatch)
     with pytest.raises(UnicodeEncodeError if failure == "encode" else OSError):
-        save_graph(new, tmp_path)
+        save_graph(new, table, tmp_path)
     assert names == []
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch):
-    old, new = build(FIXTURE), build([*FIXTURE, ("func:a#g", "reads", "var:a#x")])
-    save_graph(old, tmp_path)
+    (old, old_sources), (new, new_sources) = (
+        built(FIXTURE), built([*FIXTURE, ("func:a#g", "reads", "var:a#x")]))
+    save_graph(old, old_sources, tmp_path)
     outcomes = []
     replace = os.replace
 
@@ -702,11 +705,11 @@ def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, mo
         except FormatError:
             outcomes.append("torn")
         else:
-            outcomes.append("old" if loads_as(graph, old)
-                            else "new" if loads_as(graph, new) else "mixed")
+            outcomes.append("old" if graphs_equal(graph, old)
+                            else "new" if graphs_equal(graph, new) else "mixed")
 
     monkeypatch.setattr(os, "replace", load_after)
-    save_graph(new, tmp_path)
+    save_graph(new, new_sources, tmp_path)
     # the new triple changes the ranks, so each rename but the last tears
     assert outcomes == ["torn", "torn", "new"]
 
@@ -720,8 +723,8 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
     """Whichever renames of a rebuild a load follows, it returns one whole
     graph or names, in graph.json, a file whose bytes graph.json does not
     vouch for; never a line of a file whose digest matches."""
-    old, new = build(old_triples), build(new_triples)
-    save_graph(old, tmp_path)
+    (old, old_sources), (new, new_sources) = built(old_triples), built(new_triples)
+    save_graph(old, old_sources, tmp_path)
     outcomes = []
     replace = os.replace
 
@@ -738,11 +741,11 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
             assert blake2b_hex(data) != digests[named[1]]
             outcomes.append(named[1])
         else:
-            outcomes.append("old" if loads_as(graph, old)
-                            else "new" if loads_as(graph, new) else "mixed")
+            outcomes.append("old" if graphs_equal(graph, old)
+                            else "new" if graphs_equal(graph, new) else "mixed")
 
     monkeypatch.setattr(os, "replace", load_after)
-    save_graph(new, tmp_path)
+    save_graph(new, new_sources, tmp_path)
     assert outcomes == ["nodes.jsonl", "nodes.jsonl", "new"]
 
 
@@ -750,9 +753,8 @@ def test_a_read_interleaved_with_the_renames_names_the_old_line(tmp_path):
     """The new nodes.jsonl, the old triples.tsv read just before its
     rename, then the new graph.json: the old triples.tsv differs from its
     digest, so its line error stands, as for a hand edit."""
-    old = build([*FIXTURE, ("func:a#g", "calls", "func:a#old")])
-    save_graph(old, tmp_path / "old")
-    save_graph(build(FIXTURE), tmp_path / "new")
+    save_graph(*built([*FIXTURE, ("func:a#g", "calls", "func:a#old")]), tmp_path / "old")
+    save_graph(*built(FIXTURE), tmp_path / "new")
     (tmp_path / "new" / TRIPLES_FILE).write_bytes((tmp_path / "old" / TRIPLES_FILE).read_bytes())
     with pytest.raises(FormatError) as exc:
         load_graph(tmp_path / "new")

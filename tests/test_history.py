@@ -1,5 +1,7 @@
 """Commit/bug export mining and cross-source linking."""
 
+import json
+
 import pytest
 
 from ckt.errors import ConflictError, FormatError
@@ -62,6 +64,50 @@ def test_malformed_record_warns_with_line_number():
     ])
     assert [c.id for c in commits] == ["ok"]
     assert len(warnings) == 1 and "line 3" in warnings[0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", 7, "'id' must be a string"),
+    ("author_name", None, "'author_name' must be a string"),
+    ("author_email", ["a@x"], "'author_email' must be a string"),
+    ("timestamp", None, "'timestamp' must be a string"),
+    ("summary", None, "'summary' must be a string"),
+    ("changes", [{"path": 5}], "'path' must be a string"),
+    ("changes", [{"path": "a.c", "added": [["1", 2]]}], "bad line range ['1', 2]"),
+    ("changes", [{"path": "a.c", "removed": [[1.0, 2]]}], "bad line range [1.0, 2]"),
+    ("changes", [{"path": "a.c", "added": [[True, 2]]}], "bad line range [True, 2]"),
+    ("changes", [{"path": "a.c", "added": [[1, 2, 3]]}], "bad line range [1, 2, 3]"),
+    ("changes", [{"path": "a.c", "added": "1-2"}], "line ranges must be a list"),
+])
+def test_a_commit_field_of_another_type_skips_the_record_naming_its_line(field, value, message):
+    doc = json.loads(commit_line("bad", "2015-01-01T00:00:00Z", "x"))
+    doc[field] = value
+    commits, warnings = load_commits([
+        COMMITS_HEADER, commit_line("ok", "2015-01-01T00:00:00Z", "fine"), json.dumps(doc),
+    ], "commits.jsonl")
+    assert [c.id for c in commits] == ["ok"]
+    assert warnings == [f"line 3: commits.jsonl: {message}; record skipped"]
+
+
+def test_absent_optional_commit_fields_keep_their_defaults():
+    commits, warnings = load_commits([
+        COMMITS_HEADER, '{"id":"c1","timestamp":"2015-01-01T00:00:00Z",'
+        '"changes":[{"path":"a.c","added":null}]}'])
+    assert warnings == []
+    (commit,) = commits
+    assert (commit.author_name, commit.author_email, commit.summary) == ("", "", "")
+    assert (commit.changes[0].added, commit.changes[0].removed) == ([], [])
+
+
+@pytest.mark.parametrize("closed", [None, '""', "null"], ids=["absent", "empty", "null"])
+def test_a_bug_without_a_closed_date_is_open(closed):
+    line = json.loads(bug_line("5", "t", closed="null"))
+    if closed is None:
+        del line["closed"]
+    else:
+        line["closed"] = json.loads(closed)
+    (bug,) = load_bugs([BUGS_HEADER, json.dumps(line)])
+    assert bug.closed is None
 
 
 def test_bug_error_strings_and_mentions():

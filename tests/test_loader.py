@@ -35,7 +35,7 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import blake2b_hex, dense_pagerank, graphs_equal, loads_as, node_line, round_trips
+from oracles import blake2b_hex, dense_pagerank, graphs_equal, node_line, round_trips
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
@@ -68,7 +68,7 @@ def run_ckt(*args, stdin: str | None = None) -> subprocess.CompletedProcess:
 def test_loaded_ranks_equal_the_built_ranks(scenario_dir, monkeypatch):
     # the builder loader reads no ranks, so its graph computes them as the
     # build did
-    built = oracles.builder_load_graph(scenario_dir / "out").pagerank()
+    built = oracles.builder_load_graph(scenario_dir / "out")[0].pagerank()
     loaded = load_graph(scenario_dir / "out")
 
     def no_recompute(self):
@@ -92,7 +92,7 @@ def test_each_node_line_carries_its_rank(tmp_path):
     builder = GraphBuilder()
     builder.insert_triple("func:a#f", "calls", "func:a#g", Provenance("source-code", "a:1"))
     graph = builder.finalize()
-    save_graph(graph, tmp_path)
+    save_graph(graph, builder.sources, tmp_path)
     rank = graph.pagerank()
     assert (tmp_path / NODES_FILE).read_text(encoding="utf-8") == "".join(
         node_line(graph.entities[eid], rank[eid]) + "\n" for eid in ["func:a#f", "func:a#g"])
@@ -115,9 +115,9 @@ def test_ranks_round_trip_bit_for_bit(nodes):
     entities = {f"func:a.c#f{i}": Entity(f"func:a.c#f{i}", "function", label, None, attrs)
                 for i, (_, label, attrs) in enumerate(nodes)}
     ranks = {eid: rank for eid, (rank, _, _) in zip(entities, nodes)}
-    graph = KnowledgeGraph(entities, {}, [], ranks)
+    graph = KnowledgeGraph(entities, [], ranks)
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(graph, tmp)
+        save_graph(graph, {}, tmp)
         lines = (Path(tmp) / NODES_FILE).read_text(encoding="utf-8").split("\n")
         loaded = load_graph(tmp).rank_table()
     assert lines == [*(node_line(entities[eid], ranks[eid]) for eid in sorted(ranks)), ""]
@@ -131,8 +131,8 @@ def test_entity_with_an_empty_label_round_trips(tmp_path):
     builder.add_entity(Entity("dev:", "developer", ""))
     builder.insert_triple("commit:c1", "authored-by", "dev:", Provenance("version-tracker", "c1"))
     graph = builder.finalize()
-    save_graph(graph, tmp_path)
-    assert round_trips(tmp_path, graph)
+    save_graph(graph, builder.sources, tmp_path)
+    assert round_trips(tmp_path, graph, builder.sources)
 
 
 def set_rank(line: str, text: str | None) -> str:
@@ -261,7 +261,7 @@ def test_hand_written_graph_dir_loads_as_builder_loader_or_names_a_line(files):
 
 def test_loader_matches_builder_loader_on_scenario(scenario_dir):
     out = scenario_dir / "out"
-    assert loads_as(load_graph(out), oracles.builder_load_graph(out))
+    assert graphs_equal(load_graph(out), oracles.builder_load_graph(out)[0])
 
 
 def write_nodes(directory: Path, *entities: Entity) -> None:
@@ -361,7 +361,7 @@ def small_graphs(draw):
     for _ in range(draw(st.integers(0, 10))):
         builder.insert_triple(draw(st.sampled_from(nodes)), draw(st.sampled_from(PREDS[:5])),
                               draw(st.sampled_from(nodes)), draw(PROVS))
-    return builder.finalize()
+    return builder.finalize(), builder.sources
 
 
 def mutate_files(directory: str, data) -> None:
@@ -381,30 +381,29 @@ def graph_bytes(directory: str) -> dict[str, bytes]:
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(), st.data())
-def test_fuzzed_graph_dir_loads_or_names_a_line(graph, data):
+def test_fuzzed_graph_dir_loads_or_names_a_line(graph_and_sources, data):
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(graph, tmp)
+        save_graph(*graph_and_sources, tmp)
         saved = graph_bytes(tmp)
         mutate_files(tmp, data)
         changed = graph_bytes(tmp) != saved
         try:
-            loaded = load_graph(tmp)
+            load_graph(tmp)
         except CktError as exc:
             assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
         else:
             assert not changed  # graph.json lets no changed byte load
-            assert loads_as(loaded, graph)
-            assert graphs_equal(oracles.builder_load_graph(tmp), graph)
+            assert round_trips(tmp, *graph_and_sources)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(), st.data())
-def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph, data):
+def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph_and_sources, data):
     """Files changed after the build under a graph.json rewritten to vouch
     for them: the load either gives what the builder loader gives or
     FormatError with a line."""
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(graph, tmp)
+        save_graph(*graph_and_sources, tmp)
         mutate_files(tmp, data)
         if data.draw(st.booleans()):  # two lines of one file trade places
             path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE]))
@@ -429,7 +428,7 @@ def assert_loads_as_builder_loader(directory) -> None:
         assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
     else:
         assert oracles.same_nodes_and_keys(
-            loaded, oracles.builder_load_graph(directory, sources=False))
+            loaded, oracles.builder_load_graph(directory, sources=False)[0])
         docs = map(json.loads, (Path(directory) / NODES_FILE).read_text(encoding="utf-8").split(
             "\n")[:-1])
         assert list(loaded.pagerank().items()) == [(doc["id"], doc["rank"]) for doc in docs]
@@ -631,7 +630,7 @@ def test_no_command_parses_a_forged_provenance_column(scenario_dir, tmp_path):
     manifest = json.loads((out / GRAPH_MANIFEST).read_text(encoding="utf-8"))
     manifest["blake2b"][TRIPLES_FILE] = blake2b_hex(path.read_bytes())  # the copies' digests stay
     (out / GRAPH_MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    assert loads_as(load_graph(out), load_graph(scenario_dir / "out"))
+    assert graphs_equal(load_graph(out), load_graph(scenario_dir / "out"))
     related = f":related {lines[0].split()[0]} 1\n:quit\n"
     for args, stdin in [(("query", "--format", "records", SELECT), None), (("repl",), related)]:
         forged, unforged = (run_ckt(args[0], "--graph", str(graph), *args[1:], stdin=stdin)
@@ -643,29 +642,17 @@ def test_no_command_parses_a_forged_provenance_column(scenario_dir, tmp_path):
     assert export.stdout == path.read_text(encoding="utf-8")
 
 
-def test_a_loaded_graph_keeps_no_sources(scenario_dir, tmp_path):
-    """sources() on a loaded graph, or on a neighbourhood of one, and a
-    save of a loaded graph raise CktError, and the save writes no file."""
-    loaded = load_graph(scenario_dir / "out")
-    key = next(loaded.triples())
-    for graph in (loaded, loaded.neighborhood(key[0], 1)):
-        with pytest.raises(CktError, match="a loaded graph keeps no sources"):
-            graph.sources(key)
-    with pytest.raises(CktError, match="a loaded graph keeps no sources"):
-        save_graph(loaded, tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_graphs(), st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(PREDS),
                                           st.sampled_from([*IDS, "int"])), max_size=12))
-def test_membership_in_a_loaded_graph_equals_the_builder_loaders(graph, drawn):
+def test_membership_in_a_loaded_graph_equals_the_builder_loaders(graph_and_sources, drawn):
     """Drawn keys, and every key the graph has, are in the loaded graph
     exactly when they are in the builder loader's graph of the same files,
     at the first membership test and at the ones after it."""
+    graph = graph_and_sources[0]
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(graph, tmp)
-        loaded, built = load_graph(tmp), oracles.builder_load_graph(tmp)
+        save_graph(*graph_and_sources, tmp)
+        loaded, (built, _) = load_graph(tmp), oracles.builder_load_graph(tmp)
     for key in [*drawn, *graph.triples(), *drawn]:
         assert (key in loaded) == (key in built), key
 
@@ -680,7 +667,7 @@ def test_a_load_holds_no_more_than_a_block_of_triples_beyond_its_graph(tmp_path)
         for j, callee in enumerate(funcs):
             builder.insert_triple(caller, "calls", callee,
                                   Provenance("source-code", f"a.c:{i * 40 + j}", "x" * 40))
-    save_graph(builder.finalize(), tmp_path)
+    save_graph(builder.finalize(), builder.sources, tmp_path)
     size = (tmp_path / TRIPLES_FILE).stat().st_size
     assert size > 3 * READ_BLOCK
     tracemalloc.start()
