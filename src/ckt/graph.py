@@ -19,7 +19,9 @@ before it renames any, and renames graph.json last; nodes.jsonl carries
 each node's PageRank score.  load_graph reads a directory only with it:
 it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
-it, and then checks each file against its digest.
+it, and then checks each file against its digest.  Given a cache
+directory, load_graph decodes a graph whose bytes it has parsed before
+from its entry there instead (see ckt.graphcache).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple, NoReturn
 
-from ckt import ids
+from ckt import graphcache, ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Span
 from ckt.textio import not_utf8
@@ -561,7 +563,8 @@ def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], d
         raise
 
 
-def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
+def load_graph(directory, copies: dict[str, bytes | None] | None = None,
+               cache: Path | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
     nodes.jsonl and triples.tsv are opened in the order save_graph writes
@@ -592,13 +595,52 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
+
+    With a `cache` directory (see ckt.graphcache), graph.json's format is
+    checked first, and the graph is decoded from the directory's entry in
+    the cache when the entry records a parse of files with graph.json's
+    digests, the open graph files hash to them, and the copies match
+    graph.json too.  Else the files are parsed as above, and once the
+    graph loads, its entry is written with the digests of the bytes parsed.
     """
     directory = Path(directory)
+    copies = copies or {}
     with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
-        entities, spo, ranks, digests = _parse_graph(files, manifest, copies or {})
+        if cache is not None:
+            entry = graphcache.entry_path(cache, directory)
+            cached = graphcache.read(entry, FORMAT_VERSION,
+                                     partial(_fresh, files, _manifest_digests(manifest), copies))
+            if cached is not None:
+                return KnowledgeGraph(*cached)
+            for file in files.values():
+                file.seek(0)
+        entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
+    if cache is not None:
+        graphcache.write(entry, FORMAT_VERSION, {name: digests[name] for name in GRAPH_FILES},
+                         entities, spo, ranks)
     return KnowledgeGraph(entities, spo, ranks)
+
+
+def _fresh(files: dict[str, BinaryIO], vouched: dict, copies: dict[str, bytes | None],
+           stored: dict) -> bool:
+    """Whether a cache entry whose graph files had the digests `stored`
+    holds the graph of the open graph `files`: graph.json's table
+    `vouched` gives each graph file the digest stored, each file's bytes
+    have it, and it vouches for `copies`."""
+    if stored != {name: vouched.get(name) for name in GRAPH_FILES}:
+        return False
+    digests = {name: _stream_digest(files[name]) for name in GRAPH_FILES}
+    return _changed(vouched, {**digests, **_digests(copies)}) is None
+
+
+def _stream_digest(file: BinaryIO) -> str:
+    """The hex digest of the bytes of `file`, read READ_BLOCK at a time."""
+    digest = _blake2b(digest_size=DIGEST_SIZE)
+    while chunk := file.read(READ_BLOCK):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def check_files(directory, files: dict[str, bytes | None]) -> None:
@@ -661,18 +703,23 @@ def _check_digests(manifest: bytes, digests: dict[str, str | None]) -> None:
     `digests` (name -> the digest of the bytes read, or None for a file
     found absent) whose digest differs from graph.json's, or that
     graph.json lists and the directory lacks, or the other way round."""
-    vouched = _manifest_digests(manifest)
+    name = _changed(_manifest_digests(manifest), digests)
+    if name is not None:
+        text = manifest.decode("utf-8", "replace").split("\n")
+        line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
+        raise FormatError(
+            f"{GRAPH_MANIFEST}: {name} does not match its BLAKE2b digest here; it changed "
+            "after the build, or a build rewrote it while it was read", line)
+
+
+def _changed(vouched: dict, digests: dict[str, str | None]) -> str | None:
+    """The first file of `digests` whose digest is not the one in the
+    graph.json table `vouched`, or that only one of them lists; None when
+    there is none."""
     for name, digest in digests.items():
-        if digest is None:
-            changed = name in vouched
-        else:
-            changed = vouched.get(name) != digest
-        if changed:
-            text = manifest.decode("utf-8", "replace").split("\n")
-            line = next((i for i, x in enumerate(text, start=1) if f'"{name}"' in x), 1)
-            raise FormatError(
-                f"{GRAPH_MANIFEST}: {name} does not match its BLAKE2b digest here; it changed "
-                "after the build, or a build rewrote it while it was read", line)
+        if (name in vouched) if digest is None else vouched.get(name) != digest:
+            return name
+    return None
 
 
 def _manifest_digests(manifest: bytes) -> dict:

@@ -104,6 +104,16 @@ def _ranges(raw, name: str, lineno: int) -> list[tuple[int, int]]:
     return out
 
 
+def _changes(doc: dict, name: str, lineno: int) -> list[dict]:
+    """The record's changes: a JSON list of objects, or absent for none."""
+    changes = doc.get("changes", [])
+    if type(changes) is not list:
+        raise FormatError(f"{name}: 'changes' must be a list", lineno)
+    if not all(type(ch) is dict for ch in changes):
+        raise FormatError(f"{name}: each change must be an object", lineno)
+    return changes
+
+
 def load_commits(
     lines: Iterable[str] | IO[str], name: str = "commits"
 ) -> tuple[list[Commit], list[str]]:
@@ -119,7 +129,7 @@ def load_commits(
                     added=_ranges(ch.get("added"), name, lineno),
                     removed=_ranges(ch.get("removed"), name, lineno),
                 )
-                for ch in doc.get("changes", [])
+                for ch in _changes(doc, name, lineno)
             ]
             commit = Commit(
                 id=_text(doc, "id", name, lineno),

@@ -1,3 +1,4 @@
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -10,6 +11,21 @@ from ckt.cli import cmd_build
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCENARIO = FIXTURES / "scenario"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def graph_cache_home(tmp_path_factory) -> Path:
+    """XDG_CACHE_HOME, for this process and each one it starts, is a
+    temporary directory, so no query of the suite writes to ~/.cache; the
+    graph cache is its ckt directory."""
+    home = tmp_path_factory.mktemp("xdg-cache")
+    saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(home)
+    yield home
+    if saved is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
 
 
 @pytest.fixture(scope="session")

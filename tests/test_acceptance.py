@@ -4,14 +4,10 @@ Each test prints one pass line (visible with -s or in captured output);
 a failed assertion marks the criterion red.
 """
 
-import filecmp
 import json
 import random
 import shutil
 import time
-from pathlib import Path
-
-import pytest
 
 from ckt.extraction.cparser import parse_source
 from ckt.extraction.facts import load_facts

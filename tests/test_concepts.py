@@ -20,7 +20,7 @@ from ckt.errors import ConfigError, DomainError
 from ckt.extraction.comments import extract_comments
 from ckt.extraction.cparser import parse_source
 from ckt.extraction.traces import load_trace
-from ckt.model import Entity, FactSet, Relation, TraceEvent, TraceLog
+from ckt.model import Entity, Relation, TraceEvent, TraceLog
 from oracles import held_locks_at
 
 

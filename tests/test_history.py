@@ -78,6 +78,11 @@ def test_malformed_record_warns_with_line_number():
     ("changes", [{"path": "a.c", "added": [[True, 2]]}], "bad line range [True, 2]"),
     ("changes", [{"path": "a.c", "added": [[1, 2, 3]]}], "bad line range [1, 2, 3]"),
     ("changes", [{"path": "a.c", "added": "1-2"}], "line ranges must be a list"),
+    ("changes", None, "'changes' must be a list"),
+    ("changes", {"a": 1}, "'changes' must be a list"),
+    ("changes", "a.c", "'changes' must be a list"),
+    ("changes", ["a.c"], "each change must be an object"),
+    ("changes", [{"path": "a.c"}, None], "each change must be an object"),
 ])
 def test_a_commit_field_of_another_type_skips_the_record_naming_its_line(field, value, message):
     doc = json.loads(commit_line("bad", "2015-01-01T00:00:00Z", "x"))

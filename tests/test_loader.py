@@ -3,7 +3,9 @@ loader against the GraphBuilder loader in oracles.py, loaded ranks against
 the built and the dense ones, corrupt, hand-written and forged graph
 directories, each of which loads as the GraphBuilder loader reads it or
 names a file and a line, and graph.json: missing, changed and torn
-directories."""
+directories.  Each error case meets a warm entry for its directory in the
+graph cache, and the load through the cache must raise what the strict
+load raises."""
 
 import hashlib
 import json
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import ckt.graph
 import oracles
+from ckt import graphcache
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
@@ -42,9 +45,35 @@ SELECT = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
 
 
 def copy_graph(scenario_dir, tmp_path) -> Path:
+    """A copy of the scenario's graph with an entry in the suite's graph
+    cache, so that each load of the copy through the cache, each query of
+    it among them, meets a warm entry however the test changes the copy."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
+    load_graph(out, cache=graphcache.user_dir())
     return out
+
+
+def warm(directory: Path) -> None:
+    """Save a graph of one call in `directory` and load it through the
+    suite's graph cache, so that the directory has a warm entry when the
+    test writes its own files over the graph's."""
+    builder = GraphBuilder()
+    builder.insert_triple("func:h.c#f0", "calls", "func:h.c#f0", Provenance("source-code", "h.c:1"))
+    save_graph(builder.finalize(), builder.sources, directory)
+    load_graph(directory, cache=graphcache.user_dir())
+
+
+def load_error(directory, error, match=None) -> pytest.ExceptionInfo:
+    """What loading `directory` raises, which must be `error`: strictly, and
+    through the suite's graph cache with the same message, where
+    copy_graph or warm has left an entry for the directory."""
+    with pytest.raises(error, match=match) as strict:
+        load_graph(directory)
+    with pytest.raises(error, match=match) as cached:
+        load_graph(directory, cache=graphcache.user_dir())
+    assert str(cached.value) == str(strict.value)
+    return strict
 
 
 def write_manifest(directory: Path) -> None:
@@ -166,8 +195,7 @@ def test_a_rank_that_save_graph_would_not_write_exits_2_naming_its_line(scenario
     with pytest.raises(FormatError) as exc:
         oracles.builder_load_graph(out)
     assert exc.value.line == 3
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert exc.value.line == 3 and NODES_FILE in str(exc.value)
     proc = run_ckt("query", "--graph", str(out), "--format", "records", SELECT)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -178,14 +206,15 @@ def test_a_rank_that_save_graph_would_not_write_exits_2_naming_its_line(scenario
 def test_a_dir_missing_one_file_names_it(scenario_dir, tmp_path, name):
     out = copy_graph(scenario_dir, tmp_path)
     (out / name).unlink()
-    with pytest.raises(NotFoundError) as exc:
-        load_graph(out)
+    exc = load_error(out, NotFoundError)
     assert str(exc.value) == f"no graph found in {out}: missing {name}"
 
 
 def test_an_empty_dir_names_every_missing_file(tmp_path):
-    with pytest.raises(NotFoundError) as exc:
-        load_graph(tmp_path)
+    warm(tmp_path)
+    for name in (NODES_FILE, TRIPLES_FILE, GRAPH_MANIFEST):
+        (tmp_path / name).unlink()
+    exc = load_error(tmp_path, NotFoundError)
     assert str(exc.value) == (f"no graph found in {tmp_path}: missing "
                               f"{NODES_FILE}, {TRIPLES_FILE}, {GRAPH_MANIFEST}")
 
@@ -272,6 +301,7 @@ def write_nodes(directory: Path, *entities: Entity) -> None:
 def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
     # both ends are nodes, and yet the loader must reject an entity id where
     # the predicate takes a literal
+    warm(tmp_path)
     write_nodes(tmp_path, Entity("func:h.c#f0", "function", "f0"),
                 Entity("var:h.c#g", "variable", "g"))
     prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
@@ -279,8 +309,7 @@ def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
         f"func:h.c#f0\twrites\tvar:h.c#g\t{prov}\nfunc:h.c#f0\thas-type\tvar:h.c#g\t{prov}\n",
         encoding="utf-8")
     write_manifest(tmp_path)
-    with pytest.raises(FormatError, match="literal expected") as exc:
-        load_graph(tmp_path)
+    exc = load_error(tmp_path, FormatError, match="literal expected")
     assert exc.value.line == 2 and TRIPLES_FILE in str(exc.value)
 
 
@@ -296,13 +325,13 @@ def test_literal_predicate_with_a_node_object_names_the_line(tmp_path):
 def test_each_insertion_error_names_the_line(tmp_path, line, message):
     """The builder's insertion messages, which the loader gives for the same
     triples, each behind its triples.tsv line."""
+    warm(tmp_path)
     prov = json.dumps([{"origin": "h.c:1", "source": "source-code"}])
     write_nodes(tmp_path, Entity("func:h.c#f0", "function", "f0"))
     (tmp_path / TRIPLES_FILE).write_text(
         f"func:h.c#f0\tcalls\tfunc:h.c#f0\t{prov}\n{line}\t{prov}\n", encoding="utf-8")
     write_manifest(tmp_path)
-    with pytest.raises(FormatError) as exc:
-        load_graph(tmp_path)
+    exc = load_error(tmp_path, FormatError)
     assert str(exc.value) == f"line 2: {message}"
 
 
@@ -384,11 +413,12 @@ def graph_bytes(directory: str) -> dict[str, bytes]:
 def test_fuzzed_graph_dir_loads_or_names_a_line(graph_and_sources, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(*graph_and_sources, tmp)
+        load_graph(tmp, cache=graphcache.user_dir())
         saved = graph_bytes(tmp)
         mutate_files(tmp, data)
         changed = graph_bytes(tmp) != saved
         try:
-            load_graph(tmp)
+            load_both(tmp)
         except CktError as exc:
             assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
         else:
@@ -404,6 +434,7 @@ def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph_and_sourc
     FormatError with a line."""
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(*graph_and_sources, tmp)
+        load_graph(tmp, cache=graphcache.user_dir())
         mutate_files(tmp, data)
         if data.draw(st.booleans()):  # two lines of one file trade places
             path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE]))
@@ -421,9 +452,10 @@ def assert_loads_as_builder_loader(directory) -> None:
     """The load of `directory` has the entities and keys of the builder
     loader's graph of the same files, which reads no provenance column
     either, its nodes in ascending id order with the ranks of nodes.jsonl,
-    line by line, or raises FormatError with a line."""
+    line by line, or raises FormatError with a line, as the load through
+    the suite's graph cache does."""
     try:
-        loaded = load_graph(directory)
+        loaded = load_both(directory)
     except CktError as exc:
         assert isinstance(exc, FormatError) and exc.line is not None, repr(exc)
     else:
@@ -433,6 +465,18 @@ def assert_loads_as_builder_loader(directory) -> None:
             "\n")[:-1])
         assert list(loaded.pagerank().items()) == [(doc["id"], doc["rank"]) for doc in docs]
         assert list(loaded.entities) == sorted(loaded.entities)
+
+
+def load_both(directory) -> KnowledgeGraph:
+    """The strict load of `directory`, which the load through the suite's
+    graph cache equals; or the strict load's error, which that raises too."""
+    try:
+        loaded = load_graph(directory)
+    except CktError as exc:
+        load_error(directory, type(exc))
+        raise
+    assert graphs_equal(load_graph(directory, cache=graphcache.user_dir()), loaded)
+    return loaded
 
 
 def edit_record(i: int, **fields):
@@ -564,8 +608,7 @@ def test_a_node_line_that_starts_with_no_json_value_names_the_line(scenario_dir,
     if forged:
         write_manifest(out)
     message = "line 4: not a node record that ckt build writes in nodes.jsonl"
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert str(exc.value) == message
     proc = run_ckt("query", "--graph", str(out), SELECT)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -578,8 +621,7 @@ def test_forgery_without_the_last_lf_names_the_last_line(scenario_dir, tmp_path,
     data = (out / name).read_bytes()
     (out / name).write_bytes(data[:-1])
     write_manifest(out)
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert exc.value.line == data.count(b"\n") and name in str(exc.value)
 
 
@@ -608,8 +650,7 @@ def test_a_cr_or_a_missing_last_lf_is_named_before_an_earlier_bad_line(scenario_
         message = f"line {len(lines)}: no line feed at the end of {name}"
         path.write_bytes("\n".join(lines).encode("utf-8"))
     write_manifest(out)
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert str(exc.value) == message
 
 
@@ -625,8 +666,8 @@ def test_no_command_parses_a_forged_provenance_column(scenario_dir, tmp_path):
     for i, column in enumerate(["[]", '[{"origin": "o", "source": 1}]', "[{"]):
         edit_field(i, 3, column)(lines)
     path.write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8"))
-    with pytest.raises(FormatError, match="graph.json: triples.tsv does not match"):
-        load_graph(out)  # a hand edit, which the digest refuses
+    # a hand edit, which the digest refuses
+    load_error(out, FormatError, match="graph.json: triples.tsv does not match")
     manifest = json.loads((out / GRAPH_MANIFEST).read_text(encoding="utf-8"))
     manifest["blake2b"][TRIPLES_FILE] = blake2b_hex(path.read_bytes())  # the copies' digests stay
     (out / GRAPH_MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -690,8 +731,7 @@ def test_a_valid_line_changed_after_the_build_names_the_file_in_graph_json(scena
     lines = nodes.read_text(encoding="utf-8").split("\n")
     edit_record(0, label="edited")(lines)  # a line save_graph could have written
     nodes.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert str(exc.value) == (
         "line 4: graph.json: nodes.jsonl does not match its BLAKE2b digest here; it changed "
         "after the build, or a build rewrote it while it was read")
@@ -716,8 +756,7 @@ def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tm
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     lines[2] = set_rank(lines[2], "0.1x")
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert str(exc.value).startswith("line 3: not a line that ckt build writes in nodes.jsonl")
 
 
@@ -734,8 +773,7 @@ def test_a_bad_line_under_graph_json_is_named_before_the_digest(scenario_dir, tm
 def test_a_bad_graph_json_names_its_line(scenario_dir, tmp_path, text, lineno):
     out = copy_graph(scenario_dir, tmp_path)
     (out / GRAPH_MANIFEST).write_text(text, encoding="utf-8")
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert exc.value.line == lineno and GRAPH_MANIFEST in str(exc.value)
 
 
@@ -761,8 +799,7 @@ def test_a_graph_json_of_an_older_format_asks_for_a_rebuild(scenario_dir, tmp_pa
                                       encoding="utf-8")
     message = (f"line 1: graph.json: the graph is in format {version}, and this ckt reads "
                "format 3; run ckt build again")
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert str(exc.value) == message
     for args in [("query", SELECT), ("repl",), ("export", "--what", "triples")]:
         proc = run_ckt(args[0], "--graph", str(out), *args[1:])
@@ -789,6 +826,5 @@ def test_bytes_that_are_not_utf8_name_the_line(scenario_dir, tmp_path, name):
     lines = path.read_bytes().split(b"\n")
     lines[2] = lines[2][:5] + b"\xff\xfe" + lines[2][5:]
     path.write_bytes(b"\n".join(lines))
-    with pytest.raises(FormatError) as exc:
-        load_graph(out)
+    exc = load_error(out, FormatError)
     assert exc.value.line == 3 and name in str(exc.value)
