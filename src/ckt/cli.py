@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from ckt import graphcache, ids
+from ckt import ids
 from ckt.errors import CktError, SlotError
 from ckt.extraction.traces import load_trace
 from ckt.graph import (
@@ -100,7 +100,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
             trace = load_trace(utf8_lines(TRACE_COPY, copies[TRACE_COPY]), name=TRACE_COPY)
         registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
-        graph = load_graph(graph_dir, copies, graphcache.user_dir())
+        graph = load_graph(graph_dir, copies)
         gc.freeze()
     return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, trace))
 

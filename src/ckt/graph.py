@@ -19,9 +19,9 @@ before it renames any, and renames graph.json last; nodes.jsonl carries
 each node's PageRank score.  load_graph reads a directory only with it:
 it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
-it, and then checks each file against its digest.  Given a cache
-directory, load_graph decodes a graph whose bytes it has parsed before
-from its entry there instead (see ckt.graphcache).
+it, and then checks each file against its digest.  A graph whose bytes
+it has parsed before it decodes from its entry in the user's graph cache
+instead (see ckt.graphcache).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import json
 import math
 import os
 import re
+import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import ExitStack, contextmanager
@@ -563,8 +564,7 @@ def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], d
         raise
 
 
-def load_graph(directory, copies: dict[str, bytes | None] | None = None,
-               cache: Path | None = None) -> KnowledgeGraph:
+def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
     nodes.jsonl and triples.tsv are opened in the order save_graph writes
@@ -596,17 +596,19 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None,
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
 
-    With a `cache` directory (see ckt.graphcache), graph.json's format is
-    checked first, and the graph is decoded from the directory's entry in
-    the cache when the entry records a parse of files with graph.json's
-    digests, the open graph files hash to them, and the copies match
-    graph.json too.  Else the files are parsed as above, and once the
-    graph loads, its entry is written with the digests of the bytes parsed.
+    With the user's graph cache (ckt.graphcache.private_dir), graph.json's
+    format is checked first, and the graph is decoded from the directory's
+    entry in the cache when the entry records a parse of files with
+    graph.json's digests, the open graph files hash to them, and the
+    copies match graph.json too.  Else the files are parsed as above, and
+    once the graph loads, its entry is written with the digests of the
+    bytes parsed.  With no cache, the files are only parsed.
     """
     directory = Path(directory)
     copies = copies or {}
     with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
+        cache = graphcache.private_dir()
         if cache is not None:
             entry = graphcache.entry_path(cache, directory)
             cached = graphcache.read(entry, FORMAT_VERSION,
@@ -758,7 +760,8 @@ def _byte_error(name: str, data: bytes, lines_before: int = 0) -> FormatError | 
 # gives the value at the start of the line and where it stops, less
 # JSONDecoder.raw_decode's wrapper per call
 _SCAN = make_scanner(json.JSONDecoder())
-_PREDICATE = {p: p for p in PREDICATES}
+_PREDICATE = {p: sys.intern(p) for p in PREDICATES}
+_KIND = {k: sys.intern(k) for k in ids.ENTITY_KINDS}  # Entity rejects any other
 
 
 def _parse_graph(files: dict[str, BinaryIO], manifest: bytes,
@@ -844,8 +847,11 @@ def _node_block(entities: dict[str, Entity], ranks: dict[str, float], lines: lis
                 n: int) -> None:
     """Add the node and the rank of each line of nodes.jsonl in `lines`,
     the lines after its first n, to `entities` and `ranks`; FormatError
-    names the first line that save_graph would not write."""
+    names the first line that save_graph would not write.  Each kind,
+    span path and attribute key is interned: the graph holds one string
+    for each, and ckt.graphcache writes and decodes it once per record."""
     name = NODES_FILE
+    intern = sys.intern
     last = next(reversed(entities), "")  # the id on the line before the block
     lineno = n
     try:
@@ -861,18 +867,21 @@ def _node_block(entities: dict[str, Entity], ranks: dict[str, float], lines: lis
             for value in attrs.values():
                 if type(value) is not str:
                     raise FormatError(f"attribute value {value!r} is no string in {name}", lineno)
+            if attrs:
+                attrs = {intern(key): value for key, value in attrs.items()}
             if not eid > last:
                 raise FormatError(f"node {eid!r} does not follow {last!r} in {name}", lineno)
             start, end, rank = doc["start"], doc["end"], doc["rank"]
             if path is None and start is None and end is None:
                 span = None
             elif type(path) is str and type(start) is int and type(end) is int:
-                span = Span(path, start, end)
+                span = Span(intern(path), start, end)
             else:
                 raise FormatError(f"span needs a string path and integer lines in {name}", lineno)
             if type(rank) is not float or not math.isfinite(rank):
                 raise FormatError(f"expected a finite rank for {eid!r} in {name}", lineno)
-            entities[eid] = Entity(eid, doc["kind"], label, span, attrs)
+            kind = doc["kind"]
+            entities[eid] = Entity(eid, _KIND.get(kind, kind), label, span, attrs)
             ranks[eid] = rank
             last = eid
     except (KeyError, TypeError, ValueError, RecursionError) as exc:

@@ -12,7 +12,9 @@ hash-checked .pyc file (PEP 552), an entry is only ever used for the
 bytes it was made from, so deleting the cache is always safe.
 
 The cache lives in $XDG_CACHE_HOME/ckt, or ~/.cache/ckt, never in a graph
-directory: a query must not write where `ckt build` writes.  An entry is
+directory: a query must not write where `ckt build` writes.  It is used
+only while that directory is this user's, with no access for any other
+(private_dir).  An entry is
 <BLAKE2b-128 of the resolved graph directory>.graph, a sequence of
 records, each its payload's length (4 bytes, little-endian), a BLAKE2b-128
 digest of every payload of the entry up to and including its own, and a
@@ -30,10 +32,9 @@ from __future__ import annotations
 
 import marshal
 import os
+import stat
 import sys
-from bisect import bisect_left
 from collections.abc import Callable
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
@@ -62,6 +63,24 @@ def user_dir() -> Path | None:
         return Path(base, "ckt")
     home = os.environ.get("HOME", "")
     return Path(home, ".cache", "ckt") if os.path.isabs(home) else None
+
+
+def private_dir() -> Path | None:
+    """user_dir(), made with mode 0700 if absent, when it is a directory
+    that this user owns and no other user may read, write or enter; else
+    None: no cache.  An entry in a directory that another user can write
+    could be forged, digests and all, since they have no key."""
+    cache = user_dir()
+    if cache is None:
+        return None
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        found = os.stat(cache)
+    except OSError:
+        return None
+    private = (stat.S_ISDIR(found.st_mode) and found.st_uid == os.getuid()
+               and not found.st_mode & 0o077)
+    return cache if private else None
 
 
 def entry_path(cache: Path, directory: Path) -> Path:
@@ -127,15 +146,13 @@ def _decode(file: BinaryIO, tag: tuple, fresh) -> tuple:
 
 def write(path: Path, format_version: int, digests: dict[str, str],
           entities: dict[str, Entity], spo: list, ranks: dict[str, float]) -> None:
-    """Write the entry at `path` for the graph that a strict parse of bytes
-    with `digests` gave, through a temporary file renamed into place, and
-    keep the KEEP newest entries of its directory, which is made if
-    absent.  Each entity written takes the interned strings it is written
-    with.  A cache that cannot be written is left as it is, and nothing
-    raised."""
+    """Write the entry at `path`, in a directory of private_dir's, for the
+    graph that a strict parse of bytes with `digests` gave, through a
+    temporary file renamed into place, and keep the KEEP newest entries of
+    the directory.  A cache that cannot be written is left as it is, and
+    nothing raised."""
     cache = path.parent
     try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
         tmp = cache / f".{path.name}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as file:
@@ -158,32 +175,21 @@ def _encode(file: BinaryIO, tag: tuple, digests: dict[str, str], entities: dict[
         file.write(len(payload).to_bytes(4, "little") + chain.digest())
         file.write(payload)
 
-    # interned, each kind, span path and attribute key is written once per
-    # record, and a decoded entry shares one string for each of them; each
-    # entity takes them too, so the graph just parsed is as small as that
-    intern = sys.intern
+    # the load interns each kind, span path, attribute key and predicate,
+    # so marshal writes each once per record, and a decoded entry shares
+    # one string for each of them, as the parsed graph does
     record((tag, digests, len(entities), len(spo)))
     nodes = iter(entities.values())
     while batch := list(islice(nodes, RECORD)):
-        rows = []
-        for e in batch:
-            e.kind = intern(e.kind)
-            e.attrs = {intern(k): v for k, v in e.attrs.items()}
-            span = e.span and (intern(e.span.path), e.span.start, e.span.end)
-            e.span = span and tuple.__new__(Span, span)
-            rows.append((e.id, e.kind, e.label, span, e.attrs, ranks[e.id]))
-        record(rows)
-    # each node's index is found by bisection of the ids, not kept in a
-    # table: a table of the 4,100 nodes of a 100-file project holds about
-    # 0.3 MB, more than a record, at the peak of the query that writes
-    ids = list(entities)
-    find = partial(bisect_left, ids)
+        record([(e.id, e.kind, e.label, e.span and tuple(e.span), e.attrs, ranks[e.id])
+                for e in batch])
+    # each end of a key is written as its node's index in id order; an
+    # object that is no node is a literal, written as it is
+    index = {eid: i for i, eid in enumerate(entities)}
     for start in range(0, len(spo), RECORD):
         subjects, predicates, objects = zip(*spo[start:start + RECORD])
-        found = map(find, objects)
-        record((list(map(find, subjects)), list(map(intern, predicates)),
-                [i if i < len(ids) and ids[i] == o else o  # else a literal
-                 for i, o in zip(found, objects)]))
+        record((list(map(index.__getitem__, subjects)), predicates,
+                list(map(index.get, objects, objects))))
 
 
 def _prune(cache: Path) -> None:

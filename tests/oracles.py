@@ -24,7 +24,8 @@ the package's normalize_tokens.  `reference_rank_results`,
 `reference_contains_rows` and `reference_format_table` are the row path of
 an answer as it was before its per-row loops moved into C builtins; the
 CONTAINS one reads the package's search texts.  The helpers at the end
-compare and parse what the package produces.
+compare and parse what the package produces; `strict_load_graph` is
+load_graph without its graph cache.
 """
 
 from __future__ import annotations
@@ -1850,6 +1851,17 @@ def round_trips(directory, graph, sources):
     built, table = builder_load_graph(directory)
     return (graphs_equal(load_graph(directory), graph) and graphs_equal(built, graph)
             and table == sources)
+
+
+def strict_load_graph(directory, copies=None):
+    """load_graph with no graph cache, so that the files are parsed."""
+    from unittest import mock
+
+    from ckt import graphcache
+    from ckt.graph import load_graph
+
+    with mock.patch.object(graphcache, "private_dir", return_value=None):
+        return load_graph(directory, copies)
 
 
 def parse_record(line):

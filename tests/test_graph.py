@@ -700,6 +700,8 @@ def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, mo
 
     def load_after(src, dst):
         replace(src, dst)
+        if Path(dst).parent != tmp_path:  # the graph cache's rename of its entry
+            return
         try:
             graph = load_graph(tmp_path)
         except FormatError:
@@ -730,6 +732,8 @@ def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monke
 
     def load_after(src, dst):
         replace(src, dst)
+        if Path(dst).parent != tmp_path:  # the graph cache's rename of its entry
+            return
         try:
             graph = load_graph(tmp_path)
         except FormatError as exc:

@@ -3,7 +3,9 @@ and warm; an entry of another tag, with stale digests, truncated, with a
 flipped byte or a missing record is a miss that parses the files and
 writes the entry anew; a cache that cannot be written changes no answer
 and raises nothing; a query after a rebuild answers from the new graph;
-and a warm load holds no whole entry."""
+a cache directory that another user could write is not used; and a warm
+load holds no whole entry.  Each test keeps its cache in a temporary
+XDG_CACHE_HOME of its own, and compares with oracles.strict_load_graph."""
 
 import os
 import shutil
@@ -33,10 +35,25 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import blake2b_hex, graphs_equal
+from oracles import blake2b_hex, graphs_equal, strict_load_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DECLARES = "SELECT ?f WHERE { file:src/ftpety.c declares ?f }"
+
+
+@contextmanager
+def cache_home(xdg: Path):
+    """XDG_CACHE_HOME is `xdg` in the block, which gets its graph cache."""
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(xdg)}):
+        yield xdg / "ckt"
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch) -> Path:
+    """The graph cache of the test: the ckt directory of an XDG_CACHE_HOME
+    of its own, which no load has made yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "ckt"
 
 
 @contextmanager
@@ -102,42 +119,47 @@ def test_a_cold_and_a_warm_load_each_equal_the_strict_load(graph_and_sources, re
     """With records of one node or key, of a few, and of the default size:
     the first load through the cache parses and writes the entry, the
     second decodes it, and both give what the strict load gives."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graphcache, "RECORD", record):
-        out, cache = Path(tmp, "out"), Path(tmp, "cache")
+    with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(graphcache, "RECORD", record),
+          cache_home(Path(tmp, "xdg"))):
+        out = Path(tmp, "out")
         save_graph(*graph_and_sources, out)
-        strict = load_graph(out)
+        strict = strict_load_graph(out)
         with counted_parses() as spy:
-            cold = load_graph(out, cache=cache)
-            warm = load_graph(out, cache=cache)
+            cold = load_graph(out)
+            warm = load_graph(out)
         assert spy.call_count == 1
         assert identical(cold, strict) and identical(warm, strict)
         assert identical(warm, graph_and_sources[0])
 
 
-def test_a_warm_load_shares_one_string_per_kind_path_and_attribute_key(scenario_dir, tmp_path):
-    cache = tmp_path / "cache"
-    load_graph(scenario_dir / "out", cache=cache)
-    warm = load_graph(scenario_dir / "out", cache=cache)
-    entities = list(warm.entities.values())
-    for strings in ([e.kind for e in entities], [e.span.path for e in entities if e.span],
-                    [k for e in entities for k in e.attrs]):
-        assert len({id(s) for s in strings}) == len(set(strings))
+def test_each_load_shares_one_string_per_kind_path_and_attribute_key(scenario_dir, cache):
+    """The parse interns them, so the strict load, the cold load and the
+    warm load, which decodes the entry that the cold one wrote, each hold
+    one string for each."""
+    loads = [strict_load_graph(scenario_dir / "out")]
+    with counted_parses() as spy:
+        loads += [load_graph(scenario_dir / "out"), load_graph(scenario_dir / "out")]
+    assert spy.call_count == 1
+    for graph in loads:
+        entities = list(graph.entities.values())
+        for strings in ([e.kind for e in entities], [e.span.path for e in entities if e.span],
+                        [k for e in entities for k in e.attrs], [p for _, p, _ in graph.triples()]):
+            assert len({id(s) for s in strings}) == len(set(strings)) > 1
 
 
 # -- damaged, foreign and stale entries ----------------------------------------
 
 
 @pytest.fixture
-def warm_scenario(scenario_dir, tmp_path, monkeypatch):
+def warm_scenario(scenario_dir, tmp_path, monkeypatch, cache):
     """(graph directory, cache, entry, strict graph): a copy of the
     scenario's graph whose entry is written in records of 8 nodes or keys,
     so that it has several of each."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    cache = tmp_path / "cache"
     monkeypatch.setattr(graphcache, "RECORD", 8)
-    strict = load_graph(out)
-    load_graph(out, cache=cache)
+    strict = strict_load_graph(out)
+    load_graph(out)
     entry = graphcache.entry_path(cache, out)
     assert len(record_spans(entry.read_bytes())) > 4
     return out, cache, entry, strict
@@ -189,9 +211,9 @@ def test_a_damaged_entry_is_a_miss_that_writes_the_entry_anew(warm_scenario, dam
     good = entry.read_bytes()
     entry.write_bytes(damage(good, record_spans(good)))
     with counted_parses() as spy:
-        assert identical(load_graph(out, cache=cache), strict)
+        assert identical(load_graph(out), strict)
         assert spy.call_count == 1
-        assert identical(load_graph(out, cache=cache), strict)
+        assert identical(load_graph(out), strict)
         assert spy.call_count == 1
 
 
@@ -221,8 +243,8 @@ def test_an_entry_of_another_tag_is_a_miss_that_writes_the_entry_anew(warm_scena
         with mock.patch.object(*target, -1):
             write_entry(cache, out, empty)
     with counted_parses() as spy:
-        assert identical(load_graph(out, cache=cache), strict)
-        assert identical(load_graph(out, cache=cache), strict)
+        assert identical(load_graph(out), strict)
+        assert identical(load_graph(out), strict)
     assert spy.call_count == 1
 
 
@@ -235,8 +257,8 @@ def test_an_entry_with_stale_digests_is_a_miss_that_writes_the_entry_anew(warm_s
     digests[name] = blake2b_hex(b"")
     write_entry(cache, out, KnowledgeGraph({}, [], {}), digests)
     with counted_parses() as spy:
-        assert identical(load_graph(out, cache=cache), strict)
-        assert identical(load_graph(out, cache=cache), strict)
+        assert identical(load_graph(out), strict)
+        assert identical(load_graph(out), strict)
     assert spy.call_count == 1
 
 
@@ -245,8 +267,8 @@ def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_sc
     entry.unlink()
     entry.mkdir()
     with counted_parses() as spy:
-        assert identical(load_graph(out, cache=cache), strict)
-        assert identical(load_graph(out, cache=cache), strict)
+        assert identical(load_graph(out), strict)
+        assert identical(load_graph(out), strict)
     assert spy.call_count == 2
     assert entry.is_dir() and not list(cache.glob(".*.tmp"))
 
@@ -255,31 +277,76 @@ def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_sc
 
 
 def test_a_cache_directory_that_is_a_file_or_read_only_changes_no_answer(scenario_dir, tmp_path):
-    strict = load_graph(scenario_dir / "out")
+    """XDG_CACHE_HOME a regular file, or one whose ckt is a regular file, a
+    read-only directory, or a read-only ckt directory."""
+    strict = strict_load_graph(scenario_dir / "out")
     blocker = tmp_path / "file"
     blocker.write_bytes(b"")
+    (tmp_path / "file-ckt").mkdir()
+    (tmp_path / "file-ckt" / "ckt").write_bytes(b"")
     read_only = tmp_path / "read-only"
     read_only.mkdir(mode=0o500)
+    (tmp_path / "read-only-ckt").mkdir()
+    (tmp_path / "read-only-ckt" / "ckt").mkdir(mode=0o500)
     try:
-        for cache in (blocker, blocker / "ckt", read_only, read_only / "ckt"):
-            for _ in range(2):
-                assert identical(load_graph(scenario_dir / "out", cache=cache), strict)
+        for xdg in (blocker, tmp_path / "file-ckt", read_only, tmp_path / "read-only-ckt"):
+            with cache_home(xdg):
+                for _ in range(2):
+                    assert identical(load_graph(scenario_dir / "out"), strict)
     finally:
         read_only.chmod(0o700)
-    assert blocker.read_bytes() == b""
+        (tmp_path / "read-only-ckt" / "ckt").chmod(0o700)
+    assert blocker.read_bytes() == b"" == (tmp_path / "file-ckt" / "ckt").read_bytes()
 
 
 @pytest.mark.parametrize("step", ["makedirs", "replace", "scandir"])
-def test_a_write_that_fails_at_any_step_changes_no_answer(scenario_dir, tmp_path, step):
+def test_a_write_that_fails_at_any_step_changes_no_answer(scenario_dir, tmp_path, cache, step):
     """Making the directory, renaming the entry into place and listing the
     entries to keep: an OSError at any one of them leaves no temporary
     file, and the load gives the strict graph and raises nothing, also
     where running as root writes a read-only directory."""
-    strict, cache = load_graph(scenario_dir / "out"), tmp_path / "cache"
+    strict = strict_load_graph(scenario_dir / "out")
     with mock.patch.object(graphcache.os, step, side_effect=PermissionError(13, "denied")):
         for _ in range(2):
-            assert identical(load_graph(scenario_dir / "out", cache=cache), strict)
+            assert identical(load_graph(scenario_dir / "out"), strict)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# -- a cache directory that is not this user's alone -------------------------------
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o707, 0o750, 0o705])
+def test_a_cache_directory_that_others_may_open_is_not_used(scenario_dir, tmp_path, cache,
+                                                               mode):
+    """A ckt directory that the group or others may read, write or enter,
+    with a forged entry in it: the entry of the empty graph, with the
+    digests of the directory's files.  Nothing keyed by the graph files
+    alone tells it from a true entry, so no load reads it or writes an
+    entry there: each parses the files."""
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    cache.mkdir(parents=True)
+    cache.chmod(mode)
+    write_entry(cache, out, KnowledgeGraph({}, [], {}))
+    forged = graphcache.entry_path(cache, out).read_bytes()
+    strict = strict_load_graph(out)
+    with counted_parses() as spy:
+        for _ in range(2):
+            assert identical(load_graph(out), strict)
+    assert spy.call_count == 2
+    assert graphcache.entry_path(cache, out).read_bytes() == forged
+    assert [p.name for p in cache.iterdir()] == [graphcache.entry_path(cache, out).name]
+    cache.chmod(0o700)  # the same directory, this user's alone: the forgery is read
+    assert len(load_graph(out)) == 0
+
+
+def test_a_cache_directory_of_another_user_is_not_used(scenario_dir, cache):
+    strict = strict_load_graph(scenario_dir / "out")
+    with (counted_parses() as spy,
+          mock.patch.object(graphcache.os, "getuid", return_value=os.getuid() + 1)):
+        for _ in range(2):
+            assert identical(load_graph(scenario_dir / "out"), strict)
+    assert spy.call_count == 2 and not list(cache.iterdir())
 
 
 def test_a_query_with_a_cache_that_cannot_be_written_answers_as_one_with_none(scenario_dir,
@@ -320,12 +387,11 @@ def test_the_user_cache_directory(monkeypatch, xdg, home, expected):
     assert graphcache.user_dir() == (None if expected is None else Path(expected))
 
 
-def test_the_cache_directory_is_private_and_keeps_the_newest_entries(scenario_dir, tmp_path):
+def test_the_cache_directory_is_private_and_keeps_the_newest_entries(scenario_dir, cache):
     """Nine entries of other directories, each older than the one before:
-    a write makes the directory with mode 0700, if absent, and leaves the
-    KEEP newest entries, its own among them."""
-    cache = tmp_path / "cache"
-    load_graph(scenario_dir / "out", cache=cache)
+    a load makes the directory with mode 0700, if absent, and its write
+    leaves the KEEP newest entries, its own among them."""
+    load_graph(scenario_dir / "out")
     assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
     entry = graphcache.entry_path(cache, scenario_dir / "out")
     entry.unlink()
@@ -333,18 +399,17 @@ def test_the_cache_directory_is_private_and_keeps_the_newest_entries(scenario_di
     for age, path in enumerate(old, start=1):
         path.write_bytes(b"")
         os.utime(path, (1e9 - age, 1e9 - age))
-    load_graph(scenario_dir / "out", cache=cache)
+    load_graph(scenario_dir / "out")
     assert sorted(cache.iterdir()) == sorted([entry, *old[:graphcache.KEEP - 1]])
 
 
-def test_the_entry_is_keyed_by_the_resolved_directory(scenario_dir, tmp_path):
+def test_the_entry_is_keyed_by_the_resolved_directory(scenario_dir, tmp_path, cache):
     link = tmp_path / "link"
     link.symlink_to(scenario_dir / "out")
-    cache = tmp_path / "cache"
     assert graphcache.entry_path(cache, link) == graphcache.entry_path(cache, scenario_dir / "out")
-    load_graph(link, cache=cache)
+    load_graph(link)
     with counted_parses() as spy:
-        load_graph(scenario_dir / "out", cache=cache)
+        load_graph(scenario_dir / "out")
     assert spy.call_count == 0
 
 
@@ -374,11 +439,11 @@ def test_a_query_after_a_rebuild_answers_from_the_new_graph(tmp_path):
 # -- memory -------------------------------------------------------------------------
 
 
-def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path):
+def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path, cache):
     """A graph of many records: the traced peak of a cold load, which
-    parses and writes the entry, is no higher than that of the strict
-    load, and the traced peak of a warm load exceeds the traced size of
-    the graph it returns by less than half the entry."""
+    parses and writes the entry, exceeds that of the strict load, and the
+    traced peak of a warm load the traced size of the graph it returns,
+    by less than half the entry, and so by far less than the graph."""
     builder = GraphBuilder()
     funcs = [f"func:a.c#f{i:04d}" for i in range(3000)]
     for i, caller in enumerate(funcs):
@@ -386,12 +451,11 @@ def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path):
                                   {"scope": "global", "note": "x" * 20}))
         builder.insert_triple(caller, "calls", funcs[i - 1], Provenance("source-code", f"a.c:{i}"))
     save_graph(builder.finalize(), builder.sources, tmp_path / "out")
-    cache = tmp_path / "cache"
     traced = []
-    for load_cache in (None, cache, cache):  # strict, cold, warm
+    for load in (strict_load_graph, load_graph, load_graph):  # strict, cold, warm
         tracemalloc.start()
         try:
-            graph = load_graph(tmp_path / "out", cache=load_cache)
+            graph = load(tmp_path / "out")
             traced.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -399,5 +463,5 @@ def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path):
         del graph
     (_, strict_peak), (_, cold_peak), (warm_held, warm_peak) = traced
     size = graphcache.entry_path(cache, tmp_path / "out").stat().st_size
-    assert cold_peak <= strict_peak
+    assert cold_peak - strict_peak < size / 2
     assert warm_peak - warm_held < size / 2

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 import ckt.graph
 import oracles
-from ckt import graphcache
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.graph import (
     GRAPH_MANIFEST,
@@ -50,7 +49,7 @@ def copy_graph(scenario_dir, tmp_path) -> Path:
     it among them, meets a warm entry however the test changes the copy."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    load_graph(out, cache=graphcache.user_dir())
+    load_graph(out)
     return out
 
 
@@ -61,7 +60,7 @@ def warm(directory: Path) -> None:
     builder = GraphBuilder()
     builder.insert_triple("func:h.c#f0", "calls", "func:h.c#f0", Provenance("source-code", "h.c:1"))
     save_graph(builder.finalize(), builder.sources, directory)
-    load_graph(directory, cache=graphcache.user_dir())
+    load_graph(directory)
 
 
 def load_error(directory, error, match=None) -> pytest.ExceptionInfo:
@@ -69,9 +68,9 @@ def load_error(directory, error, match=None) -> pytest.ExceptionInfo:
     through the suite's graph cache with the same message, where
     copy_graph or warm has left an entry for the directory."""
     with pytest.raises(error, match=match) as strict:
-        load_graph(directory)
+        oracles.strict_load_graph(directory)
     with pytest.raises(error, match=match) as cached:
-        load_graph(directory, cache=graphcache.user_dir())
+        load_graph(directory)
     assert str(cached.value) == str(strict.value)
     return strict
 
@@ -413,7 +412,7 @@ def graph_bytes(directory: str) -> dict[str, bytes]:
 def test_fuzzed_graph_dir_loads_or_names_a_line(graph_and_sources, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(*graph_and_sources, tmp)
-        load_graph(tmp, cache=graphcache.user_dir())
+        load_graph(tmp)
         saved = graph_bytes(tmp)
         mutate_files(tmp, data)
         changed = graph_bytes(tmp) != saved
@@ -434,7 +433,7 @@ def test_forged_manifest_loads_as_builder_loader_or_names_a_line(graph_and_sourc
     FormatError with a line."""
     with tempfile.TemporaryDirectory() as tmp:
         save_graph(*graph_and_sources, tmp)
-        load_graph(tmp, cache=graphcache.user_dir())
+        load_graph(tmp)
         mutate_files(tmp, data)
         if data.draw(st.booleans()):  # two lines of one file trade places
             path = Path(tmp) / data.draw(st.sampled_from([NODES_FILE, TRIPLES_FILE]))
@@ -471,11 +470,11 @@ def load_both(directory) -> KnowledgeGraph:
     """The strict load of `directory`, which the load through the suite's
     graph cache equals; or the strict load's error, which that raises too."""
     try:
-        loaded = load_graph(directory)
+        loaded = oracles.strict_load_graph(directory)
     except CktError as exc:
         load_error(directory, type(exc))
         raise
-    assert graphs_equal(load_graph(directory, cache=graphcache.user_dir()), loaded)
+    assert graphs_equal(load_graph(directory), loaded)
     return loaded
 
 
