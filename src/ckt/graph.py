@@ -20,8 +20,8 @@ each node's PageRank score.  load_graph reads a directory only with it:
 it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
 it, and then checks each file against its digest.  A graph whose bytes
-it has parsed before it decodes from its entry in the user's graph cache
-instead (see ckt.graphcache).
+it has parsed before it decodes from their entry in the user's graph
+cache instead (see ckt.graphcache).
 """
 
 from __future__ import annotations
@@ -596,43 +596,36 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
 
-    With the user's graph cache (ckt.graphcache.private_dir), graph.json's
-    format is checked first, and the graph is decoded from the directory's
-    entry in the cache when the entry records a parse of files with
-    graph.json's digests, the open graph files hash to them, and the
-    copies match graph.json too.  Else the files are parsed as above, and
-    once the graph loads, its entry is written with the digests of the
-    bytes parsed.  With no cache, the files are only parsed.
+    graph.json's format is checked first.  The graph is then decoded from
+    the entry in the user's graph cache (ckt.graphcache) named by the
+    format and graph.json's digests of the graph files, when there is one
+    and the open graph files hash to those digests and the copies match
+    graph.json too.  Else the files are parsed as above, and once the
+    graph loads, its entry is written under the digests the parse
+    computed.  So every copy of a directory shares one entry, and one
+    whose files graph.json does not vouch for raises what the parse
+    raises.
     """
     directory = Path(directory)
     copies = copies or {}
     with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
-        cache = graphcache.private_dir()
-        if cache is not None:
-            entry = graphcache.entry_path(cache, directory)
-            cached = graphcache.read(entry, FORMAT_VERSION,
-                                     partial(_fresh, files, _manifest_digests(manifest), copies))
-            if cached is not None:
-                return KnowledgeGraph(*cached)
-            for file in files.values():
-                file.seek(0)
+        vouched = _manifest_digests(manifest)
+        cached = graphcache.read((FORMAT_VERSION, *map(vouched.get, GRAPH_FILES)))
+        if cached is not None and _fresh(files, vouched, copies):
+            return KnowledgeGraph(*cached)
+        del cached  # none, or a graph the files do not match: parse them instead
+        for file in files.values():
+            file.seek(0)
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
-    if cache is not None:
-        graphcache.write(entry, FORMAT_VERSION, {name: digests[name] for name in GRAPH_FILES},
-                         entities, spo, ranks)
+    graphcache.write((FORMAT_VERSION, *map(digests.get, GRAPH_FILES)), entities, spo, ranks)
     return KnowledgeGraph(entities, spo, ranks)
 
 
-def _fresh(files: dict[str, BinaryIO], vouched: dict, copies: dict[str, bytes | None],
-           stored: dict) -> bool:
-    """Whether a cache entry whose graph files had the digests `stored`
-    holds the graph of the open graph `files`: graph.json's table
-    `vouched` gives each graph file the digest stored, each file's bytes
-    have it, and it vouches for `copies`."""
-    if stored != {name: vouched.get(name) for name in GRAPH_FILES}:
-        return False
+def _fresh(files: dict[str, BinaryIO], vouched: dict, copies: dict[str, bytes | None]) -> bool:
+    """Whether the open graph `files` and `copies` have the digests of
+    graph.json's table `vouched`."""
     digests = {name: _stream_digest(files[name]) for name in GRAPH_FILES}
     return _changed(vouched, {**digests, **_digests(copies)}) is None
 

@@ -2,30 +2,32 @@
 whose bytes an earlier query parsed decodes the graph from the cache, not
 from nodes.jsonl and triples.tsv.
 
-An entry is the record of one strict parse by load_graph: the BLAKE2b
-digests of the two graph files' bytes that the parse read, and the nodes,
-ranks and keys it gave.  load_graph decodes an entry only when its tag is
-this one and `fresh`, which load_graph supplies, vouches for its digests;
-anything else, an absent, unreadable, stale or damaged entry, is a miss,
-on which load_graph parses the files and writes the entry anew.  Like a
-hash-checked .pyc file (PEP 552), an entry is only ever used for the
-bytes it was made from, so deleting the cache is always safe.
+An entry is the graph that one strict parse by load_graph gave: its
+nodes, ranks and keys.  It is named by what it was made from, as a
+content-addressed store names a block (Venti; ccache): the BLAKE2b-128 of
+the key, which load_graph gives as the graph format and the digests of
+the two graph files, with this entry layout, the marshal format and the
+interpreter.  So an entry is never compared with its graph directory,
+never rewritten once it decodes, and shared by every copy of the
+directory; one of another interpreter or layout has another name and is
+never opened.  An absent, unreadable or damaged entry is a miss, on which
+load_graph parses the files and writes the entry.  Deleting the cache is
+always safe.
 
 The cache lives in $XDG_CACHE_HOME/ckt, or ~/.cache/ckt, never in a graph
 directory: a query must not write where `ckt build` writes.  It is used
 only while that directory is this user's, with no access for any other
-(private_dir).  An entry is
-<BLAKE2b-128 of the resolved graph directory>.graph, a sequence of
-records, each its payload's length (4 bytes, little-endian), a BLAKE2b-128
-digest of every payload of the entry up to and including its own, and a
-marshal payload: first (tag, digests, nodes, keys), the counts of nodes
-and keys, then node records of up to RECORD (id, kind, label, span, attrs,
-rank) tuples in ascending id order, then key records of up to RECORD keys
-in SPO order as (subject indexes, predicates, object indexes or literals),
-each index the node's place in id order.  A digest covers the records
-before its own, so a missing, reordered, truncated or changed record is a
-miss.  Entries are read and written a record at a time: no process holds
-a whole entry, or a second copy of the graph.
+(private_dir).  An entry is <name>.graph, a sequence of records, each its
+payload's length (4 bytes, little-endian), a BLAKE2b-128 digest of every
+payload of the entry up to and including its own, and a marshal payload:
+first the counts of nodes and keys, then node records of up to RECORD
+(id, kind, label, span, attrs, rank) tuples in ascending id order, then
+key records of up to RECORD keys in SPO order as (subject indexes,
+predicates, object indexes or literals), each index the node's place in
+id order.  A digest covers the records before its own, so a missing,
+reordered, truncated or changed record is a miss.  Entries are read and
+written a record at a time: no process holds a whole entry, or a second
+copy of the graph.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import marshal
 import os
 import stat
 import sys
-from collections.abc import Callable
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
@@ -44,9 +45,9 @@ from ckt.model import Entity, Span
 # the interpreter's BLAKE2b, as in ckt.graph
 from _blake2 import blake2b as _blake2b
 
-VERSION = 1  # of the entry layout
+VERSION = 2  # of the entry layout
 RECORD = 256  # nodes or keys per record
-KEEP = 8  # entries a cache directory keeps after each write
+KEEP = 8  # entries and temporary files a cache directory keeps after each write
 _DIGEST_SIZE = 16
 _HEAD = 4 + _DIGEST_SIZE  # the length and the digest before each payload
 
@@ -69,7 +70,7 @@ def private_dir() -> Path | None:
     """user_dir(), made with mode 0700 if absent, when it is a directory
     that this user owns and no other user may read, write or enter; else
     None: no cache.  An entry in a directory that another user can write
-    could be forged, digests and all, since they have no key."""
+    could be forged, record digests and all, since they have no key."""
     cache = user_dir()
     if cache is None:
         return None
@@ -83,30 +84,27 @@ def private_dir() -> Path | None:
     return cache if private else None
 
 
-def entry_path(cache: Path, directory: Path) -> Path:
-    """Where `cache` keeps the entry of the graph directory `directory`."""
-    key = _blake2b(os.fsencode(os.path.realpath(directory)), digest_size=_DIGEST_SIZE)
-    return cache / f"{key.hexdigest()}.graph"
+def _name(key: tuple) -> str:
+    """The name of the entry of `key`, a tuple of JSON values, as written
+    by this entry layout, marshal format and interpreter."""
+    made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag))
+    return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}.graph"
 
 
-def _tag(format_version: int) -> tuple:
-    """What an entry must have been written by: the graph format, the entry
-    layout, and the marshal format and interpreter that wrote it."""
-    return format_version, VERSION, marshal.version, sys.implementation.cache_tag
-
-
-def read(path: Path, format_version: int, fresh: Callable[[dict], bool]) -> tuple | None:
-    """(entities, SPO keys, ranks) from the entry at `path`, when it was
-    written for `format_version` and fresh(its digests) holds; None for a
-    miss, the entry absent, unreadable or damaged too."""
+def read(key: tuple) -> tuple | None:
+    """(entities, SPO keys, ranks) from the entry of `key` in private_dir;
+    None for a miss: no cache, or the entry absent, unreadable or damaged."""
+    cache = private_dir()
+    if cache is None:
+        return None
     try:
-        with open(path, "rb") as file:
-            return _decode(file, _tag(format_version), fresh)
+        with open(cache / _name(key), "rb") as file:
+            return _decode(file)
     except (OSError, _Miss):
         return None
 
 
-def _decode(file: BinaryIO, tag: tuple, fresh) -> tuple:
+def _decode(file: BinaryIO) -> tuple:
     size = os.fstat(file.fileno()).st_size
     chain = _blake2b(digest_size=_DIGEST_SIZE)
 
@@ -125,9 +123,7 @@ def _decode(file: BinaryIO, tag: tuple, fresh) -> tuple:
     ranks: dict[str, float] = {}
     spo: list = []
     try:
-        written_for, digests, n_nodes, n_keys = record()
-        if written_for != tag or not fresh(digests):
-            raise _Miss
+        n_nodes, n_keys = record()
         while len(entities) < n_nodes:
             for eid, kind, label, span, attrs, rank in record():
                 entities[eid] = Entity(eid, kind, label, span and tuple.__new__(Span, span), attrs)
@@ -144,19 +140,20 @@ def _decode(file: BinaryIO, tag: tuple, fresh) -> tuple:
     return entities, spo, ranks
 
 
-def write(path: Path, format_version: int, digests: dict[str, str],
-          entities: dict[str, Entity], spo: list, ranks: dict[str, float]) -> None:
-    """Write the entry at `path`, in a directory of private_dir's, for the
-    graph that a strict parse of bytes with `digests` gave, through a
-    temporary file renamed into place, and keep the KEEP newest entries of
-    the directory.  A cache that cannot be written is left as it is, and
-    nothing raised."""
-    cache = path.parent
+def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, float]) -> None:
+    """Write the entry of `key` in private_dir, for the graph that a strict
+    parse of the bytes `key` names gave, through a temporary file renamed
+    into place, and keep the KEEP newest files of the directory.  No cache,
+    or one that cannot be written, is left as it is, and nothing raised."""
+    cache = private_dir()
+    if cache is None:
+        return
+    path = cache / _name(key)
     try:
         tmp = cache / f".{path.name}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as file:
-                _encode(file, _tag(format_version), digests, entities, spo, ranks)
+                _encode(file, entities, spo, ranks)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -165,8 +162,8 @@ def write(path: Path, format_version: int, digests: dict[str, str],
         pass
 
 
-def _encode(file: BinaryIO, tag: tuple, digests: dict[str, str], entities: dict[str, Entity],
-            spo: list, ranks: dict[str, float]) -> None:
+def _encode(file: BinaryIO, entities: dict[str, Entity], spo: list,
+            ranks: dict[str, float]) -> None:
     chain = _blake2b(digest_size=_DIGEST_SIZE)
 
     def record(value) -> None:
@@ -178,7 +175,7 @@ def _encode(file: BinaryIO, tag: tuple, digests: dict[str, str], entities: dict[
     # the load interns each kind, span path, attribute key and predicate,
     # so marshal writes each once per record, and a decoded entry shares
     # one string for each of them, as the parsed graph does
-    record((tag, digests, len(entities), len(spo)))
+    record((len(entities), len(spo)))
     nodes = iter(entities.values())
     while batch := list(islice(nodes, RECORD)):
         record([(e.id, e.kind, e.label, e.span and tuple(e.span), e.attrs, ranks[e.id])
@@ -193,12 +190,15 @@ def _encode(file: BinaryIO, tag: tuple, digests: dict[str, str], entities: dict[
 
 
 def _prune(cache: Path) -> None:
-    """Remove all but the KEEP newest entries of `cache` by mtime; one that
-    another process removed first is passed over."""
+    """Remove all but the KEEP newest entries and temporary files of `cache`
+    by mtime, so that one a writer killed mid-write left goes too; one that
+    another process removed first is passed over.  A live writer's file is
+    among the newest, and were it removed, its rename would fail as any
+    other write can."""
     entries = []
     with os.scandir(cache) as found:
         for entry in found:
-            if entry.name.endswith(".graph"):
+            if entry.name.endswith((".graph", ".tmp")):
                 try:
                     entries.append((entry.stat().st_mtime_ns, entry.path))
                 except FileNotFoundError:

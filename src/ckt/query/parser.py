@@ -301,32 +301,3 @@ def parse_query(text: str) -> QueryAST:
     `$name` is read as written: templates bind theirs through
     PreparedQuery.bind."""
     return _Parser(_bound(_lex(text), {})).parse()
-
-
-def _quote(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-    escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{escaped}"'
-
-
-def _term_text(term: Term) -> str:
-    if term.kind == VAR:
-        return f"?{term.value}"
-    if term.kind == LITERAL:
-        return _quote(term.value)
-    return term.value
-
-
-def format_query(ast: QueryAST) -> str:
-    """Canonical text form; parse(format_query(ast)) == ast."""
-    parts = ["SELECT", *(f"?{v}" for v in ast.select), "WHERE", "{"]
-    chunks = [
-        f"{_term_text(p.s)} {_term_text(p.p)} {_term_text(p.o)}" for p in ast.patterns
-    ]
-    parts.append(" ; ".join(chunks))
-    parts.append("}")
-    for fl in ast.filters:
-        parts.extend(["FILTER", f"?{fl.var}", fl.op, _quote(fl.literal)])
-    if ast.limit is not None:
-        parts.extend(["LIMIT", str(ast.limit)])
-    return " ".join(p for p in parts if p)

@@ -8,7 +8,8 @@ through the package's own GraphBuilder, kept as the reference for the
 direct loader that replaced it and as the one reader of the provenance
 lists in triples.tsv, the old per-response augmentation, and
 `dumps_facts`, the neutral facts writer, which reads entities through the
-package's entity codec; no `ckt` command writes facts.
+package's entity codec; no `ckt` command writes facts.  `format_query`
+writes a QueryAST as canonical query text; no `ckt` command prints one.
 `reference_parse_query`, the character-loop query parser the token regex
 replaced, builds the package's QueryAST and raises its QueryError; it
 checks the kind of each keyword, brace, operator and number token as the
@@ -1813,6 +1814,35 @@ def dumps_facts(facts):
             doc["attrs"] = dict(sorted(rel.attrs.items()))
         lines.append(json.dumps(doc, sort_keys=True, ensure_ascii=True))
     return "".join(line + "\n" for line in lines)
+
+
+def _quote(value: str) -> str:
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{escaped}"'
+
+
+def _term_text(term: Term) -> str:
+    if term.kind == VAR:
+        return f"?{term.value}"
+    if term.kind == "literal":
+        return _quote(term.value)
+    return term.value
+
+
+def format_query(ast: QueryAST) -> str:
+    """Canonical text form; parse(format_query(ast)) == ast."""
+    parts = ["SELECT", *(f"?{v}" for v in ast.select), "WHERE", "{"]
+    chunks = [
+        f"{_term_text(p.s)} {_term_text(p.p)} {_term_text(p.o)}" for p in ast.patterns
+    ]
+    parts.append(" ; ".join(chunks))
+    parts.append("}")
+    for fl in ast.filters:
+        parts.extend(["FILTER", f"?{fl.var}", fl.op, _quote(fl.literal)])
+    if ast.limit is not None:
+        parts.extend(["LIMIT", str(ast.limit)])
+    return " ".join(p for p in parts if p)
 
 
 def bug_id(tracker, number):

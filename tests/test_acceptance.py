@@ -15,7 +15,7 @@ from ckt.extraction.traces import load_trace
 from ckt.graph import GraphBuilder, Provenance, load_graph, save_graph
 from ckt.model import Entity, Span, TraceEvent, TraceLog
 from ckt.query.evaluate import evaluate
-from ckt.query.parser import FilterClause, QueryAST, Term, TriplePattern, format_query, parse_query
+from ckt.query.parser import FilterClause, QueryAST, Term, TriplePattern, parse_query
 from ckt.query.templates import LabelSearch, NoMatch, match_freeform, run_template
 from ckt.smart import (
     AugmentContext,
@@ -29,6 +29,7 @@ from oracles import (
     brute_triangles,
     dense_pagerank,
     dumps_facts,
+    format_query,
     lockset_race,
     nested_loop_join,
     round_trips,

@@ -1,12 +1,19 @@
 """The per-user graph cache: a load through it equals the strict load, cold
-and warm; an entry of another tag, with stale digests, truncated, with a
-flipped byte or a missing record is a miss that parses the files and
-writes the entry anew; a cache that cannot be written changes no answer
-and raises nothing; a query after a rebuild answers from the new graph;
-a cache directory that another user could write is not used; and a warm
-load holds no whole entry.  Each test keeps its cache in a temporary
-XDG_CACHE_HOME of its own, and compares with oracles.strict_load_graph."""
+and warm; an entry is named by the graph format, the digests of the graph
+files, the entry layout, the marshal format and the interpreter, so two
+interpreters taking turns each parse once, a copy of a graph directory
+and a rebuild back to earlier bytes load from the entry already written,
+and files that graph.json does not vouch for raise what the strict load
+raises; a truncated entry, or one with a flipped byte or a missing
+record, is a miss that parses the files and writes the entry anew; a
+cache that cannot be written changes no answer and raises nothing; a
+query after a rebuild answers from the new graph; a cache directory that
+another user could write is not used; the temporary files of a killed
+writer are swept; and a warm load holds no whole entry.  Each test keeps
+its cache in a temporary XDG_CACHE_HOME of its own, and compares with
+oracles.strict_load_graph."""
 
+import json
 import os
 import shutil
 import stat
@@ -26,6 +33,7 @@ import ckt.graph
 from ckt import graphcache
 from ckt.graph import (
     FORMAT_VERSION,
+    GRAPH_MANIFEST,
     NODES_FILE,
     TRIPLES_FILE,
     GraphBuilder,
@@ -35,7 +43,7 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
-from oracles import blake2b_hex, graphs_equal, strict_load_graph
+from oracles import graphs_equal, strict_load_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DECLARES = "SELECT ?f WHERE { file:src/ftpety.c declares ?f }"
@@ -54,6 +62,17 @@ def cache(tmp_path, monkeypatch) -> Path:
     of its own, which no load has made yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     return tmp_path / "xdg" / "ckt"
+
+
+def key_of(out: Path) -> tuple:
+    """The cache key of the graph that the graph.json of `out` vouches for."""
+    digests = json.loads((out / GRAPH_MANIFEST).read_bytes())["blake2b"]
+    return FORMAT_VERSION, digests[NODES_FILE], digests[TRIPLES_FILE]
+
+
+def entry_path(cache: Path, out: Path) -> Path:
+    """Where `cache` keeps the entry of the graph directory `out`."""
+    return cache / graphcache._name(key_of(out))
 
 
 @contextmanager
@@ -147,7 +166,7 @@ def test_each_load_shares_one_string_per_kind_path_and_attribute_key(scenario_di
             assert len({id(s) for s in strings}) == len(set(strings)) > 1
 
 
-# -- damaged, foreign and stale entries ----------------------------------------
+# -- damaged entries ---------------------------------------------------------------
 
 
 @pytest.fixture
@@ -160,7 +179,7 @@ def warm_scenario(scenario_dir, tmp_path, monkeypatch, cache):
     monkeypatch.setattr(graphcache, "RECORD", 8)
     strict = strict_load_graph(out)
     load_graph(out)
-    entry = graphcache.entry_path(cache, out)
+    entry = entry_path(cache, out)
     assert len(record_spans(entry.read_bytes())) > 4
     return out, cache, entry, strict
 
@@ -217,51 +236,6 @@ def test_a_damaged_entry_is_a_miss_that_writes_the_entry_anew(warm_scenario, dam
         assert spy.call_count == 1
 
 
-def write_entry(cache: Path, out: Path, graph: KnowledgeGraph, digests: dict | None = None,
-                format_version: int = FORMAT_VERSION) -> None:
-    """Write the entry of `out` for `graph`, with the digests of its files
-    unless other `digests` are given."""
-    if digests is None:
-        digests = {n: blake2b_hex((out / n).read_bytes()) for n in (NODES_FILE, TRIPLES_FILE)}
-    graphcache.write(graphcache.entry_path(cache, out), format_version, digests,
-                     graph.entities, list(graph.triples()), dict(graph.rank_table()))
-
-
-@pytest.mark.parametrize("tag", ["graph format", "entry layout", "marshal format"])
-def test_an_entry_of_another_tag_is_a_miss_that_writes_the_entry_anew(warm_scenario, tag):
-    """An entry with the digests of the directory's files and the graph of
-    the empty directory, written for another graph format, entry layout or
-    marshal format: the load parses the files, and then decodes its own
-    entry."""
-    out, cache, _, strict = warm_scenario
-    empty = KnowledgeGraph({}, [], {})
-    if tag == "graph format":
-        write_entry(cache, out, empty, format_version=FORMAT_VERSION + 1)
-    else:
-        target = (graphcache, "VERSION") if tag == "entry layout" else (graphcache.marshal,
-                                                                        "version")
-        with mock.patch.object(*target, -1):
-            write_entry(cache, out, empty)
-    with counted_parses() as spy:
-        assert identical(load_graph(out), strict)
-        assert identical(load_graph(out), strict)
-    assert spy.call_count == 1
-
-
-@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE])
-def test_an_entry_with_stale_digests_is_a_miss_that_writes_the_entry_anew(warm_scenario, name):
-    """An entry of the empty graph whose digest of one graph file is not
-    graph.json's, and so not the file's."""
-    out, cache, _, strict = warm_scenario
-    digests = {n: blake2b_hex((out / n).read_bytes()) for n in (NODES_FILE, TRIPLES_FILE)}
-    digests[name] = blake2b_hex(b"")
-    write_entry(cache, out, KnowledgeGraph({}, [], {}), digests)
-    with counted_parses() as spy:
-        assert identical(load_graph(out), strict)
-        assert identical(load_graph(out), strict)
-    assert spy.call_count == 1
-
-
 def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_scenario):
     out, cache, entry, strict = warm_scenario
     entry.unlink()
@@ -271,6 +245,94 @@ def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_sc
         assert identical(load_graph(out), strict)
     assert spy.call_count == 2
     assert entry.is_dir() and not list(cache.glob(".*.tmp"))
+
+
+# -- what names an entry ---------------------------------------------------------
+
+
+def test_another_key_or_writer_gives_another_name():
+    """The graph format, either digest, the entry layout, the marshal
+    format and the interpreter each give the entry another name."""
+    key = (FORMAT_VERSION, "a" * 64, "b" * 64)
+    names = [graphcache._name(key)]
+    for other in ((FORMAT_VERSION + 1, "a" * 64, "b" * 64), (FORMAT_VERSION, "c" * 64, "b" * 64),
+                  (FORMAT_VERSION, "a" * 64, "c" * 64)):
+        names.append(graphcache._name(other))
+    for target, attribute in ((graphcache, "VERSION"), (graphcache.marshal, "version"),
+                              (sys.implementation, "cache_tag")):
+        with mock.patch.object(target, attribute, -1):
+            names.append(graphcache._name(key))
+    assert len(set(names)) == len(names) == 7
+    assert names[0] == graphcache._name(key)
+
+
+def test_two_interpreters_taking_turns_each_parse_once(warm_scenario):
+    """Four loads that alternate between the interpreter tags of two
+    versions of Python: each writes its own entry on its first load and
+    decodes it on its second, and neither evicts the other's."""
+    out, cache, entry, strict = warm_scenario
+    entry.unlink()
+    with counted_parses() as spy:
+        for tag in ("cpython-311", "cpython-312") * 2:
+            with mock.patch.object(sys.implementation, "cache_tag", tag):
+                assert identical(load_graph(out), strict)
+    assert spy.call_count == 2
+    assert len(list(cache.glob("*.graph"))) == 2
+
+
+def test_a_copy_of_the_graph_directory_loads_from_the_originals_entry(warm_scenario, tmp_path):
+    """The entry is named by the bytes of the graph files, not by where
+    they are: a copy loads with no parse, and writes no second entry."""
+    out, cache, entry, strict = warm_scenario
+    written = entry.stat().st_mtime_ns, entry.read_bytes()
+    shutil.copytree(out, tmp_path / "copy")
+    with counted_parses() as spy:
+        assert identical(load_graph(tmp_path / "copy"), strict)
+    assert spy.call_count == 0
+    assert list(cache.iterdir()) == [entry]
+    assert (entry.stat().st_mtime_ns, entry.read_bytes()) == written
+
+
+def test_a_rebuild_to_other_bytes_and_back_loads_from_the_first_entry(tmp_path, cache):
+    """A graph saved, loaded, saved over with another graph, loaded, then
+    saved again as it was: the third load decodes the entry that the
+    first one wrote, which was never rewritten."""
+    graphs = []
+    for calls in (1, 2):
+        builder = GraphBuilder()
+        for i in range(calls):
+            builder.insert_triple("func:h.c#f0", "calls", f"func:h.c#f{i}",
+                                  Provenance("source-code", "h.c:1"))
+        graphs.append((builder.finalize(), builder.sources))
+    out = tmp_path / "out"
+    loads = []  # (parses, entry, its mtime, its bytes) after each load
+    for graph, sources in (*graphs, graphs[0]):
+        save_graph(graph, sources, out)
+        strict = strict_load_graph(out)
+        with counted_parses() as spy:
+            assert identical(load_graph(out), strict)
+        entry = entry_path(cache, out)
+        loads.append((spy.call_count, entry, entry.stat().st_mtime_ns, entry.read_bytes()))
+    assert [parses for parses, *_ in loads] == [1, 1, 0]
+    assert loads[2][1:] == loads[0][1:] and loads[1][1] != loads[0][1]
+
+
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE])
+def test_files_that_graph_json_does_not_vouch_for_raise_as_the_strict_load(warm_scenario, name):
+    """A graph file with a line of the other appended: the load decodes the
+    entry that graph.json names, finds the files do not match it, and
+    raises what the strict load raises, leaving the entry as it was."""
+    out, cache, entry, _ = warm_scenario
+    written = entry.read_bytes()
+    other = TRIPLES_FILE if name == NODES_FILE else NODES_FILE
+    with open(out / name, "ab") as file:
+        file.write((out / other).read_bytes().split(b"\n")[0] + b"\n")
+    with pytest.raises(ckt.graph.FormatError) as strict:
+        strict_load_graph(out)
+    with pytest.raises(ckt.graph.FormatError) as cached:
+        load_graph(out)
+    assert str(cached.value) == str(strict.value)
+    assert list(cache.iterdir()) == [entry] and entry.read_bytes() == written
 
 
 # -- a cache that cannot be written --------------------------------------------
@@ -319,23 +381,22 @@ def test_a_write_that_fails_at_any_step_changes_no_answer(scenario_dir, tmp_path
 def test_a_cache_directory_that_others_may_open_is_not_used(scenario_dir, tmp_path, cache,
                                                                mode):
     """A ckt directory that the group or others may read, write or enter,
-    with a forged entry in it: the entry of the empty graph, with the
-    digests of the directory's files.  Nothing keyed by the graph files
-    alone tells it from a true entry, so no load reads it or writes an
-    entry there: each parses the files."""
+    with a forged entry in it: the entry of the empty graph, under the
+    name of the directory's files.  Nothing keyed by the graph files alone
+    tells it from a true entry, so no load reads it or writes an entry
+    there: each parses the files."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    cache.mkdir(parents=True)
+    graphcache.write(key_of(out), {}, [], {})
     cache.chmod(mode)
-    write_entry(cache, out, KnowledgeGraph({}, [], {}))
-    forged = graphcache.entry_path(cache, out).read_bytes()
+    forged = entry_path(cache, out).read_bytes()
     strict = strict_load_graph(out)
     with counted_parses() as spy:
         for _ in range(2):
             assert identical(load_graph(out), strict)
     assert spy.call_count == 2
-    assert graphcache.entry_path(cache, out).read_bytes() == forged
-    assert [p.name for p in cache.iterdir()] == [graphcache.entry_path(cache, out).name]
+    assert entry_path(cache, out).read_bytes() == forged
+    assert list(cache.iterdir()) == [entry_path(cache, out)]
     cache.chmod(0o700)  # the same directory, this user's alone: the forgery is read
     assert len(load_graph(out)) == 0
 
@@ -388,12 +449,12 @@ def test_the_user_cache_directory(monkeypatch, xdg, home, expected):
 
 
 def test_the_cache_directory_is_private_and_keeps_the_newest_entries(scenario_dir, cache):
-    """Nine entries of other directories, each older than the one before:
-    a load makes the directory with mode 0700, if absent, and its write
-    leaves the KEEP newest entries, its own among them."""
+    """Nine entries of other graphs, each older than the one before: a load
+    makes the directory with mode 0700, if absent, and its write leaves
+    the KEEP newest entries, its own among them."""
     load_graph(scenario_dir / "out")
     assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
-    entry = graphcache.entry_path(cache, scenario_dir / "out")
+    entry = entry_path(cache, scenario_dir / "out")
     entry.unlink()
     old = [cache / f"{i:032x}.graph" for i in range(9)]
     for age, path in enumerate(old, start=1):
@@ -403,14 +464,22 @@ def test_the_cache_directory_is_private_and_keeps_the_newest_entries(scenario_di
     assert sorted(cache.iterdir()) == sorted([entry, *old[:graphcache.KEEP - 1]])
 
 
-def test_the_entry_is_keyed_by_the_resolved_directory(scenario_dir, tmp_path, cache):
-    link = tmp_path / "link"
-    link.symlink_to(scenario_dir / "out")
-    assert graphcache.entry_path(cache, link) == graphcache.entry_path(cache, scenario_dir / "out")
-    load_graph(link)
-    with counted_parses() as spy:
-        load_graph(scenario_dir / "out")
-    assert spy.call_count == 0
+def test_a_write_sweeps_the_temporary_files_of_killed_writers(scenario_dir, cache):
+    """Old temporary files, as writers killed before their rename leave,
+    among old entries, and the temporary file of a writer still at work:
+    a write keeps the KEEP newest files, its entry and the live writer's
+    file among them, and removes the rest, temporary files too."""
+    cache.mkdir(mode=0o700, parents=True)
+    old = [cache / (f".{i:032x}.graph.{100 + i}.tmp" if i % 2 else f"{i:032x}.graph")
+           for i in range(12)]
+    for age, path in enumerate(old, start=1):
+        path.write_bytes(b"x")
+        os.utime(path, (1e9 - age, 1e9 - age))
+    live = cache / f".{'f' * 32}.graph.99.tmp"
+    live.write_bytes(b"")
+    load_graph(scenario_dir / "out")
+    kept = [entry_path(cache, scenario_dir / "out"), live, *old[:graphcache.KEEP - 2]]
+    assert sorted(cache.iterdir()) == sorted(kept)
 
 
 # -- a rebuild between two queries ----------------------------------------------
@@ -462,6 +531,6 @@ def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path, cache):
         assert len(graph) == 3000
         del graph
     (_, strict_peak), (_, cold_peak), (warm_held, warm_peak) = traced
-    size = graphcache.entry_path(cache, tmp_path / "out").stat().st_size
+    size = entry_path(cache, tmp_path / "out").stat().st_size
     assert cold_peak - strict_peak < size / 2
     assert warm_peak - warm_held < size / 2

@@ -22,7 +22,6 @@ from ckt.query.parser import (
     QueryAST,
     Term,
     TriplePattern,
-    format_query,
     is_word,
     parse_query,
 )
@@ -39,6 +38,7 @@ from ckt.query.templates import (
     run_template,
 )
 from oracles import (
+    format_query,
     nested_loop_join,
     query_word,
     reference_contains_rows,
