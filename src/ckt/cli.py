@@ -19,19 +19,19 @@ from pathlib import Path
 
 from ckt import ids
 from ckt.errors import CktError, SlotError
-from ckt.extraction.traces import load_trace
 from ckt.graph import (
     STATS_FILE,
     TEMPLATES_COPY,
     TRACE_COPY,
     TRIPLES_FILE,
     KnowledgeGraph,
+    cached_graph,
     check_files,
     collector_paused,
     load_graph,
     read_if_present,
 )
-from ckt.model import Record
+from ckt.model import Lockset, Record
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
@@ -66,8 +66,8 @@ class QueryContext(Record):
     the PageRank score that nodes.jsonl gives each node, the template
     registry, the search of the graph's labels that free-form queries
     resolve against, which keeps what each one found, and the alert rules'
-    context, which holds the trace copy and whose indexes the first
-    response that needs each one builds."""
+    context, which holds the locksets of the trace copy's replay and whose
+    indexes the first response that needs each one builds."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 
@@ -82,6 +82,12 @@ class QueryContext(Record):
 def _load_query_context(graph_dir: Path) -> QueryContext:
     """Load what queries run against, with the cyclic collector paused.
 
+    The graph and the trace copy's locksets are decoded from the user's
+    graph cache when an earlier load wrote their entry (cached_graph),
+    and no trace line is parsed.  Else the trace copy, the templates copy
+    and the graph files are parsed in that order, so that an error names
+    the first of them that fails, and load_graph writes the entry.
+
     The load allocates several objects per node, triple and trace event,
     and all of them live as long as the process, so each collection the
     load would trigger, and every later full one, would walk them for
@@ -93,16 +99,25 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     """
     with collector_paused():
         # the copies are read first and checked against the graph.json that
-        # load_graph reads after them, so all the bytes are of one build
+        # cached_graph or load_graph reads after them, so all the bytes are
+        # of one build
         copies = {name: read_if_present(graph_dir / name) for name in (TRACE_COPY, TEMPLATES_COPY)}
-        trace = None
-        if copies[TRACE_COPY] is not None:
-            trace = load_trace(utf8_lines(TRACE_COPY, copies[TRACE_COPY]), name=TRACE_COPY)
+        hit = cached_graph(graph_dir, copies)
+        locksets = hit[1] if hit else _trace_locksets(copies[TRACE_COPY])
         registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
-        graph = load_graph(graph_dir, copies)
+        graph = hit[0] if hit else load_graph(graph_dir, copies, locksets)
         gc.freeze()
-    return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, trace))
+    return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, locksets))
+
+
+def _trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
+    """The locksets of the replay of a trace copy's bytes, or None for none."""
+    if trace is None:
+        return None
+    from ckt.extraction.traces import load_trace  # here, so that a cache hit loads no parser
+
+    return load_trace(utf8_lines(TRACE_COPY, trace), name=TRACE_COPY).replay.locksets
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:
@@ -304,29 +319,38 @@ def cmd_export(graph_dir: Path, what: str) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+# each command's help and (flag, add_argument keywords) pairs
+_COMMANDS = {
+    "build": ("build a knowledge graph from a manifest",
+              [("--manifest", {"required": True, "type": Path})]),
+    "query": ("run one query against a built graph",
+              [("--graph", {"required": True, "type": Path}),
+               ("--format", {"choices": ("table", "records"), "default": "table"}),
+               ("--count", {"action": "store_true"}),
+               ("text", {})]),
+    "repl": ("interactive query session",
+             [("--graph", {"required": True, "type": Path}),
+              ("--verbose", {"action": "store_true"})]),
+    "export": ("emit the persisted triples or stats",
+               [("--graph", {"required": True, "type": Path}),
+                ("--what", {"required": True})]),
+}
+
+
+def _build_arg_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`: with the subparser of the command that
+    argv[0] names alone, else with all of them, so that a usage, help or
+    error text that lists the commands lists every one."""
     parser = argparse.ArgumentParser(
         prog="ckt",
         description="Mine source, history, and traces into a queryable knowledge graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="build a knowledge graph from a manifest")
-    p_build.add_argument("--manifest", required=True, type=Path)
-
-    p_query = sub.add_parser("query", help="run one query against a built graph")
-    p_query.add_argument("--graph", required=True, type=Path)
-    p_query.add_argument("--format", choices=("table", "records"), default="table")
-    p_query.add_argument("--count", action="store_true")
-    p_query.add_argument("text")
-
-    p_repl = sub.add_parser("repl", help="interactive query session")
-    p_repl.add_argument("--graph", required=True, type=Path)
-    p_repl.add_argument("--verbose", action="store_true")
-
-    p_export = sub.add_parser("export", help="emit the persisted triples or stats")
-    p_export.add_argument("--graph", required=True, type=Path)
-    p_export.add_argument("--what", required=True)
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, arguments = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -347,7 +371,8 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_arg_parser(argv).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -47,7 +47,7 @@ from typing import BinaryIO, NamedTuple, NoReturn
 
 from ckt import graphcache, ids
 from ckt.errors import CktError, FormatError, NotFoundError
-from ckt.model import Entity, Span
+from ckt.model import Entity, Lockset, Span
 from ckt.textio import not_utf8
 
 # The interpreter's own BLAKE2b, the same module on Python 3.10 to 3.13; it
@@ -172,14 +172,12 @@ class GraphBuilder:
             raise CktError("graph builder already finalized")
 
 
-_UNWRITABLE = re.compile("[\t\n\r\ud800-\udfff]")
-
-
 def _check_ends(subject: str, object_: str) -> None:
     """Raise CktError naming the first end that a triples.tsv line cannot
-    hold, and what in it."""
+    hold, and what in it.  The pattern is compiled on the first call, in
+    re's own cache, not at import: no query calls this."""
     for name, end in (("subject", subject), ("object", object_)):
-        found = _UNWRITABLE.search(end)
+        found = re.search("[\t\n\r\ud800-\udfff]", end)
         if found:
             what = "tabs or newlines" if found[0] in "\t\n\r" else "lone surrogates"
             raise CktError(f"{name} may not contain {what}: {end!r}")
@@ -564,7 +562,8 @@ def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], d
         raise
 
 
-def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> KnowledgeGraph:
+def load_graph(directory, copies: dict[str, bytes | None] | None = None,
+               locksets: dict[str, Lockset] | None = None) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included.
 
     nodes.jsonl and triples.tsv are opened in the order save_graph writes
@@ -596,31 +595,58 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None) -> Know
     caller has read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.
 
-    graph.json's format is checked first.  The graph is then decoded from
-    the entry in the user's graph cache (ckt.graphcache) named by the
-    format and graph.json's digests of the graph files, when there is one
-    and the open graph files hash to those digests and the copies match
-    graph.json too.  Else the files are parsed as above, and once the
-    graph loads, its entry is written under the digests the parse
-    computed.  So every copy of a directory shares one entry, and one
-    whose files graph.json does not vouch for raises what the parse
-    raises.
+    A graph that cached_graph finds in the user's graph cache is decoded
+    from there, and none of this is done.  Else graph.json's format is
+    checked first, the files are parsed as above, and once the graph
+    loads, its entry is written under the digests the parse computed,
+    with `locksets`: the Eraser replay's per-variable locksets of the
+    trace copy in `copies`, or None when the caller parsed none.  So
+    every copy of a directory shares one entry, and one whose files
+    graph.json does not vouch for raises what the parse raises.
     """
     directory = Path(directory)
     copies = copies or {}
+    hit = cached_graph(directory, copies)
+    if hit is not None:
+        return hit[0]
     with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
-        vouched = _manifest_digests(manifest)
-        cached = graphcache.read((FORMAT_VERSION, *map(vouched.get, GRAPH_FILES)))
-        if cached is not None and _fresh(files, vouched, copies):
-            return KnowledgeGraph(*cached)
-        del cached  # none, or a graph the files do not match: parse them instead
-        for file in files.values():
-            file.seek(0)
+        _manifest_digests(manifest)  # its format, before any error of the parse
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
-    graphcache.write((FORMAT_VERSION, *map(digests.get, GRAPH_FILES)), entities, spo, ranks)
+    graphcache.write(_cache_key(digests, locksets is not None), entities, spo, ranks, locksets)
     return KnowledgeGraph(entities, spo, ranks)
+
+
+def cached_graph(directory, copies: dict[str, bytes | None]
+                 ) -> tuple[KnowledgeGraph, dict[str, Lockset] | None] | None:
+    """(graph, locksets) of the directory from the entry in the user's
+    graph cache (ckt.graphcache) named by the format and graph.json's
+    digests of the graph files and, when `copies` holds it, of the trace
+    copy, whose replay's locksets the entry holds (None when it holds no
+    trace copy).  The entry is used only when the open graph files hash
+    to graph.json's digests and `copies` match graph.json too.  Any other
+    outcome, an error among them, is None, a miss: the caller parses the
+    files then, and meets the error there.  So a hit parses no line of
+    any file."""
+    try:
+        with _opened(Path(directory), (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
+            vouched = _manifest_digests(files.pop(GRAPH_MANIFEST).read())
+            cached = graphcache.read(_cache_key(vouched, copies.get(TRACE_COPY) is not None))
+            if cached is not None and _fresh(files, vouched, copies):
+                entities, spo, ranks, locksets = cached
+                return KnowledgeGraph(entities, spo, ranks), locksets
+    except (CktError, OSError):
+        pass
+    return None
+
+
+def _cache_key(digests: dict, trace: bool) -> tuple:
+    """The graph-cache key of the files with `digests`: the graph format,
+    the digests of the graph files and, when `trace`, of the trace copy
+    (else None)."""
+    trace_digest = digests.get(TRACE_COPY) if trace else None
+    return FORMAT_VERSION, *map(digests.get, GRAPH_FILES), trace_digest
 
 
 def _fresh(files: dict[str, BinaryIO], vouched: dict, copies: dict[str, bytes | None]) -> bool:

@@ -1,17 +1,20 @@
 """The per-user cache of loaded graphs: a query against a graph directory
-whose bytes an earlier query parsed decodes the graph from the cache, not
-from nodes.jsonl and triples.tsv.
+whose bytes an earlier query parsed decodes the graph, and the replay of
+its trace copy, from the cache, not from nodes.jsonl, triples.tsv and
+trace.jsonl.
 
-An entry is the graph that one strict parse by load_graph gave: its
-nodes, ranks and keys.  It is named by what it was made from, as a
-content-addressed store names a block (Venti; ccache): the BLAKE2b-128 of
-the key, which load_graph gives as the graph format and the digests of
-the two graph files, with this entry layout, the marshal format and the
-interpreter.  So an entry is never compared with its graph directory,
-never rewritten once it decodes, and shared by every copy of the
-directory; one of another interpreter or layout has another name and is
-never opened.  An absent, unreadable or damaged entry is a miss, on which
-load_graph parses the files and writes the entry.  Deleting the cache is
+An entry is what one strict parse by load_graph gave: the graph's nodes,
+ranks and keys, and the Eraser replay's per-variable locksets of the
+trace copy that the caller parsed before it, or none.  It is named by
+what it was made from, as a content-addressed store names a block
+(Venti; ccache): the BLAKE2b-128 of the key, which load_graph gives as
+the graph format and the digests of the two graph files and of the trace
+copy, with this entry layout, the marshal format and the interpreter.
+So an entry is never compared with its graph directory, never rewritten
+once it decodes, and shared by every copy of the directory; one of
+another interpreter or layout has another name and is never opened.  An
+absent, unreadable or damaged entry is a miss, on which the caller
+parses the files and load_graph writes the entry.  Deleting the cache is
 always safe.
 
 The cache lives in $XDG_CACHE_HOME/ckt, or ~/.cache/ckt, never in a graph
@@ -24,10 +27,11 @@ first the counts of nodes and keys, then node records of up to RECORD
 (id, kind, label, span, attrs, rank) tuples in ascending id order, then
 key records of up to RECORD keys in SPO order as (subject indexes,
 predicates, object indexes or literals), each index the node's place in
-id order.  A digest covers the records before its own, so a missing,
-reordered, truncated or changed record is a miss.  Entries are read and
-written a record at a time: no process holds a whole entry, or a second
-copy of the graph.
+id order, and last the locksets record: None, or a (variable, candidate,
+accesses, tids, wrote) tuple per variable of the replay.  A digest
+covers the records before its own, so a missing, reordered, truncated or
+changed record is a miss.  Entries are read and written a record at a
+time: no process holds a whole entry, or a second copy of the graph.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
 
-from ckt.model import Entity, Span
+from ckt.model import Entity, Lockset, Span
 
 # the interpreter's BLAKE2b, as in ckt.graph
 from _blake2 import blake2b as _blake2b
 
-VERSION = 2  # of the entry layout
+VERSION = 3  # of the entry layout
 RECORD = 256  # nodes or keys per record
 KEEP = 8  # entries and temporary files a cache directory keeps after each write
 _DIGEST_SIZE = 16
@@ -92,8 +96,9 @@ def _name(key: tuple) -> str:
 
 
 def read(key: tuple) -> tuple | None:
-    """(entities, SPO keys, ranks) from the entry of `key` in private_dir;
-    None for a miss: no cache, or the entry absent, unreadable or damaged."""
+    """(entities, SPO keys, ranks, locksets) from the entry of `key` in
+    private_dir; None for a miss: no cache, or the entry absent,
+    unreadable or damaged."""
     cache = private_dir()
     if cache is None:
         return None
@@ -133,18 +138,24 @@ def _decode(file: BinaryIO) -> tuple:
             subjects, predicates, objects = record()
             spo += zip(map(ids.__getitem__, subjects), predicates,
                        [ids[o] if type(o) is int else o for o in objects])
+        locksets = record()
+        if locksets is not None:
+            locksets = {var: Lockset(candidate, accesses, tids, wrote)
+                        for var, candidate, accesses, tids, wrote in locksets}
     except (ValueError, TypeError, IndexError, EOFError) as exc:  # no record this module writes
         raise _Miss from exc
     if len(entities) != n_nodes or len(spo) != n_keys or file.read(1):
         raise _Miss
-    return entities, spo, ranks
+    return entities, spo, ranks, locksets
 
 
-def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, float]) -> None:
+def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, float],
+          locksets: dict[str, Lockset] | None) -> None:
     """Write the entry of `key` in private_dir, for the graph that a strict
-    parse of the bytes `key` names gave, through a temporary file renamed
-    into place, and keep the KEEP newest files of the directory.  No cache,
-    or one that cannot be written, is left as it is, and nothing raised."""
+    parse of the bytes `key` names gave and the locksets of the trace
+    copy it names, or None, through a temporary file renamed into place,
+    and keep the KEEP newest files of the directory.  No cache, or one
+    that cannot be written, is left as it is, and nothing raised."""
     cache = private_dir()
     if cache is None:
         return
@@ -153,7 +164,7 @@ def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, f
         tmp = cache / f".{path.name}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as file:
-                _encode(file, entities, spo, ranks)
+                _encode(file, entities, spo, ranks, locksets)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -163,7 +174,7 @@ def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, f
 
 
 def _encode(file: BinaryIO, entities: dict[str, Entity], spo: list,
-            ranks: dict[str, float]) -> None:
+            ranks: dict[str, float], locksets: dict[str, Lockset] | None) -> None:
     chain = _blake2b(digest_size=_DIGEST_SIZE)
 
     def record(value) -> None:
@@ -187,6 +198,8 @@ def _encode(file: BinaryIO, entities: dict[str, Entity], spo: list,
         subjects, predicates, objects = zip(*spo[start:start + RECORD])
         record((list(map(index.__getitem__, subjects)), predicates,
                 list(map(index.get, objects, objects))))
+    record(None if locksets is None else [(var, rec.candidate, rec.accesses, rec.tids, rec.wrote)
+                                          for var, rec in locksets.items()])
 
 
 def _prune(cache: Path) -> None:

@@ -2,9 +2,10 @@
 provenance, mutex advice, stale-comment flags.
 
 Each rule is explicit and deterministic.  The dynamic race detector reads
-the trace's Eraser-style replay: a variable's candidate lockset is the
-intersection of the locks held at each of its accesses; an empty lockset
-plus multi-threaded access including a write signals a race.
+the locksets of the trace's Eraser-style replay: a variable's candidate
+lockset is the intersection of the locks held at each of its accesses;
+an empty lockset plus multi-threaded access including a write signals a
+race.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import DomainError, NotFoundError
 from ckt.graph import KnowledgeGraph, call_graph
-from ckt.model import Entity, Record, TraceLog
+from ckt.model import Entity, Lockset, Record
 from ckt.query.evaluate import ResultSet
 from ckt.textio import parse_timestamp
 
@@ -57,11 +58,12 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 
 
 class AugmentContext:
-    """What the rules share for one graph and trace, each part built on
-    first use: each variable's accessors, the call graph, one BFS tree per
-    race root, the reach index (each function's trees), the bug table, the
-    commits touching each entity with each commit's newest-first key, and
-    each entity's stale comments.  Every rule reads the graph and the trace
+    """What the rules share for one graph and the locksets of its trace's
+    replay (None without a trace), each other part built on first use:
+    each variable's accessors, the call graph, one BFS tree per race root,
+    the reach index (each function's trees), the bug table, the commits
+    touching each entity with each commit's newest-first key, and each
+    entity's stale comments.  Every rule reads the graph and the locksets
     through it alone.  A query process keeps one for its loaded graph, so
     every response, and every row of it, reads the same indexes.
 
@@ -71,9 +73,9 @@ class AugmentContext:
     graph and these indexes, which never change.  A rule that raises keeps
     no verdict, so it raises again on every ask."""
 
-    def __init__(self, graph: KnowledgeGraph, trace: TraceLog | None = None):
+    def __init__(self, graph: KnowledgeGraph, locksets: dict[str, Lockset] | None = None):
         self.graph = graph
-        self.trace = trace
+        self.locksets = locksets
         self.static_races: dict[str, SmartAlert | None] = {}
         self.similar: dict[str, list[tuple[str, float]]] = {}
 
@@ -222,9 +224,9 @@ def race_alert_static(ctx: AugmentContext, var: str) -> SmartAlert | None:
 
 
 def race_alert_dynamic(ctx: AugmentContext, var: str) -> SmartAlert | None:
-    """Eraser's verdict for one variable, from the replay of the context's
-    trace, which must be loaded."""
-    rec = ctx.trace.replay.locksets.get(var)
+    """Eraser's verdict for one variable, from the context's locksets,
+    which must be given."""
+    rec = ctx.locksets.get(var)
     if rec is None:
         raise NotFoundError(f"{var} is not referenced by any trace event")
     if rec.candidate or len(rec.tids) < 2 or not rec.wrote:
@@ -292,7 +294,7 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     Dispatch is by binding kind: globals get race checks plus mutex advice,
     bugs get similar defects, code elements get change provenance, and
     anything with a stale comment gets flagged.  Rows are never modified.
-    The rules read `ctx`, the context of the graph and trace that a query
+    The rules read `ctx`, the context of the graph and locksets that a query
     process keeps across responses.  Only the ALERT_CAP alerts first by
     (-score, kind, subject) are kept.
 
@@ -350,7 +352,7 @@ def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
                                dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
     eid = entity.id
     if _is_global(entity):
-        if ctx.trace is None or eid not in ctx.trace.replay.locksets:
+        if eid not in (ctx.locksets or ()):
             return []
         alert = race_alert_dynamic(ctx, eid)
         if alert is None:

@@ -258,6 +258,12 @@ def brute_triangles(nodes, triple_keys, literal_preds=("has-type",)):
     return counts, total
 
 
+def locksets(trace):
+    """What AugmentContext reads of a TraceLog: the locksets of its
+    replay, or None without a trace."""
+    return None if trace is None else trace.replay.locksets
+
+
 def lockset_race(events, var):
     """From-scratch lockset verdict for one variable.
 

@@ -31,6 +31,7 @@ from oracles import (
     dumps_facts,
     format_query,
     lockset_race,
+    locksets,
     nested_loop_join,
     round_trips,
 )
@@ -64,7 +65,7 @@ def test_criterion_1_scenario_reproduction(tmp_path):
     with open(work / "out" / "trace.jsonl", encoding="utf-8") as fh:
         trace = load_trace(fh)
     registry = load_registry(str(work / "out" / "templates.jsonl"))
-    ctx = AugmentContext(graph, trace)
+    ctx = AugmentContext(graph, locksets(trace))
 
     # (a) the similar-defect search for bug 67 ranks bug 22 first
     ranked = similar_defects(ctx, "bug:CQ/67")
@@ -224,7 +225,7 @@ def test_criterion_5_lockset_races():
                 else rng.choice(["var:a#x", "var:a#y"])
             )
             events.append(TraceEvent(seq, tid, kind, target))
-        ctx = AugmentContext(build_graph([]), TraceLog(events=events))
+        ctx = AugmentContext(build_graph([]), locksets(TraceLog(events=events)))
         for var in ("var:a#x", "var:a#y"):
             if not any(e.kind in ("read", "write") and e.target == var for e in events):
                 continue
@@ -235,12 +236,12 @@ def test_criterion_5_lockset_races():
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "acquire", "L"),
         TraceEvent(5, 2, "write", "var:a#g"), TraceEvent(6, 2, "release", "L"),
     ])
-    assert race_alert_dynamic(AugmentContext(build_graph([]), guarded), "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build_graph([]), locksets(guarded)), "var:a#g") is None
     unguarded = TraceLog(events=[
         TraceEvent(1, 1, "acquire", "L"), TraceEvent(2, 1, "write", "var:a#g"),
         TraceEvent(3, 1, "release", "L"), TraceEvent(4, 2, "write", "var:a#g"),
     ])
-    unguarded_ctx = AugmentContext(build_graph([]), unguarded)
+    unguarded_ctx = AugmentContext(build_graph([]), locksets(unguarded))
     alerts = [a for a in [race_alert_dynamic(unguarded_ctx, "var:a#g")] if a]
     assert len(alerts) == 1
     print("ACCEPTANCE 5: lockset detector matches recomputation on 100 traces PASS")

@@ -1177,3 +1177,64 @@ def test_export_unknown_target(scenario_dir, capsys):
 
 def test_export_missing_dir(tmp_path, capsys):
     assert cmd_export(tmp_path / "nope", "triples") == 2
+
+
+# -- the argument parser ----------------------------------------------------------
+
+_USAGE = "usage: ckt [-h] {build,query,repl,export} ...\n"
+_QUERY_USAGE = "usage: ckt query [-h] --graph GRAPH [--format {table,records}] [--count] text\n"
+# (stdout, stderr, exit code) of each command line, as before the parser
+# built only the subparser of the command it was given
+PARSER_TEXTS = {
+    "": ("", _USAGE + "ckt: error: the following arguments are required: command\n", 2),
+    "--help": (_USAGE + """
+Mine source, history, and traces into a queryable knowledge graph.
+
+positional arguments:
+  {build,query,repl,export}
+    build               build a knowledge graph from a manifest
+    query               run one query against a built graph
+    repl                interactive query session
+    export              emit the persisted triples or stats
+
+options:
+  -h, --help            show this help message and exit
+""", "", 0),
+    "frob": ("", _USAGE + "ckt: error: argument command: invalid choice: 'frob' "
+             "(choose from 'build', 'query', 'repl', 'export')\n", 2),
+    "query --help": (_QUERY_USAGE + """
+positional arguments:
+  text
+
+options:
+  -h, --help            show this help message and exit
+  --graph GRAPH
+  --format {table,records}
+  --count
+""", "", 0),
+    "query": ("", _QUERY_USAGE
+              + "ckt query: error: the following arguments are required: --graph, text\n", 2),
+    "query --graph g --format bogus q": (
+        "", _QUERY_USAGE + "ckt query: error: argument --format: invalid choice: 'bogus' "
+        "(choose from 'table', 'records')\n", 2),
+    "build": ("", "usage: ckt build [-h] --manifest MANIFEST\n"
+              "ckt build: error: the following arguments are required: --manifest\n", 2),
+    "repl --help": ("""usage: ckt repl [-h] --graph GRAPH [--verbose]
+
+options:
+  -h, --help     show this help message and exit
+  --graph GRAPH
+  --verbose
+""", "", 0),
+}
+
+
+@pytest.mark.parametrize("line", list(PARSER_TEXTS), ids=lambda line: f"ckt {line}".strip())
+def test_usage_help_and_errors_of_the_parser(line, monkeypatch, capsys):
+    """Whether it builds one subparser or all four, the parser prints what
+    it printed when it built all four, 80 columns wide."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(line.split())
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, exited.value.code) == PARSER_TEXTS[line]

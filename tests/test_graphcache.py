@@ -1,18 +1,22 @@
 """The per-user graph cache: a load through it equals the strict load, cold
 and warm; an entry is named by the graph format, the digests of the graph
-files, the entry layout, the marshal format and the interpreter, so two
-interpreters taking turns each parse once, a copy of a graph directory
-and a rebuild back to earlier bytes load from the entry already written,
-and files that graph.json does not vouch for raise what the strict load
-raises; a truncated entry, or one with a flipped byte or a missing
-record, is a miss that parses the files and writes the entry anew; a
-cache that cannot be written changes no answer and raises nothing; a
-query after a rebuild answers from the new graph; a cache directory that
-another user could write is not used; the temporary files of a killed
-writer are swept; and a warm load holds no whole entry.  Each test keeps
-its cache in a temporary XDG_CACHE_HOME of its own, and compares with
+files and of the trace copy, the entry layout, the marshal format and the
+interpreter, so two interpreters taking turns each parse once, a copy of
+a graph directory and a rebuild back to earlier bytes load from the entry
+already written, and files that graph.json does not vouch for raise what
+the strict load raises; a truncated entry, or one with a flipped byte or
+a missing record, is a miss that parses the files and writes the entry
+anew; a cache that cannot be written changes no answer and raises
+nothing; a query after a rebuild answers from the new graph; a cache
+directory that another user could write is not used; the temporary files
+of a killed writer are swept; a warm load holds no whole entry; and a
+query load decodes the replay's locksets of the trace copy that the entry
+names, so a hit parses and imports no trace parser, while a damaged or
+missing locksets record is a miss.  Each test keeps its cache in a
+temporary XDG_CACHE_HOME of its own, and compares with
 oracles.strict_load_graph."""
 
+import gc
 import json
 import os
 import shutil
@@ -31,10 +35,14 @@ from hypothesis import strategies as st
 
 import ckt.graph
 from ckt import graphcache
+from ckt.cli import _load_query_context
+from ckt.extraction import traces
+from ckt.extraction.traces import load_trace
 from ckt.graph import (
     FORMAT_VERSION,
     GRAPH_MANIFEST,
     NODES_FILE,
+    TRACE_COPY,
     TRIPLES_FILE,
     GraphBuilder,
     KnowledgeGraph,
@@ -43,6 +51,8 @@ from ckt.graph import (
     save_graph,
 )
 from ckt.model import Entity, Span
+from ckt.query.evaluate import ResultSet
+from ckt.smart import AugmentContext, augment
 from oracles import graphs_equal, strict_load_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,15 +74,18 @@ def cache(tmp_path, monkeypatch) -> Path:
     return tmp_path / "xdg" / "ckt"
 
 
-def key_of(out: Path) -> tuple:
-    """The cache key of the graph that the graph.json of `out` vouches for."""
+def key_of(out: Path, trace: bool = False) -> tuple:
+    """The cache key of the graph that the graph.json of `out` vouches for,
+    and, when `trace`, of its trace copy, as a load given that copy keys
+    it; else as a load given none."""
     digests = json.loads((out / GRAPH_MANIFEST).read_bytes())["blake2b"]
-    return FORMAT_VERSION, digests[NODES_FILE], digests[TRIPLES_FILE]
+    return (FORMAT_VERSION, digests[NODES_FILE], digests[TRIPLES_FILE],
+            digests[TRACE_COPY] if trace else None)
 
 
-def entry_path(cache: Path, out: Path) -> Path:
+def entry_path(cache: Path, out: Path, trace: bool = False) -> Path:
     """Where `cache` keeps the entry of the graph directory `out`."""
-    return cache / graphcache._name(key_of(out))
+    return cache / graphcache._name(key_of(out, trace))
 
 
 @contextmanager
@@ -251,18 +264,21 @@ def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_sc
 
 
 def test_another_key_or_writer_gives_another_name():
-    """The graph format, either digest, the entry layout, the marshal
-    format and the interpreter each give the entry another name."""
-    key = (FORMAT_VERSION, "a" * 64, "b" * 64)
+    """The graph format, any digest, no trace copy, the entry layout, the
+    marshal format and the interpreter each give the entry another name."""
+    key = (FORMAT_VERSION, "a" * 64, "b" * 64, "d" * 64)
     names = [graphcache._name(key)]
-    for other in ((FORMAT_VERSION + 1, "a" * 64, "b" * 64), (FORMAT_VERSION, "c" * 64, "b" * 64),
-                  (FORMAT_VERSION, "a" * 64, "c" * 64)):
+    for other in ((FORMAT_VERSION + 1, "a" * 64, "b" * 64, "d" * 64),
+                  (FORMAT_VERSION, "c" * 64, "b" * 64, "d" * 64),
+                  (FORMAT_VERSION, "a" * 64, "c" * 64, "d" * 64),
+                  (FORMAT_VERSION, "a" * 64, "b" * 64, "c" * 64),
+                  (FORMAT_VERSION, "a" * 64, "b" * 64, None)):
         names.append(graphcache._name(other))
     for target, attribute in ((graphcache, "VERSION"), (graphcache.marshal, "version"),
                               (sys.implementation, "cache_tag")):
         with mock.patch.object(target, attribute, -1):
             names.append(graphcache._name(key))
-    assert len(set(names)) == len(names) == 7
+    assert len(set(names)) == len(names) == 9
     assert names[0] == graphcache._name(key)
 
 
@@ -335,6 +351,183 @@ def test_files_that_graph_json_does_not_vouch_for_raise_as_the_strict_load(warm_
     assert list(cache.iterdir()) == [entry] and entry.read_bytes() == written
 
 
+# -- the replay of the trace copy --------------------------------------------------
+
+_VARS = [f"var:a.c#g{i}" for i in range(4)]  # the last is never written
+_LOCKS = ["lock:a.c#m0", "lock:a.c#m1"]
+_ROWS = ResultSet(("v",), [(var,) for var in _VARS])
+RACING = "SELECT ?v WHERE { func:src/VHDLPosedge.cc#VHDLPosedge_S2 writes ?v }"
+
+
+@st.composite
+def trace_copies(draw):
+    """The bytes of a trace copy: events on up to three threads, with
+    nested and re-entrant acquires of two locks, releases of locks not
+    held, reads and writes of the variables, and calls."""
+    lines = []
+    for seq in range(1, draw(st.integers(0, 40)) + 1):
+        kind = draw(st.sampled_from(["acquire", "release", "read", "write", "enter", "exit"]))
+        target = draw(st.sampled_from(_LOCKS if kind in ("acquire", "release")
+                                      else _VARS if kind == "read"
+                                      else _VARS[:-1] if kind == "write" else ["func:a.c#f"]))
+        lines.append(json.dumps({"seq": seq, "tid": draw(st.integers(1, 3)), "kind": kind,
+                                 "target": target}) + "\n")
+    return "".join(lines).encode()
+
+
+def save_traced_graph(out: Path, trace: bytes | None) -> None:
+    """Save the graph of the variables, each a global that func:a.c#f
+    writes, with `trace` as its trace copy, or none."""
+    builder = GraphBuilder()
+    for var in _VARS:
+        builder.add_entity(Entity(var, "variable", var[-2:], None, {"scope": "global"}))
+        builder.insert_triple("func:a.c#f", "writes", var, Provenance("source-code", "a.c:1"))
+    save_graph(builder.finalize(), builder.sources, out,
+               None if trace is None else {TRACE_COPY: trace})
+
+
+def replayed(trace: bytes) -> dict:
+    """The locksets of load_trace's replay of a trace copy's bytes."""
+    return load_trace(trace.decode().splitlines(keepends=True), name=TRACE_COPY).replay.locksets
+
+
+def fields(locksets: dict | None) -> dict | None:
+    """Each variable's lockset as the type and value of each of its fields."""
+    if locksets is None:
+        return None
+    return {var: [(type(value), value) for value in rec._values()]
+            for var, rec in locksets.items()}
+
+
+def query_load(out: Path):
+    """The context a query loads for the graph directory `out`, with what
+    the load froze out of the collector's walks put back."""
+    try:
+        return _load_query_context(out)
+    finally:
+        gc.unfreeze()
+
+
+@contextmanager
+def counted_trace_parses():
+    """A spy on load_trace, which a query load imports when it parses."""
+    with mock.patch.object(traces, "load_trace", wraps=traces.load_trace) as spy:
+        yield spy
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_copies())
+def test_a_cold_and_a_warm_query_load_each_give_the_replay_of_the_trace_copy(trace):
+    """The miss parses the trace copy and writes its locksets into the
+    entry; the hit decodes them.  Each equals load_trace's replay field
+    by field, and each gives the alerts that replay gives."""
+    with tempfile.TemporaryDirectory() as tmp, cache_home(Path(tmp, "xdg")):
+        out = Path(tmp, "out")
+        save_traced_graph(out, trace)
+        expected = replayed(trace)
+        alerts = augment(_ROWS, AugmentContext(strict_load_graph(out), expected)).alerts
+        with counted_parses() as spy, counted_trace_parses() as trace_spy:
+            loads = [query_load(out), query_load(out)]
+        assert spy.call_count == trace_spy.call_count == 1
+        for ctx in loads:
+            assert fields(ctx.rules.locksets) == fields(expected)
+            assert augment(_ROWS, ctx.rules).alerts == alerts
+
+
+def test_a_miss_and_then_a_hit_parse_the_trace_copy_once(scenario_dir, scenario_trace, cache):
+    with counted_trace_parses() as trace_spy:
+        loads = [query_load(scenario_dir / "out"), query_load(scenario_dir / "out")]
+    assert trace_spy.call_count == 1
+    assert entry_path(cache, scenario_dir / "out", trace=True).exists()
+    for ctx in loads:
+        assert fields(ctx.rules.locksets) == fields(scenario_trace.replay.locksets)
+
+
+def test_directories_that_differ_only_in_their_trace_copy_each_read_their_own_replay(tmp_path,
+                                                                                      cache):
+    """Byte-identical graph files, each with a trace copy that its own
+    graph.json vouches for: in one, two threads write g0 with no lock
+    held; in the other, each holds m0.  Each directory writes an entry
+    of its own, and each load, cold or warm, gives its own replay."""
+    race = ['{"seq":1,"tid":1,"kind":"write","target":"var:a.c#g0"}',
+            '{"seq":2,"tid":2,"kind":"write","target":"var:a.c#g0"}']
+    guarded = ['{"seq":1,"tid":1,"kind":"acquire","target":"lock:a.c#m0"}',
+               '{"seq":2,"tid":1,"kind":"write","target":"var:a.c#g0"}',
+               '{"seq":3,"tid":2,"kind":"acquire","target":"lock:a.c#m0"}',
+               '{"seq":4,"tid":2,"kind":"write","target":"var:a.c#g0"}']
+    copies = ["".join(f"{line}\n" for line in lines).encode() for lines in (race, guarded)]
+    outs = [tmp_path / "race", tmp_path / "guarded"]
+    for out, trace in zip(outs, copies):
+        save_traced_graph(out, trace)
+    for name in (NODES_FILE, TRIPLES_FILE):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    with counted_parses() as spy:
+        for _ in range(2):
+            for out, trace in zip(outs, copies):
+                ctx = query_load(out)
+                assert fields(ctx.rules.locksets) == fields(replayed(trace))
+                kinds = [a.kind for a in augment(_ROWS, ctx.rules).alerts]
+                assert ("race-dynamic" in kinds) == (out.name == "race")
+    assert spy.call_count == 2
+    assert len(list(cache.glob("*.graph"))) == 2
+
+
+def test_a_graph_built_without_a_trace_loads_no_locksets(tmp_path, cache):
+    out = tmp_path / "out"
+    save_traced_graph(out, None)
+    with counted_parses() as spy, counted_trace_parses() as trace_spy:
+        loads = [query_load(out), query_load(out)]
+    assert (spy.call_count, trace_spy.call_count) == (1, 0)
+    assert [ctx.rules.locksets for ctx in loads] == [None, None]
+    assert augment(_ROWS, loads[1].rules).alerts == augment(_ROWS, loads[0].rules).alerts
+    assert list(cache.iterdir()) == [entry_path(cache, out)]
+
+
+# each takes an entry's bytes and its record spans; the last record is the
+# locksets record
+TRACE_DAMAGES = {
+    "missing": lambda data, spans: without(data, spans[-1]),
+    "truncated": lambda data, spans: data[:spans[-1][0] + 30],
+    "flipped byte": lambda data, spans: flip(data, spans[-1][0] + 30),
+    "flipped digest": lambda data, spans: flip(data, spans[-1][0] + 4),
+}
+
+
+@pytest.mark.parametrize("damage", TRACE_DAMAGES.values(), ids=list(TRACE_DAMAGES))
+def test_a_damaged_or_missing_locksets_record_is_a_miss_that_writes_the_entry_anew(
+        scenario_dir, scenario_trace, tmp_path, cache, damage):
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    query_load(out)
+    entry = entry_path(cache, out, trace=True)
+    good = entry.read_bytes()
+    entry.write_bytes(damage(good, record_spans(good)))
+    with counted_parses() as spy, counted_trace_parses() as trace_spy:
+        loads = [query_load(out), query_load(out)]
+    assert spy.call_count == trace_spy.call_count == 1
+    assert len(entry.read_bytes()) == len(good)
+    for ctx in loads:
+        assert fields(ctx.rules.locksets) == fields(scenario_trace.replay.locksets)
+
+
+def test_a_query_that_hits_the_cache_imports_no_trace_parser(scenario_dir, tmp_path):
+    """The miss imports ckt.extraction.traces to parse the trace copy; the
+    hit imports none of it, and answers alike, race-dynamic alert and all."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "xdg")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    procs = [subprocess.run([sys.executable, "-X", "importtime", "-m", "ckt", "query", "--graph",
+                             str(scenario_dir / "out"), "--format", "records", RACING],
+                            env=env, capture_output=True, text=True, timeout=120)
+             for _ in range(2)]
+    # -X importtime writes one line per module imported, its name last
+    imported = [{line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")} for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert '"race-dynamic"' in procs[0].stdout and procs[1].stdout == procs[0].stdout
+    assert "ckt.graph" in imported[1]
+    assert ["ckt.extraction.traces" in names for names in imported] == [True, False]
+
+
 # -- a cache that cannot be written --------------------------------------------
 
 
@@ -387,7 +580,7 @@ def test_a_cache_directory_that_others_may_open_is_not_used(scenario_dir, tmp_pa
     there: each parses the files."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    graphcache.write(key_of(out), {}, [], {})
+    graphcache.write(key_of(out), {}, [], {}, None)
     cache.chmod(mode)
     forged = entry_path(cache, out).read_bytes()
     strict = strict_load_graph(out)

@@ -510,7 +510,7 @@ def test_similar_defects_from_the_bug_table_equal_all_pairs_oracle(graph_and_tra
 
 
 def assert_alerts_match_oracle(graph, trace, queries, cap):
-    ctx = AugmentContext(graph, trace)  # one context for every response
+    ctx = AugmentContext(graph, oracles.locksets(trace))  # one context for every response
     for text in queries:
         result = evaluate(graph, parse_query(text))
         with patch.object(smart, "ALERT_CAP", cap):
@@ -598,7 +598,7 @@ def test_alerts_tied_across_tier_boundaries_equal_per_response_oracle(
     graph, trace, entities = tier_graph(n_globals, pair_scores, static, provenance, stale)
     rotation %= len(entities)
     result = ResultSet(("e",), [(eid,) for eid in entities[rotation:] + entities[:rotation]])
-    ctx = AugmentContext(graph, trace)
+    ctx = AugmentContext(graph, oracles.locksets(trace))
     with patch.object(smart, "ALERT_CAP", 10**6):
         every = augment(result, ctx).alerts
     assert sorted(a.score for a in every if a.kind == "similar-defect") == sorted(pair_scores * 2)

@@ -21,7 +21,7 @@ from ckt.smart import (
     race_alert_static,
     similar_defects,
 )
-from oracles import augment_per_response, brute_similar_defects, lockset_race
+from oracles import augment_per_response, brute_similar_defects, lockset_race, locksets
 
 PROV = Provenance("source-code", "t:1")
 
@@ -120,7 +120,7 @@ def test_dynamic_race_hand_lockset():
         TraceEvent(3, 1, "release", "L"),
         TraceEvent(4, 2, "write", "var:a#g"),
     ])
-    alert = race_alert_dynamic(AugmentContext(build([]), log), "var:a#g")
+    alert = race_alert_dynamic(AugmentContext(build([]), locksets(log)), "var:a#g")
     assert alert is not None
     assert alert.evidence == ["seq:2", "seq:4"]
 
@@ -134,7 +134,7 @@ def test_consistent_lock_no_race():
         TraceEvent(5, 2, "write", "var:a#g"),
         TraceEvent(6, 2, "release", "L"),
     ])
-    assert race_alert_dynamic(AugmentContext(build([]), log), "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build([]), locksets(log)), "var:a#g") is None
 
 
 def test_single_thread_no_race():
@@ -142,13 +142,13 @@ def test_single_thread_no_race():
         TraceEvent(1, 1, "write", "var:a#g"),
         TraceEvent(2, 1, "write", "var:a#g"),
     ])
-    assert race_alert_dynamic(AugmentContext(build([]), log), "var:a#g") is None
+    assert race_alert_dynamic(AugmentContext(build([]), locksets(log)), "var:a#g") is None
 
 
 def test_unknown_var_not_found():
     log = trace([TraceEvent(1, 1, "write", "var:a#g")])
     with pytest.raises(NotFoundError):
-        race_alert_dynamic(AugmentContext(build([]), log), "var:a#other")
+        race_alert_dynamic(AugmentContext(build([]), locksets(log)), "var:a#other")
 
 
 def test_dynamic_agrees_with_recomputation_on_random_traces():
@@ -170,7 +170,7 @@ def test_dynamic_agrees_with_recomputation_on_random_traces():
         for var in ("var:a#x", "var:a#y"):
             if not any(e.kind in ("read", "write") and e.target == var for e in events):
                 continue
-            mine = race_alert_dynamic(AugmentContext(build([]), log), var) is not None
+            mine = race_alert_dynamic(AugmentContext(build([]), locksets(log)), var) is not None
             assert mine == lockset_race(events, var), (var, events)
 
 
@@ -274,7 +274,7 @@ def test_augment_attaches_race_and_advice():
         TraceEvent(2, 2, "write", "var:a#g"),
     ])
     result = ResultSet(("v",), [("var:a#g",)])
-    augmented = augment(result, AugmentContext(graph, log))
+    augmented = augment(result, AugmentContext(graph, locksets(log)))
     kinds = [a.kind for a in augmented.alerts]
     assert "race-static" in kinds and "race-dynamic" in kinds
     advice = next(a for a in augmented.alerts if a.kind == "mutex-advice")
@@ -356,12 +356,12 @@ def test_lower_tiers_are_skipped_once_the_cap_is_settled(n_globals, static_calls
     graph, log, result = racing_globals_graph(n_globals)
     calls = {"race_alert_static": 0, "change_provenance": 0}
     with counting("race_alert_static", calls), counting("change_provenance", calls):
-        alerts = augment(result, AugmentContext(graph, log)).alerts
+        alerts = augment(result, AugmentContext(graph, locksets(log))).alerts
     assert calls == {"race_alert_static": static_calls, "change_provenance": 0}
     assert alerts == augment_per_response(result, graph, log).alerts
     with patch.object(smart, "ALERT_CAP", 10**6):  # the wrappers see the calls a full run makes
         with counting("race_alert_static", calls), counting("change_provenance", calls):
-            every = augment(result, AugmentContext(graph, log)).alerts
+            every = augment(result, AugmentContext(graph, locksets(log))).alerts
     assert calls == {"race_alert_static": static_calls + n_globals,
                      "change_provenance": n_globals}
     assert alerts == every[:10]
@@ -378,7 +378,7 @@ def test_a_failing_rule_drops_its_entity_only_in_a_tier_that_runs(n_globals):
         raise RuntimeError("no history")
 
     with patch.object(smart, "change_provenance", failing):
-        alerts = augment(result, AugmentContext(graph, log)).alerts
+        alerts = augment(result, AugmentContext(graph, locksets(log))).alerts
     if n_globals == 3:
         assert [(a.kind, a.subject, a.score) for a in alerts] == [
             ("warning", var, 0.0) for var, in result.rows]
@@ -415,12 +415,12 @@ def test_each_verdict_is_computed_once_per_context(case):
     globals_ = [eid for eid, e in graph.entities.items() if smart._is_global(e)]
     bugs = [eid for eid, e in graph.entities.items() if e.kind == "bug"]
     calls = {"race_alert_static": 0, "similar_defects": 0}
-    ctx = AugmentContext(graph, log)
+    ctx = AugmentContext(graph, locksets(log))
     with patch.object(smart, "ALERT_CAP", 10**6), \
             counting("race_alert_static", calls), counting("similar_defects", calls):
         answers = [augment(result, ctx).alerts for _ in range(3)]
         assert calls == {"race_alert_static": len(globals_), "similar_defects": len(bugs)}
-        fresh = AugmentContext(graph, log)
+        fresh = AugmentContext(graph, locksets(log))
         assert augment(result, fresh).alerts == answers[0] == answers[1] == answers[2]
     assert calls == {"race_alert_static": 2 * len(globals_), "similar_defects": 2 * len(bugs)}
     assert ctx.static_races == fresh.static_races
@@ -441,7 +441,7 @@ def test_a_rule_that_raises_keeps_no_verdict(rule, case):
         calls.append(eid)
         raise RuntimeError("rule failed")
 
-    ctx = AugmentContext(graph, log)
+    ctx = AugmentContext(graph, locksets(log))
     with patch.object(smart, rule, failing):
         for _ in range(3):
             alerts = augment(result, ctx).alerts
@@ -503,7 +503,7 @@ def check_tier_kinds(graph, log):
     for it without raising.  The provenance tier's kinds are its rule's
     only kind test, so the oracle alone checks them.  Uncapped, augment
     over every entity gives the oracle's alerts."""
-    ctx = AugmentContext(graph, log)
+    ctx = AugmentContext(graph, locksets(log))
     every = ResultSet(("e",), [(eid,) for eid in graph.entities])
     oracle = augment_per_response(every, graph, log, cap=10**6).alerts
     with patch.object(smart, "ALERT_CAP", 10**6):
@@ -576,7 +576,7 @@ def test_augment_on_permuted_rows_equals_the_per_response_oracle(drawn, data):
                          failing_for(failing, oracles.brute_similar_defects)), \
             patch.object(oracles, "lockset_race", failing_for(failing, lockset_race)):
         expected = augment_per_response(ResultSet(("a", "b"), rows), graph, log, cap=cap).alerts
-        ctx = AugmentContext(graph, log)
+        ctx = AugmentContext(graph, locksets(log))
         with patch.object(smart, "ALERT_CAP", cap):
             for _ in range(2):  # the second answer reads the verdicts the first one kept
                 assert augment(ResultSet(("a", "b"), permuted), ctx).alerts == expected

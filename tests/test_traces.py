@@ -12,7 +12,7 @@ from ckt.extraction.traces import load_trace
 from ckt.graph import GraphBuilder
 from ckt.model import FactSet, TraceLog
 from ckt.smart import AugmentContext, race_alert_dynamic
-from oracles import call_stack_at, held_locks_at, lockset_race, max_trace_depth
+from oracles import call_stack_at, held_locks_at, lockset_race, locksets, max_trace_depth
 
 
 def lines(*records):
@@ -122,7 +122,7 @@ def test_replay_equals_naive_recomputation(lines):
     plain = [(ev.tid, ev.kind, ev.target) for ev in events]
     for func in FUNCS:
         assert log.replay.depths.get(func, 0) == max_trace_depth(func, plain)
-    ctx = AugmentContext(GraphBuilder().finalize(), log)
+    ctx = AugmentContext(GraphBuilder().finalize(), locksets(log))
     for var in TARGETS["read"]:
         if any(ev.kind in ("read", "write") and ev.target == var for ev in events):
             assert (race_alert_dynamic(ctx, var) is not None) == lockset_race(events, var)
