@@ -66,8 +66,10 @@ class QueryContext(Record):
     the PageRank score that nodes.jsonl gives each node, the template
     registry, the search of the graph's labels that free-form queries
     resolve against, which keeps what each one found, and the alert rules'
-    context, which holds the locksets of the trace copy's replay and whose
-    indexes the first response that needs each one builds."""
+    context, which holds the locksets of the trace copy's replay, the
+    whole-graph tables that the first response needing each one builds
+    (race roots' trees, bugs, stale comments), and the rules' kept
+    verdicts."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 

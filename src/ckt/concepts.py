@@ -13,14 +13,23 @@ staleness the list of its words missing from its scope.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from ckt import ids
 from ckt.config import Ontology, StrategyWeights, split_identifier
 from ckt.errors import DomainError
-from ckt.graph import call_graph
 from ckt.model import Comment, Entity, FactSet, TraceLog
 
 _IDENT_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Caller -> callees, sorted and without duplicates, from (caller,
+    callee) pairs; callers keep the order of their first pair."""
+    graph: dict[str, set[str]] = {}
+    for caller, callee in calls:
+        graph.setdefault(caller, set()).add(callee)
+    return {caller: sorted(callees) for caller, callees in graph.items()}
 
 
 def _cyclic_functions(calls: dict[str, list[str]]) -> set[str]:
@@ -119,7 +128,7 @@ def compute_features(
         if entity.kind != "function":
             raise DomainError(f"features are defined for functions, not {entity.kind}")
     cyclic = _cyclic_functions(
-        call_graph((rel.subj, rel.obj) for rel in facts.relations if rel.pred == "calls")
+        _call_graph((rel.subj, rel.obj) for rel in facts.relations if rel.pred == "calls")
     )
     depths = trace.replay.depths if trace is not None else {}
     names = feature_names(ontology)

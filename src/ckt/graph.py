@@ -70,15 +70,6 @@ LITERAL_PREDICATES = frozenset(["has-type"])
 SEARCH_SEPARATOR = "\0"
 
 
-def call_graph(calls: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
-    """Caller -> callees, sorted and without duplicates, from (caller,
-    callee) pairs; callers keep the order of their first pair."""
-    graph: dict[str, set[str]] = {}
-    for caller, callee in calls:
-        graph.setdefault(caller, set()).add(callee)
-    return {caller: sorted(callees) for caller, callees in graph.items()}
-
-
 class Provenance(NamedTuple):
     """Which knowledge source asserted a triple, and where.
 

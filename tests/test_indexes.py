@@ -509,6 +509,28 @@ def test_similar_defects_from_the_bug_table_equal_all_pairs_oracle(graph_and_tra
         assert similar_defects(ctx, bug) == oracles.brute_similar_defects(graph, bug), bug
 
 
+@settings(max_examples=150, deadline=None)
+@given(rule_graphs())
+def test_per_subject_reads_equal_the_whole_graph_tables(graph_and_trace):
+    """Each function's callees as the race roots' BFS reads them, each
+    global's accessors and each entity's touching commits, newest first,
+    read per subject from the graph's indexes, equal the entries of the
+    alert context's old whole-graph tables, in order."""
+    graph, _ = graph_and_trace
+    edges = oracles.call_edges(graph)
+    for fid in (eid for eid, e in graph.entities.items() if e.kind == "function"):
+        assert [o for _, _, o in graph.match(fid, "calls", None)] == edges.get(fid, []), fid
+    table = oracles.accessors(graph)
+    for var in GLOBALS:
+        assert smart._accessors(graph, var) == table.get(var, []), var
+    touching = oracles.touching_commits(graph)
+    keys = oracles.commit_keys(graph, touching)
+    ctx = AugmentContext(graph)
+    for eid in graph.entities:
+        assert ([c.id for c in smart.change_provenance(ctx, eid)]
+                == oracles.provenance_from_tables(graph, eid, touching, keys)), eid
+
+
 def assert_alerts_match_oracle(graph, trace, queries, cap):
     ctx = AugmentContext(graph, oracles.locksets(trace))  # one context for every response
     for text in queries:

@@ -405,31 +405,48 @@ def similar_bugs():
     return defect_graph(), None, [("bug:CQ/67",), ("bug:CQ/22",), ("bug:CQ/5",)]
 
 
-@pytest.mark.parametrize("case", [racing_globals, a_global_racing_nowhere_and_bugs, similar_bugs])
+def touched_code():
+    return provenance_graph(), None, [("func:a.c#f",), ("file:a.c",)]
+
+
+# each rule whose verdicts a context keeps, with its verdict table and the
+# test its subjects pass
+KEPT_RULES = {
+    "race_alert_static": ("static_races", smart._is_global),
+    "similar_defects": ("similar", lambda e: e.kind == "bug"),
+    "change_provenance": ("provenance", lambda e: e.kind in smart._TIERS[-1][2]),
+}
+
+
+@pytest.mark.parametrize("case", [racing_globals, a_global_racing_nowhere_and_bugs, similar_bugs,
+                                  touched_code])
 def test_each_verdict_is_computed_once_per_context(case):
-    """Answers on one context compute each global's static race and each
-    bug's similar defects once, a None verdict too, and give the alerts a
-    fresh context gives, which computes the same verdicts again."""
+    """Answers on one context compute each global's static race, each bug's
+    similar defects and each code entity's change provenance once, an empty
+    verdict too, and give the alerts a fresh context gives, which computes
+    the same verdicts again."""
     graph, log, rows = case()
     result = ResultSet(("e",), rows)
-    globals_ = [eid for eid, e in graph.entities.items() if smart._is_global(e)]
-    bugs = [eid for eid, e in graph.entities.items() if e.kind == "bug"]
-    calls = {"race_alert_static": 0, "similar_defects": 0}
+    subjects = {rule: sorted(eid for eid, in rows if is_subject(graph.entities[eid]))
+                for rule, (_, is_subject) in KEPT_RULES.items()}
+    calls = dict.fromkeys(KEPT_RULES, 0)
     ctx = AugmentContext(graph, locksets(log))
     with patch.object(smart, "ALERT_CAP", 10**6), \
-            counting("race_alert_static", calls), counting("similar_defects", calls):
+            counting("race_alert_static", calls), counting("similar_defects", calls), \
+            counting("change_provenance", calls):
         answers = [augment(result, ctx).alerts for _ in range(3)]
-        assert calls == {"race_alert_static": len(globals_), "similar_defects": len(bugs)}
+        assert calls == {rule: len(eids) for rule, eids in subjects.items()}
         fresh = AugmentContext(graph, locksets(log))
         assert augment(result, fresh).alerts == answers[0] == answers[1] == answers[2]
-    assert calls == {"race_alert_static": 2 * len(globals_), "similar_defects": 2 * len(bugs)}
-    assert ctx.static_races == fresh.static_races
-    assert ctx.similar == fresh.similar
-    assert sorted(ctx.static_races) == sorted(globals_) and sorted(ctx.similar) == sorted(bugs)
+    assert calls == {rule: 2 * len(eids) for rule, eids in subjects.items()}
+    for rule, (table, _) in KEPT_RULES.items():
+        assert getattr(ctx, table) == getattr(fresh, table)
+        assert sorted(getattr(ctx, table)) == subjects[rule]
 
 
 @pytest.mark.parametrize("rule, case", [("race_alert_static", racing_globals),
-                                        ("similar_defects", similar_bugs)])
+                                        ("similar_defects", similar_bugs),
+                                        ("change_provenance", touched_code)])
 def test_a_rule_that_raises_keeps_no_verdict(rule, case):
     """A rule that raises is asked again on every answer, and each answer
     gives its entities' warning alerts."""
@@ -448,7 +465,7 @@ def test_a_rule_that_raises_keeps_no_verdict(rule, case):
             assert [(a.kind, a.subject, a.message) for a in alerts] == sorted(
                 ("warning", eid, f"augmentation failed for {eid}: rule failed") for eid, in rows)
     assert calls == [eid for eid, in rows] * 3
-    assert ctx.static_races == {} and ctx.similar == {}
+    assert ctx.static_races == {} and ctx.similar == {} and ctx.provenance == {}
 
 
 # -- tier kinds ------------------------------------------------------------------
