@@ -286,9 +286,11 @@ def cmd_build(manifest_path: Path) -> int:
     _extract_sources(manifest, base, state)
     stale_comments = _comment_entities(state)
 
-    if manifest.trace is not None:
+    # the trace is read once: the bytes parsed are the bytes copied
+    trace = None if manifest.trace is None else manifest.trace.read_bytes()
+    if trace is not None:
         state.trace = traces.load_trace(
-            utf8_lines(manifest.trace), name=_rel_path(manifest.trace, base))
+            utf8_lines(manifest.trace, trace), name=_rel_path(manifest.trace, base))
         state.warnings.extend(state.trace.warnings)
         state.bump("trace", "events", len(state.trace.events))
 
@@ -349,16 +351,19 @@ def cmd_build(manifest_path: Path) -> int:
         STATS_FILE: _json_file(stats),
         REPORT_FILE: _json_file(report),
     }
-    if manifest.trace is not None:
-        extra[TRACE_COPY] = manifest.trace.read_bytes()
+    if trace is not None:
+        extra[TRACE_COPY] = trace
     if manifest.templates is not None:
         extra[TEMPLATES_COPY] = manifest.templates.read_bytes()
         load_registry(str(manifest.templates), extra[TEMPLATES_COPY])  # validate before copying
     try:
-        ckt.graph.save_graph(graph, builder.sources, manifest.out, extra)
+        digests = ckt.graph.save_graph(graph, builder.sources, manifest.out, extra)
     except OSError as exc:  # a directory in a file's place, a full disk: the old tree stands
         raise CktError(f"cannot write {exc.filename2 or exc.filename or manifest.out}: "
                        f"{exc.strerror or exc}") from None
+    # so the first query after the build parses nothing
+    ckt.graph.write_cache_entry(graph, digests,
+                                None if state.trace is None else state.trace.replay.locksets)
 
     _print_report(report)
     return 0

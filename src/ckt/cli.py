@@ -28,7 +28,7 @@ from ckt.graph import (
     cached_graph,
     check_files,
     collector_paused,
-    load_graph,
+    parse_graph,
     read_if_present,
 )
 from ckt.model import Lockset, Record
@@ -85,10 +85,12 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     """Load what queries run against, with the cyclic collector paused.
 
     The graph and the trace copy's locksets are decoded from the user's
-    graph cache when an earlier load wrote their entry (cached_graph),
-    and no trace line is parsed.  Else the trace copy, the templates copy
-    and the graph files are parsed in that order, so that an error names
-    the first of them that fails, and load_graph writes the entry.
+    graph cache when `ckt build` or an earlier load wrote their entry
+    (cached_graph), and no trace line is parsed; a stamp that vouches for
+    the directory spares the read of graph.json and the trace copy, and
+    the hash of every file.  Else the trace copy, the templates copy and
+    the graph files are parsed in that order, so that an error names the
+    first of them that fails, and parse_graph writes the entry.
 
     The load allocates several objects per node, triple and trace event,
     and all of them live as long as the process, so each collection the
@@ -100,15 +102,13 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     otherwise start a collection that walks them all once.
     """
     with collector_paused():
-        # the copies are read first and checked against the graph.json that
-        # cached_graph or load_graph reads after them, so all the bytes are
-        # of one build
-        copies = {name: read_if_present(graph_dir / name) for name in (TRACE_COPY, TEMPLATES_COPY)}
-        hit = cached_graph(graph_dir, copies)
+        # cached_graph reads the copies before graph.json, and parse_graph
+        # reads graph.json again after them, so all the bytes are of one build
+        hit, copies = cached_graph(graph_dir, (TRACE_COPY, TEMPLATES_COPY))
         locksets = hit[1] if hit else _trace_locksets(copies[TRACE_COPY])
         registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
-        graph = hit[0] if hit else load_graph(graph_dir, copies, locksets)
+        graph = hit[0] if hit else parse_graph(graph_dir, copies, locksets)
         gc.freeze()
     return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, locksets))
 

@@ -20,8 +20,9 @@ each node's PageRank score.  load_graph reads a directory only with it:
 it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
 it, and then checks each file against its digest.  A graph whose bytes
-it has parsed before it decodes from their entry in the user's graph
-cache instead (see ckt.graphcache).
+it has parsed before, or that `ckt build` saved, it decodes from their
+entry in the user's graph cache instead (see ckt.graphcache), and one
+whose stat data its stamp there vouches for it reads no byte of.
 """
 
 from __future__ import annotations
@@ -510,12 +511,13 @@ def _write(path: Path, chunks: Iterable[bytes]) -> str:
 
 
 def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], directory,
-               extra: dict[str, bytes] | None = None) -> None:
+               extra: dict[str, bytes] | None = None) -> dict[str, str]:
     """Write the directory of a graph: nodes.jsonl, each node with its
     PageRank score, and triples.tsv, each key with its list in `sources`,
     the table of its builder, sorted, LF-terminated, UTF-8, then the
     `extra` files (name -> bytes) that `ckt build` puts beside them, then
-    graph.json.
+    graph.json.  Returns the digest of each file but graph.json, as
+    graph.json gives them.
 
     Each file is streamed, CHUNK_LINES lines at a time, into a temporary
     file and its digest, so no file is held whole in memory, and each is
@@ -551,11 +553,33 @@ def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], d
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
         raise
+    return digests
 
 
-def load_graph(directory, copies: dict[str, bytes | None] | None = None,
-               locksets: dict[str, Lockset] | None = None) -> KnowledgeGraph:
-    """Read a graph that save_graph wrote, PageRank scores included.
+def write_cache_entry(graph: KnowledgeGraph, digests: dict[str, str],
+                      locksets: dict[str, Lockset] | None) -> None:
+    """Write the graph-cache entry that a query load of the directory that
+    save_graph wrote with `digests` looks up, unless a file by its name is
+    there: the graph, with the ranks that nodes.jsonl carries, and
+    `locksets`, the replay's of the trace copy, or None without one.  The
+    entry's bytes are those a strict parse of the directory writes."""
+    key = _cache_key(digests, True)
+    if not graphcache.has(key):
+        graphcache.write(key, graph.entities, graph._spo, graph.rank_table(), locksets)
+
+
+def load_graph(directory) -> KnowledgeGraph:
+    """Read a graph that save_graph wrote, PageRank scores included: from
+    the user's graph cache when cached_graph finds it there, else by
+    parse_graph, which writes its entry.  Its entries name no trace copy."""
+    hit, _ = cached_graph(directory)
+    return hit[0] if hit is not None else parse_graph(directory, {}, None)
+
+
+def parse_graph(directory, copies: dict[str, bytes | None],
+                locksets: dict[str, Lockset] | None) -> KnowledgeGraph:
+    """Parse a graph that save_graph wrote, PageRank scores included, and
+    write its entry in the user's graph cache.
 
     nodes.jsonl and triples.tsv are opened in the order save_graph writes
     them, and graph.json last; a missing one raises NotFoundError naming
@@ -584,52 +608,104 @@ def load_graph(directory, copies: dict[str, bytes | None] | None = None,
 
     `copies` maps the names of other files of the directory that the
     caller has read to their bytes, or to None for one it found absent;
-    each is checked against the same graph.json.
-
-    A graph that cached_graph finds in the user's graph cache is decoded
-    from there, and none of this is done.  Else graph.json's format is
-    checked first, the files are parsed as above, and once the graph
-    loads, its entry is written under the digests the parse computed,
-    with `locksets`: the Eraser replay's per-variable locksets of the
-    trace copy in `copies`, or None when the caller parsed none.  So
-    every copy of a directory shares one entry, and one whose files
-    graph.json does not vouch for raises what the parse raises.
+    each is checked against the same graph.json.  Once the graph loads,
+    its entry is written under the digests the parse computed, with
+    `locksets`: the Eraser replay's per-variable locksets of the trace
+    copy in `copies`, or None when the caller parsed none.  So every copy
+    of a directory shares one entry, and one whose files graph.json does
+    not vouch for raises what the parse raises.
     """
-    directory = Path(directory)
-    copies = copies or {}
-    hit = cached_graph(directory, copies)
-    if hit is not None:
-        return hit[0]
-    with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
+    with _opened(Path(directory), (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
         _manifest_digests(manifest)  # its format, before any error of the parse
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
-    graphcache.write(_cache_key(digests, locksets is not None), entities, spo, ranks, locksets)
+    graphcache.write(_cache_key(digests, TRACE_COPY in copies), entities, spo, ranks, locksets)
     return KnowledgeGraph(entities, spo, ranks)
 
 
-def cached_graph(directory, copies: dict[str, bytes | None]
-                 ) -> tuple[KnowledgeGraph, dict[str, Lockset] | None] | None:
-    """(graph, locksets) of the directory from the entry in the user's
-    graph cache (ckt.graphcache) named by the format and graph.json's
-    digests of the graph files and, when `copies` holds it, of the trace
-    copy, whose replay's locksets the entry holds (None when it holds no
-    trace copy).  The entry is used only when the open graph files hash
-    to graph.json's digests and `copies` match graph.json too.  Any other
-    outcome, an error among them, is None, a miss: the caller parses the
-    files then, and meets the error there.  So a hit parses no line of
-    any file."""
-    try:
-        with _opened(Path(directory), (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
-            vouched = _manifest_digests(files.pop(GRAPH_MANIFEST).read())
-            cached = graphcache.read(_cache_key(vouched, copies.get(TRACE_COPY) is not None))
-            if cached is not None and _fresh(files, vouched, copies):
-                entities, spo, ranks, locksets = cached
-                return KnowledgeGraph(entities, spo, ranks), locksets
-    except (CktError, OSError):
-        pass
-    return None
+def cached_graph(directory, names: tuple[str, ...] = ()
+                 ) -> tuple[tuple[KnowledgeGraph, dict[str, Lockset] | None] | None,
+                            dict[str, bytes | None]]:
+    """((graph, locksets) or None, copies): the graph of the directory
+    from the entry in the user's graph cache (ckt.graphcache) named by the
+    format and graph.json's digests of the graph files and, when `names`
+    holds it, of the trace copy, whose replay's locksets the entry holds
+    (None when it holds no trace copy); and `copies`, the bytes of each
+    other file of `names` read, or None for one found absent.
+
+    A load whose stamp vouches for the directory (_stamped) reads none of
+    graph.json, the graph files and the trace copy.  Else every file of
+    `names` is read first, each absent one None, and an OSError of any
+    other kind raises CktError naming it; then the entry is used only when
+    the open graph files hash to graph.json's digests and the copies match
+    graph.json too, and the stat data of the files hashed is stamped.  Any
+    other outcome, an error among them, is None, a miss, with every copy
+    read: the caller parses the files then, and meets the error there.  So
+    a hit parses no line of any file."""
+    directory = Path(directory)
+    place = (os.path.realpath(directory), names)
+    stamped = _stamped(directory, place, names)
+    if stamped is not None:
+        return stamped
+    with graphcache.stamping(place) as stamp:
+        copies, stats = {}, {}
+        for name in names:
+            copies[name], stats[name] = _read_copy(directory / name)
+        try:
+            with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
+                vouched = _manifest_digests(files[GRAPH_MANIFEST].read())
+                key = _cache_key(vouched, TRACE_COPY in names)
+                cached = graphcache.read(key)
+                if cached is not None and _fresh(files, vouched, copies):
+                    for name, file in files.items():
+                        stats[name] = _stat_data(os.fstat(file.fileno()))
+                    stamp(stats, key)
+                    entities, spo, ranks, locksets = cached
+                    return (KnowledgeGraph(entities, spo, ranks), locksets), copies
+        except (CktError, OSError):
+            pass
+    return None, copies
+
+
+def _stamped(directory: Path, place: tuple, names: tuple[str, ...]):
+    """What cached_graph returns for a hit, when the graph cache holds a
+    stamp of `place` and its entry: the stat data of graph.json, the graph
+    files and each file of `names` must be the stamp's, and each file's
+    mtime and ctime older than the stamp's mtime (git's racy rule: a file
+    changed in the clock tick of the stamp may look unchanged).  The trace copy is only stat'd,
+    since the entry holds its replay, and each other copy is read and its
+    open file stat'd, so its bytes are the ones its stat data describe.
+    Else None: the caller hashes the files as with no stamp."""
+    stamp = graphcache.read_stamp(place)
+    if stamp is None:
+        return None
+    stats, key, made = stamp
+    copies = {}
+    for name in (GRAPH_MANIFEST, *GRAPH_FILES, *names):
+        try:
+            if name in names and name != TRACE_COPY:
+                copies[name], found = _read_copy(directory / name)
+            else:
+                found = _stat_data(os.stat(directory / name))
+        except FileNotFoundError:
+            found = None
+        except (CktError, OSError):
+            return None
+        # found[3:] is the mtime and the ctime
+        if found != stats.get(name, False) or found is not None and max(found[3:]) >= made:
+            return None
+    cached = graphcache.read(key)
+    if cached is None:
+        return None
+    entities, spo, ranks, locksets = cached
+    return (KnowledgeGraph(entities, spo, ranks), locksets), copies
+
+
+def _stat_data(found: os.stat_result) -> tuple[int, int, int, int, int]:
+    """What a stamp keeps of a file's stat: device, inode, size, mtime and
+    ctime; a write, a rename over it or a restored mtime changes one."""
+    return found.st_dev, found.st_ino, found.st_size, found.st_mtime_ns, found.st_ctime_ns
 
 
 def _cache_key(digests: dict, trace: bool) -> tuple:
@@ -680,11 +756,17 @@ def _open_if_present(path: Path) -> BinaryIO | None:
 def read_if_present(path: Path) -> bytes | None:
     """The bytes of the graph-directory file `path`, or None when it is
     absent, as _open_if_present opens it."""
+    return _read_copy(path)[0]
+
+
+def _read_copy(path: Path) -> tuple[bytes | None, tuple | None]:
+    """(bytes, stat data) of the graph-directory file `path`, the stat
+    taken of the open file once read; (None, None) when it is absent."""
     file = _open_if_present(path)
     if file is None:
-        return None
+        return None, None
     with file:
-        return file.read()
+        return file.read(), _stat_data(os.fstat(file.fileno()))
 
 
 @contextmanager

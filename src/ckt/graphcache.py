@@ -1,21 +1,32 @@
 """The per-user cache of loaded graphs: a query against a graph directory
-whose bytes an earlier query parsed decodes the graph, and the replay of
-its trace copy, from the cache, not from nodes.jsonl, triples.tsv and
-trace.jsonl.
+that `ckt build` wrote, or whose bytes an earlier query parsed, decodes
+the graph, and the replay of its trace copy, from the cache, not from
+nodes.jsonl, triples.tsv and trace.jsonl.
 
-An entry is what one strict parse by load_graph gave: the graph's nodes,
+An entry is what one strict parse by ckt.graph gives: the graph's nodes,
 ranks and keys, and the Eraser replay's per-variable locksets of the
-trace copy that the caller parsed before it, or none.  It is named by
-what it was made from, as a content-addressed store names a block
-(Venti; ccache): the BLAKE2b-128 of the key, which load_graph gives as
-the graph format and the digests of the two graph files and of the trace
-copy, with this entry layout, the marshal format and the interpreter.
-So an entry is never compared with its graph directory, never rewritten
-once it decodes, and shared by every copy of the directory; one of
-another interpreter or layout has another name and is never opened.  An
-absent, unreadable or damaged entry is a miss, on which the caller
-parses the files and load_graph writes the entry.  Deleting the cache is
-always safe.
+trace copy, or none.  The build writes it from the graph it saved, and
+a load from the graph it parsed; its bytes are a function of those
+values alone, so both write the same entry.  It is named by what it was
+made from, as a content-addressed store names a block (Venti; ccache):
+the BLAKE2b-128 of the key, the graph format and the digests of the two
+graph files and of the trace copy, with this entry layout, the marshal
+format and the interpreter.  So an entry is never compared with its
+graph directory, never rewritten once it decodes, and shared by every
+copy of the directory; one of another interpreter or layout has another
+name and is never opened.  An absent, unreadable or damaged entry is a
+miss, on which the caller parses the files and writes the entry.
+Deleting the cache is always safe.
+
+A stamp spares a load the hashing of the graph files: after a load has
+hashed them and found them fresh, it records their stat data, and the
+key they hashed to, in <name>.stamp, named by the graph directory's
+resolved path and the copies the load read.  A later load whose stat of
+every file gives the same data, each file older than the stamp, takes
+the entry of the stamped key without reading graph.json or hashing a
+byte (the stat-data check of git's index, with its racy-git rule, and
+of ccache's direct mode).  An absent, damaged or foreign stamp, or any
+mismatch, and the load hashes as it would with none.
 
 The cache lives in $XDG_CACHE_HOME/ckt, or ~/.cache/ckt, never in a graph
 directory: a query must not write where `ckt build` writes.  It is used
@@ -28,7 +39,11 @@ first the counts of nodes and keys, then node records of up to RECORD
 key records of up to RECORD keys in SPO order as (subject indexes,
 predicates, object indexes or literals), each index the node's place in
 id order, and last the locksets record: None, or a (variable, candidate,
-accesses, tids, wrote) tuple per variable of the replay.  A digest
+accesses, tids, wrote) tuple per variable of the replay, its sets as
+sorted lists.  Every string but the interned kinds, span paths,
+attribute keys and predicates, and every number, is written from a copy
+of its own, so how the writer's objects share memory, which marshal
+records as references, never shows in the bytes.  A digest
 covers the records before its own, so a missing, reordered, truncated or
 changed record is a miss.  Entries are read and written a record at a
 time: no process holds a whole entry, or a second copy of the graph.
@@ -40,6 +55,9 @@ import marshal
 import os
 import stat
 import sys
+from _thread import get_ident
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
@@ -49,9 +67,9 @@ from ckt.model import Entity, Lockset, Span
 # the interpreter's BLAKE2b, as in ckt.graph
 from _blake2 import blake2b as _blake2b
 
-VERSION = 3  # of the entry layout
+VERSION = 4  # of the entry and stamp layouts
 RECORD = 256  # nodes or keys per record
-KEEP = 8  # entries and temporary files a cache directory keeps after each write
+KEEP = 8  # entries and temporary files, and stamps, a cache directory keeps of each
 _DIGEST_SIZE = 16
 _HEAD = 4 + _DIGEST_SIZE  # the length and the digest before each payload
 
@@ -88,11 +106,23 @@ def private_dir() -> Path | None:
     return cache if private else None
 
 
-def _name(key: tuple) -> str:
-    """The name of the entry of `key`, a tuple of JSON values, as written
-    by this entry layout, marshal format and interpreter."""
+def _name(key: tuple, suffix: str = ".graph") -> str:
+    """The name of the entry, or with suffix ".stamp" the stamp, of `key`,
+    a tuple of JSON values, as written by this layout, marshal format and
+    interpreter."""
     made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag))
-    return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}.graph"
+    return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}{suffix}"
+
+
+def _temporary(path: Path) -> Path:
+    """The temporary file this thread writes `path` through."""
+    return path.with_name(f".{path.name}.{os.getpid()}-{get_ident()}.tmp")
+
+
+def has(key: tuple) -> bool:
+    """Whether private_dir holds a file by the name of the entry of `key`."""
+    cache = private_dir()
+    return cache is not None and os.path.exists(cache / _name(key))
 
 
 def read(key: tuple) -> tuple | None:
@@ -140,7 +170,7 @@ def _decode(file: BinaryIO) -> tuple:
                        [ids[o] if type(o) is int else o for o in objects])
         locksets = record()
         if locksets is not None:
-            locksets = {var: Lockset(candidate, accesses, tids, wrote)
+            locksets = {var: Lockset(set(candidate), accesses, set(tids), wrote)
                         for var, candidate, accesses, tids, wrote in locksets}
     except (ValueError, TypeError, IndexError, EOFError) as exc:  # no record this module writes
         raise _Miss from exc
@@ -152,16 +182,16 @@ def _decode(file: BinaryIO) -> tuple:
 def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, float],
           locksets: dict[str, Lockset] | None) -> None:
     """Write the entry of `key` in private_dir, for the graph that a strict
-    parse of the bytes `key` names gave and the locksets of the trace
+    parse of the bytes `key` names gives and the locksets of the trace
     copy it names, or None, through a temporary file renamed into place,
-    and keep the KEEP newest files of the directory.  No cache, or one
-    that cannot be written, is left as it is, and nothing raised."""
+    and prune the directory.  No cache, or one that cannot be written, is
+    left as it is, and nothing raised."""
     cache = private_dir()
     if cache is None:
         return
     path = cache / _name(key)
     try:
-        tmp = cache / f".{path.name}.{os.getpid()}.tmp"
+        tmp = _temporary(path)
         try:
             with open(tmp, "wb") as file:
                 _encode(file, entities, spo, ranks, locksets)
@@ -183,41 +213,114 @@ def _encode(file: BinaryIO, entities: dict[str, Entity], spo: list,
         file.write(len(payload).to_bytes(4, "little") + chain.digest())
         file.write(payload)
 
-    # the load interns each kind, span path, attribute key and predicate,
-    # so marshal writes each once per record, and a decoded entry shares
-    # one string for each of them, as the parsed graph does
+    # each kind, span path, attribute key and predicate is written interned,
+    # so marshal writes each once per record, and a decoded entry shares one
+    # string for each, as the parsed graph does; every other string is a
+    # copy and every number a new object, referenced once, so marshal
+    # writes each in full, whoever made the values
+    # (s.join(around) is "" + s + "": a new string, but "" itself for "")
+    intern, around = sys.intern, ("", "")
     record((len(entities), len(spo)))
     nodes = iter(entities.values())
     while batch := list(islice(nodes, RECORD)):
-        record([(e.id, e.kind, e.label, e.span and tuple(e.span), e.attrs, ranks[e.id])
+        record([(e.id.join(around), intern(e.kind), e.label.join(around),
+                 e.span and (intern(e.span.path), e.span.start + 0, e.span.end + 0),
+                 {intern(k): v.join(around) for k, v in sorted(e.attrs.items())}
+                 if e.attrs else {}, ranks[e.id] * 1.0)
                 for e in batch])
     # each end of a key is written as its node's index in id order; an
-    # object that is no node is a literal, written as it is
+    # object that is no node is a literal
     index = {eid: i for i, eid in enumerate(entities)}
     for start in range(0, len(spo), RECORD):
         subjects, predicates, objects = zip(*spo[start:start + RECORD])
-        record((list(map(index.__getitem__, subjects)), predicates,
-                list(map(index.get, objects, objects))))
-    record(None if locksets is None else [(var, rec.candidate, rec.accesses, rec.tids, rec.wrote)
-                                          for var, rec in locksets.items()])
+        record((list(map(index.__getitem__, subjects)), tuple(map(intern, predicates)),
+                [index[o] if o in index else o.join(around) for o in objects]))
+    record(None if locksets is None else [
+        (var.join(around), sorted([lock.join(around) for lock in rec.candidate]),
+         [seq + 0 for seq in rec.accesses], sorted([tid + 0 for tid in rec.tids]), rec.wrote)
+        for var, rec in locksets.items()])
+
+
+def read_stamp(place: tuple) -> tuple[dict, tuple, int] | None:
+    """(stat data by file name, entry key, the stamp's mtime in ns) of the
+    stamp of `place` in private_dir; None for no cache, or a stamp that
+    is absent, unreadable, damaged or of another place."""
+    cache = private_dir()
+    if cache is None:
+        return None
+    try:
+        with open(cache / _name(place, ".stamp"), "rb") as file:
+            made = os.fstat(file.fileno()).st_mtime_ns
+            data = file.read()
+        digest, payload = data[:_DIGEST_SIZE], data[_DIGEST_SIZE:]
+        if _blake2b(payload, digest_size=_DIGEST_SIZE).digest() != digest:
+            return None
+        stamped, stats, key = marshal.loads(payload)
+    except (OSError, ValueError, TypeError, EOFError):
+        return None
+    return (stats, key, made) if stamped == place else None
+
+
+@contextmanager
+def stamping(place: tuple) -> Iterator[Callable[[dict, tuple], None]]:
+    """A function stamp(stats, key) that writes the stamp of `place` in
+    private_dir: the stat data of each file by name, and the key of the
+    entry they hashed to.  The stamp's temporary file is made when the
+    block begins, and the stamp keeps that file's mtime, so a file that
+    changed after the block began, its hash among it, is never older than
+    the stamp.  A block that writes no stamp leaves no file; no cache, or
+    one that cannot be written, yields a function that writes nothing."""
+    cache = private_dir()
+    file = None
+    if cache is not None:
+        path = cache / _name(place, ".stamp")
+        tmp = _temporary(path)
+        try:
+            file = open(tmp, "wb")
+        except OSError:
+            pass
+    if file is None:
+        yield lambda stats, key: None
+        return
+
+    def stamp(stats: dict, key: tuple) -> None:
+        payload = marshal.dumps((place, stats, key))
+        try:
+            file.write(_blake2b(payload, digest_size=_DIGEST_SIZE).digest() + payload)
+            file.close()
+            os.utime(tmp, ns=(made, made))
+            os.replace(tmp, path)
+            _prune(cache)
+        except OSError:
+            pass
+
+    try:
+        with file:
+            made = os.fstat(file.fileno()).st_mtime_ns
+            yield stamp
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _prune(cache: Path) -> None:
     """Remove all but the KEEP newest entries and temporary files of `cache`
-    by mtime, so that one a writer killed mid-write left goes too; one that
-    another process removed first is passed over.  A live writer's file is
-    among the newest, and were it removed, its rename would fail as any
-    other write can."""
-    entries = []
+    by mtime, so that one a writer killed mid-write left goes too, and all
+    but the KEEP newest stamps, so that stamps never evict an entry; a file
+    that another process removed first is passed over.  A live writer's
+    file is among the newest, and were it removed, its rename would fail as
+    any other write can."""
+    kinds: dict[bool, list] = {False: [], True: []}  # is a stamp -> (mtime, path)
     with os.scandir(cache) as found:
         for entry in found:
-            if entry.name.endswith((".graph", ".tmp")):
+            if entry.name.endswith((".graph", ".tmp", ".stamp")):
                 try:
-                    entries.append((entry.stat().st_mtime_ns, entry.path))
+                    kinds[entry.name.endswith(".stamp")].append(
+                        (entry.stat().st_mtime_ns, entry.path))
                 except FileNotFoundError:
                     pass
-    for _, stale in sorted(entries)[:-KEEP]:
-        try:
-            os.unlink(stale)
-        except FileNotFoundError:
-            pass
+    for files in kinds.values():
+        for _, stale in sorted(files)[:-KEEP]:
+            try:
+                os.unlink(stale)
+            except FileNotFoundError:
+                pass

@@ -1,6 +1,7 @@
 import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,21 @@ from ckt.cli import cmd_build
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCENARIO = FIXTURES / "scenario"
+
+
+def settle(*directories: Path) -> None:
+    """Wait until a file made now is newer, by the file system's clock, than
+    the mtime and ctime of every file of `directories`, so that a stamp
+    made next is not racy."""
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns)
+                 for directory in directories for st in map(os.stat, directory.iterdir()))
+    probe = directories[0].parent / ".clock"
+    while True:
+        probe.unlink(missing_ok=True)
+        probe.write_bytes(b"")  # a new file, as a stamp's is
+        if probe.stat().st_mtime_ns > newest:
+            return
+        time.sleep(0.002)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1956,7 +1956,7 @@ def round_trips(directory, graph, sources):
             and table == sources)
 
 
-def strict_load_graph(directory, copies=None):
+def strict_load_graph(directory):
     """load_graph with no graph cache, so that the files are parsed."""
     from unittest import mock
 
@@ -1964,7 +1964,7 @@ def strict_load_graph(directory, copies=None):
     from ckt.graph import load_graph
 
     with mock.patch.object(graphcache, "private_dir", return_value=None):
-        return load_graph(directory, copies)
+        return load_graph(directory)
 
 
 def parse_record(line):

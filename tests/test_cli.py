@@ -1238,3 +1238,39 @@ def test_usage_help_and_errors_of_the_parser(line, monkeypatch, capsys):
         main(line.split())
     captured = capsys.readouterr()
     assert (captured.out, captured.err, exited.value.code) == PARSER_TEXTS[line]
+
+
+@pytest.mark.parametrize("name", [NODES_FILE, "trace.jsonl"])
+def test_a_query_after_an_in_place_edit_with_its_mtime_restored_exits_2(tmp_path, name):
+    """A build, then two queries, through python -m ckt: the build writes the
+    entry, so neither query adds one, and the first query writes the
+    stamp.  One byte of a file overwritten in place, its size and mtime
+    kept, as `touch -r` keeps it: the stamp's ctime differs, so the query
+    hashes, and exits 2 naming the file."""
+    work = tmp_path / "work"
+    shutil.copytree(SCENARIO, work, ignore=shutil.ignore_patterns("out"))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def ckt(*args):
+        return subprocess.run([sys.executable, "-m", "ckt", *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    cache = tmp_path / "xdg" / "ckt"
+    assert ckt("build", "--manifest", str(work / "manifest.json")).returncode == 0
+    entries = list(cache.glob("*.graph"))
+    assert len(entries) == 1
+    query = ("query", "--graph", str(work / "out"), f"SELECT ?v WHERE {{ {S2} writes ?v }}")
+    answers = [ckt(*query) for _ in range(2)]
+    assert [a.returncode for a in answers] == [0, 0] and answers[0].stdout == answers[1].stdout
+    assert list(cache.glob("*.graph")) == entries and len(list(cache.glob("*.stamp"))) == 1
+    path = work / "out" / name
+    before = path.stat()
+    with open(path, "r+b") as file:
+        file.seek(2)
+        byte = file.read(1)
+        file.seek(2)
+        file.write(b"Z" if byte != b"Z" else b"Y")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert_exit_2_naming(ckt(*query), name, None)

@@ -31,6 +31,7 @@ from ckt.graph import (
 )
 from ckt.ids import ENTITY_KINDS
 from ckt.model import Entity, Span
+from conftest import settle
 from oracles import (
     bfs_within,
     blake2b_hex,
@@ -691,10 +692,23 @@ def test_a_save_that_fails_before_its_renames_changes_nothing(tmp_path, monkeypa
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch):
+def stamp_old_build(directory: Path) -> None:
+    """Load the directory twice, once it settled: the first load parses and
+    writes the entry, and the second hashes and writes the stamp, which
+    each load during the rebuild then reads first."""
+    load_graph(directory)
+    settle(directory)
+    load_graph(directory)
+
+
+@pytest.mark.parametrize("stamped", [False, True], ids=["no-stamp", "stamped"])
+def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, monkeypatch,
+                                                                      stamped):
     (old, old_sources), (new, new_sources) = (
         built(FIXTURE), built([*FIXTURE, ("func:a#g", "reads", "var:a#x")]))
     save_graph(old, old_sources, tmp_path)
+    if stamped:
+        stamp_old_build(tmp_path)
     outcomes = []
     replace = os.replace
 
@@ -720,13 +734,17 @@ def test_a_load_after_each_rename_of_a_rebuild_is_one_build_or_torn(tmp_path, mo
     ([*FIXTURE, ("func:a#g", "calls", "func:a#old")], FIXTURE),
     (FIXTURE, [*FIXTURE, ("func:a#h", "calls", "func:a#new")]),
 ], ids=["node-removed", "node-added"])
+@pytest.mark.parametrize("stamped", [False, True], ids=["no-stamp", "stamped"])
 def test_a_load_during_a_rebuild_names_a_changed_file_not_a_line(tmp_path, monkeypatch,
-                                                                 old_triples, new_triples):
+                                                                 old_triples, new_triples,
+                                                                 stamped):
     """Whichever renames of a rebuild a load follows, it returns one whole
     graph or names, in graph.json, a file whose bytes graph.json does not
     vouch for; never a line of a file whose digest matches."""
     (old, old_sources), (new, new_sources) = built(old_triples), built(new_triples)
     save_graph(old, old_sources, tmp_path)
+    if stamped:
+        stamp_old_build(tmp_path)
     outcomes = []
     replace = os.replace
 

@@ -12,8 +12,11 @@ directory that another user could write is not used; the temporary files
 of a killed writer are swept; a warm load holds no whole entry; and a
 query load decodes the replay's locksets of the trace copy that the entry
 names, so a hit parses and imports no trace parser, while a damaged or
-missing locksets record is a miss.  Each test keeps its cache in a
-temporary XDG_CACHE_HOME of its own, and compares with
+missing locksets record is a miss.  A load whose stamp's stat data
+match hashes nothing, and every other stamp case hashes and then hits or
+raises as a load with no stamp does; the entry that `ckt build` writes
+is the one a parse writes, byte for byte.  Each test keeps its cache in
+a temporary XDG_CACHE_HOME of its own, and compares with
 oracles.strict_load_graph."""
 
 import gc
@@ -24,6 +27,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckt.graph
-from ckt import graphcache
+from ckt import build, graphcache
 from ckt.cli import _load_query_context
 from ckt.extraction import traces
 from ckt.extraction.traces import load_trace
@@ -53,6 +57,7 @@ from ckt.graph import (
 from ckt.model import Entity, Span
 from ckt.query.evaluate import ResultSet
 from ckt.smart import AugmentContext, augment
+from conftest import settle
 from oracles import graphs_equal, strict_load_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -305,7 +310,7 @@ def test_a_copy_of_the_graph_directory_loads_from_the_originals_entry(warm_scena
     with counted_parses() as spy:
         assert identical(load_graph(tmp_path / "copy"), strict)
     assert spy.call_count == 0
-    assert list(cache.iterdir()) == [entry]
+    assert list(cache.glob("*.graph")) == [entry]  # and the stamp of the copy that hashed
     assert (entry.stat().st_mtime_ns, entry.read_bytes()) == written
 
 
@@ -480,7 +485,7 @@ def test_a_graph_built_without_a_trace_loads_no_locksets(tmp_path, cache):
     assert (spy.call_count, trace_spy.call_count) == (1, 0)
     assert [ctx.rules.locksets for ctx in loads] == [None, None]
     assert augment(_ROWS, loads[1].rules).alerts == augment(_ROWS, loads[0].rules).alerts
-    assert list(cache.iterdir()) == [entry_path(cache, out)]
+    assert list(cache.glob("*.graph")) == [entry_path(cache, out)]
 
 
 # each takes an entry's bytes and its record spans; the last record is the
@@ -727,3 +732,273 @@ def test_a_load_through_the_cache_holds_no_whole_entry(tmp_path, cache):
     size = entry_path(cache, tmp_path / "out").stat().st_size
     assert cold_peak - strict_peak < size / 2
     assert warm_peak - warm_held < size / 2
+
+
+# -- stamps: a load whose stat data match its stamp hashes nothing ---------------
+
+
+@contextmanager
+def counted_hashes():
+    """A spy on the hash of open graph files against graph.json: its
+    call_count is the loads in the block that hashed."""
+    with mock.patch.object(ckt.graph, "_fresh", wraps=ckt.graph._fresh) as spy:
+        yield spy
+
+
+def stamp_path(cache: Path, out: Path, names: tuple = ()) -> Path:
+    return cache / graphcache._name((os.path.realpath(out), names), ".stamp")
+
+
+@pytest.fixture
+def stamped(warm_scenario):
+    """warm_scenario with the stamp of its directory: a load that hashed the
+    files, after they settled."""
+    out, cache, entry, strict = warm_scenario
+    settle(out)
+    with counted_parses() as spy, counted_hashes() as hashes:
+        assert identical(load_graph(out), strict)
+    assert (spy.call_count, hashes.call_count) == (0, 1)
+    assert stamp_path(cache, out).exists()
+    return warm_scenario
+
+
+def loads_as_at_first(out: Path, strict, hashed: int, parsed: int = 0) -> None:
+    """A load gives the strict graph after `hashed` hashes and `parsed` parses."""
+    with counted_parses() as spy, counted_hashes() as hashes:
+        assert identical(load_graph(out), strict)
+    assert (hashes.call_count, spy.call_count) == (hashed, parsed)
+
+
+def raises_as_the_strict_load(out: Path) -> None:
+    """A load hashes the files, finds them changed and raises what the
+    strict load raises."""
+    with pytest.raises(ckt.graph.FormatError) as strict:
+        strict_load_graph(out)
+    with counted_hashes() as hashes, pytest.raises(ckt.graph.FormatError) as cached:
+        load_graph(out)
+    assert str(cached.value) == str(strict.value) and hashes.call_count == 1
+
+
+def test_a_stamped_load_opens_no_graph_file(stamped):
+    """Nor graph.json: it stats them, and decodes the stamped entry."""
+    out, cache, entry, strict = stamped
+    with mock.patch.object(ckt.graph, "_open_if_present") as opened:
+        loads_as_at_first(out, strict, hashed=0)
+    assert opened.call_count == 0
+
+
+def edit_in_place(path: Path, keep_mtime: bool) -> None:
+    """Overwrite the first id character of a file, keeping its size, and
+    with `keep_mtime` its mtime too."""
+    before = path.stat()
+    data = path.read_bytes()
+    at = data.index(b":") + 1
+    with open(path, "r+b") as file:
+        file.seek(at)
+        file.write(b"Z" if data[at:at + 1] != b"Z" else b"Y")
+    if keep_mtime:
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+
+
+@pytest.mark.parametrize("keep_mtime", [False, True], ids=["mtime-changed", "mtime-restored"])
+@pytest.mark.parametrize("name", [NODES_FILE, TRIPLES_FILE])
+def test_an_in_place_edit_that_keeps_the_size_is_hashed(stamped, name, keep_mtime):
+    out, cache, entry, strict = stamped
+    edit_in_place(out / name, keep_mtime)
+    raises_as_the_strict_load(out)
+
+
+def test_a_copy_and_a_move_of_the_directory_hash_once_then_hit(stamped, tmp_path):
+    """Each is another place: with no stamp of its own it hashes, decodes
+    the entry and stamps itself; the load after hashes nothing."""
+    out, cache, entry, strict = stamped
+    shutil.copytree(out, tmp_path / "copy")
+    moved = tmp_path / "moved"
+    out.rename(moved)
+    for place in (tmp_path / "copy", moved):
+        settle(place)
+        loads_as_at_first(place, strict, hashed=1)
+        loads_as_at_first(place, strict, hashed=0)
+    assert list(cache.glob("*.graph")) == [entry]
+
+
+def test_a_rebuild_to_the_same_or_other_bytes_is_hashed(stamped):
+    """save_graph renames new files into place: other bytes name no entry
+    and are parsed, and the same bytes again hash and hit the entry."""
+    out, cache, entry, strict = stamped
+    graph = strict_load_graph(out)
+    sources = {key: [Provenance("source-code", "a.c:1")] for key in graph.triples()}
+    save_graph(graph, sources, out)  # another triples.tsv: other provenance
+    settle(out)
+    loads_as_at_first(out, strict, hashed=0, parsed=1)
+    loads_as_at_first(out, strict, hashed=1)
+    save_graph(graph, sources, out)  # the same bytes again
+    loads_as_at_first(out, strict, hashed=1)
+
+
+def test_a_file_not_older_than_the_stamp_is_hashed(stamped):
+    """git's racy rule: every stat field matches, but nodes.jsonl was
+    changed in the stamp's clock tick, so its bytes could differ."""
+    out, cache, entry, strict = stamped
+    stamp = stamp_path(cache, out)
+    changed = (out / NODES_FILE).stat().st_ctime_ns
+    os.utime(stamp, ns=(changed, changed))
+    loads_as_at_first(out, strict, hashed=1)
+
+
+STAMP_DAMAGES = {
+    "empty": lambda data, other: b"",
+    "truncated": lambda data, other: data[:-3],
+    "flipped digest": lambda data, other: flip(data, 3),
+    "flipped payload": lambda data, other: flip(data, len(data) - 5),
+    "of another place": lambda data, other: other,
+}
+
+
+@pytest.mark.parametrize("damage", STAMP_DAMAGES.values(), ids=list(STAMP_DAMAGES))
+def test_a_damaged_or_foreign_stamp_is_hashed(stamped, tmp_path, damage):
+    """A foreign stamp is a true one of a copy of the directory: its stat
+    data differ, and it names another place."""
+    out, cache, entry, strict = stamped
+    shutil.copytree(out, tmp_path / "copy")
+    settle(tmp_path / "copy")
+    load_graph(tmp_path / "copy")
+    stamp = stamp_path(cache, out)
+    stamp.write_bytes(damage(stamp.read_bytes(), stamp_path(cache, tmp_path / "copy").read_bytes()))
+    os.utime(stamp, ns=(time.time_ns() + 10**9,) * 2)  # not racy
+    loads_as_at_first(out, strict, hashed=1)
+    loads_as_at_first(out, strict, hashed=0)
+
+
+def test_a_stamp_whose_entry_was_pruned_is_a_miss_that_parses(stamped):
+    out, cache, entry, strict = stamped
+    entry.unlink()
+    loads_as_at_first(out, strict, hashed=0, parsed=1)
+    assert entry.exists()
+
+
+def test_a_stamped_query_load_reads_the_templates_copy_alone(scenario_dir, scenario_trace,
+                                                           tmp_path, cache):
+    """Of the graph directory, a stamped query load reads only the
+    templates copy, which the registry needs, and parses no trace line."""
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    query_load(out)  # a miss: the entry
+    settle(out)
+    query_load(out)  # a hit that hashed: the stamp
+    names = (TRACE_COPY, ckt.graph.TEMPLATES_COPY)
+    assert stamp_path(cache, out, names).exists()
+    with (mock.patch.object(ckt.graph, "_open_if_present",
+                            wraps=ckt.graph._open_if_present) as opened,
+          counted_parses() as spy, counted_hashes() as hashes, counted_trace_parses() as traced):
+        ctx = query_load(out)
+    assert [call.args[0].name for call in opened.call_args_list] == [ckt.graph.TEMPLATES_COPY]
+    assert (spy.call_count, hashes.call_count, traced.call_count) == (0, 0, 0)
+    assert fields(ctx.rules.locksets) == fields(scenario_trace.replay.locksets)
+    assert graphs_equal(ctx.graph, strict_load_graph(out))
+    edit_in_place(out / ckt.graph.TEMPLATES_COPY, keep_mtime=True)
+    with pytest.raises(ckt.graph.FormatError, match="templates.jsonl"):
+        query_load(out)
+
+
+def test_stamps_never_evict_the_newest_entries(scenario_dir, tmp_path, cache):
+    """More than KEEP stamps, each newer than every entry: a write keeps
+    the KEEP newest entries and the KEEP newest stamps."""
+    cache.mkdir(mode=0o700, parents=True)
+    entries = [cache / f"{i:032x}.graph" for i in range(graphcache.KEEP + 2)]
+    stamps = [cache / f"{i:032x}.stamp" for i in range(graphcache.KEEP + 2)]
+    for age, path in enumerate(entries, start=100):
+        path.write_bytes(b"")
+        os.utime(path, (1e9 - age, 1e9 - age))
+    for age, path in enumerate(stamps, start=1):
+        path.write_bytes(b"")
+        os.utime(path, (1e9 - age, 1e9 - age))
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    load_graph(out)  # writes the entry
+    settle(out)
+    load_graph(out)  # writes the stamp
+    assert sorted(cache.glob("*.graph")) == sorted([entry_path(cache, out),
+                                                   *entries[:graphcache.KEEP - 1]])
+    assert sorted(cache.glob("*.stamp")) == sorted([stamp_path(cache, out),
+                                                   *stamps[:graphcache.KEEP - 1]])
+
+
+# -- the build writes the entry ----------------------------------------------------
+
+
+def build_scenario(tmp_path: Path) -> Path:
+    """A copy of the scenario project, built; its graph directory."""
+    project = tmp_path / "project"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "scenario", project,
+                    ignore=shutil.ignore_patterns("out"))
+    with mock.patch("sys.stdout"):
+        assert build.cmd_build(project / "manifest.json") == 0
+    return project / "out"
+
+
+def test_the_build_writes_the_entry_that_a_parse_writes(tmp_path, cache):
+    """The entry the build wrote decodes to the strict load, attribute
+    order included, and to the replay of the trace copy; the first query
+    parses nothing; and a query that parses, in a process of another hash
+    seed, writes the same bytes."""
+    out = build_scenario(tmp_path)
+    entry = entry_path(cache, out, trace=True)
+    assert list(cache.iterdir()) == [entry]
+    built = entry.read_bytes()
+    entities, spo, ranks, locksets = graphcache.read(key_of(out, trace=True))
+    strict = strict_load_graph(out)
+    assert [(e.id, e.kind, e.label, e.span, list(e.attrs.items())) for e in entities.values()] \
+        == [(e.id, e.kind, e.label, e.span, list(e.attrs.items()))
+            for e in strict.entities.values()]
+    assert spo == list(strict.triples())
+    assert identical(KnowledgeGraph(entities, spo, ranks), strict)
+    assert fields(locksets) == fields(replayed((out / TRACE_COPY).read_bytes()))
+    with counted_parses() as spy:
+        query_load(out)
+    assert spy.call_count == 0
+    entry.unlink()
+    proc = run_ckt("query", "--graph", str(out), RACING,
+                   env={**os.environ, "PYTHONHASHSEED": "1"})
+    assert proc.returncode == 0 and entry.read_bytes() == built
+
+
+def test_a_rebuild_to_the_same_bytes_leaves_the_entry(tmp_path, cache):
+    out = build_scenario(tmp_path)
+    entry = entry_path(cache, out, trace=True)
+    written = entry.stat()
+    with mock.patch.object(graphcache, "write") as write:
+        build_scenario(tmp_path / "again")
+    assert write.call_count == 0
+    assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+
+
+def test_a_build_with_no_private_cache_writes_no_entry(tmp_path, cache):
+    cache.mkdir(parents=True, mode=0o750)
+    build_scenario(tmp_path)
+    assert list(cache.iterdir()) == []
+
+
+def test_the_build_copies_the_trace_bytes_it_parsed(tmp_path, cache):
+    """The trace file replaced once the build has parsed it: the copy is
+    the bytes parsed, whose replay the graph's guards and the entry hold,
+    not the new file."""
+    project = tmp_path / "project"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "scenario", project,
+                    ignore=shutil.ignore_patterns("out"))
+    manifest = json.loads((project / "manifest.json").read_text(encoding="utf-8"))
+    trace = project / manifest["trace"]
+    parsed = trace.read_bytes()
+
+    def parse_then_swap(*args, **kwargs):
+        log = load_trace(*args, **kwargs)
+        trace.write_bytes(b"")  # an empty trace: no events
+        return log
+
+    with mock.patch.object(traces, "load_trace", parse_then_swap), mock.patch("sys.stdout"):
+        assert build.cmd_build(project / "manifest.json") == 0
+    out = project / "out"
+    assert trace.read_bytes() == b"" and (out / TRACE_COPY).read_bytes() == parsed
+    _, _, _, locksets = graphcache.read(key_of(out, trace=True))
+    assert fields(locksets) == fields(replayed(parsed)) != {}
