@@ -30,8 +30,9 @@ from ckt.graph import (
     collector_paused,
     parse_graph,
     read_if_present,
+    trace_locksets,
 )
-from ckt.model import Lockset, Record
+from ckt.model import Record
 from ckt.query.evaluate import evaluate
 from ckt.query.parser import _COUNT, parse_query
 from ckt.query.templates import (
@@ -105,21 +106,12 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
         # cached_graph reads the copies before graph.json, and parse_graph
         # reads graph.json again after them, so all the bytes are of one build
         hit, copies = cached_graph(graph_dir, (TRACE_COPY, TEMPLATES_COPY))
-        locksets = hit[1] if hit else _trace_locksets(copies[TRACE_COPY])
+        locksets = hit[1] if hit else trace_locksets(copies[TRACE_COPY])
         registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
         graph = hit[0] if hit else parse_graph(graph_dir, copies, locksets)
         gc.freeze()
     return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, locksets))
-
-
-def _trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
-    """The locksets of the replay of a trace copy's bytes, or None for none."""
-    if trace is None:
-        return None
-    from ckt.extraction.traces import load_trace  # here, so that a cache hit loads no parser
-
-    return load_trace(utf8_lines(TRACE_COPY, trace), name=TRACE_COPY).replay.locksets
 
 
 def _parse_template_args(raw: str, registry: TemplateRegistry, name: str) -> dict[str, str]:

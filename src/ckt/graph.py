@@ -2,15 +2,18 @@
 persistence with provenance.
 
 A triple is its key, the tuple (subject, predicate, object).  The graph
-holds the keys once, sorted into SPO; OSP and each predicate's list are
-sorted on first use, and a lookup yields keys straight from one of them.
-The builder keeps the table of the sources that asserted each key:
-triples are set-valued, and re-inserting an existing one appends its
-provenance.  After ``finalize()`` the graph and the table are immutable,
-and the graph is safe for concurrent readers.
+holds columns over numbered terms (see KnowledgeGraph): each key once in
+each of three sorted arrays of packed numbers, SPO, POS and OSP, the
+nodes' kinds, labels and ranks, and their spans and attributes encoded
+until an Entity is read.  A lookup bisects one array and makes key
+tuples of only the keys it yields.  The builder keeps the table of the
+sources that asserted each key: triples are set-valued, and
+re-inserting an existing one appends its provenance.  After
+``finalize()`` the graph and the table are immutable, and the graph is
+safe for concurrent readers.
 
 PageRank, triangle counts and neighbourhoods run on the dense-id core
-that README.md describes under "Graph storage".
+that README.md describes under "Graph storage", numbered by the terms.
 
 A graph directory ends with graph.json: format 3, the BLAKE2b digest of
 each of its other files.  save_graph streams each file, in chunks of
@@ -21,8 +24,9 @@ it streams nodes.jsonl and triples.tsv in blocks into their digests and
 into the nodes, ranks and keys, parsing each line as save_graph writes
 it, and then checks each file against its digest.  A graph whose bytes
 it has parsed before, or that `ckt build` saved, it decodes from their
-entry in the user's graph cache instead (see ckt.graphcache), and one
-whose stat data its stamp there vouches for it reads no byte of.
+entry in the user's graph cache instead (see ckt.graphcache), one
+column at a time, and one whose stat data its stamp there vouches for
+it reads no byte of.
 """
 
 from __future__ import annotations
@@ -30,18 +34,19 @@ from __future__ import annotations
 import bisect
 import gc
 import json
+import marshal
 import math
 import os
 import re
 import sys
-from collections import defaultdict
+from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import ExitStack, contextmanager
 from functools import cached_property, partial
-from itertools import compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import make_scanner
-from operator import ge, itemgetter
+from operator import and_, eq, ge, itemgetter, lshift, or_
 from pathlib import Path
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple, NoReturn
@@ -49,7 +54,7 @@ from typing import BinaryIO, NamedTuple, NoReturn
 from ckt import graphcache, ids
 from ckt.errors import CktError, FormatError, NotFoundError
 from ckt.model import Entity, Lockset, Span
-from ckt.textio import not_utf8
+from ckt.textio import not_utf8, utf8_lines
 
 # The interpreter's own BLAKE2b, the same module on Python 3.10 to 3.13; it
 # hashes two to three times as fast as its SHA-256, and unlike hashlib's
@@ -83,18 +88,6 @@ class Provenance(NamedTuple):
 
 
 Key = tuple[str, str, str]  # (subject, predicate, object)
-
-_SUBJECT = itemgetter(0)
-_SUBJECT_PREDICATE = itemgetter(0, 1)
-_OBJECT = itemgetter(2)
-_OBJECT_SUBJECT = itemgetter(2, 0)
-
-
-def _run(index: list[Key], value, part) -> list[Key]:
-    """The keys of `index`, which ascends by `part`, whose `part` is `value`."""
-    return index[bisect.bisect_left(index, value, key=part):
-                 bisect.bisect_right(index, value, key=part)]
-
 
 class GraphBuilder:
     """Single-writer accumulation phase; finalize() yields the immutable
@@ -175,48 +168,158 @@ def _check_ends(subject: str, object_: str) -> None:
             raise CktError(f"{name} may not contain {what}: {end!r}")
 
 
-class KnowledgeGraph:
-    """Immutable triple collection with SPO, OSP and per-predicate indexes."""
+# Term, predicate and kind numbers (see KnowledgeGraph): predicates and
+# kinds are numbered in ascending order, so packed keys sort as their strings
+_PREDICATES = tuple(sorted(PREDICATES))
+_PREDICATE_NUMBER = {p: i for i, p in enumerate(_PREDICATES)}
+_PREDICATE_BITS = (len(_PREDICATES) - 1).bit_length()
+_PREDICATE_MASK = (1 << _PREDICATE_BITS) - 1
+_LITERAL_NUMBERS = frozenset(map(_PREDICATE_NUMBER.get, LITERAL_PREDICATES))
+_KINDS = tuple(sorted(ids.ENTITY_KINDS))
+_KIND_NUMBER = {k: i for i, k in enumerate(_KINDS)}
 
-    def __init__(self, entities: dict[str, Entity], spo: list[Key],
+
+def _term_bits(terms: int) -> int:
+    """The bits that number each of `terms` terms."""
+    return max(terms - 1, 1).bit_length()
+
+
+def _typecode(bits: int) -> str | None:
+    """The typecode of the smallest array of unsigned items of at least
+    `bits` bits, or None when there is none."""
+    return next((code for code in "IQ" if bits <= 8 * array(code).itemsize), None)
+
+
+def _pairs(high: Iterable[int], low: Iterable[int], low_bits: int) -> Iterator[int]:
+    """Each pair of numbers packed into one, `low` in the low `low_bits` bits."""
+    return map(or_, map(lshift, high, repeat(low_bits)), low)
+
+
+def _find(terms: list[str], term: str, lo: int, hi: int) -> int | None:
+    """The place of `term` in terms[lo:hi], which ascends, or None."""
+    i = bisect.bisect_left(terms, term, lo, hi)
+    return i if i < hi and terms[i] == term else None
+
+
+class _Entities(Mapping):
+    """A graph's entities by id, in ascending id order, read-only.  Each
+    Entity is made from the graph's node columns on its first read and
+    kept, so every read of an id gives the same object.  It holds the
+    columns, not the graph, so the two make no reference cycle, and a
+    graph is freed as soon as its last reader lets go of it."""
+
+    def __init__(self, columns: list, made: dict[str, Entity]):
+        self._terms, self._kinds, self._labels, self._details, self._offsets = columns
+        self._made = made
+
+    def get(self, eid: str, default=None):
+        entity = self._made.get(eid)
+        if entity is None:
+            node = _find(self._terms, eid, 0, len(self._kinds))
+            if node is None:
+                return default
+            entity = self._made.setdefault(eid, self._entity(node))
+        return entity
+
+    def _entity(self, node: int) -> Entity:
+        """The Entity of node `node`, made from the columns; each span path
+        and attribute key interned, as the parse interns them."""
+        offsets = self._offsets
+        span, attrs = marshal.loads(self._details[offsets[node]:offsets[node + 1]])
+        return Entity(self._terms[node], _KINDS[self._kinds[node]], self._labels[node],
+                      span and Span(sys.intern(span[0]), span[1], span[2]),
+                      {sys.intern(k): v for k, v in attrs.items()})
+
+    def __getitem__(self, eid: str) -> Entity:
+        entity = self._made.get(eid) or self.get(eid)
+        if entity is None:
+            raise KeyError(eid)
+        return entity
+
+    def __contains__(self, eid) -> bool:
+        return eid in self._made or _find(self._terms, eid, 0, len(self._kinds)) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self._terms, len(self._kinds))
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+
+class KnowledgeGraph:
+    """Immutable triple collection over sorted arrays of numbered terms.
+
+    The terms are the entity ids in ascending order, then the literal
+    objects in ascending order; node i is the entity whose id is term i.
+    A predicate's objects are all ids or all literals, so each run of an
+    index below ascends as its string keys do, and an entity's term
+    number is its node number, which the dense-id core uses as it is.
+    SPO, POS and OSP each hold every key once, as one number in an
+    unsigned array, of 32-bit items when they hold it: the term and
+    predicate numbers packed in that index's order, so a lookup bisects
+    an array in C.  The nodes' kinds, labels and ranks are columns too,
+    and each node's span and attributes stay marshal-encoded in one bytes
+    column until its Entity is read.  `match` makes key tuples of only
+    the keys it yields, and keeps each list it made, so a run is made
+    once per graph.
+    """
+
+    def __init__(self, entities: Mapping[str, Entity], spo: list[Key],
                  ranks: dict[str, float] | None = None):
-        """The graph owns, and no one may change after, `entities` in
-        ascending id order and `spo`, every key in ascending order.
-        `ranks`, when given, are the default-parameter PageRank scores of
-        this graph, as the nodes.jsonl of a graph directory carries them."""
-        self.entities = entities
-        self._spo = spo
+        """The graph of `entities`, in ascending id order, and `spo`, every
+        key in ascending order, which the graph owns and no one may change
+        after, with its columns made from them.  `ranks`, when given, are
+        the default-parameter PageRank scores of this graph, in ascending
+        id order, as the nodes.jsonl of a graph directory carries them."""
+        nodes = list(entities.values())
+        literal = map(LITERAL_PREDICATES.__contains__, map(itemgetter(1), spo))
+        terms = [*entities, *sorted(set(compress(map(itemgetter(2), spo), literal)))]
+        bits = _term_bits(len(terms))
+        code = _typecode(2 * bits + _PREDICATE_BITS)
+        if code is None:
+            raise CktError(f"a graph of {len(terms)} terms has too many to number")
+        number = {term: i for i, term in enumerate(terms)}
+        s, p, o = (list(map(table.__getitem__, map(itemgetter(i), spo)))
+                   for i, table in enumerate((number, _PREDICATE_NUMBER, number)))
+        sp, po = list(_pairs(s, p, _PREDICATE_BITS)), list(_pairs(p, o, bits))
+        # the keys ascend, and so do their SPO numbers; POS and OSP are sorted
+        self._load([terms, bytes([_KIND_NUMBER[e.kind] for e in nodes]),
+                    [e.label for e in nodes], None, None, None,
+                    array(code, _pairs(sp, o, bits)), array(code, sorted(_pairs(po, s, bits))),
+                    array(code, sorted(_pairs(o, sp, bits + _PREDICATE_BITS)))],
+                   entities if type(entities) is dict else dict(zip(entities, nodes)), ranks)
+        self._runs[None, None, None] = spo  # the keys in SPO order, as match would make them
+
+    @classmethod
+    def from_entry(cls, columns: list) -> KnowledgeGraph:
+        """The graph whose `entry()` is `columns`."""
+        graph = cls.__new__(cls)
+        graph._load(columns, {}, None)
+        return graph
+
+    def entry(self) -> list:
+        """The graph's columns, as its graph-cache entry holds them: the
+        terms, kinds, labels, encoded details and their offsets, ranks,
+        SPO, POS and OSP."""
+        return [self._terms, self._kinds, self._labels, *self._encoded(),
+                array("d", self.rank_table().values()), self._spo, self._pos, self._osp]
+
+    def _load(self, columns: list, made: dict[str, Entity],
+              ranks: dict[str, float] | None) -> None:
+        (self._terms, self._kinds, self._labels, details, offsets,
+         self._rank_column, self._spo, self._pos, self._osp) = columns
+        self._encoding = None if details is None else (details, offsets)
+        self._n = len(self._kinds)
+        self._bits = bits = _term_bits(len(self._terms))
+        # each index, with the shifts that bring its subject, predicate and
+        # object numbers to the low bits
+        pb = _PREDICATE_BITS
+        self._indexes = ((self._spo, (pb + bits, bits, 0)), (self._pos, (0, 2 * bits, bits)),
+                         (self._osp, (pb, 0, bits + pb)))
+        self.entities: Mapping[str, Entity] = _Entities(columns[:5], made)
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
-        self._pos_lists: dict[str, list[Key]] = {}
-
-    # OSP and the per-predicate lists hold the SPO keys themselves, put in
-    # order on first use, so a graph that is only looked up by subject pays
-    # for none of them, and one looked up by predicate sorts only the
-    # predicates it reads.  A stable sort of SPO by object leaves OSP in
-    # (o, s, p) order; one pass buckets SPO by predicate, each bucket in
-    # (s, o) order, and a stable sort of a bucket by object leaves its list
-    # in (o, s) order.  Each list is whole before it is stored, so readers
-    # that race on a first lookup sort equal lists and any one may be kept.
-
-    @cached_property
-    def _osp(self) -> list[Key]:
-        return sorted(self._spo, key=_OBJECT)
-
-    @cached_property
-    def _buckets(self) -> dict[str, list[Key]]:
-        buckets: dict[str, list[Key]] = defaultdict(list)
-        for key in self._spo:
-            buckets[key[1]].append(key)
-        return buckets
-
-    def _pos(self, predicate: str) -> list[Key]:
-        """The keys with `predicate`, in (o, s) order."""
-        keys = self._pos_lists.get(predicate)
-        if keys is None:
-            keys = self._pos_lists[predicate] = sorted(self._buckets.get(predicate, ()),
-                                                       key=_OBJECT)
-        return keys
+        self._runs: dict[tuple, list[Key]] = {}
 
     # -- accessors -----------------------------------------------------
 
@@ -231,12 +334,55 @@ class KnowledgeGraph:
 
     def __contains__(self, key: Key) -> bool:
         """One bisection of SPO."""
-        i = bisect.bisect_left(self._spo, key)
-        return i < len(self._spo) and self._spo[i] == key
+        return bool(self._lookup(*key))
 
     def triples(self):
         """Every key in (subject, predicate, object) order."""
-        return iter(self._spo)
+        return self.match(None, None, None)
+
+    @property
+    def labels(self) -> list[str]:
+        """Each entity's label, in ascending id order; no one may change it."""
+        return self._labels
+
+    def ids_of(self, kind: str, label: str | None = None) -> list[str]:
+        """The ids of the entities of `kind`, and of `label` when given, in
+        ascending order, read from the columns."""
+        hits = map(eq, self._kinds, repeat(_KIND_NUMBER[kind]))
+        if label is not None:
+            hits = map(and_, hits, map(eq, self._labels, repeat(label)))
+        return list(compress(self._terms, hits))
+
+    def ids_with(self, key: str, value: str) -> list[str]:
+        """The ids of the entities whose attribute `key` is `value`, in
+        ascending order.  Only the entities in whose encoded details the
+        pair's bytes are found are read."""
+        pair = marshal.dumps(key, 2) + marshal.dumps(value, 2)
+        details, offsets = self._encoded()
+        found = []
+        at = details.find(pair)
+        while at >= 0:
+            node = bisect.bisect_right(offsets, at) - 1
+            if self.entities[self._terms[node]].attrs.get(key) == value:
+                found.append(self._terms[node])
+            at = details.find(pair, offsets[node + 1])
+        return found
+
+    def _encoded(self) -> tuple[bytes, array]:
+        """The details column and its offsets: each node's span and
+        attributes, the attributes sorted by key as nodes.jsonl has them,
+        in marshal format 2, which records no sharing or interning, so the
+        bytes are a function of the values.  A graph made from its entities
+        encodes them on first use, since a build whose entry is already
+        cached needs none."""
+        if self._encoding is None:
+            details = [marshal.dumps((e.span and tuple(e.span), e.attrs if len(e.attrs) < 2
+                                      else dict(sorted(e.attrs.items()))), 2)
+                       for e in self.entities.values()]
+            blob = b"".join(details)
+            self._encoding = (blob, array(_typecode(len(blob).bit_length()),
+                                          accumulate(map(len, details), initial=0)))
+        return self._encoding
 
     def search_fields(self, value: str) -> list[str]:
         """What FILTER ... CONTAINS looks in for `value`, each lower-cased
@@ -264,7 +410,8 @@ class KnowledgeGraph:
         computed on first use, as a read-only view rather than the copy
         `pagerank()` returns."""
         if self._rank_cache is None:
-            self._rank_cache = self.pagerank()
+            self._rank_cache = (self.pagerank() if self._rank_column is None
+                                else dict(zip(self._terms, self._rank_column)))
         return MappingProxyType(self._rank_cache)
 
     # -- pattern matching ----------------------------------------------
@@ -276,46 +423,71 @@ class KnowledgeGraph:
         The index whose prefix the bound positions form is read, so the
         order is deterministic: (o, s, p) when the object is bound and the
         predicate is not, (p, o, s) when the predicate is bound and the
-        subject is not, and (s, p, o) otherwise.
+        subject is not, and (s, p, o) otherwise.  Each lookup's list is
+        kept, whole before it is stored, so readers that race on a first
+        lookup make equal lists and any one may be kept.
         """
-        s, p, o = subject, predicate, object_
-        if s is not None and p is not None and o is not None:
-            keys = [(s, p, o)] if (s, p, o) in self else []
-        elif s is not None and o is not None:
-            keys = _run(self._osp, (o, s), _OBJECT_SUBJECT)
-        elif s is not None:
-            keys = (_run(self._spo, s, _SUBJECT) if p is None
-                    else _run(self._spo, (s, p), _SUBJECT_PREDICATE))
-        elif p is not None:
-            keys = self._pos(p)
-            if o is not None:
-                keys = _run(keys, o, _OBJECT)
-        elif o is not None:
-            keys = _run(self._osp, o, _OBJECT)
-        else:
-            keys = self._spo
+        query = (subject, predicate, object_)
+        keys = self._runs.get(query)
+        if keys is None:
+            keys = self._runs.setdefault(query, self._lookup(*query))
         return iter(keys)
+
+    def _lookup(self, s: str | None, p: str | None, o: str | None) -> list[Key]:
+        """The keys that match(s, p, o) yields, made from one run of an index."""
+        terms, n = self._terms, self._n
+        if p is not None and (p := _PREDICATE_NUMBER.get(p)) is None:
+            return []
+        if s is not None and (s := _find(terms, s, 0, n)) is None:
+            return []
+        if o is not None:  # an id, or else a literal
+            found = _find(terms, o, 0, n)
+            if (o := _find(terms, o, n, len(terms)) if found is None else found) is None:
+                return []
+        bits, pb = self._bits, _PREDICATE_BITS
+        spo, pos, osp = self._indexes
+        if s is not None and o is not None and p is None:
+            (index, shifts), prefix, width = osp, o << bits | s, pb
+        elif s is not None:
+            (index, shifts), prefix, width = spo, s, pb + bits
+            if p is not None:
+                prefix, width = prefix << pb | p, bits
+                if o is not None:
+                    prefix, width = prefix << bits | o, 0
+        elif p is not None:
+            (index, shifts), prefix, width = pos, p, 2 * bits
+            if o is not None:
+                prefix, width = prefix << bits | o, bits
+        elif o is not None:
+            (index, shifts), prefix, width = osp, o, bits + pb
+        else:
+            (index, shifts), prefix, width = spo, 0, 2 * bits + pb
+        lo = bisect.bisect_left(index, prefix << width)
+        run = index[lo:bisect.bisect_left(index, (prefix + 1) << width, lo)]
+        names, mask, (s, p, o) = _PREDICATES, (1 << bits) - 1, shifts
+        return [(terms[key >> s & mask], names[key >> p & _PREDICATE_MASK], terms[key >> o & mask])
+                for key in run]
 
     # -- analytics -------------------------------------------------------
 
     @cached_property
     def _core(self) -> tuple[list[str], list[tuple[int, ...]]]:
         """(nodes, out): node i is the entity id nodes[i], in ascending
-        order, and out[i] holds the node numbers of its entity-valued
-        triples' objects, each once, in SPO order."""
-        nodes = list(self.entities)
-        number = {eid: i for i, eid in enumerate(nodes)}
-        out: list = [()] * len(nodes)
+        order, its term number, and out[i] holds the node numbers of its
+        entity-valued triples' objects, each once, in SPO order."""
+        bits = self._bits
+        shift, mask = _PREDICATE_BITS + bits, (1 << bits) - 1
+        out: list = [()] * self._n
         subject = None
         # SPO groups the keys by subject, so one dict per subject keeps its
         # objects once each, in the order they first appear
-        for s, p, o in self._spo:
-            if p not in LITERAL_PREDICATES:
-                if s != subject:
-                    subject, objects = s, {}
-                    out[number[s]] = objects
-                objects[number[o]] = None
-        return nodes, [tuple(objects) for objects in out]
+        for key in self._spo:
+            if key >> bits & _PREDICATE_MASK not in _LITERAL_NUMBERS:
+                if key >> shift != subject:
+                    subject, objects = key >> shift, {}
+                    out[subject] = objects
+                objects[key & mask] = None
+        return self._terms[:self._n], [tuple(objects) for objects in out]
 
     def _undirected(self) -> list[set[int]]:
         """Each node's neighbours in the undirected simple projection:
@@ -339,8 +511,9 @@ class KnowledgeGraph:
         order, is cached unless `on_iteration` observes each iteration's
         scores.
         """
-        if on_iteration is None and self._rank_cache is not None:
-            return dict(self._rank_cache)
+        if on_iteration is None and (self._rank_cache is not None
+                                     or self._rank_column is not None):
+            return dict(self.rank_table())
         damping = 0.85
         nodes, out = self._core
         n = len(nodes)
@@ -424,6 +597,7 @@ class KnowledgeGraph:
         return KnowledgeGraph(entities, spo)
 
 
+
 # -- persistence ---------------------------------------------------------
 
 NODES_FILE = "nodes.jsonl"
@@ -482,7 +656,7 @@ def _triple_lines(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]]
     with each distinct source's `"source": ...}` tail encoded once per
     call."""
     tails: dict[str, str] = {}
-    for key in graph._spo:
+    for key in graph.triples():
         docs = []
         for source, origin, detail in sources[key]:
             tail = tails.get(source) or tails.setdefault(
@@ -558,22 +732,34 @@ def save_graph(graph: KnowledgeGraph, sources: Mapping[Key, list[Provenance]], d
 
 def write_cache_entry(graph: KnowledgeGraph, digests: dict[str, str],
                       locksets: dict[str, Lockset] | None) -> None:
-    """Write the graph-cache entry that a query load of the directory that
+    """Write the graph-cache entry that a load of the directory that
     save_graph wrote with `digests` looks up, unless a file by its name is
-    there: the graph, with the ranks that nodes.jsonl carries, and
-    `locksets`, the replay's of the trace copy, or None without one.  The
-    entry's bytes are those a strict parse of the directory writes."""
-    key = _cache_key(digests, True)
+    there: the graph's columns, with the ranks that nodes.jsonl carries,
+    and `locksets`, the replay's of the trace copy, or None without one.
+    The entry's bytes are those a strict parse of the directory writes."""
+    key = _cache_key(digests, locksets is not None)
     if not graphcache.has(key):
-        graphcache.write(key, graph.entities, graph._spo, graph.rank_table(), locksets)
+        graphcache.write(key, graph.entry(), locksets)
 
 
 def load_graph(directory) -> KnowledgeGraph:
     """Read a graph that save_graph wrote, PageRank scores included: from
-    the user's graph cache when cached_graph finds it there, else by
-    parse_graph, which writes its entry.  Its entries name no trace copy."""
-    hit, _ = cached_graph(directory)
-    return hit[0] if hit is not None else parse_graph(directory, {}, None)
+    the user's graph cache when cached_graph finds it there, under the key
+    that the build and a query load use, else by parse_graph, which writes
+    that entry with the replay of the trace copy."""
+    hit, copies = cached_graph(directory, (TRACE_COPY,))
+    if hit is not None:
+        return hit[0]
+    return parse_graph(directory, copies, trace_locksets(copies[TRACE_COPY]))
+
+
+def trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
+    """The locksets of the replay of a trace copy's bytes, or None for none."""
+    if trace is None:
+        return None
+    from ckt.extraction.traces import load_trace  # here, so that a cache hit loads no parser
+
+    return load_trace(utf8_lines(TRACE_COPY, trace), name=TRACE_COPY).replay.locksets
 
 
 def parse_graph(directory, copies: dict[str, bytes | None],
@@ -611,17 +797,19 @@ def parse_graph(directory, copies: dict[str, bytes | None],
     each is checked against the same graph.json.  Once the graph loads,
     its entry is written under the digests the parse computed, with
     `locksets`: the Eraser replay's per-variable locksets of the trace
-    copy in `copies`, or None when the caller parsed none.  So every copy
-    of a directory shares one entry, and one whose files graph.json does
-    not vouch for raises what the parse raises.
+    copy in `copies`, or None when the caller parsed none; only an entry
+    with locksets is named by the trace copy.  So every copy of a
+    directory shares one entry, and one whose files graph.json does not
+    vouch for raises what the parse raises.
     """
     with _opened(Path(directory), (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
         _manifest_digests(manifest)  # its format, before any error of the parse
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
-    graphcache.write(_cache_key(digests, TRACE_COPY in copies), entities, spo, ranks, locksets)
-    return KnowledgeGraph(entities, spo, ranks)
+    graph = KnowledgeGraph(entities, spo, ranks)
+    graphcache.write(_cache_key(digests, locksets is not None), graph.entry(), locksets)
+    return graph
 
 
 def cached_graph(directory, names: tuple[str, ...] = ()
@@ -661,8 +849,8 @@ def cached_graph(directory, names: tuple[str, ...] = ()
                     for name, file in files.items():
                         stats[name] = _stat_data(os.fstat(file.fileno()))
                     stamp(stats, key)
-                    entities, spo, ranks, locksets = cached
-                    return (KnowledgeGraph(entities, spo, ranks), locksets), copies
+                    columns, locksets = cached
+                    return (KnowledgeGraph.from_entry(columns), locksets), copies
         except (CktError, OSError):
             pass
     return None, copies
@@ -698,8 +886,8 @@ def _stamped(directory: Path, place: tuple, names: tuple[str, ...]):
     cached = graphcache.read(key)
     if cached is None:
         return None
-    entities, spo, ranks, locksets = cached
-    return (KnowledgeGraph(entities, spo, ranks), locksets), copies
+    columns, locksets = cached
+    return (KnowledgeGraph.from_entry(columns), locksets), copies
 
 
 def _stat_data(found: os.stat_result) -> tuple[int, int, int, int, int]:

@@ -3,20 +3,22 @@ that `ckt build` wrote, or whose bytes an earlier query parsed, decodes
 the graph, and the replay of its trace copy, from the cache, not from
 nodes.jsonl, triples.tsv and trace.jsonl.
 
-An entry is what one strict parse by ckt.graph gives: the graph's nodes,
-ranks and keys, and the Eraser replay's per-variable locksets of the
-trace copy, or none.  The build writes it from the graph it saved, and
-a load from the graph it parsed; its bytes are a function of those
-values alone, so both write the same entry.  It is named by what it was
-made from, as a content-addressed store names a block (Venti; ccache):
-the BLAKE2b-128 of the key, the graph format and the digests of the two
-graph files and of the trace copy, with this entry layout, the marshal
-format and the interpreter.  So an entry is never compared with its
-graph directory, never rewritten once it decodes, and shared by every
-copy of the directory; one of another interpreter or layout has another
-name and is never opened.  An absent, unreadable or damaged entry is a
-miss, on which the caller parses the files and writes the entry.
-Deleting the cache is always safe.
+An entry is what one strict parse by ckt.graph gives: the columns of the
+graph (KnowledgeGraph.entry), and the Eraser replay's per-variable
+locksets of the trace copy, or none.  The build writes it from the
+graph it saved, and a load from the graph it parsed; its bytes are a
+function of those values alone, so both write the same entry.  It is
+named by what it was made from, as a content-addressed store names a
+block (Venti; ccache): the BLAKE2b-128 of the key, the graph format and
+the digests of the two graph files and of the trace copy, with this
+entry layout, the marshal format, the interpreter, the byte order and
+the item size of each array typecode, since arrays are written as their
+bytes in memory.  So an entry is never compared with its graph
+directory, never rewritten once it decodes, and shared by every copy of
+the directory; one of another interpreter, layout or byte order has
+another name and is never opened.  An absent, unreadable or damaged
+entry is a miss, on which the caller parses the files and writes the
+entry.  Deleting the cache is always safe.
 
 A stamp spares a load the hashing of the graph files: after a load has
 hashed them and found them fresh, it records their stat data, and the
@@ -33,20 +35,18 @@ directory: a query must not write where `ckt build` writes.  It is used
 only while that directory is this user's, with no access for any other
 (private_dir).  An entry is <name>.graph, a sequence of records, each its
 payload's length (4 bytes, little-endian), a BLAKE2b-128 digest of every
-payload of the entry up to and including its own, and a marshal payload:
-first the counts of nodes and keys, then node records of up to RECORD
-(id, kind, label, span, attrs, rank) tuples in ascending id order, then
-key records of up to RECORD keys in SPO order as (subject indexes,
-predicates, object indexes or literals), each index the node's place in
-id order, and last the locksets record: None, or a (variable, candidate,
-accesses, tids, wrote) tuple per variable of the replay, its sets as
-sorted lists.  Every string but the interned kinds, span paths,
-attribute keys and predicates, and every number, is written from a copy
-of its own, so how the writer's objects share memory, which marshal
-records as references, never shows in the bytes.  A digest
-covers the records before its own, so a missing, reordered, truncated or
-changed record is a miss.  Entries are read and written a record at a
-time: no process holds a whole entry, or a second copy of the graph.
+payload of the entry up to and including its own, and the payload:
+first the typecode of each column that is an array, or "" for one that
+is not, then one record per column, an array as its bytes (tobytes,
+read back by frombytes) and any other column in marshal format 2, and
+last the locksets record: None, or a (variable, candidate, accesses,
+tids, wrote) tuple per variable of the replay, its sets as sorted lists.
+Marshal format 2 records neither which objects the writer shared nor
+which strings it interned, so how the writer's objects share memory
+never shows in the bytes.  A digest covers the records before its own,
+so a missing, reordered, truncated or changed record is a miss.  Entries
+are read and written a record at a time: no process holds a whole entry
+beside the graph.
 """
 
 from __future__ import annotations
@@ -55,20 +55,19 @@ import marshal
 import os
 import stat
 import sys
+from array import array, typecodes
 from _thread import get_ident
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
 
-from ckt.model import Entity, Lockset, Span
+from ckt.model import Lockset
 
 # the interpreter's BLAKE2b, as in ckt.graph
 from _blake2 import blake2b as _blake2b
 
-VERSION = 4  # of the entry and stamp layouts
-RECORD = 256  # nodes or keys per record
+VERSION = 5  # of the entry and stamp layouts
 KEEP = 8  # entries and temporary files, and stamps, a cache directory keeps of each
 _DIGEST_SIZE = 16
 _HEAD = 4 + _DIGEST_SIZE  # the length and the digest before each payload
@@ -109,8 +108,9 @@ def private_dir() -> Path | None:
 def _name(key: tuple, suffix: str = ".graph") -> str:
     """The name of the entry, or with suffix ".stamp" the stamp, of `key`,
     a tuple of JSON values, as written by this layout, marshal format and
-    interpreter."""
-    made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag))
+    interpreter, in this byte order and with these sizes of array items."""
+    made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag,
+                      sys.byteorder, [array(code).itemsize for code in typecodes]))
     return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}{suffix}"
 
 
@@ -125,10 +125,9 @@ def has(key: tuple) -> bool:
     return cache is not None and os.path.exists(cache / _name(key))
 
 
-def read(key: tuple) -> tuple | None:
-    """(entities, SPO keys, ranks, locksets) from the entry of `key` in
-    private_dir; None for a miss: no cache, or the entry absent,
-    unreadable or damaged."""
+def read(key: tuple) -> tuple[list, dict[str, Lockset] | None] | None:
+    """(columns, locksets) from the entry of `key` in private_dir; None for
+    a miss: no cache, or the entry absent, unreadable or damaged."""
     cache = private_dir()
     if cache is None:
         return None
@@ -139,11 +138,11 @@ def read(key: tuple) -> tuple | None:
         return None
 
 
-def _decode(file: BinaryIO) -> tuple:
+def _decode(file: BinaryIO) -> tuple[list, dict[str, Lockset] | None]:
     size = os.fstat(file.fileno()).st_size
     chain = _blake2b(digest_size=_DIGEST_SIZE)
 
-    def record():
+    def record() -> bytes:
         head = file.read(_HEAD)
         length = int.from_bytes(head[:4], "little")
         if len(head) != _HEAD or length > size - file.tell():
@@ -152,40 +151,34 @@ def _decode(file: BinaryIO) -> tuple:
         chain.update(payload)
         if len(payload) != length or chain.digest() != head[4:]:
             raise _Miss
-        return marshal.loads(payload)
+        return payload
 
-    entities: dict[str, Entity] = {}
-    ranks: dict[str, float] = {}
-    spo: list = []
     try:
-        n_nodes, n_keys = record()
-        while len(entities) < n_nodes:
-            for eid, kind, label, span, attrs, rank in record():
-                entities[eid] = Entity(eid, kind, label, span and tuple.__new__(Span, span), attrs)
-                ranks[eid] = rank
-        ids = list(entities)
-        while len(spo) < n_keys:
-            subjects, predicates, objects = record()
-            spo += zip(map(ids.__getitem__, subjects), predicates,
-                       [ids[o] if type(o) is int else o for o in objects])
-        locksets = record()
+        columns = []
+        for code in marshal.loads(record()):
+            if code:
+                column = array(code)
+                column.frombytes(record())
+            else:
+                column = marshal.loads(record())
+            columns.append(column)
+        locksets = marshal.loads(record())
         if locksets is not None:
             locksets = {var: Lockset(set(candidate), accesses, set(tids), wrote)
                         for var, candidate, accesses, tids, wrote in locksets}
-    except (ValueError, TypeError, IndexError, EOFError) as exc:  # no record this module writes
+    except (ValueError, TypeError, EOFError) as exc:  # no record this module writes
         raise _Miss from exc
-    if len(entities) != n_nodes or len(spo) != n_keys or file.read(1):
+    if file.read(1):
         raise _Miss
-    return entities, spo, ranks, locksets
+    return columns, locksets
 
 
-def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, float],
-          locksets: dict[str, Lockset] | None) -> None:
-    """Write the entry of `key` in private_dir, for the graph that a strict
-    parse of the bytes `key` names gives and the locksets of the trace
-    copy it names, or None, through a temporary file renamed into place,
-    and prune the directory.  No cache, or one that cannot be written, is
-    left as it is, and nothing raised."""
+def write(key: tuple, columns: list, locksets: dict[str, Lockset] | None) -> None:
+    """Write the entry of `key` in private_dir: `columns`, those of the
+    graph that a strict parse of the bytes `key` names gives, and the
+    locksets of the trace copy it names, or None; through a temporary file
+    renamed into place, and prune the directory.  No cache, or one that
+    cannot be written, is left as it is, and nothing raised."""
     cache = private_dir()
     if cache is None:
         return
@@ -194,7 +187,7 @@ def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, f
         tmp = _temporary(path)
         try:
             with open(tmp, "wb") as file:
-                _encode(file, entities, spo, ranks, locksets)
+                _encode(file, columns, locksets)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -203,42 +196,22 @@ def write(key: tuple, entities: dict[str, Entity], spo: list, ranks: dict[str, f
         pass
 
 
-def _encode(file: BinaryIO, entities: dict[str, Entity], spo: list,
-            ranks: dict[str, float], locksets: dict[str, Lockset] | None) -> None:
+def _encode(file: BinaryIO, columns: list, locksets: dict[str, Lockset] | None) -> None:
     chain = _blake2b(digest_size=_DIGEST_SIZE)
 
-    def record(value) -> None:
-        payload = marshal.dumps(value)
+    def record(payload: bytes) -> None:
         chain.update(payload)
         file.write(len(payload).to_bytes(4, "little") + chain.digest())
         file.write(payload)
 
-    # each kind, span path, attribute key and predicate is written interned,
-    # so marshal writes each once per record, and a decoded entry shares one
-    # string for each, as the parsed graph does; every other string is a
-    # copy and every number a new object, referenced once, so marshal
-    # writes each in full, whoever made the values
-    # (s.join(around) is "" + s + "": a new string, but "" itself for "")
-    intern, around = sys.intern, ("", "")
-    record((len(entities), len(spo)))
-    nodes = iter(entities.values())
-    while batch := list(islice(nodes, RECORD)):
-        record([(e.id.join(around), intern(e.kind), e.label.join(around),
-                 e.span and (intern(e.span.path), e.span.start + 0, e.span.end + 0),
-                 {intern(k): v.join(around) for k, v in sorted(e.attrs.items())}
-                 if e.attrs else {}, ranks[e.id] * 1.0)
-                for e in batch])
-    # each end of a key is written as its node's index in id order; an
-    # object that is no node is a literal
-    index = {eid: i for i, eid in enumerate(entities)}
-    for start in range(0, len(spo), RECORD):
-        subjects, predicates, objects = zip(*spo[start:start + RECORD])
-        record((list(map(index.__getitem__, subjects)), tuple(map(intern, predicates)),
-                [index[o] if o in index else o.join(around) for o in objects]))
-    record(None if locksets is None else [
-        (var.join(around), sorted([lock.join(around) for lock in rec.candidate]),
-         [seq + 0 for seq in rec.accesses], sorted([tid + 0 for tid in rec.tids]), rec.wrote)
-        for var, rec in locksets.items()])
+    # marshal format 2 records no sharing and no interning, so the bytes
+    # are a function of the values, whoever made them
+    record(marshal.dumps([getattr(column, "typecode", "") for column in columns], 2))
+    for column in columns:
+        record(column.tobytes() if isinstance(column, array) else marshal.dumps(column, 2))
+    record(marshal.dumps(None if locksets is None else [
+        (var, sorted(rec.candidate), rec.accesses, sorted(rec.tids), rec.wrote)
+        for var, rec in locksets.items()], 2))
 
 
 def read_stamp(place: tuple) -> tuple[dict, tuple, int] | None:

@@ -13,6 +13,8 @@ import re
 from bisect import bisect_right
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import add
 from pathlib import Path
 
 from ckt import ids
@@ -253,14 +255,9 @@ class LabelSearch:
         """The labels in ascending id order, each lower-cased on its own as
         normalize_tokens lowers it, joined by LFs, which no token holds;
         where each one starts in the join; and their ids."""
-        entities = self._graph.entities
-        ids = list(entities)
-        lowered = [entities[eid].label.lower() for eid in ids]
-        starts, at = [], 0
-        for label in lowered:
-            starts.append(at)
-            at += len(label) + 1
-        return "\n".join(lowered), starts, ids
+        lowered = list(map(str.lower, self._graph.labels))
+        starts = list(accumulate(map(add, map(len, lowered), repeat(1)), initial=0))
+        return "\n".join(lowered), starts[:-1], list(self._graph.entities)
 
     def candidates(self, token: str) -> list[tuple[str, tuple[str, ...]]]:
         """(id, normalized label tokens) of each entity whose lower-cased
@@ -268,12 +265,12 @@ class LabelSearch:
         found = self._candidates.get(token)
         if found is None:
             text, starts, ids = self._joined
-            entities = self._graph.entities
+            labels = self._graph.labels
             found = []
             at = text.find(token)
             while at >= 0:
                 i = bisect_right(starts, at) - 1
-                found.append((ids[i], tuple(normalize_tokens(entities[ids[i]].label))))
+                found.append((ids[i], tuple(normalize_tokens(labels[i]))))
                 at = text.find(token, starts[i + 1]) if i + 1 < len(starts) else -1
             self._candidates[token] = found
         return found

@@ -66,12 +66,16 @@ class AugmentContext:
     every row of it, reads the same tables.
 
     Four tables stay whole-graph, each built on first use, because each
-    rule that reads one reads most of it.  The first pass of the
-    benchmark's 36-query mix, which computes every verdict once, took 104
-    ms on the 400-file graph (2-CPU host, Python 3.11); it took 307 ms with
-    the race roots' trees and the reach index (each function's trees)
-    built per static race verdict, and 179 ms with the bug table built per
-    similar-defect verdict.  The stale tier visits every entity of the
+    rule that reads one reads most of it.  They find their subjects in
+    the graph's columns, so they make an Entity only for each bug and
+    stale comment: the race roots and the bugs by kind and label
+    (`graph.ids_of`), the stale comments by their encoded attribute
+    (`graph.ids_with`).  The first pass of the benchmark's 36-query mix,
+    which computes every verdict once, took 104 ms on the 400-file graph
+    (2-CPU host, Python 3.11); it took 307 ms with the race roots' trees
+    and the reach index (each function's trees) built per static race
+    verdict, and 179 ms with the bug table built per similar-defect
+    verdict.  The stale tier visits every entity of the
     rows, and a warm pass of the mix on the 100-file graph took 26 ms, not
     16.5, with each entity's stale comments read per entity.
 
@@ -98,8 +102,7 @@ class AugmentContext:
         path is the first shortest one in that order."""
         graph = self.graph
         roots = {o for _, _, o in graph.match(ids.THREAD_ROOT_ID, "starts-thread", None)}
-        roots.update(eid for eid, entity in graph.entities.items()
-                     if entity.kind == "function" and entity.label == "main")
+        roots.update(graph.ids_of("function", "main"))
         trees = []
         for root in sorted(roots):
             parent: dict[str, str | None] = {root: None}
@@ -125,21 +128,21 @@ class AugmentContext:
     @cached_property
     def bugs(self) -> list[tuple[str, frozenset[str], set[str]]]:
         """Every bug in id order with its tokens and touched entities."""
-        return [
-            (eid, _bug_tokens(entity), {o for _, _, o in self.graph.match(eid, "touches", None)})
-            for eid, entity in self.graph.entities.items()
-            if entity.kind == "bug"
-        ]
+        graph = self.graph
+        return [(eid, _bug_tokens(graph.entities[eid]),
+                 {o for _, _, o in graph.match(eid, "touches", None)})
+                for eid in graph.ids_of("bug")]
 
     @cached_property
     def stale_comments(self) -> dict[str, list[tuple[str, str]]]:
         """Entity -> (comment, missing identifiers) of each stale comment
         documenting it, in comment id order."""
+        graph = self.graph
+        stale = set(graph.ids_with("stale", "true"))
         out: dict[str, list[tuple[str, str]]] = {}
-        for s, _, o in self.graph.match(None, "documented-by", None):
-            comment = self.graph.entities.get(o)
-            if comment is not None and comment.attrs.get("stale") == "true":
-                out.setdefault(s, []).append((o, comment.attrs.get("missing", "")))
+        for s, _, o in graph.match(None, "documented-by", None):
+            if o in stale:
+                out.setdefault(s, []).append((o, graph.entities[o].attrs.get("missing", "")))
         return out
 
 

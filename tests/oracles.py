@@ -23,7 +23,9 @@ comment.  `LabelIndex` is free-form routing's label index as it was before
 the label search: the exact and prefix tables over every label, through
 the package's normalize_tokens.  `call_edges`, `accessors`,
 `touching_commits` and `commit_keys` are the alert context's whole-graph
-tables as it built them before the rules read the graph's indexes.
+tables as it built them before the rules read the graph's indexes, and
+`TupleIndexes` the graph's lookups as they were before its keys became
+numbered arrays.
 `reference_rank_results`, `reference_contains_rows` and
 `reference_format_table` are the row path of an answer as it was before
 its per-row loops moved into C builtins; the CONTAINS one reads the
@@ -34,6 +36,7 @@ load_graph without its graph cache.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import posixpath
@@ -926,6 +929,46 @@ def resolve_entity(tokens, labels):
                     return hits[0], tokens[:start] + tokens[start + length:]
     return None
 
+
+
+# -- the graph's indexes as lists of key tuples, as it kept them --------------
+
+
+class TupleIndexes:
+    """KnowledgeGraph's lookups as they were before its keys became
+    numbered arrays: the keys sorted into SPO, a stable sort of SPO by
+    object for OSP, and each predicate's keys in SPO order stable-sorted by
+    object for its POS list, each bisected by the part it ascends by."""
+
+    def __init__(self, keys):
+        self.spo = sorted(keys)
+        self.osp = sorted(self.spo, key=lambda k: k[2])
+        self.pos = {}
+        for key in self.spo:
+            self.pos.setdefault(key[1], []).append(key)
+        for p, run in self.pos.items():
+            self.pos[p] = sorted(run, key=lambda k: k[2])
+
+    @staticmethod
+    def _run(index, value, part):
+        return index[bisect.bisect_left(index, value, key=part):
+                     bisect.bisect_right(index, value, key=part)]
+
+    def match(self, s, p, o):
+        if s is not None and p is not None and o is not None:
+            return [(s, p, o)] if (s, p, o) in self.spo else []
+        if s is not None and o is not None:
+            return self._run(self.osp, (o, s), lambda k: (k[2], k[0]))
+        if s is not None:
+            if p is None:
+                return self._run(self.spo, s, lambda k: k[0])
+            return self._run(self.spo, (s, p), lambda k: k[:2])
+        if p is not None:
+            keys = self.pos.get(p, [])
+            return keys if o is None else self._run(keys, o, lambda k: k[2])
+        if o is not None:
+            return self._run(self.osp, o, lambda k: k[2])
+        return self.spo
 
 
 # -- the alert context's whole-graph tables, as it built them ----------------

@@ -277,16 +277,21 @@ def test_readers_racing_on_first_lookups_each_get_the_whole_list():
 
 @settings(max_examples=50, deadline=None)
 @given(index_graphs())
-def test_lookups_by_subject_sort_no_other_index(graph_and_keys):
+def test_lookups_by_subject_make_no_predicate_or_object_run(graph_and_keys):
+    """Each lookup keeps the list it made: lookups by subject keep only
+    runs of their subject beside the whole SPO run, which a graph made
+    from its keys starts with, and a predicate's lookup adds its own run."""
     graph, keys = graph_and_keys
     for s in _INDEX_IDS + ["func:g#zz"]:
         assert list(graph.match(s, None, None)) == sorted(k for k in keys if k[0] == s)
         for p in _INDEX_PREDS:
             assert list(graph.match(s, p, None)) == sorted(k for k in keys if k[:2] == (s, p))
-    assert not {"_osp", "_buckets"} & vars(graph).keys()
-    assert graph._pos_lists == {}
+    whole = (None, None, None)
+    assert all(query == whole or query[0] is not None and query[2] is None
+               for query in graph._runs)
     list(graph.match(None, "calls", None))
-    assert "_osp" not in vars(graph) and list(graph._pos_lists) == ["calls"]
+    assert [query for query in graph._runs if query[0] is None and query != whole] \
+        == [(None, "calls", None)]
 
 
 # -- pagerank ---------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The per-user graph cache: a load through it equals the strict load, cold
-and warm; an entry is named by the graph format, the digests of the graph
-files and of the trace copy, the entry layout, the marshal format and the
-interpreter, so two interpreters taking turns each parse once, a copy of
+and warm, and the graph decoded from an entry looks up every shape of
+pattern as oracles.TupleIndexes does; an entry is named by the graph
+format, the digests of the graph files and of the trace copy, the entry
+layout, the marshal format, the interpreter, the byte order and the
+array item sizes, so an entry of another byte order or of layout 4 is
+never opened, two interpreters taking turns each parse once, a copy of
 a graph directory and a rebuild back to earlier bytes load from the entry
 already written, and files that graph.json does not vouch for raise what
 the strict load raises; a truncated entry, or one with a flipped byte or
@@ -15,7 +18,8 @@ names, so a hit parses and imports no trace parser, while a damaged or
 missing locksets record is a miss.  A load whose stamp's stat data
 match hashes nothing, and every other stamp case hashes and then hits or
 raises as a load with no stamp does; the entry that `ckt build` writes
-is the one a parse writes, byte for byte.  Each test keeps its cache in
+is the one a parse writes, byte for byte, and load_graph keys it as the
+build does, so it adds no second entry.  Each test keeps its cache in
 a temporary XDG_CACHE_HOME of its own, and compares with
 oracles.strict_load_graph."""
 
@@ -29,7 +33,9 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from array import array
 from contextlib import contextmanager
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -58,7 +64,7 @@ from ckt.model import Entity, Span
 from ckt.query.evaluate import ResultSet
 from ckt.smart import AugmentContext, augment
 from conftest import settle
-from oracles import graphs_equal, strict_load_graph
+from oracles import TupleIndexes, graphs_equal, strict_load_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DECLARES = "SELECT ?f WHERE { file:src/ftpety.c declares ?f }"
@@ -79,18 +85,16 @@ def cache(tmp_path, monkeypatch) -> Path:
     return tmp_path / "xdg" / "ckt"
 
 
-def key_of(out: Path, trace: bool = False) -> tuple:
+def key_of(out: Path) -> tuple:
     """The cache key of the graph that the graph.json of `out` vouches for,
-    and, when `trace`, of its trace copy, as a load given that copy keys
-    it; else as a load given none."""
+    and of its trace copy, if any, as every load and the build key it."""
     digests = json.loads((out / GRAPH_MANIFEST).read_bytes())["blake2b"]
-    return (FORMAT_VERSION, digests[NODES_FILE], digests[TRIPLES_FILE],
-            digests[TRACE_COPY] if trace else None)
+    return (FORMAT_VERSION, digests[NODES_FILE], digests[TRIPLES_FILE], digests.get(TRACE_COPY))
 
 
-def entry_path(cache: Path, out: Path, trace: bool = False) -> Path:
+def entry_path(cache: Path, out: Path) -> Path:
     """Where `cache` keeps the entry of the graph directory `out`."""
-    return cache / graphcache._name(key_of(out, trace))
+    return cache / graphcache._name(key_of(out))
 
 
 @contextmanager
@@ -151,13 +155,11 @@ def graphs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs(), st.sampled_from([1, 3, graphcache.RECORD]))
-def test_a_cold_and_a_warm_load_each_equal_the_strict_load(graph_and_sources, record):
-    """With records of one node or key, of a few, and of the default size:
-    the first load through the cache parses and writes the entry, the
+@given(graphs())
+def test_a_cold_and_a_warm_load_each_equal_the_strict_load(graph_and_sources):
+    """The first load through the cache parses and writes the entry, the
     second decodes it, and both give what the strict load gives."""
-    with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(graphcache, "RECORD", record),
-          cache_home(Path(tmp, "xdg"))):
+    with tempfile.TemporaryDirectory() as tmp, cache_home(Path(tmp, "xdg")):
         out = Path(tmp, "out")
         save_graph(*graph_and_sources, out)
         strict = strict_load_graph(out)
@@ -167,6 +169,43 @@ def test_a_cold_and_a_warm_load_each_equal_the_strict_load(graph_and_sources, re
         assert spy.call_count == 1
         assert identical(cold, strict) and identical(warm, strict)
         assert identical(warm, graph_and_sources[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_match_gives_the_tuple_indexes_keys_built_and_decoded(graph_and_sources, data):
+    """For every shape of bound and unbound positions, with ids, literals
+    and predicates of the graph and ones it lacks, match gives the keys of
+    oracles.TupleIndexes, in its order: on the built graph, and on the
+    same graph decoded from its entry, with arrays of 32-bit items, which
+    hold the numbers of a graph this small, or of 64-bit items, which
+    larger graphs need.  The decoded graph's entities come in the built
+    one's order, equal to its, and a read of an id gives the same object
+    each time."""
+    graph = graph_and_sources[0]
+    keys = list(graph.triples())
+    if data.draw(st.booleans(), label="64-bit items"):
+        with mock.patch.object(ckt.graph, "_typecode", return_value="Q"):
+            graph = KnowledgeGraph(dict(graph.entities), keys, dict(graph.rank_table()))
+        assert graph.entry()[-1].typecode == "Q"
+    oracle = TupleIndexes(keys)
+    with tempfile.TemporaryDirectory() as tmp, cache_home(Path(tmp)):
+        graphcache.write(("drawn",), graph.entry(), None)
+        columns, _ = graphcache.read(("drawn",))
+    decoded = KnowledgeGraph.from_entry(columns)
+    terms = sorted({k[0] for k in keys} | {k[2] for k in keys} | set(graph.entities)
+                   | {"func:a.c#absent", "int", "zz"})
+    probe = st.lists(st.sampled_from(terms), max_size=3, unique=True)
+    predicates = [None, *sorted({k[1] for k in keys}), "calls", "unknown"]
+    for s, p, o in product([None, *data.draw(probe)], predicates, [None, *data.draw(probe)]):
+        for g in (graph, decoded):
+            assert list(g.match(s, p, o)) == oracle.match(s, p, o)
+    assert list(decoded.entities) == list(graph.entities) == sorted(graph.entities)
+    for eid in graph.entities:
+        assert decoded.entities[eid] == graph.entities[eid]
+        assert decoded.entities[eid] is decoded.entities.get(eid) is decoded.entity(eid)
+    assert decoded.entities.get("func:a.c#absent") is None
+    assert "func:a.c#absent" not in decoded.entities and "int" not in decoded.entities
 
 
 def test_each_load_shares_one_string_per_kind_path_and_attribute_key(scenario_dir, cache):
@@ -188,13 +227,11 @@ def test_each_load_shares_one_string_per_kind_path_and_attribute_key(scenario_di
 
 
 @pytest.fixture
-def warm_scenario(scenario_dir, tmp_path, monkeypatch, cache):
+def warm_scenario(scenario_dir, tmp_path, cache):
     """(graph directory, cache, entry, strict graph): a copy of the
-    scenario's graph whose entry is written in records of 8 nodes or keys,
-    so that it has several of each."""
+    scenario's graph, and its entry, one record per column."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    monkeypatch.setattr(graphcache, "RECORD", 8)
     strict = strict_load_graph(out)
     load_graph(out)
     entry = entry_path(cache, out)
@@ -221,7 +258,8 @@ def without(data: bytes, span: tuple[int, int]) -> bytes:
 
 
 # each takes the entry's bytes and its record spans; record 0 is the head,
-# records 1 to 5 hold the scenario's 36 nodes, and the rest its 62 keys
+# records 1 to 6 hold the terms and the node columns, 7 to 9 the SPO, POS
+# and OSP arrays, and the last the locksets
 DAMAGES = {
     "empty": lambda data, spans: b"",
     "truncated in the head": lambda data, spans: data[:10],
@@ -236,6 +274,9 @@ DAMAGES = {
     "flipped last byte": lambda data, spans: flip(data, len(data) - 1),
     "missing node record": lambda data, spans: without(data, spans[2]),
     "missing key record": lambda data, spans: without(data, spans[-3]),
+    "records of two arrays traded": lambda data, spans: (
+        data[:spans[7][0]] + data[spans[8][0]:spans[8][1]] + data[spans[7][0]:spans[7][1]]
+        + data[spans[8][1]:]),
     "missing last record": lambda data, spans: without(data, spans[-1]),
     "records traded": lambda data, spans: (data[:spans[6][0]] + data[spans[7][0]:spans[7][1]]
                                            + data[spans[6][0]:spans[6][1]] + data[spans[7][1]:]),
@@ -270,7 +311,8 @@ def test_an_entry_path_that_is_a_directory_is_a_miss_that_raises_nothing(warm_sc
 
 def test_another_key_or_writer_gives_another_name():
     """The graph format, any digest, no trace copy, the entry layout, the
-    marshal format and the interpreter each give the entry another name."""
+    marshal format, the interpreter, the byte order and the size of an
+    array item each give the entry another name."""
     key = (FORMAT_VERSION, "a" * 64, "b" * 64, "d" * 64)
     names = [graphcache._name(key)]
     for other in ((FORMAT_VERSION + 1, "a" * 64, "b" * 64, "d" * 64),
@@ -280,11 +322,43 @@ def test_another_key_or_writer_gives_another_name():
                   (FORMAT_VERSION, "a" * 64, "b" * 64, None)):
         names.append(graphcache._name(other))
     for target, attribute in ((graphcache, "VERSION"), (graphcache.marshal, "version"),
-                              (sys.implementation, "cache_tag")):
+                              (sys.implementation, "cache_tag"), (graphcache.sys, "byteorder")):
         with mock.patch.object(target, attribute, -1):
             names.append(graphcache._name(key))
-    assert len(set(names)) == len(names) == 9
+    wider = mock.Mock(side_effect=lambda code: mock.Mock(itemsize=2 * array(code).itemsize))
+    with mock.patch.object(graphcache, "array", wider):  # each array item twice the size
+        names.append(graphcache._name(key))
+    assert len(set(names)) == len(names) == 11
     assert names[0] == graphcache._name(key)
+
+
+def test_an_entry_under_the_name_of_the_other_byte_order_is_never_opened(warm_scenario):
+    """Bytes that would decode, under the name that a host of the other
+    byte order gives the entry: a load parses, and writes its own entry."""
+    out, cache, entry, strict = warm_scenario
+    other = "big" if sys.byteorder == "little" else "little"
+    with mock.patch.object(graphcache.sys, "byteorder", other):
+        foreign = cache / graphcache._name(key_of(out))
+    entry.rename(foreign)
+    with counted_parses() as spy:
+        assert identical(load_graph(out), strict)
+    assert spy.call_count == 1 and foreign.exists() and entry.exists()
+
+
+def test_an_entry_of_layout_4_is_never_opened_and_goes_by_age(warm_scenario):
+    """Bytes that would decode, under the name that layout 4 gave the
+    entry of the same graph, and older than any other: a load parses, and
+    its write prunes them once KEEP newer entries are there."""
+    out, cache, entry, strict = warm_scenario
+    with mock.patch.object(graphcache, "VERSION", 4):
+        old = cache / graphcache._name(key_of(out))
+    entry.rename(old)
+    os.utime(old, (1e9, 1e9))
+    for i in range(graphcache.KEEP - 1):
+        (cache / f"{i:032x}.graph").write_bytes(b"")
+    with counted_parses() as spy:
+        assert identical(load_graph(out), strict)
+    assert spy.call_count == 1 and entry.exists() and not old.exists()
 
 
 def test_two_interpreters_taking_turns_each_parse_once(warm_scenario):
@@ -443,7 +517,7 @@ def test_a_miss_and_then_a_hit_parse_the_trace_copy_once(scenario_dir, scenario_
     with counted_trace_parses() as trace_spy:
         loads = [query_load(scenario_dir / "out"), query_load(scenario_dir / "out")]
     assert trace_spy.call_count == 1
-    assert entry_path(cache, scenario_dir / "out", trace=True).exists()
+    assert entry_path(cache, scenario_dir / "out").exists()
     for ctx in loads:
         assert fields(ctx.rules.locksets) == fields(scenario_trace.replay.locksets)
 
@@ -504,7 +578,7 @@ def test_a_damaged_or_missing_locksets_record_is_a_miss_that_writes_the_entry_an
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
     query_load(out)
-    entry = entry_path(cache, out, trace=True)
+    entry = entry_path(cache, out)
     good = entry.read_bytes()
     entry.write_bytes(damage(good, record_spans(good)))
     with counted_parses() as spy, counted_trace_parses() as trace_spy:
@@ -585,7 +659,7 @@ def test_a_cache_directory_that_others_may_open_is_not_used(scenario_dir, tmp_pa
     there: each parses the files."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
-    graphcache.write(key_of(out), {}, [], {}, None)
+    graphcache.write(key_of(out), GraphBuilder().finalize().entry(), None)
     cache.chmod(mode)
     forged = entry_path(cache, out).read_bytes()
     strict = strict_load_graph(out)
@@ -745,7 +819,9 @@ def counted_hashes():
         yield spy
 
 
-def stamp_path(cache: Path, out: Path, names: tuple = ()) -> Path:
+def stamp_path(cache: Path, out: Path, names: tuple = (TRACE_COPY,)) -> Path:
+    """Where `cache` keeps the stamp of `out` that a load reading the copies
+    `names` writes; load_graph reads the trace copy."""
     return cache / graphcache._name((os.path.realpath(out), names), ".stamp")
 
 
@@ -944,16 +1020,17 @@ def test_the_build_writes_the_entry_that_a_parse_writes(tmp_path, cache):
     parses nothing; and a query that parses, in a process of another hash
     seed, writes the same bytes."""
     out = build_scenario(tmp_path)
-    entry = entry_path(cache, out, trace=True)
+    entry = entry_path(cache, out)
     assert list(cache.iterdir()) == [entry]
     built = entry.read_bytes()
-    entities, spo, ranks, locksets = graphcache.read(key_of(out, trace=True))
-    strict = strict_load_graph(out)
-    assert [(e.id, e.kind, e.label, e.span, list(e.attrs.items())) for e in entities.values()] \
+    columns, locksets = graphcache.read(key_of(out))
+    decoded, strict = KnowledgeGraph.from_entry(columns), strict_load_graph(out)
+    assert [(e.id, e.kind, e.label, e.span, list(e.attrs.items()))
+            for e in decoded.entities.values()] \
         == [(e.id, e.kind, e.label, e.span, list(e.attrs.items()))
             for e in strict.entities.values()]
-    assert spo == list(strict.triples())
-    assert identical(KnowledgeGraph(entities, spo, ranks), strict)
+    assert list(decoded.triples()) == list(strict.triples())
+    assert identical(decoded, strict)
     assert fields(locksets) == fields(replayed((out / TRACE_COPY).read_bytes()))
     with counted_parses() as spy:
         query_load(out)
@@ -964,9 +1041,30 @@ def test_the_build_writes_the_entry_that_a_parse_writes(tmp_path, cache):
     assert proc.returncode == 0 and entry.read_bytes() == built
 
 
+def test_load_graph_after_a_build_parses_nothing_and_keeps_one_entry(tmp_path, cache):
+    """load_graph keys the entry as the build and a query load do, so it
+    decodes the build's entry and writes none of its own; on a miss it
+    parses the trace copy too, and the entry it writes, named by that
+    copy, holds the copy's replay."""
+    out = build_scenario(tmp_path)
+    strict = strict_load_graph(out)
+    with counted_parses() as spy, counted_trace_parses() as traced:
+        assert identical(load_graph(out), strict)
+    assert (spy.call_count, traced.call_count) == (0, 0)
+    entry = entry_path(cache, out)
+    assert list(cache.glob("*.graph")) == [entry]
+    entry.unlink()
+    with counted_parses() as spy, counted_trace_parses() as traced:
+        assert identical(load_graph(out), strict)
+    assert (spy.call_count, traced.call_count) == (1, 1)
+    assert list(cache.glob("*.graph")) == [entry]
+    _, locksets = graphcache.read(key_of(out))
+    assert fields(locksets) == fields(replayed((out / TRACE_COPY).read_bytes())) != {}
+
+
 def test_a_rebuild_to_the_same_bytes_leaves_the_entry(tmp_path, cache):
     out = build_scenario(tmp_path)
-    entry = entry_path(cache, out, trace=True)
+    entry = entry_path(cache, out)
     written = entry.stat()
     with mock.patch.object(graphcache, "write") as write:
         build_scenario(tmp_path / "again")
@@ -1000,5 +1098,5 @@ def test_the_build_copies_the_trace_bytes_it_parsed(tmp_path, cache):
         assert build.cmd_build(project / "manifest.json") == 0
     out = project / "out"
     assert trace.read_bytes() == b"" and (out / TRACE_COPY).read_bytes() == parsed
-    _, _, _, locksets = graphcache.read(key_of(out, trace=True))
+    _, locksets = graphcache.read(key_of(out))
     assert fields(locksets) == fields(replayed(parsed)) != {}
