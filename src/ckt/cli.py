@@ -22,7 +22,6 @@ from ckt.errors import CktError, SlotError
 from ckt.graph import (
     STATS_FILE,
     TEMPLATES_COPY,
-    TRACE_COPY,
     TRIPLES_FILE,
     KnowledgeGraph,
     cached_graph,
@@ -30,7 +29,6 @@ from ckt.graph import (
     collector_paused,
     parse_graph,
     read_if_present,
-    trace_locksets,
 )
 from ckt.model import Record
 from ckt.query.evaluate import evaluate
@@ -69,8 +67,9 @@ class QueryContext(Record):
     resolve against, which keeps what each one found, and the alert rules'
     context, which holds the locksets of the trace copy's replay, the
     whole-graph tables that the first response needing each one builds
-    (race roots' trees, bugs, stale comments), and the rules' kept
-    verdicts."""
+    (race roots' trees, bugs), and the rules' verdicts, each kept from
+    the first response that needs it (static races, similar defects,
+    stale comments, change provenance)."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 
@@ -89,7 +88,7 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     graph cache when `ckt build` or an earlier load wrote their entry
     (cached_graph), and no trace line is parsed; a stamp that vouches for
     the directory spares the read of graph.json and the trace copy, and
-    the hash of every file.  Else the trace copy, the templates copy and
+    the hash of every file.  Else the templates copy, the trace copy and
     the graph files are parsed in that order, so that an error names the
     first of them that fails, and parse_graph writes the entry.
 
@@ -105,11 +104,10 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     with collector_paused():
         # cached_graph reads the copies before graph.json, and parse_graph
         # reads graph.json again after them, so all the bytes are of one build
-        hit, copies = cached_graph(graph_dir, (TRACE_COPY, TEMPLATES_COPY))
-        locksets = hit[1] if hit else trace_locksets(copies[TRACE_COPY])
+        hit, copies = cached_graph(graph_dir)
         registry = (builtin_registry() if copies[TEMPLATES_COPY] is None
                     else load_registry(TEMPLATES_COPY, copies[TEMPLATES_COPY]))
-        graph = hit[0] if hit else parse_graph(graph_dir, copies, locksets)
+        graph, locksets = hit or parse_graph(graph_dir, copies)
         gc.freeze()
     return QueryContext(graph, registry, LabelSearch(graph), AugmentContext(graph, locksets))
 

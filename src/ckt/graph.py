@@ -25,8 +25,8 @@ into the nodes, ranks and keys, parsing each line as save_graph writes
 it, and then checks each file against its digest.  A graph whose bytes
 it has parsed before, or that `ckt build` saved, it decodes from their
 entry in the user's graph cache instead (see ckt.graphcache), one
-column at a time, and one whose stat data its stamp there vouches for
-it reads no byte of.
+column at a time, and of one whose stat data its stamp there vouches
+for it reads no byte but the templates copy's.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cached_property, partial
 from itertools import accumulate, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from json.scanner import make_scanner
-from operator import and_, eq, ge, itemgetter, lshift, or_
+from operator import and_, eq, ge, itemgetter, lshift, or_, rshift
 from pathlib import Path
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple, NoReturn
@@ -257,11 +257,13 @@ class KnowledgeGraph:
     SPO, POS and OSP each hold every key once, as one number in an
     unsigned array, of 32-bit items when they hold it: the term and
     predicate numbers packed in that index's order, so a lookup bisects
-    an array in C.  The nodes' kinds, labels and ranks are columns too,
-    and each node's span and attributes stay marshal-encoded in one bytes
-    column until its Entity is read.  `match` makes key tuples of only
-    the keys it yields, and keeps each list it made, so a run is made
-    once per graph.
+    an array in C.  A graph made from its keys makes SPO at once and POS
+    and OSP when a lookup or entry() first reads them; one decoded from
+    its entry keeps the three it decoded.  The nodes' kinds, labels and
+    ranks are columns too, and each node's span and attributes stay
+    marshal-encoded in one bytes column until its Entity is read.
+    `match` makes key tuples of only the keys it yields, and keeps each
+    list it made, so a run is made once per graph.
     """
 
     def __init__(self, entities: Mapping[str, Entity], spo: list[Key],
@@ -281,12 +283,10 @@ class KnowledgeGraph:
         number = {term: i for i, term in enumerate(terms)}
         s, p, o = (list(map(table.__getitem__, map(itemgetter(i), spo)))
                    for i, table in enumerate((number, _PREDICATE_NUMBER, number)))
-        sp, po = list(_pairs(s, p, _PREDICATE_BITS)), list(_pairs(p, o, bits))
-        # the keys ascend, and so do their SPO numbers; POS and OSP are sorted
+        # the keys ascend, and so do their SPO numbers; POS and OSP are made on first use
         self._load([terms, bytes([_KIND_NUMBER[e.kind] for e in nodes]),
                     [e.label for e in nodes], None, None, None,
-                    array(code, _pairs(sp, o, bits)), array(code, sorted(_pairs(po, s, bits))),
-                    array(code, sorted(_pairs(o, sp, bits + _PREDICATE_BITS)))],
+                    array(code, _pairs(_pairs(s, p, _PREDICATE_BITS), o, bits)), None, None],
                    entities if type(entities) is dict else dict(zip(entities, nodes)), ranks)
         self._runs[None, None, None] = spo  # the keys in SPO order, as match would make them
 
@@ -302,20 +302,19 @@ class KnowledgeGraph:
         terms, kinds, labels, encoded details and their offsets, ranks,
         SPO, POS and OSP."""
         return [self._terms, self._kinds, self._labels, *self._encoded(),
-                array("d", self.rank_table().values()), self._spo, self._pos, self._osp]
+                array("d", self.rank_table().values()), *map(self._index, range(3))]
 
     def _load(self, columns: list, made: dict[str, Entity],
               ranks: dict[str, float] | None) -> None:
         (self._terms, self._kinds, self._labels, details, offsets,
-         self._rank_column, self._spo, self._pos, self._osp) = columns
+         self._rank_column, *self._arrays) = columns
         self._encoding = None if details is None else (details, offsets)
         self._n = len(self._kinds)
         self._bits = bits = _term_bits(len(self._terms))
-        # each index, with the shifts that bring its subject, predicate and
-        # object numbers to the low bits
+        # the shifts that bring the subject, predicate and object numbers of
+        # a key of SPO, POS and OSP to the low bits
         pb = _PREDICATE_BITS
-        self._indexes = ((self._spo, (pb + bits, bits, 0)), (self._pos, (0, 2 * bits, bits)),
-                         (self._osp, (pb, 0, bits + pb)))
+        self._shifts = ((pb + bits, bits, 0), (0, 2 * bits, bits), (pb, 0, bits + pb))
         self.entities: Mapping[str, Entity] = _Entities(columns[:5], made)
         self._rank_cache = ranks
         self._search_texts: dict[str, str] = {}
@@ -330,7 +329,7 @@ class KnowledgeGraph:
             raise NotFoundError(f"unknown node {entity_id!r}") from None
 
     def __len__(self) -> int:
-        return len(self._spo)
+        return len(self._arrays[0])
 
     def __contains__(self, key: Key) -> bool:
         """One bisection of SPO."""
@@ -352,21 +351,6 @@ class KnowledgeGraph:
         if label is not None:
             hits = map(and_, hits, map(eq, self._labels, repeat(label)))
         return list(compress(self._terms, hits))
-
-    def ids_with(self, key: str, value: str) -> list[str]:
-        """The ids of the entities whose attribute `key` is `value`, in
-        ascending order.  Only the entities in whose encoded details the
-        pair's bytes are found are read."""
-        pair = marshal.dumps(key, 2) + marshal.dumps(value, 2)
-        details, offsets = self._encoded()
-        found = []
-        at = details.find(pair)
-        while at >= 0:
-            node = bisect.bisect_right(offsets, at) - 1
-            if self.entities[self._terms[node]].attrs.get(key) == value:
-                found.append(self._terms[node])
-            at = details.find(pair, offsets[node + 1])
-        return found
 
     def _encoded(self) -> tuple[bytes, array]:
         """The details column and its offsets: each node's span and
@@ -445,28 +429,45 @@ class KnowledgeGraph:
             if (o := _find(terms, o, n, len(terms)) if found is None else found) is None:
                 return []
         bits, pb = self._bits, _PREDICATE_BITS
-        spo, pos, osp = self._indexes
         if s is not None and o is not None and p is None:
-            (index, shifts), prefix, width = osp, o << bits | s, pb
+            which, prefix, width = 2, o << bits | s, pb  # OSP
         elif s is not None:
-            (index, shifts), prefix, width = spo, s, pb + bits
+            which, prefix, width = 0, s, pb + bits  # SPO
             if p is not None:
                 prefix, width = prefix << pb | p, bits
                 if o is not None:
                     prefix, width = prefix << bits | o, 0
         elif p is not None:
-            (index, shifts), prefix, width = pos, p, 2 * bits
+            which, prefix, width = 1, p, 2 * bits  # POS
             if o is not None:
                 prefix, width = prefix << bits | o, bits
         elif o is not None:
-            (index, shifts), prefix, width = osp, o, bits + pb
+            which, prefix, width = 2, o, bits + pb
         else:
-            (index, shifts), prefix, width = spo, 0, 2 * bits + pb
+            which, prefix, width = 0, 0, 2 * bits + pb
+        index = self._index(which)
         lo = bisect.bisect_left(index, prefix << width)
         run = index[lo:bisect.bisect_left(index, (prefix + 1) << width, lo)]
-        names, mask, (s, p, o) = _PREDICATES, (1 << bits) - 1, shifts
+        names, mask, (s, p, o) = _PREDICATES, (1 << bits) - 1, self._shifts[which]
         return [(terms[key >> s & mask], names[key >> p & _PREDICATE_MASK], terms[key >> o & mask])
                 for key in run]
+
+    def _index(self, which: int) -> array:
+        """SPO, POS or OSP, for `which` 0, 1 or 2.  A graph made from its
+        keys makes POS and OSP from SPO on the first lookup that reads
+        them, or its first entry(), since a build whose entry is already
+        cached reads neither; readers that race on it make equal arrays,
+        and any one may be kept."""
+        index = self._arrays[which]
+        if index is None:
+            # each SPO key rotated: its low `cut` bits, the predicate and
+            # object numbers for POS or the object number for OSP, go on top
+            spo, width = self._arrays[0], 2 * self._bits + _PREDICATE_BITS
+            cut = width - self._bits if which == 1 else self._bits
+            keys = _pairs(map(and_, spo, repeat((1 << cut) - 1)), map(rshift, spo, repeat(cut)),
+                          width - cut)
+            index = self._arrays[which] = array(spo.typecode, sorted(keys))
+        return index
 
     # -- analytics -------------------------------------------------------
 
@@ -481,7 +482,7 @@ class KnowledgeGraph:
         subject = None
         # SPO groups the keys by subject, so one dict per subject keeps its
         # objects once each, in the order they first appear
-        for key in self._spo:
+        for key in self._arrays[0]:
             if key >> bits & _PREDICATE_MASK not in _LITERAL_NUMBERS:
                 if key >> shift != subject:
                     subject, objects = key >> shift, {}
@@ -608,6 +609,7 @@ STATS_FILE = "stats.json"
 REPORT_FILE = "report.json"
 TRACE_COPY = "trace.jsonl"
 TEMPLATES_COPY = "templates.jsonl"
+COPIES = (TRACE_COPY, TEMPLATES_COPY)  # what a load reads beside the graph files
 # written last: the format version and the BLAKE2b digest of each file above
 GRAPH_MANIFEST = "graph.json"
 FORMAT_VERSION = 3
@@ -737,7 +739,7 @@ def write_cache_entry(graph: KnowledgeGraph, digests: dict[str, str],
     there: the graph's columns, with the ranks that nodes.jsonl carries,
     and `locksets`, the replay's of the trace copy, or None without one.
     The entry's bytes are those a strict parse of the directory writes."""
-    key = _cache_key(digests, locksets is not None)
+    key = _cache_key(digests)
     if not graphcache.has(key):
         graphcache.write(key, graph.entry(), locksets)
 
@@ -747,13 +749,11 @@ def load_graph(directory) -> KnowledgeGraph:
     the user's graph cache when cached_graph finds it there, under the key
     that the build and a query load use, else by parse_graph, which writes
     that entry with the replay of the trace copy."""
-    hit, copies = cached_graph(directory, (TRACE_COPY,))
-    if hit is not None:
-        return hit[0]
-    return parse_graph(directory, copies, trace_locksets(copies[TRACE_COPY]))
+    hit, copies = cached_graph(directory)
+    return (hit or parse_graph(directory, copies))[0]
 
 
-def trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
+def _trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
     """The locksets of the replay of a trace copy's bytes, or None for none."""
     if trace is None:
         return None
@@ -762,14 +762,17 @@ def trace_locksets(trace: bytes | None) -> dict[str, Lockset] | None:
     return load_trace(utf8_lines(TRACE_COPY, trace), name=TRACE_COPY).replay.locksets
 
 
-def parse_graph(directory, copies: dict[str, bytes | None],
-                locksets: dict[str, Lockset] | None) -> KnowledgeGraph:
-    """Parse a graph that save_graph wrote, PageRank scores included, and
-    write its entry in the user's graph cache.
+def parse_graph(directory, copies: dict[str, bytes | None]
+                ) -> tuple[KnowledgeGraph, dict[str, Lockset] | None]:
+    """(graph, locksets): parse a graph that save_graph wrote, PageRank
+    scores included, and replay the trace copy in `copies`, as a hit gives
+    them, and write their entry in the user's graph cache.
 
-    nodes.jsonl and triples.tsv are opened in the order save_graph writes
-    them, and graph.json last; a missing one raises NotFoundError naming
-    it.  A graph.json that is not format 3 with a table of digests raises
+    The trace copy is replayed first, so a line of it that does not load
+    raises before any graph file is opened.  Then nodes.jsonl and
+    triples.tsv are opened in the order save_graph writes them, and
+    graph.json last; a missing one raises NotFoundError naming it.  A
+    graph.json that is not format 3 with a table of digests raises
     FormatError at its line in place of any other error, and one of
     another format, such as format 2 with its ranks.tsv, asks for `ckt
     build` again.  Each graph file is read READ_BLOCK bytes at a time,
@@ -792,39 +795,38 @@ def parse_graph(directory, copies: dict[str, bytes | None],
     rename, then the new graph.json.  Of each triples.tsv line only the
     key is parsed: the digest vouches for the provenance column.
 
-    `copies` maps the names of other files of the directory that the
-    caller has read to their bytes, or to None for one it found absent;
+    `copies` maps the names of the other files of the directory that
+    cached_graph read to their bytes, or to None for one it found absent;
     each is checked against the same graph.json.  Once the graph loads,
-    its entry is written under the digests the parse computed, with
-    `locksets`: the Eraser replay's per-variable locksets of the trace
-    copy in `copies`, or None when the caller parsed none; only an entry
-    with locksets is named by the trace copy.  So every copy of a
-    directory shares one entry, and one whose files graph.json does not
-    vouch for raises what the parse raises.
+    its entry is written under the digests the parse computed, with the
+    Eraser replay's per-variable locksets of the trace copy, or None when
+    there is none.  So every copy of a directory shares one entry, and
+    one whose files graph.json does not vouch for raises what the parse
+    raises.
     """
+    locksets = _trace_locksets(copies[TRACE_COPY])
     with _opened(Path(directory), (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
         manifest = files.pop(GRAPH_MANIFEST).read()
         _manifest_digests(manifest)  # its format, before any error of the parse
         entities, spo, ranks, digests = _parse_graph(files, manifest, copies)
     _check_digests(manifest, digests)
     graph = KnowledgeGraph(entities, spo, ranks)
-    graphcache.write(_cache_key(digests, locksets is not None), graph.entry(), locksets)
-    return graph
+    graphcache.write(_cache_key(digests), graph.entry(), locksets)
+    return graph, locksets
 
 
-def cached_graph(directory, names: tuple[str, ...] = ()
-                 ) -> tuple[tuple[KnowledgeGraph, dict[str, Lockset] | None] | None,
-                            dict[str, bytes | None]]:
+def cached_graph(directory) -> tuple[tuple[KnowledgeGraph, dict[str, Lockset] | None] | None,
+                                     dict[str, bytes | None]]:
     """((graph, locksets) or None, copies): the graph of the directory
     from the entry in the user's graph cache (ckt.graphcache) named by the
-    format and graph.json's digests of the graph files and, when `names`
-    holds it, of the trace copy, whose replay's locksets the entry holds
-    (None when it holds no trace copy); and `copies`, the bytes of each
-    other file of `names` read, or None for one found absent.
+    format and graph.json's digests of the graph files and of the trace
+    copy, whose replay's locksets the entry holds (None when there is no
+    trace copy); and `copies`, the bytes of each of COPIES read, or None
+    for one found absent.
 
     A load whose stamp vouches for the directory (_stamped) reads none of
     graph.json, the graph files and the trace copy.  Else every file of
-    `names` is read first, each absent one None, and an OSError of any
+    COPIES is read first, each absent one None, and an OSError of any
     other kind raises CktError naming it; then the entry is used only when
     the open graph files hash to graph.json's digests and the copies match
     graph.json too, and the stat data of the files hashed is stamped.  Any
@@ -832,18 +834,18 @@ def cached_graph(directory, names: tuple[str, ...] = ()
     read: the caller parses the files then, and meets the error there.  So
     a hit parses no line of any file."""
     directory = Path(directory)
-    place = (os.path.realpath(directory), names)
-    stamped = _stamped(directory, place, names)
+    place = os.path.realpath(directory)
+    stamped = _stamped(directory, place)
     if stamped is not None:
         return stamped
     with graphcache.stamping(place) as stamp:
         copies, stats = {}, {}
-        for name in names:
+        for name in COPIES:
             copies[name], stats[name] = _read_copy(directory / name)
         try:
             with _opened(directory, (*GRAPH_FILES, GRAPH_MANIFEST)) as files:
                 vouched = _manifest_digests(files[GRAPH_MANIFEST].read())
-                key = _cache_key(vouched, TRACE_COPY in names)
+                key = _cache_key(vouched)
                 cached = graphcache.read(key)
                 if cached is not None and _fresh(files, vouched, copies):
                     for name, file in files.items():
@@ -856,23 +858,24 @@ def cached_graph(directory, names: tuple[str, ...] = ()
     return None, copies
 
 
-def _stamped(directory: Path, place: tuple, names: tuple[str, ...]):
+def _stamped(directory: Path, place: str):
     """What cached_graph returns for a hit, when the graph cache holds a
-    stamp of `place` and its entry: the stat data of graph.json, the graph
-    files and each file of `names` must be the stamp's, and each file's
-    mtime and ctime older than the stamp's mtime (git's racy rule: a file
-    changed in the clock tick of the stamp may look unchanged).  The trace copy is only stat'd,
-    since the entry holds its replay, and each other copy is read and its
-    open file stat'd, so its bytes are the ones its stat data describe.
-    Else None: the caller hashes the files as with no stamp."""
+    stamp of `place`, the directory's resolved path, and its entry: the
+    stat data of graph.json, the graph files and each copy must be the
+    stamp's, and each file's mtime and ctime older than the stamp's mtime
+    (git's racy rule: a file changed in the clock tick of the stamp may
+    look unchanged).  The trace copy is only stat'd, since the entry holds
+    its replay, and the templates copy is read and its open file stat'd,
+    so its bytes are the ones its stat data describe.  Else None: the
+    caller hashes the files as with no stamp."""
     stamp = graphcache.read_stamp(place)
     if stamp is None:
         return None
     stats, key, made = stamp
     copies = {}
-    for name in (GRAPH_MANIFEST, *GRAPH_FILES, *names):
+    for name in (GRAPH_MANIFEST, *GRAPH_FILES, *COPIES):
         try:
-            if name in names and name != TRACE_COPY:
+            if name == TEMPLATES_COPY:
                 copies[name], found = _read_copy(directory / name)
             else:
                 found = _stat_data(os.stat(directory / name))
@@ -896,12 +899,11 @@ def _stat_data(found: os.stat_result) -> tuple[int, int, int, int, int]:
     return found.st_dev, found.st_ino, found.st_size, found.st_mtime_ns, found.st_ctime_ns
 
 
-def _cache_key(digests: dict, trace: bool) -> tuple:
+def _cache_key(digests: dict) -> tuple:
     """The graph-cache key of the files with `digests`: the graph format,
-    the digests of the graph files and, when `trace`, of the trace copy
-    (else None)."""
-    trace_digest = digests.get(TRACE_COPY) if trace else None
-    return FORMAT_VERSION, *map(digests.get, GRAPH_FILES), trace_digest
+    the digests of the graph files and of the trace copy (None without
+    one)."""
+    return FORMAT_VERSION, *map(digests.get, GRAPH_FILES), digests.get(TRACE_COPY)
 
 
 def _fresh(files: dict[str, BinaryIO], vouched: dict, copies: dict[str, bytes | None]) -> bool:

@@ -23,7 +23,7 @@ entry.  Deleting the cache is always safe.
 A stamp spares a load the hashing of the graph files: after a load has
 hashed them and found them fresh, it records their stat data, and the
 key they hashed to, in <name>.stamp, named by the graph directory's
-resolved path and the copies the load read.  A later load whose stat of
+resolved path alone, so every load of a directory shares its stamp.  A later load whose stat of
 every file gives the same data, each file older than the stamp, takes
 the entry of the stamped key without reading graph.json or hashing a
 byte (the stat-data check of git's index, with its racy-git rule, and
@@ -105,10 +105,11 @@ def private_dir() -> Path | None:
     return cache if private else None
 
 
-def _name(key: tuple, suffix: str = ".graph") -> str:
-    """The name of the entry, or with suffix ".stamp" the stamp, of `key`,
-    a tuple of JSON values, as written by this layout, marshal format and
-    interpreter, in this byte order and with these sizes of array items."""
+def _name(key: tuple | str, suffix: str = ".graph") -> str:
+    """The name of the entry of `key`, a tuple of JSON values, or with
+    suffix ".stamp" the stamp of `key`, a directory's resolved path, as
+    written by this layout, marshal format and interpreter, in this byte
+    order and with these sizes of array items."""
     made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag,
                       sys.byteorder, [array(code).itemsize for code in typecodes]))
     return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}{suffix}"
@@ -214,7 +215,7 @@ def _encode(file: BinaryIO, columns: list, locksets: dict[str, Lockset] | None) 
         for var, rec in locksets.items()], 2))
 
 
-def read_stamp(place: tuple) -> tuple[dict, tuple, int] | None:
+def read_stamp(place: str) -> tuple[dict, tuple, int] | None:
     """(stat data by file name, entry key, the stamp's mtime in ns) of the
     stamp of `place` in private_dir; None for no cache, or a stamp that
     is absent, unreadable, damaged or of another place."""
@@ -235,7 +236,7 @@ def read_stamp(place: tuple) -> tuple[dict, tuple, int] | None:
 
 
 @contextmanager
-def stamping(place: tuple) -> Iterator[Callable[[dict, tuple], None]]:
+def stamping(place: str) -> Iterator[Callable[[dict, tuple], None]]:
     """A function stamp(stats, key) that writes the stamp of `place` in
     private_dir: the stat data of each file by name, and the key of the
     entry they hashed to.  The stamp's temporary file is made when the

@@ -57,42 +57,63 @@ def _triple_ref(s: str, p: str, o: str) -> str:
     return f"{s}|{p}|{o}"
 
 
+class _Verdicts(dict):
+    """Subject -> the verdict of the rule named `rule`, called with the
+    context and the subject on the subject's first read and kept.  The
+    rule is looked up by its module name on each call, so a rebinding of
+    that name reaches it; a rule that raises keeps no verdict, so it
+    raises again on the next read."""
+
+    __slots__ = ("_rule", "_ctx")
+
+    def __init__(self, rule: str, ctx: AugmentContext):
+        self._rule, self._ctx = rule, ctx
+
+    def __missing__(self, subject: str):
+        verdict = self[subject] = globals()[self._rule](self._ctx, subject)
+        return verdict
+
+
 class AugmentContext:
     """What the rules share for one graph and the locksets of its trace's
     replay (None without a trace).  Every rule reads the graph and the
-    locksets through it alone, and reads one subject's callees, accessors
-    and touching commits from the graph's own indexes (`graph.match`).  A
-    query process keeps one for its loaded graph, so every response, and
-    every row of it, reads the same tables.
+    locksets through it alone, and reads one subject's callees, accessors,
+    touching commits and documenting comments from the graph's own
+    indexes (`graph.match`).  A query process keeps one for its loaded
+    graph, so every response, and every row of it, reads the same tables.
 
-    Four tables stay whole-graph, each built on first use, because each
-    rule that reads one reads most of it.  They find their subjects in
-    the graph's columns, so they make an Entity only for each bug and
-    stale comment: the race roots and the bugs by kind and label
-    (`graph.ids_of`), the stale comments by their encoded attribute
-    (`graph.ids_with`).  The first pass of the benchmark's 36-query mix,
-    which computes every verdict once, took 104 ms on the 400-file graph
-    (2-CPU host, Python 3.11); it took 307 ms with the race roots' trees
-    and the reach index (each function's trees) built per static race
-    verdict, and 179 ms with the bug table built per similar-defect
-    verdict.  The stale tier visits every entity of the
-    rows, and a warm pass of the mix on the 100-file graph took 26 ms, not
-    16.5, with each entity's stale comments read per entity.
+    Three tables stay whole-graph, each built on first use, because each
+    rule that reads one reads most of it: the race roots' trees, the reach
+    index and the bugs, found by kind and label in the graph's columns
+    (`graph.ids_of`), so only each bug's Entity is made.  The first pass
+    of the benchmark's 36-query mix, which computes every verdict once,
+    took 104 ms on the 400-file graph (2-CPU host, Python 3.11); it took
+    307 ms with the race roots' trees and the reach index (each
+    function's trees) built per static race verdict, and 179 ms with the
+    bug table built per similar-defect verdict.
 
-    It also keeps three rules' verdicts, each computed on the first ask
-    for its subject: each global's `race_alert_static` alert or None, with
-    the labels of its accessors that the mutex advice names, each bug's
-    `similar_defects` list and each entity's `change_provenance` commits.
-    The rules are pure functions of the graph and these tables, which
-    never change.  A rule that raises keeps no verdict, so it raises again
-    on every ask."""
+    It also keeps four rules' verdicts, each in a table of its own that
+    computes a subject's verdict on its first read: each global's
+    `race_alert_static` alert or None, with the labels of its accessors
+    that the mutex advice names, each bug's `similar_defects` list, each
+    entity's `stale_comments` and each entity's `change_provenance`
+    commits.  The rules are pure functions of the graph and these tables,
+    which never change.  A rule that raises keeps no verdict, so it
+    raises again on every ask.  The stale tier visits every entity of the
+    rows: a warm pass of the mix on the 100-file graph took 26 ms, not
+    16.5, with each entity's stale comments read per entity and not kept.
+    Kept, the mix's warm answers on the 400-file graph took 21.4 ms with
+    each verdict a list, which the cyclic collector walks on every full
+    collection, and 19.4 ms with it a tuple of strings, which it stops
+    tracking (19.6 ms with a whole-graph table)."""
 
     def __init__(self, graph: KnowledgeGraph, locksets: dict[str, Lockset] | None = None):
         self.graph = graph
         self.locksets = locksets
-        self.static_races: dict[str, tuple[SmartAlert | None, str]] = {}
-        self.similar: dict[str, list[tuple[str, float]]] = {}
-        self.provenance: dict[str, list[Entity]] = {}
+        self.static_races = _Verdicts("_static_race", self)
+        self.similar = _Verdicts("similar_defects", self)
+        self.stale = _Verdicts("stale_comments", self)
+        self.provenance = _Verdicts("change_provenance", self)
 
     @cached_property
     def root_trees(self) -> list[dict[str, str | None]]:
@@ -132,26 +153,6 @@ class AugmentContext:
         return [(eid, _bug_tokens(graph.entities[eid]),
                  {o for _, _, o in graph.match(eid, "touches", None)})
                 for eid in graph.ids_of("bug")]
-
-    @cached_property
-    def stale_comments(self) -> dict[str, list[tuple[str, str]]]:
-        """Entity -> (comment, missing identifiers) of each stale comment
-        documenting it, in comment id order."""
-        graph = self.graph
-        stale = set(graph.ids_with("stale", "true"))
-        out: dict[str, list[tuple[str, str]]] = {}
-        for s, _, o in graph.match(None, "documented-by", None):
-            if o in stale:
-                out.setdefault(s, []).append((o, graph.entities[o].attrs.get("missing", "")))
-        return out
-
-
-def _kept(verdicts: dict, rule, ctx: AugmentContext, subject: str):
-    """rule(ctx, subject), computed on the first ask for `subject` and kept
-    in `verdicts`, one of the context's verdict tables."""
-    if subject not in verdicts:
-        verdicts[subject] = rule(ctx, subject)
-    return verdicts[subject]
 
 
 def _accessors(graph: KnowledgeGraph, var: str) -> list[str]:
@@ -250,6 +251,16 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
     return frozenset(normalize_tokens(text))
 
 
+def stale_comments(ctx: AugmentContext, eid: str) -> tuple[tuple[str, str], ...]:
+    """(comment, missing identifiers) of each stale comment documenting
+    `eid`, in comment id order; none for a value that is no entity.  A
+    tuple of strings, which the cyclic collector stops tracking."""
+    entities = ctx.graph.entities
+    return tuple([(comment, attrs.get("missing", ""))
+                  for _, _, comment in ctx.graph.match(eid, "documented-by", None)
+                  if (attrs := entities[comment].attrs).get("stale") == "true"])
+
+
 def change_provenance(ctx: AugmentContext, entity_id: str) -> list[Entity]:
     """The five newest commits touching the entity or its containing file,
     newest first: by timestamp, an unparseable one as 0, then by id."""
@@ -289,7 +300,8 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
 
     The rules run in the tiers of _TIERS.  Each visits only its
     candidates among the entities of the rows: those of the kinds its rule
-    can alert on, or those with a stale comment.  Once ALERT_CAP held
+    can alert on, or those not known to have no stale comment, which one
+    read of the kept verdicts per entity finds.  Once ALERT_CAP held
     alerts sort strictly before the first key the next tier could give, no
     later tier can change the answer, and none runs.  An exception in a
     rule drops every alert its entity holds from the tiers that ran, skips
@@ -300,8 +312,9 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     """
     entities = ctx.graph.entities
     values = dict.fromkeys(chain.from_iterable(result.rows))
-    by_kind: dict[str, list[Entity]] = {}  # the entities of the rows, in row order, by kind
-    for entity in filter(None, map(entities.get, values)):
+    found = list(filter(None, map(entities.get, values)))  # the entities of the rows, in row order
+    by_kind: dict[str, list[Entity]] = {}
+    for entity in found:
         by_kind.setdefault(entity.kind, []).append(entity)
     alerts: list[SmartAlert] = []  # each alert's subject is the entity that holds it
     failed: set[str] = set()
@@ -310,9 +323,9 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     for first_key, tier, kinds in _TIERS:
         if sum(_alert_key(a) < first_key for a in alerts) >= ALERT_CAP:
             break
-        if kinds is None:  # the stale-comment tier, which builds no index for no entity
-            stale = ctx.stale_comments if by_kind else {}
-            candidates = [entities[value] for value in values if value in stale]
+        if kinds is None:  # the stale-comment tier: each entity not known to have none
+            known = ctx.stale.get
+            candidates = [entity for entity in found if known(entity.id, True)]
         else:
             candidates = [e for kind in kinds for e in by_kind.get(kind, ())]
         for entity in candidates:
@@ -359,7 +372,7 @@ def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
                     f"({ctx.graph.entities[other].label}) score {score}",
             score=score,
         )
-        for other, score in _kept(ctx.similar, similar_defects, ctx, eid)
+        for other, score in ctx.similar[eid]
     ]
 
 
@@ -370,7 +383,7 @@ def _static_races(ctx: AugmentContext, entity: Entity,
     if not _is_global(entity):
         return []
     eid = entity.id
-    static, labels = _kept(ctx.static_races, _static_race, ctx, eid)
+    static, labels = ctx.static_races[eid]
     race = static or dynamic.get(eid)
     if race is None:
         return []
@@ -393,9 +406,6 @@ def _static_race(ctx: AugmentContext, var: str) -> tuple[SmartAlert | None, str]
 
 def _stale_comments(ctx: AugmentContext, entity: Entity,
                     dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
-    stale = ctx.stale_comments.get(entity.id)
-    if stale is None:
-        return []
     return [
         SmartAlert(
             kind="stale-comment",
@@ -404,13 +414,13 @@ def _stale_comments(ctx: AugmentContext, entity: Entity,
             message=f"comment {comment} mentions identifiers absent from scope: {missing}",
             score=0.5,
         )
-        for comment, missing in stale
+        for comment, missing in ctx.stale[entity.id]
     ]
 
 
 def _provenance(ctx: AugmentContext, entity: Entity,
                 dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
-    commits = _kept(ctx.provenance, change_provenance, ctx, entity.id)
+    commits = ctx.provenance[entity.id]
     if not commits:
         return []
     newest = commits[0]
@@ -432,8 +442,8 @@ def _provenance(ctx: AugmentContext, entity: Entity,
 # alert of theirs can have: the rule scores above, the best kind at the
 # highest score and the empty subject.  Each tier names the entity kinds
 # its rule can alert on, or None for the stale-comment tier, which visits
-# the entities with a stale comment; it calls its rules by their module
-# names when it runs.
+# every entity whose kept verdict is not empty or not yet made; it reaches
+# its rules by their module names when it runs.
 _TIERS = (
     ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects,  # similar defects at most 1.0
      ("variable", "bug")),

@@ -22,8 +22,9 @@ was made to run once: a failed match per blank, a scan of every entity per
 comment.  `LabelIndex` is free-form routing's label index as it was before
 the label search: the exact and prefix tables over every label, through
 the package's normalize_tokens.  `call_edges`, `accessors`,
-`touching_commits` and `commit_keys` are the alert context's whole-graph
-tables as it built them before the rules read the graph's indexes, and
+`touching_commits`, `commit_keys` and `stale_comments` are the alert
+context's whole-graph tables as it built them before the rules read the
+graph's indexes, and
 `TupleIndexes` the graph's lookups as they were before its keys became
 numbered arrays.
 `reference_rank_results`, `reference_contains_rows` and
@@ -1033,6 +1034,17 @@ def provenance_from_tables(graph, entity_id, touching, keys):
         if fid != entity_id and fid in graph.entities:
             commit_ids.update(touching.get(fid, ()))
     return sorted(commit_ids, key=keys.__getitem__)[:5]
+
+
+def stale_comments(graph):
+    """Entity -> (comment, missing identifiers) of each stale comment
+    documenting it, in comment id order."""
+    stale = {eid for eid, e in graph.entities.items() if e.attrs.get("stale") == "true"}
+    out = {}
+    for s, p, o in graph.triples():
+        if p == "documented-by" and o in stale:
+            out.setdefault(s, []).append((o, graph.entities[o].attrs.get("missing", "")))
+    return out
 
 
 def brute_similar_defects(graph, bug, floor=0.25):

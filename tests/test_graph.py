@@ -215,14 +215,17 @@ _INDEX_IDS = ["func:g#a", "func:g#b", "var:g#x", "var:g#\u00e9"]
 _INDEX_PREDS = ["calls", "reads", "writes", "guards"]
 
 
+_INDEX_KEYS = st.lists(st.tuples(st.sampled_from(_INDEX_IDS), st.sampled_from(_INDEX_PREDS),
+                                 st.sampled_from(_INDEX_IDS))
+                       | st.tuples(st.sampled_from(_INDEX_IDS), st.just("has-type"),
+                                   st.sampled_from(["int", "func:", "var", "zz"])),
+                       max_size=30)
+
+
 @st.composite
 def index_graphs(draw):
     """A built graph, or its save/load round trip, with the keys it holds."""
-    keys = draw(st.lists(st.tuples(st.sampled_from(_INDEX_IDS), st.sampled_from(_INDEX_PREDS),
-                                   st.sampled_from(_INDEX_IDS))
-                         | st.tuples(st.sampled_from(_INDEX_IDS), st.just("has-type"),
-                                     st.sampled_from(["int", "func:", "var", "zz"])),
-                         max_size=30))
+    keys = draw(_INDEX_KEYS)
     graph, sources = built(keys)
     if draw(st.booleans()):
         with tempfile.TemporaryDirectory() as tmp:
@@ -292,6 +295,31 @@ def test_lookups_by_subject_make_no_predicate_or_object_run(graph_and_keys):
     list(graph.match(None, "calls", None))
     assert [query for query in graph._runs if query[0] is None and query != whole] \
         == [(None, "calls", None)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_INDEX_KEYS)
+def test_a_built_graph_makes_pos_and_osp_when_first_read(keys):
+    """A build whose entry is already cached reads neither: lookups by
+    subject make no POS or OSP, a predicate's lookup makes POS, an
+    object's OSP, and entry() gives the arrays that a graph decoded from
+    it keeps and that a graph made again and asked for its entry makes."""
+    graph, _ = built(keys)
+    for s in _INDEX_IDS:
+        list(graph.match(s, None, None))
+        list(graph.match(s, "calls", None))
+    assert graph._arrays[1:] == [None, None]
+    list(graph.match(None, "calls", None))
+    assert graph._arrays[1] is not None and graph._arrays[2] is None
+    for _, _, o in sorted(keys)[:1]:
+        list(graph.match(None, None, o))
+        assert graph._arrays[2] is not None
+    columns = graph.entry()
+    assert columns[-3:] == graph._arrays == built(keys)[0].entry()[-3:]
+    decoded = KnowledgeGraph.from_entry(columns)
+    assert all(a is b for a, b in zip(decoded._arrays, columns[-3:]))
+    for p in _INDEX_PREDS:
+        assert list(decoded.match(None, p, None)) == list(graph.match(None, p, None))
 
 
 # -- pagerank ---------------------------------------------------------------

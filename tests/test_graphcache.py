@@ -819,10 +819,9 @@ def counted_hashes():
         yield spy
 
 
-def stamp_path(cache: Path, out: Path, names: tuple = (TRACE_COPY,)) -> Path:
-    """Where `cache` keeps the stamp of `out` that a load reading the copies
-    `names` writes; load_graph reads the trace copy."""
-    return cache / graphcache._name((os.path.realpath(out), names), ".stamp")
+def stamp_path(cache: Path, out: Path) -> Path:
+    """Where `cache` keeps the stamp of `out`, which every load of it writes."""
+    return cache / graphcache._name(os.path.realpath(out), ".stamp")
 
 
 @pytest.fixture
@@ -856,11 +855,13 @@ def raises_as_the_strict_load(out: Path) -> None:
 
 
 def test_a_stamped_load_opens_no_graph_file(stamped):
-    """Nor graph.json: it stats them, and decodes the stamped entry."""
+    """Nor graph.json: it stats them, and decodes the stamped entry; it
+    opens only the templates copy, which every load returns the bytes of."""
     out, cache, entry, strict = stamped
-    with mock.patch.object(ckt.graph, "_open_if_present") as opened:
+    with mock.patch.object(ckt.graph, "_open_if_present",
+                           wraps=ckt.graph._open_if_present) as opened:
         loads_as_at_first(out, strict, hashed=0)
-    assert opened.call_count == 0
+    assert [call.args[0].name for call in opened.call_args_list] == [ckt.graph.TEMPLATES_COPY]
 
 
 def edit_in_place(path: Path, keep_mtime: bool) -> None:
@@ -957,14 +958,14 @@ def test_a_stamp_whose_entry_was_pruned_is_a_miss_that_parses(stamped):
 def test_a_stamped_query_load_reads_the_templates_copy_alone(scenario_dir, scenario_trace,
                                                            tmp_path, cache):
     """Of the graph directory, a stamped query load reads only the
-    templates copy, which the registry needs, and parses no trace line."""
+    templates copy, which the registry needs, and parses no trace line;
+    load_graph reads the same stamp, so the directory has one."""
     out = tmp_path / "out"
     shutil.copytree(scenario_dir / "out", out)
     query_load(out)  # a miss: the entry
     settle(out)
     query_load(out)  # a hit that hashed: the stamp
-    names = (TRACE_COPY, ckt.graph.TEMPLATES_COPY)
-    assert stamp_path(cache, out, names).exists()
+    assert stamp_path(cache, out).exists()
     with (mock.patch.object(ckt.graph, "_open_if_present",
                             wraps=ckt.graph._open_if_present) as opened,
           counted_parses() as spy, counted_hashes() as hashes, counted_trace_parses() as traced):
@@ -973,9 +974,32 @@ def test_a_stamped_query_load_reads_the_templates_copy_alone(scenario_dir, scena
     assert (spy.call_count, hashes.call_count, traced.call_count) == (0, 0, 0)
     assert fields(ctx.rules.locksets) == fields(scenario_trace.replay.locksets)
     assert graphs_equal(ctx.graph, strict_load_graph(out))
+    loads_as_at_first(out, strict_load_graph(out), hashed=0)  # load_graph shares the stamp
+    assert list(cache.glob("*.stamp")) == [stamp_path(cache, out)]
     edit_in_place(out / ckt.graph.TEMPLATES_COPY, keep_mtime=True)
     with pytest.raises(ckt.graph.FormatError, match="templates.jsonl"):
         query_load(out)
+
+
+def test_a_query_miss_reports_the_templates_copy_then_the_trace_copy_then_a_graph_file(
+        scenario_dir, tmp_path, cache):
+    """With a line that does not load appended to each of them, a query
+    load that misses raises for the templates copy; with it mended, for
+    the trace copy; with that mended too, for nodes.jsonl."""
+    out = tmp_path / "out"
+    shutil.copytree(scenario_dir / "out", out)
+    order = [ckt.graph.TEMPLATES_COPY, TRACE_COPY, NODES_FILE]
+    for name in order:
+        with open(out / name, "ab") as file:
+            file.write(b"{\n")
+    for name in order:
+        with pytest.raises(ckt.graph.CktError) as raised:
+            query_load(out)
+        assert name in str(raised.value) and not any(
+            other in str(raised.value) for other in order if other != name)
+        shutil.copyfile(scenario_dir / "out" / name, out / name)
+    query_load(out)
+    assert entry_path(cache, out).exists()
 
 
 def test_stamps_never_evict_the_newest_entries(scenario_dir, tmp_path, cache):

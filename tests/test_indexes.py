@@ -435,6 +435,8 @@ def rule_graphs(draw):
         builder.add_entity(Entity(fid, "function", "main" if draw(st.integers(0, 3)) == 0 else f"f{i}"))
     for var in GLOBALS:
         builder.add_entity(Entity(var, "variable", var[-2:], attrs={"scope": "global"}))
+        if draw(st.booleans()):
+            builder.insert_triple(var, "has-type", draw(st.sampled_from(["int", "long"])), PROV)
     files = ["file:a.c", "file:b.c", "file:r.c"]
     code = funcs + GLOBALS + files
     builder.add_entity(Entity(THREAD_ROOT_ID, "thread-root", "thread-root"))
@@ -529,6 +531,23 @@ def test_per_subject_reads_equal_the_whole_graph_tables(graph_and_trace):
     for eid in graph.entities:
         assert ([c.id for c in smart.change_provenance(ctx, eid)]
                 == oracles.provenance_from_tables(graph, eid, touching, keys)), eid
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_graphs())
+def test_stale_verdicts_read_per_entity_equal_the_whole_graph_table(graph_and_trace):
+    """Each entity's stale comments, read per entity, and each literal's,
+    equal the entry of the alert context's old whole-graph table, in
+    order, and so does the verdict the context keeps; a value absent from
+    the table, a literal or a value that is no term among them, has none."""
+    graph, _ = graph_and_trace
+    table = oracles.stale_comments(graph)
+    ctx = AugmentContext(graph)
+    literals = sorted({o for _, _, o in graph.match(None, "has-type", None)})
+    for value in [*graph.entities, *literals, "comment:a.c#L99", "x"]:
+        assert list(smart.stale_comments(ctx, value)) == table.get(value, []), value
+        assert list(ctx.stale[value]) == table.get(value, []), value
+    assert list(ctx.stale) == [*graph.entities, *literals, "comment:a.c#L99", "x"]
 
 
 def assert_alerts_match_oracle(graph, trace, queries, cap):

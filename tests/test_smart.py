@@ -409,22 +409,34 @@ def touched_code():
     return provenance_graph(), None, [("func:a.c#f",), ("file:a.c",)]
 
 
+def stale_documented_code():
+    entities = [Entity("func:a.c#f", "function", "f"), Entity("func:a.c#g", "function", "g"),
+                Entity("comment:a.c#L3", "comment", "uses zz", attrs={"stale": "true",
+                                                                       "missing": "zz"}),
+                Entity("comment:a.c#L9", "comment", "uses f", attrs={"stale": "false"})]
+    graph = build([("func:a.c#f", "documented-by", "comment:a.c#L3"),
+                   ("func:a.c#f", "documented-by", "comment:a.c#L9"),
+                   ("func:a.c#g", "documented-by", "comment:a.c#L3")], entities)
+    return graph, None, [("func:a.c#g",), ("func:a.c#f",), ("comment:a.c#L9",)]
+
+
 # each rule whose verdicts a context keeps, with its verdict table and the
 # test its subjects pass
 KEPT_RULES = {
     "race_alert_static": ("static_races", smart._is_global),
     "similar_defects": ("similar", lambda e: e.kind == "bug"),
+    "stale_comments": ("stale", lambda e: True),
     "change_provenance": ("provenance", lambda e: e.kind in smart._TIERS[-1][2]),
 }
 
 
 @pytest.mark.parametrize("case", [racing_globals, a_global_racing_nowhere_and_bugs, similar_bugs,
-                                  touched_code])
+                                  touched_code, stale_documented_code])
 def test_each_verdict_is_computed_once_per_context(case):
     """Answers on one context compute each global's static race, each bug's
-    similar defects and each code entity's change provenance once, an empty
-    verdict too, and give the alerts a fresh context gives, which computes
-    the same verdicts again."""
+    similar defects, each entity's stale comments and each code entity's
+    change provenance once, an empty verdict too, and give the alerts a
+    fresh context gives, which computes the same verdicts again."""
     graph, log, rows = case()
     result = ResultSet(("e",), rows)
     subjects = {rule: sorted(eid for eid, in rows if is_subject(graph.entities[eid]))
@@ -433,7 +445,7 @@ def test_each_verdict_is_computed_once_per_context(case):
     ctx = AugmentContext(graph, locksets(log))
     with patch.object(smart, "ALERT_CAP", 10**6), \
             counting("race_alert_static", calls), counting("similar_defects", calls), \
-            counting("change_provenance", calls):
+            counting("stale_comments", calls), counting("change_provenance", calls):
         answers = [augment(result, ctx).alerts for _ in range(3)]
         assert calls == {rule: len(eids) for rule, eids in subjects.items()}
         fresh = AugmentContext(graph, locksets(log))
@@ -446,6 +458,7 @@ def test_each_verdict_is_computed_once_per_context(case):
 
 @pytest.mark.parametrize("rule, case", [("race_alert_static", racing_globals),
                                         ("similar_defects", similar_bugs),
+                                        ("stale_comments", stale_documented_code),
                                         ("change_provenance", touched_code)])
 def test_a_rule_that_raises_keeps_no_verdict(rule, case):
     """A rule that raises is asked again on every answer, and each answer
@@ -465,7 +478,9 @@ def test_a_rule_that_raises_keeps_no_verdict(rule, case):
             assert [(a.kind, a.subject, a.message) for a in alerts] == sorted(
                 ("warning", eid, f"augmentation failed for {eid}: rule failed") for eid, in rows)
     assert calls == [eid for eid, in rows] * 3
-    assert ctx.static_races == {} and ctx.similar == {} and ctx.provenance == {}
+    assert ctx.static_races == ctx.similar == ctx.provenance == {}
+    # the stale tier runs before provenance, on entities that have no stale comment
+    assert ctx.stale == ({eid: () for eid, in rows} if rule == "change_provenance" else {})
 
 
 # -- tier kinds ------------------------------------------------------------------
