@@ -67,9 +67,8 @@ class QueryContext(Record):
     resolve against, which keeps what each one found, and the alert rules'
     context, which holds the locksets of the trace copy's replay, the
     whole-graph tables that the first response needing each one builds
-    (race roots' trees, bugs), and the rules' verdicts, each kept from
-    the first response that needs it (static races, similar defects,
-    stale comments, change provenance)."""
+    (race roots' trees, bugs), and each alert tier's alerts per entity,
+    kept from the first response that asks for them."""
 
     __slots__ = _fields = ("graph", "registry", "labels", "rules")
 

@@ -10,6 +10,7 @@ race.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from functools import cached_property
 from itertools import chain
@@ -57,21 +58,20 @@ def _triple_ref(s: str, p: str, o: str) -> str:
     return f"{s}|{p}|{o}"
 
 
-class _Verdicts(dict):
-    """Subject -> the verdict of the rule named `rule`, called with the
-    context and the subject on the subject's first read and kept.  The
-    rule is looked up by its module name on each call, so a rebinding of
-    that name reaches it; a rule that raises keeps no verdict, so it
-    raises again on the next read."""
+class _Kept(dict):
+    """Entity id -> the alerts of one tier for that entity, as a tuple,
+    made by the tier function on the id's first read and kept.  A tier
+    that raises keeps nothing, so it raises again on the next read."""
 
-    __slots__ = ("_rule", "_ctx")
+    __slots__ = ("_tier", "_ctx")
 
-    def __init__(self, rule: str, ctx: AugmentContext):
-        self._rule, self._ctx = rule, ctx
+    def __init__(self, tier, ctx: AugmentContext):
+        self._tier, self._ctx = tier, ctx
 
-    def __missing__(self, subject: str):
-        verdict = self[subject] = globals()[self._rule](self._ctx, subject)
-        return verdict
+    def __missing__(self, eid: str) -> tuple[SmartAlert, ...]:
+        ctx = self._ctx
+        alerts = self[eid] = tuple(self._tier(ctx, ctx.graph.entities[eid]))
+        return alerts
 
 
 class AugmentContext:
@@ -85,35 +85,18 @@ class AugmentContext:
     Three tables stay whole-graph, each built on first use, because each
     rule that reads one reads most of it: the race roots' trees, the reach
     index and the bugs, found by kind and label in the graph's columns
-    (`graph.ids_of`), so only each bug's Entity is made.  The first pass
-    of the benchmark's 36-query mix, which computes every verdict once,
-    took 104 ms on the 400-file graph (2-CPU host, Python 3.11); it took
-    307 ms with the race roots' trees and the reach index (each
-    function's trees) built per static race verdict, and 179 ms with the
-    bug table built per similar-defect verdict.
+    (`graph.ids_of`), so only each bug's Entity is made.
 
-    It also keeps four rules' verdicts, each in a table of its own that
-    computes a subject's verdict on its first read: each global's
-    `race_alert_static` alert or None, with the labels of its accessors
-    that the mutex advice names, each bug's `similar_defects` list, each
-    entity's `stale_comments` and each entity's `change_provenance`
-    commits.  The rules are pure functions of the graph and these tables,
-    which never change.  A rule that raises keeps no verdict, so it
-    raises again on every ask.  The stale tier visits every entity of the
-    rows: a warm pass of the mix on the 100-file graph took 26 ms, not
-    16.5, with each entity's stale comments read per entity and not kept.
-    Kept, the mix's warm answers on the 400-file graph took 21.4 ms with
-    each verdict a list, which the cyclic collector walks on every full
-    collection, and 19.4 ms with it a tuple of strings, which it stops
-    tracking (19.6 ms with a whole-graph table)."""
+    It also keeps, for each tier of _TIERS, one table of each entity's
+    alerts from that tier, made on the entity's first read (`kept`).  The
+    rules are pure functions of the graph and these tables, which never
+    change.  A tier that raises keeps nothing, so it raises again on
+    every ask."""
 
     def __init__(self, graph: KnowledgeGraph, locksets: dict[str, Lockset] | None = None):
         self.graph = graph
         self.locksets = locksets
-        self.static_races = _Verdicts("_static_race", self)
-        self.similar = _Verdicts("similar_defects", self)
-        self.stale = _Verdicts("stale_comments", self)
-        self.provenance = _Verdicts("change_provenance", self)
+        self.kept = tuple(_Kept(tier, self) for _, _, tier, _ in _TIERS)
 
     @cached_property
     def root_trees(self) -> list[dict[str, str | None]]:
@@ -251,14 +234,13 @@ def _bug_tokens(entity: Entity) -> frozenset[str]:
     return frozenset(normalize_tokens(text))
 
 
-def stale_comments(ctx: AugmentContext, eid: str) -> tuple[tuple[str, str], ...]:
+def stale_comments(ctx: AugmentContext, eid: str) -> list[tuple[str, str]]:
     """(comment, missing identifiers) of each stale comment documenting
-    `eid`, in comment id order; none for a value that is no entity.  A
-    tuple of strings, which the cyclic collector stops tracking."""
+    `eid`, in comment id order; none for a value that is no entity."""
     entities = ctx.graph.entities
-    return tuple([(comment, attrs.get("missing", ""))
-                  for _, _, comment in ctx.graph.match(eid, "documented-by", None)
-                  if (attrs := entities[comment].attrs).get("stale") == "true"])
+    return [(comment, attrs.get("missing", ""))
+            for _, _, comment in ctx.graph.match(eid, "documented-by", None)
+            if (attrs := entities[comment].attrs).get("stale") == "true"]
 
 
 def change_provenance(ctx: AugmentContext, entity_id: str) -> list[Entity]:
@@ -298,69 +280,53 @@ def augment(result: ResultSet, ctx: AugmentContext) -> ResultSet:
     process keeps across responses.  Only the ALERT_CAP alerts first by
     (-score, kind, subject) are kept.
 
-    The rules run in the tiers of _TIERS.  Each visits only its
-    candidates among the entities of the rows: those of the kinds its rule
-    can alert on, or those not known to have no stale comment, which one
-    read of the kept verdicts per entity finds.  Once ALERT_CAP held
-    alerts sort strictly before the first key the next tier could give, no
-    later tier can change the answer, and none runs.  An exception in a
-    rule drops every alert its entity holds from the tiers that ran, skips
-    the entity in later tiers and adds a warning alert with score 0.0; a
-    tier that never runs cannot raise.  Only one entity's alerts can tie
-    on (-score, kind, subject), so the order in which a tier visits the
-    entities does not change the answer.
+    The rules run in the tiers of _TIERS, and each tier visits its
+    candidates, the entities of the rows of the kinds its rule can alert
+    on, in id order, skipping those whose kept alerts are known to be
+    none.  Before each candidate it tests one bound: once ALERT_CAP held
+    alerts sort strictly before the tier's best key with the candidate's
+    id as subject, no alert of this candidate, of a later one or of a
+    later tier can enter the answer, and the tier stops.  An exception in
+    a tier drops every alert its entity holds, skips the entity in later
+    tiers and adds a warning alert with score 0.0.  A rule is asked only
+    for the entities whose best alert could still enter the answer, so a
+    rule that is not asked cannot raise.
     """
     entities = ctx.graph.entities
-    values = dict.fromkeys(chain.from_iterable(result.rows))
-    found = list(filter(None, map(entities.get, values)))  # the entities of the rows, in row order
-    by_kind: dict[str, list[Entity]] = {}
-    for entity in found:
-        by_kind.setdefault(entity.kind, []).append(entity)
-    alerts: list[SmartAlert] = []  # each alert's subject is the entity that holds it
+    found = list(filter(None, map(entities.get, sorted(set(chain.from_iterable(result.rows))))))
+    cap = ALERT_CAP
+    held: list[SmartAlert] = []  # in key order, warnings too; each alert's subject is its entity
     failed: set[str] = set()
-    warnings: list[SmartAlert] = []
-    dynamic: dict[str, SmartAlert] = {}  # the first tier's dynamic races, for mutex advice
-    for first_key, tier, kinds in _TIERS:
-        if sum(_alert_key(a) < first_key for a in alerts) >= ALERT_CAP:
-            break
-        if kinds is None:  # the stale-comment tier: each entity not known to have none
-            known = ctx.stale.get
-            candidates = [entity for entity in found if known(entity.id, True)]
-        else:
-            candidates = [e for kind in kinds for e in by_kind.get(kind, ())]
-        for entity in candidates:
+    for (neg_score, kind, _, kinds), kept in zip(_TIERS, ctx.kept):
+        for entity in found:
             eid = entity.id
-            if eid in failed:
+            if kinds is not None and entity.kind not in kinds:
+                continue
+            if len(held) >= cap and _alert_key(held[cap - 1]) < (neg_score, kind, eid):
+                break
+            if eid in failed or not kept.get(eid, True):
                 continue
             try:
-                alerts.extend(tier(ctx, entity, dynamic))
+                alerts = kept[eid]
             except Exception as exc:  # degrade, never fail the query
                 failed.add(eid)
-                alerts = [a for a in alerts if a.subject != eid]
-                warnings.append(
-                    SmartAlert("warning", eid, ["rule-dispatch"],
-                               f"augmentation failed for {eid}: {exc}", 0.0)
-                )
-    alerts += warnings
-    alerts.sort(key=_alert_key)
-    return ResultSet(result.columns, result.rows, alerts[:ALERT_CAP])
+                held = [a for a in held if a.subject != eid]
+                alerts = (SmartAlert("warning", eid, ["rule-dispatch"],
+                                     f"augmentation failed for {eid}: {exc}", 0.0),)
+            for alert in alerts:
+                insort(held, alert, key=_alert_key)
+    return ResultSet(result.columns, result.rows, held[:cap])
 
 
 def _is_global(entity: Entity) -> bool:
     return entity.kind == "variable" and entity.attrs.get("scope") == "global"
 
 
-def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
-                               dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity) -> list[SmartAlert]:
     eid = entity.id
     if _is_global(entity):
-        if eid not in (ctx.locksets or ()):
-            return []
-        alert = race_alert_dynamic(ctx, eid)
-        if alert is None:
-            return []
-        dynamic[eid] = alert
-        return [alert]
+        alert = race_alert_dynamic(ctx, eid) if eid in (ctx.locksets or ()) else None
+        return [] if alert is None else [alert]
     if entity.kind != "bug":
         return []
     return [
@@ -372,21 +338,24 @@ def _dynamic_races_and_defects(ctx: AugmentContext, entity: Entity,
                     f"({ctx.graph.entities[other].label}) score {score}",
             score=score,
         )
-        for other, score in ctx.similar[eid]
+        for other, score in similar_defects(ctx, eid)
     ]
 
 
-def _static_races(ctx: AugmentContext, entity: Entity,
-                  dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+def _static_races(ctx: AugmentContext, entity: Entity) -> list[SmartAlert]:
     """The static race and the mutex advice, which copies the static
-    alert's evidence, or else the dynamic one's."""
+    alert's evidence, or else that of the dynamic race the first tier
+    keeps for the global."""
     if not _is_global(entity):
         return []
     eid = entity.id
-    static, labels = ctx.static_races[eid]
-    race = static or dynamic.get(eid)
+    static = race_alert_static(ctx, eid)
+    # a global's first-tier alert, if any, is its dynamic race
+    race = static or next(iter(ctx.kept[0][eid]), None)
     if race is None:
         return []
+    graph = ctx.graph
+    labels = ", ".join(graph.entities[f].label for f in _accessors(graph, eid))
     advice = SmartAlert(
         kind="mutex-advice",
         subject=eid,
@@ -397,15 +366,7 @@ def _static_races(ctx: AugmentContext, entity: Entity,
     return [advice] if static is None else [static, advice]
 
 
-def _static_race(ctx: AugmentContext, var: str) -> tuple[SmartAlert | None, str]:
-    """A global's kept static verdict: the `race_alert_static` alert or
-    None, and the labels of its accessors, which the mutex advice names."""
-    alert = race_alert_static(ctx, var)
-    return alert, ", ".join(ctx.graph.entities[f].label for f in _accessors(ctx.graph, var))
-
-
-def _stale_comments(ctx: AugmentContext, entity: Entity,
-                    dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
+def _stale_comments(ctx: AugmentContext, entity: Entity) -> list[SmartAlert]:
     return [
         SmartAlert(
             kind="stale-comment",
@@ -414,13 +375,12 @@ def _stale_comments(ctx: AugmentContext, entity: Entity,
             message=f"comment {comment} mentions identifiers absent from scope: {missing}",
             score=0.5,
         )
-        for comment, missing in ctx.stale[entity.id]
+        for comment, missing in stale_comments(ctx, entity.id)
     ]
 
 
-def _provenance(ctx: AugmentContext, entity: Entity,
-                dynamic: dict[str, SmartAlert]) -> list[SmartAlert]:
-    commits = ctx.provenance[entity.id]
+def _provenance(ctx: AugmentContext, entity: Entity) -> list[SmartAlert]:
+    commits = change_provenance(ctx, entity.id)
     if not commits:
         return []
     newest = commits[0]
@@ -438,16 +398,15 @@ def _provenance(ctx: AugmentContext, entity: Entity,
     ]
 
 
-# The tiers in falling order of the first key (-score, kind, subject) an
-# alert of theirs can have: the rule scores above, the best kind at the
-# highest score and the empty subject.  Each tier names the entity kinds
-# its rule can alert on, or None for the stale-comment tier, which visits
-# every entity whose kept verdict is not empty or not yet made; it reaches
-# its rules by their module names when it runs.
+# The tiers in rising order of the best key prefix (-score, kind) an alert
+# of theirs can have: the rule scores above and the best kind at the
+# highest score.  Each tier names the entity kinds its rule can alert on,
+# or None for the stale-comment tier, which visits every entity; it
+# reaches its rules by their module names when it runs.
 _TIERS = (
-    ((-1.0, "race-dynamic", ""), _dynamic_races_and_defects,  # similar defects at most 1.0
+    (-1.0, "race-dynamic", _dynamic_races_and_defects,  # similar defects at most 1.0
      ("variable", "bug")),
-    ((-0.9, "race-static", ""), _static_races, ("variable",)),  # mutex advice at 0.85
-    ((-0.5, "stale-comment", ""), _stale_comments, None),
-    ((-0.3, "provenance", ""), _provenance, ("function", "variable", "file", "type", "class")),
+    (-0.9, "race-static", _static_races, ("variable",)),  # mutex advice at 0.85
+    (-0.5, "stale-comment", _stale_comments, None),
+    (-0.3, "provenance", _provenance, ("function", "variable", "file", "type", "class")),
 )

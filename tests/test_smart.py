@@ -1,6 +1,7 @@
 """Race alerts, similar defects, change provenance, augmentation rules."""
 
 import random
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
@@ -348,11 +349,12 @@ def counting(name, calls):
     return patch.object(smart, name, counted)
 
 
-@pytest.mark.parametrize("n_globals, static_calls", [(10, 0), (12, 0), (9, 9)])
+@pytest.mark.parametrize("n_globals, static_calls", [(10, 0), (12, 0), (9, 1)])
 def test_lower_tiers_are_skipped_once_the_cap_is_settled(n_globals, static_calls):
     """Ten held dynamic races at 1.0 sort before any static race at 0.9, so
     neither the static race rule nor provenance runs; with nine, the static
-    tier runs and its races settle the cap before provenance at 0.3."""
+    tier asks for the first global's race, and its race and advice settle
+    the cap before the next global and before provenance at 0.3."""
     graph, log, result = racing_globals_graph(n_globals)
     calls = {"race_alert_static": 0, "change_provenance": 0}
     with counting("race_alert_static", calls), counting("change_provenance", calls):
@@ -365,6 +367,66 @@ def test_lower_tiers_are_skipped_once_the_cap_is_settled(n_globals, static_calls
     assert calls == {"race_alert_static": static_calls + n_globals,
                      "change_provenance": n_globals}
     assert alerts == every[:10]
+
+
+STALE = {"stale": "true", "missing": "zz"}  # a stale comment's attributes
+
+
+def stale_functions_graph(n):
+    """n functions, each documented by a stale comment of its own."""
+    entities, triples = [], []
+    for i in range(n):
+        func, comment = f"func:a.c#f{i:02d}", f"comment:a.c#L{i + 1}"
+        entities += [Entity(func, "function", f"f{i:02d}"),
+                     Entity(comment, "comment", "uses zz", attrs=STALE)]
+        triples.append((func, "documented-by", comment))
+    return build(triples, entities)
+
+
+def test_the_stale_rule_is_asked_only_until_the_cap_is_settled():
+    """Of thirty functions, each with a stale comment, the first ten in id
+    order hold the ten alerts kept, so the eleventh's best key is settled
+    and the stale rule is asked for ten functions, not thirty."""
+    graph = stale_functions_graph(30)
+    result = ResultSet(("f",), [(f"func:a.c#f{i:02d}",) for i in reversed(range(30))])
+    calls = {"stale_comments": 0, "change_provenance": 0}
+    with patch.object(smart, "ALERT_CAP", 10), \
+            counting("stale_comments", calls), counting("change_provenance", calls):
+        alerts = augment(result, AugmentContext(graph)).alerts
+    assert calls == {"stale_comments": 10, "change_provenance": 0}
+    assert alerts == augment_per_response(result, graph).alerts
+    assert [a.subject for a in alerts] == [f"func:a.c#f{i:02d}" for i in range(10)]
+
+
+def test_the_cap_is_settled_per_entity_before_a_failing_rule_is_asked():
+    """c holds eight stale comments and its change provenance raises; a and
+    b, whose ids sort before c's, each hold a provenance alert.  c's stale
+    alerts and a's and b's provenance fill the cap before c's provenance
+    would be asked, so it is not asked, and c keeps its stale alerts."""
+    a, b, c = "func:a.c#a", "func:a.c#b", "func:a.c#c"
+    entities = [Entity(a, "function", "a"), Entity(b, "function", "b"),
+                Entity(c, "function", "c"),
+                Entity("commit:c1", "commit", "fix", attrs={"timestamp": "2015-01-02T00:00:00Z"})]
+    triples = [("commit:c1", "touches", a), ("commit:c1", "touches", b)]
+    for i in range(8):
+        comment = f"comment:a.c#L{i + 1}"
+        entities.append(Entity(comment, "comment", "uses zz", attrs=STALE))
+        triples.append((c, "documented-by", comment))
+    graph = build(triples, entities)
+    asked = []
+
+    def failing_for_c(ctx, eid):
+        asked.append(eid)
+        if eid == c:
+            raise RuntimeError("no history")
+        return change_provenance(ctx, eid)
+
+    with patch.object(smart, "ALERT_CAP", 10), \
+            patch.object(smart, "change_provenance", failing_for_c):
+        alerts = augment(ResultSet(("f",), [(c,), (b,), (a,)]), AugmentContext(graph)).alerts
+    assert [(x.kind, x.subject) for x in alerts] == (
+        [("stale-comment", c)] * 8 + [("provenance", a), ("provenance", b)])
+    assert asked == [a, b]
 
 
 @pytest.mark.parametrize("n_globals", [3, 12])
@@ -420,49 +482,58 @@ def stale_documented_code():
     return graph, None, [("func:a.c#g",), ("func:a.c#f",), ("comment:a.c#L9",)]
 
 
-# each rule whose verdicts a context keeps, with its verdict table and the
-# test its subjects pass
-KEPT_RULES = {
-    "race_alert_static": ("static_races", smart._is_global),
-    "similar_defects": ("similar", lambda e: e.kind == "bug"),
-    "stale_comments": ("stale", lambda e: True),
-    "change_provenance": ("provenance", lambda e: e.kind in smart._TIERS[-1][2]),
+# each rule that a tier calls, with the test its subjects pass in a context
+RULE_SUBJECTS = {
+    "race_alert_dynamic": lambda e, ctx: smart._is_global(e) and e.id in (ctx.locksets or ()),
+    "similar_defects": lambda e, ctx: e.kind == "bug",
+    "race_alert_static": lambda e, ctx: smart._is_global(e),
+    "stale_comments": lambda e, ctx: True,
+    "change_provenance": lambda e, ctx: e.kind in smart._TIERS[-1][3],
 }
+# the index in smart._TIERS of the tier that calls each rule
+RULE_TIERS = {"race_alert_dynamic": 0, "similar_defects": 0, "race_alert_static": 1,
+              "stale_comments": 2, "change_provenance": 3}
 
 
 @pytest.mark.parametrize("case", [racing_globals, a_global_racing_nowhere_and_bugs, similar_bugs,
                                   touched_code, stale_documented_code])
 def test_each_verdict_is_computed_once_per_context(case):
-    """Answers on one context compute each global's static race, each bug's
+    """Answers on one context ask each rule once per subject, an empty
+    verdict too: each global's dynamic and static race, each bug's
     similar defects, each entity's stale comments and each code entity's
-    change provenance once, an empty verdict too, and give the alerts a
-    fresh context gives, which computes the same verdicts again."""
+    change provenance.  They give the alerts a fresh context gives, which
+    asks the same again, and each tier keeps the alerts of exactly its
+    candidates among the rows, as the fresh context does."""
     graph, log, rows = case()
     result = ResultSet(("e",), rows)
-    subjects = {rule: sorted(eid for eid, in rows if is_subject(graph.entities[eid]))
-                for rule, (_, is_subject) in KEPT_RULES.items()}
-    calls = dict.fromkeys(KEPT_RULES, 0)
     ctx = AugmentContext(graph, locksets(log))
-    with patch.object(smart, "ALERT_CAP", 10**6), \
-            counting("race_alert_static", calls), counting("similar_defects", calls), \
-            counting("stale_comments", calls), counting("change_provenance", calls):
+    subjects = {rule: sorted(eid for eid, in rows if is_subject(graph.entities[eid], ctx))
+                for rule, is_subject in RULE_SUBJECTS.items()}
+    calls = dict.fromkeys(RULE_SUBJECTS, 0)
+    with patch.object(smart, "ALERT_CAP", 10**6), ExitStack() as counted:
+        for rule in RULE_SUBJECTS:
+            counted.enter_context(counting(rule, calls))
         answers = [augment(result, ctx).alerts for _ in range(3)]
         assert calls == {rule: len(eids) for rule, eids in subjects.items()}
         fresh = AugmentContext(graph, locksets(log))
         assert augment(result, fresh).alerts == answers[0] == answers[1] == answers[2]
     assert calls == {rule: 2 * len(eids) for rule, eids in subjects.items()}
-    for rule, (table, _) in KEPT_RULES.items():
-        assert getattr(ctx, table) == getattr(fresh, table)
-        assert sorted(getattr(ctx, table)) == subjects[rule]
+    assert ctx.kept == fresh.kept
+    for (_, _, _, kinds), kept in zip(smart._TIERS, ctx.kept):
+        assert list(kept) == sorted(  # the tier's candidates among the rows, in id order
+            eid for eid, in rows if kinds is None or graph.entities[eid].kind in kinds)
 
 
-@pytest.mark.parametrize("rule, case", [("race_alert_static", racing_globals),
+@pytest.mark.parametrize("rule, case", [("race_alert_dynamic", racing_globals),
+                                        ("race_alert_static", racing_globals),
                                         ("similar_defects", similar_bugs),
                                         ("stale_comments", stale_documented_code),
                                         ("change_provenance", touched_code)])
 def test_a_rule_that_raises_keeps_no_verdict(rule, case):
-    """A rule that raises is asked again on every answer, and each answer
-    gives its entities' warning alerts."""
+    """A rule that raises is asked again on every answer, for its entities
+    in id order, and each answer gives their warning alerts.  Its tier and
+    the later ones keep nothing; the earlier tiers keep what they keep
+    when no rule raises."""
     graph, log, rows = case()
     result = ResultSet(("e",), rows)
     calls = []
@@ -477,10 +548,13 @@ def test_a_rule_that_raises_keeps_no_verdict(rule, case):
             alerts = augment(result, ctx).alerts
             assert [(a.kind, a.subject, a.message) for a in alerts] == sorted(
                 ("warning", eid, f"augmentation failed for {eid}: rule failed") for eid, in rows)
-    assert calls == [eid for eid, in rows] * 3
-    assert ctx.static_races == ctx.similar == ctx.provenance == {}
-    # the stale tier runs before provenance, on entities that have no stale comment
-    assert ctx.stale == ({eid: () for eid, in rows} if rule == "change_provenance" else {})
+    assert calls == sorted(eid for eid, in rows) * 3
+    clean = AugmentContext(graph, locksets(log))
+    with patch.object(smart, "ALERT_CAP", 10**6):
+        augment(result, clean)
+    tier = RULE_TIERS[rule]
+    assert ctx.kept[:tier] == clean.kept[:tier]
+    assert ctx.kept[tier:] == ({},) * (len(ctx.kept) - tier)
 
 
 # -- tier kinds ------------------------------------------------------------------
@@ -540,15 +614,15 @@ def check_tier_kinds(graph, log):
     oracle = augment_per_response(every, graph, log, cap=10**6).alerts
     with patch.object(smart, "ALERT_CAP", 10**6):
         assert augment(every, ctx).alerts == oracle
-    for (_, rule, kinds), alert_kinds in zip(smart._TIERS, TIER_ALERTS):
+    for (_, _, tier, kinds), alert_kinds in zip(smart._TIERS, TIER_ALERTS):
         if kinds is None:
             continue
         for eid, entity in graph.entities.items():
             if entity.kind in kinds:
                 continue
             assert [a for a in oracle if a.subject == eid and a.kind in alert_kinds] == [], eid
-            if rule is not smart._provenance:
-                assert rule(ctx, entity, {}) == [], (rule.__name__, eid)
+            if tier is not smart._provenance:
+                assert tier(ctx, entity) == [], (tier.__name__, eid)
 
 
 def test_tier_kinds_stay_in_step_with_the_rules_on_the_scenario(scenario_graph, scenario_trace):
