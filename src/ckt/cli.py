@@ -98,8 +98,15 @@ def _load_query_context(graph_dir: Path) -> QueryContext:
     graph is immutable after load and its records form no cycles, so no
     collection could free any of them.  They are frozen before the
     collector resumes, because the first allocation after that would
-    otherwise start a collection that walks them all once.
+    otherwise start a collection that walks them all once.  gc.freeze
+    freezes garbage too, such as an earlier load's context, whose alert
+    tables hold it, and its graph, in a cycle; so a load after one that
+    froze unfreezes and collects first, and a process's first load
+    collects nothing.
     """
+    if gc.get_freeze_count():
+        gc.unfreeze()
+        gc.collect()
     with collector_paused():
         # cached_graph reads the copies before graph.json, and parse_graph
         # reads graph.json again after them, so all the bytes are of one build

@@ -30,6 +30,13 @@ byte (the stat-data check of git's index, with its racy-git rule, and
 of ccache's direct mode).  An absent, damaged or foreign stamp, or any
 mismatch, and the load hashes as it would with none.
 
+An extraction entry spares a build the parse of each source file that
+an earlier build of the same manifest parsed (Extractions): <name>.facts,
+named by the manifest's resolved path, holds one record per file, keyed
+by the file's path and bytes and by the extractor's source, as ccache's
+direct mode keys an object file (and a build system's action cache, in
+"Build systems à la carte", Mokhov, Mitchell and Peyton Jones, 2018).
+
 The cache lives in $XDG_CACHE_HOME/ckt, or ~/.cache/ckt, never in a graph
 directory: a query must not write where `ckt build` writes.  It is used
 only while that directory is this user's, with no access for any other
@@ -58,7 +65,7 @@ import sys
 from array import array, typecodes
 from _thread import get_ident
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO
 
@@ -68,7 +75,7 @@ from ckt.model import Lockset
 from _blake2 import blake2b as _blake2b
 
 VERSION = 5  # of the entry and stamp layouts
-KEEP = 8  # entries and temporary files, and stamps, a cache directory keeps of each
+KEEP = 8  # entries and temporary files, stamps, and extraction entries, a cache keeps of each
 _DIGEST_SIZE = 16
 _HEAD = 4 + _DIGEST_SIZE  # the length and the digest before each payload
 
@@ -107,9 +114,10 @@ def private_dir() -> Path | None:
 
 def _name(key: tuple | str, suffix: str = ".graph") -> str:
     """The name of the entry of `key`, a tuple of JSON values, or with
-    suffix ".stamp" the stamp of `key`, a directory's resolved path, as
-    written by this layout, marshal format and interpreter, in this byte
-    order and with these sizes of array items."""
+    suffix ".stamp" the stamp of `key`, a directory's resolved path, or
+    with ".facts" the extraction entry of `key`, a manifest's resolved
+    path, as written by this layout, marshal format and interpreter, in
+    this byte order and with these sizes of array items."""
     made_from = repr((key, VERSION, marshal.version, sys.implementation.cache_tag,
                       sys.byteorder, [array(code).itemsize for code in typecodes]))
     return f"{_blake2b(made_from.encode(), digest_size=_DIGEST_SIZE).hexdigest()}{suffix}"
@@ -276,20 +284,110 @@ def stamping(place: str) -> Iterator[Callable[[dict, tuple], None]]:
         tmp.unlink(missing_ok=True)
 
 
+class Extractions:
+    """The extraction entry of a manifest in private_dir, named by the
+    manifest's resolved path `place` as a stamp is named by its directory,
+    with suffix ".facts"; in a `with` block, get(key) is the payload that
+    an earlier build put for `key`, or None, and put(key, payload) puts
+    one.  A key (key()) is the BLAKE2b-128 of a file's relative path and
+    bytes, keyed by the extractor's identity: a digest of the source files
+    `made_by` and of what _name makes a name of.  So an edit to any of
+    them, or another layout, marshal format, interpreter or byte order,
+    misses every key, and without one of those files there is no cache.
+
+    The entry is a sequence of records, each the payload's length (4
+    bytes, little-endian), its key, its BLAKE2b-128 digest keyed by that
+    key, and the payload.  When the block begins, the new entry's
+    temporary file is made and the old entry's heads are read; a payload
+    is read when its key is got, and one whose length or digest fails is
+    a miss.  A payload put is written to the temporary file at once, so
+    no build holds the entry whole.  When the block ends without an
+    error, and a payload was put or fewer keys were got than the entry
+    holds, the records got are copied there from the old entry, and the
+    temporary file is renamed into place and the directory pruned, as for
+    a .graph entry; else it is removed.  No cache, or one that cannot be
+    read or written, misses every key and raises nothing."""
+
+    def __init__(self, place: str, made_by: list[str]):
+        self._cache, self._out, self._files = private_dir(), None, ExitStack()
+        try:
+            made = tuple(_blake2b(Path(path).read_bytes()).hexdigest() for path in made_by)
+        except OSError:  # no source to key by, so no cache
+            made, self._cache = (), None
+        self._identity = _name(made, "").encode()  # 32 bytes, a BLAKE2b key
+        self._path = None if self._cache is None else self._cache / _name(place, ".facts")
+        # key -> offset, length and digest in the old entry; the keys got, in order
+        self._old, self._got = {}, []
+
+    def __enter__(self) -> Extractions:
+        if self._path is not None:
+            self._tmp = _temporary(self._path)
+            with suppress(OSError):
+                self._out = self._files.enter_context(open(self._tmp, "wb"))
+                self._files.callback(self._tmp.unlink, missing_ok=True)  # once renamed, a no-op
+                self._file = self._files.enter_context(open(self._path, "rb"))
+                size = os.fstat(self._file.fileno()).st_size
+                while len(head := self._file.read(_HEAD + _DIGEST_SIZE)) == _HEAD + _DIGEST_SIZE:
+                    length = min(int.from_bytes(head[:4], "little"), size)
+                    self._old[head[4:_HEAD]] = self._file.tell(), length, head[_HEAD:]
+                    self._file.seek(length, os.SEEK_CUR)
+        return self
+
+    def key(self, rel: str, data: bytes) -> bytes:
+        # marshal format 2 writes a path the same way whether interned or not
+        return _blake2b(marshal.dumps(rel, 2) + data, digest_size=_DIGEST_SIZE,
+                        key=self._identity).digest()
+
+    def get(self, key: bytes) -> bytes | None:
+        try:
+            offset, length, digest = self._old[key]
+            payload = os.pread(self._file.fileno(), length, offset)
+        except (KeyError, OSError):
+            return None
+        if _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest() != digest:
+            return None
+        self._got.append(key)
+        return payload
+
+    def put(self, key: bytes, payload: bytes) -> None:
+        if self._out is not None:
+            try:
+                self._out.write(len(payload).to_bytes(4, "little") + key
+                                + _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest()
+                                + payload)
+            except OSError:  # so no entry is written
+                self._out = None
+
+    def __exit__(self, exc, *_) -> None:
+        try:
+            with suppress(OSError):
+                if not exc and self._out and (self._out.tell() or len(self._got) < len(self._old)):
+                    for key in list(self._got):  # copied as read, the digest checked again
+                        if (payload := self.get(key)) is not None:
+                            self.put(key, payload)
+                    if self._out is not None:
+                        self._out.close()
+                        os.replace(self._tmp, self._path)
+                        _prune(self._cache)
+        finally:
+            self._old = {}
+            self._files.close()
+
+
 def _prune(cache: Path) -> None:
     """Remove all but the KEEP newest entries and temporary files of `cache`
     by mtime, so that one a writer killed mid-write left goes too, and all
-    but the KEEP newest stamps, so that stamps never evict an entry; a file
-    that another process removed first is passed over.  A live writer's
-    file is among the newest, and were it removed, its rename would fail as
-    any other write can."""
-    kinds: dict[bool, list] = {False: [], True: []}  # is a stamp -> (mtime, path)
+    but the KEEP newest stamps, and of extraction entries, so that neither
+    ever evicts a graph entry; a file that another process removed first
+    is passed over.  A live writer's file is among the newest, and were it
+    removed, its rename would fail as any other write can."""
+    kinds: dict[str, list] = {}  # ".graph" (and ".tmp"), ".stamp" or ".facts" -> (mtime, path)
     with os.scandir(cache) as found:
         for entry in found:
-            if entry.name.endswith((".graph", ".tmp", ".stamp")):
+            kind = os.path.splitext(entry.name)[1].replace(".tmp", ".graph")
+            if kind in (".graph", ".stamp", ".facts"):
                 try:
-                    kinds[entry.name.endswith(".stamp")].append(
-                        (entry.stat().st_mtime_ns, entry.path))
+                    kinds.setdefault(kind, []).append((entry.stat().st_mtime_ns, entry.path))
                 except FileNotFoundError:
                     pass
     for files in kinds.values():

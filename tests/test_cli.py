@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -663,6 +664,7 @@ def _counting(monkeypatch, module, attr, calls):
 def test_build_lexes_each_source_file_once(tmp_path, monkeypatch, capsys):
     from ckt.extraction import comments, cparser
 
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))  # no file's extraction cached
     shutil.copytree(SCENARIO, tmp_path / "p")
     calls = []
     _counting(monkeypatch, cparser, "lex", calls)
@@ -742,6 +744,22 @@ def test_query_load_restores_the_collector(scenario_dir, tmp_path, corrupt):
             assert gc.isenabled() is enabled
     finally:
         gc.enable()
+        gc.unfreeze()
+
+
+def test_a_second_load_frees_the_first_loads_graph(scenario_dir):
+    """The first load froze what it loaded; the context it returned holds
+    its graph in a cycle (each alert table holds the context), so once it
+    is dropped it is garbage that the freeze of a later load would keep for
+    good.  The second load unfreezes and collects first, so the first
+    graph is freed."""
+    gc.unfreeze()
+    try:
+        first = weakref.ref(_load_query_context(scenario_dir / "out").graph)
+        assert gc.get_freeze_count() > 0
+        second = _load_query_context(scenario_dir / "out").graph
+        assert first() is None and second is not None
+    finally:
         gc.unfreeze()
 
 
