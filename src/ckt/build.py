@@ -249,33 +249,29 @@ def _extract_sources(manifest: ProjectManifest, base: Path, state: BuildState,
 def _encode(facts: FactSet, found: list[Comment]) -> bytes:
     """One file's extraction in marshal format 3, which keeps what the
     parse shared as shared: its entities, relations and comments, each as
-    a row of its fields in order, a span as a plain tuple, and the span
-    path index as the positions of its entities.  Format 4 is 14% smaller,
-    but with it a build in an empty cache peaked 0.45 to 0.75 MB higher
-    (VmHWM, 100 to 400 files); with format 3 it peaks as one without the
-    cache does."""
-    position = {eid: n for n, eid in enumerate(facts.entities)}
+    a row of its fields in order, and a span as a plain tuple.  Format 4
+    is 14% smaller, but with it a build in an empty cache peaked 0.45 to
+    0.75 MB higher (VmHWM, 100 to 400 files); with format 3 it peaks as
+    one without the cache does."""
     return marshal.dumps((
         [(e.id, e.kind, e.label, e.span and tuple(e.span), e.attrs)
          for e in facts.entities.values()],
         [(r.subj, r.pred, r.obj, r.origin, r.attrs) for r in facts.relations],
-        [(path, [position[e.id] for e in spanned]) for path, spanned in facts._by_path.items()],
         [(c.text, tuple(c.span), c.style, c.tokens, c.attrs) for c in found]), 3)
 
 
 def _decode(payload: bytes) -> tuple[FactSet, list[Comment]]:
     """The FactSet and the comments that _encode encoded, as the parse
-    made them: the entities, the relations and each subject's and path's
-    list in the same order.  A span is made by tuple.__new__, as Span's
-    own __new__ is a Python function."""
-    entities, relations, by_path, found = marshal.loads(payload)
+    made them: the entities, the relations and each subject's list in the
+    same order.  The span path index stays empty, as FactSet.merge, the
+    one reader of a file's FactSet, adds its entities one by one.  A span
+    is made by tuple.__new__, as Span's own __new__ is a Python function."""
+    entities, relations, found = marshal.loads(payload)
     facts = FactSet()
-    made = [Entity(eid, kind, label, span and tuple.__new__(Span, span), attrs)
-            for eid, kind, label, span, attrs in entities]
-    facts.entities = {entity.id: entity for entity in made}
+    facts.entities = {eid: Entity(eid, kind, label, span and tuple.__new__(Span, span), attrs)
+                      for eid, kind, label, span, attrs in entities}
     for row in relations:
         facts.add_relation(Relation(*row))
-    facts._by_path = {path: [made[n] for n in spanned] for path, spanned in by_path}
     return facts, [Comment(text, tuple.__new__(Span, span), style, tokens, attrs)
                    for text, span, style, tokens, attrs in found]
 

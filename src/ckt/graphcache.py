@@ -75,9 +75,10 @@ from ckt.model import Lockset
 from _blake2 import blake2b as _blake2b
 
 VERSION = 5  # of the entry and stamp layouts
-KEEP = 8  # entries and temporary files, stamps, and extraction entries, a cache keeps of each
+KEEP = 8  # files a cache directory keeps of each kind (_prune)
 _DIGEST_SIZE = 16
 _HEAD = 4 + _DIGEST_SIZE  # the length and the digest before each payload
+_RECORD = _HEAD + _DIGEST_SIZE  # and the key between them, in an extraction record
 
 
 class _Miss(Exception):
@@ -297,40 +298,37 @@ class Extractions:
 
     The entry is a sequence of records, each the payload's length (4
     bytes, little-endian), its key, its BLAKE2b-128 digest keyed by that
-    key, and the payload.  When the block begins, the new entry's
-    temporary file is made and the old entry's heads are read; a payload
-    is read when its key is got, and one whose length or digest fails is
-    a miss.  A payload put is written to the temporary file at once, so
+    key, and the payload.  When made, it opens the new entry's temporary
+    file and reads the old entry's heads; a record is read when its key
+    is got, and one whose digest fails is a miss.  A record got or put is
+    written to the temporary file at once, the one got as it was read, so
     no build holds the entry whole.  When the block ends without an
-    error, and a payload was put or fewer keys were got than the entry
-    holds, the records got are copied there from the old entry, and the
-    temporary file is renamed into place and the directory pruned, as for
-    a .graph entry; else it is removed.  No cache, or one that cannot be
-    read or written, misses every key and raises nothing."""
+    error, and the temporary file is not the old entry's size (a record
+    was put, or the entry holds one that was not got), it is renamed into
+    place and the directory pruned, as for a .graph entry; else it is
+    removed.  No cache, or one that cannot be read or written, misses
+    every key and raises nothing."""
 
     def __init__(self, place: str, made_by: list[str]):
-        self._cache, self._out, self._files = private_dir(), None, ExitStack()
-        try:
-            made = tuple(_blake2b(Path(path).read_bytes()).hexdigest() for path in made_by)
-        except OSError:  # no source to key by, so no cache
-            made, self._cache = (), None
-        self._identity = _name(made, "").encode()  # 32 bytes, a BLAKE2b key
-        self._path = None if self._cache is None else self._cache / _name(place, ".facts")
-        # key -> offset, length and digest in the old entry; the keys got, in order
-        self._old, self._got = {}, []
+        # key -> offset and length of its record in the old entry; that entry's size
+        self._old, self._size, self._out, self._files = {}, 0, None, ExitStack()
+        self._identity, cache = b"", private_dir()
+        if cache is not None:
+            with suppress(OSError):  # no source to key by, or an entry not to be read or written
+                made = tuple(_blake2b(Path(path).read_bytes()).hexdigest() for path in made_by)
+                self._identity = _name(made, "").encode()  # 32 bytes, a BLAKE2b key
+                self._path = cache / _name(place, ".facts")
+                self._out = self._files.enter_context(open(_temporary(self._path), "wb"))
+                # once the file is renamed, a no-op
+                self._files.callback(Path(self._out.name).unlink, missing_ok=True)
+                self._file = self._files.enter_context(open(self._path, "rb"))
+                self._size = os.fstat(self._file.fileno()).st_size
+                while len(head := self._file.read(_RECORD)) == _RECORD:
+                    start, length = self._file.tell() - _RECORD, int.from_bytes(head[:4], "little")
+                    self._old[head[4:_HEAD]] = start, min(_RECORD + length, self._size)
+                    self._file.seek(length, os.SEEK_CUR)
 
     def __enter__(self) -> Extractions:
-        if self._path is not None:
-            self._tmp = _temporary(self._path)
-            with suppress(OSError):
-                self._out = self._files.enter_context(open(self._tmp, "wb"))
-                self._files.callback(self._tmp.unlink, missing_ok=True)  # once renamed, a no-op
-                self._file = self._files.enter_context(open(self._path, "rb"))
-                size = os.fstat(self._file.fileno()).st_size
-                while len(head := self._file.read(_HEAD + _DIGEST_SIZE)) == _HEAD + _DIGEST_SIZE:
-                    length = min(int.from_bytes(head[:4], "little"), size)
-                    self._old[head[4:_HEAD]] = self._file.tell(), length, head[_HEAD:]
-                    self._file.seek(length, os.SEEK_CUR)
         return self
 
     def key(self, rel: str, data: bytes) -> bytes:
@@ -340,51 +338,50 @@ class Extractions:
 
     def get(self, key: bytes) -> bytes | None:
         try:
-            offset, length, digest = self._old[key]
-            payload = os.pread(self._file.fileno(), length, offset)
+            offset, length = self._old[key]
+            record = os.pread(self._file.fileno(), length, offset)
         except (KeyError, OSError):
             return None
-        if _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest() != digest:
+        payload = record[_RECORD:]
+        if _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest() != record[_HEAD:_RECORD]:
             return None
-        self._got.append(key)
+        self._write(record)
         return payload
 
     def put(self, key: bytes, payload: bytes) -> None:
+        self._size = -1  # so the entry is written
+        self._write(len(payload).to_bytes(4, "little") + key
+                    + _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest() + payload)
+
+    def _write(self, record: bytes) -> None:
         if self._out is not None:
             try:
-                self._out.write(len(payload).to_bytes(4, "little") + key
-                                + _blake2b(payload, digest_size=_DIGEST_SIZE, key=key).digest()
-                                + payload)
+                self._out.write(record)
             except OSError:  # so no entry is written
                 self._out = None
 
     def __exit__(self, exc, *_) -> None:
-        try:
-            with suppress(OSError):
-                if not exc and self._out and (self._out.tell() or len(self._got) < len(self._old)):
-                    for key in list(self._got):  # copied as read, the digest checked again
-                        if (payload := self.get(key)) is not None:
-                            self.put(key, payload)
-                    if self._out is not None:
-                        self._out.close()
-                        os.replace(self._tmp, self._path)
-                        _prune(self._cache)
-        finally:
-            self._old = {}
-            self._files.close()
+        with suppress(OSError), self._files:
+            if not exc and self._out and self._out.tell() != self._size:
+                self._out.close()
+                os.replace(self._out.name, self._path)
+                _prune(self._path.parent)
 
 
 def _prune(cache: Path) -> None:
-    """Remove all but the KEEP newest entries and temporary files of `cache`
-    by mtime, so that one a writer killed mid-write left goes too, and all
-    but the KEEP newest stamps, and of extraction entries, so that neither
-    ever evicts a graph entry; a file that another process removed first
-    is passed over.  A live writer's file is among the newest, and were it
-    removed, its rename would fail as any other write can."""
-    kinds: dict[str, list] = {}  # ".graph" (and ".tmp"), ".stamp" or ".facts" -> (mtime, path)
+    """Remove all but the KEEP newest files of `cache` of each kind, by
+    mtime: graph entries, stamps and extraction entries, each kind with
+    its temporary files, so that one a writer killed mid-write left goes
+    too, and a stamp or an extraction entry never evicts a graph entry; a
+    file that another process removed first is passed over.  A live
+    writer's file is among the newest, and were it removed, its rename
+    would fail as any other write can."""
+    kinds: dict[str, list] = {}  # ".graph", ".stamp" or ".facts" -> (mtime, path)
     with os.scandir(cache) as found:
         for entry in found:
-            kind = os.path.splitext(entry.name)[1].replace(".tmp", ".graph")
+            # a temporary file, .<name>.<pid>-<thread>.tmp, is of the kind of <name>
+            name = entry.name.rsplit(".", 2)[0] if entry.name.endswith(".tmp") else entry.name
+            kind = os.path.splitext(name)[1]
             if kind in (".graph", ".stamp", ".facts"):
                 try:
                     kinds.setdefault(kind, []).append((entry.stat().st_mtime_ns, entry.path))

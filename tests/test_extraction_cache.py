@@ -21,7 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ckt import build as build_module
@@ -29,6 +29,7 @@ from ckt import graphcache
 from ckt.cli import main
 from ckt.extraction import comments, cparser
 from conftest import SCENARIO
+from test_query_inputs import mutate
 
 # lines of the small projects: declarations, bodies that call, read and
 # write, a thread start, comments of each kind, and one line that is not
@@ -109,9 +110,10 @@ def entry_of(cache: Path, manifest: Path) -> Path:
 
 
 def listed(fs) -> tuple:
-    """Every list of a FactSet, in order, each record as its fields and
-    the type of its span: entities, relations, and the subject and path
-    indexes."""
+    """Every list of a FactSet that FactSet.merge reads, in order, each
+    record as its fields and the type of its span: entities, relations and
+    the subject index.  The span path index is left out: merge adds a
+    file's entities one by one, which makes the merged set's own."""
     def entity(e):
         return e.id, e.kind, e.label, type(e.span), e.span, list(e.attrs.items())
 
@@ -120,8 +122,7 @@ def listed(fs) -> tuple:
 
     return ([entity(e) for e in fs.entities.values()], list(fs.entities),
             [relation(r) for r in fs.relations],
-            [(subj, [relation(r) for r in rels]) for subj, rels in fs._by_subj.items()],
-            [(path, [entity(e) for e in ents]) for path, ents in fs._by_path.items()])
+            [(subj, [relation(r) for r in rels]) for subj, rels in fs._by_subj.items()])
 
 
 def assert_decodes_to_the_parse(text: str, rel: str) -> None:
@@ -246,7 +247,8 @@ def test_the_entry_is_written_only_when_a_key_changed(tmp_path):
 
 def test_a_file_that_is_not_utf8_is_never_stored(tmp_path):
     """It exits 2 naming the file and its line, each time, and a build that
-    fails stores nothing: the next parses the file before it again."""
+    fails in its extraction stores nothing: the next parses the file
+    before it again."""
     manifest = write_project(tmp_path / "p", {"src/a.c": LINES[:3], "src/b.c": LINES[-2:]},
                              ROOTS[2])
     failed = build(manifest, tmp_path / "xdg")
@@ -254,6 +256,36 @@ def test_a_file_that_is_not_utf8_is_never_stored(tmp_path):
     with counted_parses() as spy:
         assert build(manifest, tmp_path / "xdg") == failed == clean_build(manifest)
     assert spy.call_count == 2  # src/a.c by each build
+
+
+# -- any build input, mutated ------------------------------------------------------
+
+
+INPUTS = ["manifest.json", "src/ftpety.c", "src/VHDLPosedge.cc", "commits.jsonl", "bugs.jsonl",
+          "trace.jsonl", "templates.jsonl", "ontology.jsonl", "weights.json", "entry"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(INPUTS), st.data())
+def test_a_build_of_a_mutated_input_is_a_clean_build_or_exits_2_with_one_line(target, data):
+    """One byte or one line of one input of the scenario, or of the entry
+    its build left, mutated: a build with that build's cache has the
+    outcome of a clean build in an empty cache, which is a tree or exit 2
+    with one `error:` line and the previous tree as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        project, shared = Path(tmp) / "p", Path(tmp) / "shared"
+        shutil.copytree(SCENARIO, project, ignore=shutil.ignore_patterns("out"))
+        manifest = project / "manifest.json"
+        built = build(manifest, shared)
+        path = entry_of(shared / "ckt", manifest) if target == "entry" else project / target
+        path.write_bytes(mutated := mutate(data, path.read_bytes()))
+        # a flipped byte of the manifest could make out/ a path outside the project
+        assume(target != "manifest.json" or b'"out": "out"' in mutated)
+        code, stdout, stderr, tree = outcome = build(manifest, shared)
+        assert outcome == clean_build(manifest)
+    if code != 0:
+        assert code == 2 and stdout == "" and tree == built[3], stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
 
 
 # -- a damaged, foreign or unusable entry ------------------------------------------
@@ -419,17 +451,38 @@ def test_a_cache_directory_that_cannot_be_written_changes_no_outcome(twins):
 
 
 def test_extraction_entries_never_evict_a_graph_entry(twins):
-    """More than KEEP extraction entries, each newer than every graph
-    entry: a write keeps the KEEP newest of each kind."""
+    """More than KEEP extraction entries and as many temporary files of
+    them, as writers killed mid-write leave, each newer than every graph
+    entry: a write keeps the KEEP newest of each kind, a temporary file
+    counted with the kind of the entry it was to be."""
     manifest, xdg, cache, entry, outcome = twins
     graphs = sorted(cache.glob("*.graph"))
-    old = [cache / f"{i:032x}.facts" for i in range(graphcache.KEEP + 2)]
-    for path in old:
-        path.write_bytes(b"")
+    for i in range(graphcache.KEEP + 2):
+        (cache / f"{i:032x}.facts").write_bytes(b"")
+        (cache / f".{i:032x}.facts.{100 + i}-{i}.tmp").write_bytes(b"")
     entry.write_bytes(DAMAGE["flip-payload"](entry.read_bytes()))  # so the build writes it
     assert build(manifest, xdg) == outcome
     assert sorted(cache.glob("*.graph")) == graphs
-    assert len(list(cache.glob("*.facts"))) == graphcache.KEEP and entry.exists()
+    left = list(cache.glob("*.facts")) + list(cache.glob(".*.tmp"))
+    assert len(left) == graphcache.KEEP and entry in left
+
+
+def test_a_build_that_fails_after_its_extraction_keeps_what_it_extracted(tmp_path):
+    """The entry is written when the extraction ends, so a build that then
+    fails, here on its templates, has stored every file; the next build,
+    with the templates mended, parses none and is a clean build."""
+    project = tmp_path / "p"
+    shutil.copytree(SCENARIO, project, ignore=shutil.ignore_patterns("out"))
+    manifest, xdg = project / "manifest.json", tmp_path / "xdg"
+    templates = project / "templates.jsonl"
+    good = templates.read_bytes()
+    templates.write_bytes(b"{\n")
+    failed = build(manifest, xdg)
+    assert failed[0] == 2 and failed[2].startswith("error: ") and failed == clean_build(manifest)
+    templates.write_bytes(good)
+    with counted_parses() as spy:
+        warm = build(manifest, xdg)
+    assert spy.call_count == 0 and warm == clean_build(manifest)
 
 
 def test_without_the_extractors_source_there_is_no_cache(tmp_path, monkeypatch):
